@@ -3,9 +3,9 @@
 # §"Construction hot path" and §"Query engine").
 GO ?= go
 
-.PHONY: check vet build test race serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke bench-build bench-query bench-dynamic bench-bulk bench-serve bench-route bench
+.PHONY: check vet build test race serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke bench-module bench-build bench-query bench-dynamic bench-bulk bench-serve bench-route bench
 
-check: vet build test race serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke
+check: vet build test race serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke bench-module
 
 vet:
 	$(GO) vet ./...
@@ -73,13 +73,21 @@ cluster-test:
 	$(GO) test -count 1 -run 'TestSegmentsInfo|TestCursor|TestErrUnavailable|TestReadOnlyGate|TestReplSourceMounted|TestFollower|MaxStaleCells' ./internal/wal/ ./internal/server/ ./internal/nncell/
 	$(GO) test -count 1 -run 'TestClusterKill9' ./cmd/nncell/
 
-# One iteration of the hot-path benchmarks: proves the 0 allocs/op contracts
-# of the warm LP loop and the warm query engine, and that construction and
-# the query-bench tool still run end to end.
+# One iteration of the hot-path benchmarks. BenchmarkSolveMBR fails unless the
+# warm LP loop runs at 0 allocs/op, BenchmarkBuild/NN-Direction unless a build
+# allocates its output only (the neighbor-pool search and the LPs run on the
+# per-worker cellCtx scratch); the query benchmark and the query-bench tool
+# must still run end to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveMBR|BenchmarkBuild/NN-Direction' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryNearest$$/NN-Direction/d=8' -benchtime 1x ./internal/nncell/
 	$(GO) run ./cmd/experiments -bench-query /tmp/BENCH_query_smoke.json -bench-n 60 -bench-dims 4
+
+# The repository's benchmark (bench/, BENCHMARK.json) is a module of its own,
+# so the root's `go test ./...` never compiles it; this target does, so that a
+# rename in the library cannot break the benchmark unnoticed.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Full benchmark suite (figures + ablations + construction).
 bench:

@@ -130,13 +130,25 @@ func BenchmarkBuild(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/d=%d", alg, d), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(int64(100*d + int(alg))))
 				pts := dataset.Deduplicate(dataset.Uniform(rng, n, d))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				build := func() {
 					if _, err := nncell.Build(pts, vec.UnitCube(d), pager.New(pager.Config{}),
 						nncell.Options{Algorithm: alg}); err != nil {
 						b.Fatal(err)
 					}
+				}
+				// NN-Direction's neighbor-pool search, constraint matrix and LPs
+				// run on per-worker scratch, so what a build allocates is its
+				// output (stored rectangles, tree nodes): ~16 allocations per
+				// cell, where a pool search that allocates costs over 100.
+				if alg == nncell.NNDirection {
+					if perCell := testing.AllocsPerRun(1, build) / float64(len(pts)); perCell > 32 {
+						b.Fatalf("Build allocates %.0f times per cell, want output only (<= 32)", perCell)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					build()
 				}
 			})
 		}
@@ -171,9 +183,7 @@ func BenchmarkSolveMBR(b *testing.B) {
 					b.Fatal(err)
 				}
 				c := make([]float64, d)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				extents := func() {
 					for j := 0; j < d; j++ {
 						c[j] = 1
 						if _, err := s.Solve(c); err != nil {
@@ -185,6 +195,14 @@ func BenchmarkSolveMBR(b *testing.B) {
 						}
 						c[j] = 0
 					}
+				}
+				if allocs := testing.AllocsPerRun(1, extents); allocs != 0 {
+					b.Fatalf("warm extent loop allocates %v/op, want 0", allocs)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					extents()
 				}
 			})
 		}

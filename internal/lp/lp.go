@@ -13,13 +13,15 @@
 //
 //   - Solver: a reusable dual revised simplex. The dual of an LP with d
 //     variables and m constraints has a d×d basis regardless of m; each
-//     iteration scans the m columns once (O(m·d)) and refactorizes the tiny
-//     basis (O(d³)). Because the data-space box rows are always present, a
-//     dual-feasible starting basis exists in closed form and no phase-1 is
-//     ever needed. A Solver validates and row-normalizes the constraint set
-//     once (Load), then solves any number of objectives over it (Solve)
-//     without heap allocation — exactly the access pattern of the 2·d extent
-//     LPs of one cell, which share one constraint set.
+//     iteration scans the m columns once (O(m·d)) and updates the basis
+//     inverse in product form (O(d²)), re-synchronizing it from the basis
+//     columns every refactorEvery pivots. Because the data-space box rows are
+//     always present, a dual-feasible starting basis and its inverse exist in
+//     closed form and no phase-1 is ever needed. A Solver validates and
+//     row-normalizes the constraint set once (Load), then solves any number
+//     of objectives over it (Solve) without heap allocation — exactly the
+//     access pattern of the 2·d extent LPs of one cell, which share one
+//     constraint set.
 //
 //   - Maximize: the one-shot convenience wrapper over a throwaway Solver.
 //
@@ -46,6 +48,16 @@ const (
 	tolRed    = 1e-9  // reduced-cost optimality tolerance
 	tolRatio  = 1e-12 // ratio-test degeneracy tolerance
 	maxPivots = 50000 // hard iteration cap (defensive; never hit in practice)
+
+	// refactorEvery is the number of product-form updates after which B⁻¹ is
+	// recomputed from the basis columns. An update divides by a pivot the
+	// ratio test has bounded away from zero (> tolPivot, on columns of unit
+	// infinity norm), so each one adds a rounding error of a few ulps of the
+	// entries it combines; re-synchronizing caps how many of those can add up,
+	// which keeps the drift orders of magnitude below tolRed — the tolerance
+	// at which optimality is decided and the NN-cell pipeline pads its MBRs.
+	// The extent LPs of a cell take ~20 pivots, so most solves never re-sync.
+	refactorEvery = 32
 )
 
 // Package-level error conditions.
@@ -328,9 +340,10 @@ func (s *Solver) column(k int, dst []float64) {
 // fold the box into A as 2·d extra rows (+e_j ≤ hi_j and −e_j ≤ −lo_j), so
 // the columns of Aᵀ include ±e_j for every dimension. Picking, for each j,
 // the +e_j column when c_j ≥ 0 and the −e_j column otherwise yields a basis
-// B = diag(±1) with B⁻¹c = |c| ≥ 0 — a dual-feasible starting point with no
-// phase-1. Pricing uses Dantzig's rule and falls back to Bland's rule after a
-// run of degenerate pivots, which guarantees termination.
+// B = diag(±1) = B⁻¹ with B⁻¹c = |c| ≥ 0 — a dual-feasible starting point
+// with no phase-1 and no factorization. Pricing uses Dantzig's rule and falls
+// back to Bland's rule after a run of degenerate pivots, which guarantees
+// termination.
 func (s *Solver) Solve(c []float64) (*Result, error) {
 	if s.d == 0 {
 		return nil, ErrNotLoaded
@@ -340,16 +353,19 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 	}
 	s.c = c
 	d := s.d
-	// Starting basis: signed identity from box rows.
+	// Starting basis: signed identity from box rows, which is its own inverse.
 	for j := 0; j < d; j++ {
+		row := s.binv[j]
+		for i := range row {
+			row[i] = 0
+		}
 		if c[j] >= 0 {
 			s.basis[j] = s.m + j // +e_j column
+			row[j] = 1
 		} else {
 			s.basis[j] = s.m + s.d + j // -e_j column
+			row[j] = -1
 		}
-	}
-	if err := s.refactor(); err != nil {
-		return nil, err
 	}
 
 	lambda, pi, u, colbuf, inBasis := s.lambda, s.pi, s.u, s.colbuf, s.inBasis
@@ -452,8 +468,27 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 		}
 
 		s.basis[leave] = enter
-		if err := s.refactor(); err != nil {
-			return nil, err
+		if (iters+1)%refactorEvery == 0 {
+			if err := s.refactor(); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		// Product-form update: the new basis differs from the old in column
+		// `leave` only, so B⁻¹ changes by one elementary row operation per
+		// row, driven by the direction u already computed for the ratio test.
+		pivotRow := s.binv[leave]
+		inv := 1 / u[leave]
+		for j := range pivotRow {
+			pivotRow[j] *= inv
+		}
+		for i := 0; i < d; i++ {
+			if f := u[i]; i != leave && f != 0 {
+				row := s.binv[i]
+				for j := range row {
+					row[j] -= f * pivotRow[j]
+				}
+			}
 		}
 	}
 	return nil, ErrNumeric
@@ -485,9 +520,9 @@ func (s *Solver) finish(pi, lambda []float64, iters int) (*Result, error) {
 	return &s.res, nil
 }
 
-// refactor recomputes binv = B⁻¹ from scratch into the preallocated scratch
-// matrix. With d ≤ ~20 this costs microseconds and sidesteps product-form
-// update drift.
+// refactor recomputes binv = B⁻¹ from the basis columns into the preallocated
+// scratch matrix (O(d³)), discarding whatever rounding error the product-form
+// updates since the last call have accumulated.
 func (s *Solver) refactor() error {
 	d := s.d
 	mat := s.mat

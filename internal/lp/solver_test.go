@@ -196,3 +196,198 @@ func TestSolverZeroAllocWarm(t *testing.T) {
 		t.Fatalf("warm Load+Solve allocates %v, want 0", allocs)
 	}
 }
+
+// solveRefactorEveryPivot is the reference the product-form Solve is checked
+// against: the same dual simplex on the same loaded Solver (same pricing,
+// ratio test and tolerances), but with B⁻¹ recomputed from the basis columns
+// by Gauss-Jordan after every pivot, so its inverse never carries update
+// drift.
+func solveRefactorEveryPivot(s *Solver, c []float64) (*Result, error) {
+	d, m := s.d, s.m
+	s.c = c
+	for j := 0; j < d; j++ {
+		s.basis[j] = m + j
+		if c[j] < 0 {
+			s.basis[j] = m + d + j
+		}
+	}
+	degenerate, bland := 0, false
+	for iters := 0; iters < maxPivots; iters++ {
+		if err := s.refactor(); err != nil {
+			return nil, err
+		}
+		for i := 0; i < d; i++ {
+			s.lambda[i], s.pi[i] = 0, 0
+			for j := 0; j < d; j++ {
+				s.lambda[i] += s.binv[i][j] * c[j]
+				s.pi[i] += s.w[s.basis[j]] * s.binv[j][i]
+			}
+		}
+		enter, bestRed := -1, -tolRed
+		for k := 0; k < m+2*d && !(bland && enter >= 0); k++ {
+			basic := false
+			for _, b := range s.basis {
+				basic = basic || b == k
+			}
+			if basic {
+				continue
+			}
+			s.column(k, s.colbuf)
+			red := s.w[k]
+			for i := 0; i < d; i++ {
+				red -= s.pi[i] * s.colbuf[i]
+			}
+			if red < bestRed {
+				enter = k
+				if !bland {
+					bestRed = red
+				}
+			}
+		}
+		if enter < 0 {
+			return s.finish(s.pi, s.lambda, iters)
+		}
+		s.column(enter, s.colbuf)
+		leave, bestRatio := -1, math.Inf(1)
+		for i := 0; i < d; i++ {
+			s.u[i] = 0
+			for j := 0; j < d; j++ {
+				s.u[i] += s.binv[i][j] * s.colbuf[j]
+			}
+			if s.u[i] > tolPivot {
+				ratio := s.lambda[i] / s.u[i]
+				if ratio < bestRatio-tolRatio ||
+					(ratio < bestRatio+tolRatio && (leave < 0 || s.basis[i] < s.basis[leave])) {
+					bestRatio, leave = ratio, i
+				}
+			}
+		}
+		if leave < 0 {
+			return nil, ErrInfeasible
+		}
+		if bestRatio < tolRatio {
+			if degenerate++; degenerate > 2*d+20 {
+				bland = true
+			}
+		} else {
+			degenerate = 0
+		}
+		s.basis[leave] = enter
+	}
+	return nil, ErrNumeric
+}
+
+// bisectorProblem builds the constraint set of one NN-cell: the bisector
+// half-spaces between a point of the unit cube and m others. About one row in
+// eight repeats an earlier one, verbatim or rescaled (a duplicate neighbor,
+// the degenerate-vertex case the ratio test's tie-break exists for), and some
+// neighbors differ from the center in a single coordinate (axis-parallel
+// bisectors, parallel to box rows).
+func bisectorProblem(rng *rand.Rand, d, m int) *Problem {
+	center := make([]float64, d)
+	for j := range center {
+		center[j] = rng.Float64()
+	}
+	p := &Problem{NumVars: d, Lo: make([]float64, d), Hi: make([]float64, d)}
+	for j := range p.Hi {
+		p.Hi[j] = 1
+	}
+	for len(p.Cons) < m {
+		switch r := rng.Float64(); {
+		case len(p.Cons) > 0 && r < 0.125:
+			src := p.Cons[rng.Intn(len(p.Cons))]
+			scale := 1.0
+			if rng.Intn(2) == 0 {
+				scale = 0.25 + 4*rng.Float64()
+			}
+			a := make([]float64, d)
+			for j := range a {
+				a[j] = scale * src.A[j]
+			}
+			p.Cons = append(p.Cons, Constraint{A: a, B: scale * src.B})
+			continue
+		default:
+			q := make([]float64, d)
+			copy(q, center)
+			if r < 0.2 {
+				q[rng.Intn(d)] = rng.Float64()
+			} else {
+				for j := range q {
+					q[j] = rng.Float64()
+				}
+			}
+			a := make([]float64, d)
+			b := 0.0
+			for j := range a {
+				a[j] = 2 * (q[j] - center[j])
+				b += q[j]*q[j] - center[j]*center[j]
+			}
+			p.Cons = append(p.Cons, Constraint{A: a, B: b})
+		}
+	}
+	return p
+}
+
+// TestProductFormAgreesWithRefactor is the property the O(d²) pivot rests on:
+// over random bisector LPs up to d = 16 and m = 128 — enough pivots per solve
+// to cross the periodic re-sync — the product-form Solve returns the optimum
+// of the refactor-every-pivot reference, and of the independent Seidel
+// oracle, to 1e-9. Seidel's expected O(d!·m) cost confines it at d = 16 to
+// the problems with m ≤ 32 (all of them take 25 s).
+func TestProductFormAgreesWithRefactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var s, ref Solver
+	crossedResync := false
+	for trial := 0; trial < 240; trial++ {
+		d := []int{2, 4, 8, 16}[trial%4]
+		m := 1 + rng.Intn(128)
+		p := bisectorProblem(rng, d, m)
+		if err := s.Load(p); err != nil {
+			t.Fatalf("trial %d: Load: %v", trial, err)
+		}
+		if err := ref.Load(p); err != nil {
+			t.Fatalf("trial %d: Load: %v", trial, err)
+		}
+		c := make([]float64, d)
+		for obj := 0; obj < 4; obj++ {
+			for j := range c {
+				c[j] = 0
+			}
+			if obj < 2 { // an extent objective of the NN-cell loop
+				c[rng.Intn(d)] = float64(1 - 2*obj)
+			} else {
+				for j := range c {
+					c[j] = rng.NormFloat64()
+				}
+			}
+			got, err := s.Solve(c)
+			if err != nil {
+				t.Fatalf("trial %d (d=%d m=%d): Solve: %v", trial, d, m, err)
+			}
+			crossedResync = crossedResync || got.Iterations > refactorEvery
+			checkFeasible(t, p, got.X, "product form")
+			want, err := solveRefactorEveryPivot(&ref, c)
+			if err != nil {
+				t.Fatalf("trial %d (d=%d m=%d): reference: %v", trial, d, m, err)
+			}
+			if diff := math.Abs(got.Value - want.Value); diff > 1e-9 {
+				t.Fatalf("trial %d (d=%d m=%d): product form %v vs refactor-every-pivot %v (diff %g)",
+					trial, d, m, got.Value, want.Value, diff)
+			}
+			if d > 8 && m > 32 {
+				continue
+			}
+			seidel, err := MaximizeSeidel(p, c, rng)
+			if err != nil {
+				t.Fatalf("trial %d (d=%d m=%d): seidel: %v", trial, d, m, err)
+			}
+			if diff := math.Abs(got.Value - seidel.Value); diff > 1e-9 {
+				t.Fatalf("trial %d (d=%d m=%d): product form %v vs seidel %v (diff %g)",
+					trial, d, m, got.Value, seidel.Value, diff)
+			}
+		}
+	}
+	if !crossedResync {
+		t.Fatal("no solve ran past refactorEvery pivots; the periodic re-sync was never exercised")
+	}
+}

@@ -12,16 +12,19 @@ import (
 
 // cellCtx bundles the reusable scratch state of cell construction: the LP
 // solver (normalized once per constraint set, then run for all 2·d extent
-// objectives), the bisector constraint matrix in one flat backing array, and
-// the objective / id buffers. One cellCtx serves one goroutine at a time; the
-// bulk builder keeps one per worker, the dynamic path one per operation.
+// objectives), the bisector constraint matrix in one flat backing array, the
+// objective / id buffers, and the data-tree search scratch of the
+// neighbor-pool queries. One cellCtx serves one goroutine at a time; the bulk
+// builder keeps one per worker, the dynamic path one per operation.
 type cellCtx struct {
 	solver   lp.Solver
 	prob     lp.Problem
 	cons     []lp.Constraint
-	consFlat []float64 // len(cons)·d coefficient backing, row k at [k*d:(k+1)*d]
-	c        []float64 // objective buffer (len d)
-	ids      []int     // constraint-point id buffer
+	consFlat []float64        // len(cons)·d coefficient backing, row k at [k*d:(k+1)*d]
+	c        []float64        // objective buffer (len d)
+	ids      []int            // constraint-point id buffer
+	dc       xtree.QueryCtx   // data-tree k-NN traversal scratch
+	nbrs     []xtree.Neighbor // data-tree k-NN result buffer
 }
 
 func newCellCtx(d int) *cellCtx {
@@ -50,7 +53,7 @@ func (ix *Index) approximateCell(cc *cellCtx, i int) ([]vec.Rect, error) {
 	if alg := ix.effectiveAlgorithm(); alg == Correct {
 		mbr, cons, err = ix.correctMBR(cc, i)
 	} else {
-		ids := ix.selectConstraintPoints(i, alg)
+		ids := ix.selectConstraintPoints(cc, i, alg)
 		cons = ix.bisectors(cc, p, ids)
 		mbr, err = ix.solveMBR(cc, p, cons)
 	}
@@ -163,7 +166,7 @@ func (ix *Index) noteLP(res *lp.Result) {
 // (max corner distance ≤ R) or every live point is included.
 func (ix *Index) correctMBR(cc *cellCtx, i int) (vec.Rect, []lp.Constraint, error) {
 	p := ix.points[i]
-	r := ix.initialRadius(i)
+	r := ix.initialRadius(cc, i)
 	maxR := cornerDist(p, ix.bounds)
 	for {
 		ids, all := ix.pointsWithin(cc, i, 2*r)
@@ -186,9 +189,9 @@ func (ix *Index) correctMBR(cc *cellCtx, i int) (vec.Rect, []lp.Constraint, erro
 // initialRadius estimates the cell radius as twice the distance to the
 // nearest live neighbor (cheap, from the data index); any underestimate only
 // costs an extra pruning round, never correctness.
-func (ix *Index) initialRadius(i int) float64 {
-	nbrs := ix.dataIdx.KNearest(ix.points[i], 2)
-	for _, nb := range nbrs {
+func (ix *Index) initialRadius(cc *cellCtx, i int) float64 {
+	cc.nbrs = ix.dataIdx.KNearestCtx(&cc.dc, ix.points[i], 2, math.Inf(1), cc.nbrs[:0])
+	for _, nb := range cc.nbrs {
 		if int(nb.Entry.Data) != i {
 			return 2 * math.Sqrt(nb.Dist2)
 		}
@@ -246,7 +249,7 @@ func (ix *Index) effectiveAlgorithm() Algorithm {
 // selectConstraintPoints implements the optimized constraint-selection
 // algorithms (Point, Sphere, NN-Direction). Any subset of the full point set
 // is sound (Lemma 1): fewer constraints can only enlarge the approximation.
-func (ix *Index) selectConstraintPoints(i int, alg Algorithm) []int {
+func (ix *Index) selectConstraintPoints(cc *cellCtx, i int, alg Algorithm) []int {
 	p := ix.points[i]
 	switch alg {
 	case PointAlg:
@@ -255,7 +258,7 @@ func (ix *Index) selectConstraintPoints(i int, alg Algorithm) []int {
 		radius := SphereRadius(ix.alive, ix.dim, ix.opts.SphereRadiusScale)
 		return ix.capClosest(p, ix.leafRegionPoints(i, func(r vec.Rect) bool { return r.IntersectsSphere(p, radius) }))
 	case NNDirection:
-		return ix.nnDirectionPoints(i)
+		return ix.nnDirectionPoints(cc, i)
 	default:
 		panic(fmt.Sprintf("nncell: selectConstraintPoints with algorithm %v", alg))
 	}
@@ -288,74 +291,29 @@ func (ix *Index) leafRegionPoints(i int, pred func(vec.Rect) bool) []int {
 	return ids
 }
 
-// nnDirectionPoints selects, for each of the 2·d axis directions, the
-// nearest point in that direction and the point with the smallest angular
-// deviation from the axis. Both are drawn from a constant-size nearest-
-// neighbor pool obtained with one index query, keeping the selection O(d)
-// points as the paper requires for its O(d!) LP bound.
-func (ix *Index) nnDirectionPoints(i int) []int {
-	p := ix.points[i]
-	d := ix.dim
-	poolSize := 8 * d
+// nnDirectionPoints returns the 8·d nearest live neighbors of point i (at
+// least 16, at most 128), fetched with one k-NN query on the data index. The
+// paper's NN-Direction selection — per axis direction, the nearest point and
+// the point of smallest angular deviation, ≤ 4·d points — draws its picks from
+// exactly such a pool; constraining the cell with the whole pool is a superset
+// of those picks, so by Lemma 1 the MBR can only get tighter while remaining a
+// superset of the true cell, and the constraint set stays O(d).
+func (ix *Index) nnDirectionPoints(cc *cellCtx, i int) []int {
+	poolSize := 8 * ix.dim
 	if poolSize < 16 {
 		poolSize = 16
 	}
 	if poolSize > 128 {
 		poolSize = 128
 	}
-	pool := ix.dataIdx.KNearest(p, poolSize+1) // +1: the pool includes i itself
-
-	type pick struct {
-		nearest, axial int
-		nearD, axialD  float64
-	}
-	picks := make([]pick, 2*d)
-	for k := range picks {
-		picks[k] = pick{nearest: -1, axial: -1, nearD: math.Inf(1), axialD: math.Inf(1)}
-	}
-	for _, nb := range pool {
-		id := int(nb.Entry.Data)
-		if id == i {
-			continue
-		}
-		q := ix.points[id]
-		if q == nil {
-			continue
-		}
-		d2 := nb.Dist2
-		for j := 0; j < d; j++ {
-			comp := q[j] - p[j]
-			var slot int
-			if comp > 0 {
-				slot = 2 * j
-			} else if comp < 0 {
-				slot = 2*j + 1
-			} else {
-				continue
-			}
-			if d2 < picks[slot].nearD {
-				picks[slot].nearD = d2
-				picks[slot].nearest = id
-			}
-			// Angular deviation from the axis: sin²θ = 1 − comp²/‖q−p‖².
-			if d2 > 0 {
-				dev := 1 - comp*comp/d2
-				if dev < picks[slot].axialD {
-					picks[slot].axialD = dev
-					picks[slot].axial = id
-				}
-			}
+	// +1: the pool includes i itself.
+	cc.nbrs = ix.dataIdx.KNearestCtx(&cc.dc, ix.points[i], poolSize+1, math.Inf(1), cc.nbrs[:0])
+	ids := cc.ids[:0]
+	for _, nb := range cc.nbrs {
+		if id := int(nb.Entry.Data); id != i && ix.points[id] != nil {
+			ids = append(ids, id)
 		}
 	}
-	seen := make(map[int]bool, 4*d)
-	var ids []int
-	for _, pk := range picks {
-		for _, id := range []int{pk.nearest, pk.axial} {
-			if id >= 0 && !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
-			}
-		}
-	}
+	cc.ids = ids
 	return ids
 }

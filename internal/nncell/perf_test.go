@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/pager"
 	"repro/internal/vec"
 )
 
@@ -75,60 +76,82 @@ func TestCorrectBuildPruneVisited(t *testing.T) {
 	}
 }
 
+// buildOnCache builds over a pager with the given LRU budget. The alloc tests
+// cover the pager's three paths: 0 records every access as a miss without
+// touching the LRU, 2 is smaller than any root-to-leaf working set so the
+// accesses miss and evict, and 64 (the serve default) holds these small trees
+// whole so they hit and move to the front.
+func buildOnCache(t *testing.T, pts []vec.Point, cachePages int, opts Options) *Index {
+	t.Helper()
+	ix, err := Build(pts, vec.UnitCube(pts[0].Dim()), pager.New(pager.Config{CachePages: cachePages}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 // TestNearestNeighborAllocs pins the warm query hot path to zero
-// allocations: the pooled QueryCtx owns every scratch buffer.
+// allocations: the pooled QueryCtx owns every scratch buffer, and the pager's
+// accounting allocates nothing whether it hits, misses or evicts.
 func TestNearestNeighborAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	const n, d = 400, 6
 	pts := uniquePoints(t, dataset.NameUniform, 23, n, d)
-	// CachePages 0: the pager records every access as a miss without
-	// touching its LRU, so measured allocations are the index's own.
-	ix := mustBuild(t, pts, Options{Algorithm: NNDirection})
 	qs := dataset.Uniform(rand.New(rand.NewSource(24)), 64, d)
-	for _, q := range qs { // warm
-		if _, err := ix.NearestNeighbor(q); err != nil {
-			t.Fatal(err)
+	for _, cachePages := range []int{0, 2, 64} {
+		ix := buildOnCache(t, pts, cachePages, Options{Algorithm: NNDirection})
+		for _, q := range qs { // warm
+			if _, err := ix.NearestNeighbor(q); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	k := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := ix.NearestNeighbor(qs[k%len(qs)]); err != nil {
-			t.Fatal(err)
+		k := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := ix.NearestNeighbor(qs[k%len(qs)]); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		})
+		if allocs != 0 {
+			t.Fatalf("CachePages %d: NearestNeighbor allocates %v/op, want 0", cachePages, allocs)
 		}
-		k++
-	})
-	if allocs != 0 {
-		t.Fatalf("NearestNeighbor allocates %v/op, want 0", allocs)
+		st := ix.PagerStats()
+		if (cachePages == 2 && st.Misses < st.Hits) || (cachePages == 64 && st.Hits < st.Misses) {
+			t.Fatalf("CachePages %d: %d hits, %d misses; the run did not take the pager path it is here for", cachePages, st.Hits, st.Misses)
+		}
 	}
 }
 
-// TestCandidatesAllocs checks the map-free dedup and the reusable result
-// buffer: a warm CandidatesAppend with a recycled slice allocates nothing.
+// TestCandidatesAllocs checks the dedup and the reusable result buffer: a
+// warm CandidatesAppend with a recycled slice allocates nothing, with one
+// fragment per cell (no dedup) and with decomposed cells (epoch-marked dedup).
 func TestCandidatesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	const n, d = 400, 6
 	pts := uniquePoints(t, dataset.NameUniform, 25, n, d)
-	ix := mustBuild(t, pts, Options{Algorithm: Sphere})
 	qs := dataset.Uniform(rand.New(rand.NewSource(26)), 64, d)
-	ids := make([]int, 0, n)
-	for _, q := range qs {
-		ids = ix.CandidatesAppend(ids[:0], q)
-	}
-	k := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		ids = ix.CandidatesAppend(ids[:0], qs[k%len(qs)])
-		k++
-	})
-	if allocs != 0 {
-		t.Fatalf("CandidatesAppend allocates %v/op, want 0", allocs)
+	for _, tc := range []struct{ cachePages, decompose int }{{0, 1}, {2, 1}, {64, 1}, {2, 4}} {
+		ix := buildOnCache(t, pts, tc.cachePages, Options{Algorithm: Sphere, Decompose: tc.decompose})
+		ids := make([]int, 0, n)
+		for _, q := range qs {
+			ids = ix.CandidatesAppend(ids[:0], q)
+		}
+		k := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			ids = ix.CandidatesAppend(ids[:0], qs[k%len(qs)])
+			k++
+		})
+		if allocs != 0 {
+			t.Fatalf("%+v: CandidatesAppend allocates %v/op, want 0", tc, allocs)
+		}
 	}
 }
 
-// TestCandidatesDistinct guards the slice-based dedup against regressions: a
+// TestCandidatesDistinct guards the dedup against regressions: a
 // decomposed index stores several fragments per cell, and a query point on
 // fragment seams must still report each candidate id once.
 func TestCandidatesDistinct(t *testing.T) {

@@ -42,7 +42,6 @@ const persistMagic = "NNCELLv2"
 // data, so a forged count cannot reserve memory the stream never backs.
 const (
 	maxPersistCount  = 1 << 40
-	maxPersistFrags  = 1 << 20
 	maxPersistDim    = 1 << 16
 	maxPersistDecomp = 1 << 20
 	// maxPersistCoords bounds count·dim. Tombstone slots cost one stream byte
@@ -108,7 +107,8 @@ func (ix *Index) Save(w io.Writer) error {
 
 // Load reconstructs a saved index onto a fresh pager. The cell approximations
 // are reused verbatim (no LPs are solved); only the two X-trees are rebuilt,
-// which is pure insertion work.
+// bulk-loaded from the validated entries exactly as Build does, so a loaded
+// index and a built one over the same cells share one tree shape.
 //
 // Load treats the stream as untrusted: truncation, header/payload size
 // mismatches, non-finite or out-of-bounds coordinates, duplicate points,
@@ -187,14 +187,11 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 		return nil, fmt.Errorf("nncell: load: implausible index size (%d points × %d dims)", count, d)
 	}
 
-	ix := &Index{
-		dim:     d,
-		opts:    opts,
-		pg:      pg,
-		bounds:  bounds,
-		tree:    xtree.New(d, pg, opts.XTree),
-		dataIdx: xtree.New(d, pg, opts.XTree),
-	}
+	ix := &Index{dim: d, opts: opts, pg: pg, bounds: bounds}
+	// The tree entries are collected while the stream is validated and loaded
+	// only after the checksum has vouched for all of them; like the per-slot
+	// storage they grow with the stream, never from the header's count.
+	var dataItems, cellItems []xtree.Entry
 	// Duplicate detection, same byte-exact keying as Build: a duplicated
 	// point has an empty NN-cell, so a stream containing one is corrupt.
 	seen := make(map[string]bool)
@@ -237,8 +234,11 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 			return nil, fmt.Errorf("nncell: load: duplicate point %v at slot %d", p, id)
 		}
 		seen[k] = true
-		if nfrags == 0 || nfrags > maxPersistFrags {
-			return nil, fmt.Errorf("nncell: load: implausible fragment count %d for point %d", nfrags, id)
+		// A cell never has more fragments than the decompose budget (the
+		// candidate dedup relies on one fragment per cell when there is none),
+		// which maxPersistDecomp has already capped.
+		if nfrags == 0 || nfrags > uint32(opts.Decompose) {
+			return nil, fmt.Errorf("nncell: load: implausible fragment count %d for point %d (decompose budget %d)", nfrags, id, opts.Decompose)
 		}
 		var frags []vec.Rect
 		for f := uint32(0); f < nfrags; f++ {
@@ -255,10 +255,9 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 		ix.ptsFlat = append(ix.ptsFlat, p...)
 		ix.cells = append(ix.cells, frags)
 		ix.alive++
-		ix.dataIdx.Insert(vec.PointRect(p), int64(id))
+		dataItems = append(dataItems, xtree.Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(id)})
 		for _, rc := range frags {
-			ix.tree.Insert(rc, int64(id))
-			ix.stats.fragments.Add(1)
+			cellItems = append(cellItems, xtree.Entry{Rect: rc, Data: int64(id)})
 		}
 	}
 	var wantSum uint32
@@ -274,6 +273,9 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	if ix.alive == 0 {
 		return nil, ErrEmpty
 	}
+	ix.dataIdx = xtree.BulkLoad(d, pg, opts.XTree, dataItems)
+	ix.stats.fragments.Store(uint64(len(cellItems)))
+	ix.tree = xtree.BulkLoad(d, pg, opts.XTree, cellItems)
 	return ix, nil
 }
 

@@ -24,10 +24,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	image := buf.Bytes()
 
 	loaded, err := Load(&buf, newTestPager())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatalf("loaded index: %v", err)
 	}
 	if loaded.Len() != orig.Len() || loaded.Dim() != orig.Dim() {
 		t.Fatalf("Len/Dim mismatch: %d/%d vs %d/%d", loaded.Len(), loaded.Dim(), orig.Len(), orig.Dim())
@@ -73,9 +77,35 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if math.Abs(got.Dist2-wantD2) > 1e-12 {
 			t.Fatalf("trial %d: got %v want %v", trial, got.Dist2, wantD2)
 		}
+		// The bulk-loaded trees hold the cells the original holds, so the two
+		// indexes answer bit for bit alike.
+		if want, err := orig.NearestNeighbor(q); err != nil || got != want {
+			t.Fatalf("trial %d: loaded answers %v, original %v (err %v)", trial, got, want, err)
+		}
 	}
-	if _, err := loaded.Insert(vec.Point{0.123, 0.456, 0.789, 0.321, 0.654}); err != nil {
+	id, err := loaded.Insert(vec.Point{0.123, 0.456, 0.789, 0.321, 0.654})
+	if err != nil {
 		t.Fatalf("insert into loaded index: %v", err)
+	}
+	for _, victim := range []int{id, 3} {
+		if err := loaded.Delete(victim); err != nil {
+			t.Fatalf("delete %d from loaded index: %v", victim, err)
+		}
+	}
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatalf("loaded index after Insert/Delete: %v", err)
+	}
+
+	// A cell with more fragments than the header's decompose budget is
+	// corrupt: without decomposition CandidatesAppend reports tree matches
+	// undeduplicated, which is only sound at one fragment per cell.
+	if orig.Fragments() <= orig.Len() {
+		t.Fatal("fixture has no decomposed cell")
+	}
+	const offDecompose = 20
+	forged := repack(image, func(b []byte) { binary.LittleEndian.PutUint32(b[offDecompose:], 1) })
+	if _, err := Load(bytes.NewReader(forged), newTestPager()); err == nil {
+		t.Fatal("Load accepted cells with more fragments than the decompose budget")
 	}
 }
 

@@ -30,6 +30,12 @@ type QueryCtx struct {
 	ids   []int64          // cell point-query candidate buffer
 	nbrs  []xtree.Neighbor // data-tree result buffer
 	clamp vec.Point        // clamp-to-bounds buffer of the fallback
+
+	// Candidate dedup of decomposed indexes: mark[id] == epoch means id was
+	// already reported by the current CandidatesAppend call. Bumping epoch
+	// invalidates every mark at once, so nothing is cleared between calls.
+	mark  []uint32
+	epoch uint32
 }
 
 // acquireCtx takes a context from the index's pool (allocating only when the
@@ -189,31 +195,45 @@ func (ix *Index) CandidatesAppend(dst []int, q vec.Point) []int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	ix.stats.queries.Add(1)
-	start := len(dst)
 	seen := 0
 	qc.ids = ix.tree.PointQueryData(&qc.tc, q, qc.ids[:0])
+	// Without decomposition every cell is one tree entry, so the matches are
+	// distinct as they come; with it a query on a fragment seam meets several
+	// fragments of one cell and each id is reported at its first match only.
+	dedup := ix.opts.Decompose > 1
+	if dedup {
+		qc.beginMarks(len(ix.points))
+	}
 	for _, id64 := range qc.ids {
 		id := int(id64)
 		if ix.points[id] == nil {
 			continue
 		}
 		seen++
-		// Candidate sets are small (the paper's overlap measure is ~1 for
-		// good approximations), so a linear dedup over the result slice
-		// beats allocating a map per query.
-		dup := false
-		for _, have := range dst[start:] {
-			if have == id {
-				dup = true
-				break
+		if dedup {
+			if qc.mark[id] == qc.epoch {
+				continue
 			}
+			qc.mark[id] = qc.epoch
 		}
-		if !dup {
-			dst = append(dst, id)
-		}
+		dst = append(dst, id)
 	}
 	ix.stats.candidates.Add(uint64(seen))
 	return dst
+}
+
+// beginMarks starts a fresh dedup epoch over ids [0, n).
+func (qc *QueryCtx) beginMarks(n int) {
+	if len(qc.mark) < n {
+		qc.mark = append(qc.mark, make([]uint32, n-len(qc.mark))...)
+	}
+	qc.epoch++
+	if qc.epoch == 0 { // wrapped: stamps of 2³² calls ago would read as fresh
+		for i := range qc.mark {
+			qc.mark[i] = 0
+		}
+		qc.epoch = 1
+	}
 }
 
 // KNearest answers an exact k-nearest-neighbor query. k-NN via order-k cells

@@ -11,20 +11,25 @@
 // "total search time" can be reported the way the paper does (Fig. 7/10/11),
 // on hardware where the actual disk no longer dominates.
 //
+// Page ids are dense (Alloc hands out 1, 2, 3, … and never reuses one), so all
+// per-page state lives in one slice indexed by PageID: a live bit, a cached
+// bit and the prev/next links of an intrusive LRU ring threaded through the
+// same slice, with the never-allocated page 0 as the ring's sentinel. Access,
+// AccessRun and Write touch no map and allocate nothing, on the hit path and
+// on the miss-with-eviction path alike; only Alloc grows the slice.
+//
 // Concurrency: a single global mutex guards the LRU and the counters, so page
 // accounting from concurrent queries is fully serialized. The critical
-// section is short — BenchmarkAccessHit measures ~20 ns for a cache hit (map
-// lookup + list move) and BenchmarkAccessSerial ~120 ns for the miss path
-// (insert + eviction, one list-element allocation) — which caps aggregate
-// accounting throughput at roughly 8–50 M accesses/s regardless of how many
-// query goroutines run, and BenchmarkAccessParallel shows no speedup over the
-// serial baseline. That ceiling sits far above the query engine's page-access
-// rate today, so the lock is not the serving bottleneck; if it becomes one,
-// shard the cache by PageID with a per-shard LRU budget (see DESIGN.md §9).
+// section is a few loads and stores into the slot slice (BenchmarkAccessHit,
+// BenchmarkAccessSerial for the miss-with-eviction path), which caps
+// aggregate accounting throughput regardless of how many query goroutines
+// run; BenchmarkAccessParallel shows no speedup over the serial baseline.
+// That ceiling sits far above the query engine's page-access rate today, so
+// the lock is not the serving bottleneck; if it becomes one, shard the cache
+// by PageID with a per-shard LRU budget (see DESIGN.md §9).
 package pager
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"time"
@@ -79,11 +84,19 @@ type Pager struct {
 	mu       sync.Mutex
 	pageSize int
 	cacheCap int
-	lru      *list.List // front = most recently used; values are PageID
-	loc      map[PageID]*list.Element
-	live     map[PageID]struct{}
-	next     PageID
+	slots    []slot // indexed by PageID; slots[0] is the LRU ring's sentinel
+	cached   int    // pages on the ring
+	live     int    // allocated, unfreed pages
 	stats    Stats
+}
+
+// slot is the per-page state. A cached page is linked into the LRU ring:
+// slots[0].next is the most recently used page, slots[0].prev the eviction
+// victim, and an empty ring has the sentinel pointing at itself (the zero
+// value of slots[0]).
+type slot struct {
+	prev, next   PageID
+	live, cached bool
 }
 
 // New returns a Pager with the given configuration.
@@ -97,10 +110,7 @@ func New(cfg Config) *Pager {
 	return &Pager{
 		pageSize: cfg.PageSize,
 		cacheCap: cfg.CachePages,
-		lru:      list.New(),
-		loc:      make(map[PageID]*list.Element),
-		live:     make(map[PageID]struct{}),
-		next:     1,
+		slots:    make([]slot, 1),
 	}
 }
 
@@ -116,9 +126,9 @@ func (p *Pager) CachePages() int { return p.cacheCap }
 func (p *Pager) Alloc() PageID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	id := p.next
-	p.next++
-	p.live[id] = struct{}{}
+	id := PageID(len(p.slots))
+	p.slots = append(p.slots, slot{live: true})
+	p.live++
 	p.stats.Allocs++
 	return id
 }
@@ -138,14 +148,14 @@ func (p *Pager) AllocRun(n int) []PageID {
 func (p *Pager) Free(id PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.live[id]; !ok {
+	if !p.isLive(id) {
 		panic(fmt.Sprintf("pager: Free of non-live page %d", id))
 	}
-	delete(p.live, id)
-	if el, ok := p.loc[id]; ok {
-		p.lru.Remove(el)
-		delete(p.loc, id)
+	if p.slots[id].cached {
+		p.unlink(id)
 	}
+	p.slots[id].live = false
+	p.live--
 	p.stats.Frees++
 }
 
@@ -167,54 +177,70 @@ func (p *Pager) AccessRun(ids []PageID) {
 }
 
 func (p *Pager) accessLocked(id PageID) bool {
-	if _, ok := p.live[id]; !ok {
+	if !p.isLive(id) {
 		panic(fmt.Sprintf("pager: Access of non-live page %d", id))
 	}
 	p.stats.Accesses++
-	if el, ok := p.loc[id]; ok {
-		p.lru.MoveToFront(el)
+	hit := p.slots[id].cached
+	if hit {
 		p.stats.Hits++
-		return true
+	} else {
+		p.stats.Misses++
 	}
-	p.stats.Misses++
-	p.insertLocked(id)
-	return false
+	p.touch(id)
+	return hit
 }
 
 // Write records a write-through page write and caches the page.
 func (p *Pager) Write(id PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.live[id]; !ok {
+	if !p.isLive(id) {
 		panic(fmt.Sprintf("pager: Write of non-live page %d", id))
 	}
 	p.stats.Writes++
-	if el, ok := p.loc[id]; ok {
-		p.lru.MoveToFront(el)
-		return
-	}
-	p.insertLocked(id)
+	p.touch(id)
 }
 
-func (p *Pager) insertLocked(id PageID) {
+func (p *Pager) isLive(id PageID) bool {
+	return id < PageID(len(p.slots)) && p.slots[id].live
+}
+
+// touch makes id the most recently used cached page, evicting the least
+// recently used one when that takes the ring past the budget.
+func (p *Pager) touch(id PageID) {
 	if p.cacheCap == 0 {
 		return
 	}
-	p.loc[id] = p.lru.PushFront(id)
-	for p.lru.Len() > p.cacheCap {
-		back := p.lru.Back()
-		evicted := back.Value.(PageID)
-		p.lru.Remove(back)
-		delete(p.loc, evicted)
+	s := p.slots
+	if s[id].cached {
+		p.unlink(id)
+	} else if p.cached == p.cacheCap {
+		p.unlink(s[0].prev)
 	}
+	front := s[0].next
+	s[id].prev, s[id].next, s[id].cached = 0, front, true
+	s[front].prev = id
+	s[0].next = id
+	p.cached++
+}
+
+// unlink takes a cached page off the ring.
+func (p *Pager) unlink(id PageID) {
+	s := p.slots
+	s[s[id].prev].next = s[id].next
+	s[s[id].next].prev = s[id].prev
+	s[id].cached = false
+	p.cached--
 }
 
 // DropCache empties the LRU, simulating a cold start. Counters are preserved.
 func (p *Pager) DropCache() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.lru.Init()
-	p.loc = make(map[PageID]*list.Element)
+	for p.cached > 0 {
+		p.unlink(p.slots[0].prev)
+	}
 }
 
 // Stats returns a snapshot of the counters.
@@ -237,7 +263,7 @@ func (p *Pager) ResetStats() {
 func (p *Pager) LivePages() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.live)
+	return p.live
 }
 
 // Capacity returns how many fixed-size entries of entryBytes fit on one page,

@@ -69,6 +69,12 @@ func TestRepairWaitDrainsBusyShardAmongIdle(t *testing.T) {
 			t.Fatalf("shard %d: %d stale cells after RepairWait", i, st.StaleCells)
 		}
 	}
+	// The aggregate high-water mark is the busy shard's (the max over shards,
+	// not a sum and not dropped), and draining does not reset it.
+	busy := s.Shard(S - 1).Stats().StaleCellsHighWater
+	if got := s.Stats().StaleCellsHighWater; busy == 0 || got != busy {
+		t.Fatalf("aggregate StaleCellsHighWater = %d, busy shard's = %d (want equal, > 0)", got, busy)
+	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -743,7 +743,9 @@ func (s *Sharded) NearestNeighborBatch(qs []vec.Point, workers int) ([]nncell.Ne
 	return out, nil
 }
 
-// Stats returns the sum of the per-shard stats snapshots.
+// Stats returns the sum of the per-shard stats snapshots, except
+// StaleCellsHighWater, which is the maximum over the shards: the
+// MaxStaleCells cap it is read against applies to each shard on its own.
 func (s *Sharded) Stats() nncell.Stats {
 	var out nncell.Stats
 	for _, ix := range s.shards {
@@ -758,6 +760,9 @@ func (s *Sharded) Stats() nncell.Stats {
 		out.Updates += st.Updates
 		out.PruneVisited += st.PruneVisited
 		out.StaleCells += st.StaleCells
+		if st.StaleCellsHighWater > out.StaleCellsHighWater {
+			out.StaleCellsHighWater = st.StaleCellsHighWater
+		}
 		out.Repairs += st.Repairs
 		out.RepairFailures += st.RepairFailures
 	}
