@@ -3,9 +3,9 @@
 # §"Construction hot path" and §"Query engine").
 GO ?= go
 
-.PHONY: check vet build test race serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke bench-module bench-build bench-query bench-dynamic bench-bulk bench-serve bench-route bench
+.PHONY: check vet build test race serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke bench-module fuzz-smoke bench-build bench-query bench-dynamic bench-bulk bench-serve bench-route bench
 
-check: vet build test race serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke bench-module
+check: vet build test race serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke bench-module fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -76,12 +76,21 @@ cluster-test:
 # One iteration of the hot-path benchmarks. BenchmarkSolveMBR fails unless the
 # warm LP loop runs at 0 allocs/op, BenchmarkBuild/NN-Direction unless a build
 # allocates its output only (the neighbor-pool search and the LPs run on the
-# per-worker cellCtx scratch); the query benchmark and the query-bench tool
-# must still run end to end.
+# per-worker cellCtx scratch), BenchmarkQueryNearest unless the warm NN query
+# runs at 0 allocs/op; BenchmarkCellDirUpdate tracks the directory's share of
+# a cell recompute, and the query-bench tool must still run end to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveMBR|BenchmarkBuild/NN-Direction' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryNearest$$/NN-Direction/d=8' -benchtime 1x ./internal/nncell/
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryNearest$$/NN-Direction/d=8|BenchmarkCellDirUpdate' -benchtime 1x ./internal/nncell/
 	$(GO) run ./cmd/experiments -bench-query /tmp/BENCH_query_smoke.json -bench-n 60 -bench-dims 4
+
+# Ten seconds of native fuzzing per target, on top of the seed corpora that
+# `go test` already runs: the cell directory against its naive model, the
+# snapshot loader on arbitrary bytes, and the LP solvers against each other.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz 'FuzzCellDir' -fuzztime 10s ./internal/nncell/
+	$(GO) test -run '^$$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/nncell/
+	$(GO) test -run '^$$' -fuzz 'FuzzSolversAgree' -fuzztime 10s ./internal/lp/
 
 # The repository's benchmark (bench/, BENCHMARK.json) is a module of its own,
 # so the root's `go test ./...` never compiles it; this target does, so that a
@@ -99,9 +108,10 @@ bench-build:
 	$(GO) run ./cmd/experiments -bench-build BENCH_build.json
 
 # Regenerate the machine-readable query-performance record (QPS, speedup of
-# the QueryCtx engine over the seed path, work counters) tracked across PRs,
-# plus the large-n scale pass (n=10^5, cached vs uncached). The scale pass
-# builds two 10^5-point indexes and takes a few minutes.
+# the cell directory over the paged cell X-tree, work counters) tracked across
+# PRs, plus the large-n scale pass (n=10^5: directory vs paged tree, data
+# X-tree and scan p50, cached vs uncached). The scale pass builds two
+# 10^5-point indexes and takes a few minutes.
 bench-query:
 	$(GO) run ./cmd/experiments -bench-query BENCH_query.json -bench-scale-n 100000
 

@@ -42,8 +42,8 @@ func main() {
 		benchServe   = flag.String("bench-serve", "", "measure the open-loop serve path (bare index vs result cache vs cache under churn) and write the JSON report to this path (skips figures)")
 		benchQPS     = flag.Float64("bench-qps", 0, "arrival rate for -bench-serve (default 5000)")
 		benchDur     = flag.Duration("bench-duration", 0, "run length per -bench-serve workload (default 2s)")
-		benchScaleN  = flag.Int("bench-scale-n", 0, "when set with -bench-query, also run the large-n scale pass (cached vs uncached) at this size")
-		benchQuery   = flag.String("bench-query", "", "measure NearestNeighbor (QueryCtx engine vs seed path) for all four algorithms and write the JSON report to this path (skips figures)")
+		benchScaleN  = flag.Int("bench-scale-n", 0, "when set with -bench-query, also run the large-n scale pass (directory vs paged tree, data X-tree, scan and result cache) at this size")
+		benchQuery   = flag.String("bench-query", "", "measure NearestNeighbor (cell directory vs paged cell X-tree) for all four algorithms and write the JSON report to this path (skips figures)")
 		benchDynamic = flag.String("bench-dynamic", "", "measure concurrent insert throughput at shard counts 1,2,4,8 and write the JSON report to this path (skips figures)")
 		benchRoute   = flag.String("bench-route", "", "measure NN shards-visited and latency for hash vs grid routing at shard counts 16,64 and write the JSON report to this path (skips figures)")
 		benchBulk    = flag.String("bench-bulk", "", "measure InsertBatch vs per-op Insert at bulk sizes plus the auto-threshold trade, and write the JSON report to this path (skips figures)")
@@ -96,10 +96,12 @@ func main() {
 			fatalf("bench-query: %v", err)
 		}
 		for _, r := range rep.Results {
-			fmt.Printf("%-13s d=%-3d %9.0f ns/op %11.0f qps %6.2fx vs legacy %7.1f cand/q %6.1f pages/q %2d allocs/op\n",
-				r.Algorithm, r.Dim, r.NsPerOp, r.QPS, r.SpeedupVsLegacy, r.CandidatesPerQuery, r.NodeAccessesPerQuery, r.AllocsPerOp)
+			fmt.Printf("%-13s d=%-3d %9.0f ns/op %11.0f qps %6.2fx vs paged %7.1f cand/q %6.1f paged pages/q %2d allocs/op\n",
+				r.Algorithm, r.Dim, r.NsPerOp, r.QPS, r.SpeedupVsPaged, r.CandidatesPerQuery, r.NodeAccessesPerQuery, r.AllocsPerOp)
 		}
 		for _, r := range rep.Scale {
+			fmt.Printf("scale %-17s d=%-3d n=%-7d p50 %7.1f us directory | %7.1f paged cell tree | %7.1f data X-tree | %7.1f scan (%.1fx) | %.1f cand/q, %d verified\n",
+				r.Algorithm, r.Dim, r.N, r.P50Ns/1e3, r.PagedP50Ns/1e3, r.DataXTreeP50Ns/1e3, r.ScanP50Ns/1e3, r.SpeedupVsScan, r.CandidatesPerQuery, r.Verified)
 			fmt.Printf("scale %-17s d=%-3d n=%-7d %9.0f ns/op uncached | %7.0f ns/op cached (%6.1fx, hit rate %.3f)\n",
 				r.Algorithm, r.Dim, r.N, r.NsPerOp, r.CachedNsPerOp, r.CacheSpeedup, r.HitRate)
 		}

@@ -151,8 +151,6 @@ func main() {
 	if *verify {
 		oracle = scan.New(pts, vec.Euclidean{}, pager.New(pager.Config{}))
 	}
-	pg.ResetStats()
-	pg.DropCache()
 	// Queries cover the index's own data space — identical to the unit cube
 	// for built indexes, and the right region for any loaded one.
 	bounds := ix.Bounds()
@@ -177,13 +175,12 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	qs := ix.Stats()
-	ps := pg.Stats()
 	if *queries > 0 {
 		fmt.Printf("queries: %d in %v (%.1f µs/query CPU)\n",
 			*queries, elapsed.Round(time.Millisecond), float64(elapsed.Microseconds())/float64(*queries))
 		fmt.Printf("latency: %s\n", lat.String())
-		fmt.Printf("candidates/query: %.2f   page accesses: %d (misses %d)   fallbacks: %d\n",
-			float64(qs.Candidates)/float64(qs.Queries), ps.Accesses, ps.Misses, qs.Fallbacks)
+		fmt.Printf("candidates/query: %.2f   fallbacks: %d\n",
+			float64(qs.Candidates)/float64(qs.Queries), qs.Fallbacks)
 		if oracle != nil {
 			fmt.Println("verification: every answer matched the sequential scan")
 		}

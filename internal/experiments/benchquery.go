@@ -2,54 +2,76 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/nncell"
 	"repro/internal/pager"
 	"repro/internal/rescache"
+	"repro/internal/scan"
 	"repro/internal/vec"
+	"repro/internal/xtree"
 )
 
 // QueryBenchResult is one measured NN-query configuration of the query
-// benchmark (BENCH_query.json): latency and allocation profile of the
-// QueryCtx engine next to the seed recursive path, plus the work counters
-// that explain them (candidates inspected and index pages touched per query).
+// benchmark (BENCH_query.json): latency and allocation profile of the served
+// query (cell directory) next to the paged query on the cell X-tree, plus
+// the work counters that explain them.
 type QueryBenchResult struct {
 	Algorithm string `json:"algorithm"`
 	Dim       int    `json:"dim"`
 	N         int    `json:"n"`
 
-	// Engine measurements (the pooled-QueryCtx flat-layout traversal).
+	// NearestNeighbor: the cell-directory point query.
 	NsPerOp     float64 `json:"ns_per_op"`
 	QPS         float64 `json:"qps"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 
-	// Seed recursive path on the identical index and query stream.
-	LegacyNsPerOp float64 `json:"legacy_ns_per_op"`
-	LegacyQPS     float64 `json:"legacy_qps"`
+	// NearestNeighborPaged on the identical index and query stream.
+	PagedNsPerOp float64 `json:"paged_ns_per_op"`
+	PagedQPS     float64 `json:"paged_qps"`
 
-	// SpeedupVsLegacy = LegacyNsPerOp / NsPerOp.
-	SpeedupVsLegacy float64 `json:"speedup_vs_legacy"`
+	// SpeedupVsPaged = PagedNsPerOp / NsPerOp.
+	SpeedupVsPaged float64 `json:"speedup_vs_paged"`
 
-	// Per-query work, averaged over one instrumented pass (identical for
-	// both engines by construction; the equivalence tests enforce it).
+	// Per-query work, averaged over one instrumented pass of each path:
+	// distance evaluations of the served query (stripe survivors) and pages
+	// the paged query touches.
 	CandidatesPerQuery   float64 `json:"candidates_per_query"`
 	NodeAccessesPerQuery float64 `json:"node_accesses_per_query"`
 	Fallbacks            uint64  `json:"fallbacks"`
 }
 
 // QueryScaleResult is one large-n measurement of the scale pass: a single
-// dimension in the auto-threshold regime, uncached vs behind the exact
-// result cache on a repeating (hot) query pool.
+// dimension in the auto-threshold regime. Medians of individually timed
+// calls put the served query next to its alternatives on the same points and
+// query pool — the sequential scan, the paged cell X-tree, NN search on an
+// X-tree of the data points — and the mean-based columns compare it with the
+// exact result cache on a repeating (hot) pool.
 type QueryScaleResult struct {
 	Algorithm string `json:"algorithm"`
 	Dim       int    `json:"dim"`
 	N         int    `json:"n"`
+
+	P50Ns          float64 `json:"p50_ns"`
+	PagedP50Ns     float64 `json:"paged_p50_ns"`
+	DataXTreeP50Ns float64 `json:"data_xtree_p50_ns"`
+	ScanP50Ns      float64 `json:"scan_p50_ns"`
+	SpeedupVsScan  float64 `json:"speedup_vs_scan"`  // ScanP50Ns / P50Ns
+	SpeedupVsPaged float64 `json:"speedup_vs_paged"` // PagedP50Ns / P50Ns
+	// CandidatesPerQuery is the served query's distance evaluations;
+	// Verified counts pool queries on which NearestNeighbor and
+	// NearestNeighborPaged both returned the scan's answer (a mismatch
+	// aborts the pass, so it equals the pool size).
+	CandidatesPerQuery float64 `json:"candidates_per_query"`
+	Verified           int     `json:"verified"`
 
 	NsPerOp float64 `json:"ns_per_op"`
 	QPS     float64 `json:"qps"`
@@ -79,8 +101,8 @@ type QueryBenchReport struct {
 }
 
 // BenchQuery measures NearestNeighbor for every constraint-selection
-// algorithm at each dimension via testing.Benchmark, on both the QueryCtx
-// engine and the retained seed path, over a shared in-space query stream.
+// algorithm at each dimension via testing.Benchmark, next to
+// NearestNeighborPaged, over a shared in-space query stream.
 func BenchQuery(n int, dims []int) (*QueryBenchReport, error) {
 	if n <= 0 {
 		n = 250
@@ -99,26 +121,28 @@ func BenchQuery(n int, dims []int) (*QueryBenchReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			qrng := rand.New(rand.NewSource(int64(99)))
-			qs := make([]vec.Point, numQueries)
-			for i := range qs {
-				q := make(vec.Point, d)
-				for j := range q {
-					q[j] = qrng.Float64()
-				}
-				qs[i] = q
-			}
+			qs := queryPoints(rand.New(rand.NewSource(99)), numQueries, d)
 
-			// One instrumented pass measures the per-query work counters.
-			statsBefore := ix.Stats()
-			pagesBefore := pg.Stats().Accesses
-			for _, q := range qs {
-				if _, err := ix.NearestNeighbor(q); err != nil {
-					return nil, err
+			// One instrumented pass per path measures the per-query work:
+			// distance evaluations of the served query, pages of the paged.
+			pass := func(query func(vec.Point) (nncell.Neighbor, error)) error {
+				for _, q := range qs {
+					if _, err := query(q); err != nil {
+						return err
+					}
 				}
+				return nil
 			}
-			statsAfter := ix.Stats()
-			pagesAfter := pg.Stats().Accesses
+			st0 := ix.Stats()
+			if err := pass(ix.NearestNeighbor); err != nil {
+				return nil, err
+			}
+			st1 := ix.Stats()
+			pages0 := pg.Stats().Accesses
+			if err := pass(ix.NearestNeighborPaged); err != nil {
+				return nil, err
+			}
+			pages := pg.Stats().Accesses - pages0
 
 			var benchErr error
 			measure := func(query func(vec.Point) (nncell.Neighbor, error)) testing.BenchmarkResult {
@@ -132,39 +156,56 @@ func BenchQuery(n int, dims []int) (*QueryBenchReport, error) {
 					}
 				})
 			}
-			ctx := measure(ix.NearestNeighbor)
-			legacy := measure(ix.NearestNeighborLegacy)
+			dir := measure(ix.NearestNeighbor)
+			paged := measure(ix.NearestNeighborPaged)
 			if benchErr != nil {
 				return nil, benchErr
 			}
 
-			ctxNs := float64(ctx.NsPerOp())
-			legNs := float64(legacy.NsPerOp())
+			dirNs := float64(dir.NsPerOp())
+			pagedNs := float64(paged.NsPerOp())
 			rep.Results = append(rep.Results, QueryBenchResult{
 				Algorithm:            alg.String(),
 				Dim:                  d,
 				N:                    n,
-				NsPerOp:              ctxNs,
-				QPS:                  1e9 / ctxNs,
-				AllocsPerOp:          ctx.AllocsPerOp(),
-				BytesPerOp:           ctx.AllocedBytesPerOp(),
-				LegacyNsPerOp:        legNs,
-				LegacyQPS:            1e9 / legNs,
-				SpeedupVsLegacy:      legNs / ctxNs,
-				CandidatesPerQuery:   float64(statsAfter.Candidates-statsBefore.Candidates) / numQueries,
-				NodeAccessesPerQuery: float64(pagesAfter-pagesBefore) / numQueries,
-				Fallbacks:            statsAfter.Fallbacks - statsBefore.Fallbacks,
+				NsPerOp:              dirNs,
+				QPS:                  1e9 / dirNs,
+				AllocsPerOp:          dir.AllocsPerOp(),
+				BytesPerOp:           dir.AllocedBytesPerOp(),
+				PagedNsPerOp:         pagedNs,
+				PagedQPS:             1e9 / pagedNs,
+				SpeedupVsPaged:       pagedNs / dirNs,
+				CandidatesPerQuery:   float64(st1.Candidates-st0.Candidates) / numQueries,
+				NodeAccessesPerQuery: float64(pages) / numQueries,
+				Fallbacks:            st1.Fallbacks - st0.Fallbacks,
 			})
 		}
 	}
 	return rep, nil
 }
 
+// p50Ns times calls of fn one by one, after a warm-up pass over the pool,
+// and returns the median in nanoseconds.
+func p50Ns(calls, pool int, fn func(i int)) float64 {
+	for i := 0; i < pool; i++ {
+		fn(i)
+	}
+	ns := make([]float64, calls)
+	for i := range ns {
+		start := time.Now()
+		fn(i)
+		ns[i] = float64(time.Since(start))
+	}
+	sort.Float64s(ns)
+	return ns[calls/2]
+}
+
 // BenchQueryScale measures NearestNeighbor at large n (default 1e5) at
-// d=8, uncached and behind the exact result cache. The algorithm set is
-// restricted to the two that stay tractable at this scale: Correct in its
-// auto-threshold (effective NN-Direction) regime, and NNDirection itself.
-// Results are meant to be attached to QueryBenchReport.Scale.
+// d=8 against the scan, the paged cell X-tree and the data X-tree, and
+// behind the exact result cache. The algorithm set is restricted to the two
+// that stay tractable at this scale: Correct in its auto-threshold
+// (effective NN-Direction) regime, and NNDirection itself. Results are meant
+// to be attached to QueryBenchReport.Scale.
 func BenchQueryScale(n, d int) ([]QueryScaleResult, error) {
 	if n <= 0 {
 		n = 100000
@@ -188,15 +229,38 @@ func BenchQueryScale(n, d int) ([]QueryScaleResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		qrng := rand.New(rand.NewSource(99))
-		qs := make([]vec.Point, numQueries)
-		for i := range qs {
-			q := make(vec.Point, d)
-			for j := range q {
-				q[j] = qrng.Float64()
+		qs := queryPoints(rand.New(rand.NewSource(99)), numQueries, d)
+
+		// Every pool answer of both index paths against the scan.
+		sc := scan.New(pts, vec.Euclidean{}, pager.New(pager.Config{CachePages: 256}))
+		for i, q := range qs {
+			wantID, wantD2 := sc.Nearest(q)
+			want := nncell.Neighbor{ID: wantID, Dist2: wantD2}
+			if got, err := ix.NearestNeighbor(q); err != nil || got != want {
+				return nil, fmt.Errorf("%s: NearestNeighbor(query %d) = %+v, %v; the scan says %+v", v.name, i, got, err, want)
 			}
-			qs[i] = q
+			if got, err := ix.NearestNeighborPaged(q); err != nil || got != want {
+				return nil, fmt.Errorf("%s: NearestNeighborPaged(query %d) = %+v, %v; the scan says %+v", v.name, i, got, err, want)
+			}
 		}
+
+		// The timed calls repeat the pool just verified, so they cannot fail.
+		res := QueryScaleResult{Algorithm: v.name, Dim: d, N: len(pts), Verified: len(qs)}
+		st0 := ix.Stats()
+		res.P50Ns = p50Ns(4096, len(qs), func(i int) { ix.NearestNeighbor(qs[i%len(qs)]) })
+		st1 := ix.Stats()
+		res.CandidatesPerQuery = float64(st1.Candidates-st0.Candidates) / float64(st1.Queries-st0.Queries)
+		res.PagedP50Ns = p50Ns(1024, len(qs), func(i int) { ix.NearestNeighborPaged(qs[i%len(qs)]) })
+		res.ScanP50Ns = p50Ns(256, 0, func(i int) { sc.Nearest(qs[i%len(qs)]) })
+		items := make([]xtree.Entry, len(pts))
+		for i, p := range pts {
+			items[i] = xtree.Entry{Rect: vec.PointRect(p), Data: int64(i)}
+		}
+		dt := xtree.BulkLoad(d, pager.New(pager.Config{CachePages: 256}), xtree.Options{}, items)
+		var qc xtree.QueryCtx
+		res.DataXTreeP50Ns = p50Ns(1024, len(qs), func(i int) { dt.NearestNeighborCtx(&qc, qs[i%len(qs)]) })
+		res.SpeedupVsScan = res.ScanP50Ns / res.P50Ns
+		res.SpeedupVsPaged = res.PagedP50Ns / res.P50Ns
 
 		var benchErr error
 		raw := testing.Benchmark(func(b *testing.B) {
@@ -220,19 +284,12 @@ func BenchQueryScale(n, d int) ([]QueryScaleResult, error) {
 			return nil, benchErr
 		}
 		st := front.Cache().Stats()
-		rawNs := float64(raw.NsPerOp())
-		cachedNs := float64(cached.NsPerOp())
-		res := QueryScaleResult{
-			Algorithm:     v.name,
-			Dim:           d,
-			N:             n,
-			NsPerOp:       rawNs,
-			QPS:           1e9 / rawNs,
-			CachedNsPerOp: cachedNs,
-			CachedQPS:     1e9 / cachedNs,
-		}
-		if cachedNs > 0 {
-			res.CacheSpeedup = rawNs / cachedNs
+		res.NsPerOp = float64(raw.NsPerOp())
+		res.QPS = 1e9 / res.NsPerOp
+		res.CachedNsPerOp = float64(cached.NsPerOp())
+		res.CachedQPS = 1e9 / res.CachedNsPerOp
+		if res.CachedNsPerOp > 0 {
+			res.CacheSpeedup = res.NsPerOp / res.CachedNsPerOp
 		}
 		if total := st.Hits + st.Misses; total > 0 {
 			res.HitRate = float64(st.Hits) / float64(total)

@@ -119,7 +119,8 @@ type measured struct {
 	totalTime time.Duration
 }
 
-// runNNCell builds an NN-cell index and measures the query workload.
+// runNNCell builds an NN-cell index and measures the query workload on the
+// paged query path, the one whose page accesses the disk model prices.
 func runNNCell(pts, qs []vec.Point, cfg Config, opts nncell.Options) (measured, *nncell.Index, error) {
 	d := pts[0].Dim()
 	pg := pager.New(pager.Config{CachePages: cfg.CachePages})
@@ -132,7 +133,7 @@ func runNNCell(pts, qs []vec.Point, cfg Config, opts nncell.Options) (measured, 
 	pg.ResetStats()
 	start = time.Now()
 	for _, q := range qs {
-		if _, err := ix.NearestNeighbor(q); err != nil {
+		if _, err := ix.NearestNeighborPaged(q); err != nil {
 			return measured{}, nil, err
 		}
 	}

@@ -38,32 +38,61 @@ func forBenchConfigs(b *testing.B, f func(b *testing.B, alg Algorithm, d int)) {
 	}
 }
 
+// BenchmarkQueryNearest fails unless the warm query runs at 0 allocs/op (the
+// bench-smoke gate, like BenchmarkSolveMBR's).
 func BenchmarkQueryNearest(b *testing.B) {
+	forBenchConfigs(b, func(b *testing.B, alg Algorithm, d int) {
+		ix, qs := benchIndex(b, alg, d)
+		query := func(i int) {
+			if _, err := ix.NearestNeighbor(qs[i%len(qs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		query(0) // warm the pooled context
+		if !raceEnabled {
+			k := 0
+			if allocs := testing.AllocsPerRun(len(qs), func() { k++; query(k) }); allocs != 0 {
+				b.Fatalf("warm NearestNeighbor allocates %v/op, want 0", allocs)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			query(i)
+		}
+	})
+}
+
+// BenchmarkQueryNearestPaged is the cell X-tree point query on the identical
+// workload; the ratio to BenchmarkQueryNearest is what the directory saves.
+func BenchmarkQueryNearestPaged(b *testing.B) {
 	forBenchConfigs(b, func(b *testing.B, alg Algorithm, d int) {
 		ix, qs := benchIndex(b, alg, d)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ix.NearestNeighbor(qs[i%len(qs)]); err != nil {
+			if _, err := ix.NearestNeighborPaged(qs[i%len(qs)]); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkQueryNearestLegacy is the seed recursive path on the identical
-// workload; the ratio to BenchmarkQueryNearest is the engine speedup.
-func BenchmarkQueryNearestLegacy(b *testing.B) {
-	forBenchConfigs(b, func(b *testing.B, alg Algorithm, d int) {
-		ix, qs := benchIndex(b, alg, d)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ix.NearestNeighborLegacy(qs[i%len(qs)]); err != nil {
-				b.Fatal(err)
+// BenchmarkCellDirUpdate is the directory's share of one cell recompute on
+// the write path: remove + add of one stored cell.
+func BenchmarkCellDirUpdate(b *testing.B) {
+	for _, d := range []int{4, 8} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			ix, _ := benchIndex(b, NNDirection, d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := i % benchQueryN
+				ix.dir.remove(id)
+				ix.dir.add(id, ix.cells[id])
 			}
-		}
-	})
+		})
+	}
 }
 
 func BenchmarkQueryCandidates(b *testing.B) {

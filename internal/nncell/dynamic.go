@@ -309,16 +309,19 @@ func (ix *Index) commitStaged(ids []int, staged [][]vec.Rect) {
 	}
 }
 
-// storeCell records the fragments of a cell and inserts them into the tree.
+// storeCell records the fragments of a cell and enters them into the tree
+// and the cell directory.
 func (ix *Index) storeCell(id int, frags []vec.Rect) {
 	ix.cells[id] = frags
 	for _, r := range frags {
 		ix.tree.Insert(r, int64(id))
 		ix.stats.fragments.Add(1)
 	}
+	ix.dir.add(id, frags)
 }
 
-// removeFragments deletes all of a cell's fragments from the tree.
+// removeFragments deletes all of a cell's fragments from the tree and the
+// cell directory.
 func (ix *Index) removeFragments(id int) {
 	for _, r := range ix.cells[id] {
 		if !ix.tree.Delete(r, int64(id)) {
@@ -326,6 +329,7 @@ func (ix *Index) removeFragments(id int) {
 		}
 		ix.stats.fragments.Add(^uint64(0)) // decrement
 	}
+	ix.dir.remove(id)
 	ix.cells[id] = nil
 }
 

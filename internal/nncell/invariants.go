@@ -6,11 +6,11 @@ import (
 )
 
 // CheckInvariants verifies the cross-structure consistency of the index: the
-// point table, its SoA mirror, the stored cell approximations, both X-trees
-// and the fragment counter must all describe the same point set. The dynamic
-// path's atomicity contract is stated in terms of this check — Insert and
-// Delete leave it passing on every exit path, success or failure — and the
-// failure-injection tests assert exactly that.
+// point table, its SoA mirror, the stored cell approximations, both X-trees,
+// the cell directory and the fragment counter must all describe the same
+// point set. The dynamic path's atomicity contract is stated in terms of this
+// check — Insert and Delete leave it passing on every exit path, success or
+// failure — and the failure-injection tests assert exactly that.
 func (ix *Index) CheckInvariants() error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -71,6 +71,9 @@ func (ix *Index) CheckInvariants() error {
 	}
 	if err := ix.tree.CheckInvariants(); err != nil {
 		return fmt.Errorf("nncell: cell tree: %w", err)
+	}
+	if err := ix.dir.check(ix.bounds, ix.cells); err != nil {
+		return err
 	}
 	if err := ix.dataIdx.CheckInvariants(); err != nil {
 		return fmt.Errorf("nncell: data index: %w", err)

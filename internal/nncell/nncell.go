@@ -8,9 +8,14 @@
 // bisector half-spaces between P and (a subset of) the other data points.
 // The approximations, optionally decomposed into up to k fragments along the
 // cell's most oblique dimensions (Definition 5), are stored in an X-tree.
-// A nearest-neighbor query is then a point query on that index followed by a
-// distance comparison among the returned candidates; Lemmas 1 and 2 of the
-// paper guarantee no false dismissals, which makes the result exact.
+// A nearest-neighbor query is then a point query on the approximations
+// followed by a distance comparison among the returned candidates; Lemmas 1
+// and 2 of the paper guarantee no false dismissals, which makes the result
+// exact. The served query (NearestNeighbor) answers that point query from a
+// bit-sliced cell directory (celldir.go) that keeps the approximations
+// rounded outward to a 64-stripe grid — a superset of a superset, so the
+// lemmas hold unchanged; NearestNeighborPaged answers it from the X-tree,
+// with the page accesses the paper's disk model counts.
 //
 // The package supports the paper's four constraint-selection algorithms
 // (Correct, Point, Sphere, NN-Direction), parallel bulk construction, and
@@ -186,8 +191,11 @@ type Stats struct {
 	// Fragments is the number of rectangles in the index.
 	Fragments uint64
 	// Queries, Candidates and Fallbacks describe query-time behaviour:
-	// candidate cells inspected, and exact-scan fallbacks taken (0 in
-	// normal operation).
+	// candidate cells inspected, and exact fallbacks taken (0 in normal
+	// operation). On the serving path (NearestNeighbor, CandidatesAppend) a
+	// candidate is a survivor of the cell-directory query, i.e. one distance
+	// evaluation; on NearestNeighborPaged it is a fragment whose MBR contains
+	// the query point.
 	Queries, Candidates, Fallbacks uint64
 	// Updates counts affected-cell recomputations due to Insert/Delete.
 	Updates uint64
@@ -224,7 +232,8 @@ type Index struct {
 	ptsFlat []float64   // SoA mirror: point id's coords at [id*dim:(id+1)*dim]; NaN-poisoned for tombstones
 	alive   int
 	cells   [][]vec.Rect // fragment MBRs per point id (nil for tombstones)
-	tree    *xtree.Tree  // fragment MBRs, Data = point id
+	tree    *xtree.Tree  // fragment MBRs, Data = point id (paged form: range search, NearestNeighborPaged)
+	dir     *cellDir     // fragment MBRs rounded to the stripe grid, one bit per cell (NN point query)
 	dataIdx *xtree.Tree  // the data points themselves (constraint selection)
 
 	// Lazy-repair state (see repair.go). stale maps each stale cell id to
@@ -423,6 +432,7 @@ func Build(points []vec.Point, bounds vec.Rect, pg *pager.Pager, opts Options) (
 	}
 	ix.stats.fragments.Store(uint64(total))
 	ix.tree = xtree.BulkLoad(d, pg, opts.XTree, items)
+	ix.dir = newCellDir(ix.bounds, ix.cells)
 	return ix, nil
 }
 
@@ -482,6 +492,7 @@ func NewEmpty(d int, bounds vec.Rect, pg *pager.Pager, opts Options) (*Index, er
 		pg:      pg,
 		bounds:  bounds.Clone(),
 		tree:    xtree.New(d, pg, opts.XTree),
+		dir:     newCellDir(bounds, nil),
 		dataIdx: xtree.New(d, pg, opts.XTree),
 	}, nil
 }

@@ -90,9 +90,12 @@ func buildOnCache(t *testing.T, pts []vec.Point, cachePages int, opts Options) *
 	return ix
 }
 
-// TestNearestNeighborAllocs pins the warm query hot path to zero
-// allocations: the pooled QueryCtx owns every scratch buffer, and the pager's
-// accounting allocates nothing whether it hits, misses or evicts.
+// TestNearestNeighborAllocs pins the warm query paths to zero allocations:
+// the served query (cell directory), the paged query on the cell X-tree and
+// the out-of-bounds fallback (directory seed + data-tree verification). The
+// pooled QueryCtx owns every scratch buffer, and the pager's accounting —
+// which only the paged query and the fallback's verification reach —
+// allocates nothing whether it hits, misses or evicts.
 func TestNearestNeighborAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -100,33 +103,59 @@ func TestNearestNeighborAllocs(t *testing.T) {
 	const n, d = 400, 6
 	pts := uniquePoints(t, dataset.NameUniform, 23, n, d)
 	qs := dataset.Uniform(rand.New(rand.NewSource(24)), 64, d)
+	outside := make([]vec.Point, len(qs))
+	for i, q := range qs {
+		outside[i] = q.Clone()
+		outside[i][i%d] += 1.5
+	}
 	for _, cachePages := range []int{0, 2, 64} {
 		ix := buildOnCache(t, pts, cachePages, Options{Algorithm: NNDirection})
-		for _, q := range qs { // warm
-			if _, err := ix.NearestNeighbor(q); err != nil {
-				t.Fatal(err)
+		for _, tc := range []struct {
+			name  string
+			query func(vec.Point) (Neighbor, error)
+			pool  []vec.Point
+			paged bool
+		}{
+			{"NearestNeighbor", ix.NearestNeighbor, qs, false},
+			{"NearestNeighborPaged", ix.NearestNeighborPaged, qs, true},
+			{"fallback", ix.NearestNeighbor, outside, true},
+		} {
+			for _, q := range tc.pool { // warm
+				if _, err := tc.query(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := ix.PagerStats()
+			k := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := tc.query(tc.pool[k%len(tc.pool)]); err != nil {
+					t.Fatal(err)
+				}
+				k++
+			})
+			if allocs != 0 {
+				t.Fatalf("CachePages %d: %s allocates %v/op, want 0", cachePages, tc.name, allocs)
+			}
+			st := ix.PagerStats()
+			hits, misses := st.Hits-before.Hits, st.Misses-before.Misses
+			switch {
+			case !tc.paged && hits+misses != 0:
+				t.Fatalf("CachePages %d: %s touched %d pages; the served query reads none", cachePages, tc.name, hits+misses)
+			case tc.paged && hits+misses == 0,
+				tc.paged && cachePages == 2 && misses < hits,
+				tc.paged && cachePages == 64 && hits < misses:
+				t.Fatalf("CachePages %d: %s: %d hits, %d misses; the run did not take the pager path it is here for", cachePages, tc.name, hits, misses)
 			}
 		}
-		k := 0
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := ix.NearestNeighbor(qs[k%len(qs)]); err != nil {
-				t.Fatal(err)
-			}
-			k++
-		})
-		if allocs != 0 {
-			t.Fatalf("CachePages %d: NearestNeighbor allocates %v/op, want 0", cachePages, allocs)
-		}
-		st := ix.PagerStats()
-		if (cachePages == 2 && st.Misses < st.Hits) || (cachePages == 64 && st.Hits < st.Misses) {
-			t.Fatalf("CachePages %d: %d hits, %d misses; the run did not take the pager path it is here for", cachePages, st.Hits, st.Misses)
+		if st := ix.Stats(); st.Fallbacks == 0 {
+			t.Fatal("the out-of-bounds pool took no fallback")
 		}
 	}
 }
 
-// TestCandidatesAllocs checks the dedup and the reusable result buffer: a
-// warm CandidatesAppend with a recycled slice allocates nothing, with one
-// fragment per cell (no dedup) and with decomposed cells (epoch-marked dedup).
+// TestCandidatesAllocs checks the reusable result buffer: a warm
+// CandidatesAppend with a recycled slice allocates nothing, with one fragment
+// per cell and with decomposed cells (several fragments verified per id).
 func TestCandidatesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -151,9 +180,9 @@ func TestCandidatesAllocs(t *testing.T) {
 	}
 }
 
-// TestCandidatesDistinct guards the dedup against regressions: a
-// decomposed index stores several fragments per cell, and a query point on
-// fragment seams must still report each candidate id once.
+// TestCandidatesDistinct: a decomposed index stores several fragments per
+// cell, and a query point on fragment seams must still report each candidate
+// id once.
 func TestCandidatesDistinct(t *testing.T) {
 	const n, d = 120, 3
 	pts := uniquePoints(t, dataset.NameDiagonal, 27, n, d)

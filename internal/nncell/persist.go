@@ -234,9 +234,8 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 			return nil, fmt.Errorf("nncell: load: duplicate point %v at slot %d", p, id)
 		}
 		seen[k] = true
-		// A cell never has more fragments than the decompose budget (the
-		// candidate dedup relies on one fragment per cell when there is none),
-		// which maxPersistDecomp has already capped.
+		// A cell never has more fragments than the decompose budget, which
+		// maxPersistDecomp has already capped.
 		if nfrags == 0 || nfrags > uint32(opts.Decompose) {
 			return nil, fmt.Errorf("nncell: load: implausible fragment count %d for point %d (decompose budget %d)", nfrags, id, opts.Decompose)
 		}
@@ -276,6 +275,7 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	ix.dataIdx = xtree.BulkLoad(d, pg, opts.XTree, dataItems)
 	ix.stats.fragments.Store(uint64(len(cellItems)))
 	ix.tree = xtree.BulkLoad(d, pg, opts.XTree, cellItems)
+	ix.dir = newCellDir(bounds, ix.cells)
 	return ix, nil
 }
 

@@ -3,6 +3,7 @@ package nncell
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,25 +18,20 @@ type Neighbor struct {
 	Dist2 float64
 }
 
-// QueryCtx is the reusable per-query scratch of the read path: the iterative
-// traversal state and inline heaps for both backing X-trees, the k-NN result
-// buffer, and the clamp buffer of the out-of-bounds fallback. A warm context
-// makes NearestNeighbor, CandidatesAppend and the fallback path allocation-
-// free. Contexts are pooled per index (acquireCtx/releaseCtx) for the public
-// entry points and held per worker by NearestNeighborBatch. A QueryCtx is
-// not safe for concurrent use.
+// QueryCtx is the reusable per-query scratch of the read path: the survivor
+// bitset of the cell-directory point query, the iterative traversal state and
+// inline heaps for both backing X-trees, the k-NN result buffer, and the
+// clamp buffer of the out-of-bounds fallback. A warm context makes
+// NearestNeighbor, NearestNeighborPaged, CandidatesAppend and the fallback
+// path allocation-free. Contexts are pooled per index (acquireCtx/releaseCtx)
+// for the public entry points and held per worker by NearestNeighborBatch. A
+// QueryCtx is not safe for concurrent use.
 type QueryCtx struct {
-	tc    xtree.QueryCtx   // cell-tree traversal scratch
+	surv  []uint64         // cell-directory survivors, one bit per point id
+	tc    xtree.QueryCtx   // cell-tree traversal scratch (NearestNeighborPaged)
 	dc    xtree.QueryCtx   // data-tree traversal scratch (k-NN, fallback)
-	ids   []int64          // cell point-query candidate buffer
 	nbrs  []xtree.Neighbor // data-tree result buffer
 	clamp vec.Point        // clamp-to-bounds buffer of the fallback
-
-	// Candidate dedup of decomposed indexes: mark[id] == epoch means id was
-	// already reported by the current CandidatesAppend call. Bumping epoch
-	// invalidates every mark at once, so nothing is cleared between calls.
-	mark  []uint32
-	epoch uint32
 }
 
 // acquireCtx takes a context from the index's pool (allocating only when the
@@ -51,14 +47,16 @@ func (ix *Index) acquireCtx() *QueryCtx {
 func (ix *Index) releaseCtx(qc *QueryCtx) { ix.ctxPool.Put(qc) }
 
 // NearestNeighbor answers an exact nearest-neighbor query: a point query on
-// the cell index retrieves every approximation containing q, and the true
+// the cell directory retrieves every cell whose stripe-rounded approximation
+// contains q — a superset of the approximations containing q — and the true
 // nearest neighbor is the closest of those candidate points (Lemma 2: no
 // false dismissals). Queries outside the data space — where NN-cells do not
 // tile — and the (numerically pathological, counted) empty-candidate case
 // take the clamp-and-verify fallback, which stays exact and sub-linear.
 //
-// The traversal runs on a pooled QueryCtx; the warm path performs no
-// allocations.
+// The query reads no pages of the cell X-tree and runs on a pooled QueryCtx;
+// the warm path performs no allocations. NearestNeighborPaged answers the
+// same query from the paged tree.
 func (ix *Index) NearestNeighbor(q vec.Point) (Neighbor, error) {
 	qc := ix.acquireCtx()
 	defer ix.releaseCtx(qc)
@@ -74,22 +72,63 @@ func (ix *Index) nearestLocked(qc *QueryCtx, q vec.Point) (Neighbor, error) {
 		return Neighbor{}, ErrEmpty
 	}
 	ix.stats.queries.Add(1)
-	if !ix.bounds.Contains(q) {
-		ix.stats.fallbacks.Add(1)
-		return ix.fallbackNearest(qc, q), nil
+	if ix.bounds.Contains(q) {
+		if nb, ok := ix.dirNearest(qc, q, q); ok {
+			return nb, nil
+		}
 	}
-	// The fused tree call folds the candidate-distance minimum into the point
-	// query itself, reading coordinates from the SoA mirror. Dead ids never
-	// appear among the matches: Delete removes every fragment of a cell from
-	// the tree before tombstoning the point (removeFragments), so the mirror's
-	// stale tombstone rows are unreachable here.
-	data, d2, seen, ok := ix.tree.NearestCandidate(&qc.tc, q, ix.ptsFlat)
+	ix.stats.fallbacks.Add(1)
+	return ix.fallbackNearest(qc, q), nil
+}
+
+// dirNearest runs the cell-directory point query at p and folds the squared
+// distance from q over the survivors, read straight from the SoA mirror;
+// ties go to the smaller id (survivors come in ascending id order). ok is
+// false when nothing survived. Only cells with stored fragments have bits,
+// so the mirror's NaN-poisoned tombstone rows are never read.
+func (ix *Index) dirNearest(qc *QueryCtx, p, q vec.Point) (best Neighbor, ok bool) {
+	qc.surv = ix.dir.survivors(qc.surv, p)
+	best = Neighbor{ID: -1, Dist2: math.Inf(1)}
+	d, seen := ix.dim, 0
+	for w, word := range qc.surv {
+		seen += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			if d2 := vec.Dist2Flat(q, ix.ptsFlat[id*d:(id+1)*d]); d2 < best.Dist2 {
+				best = Neighbor{ID: id, Dist2: d2}
+			}
+		}
+	}
 	ix.stats.candidates.Add(uint64(seen))
-	if !ok {
-		ix.stats.fallbacks.Add(1)
-		return ix.fallbackNearest(qc, q), nil
+	return best, best.ID >= 0
+}
+
+// NearestNeighborPaged answers the NN query the way the paper's disk model
+// does: a point query on the cell X-tree, every visited page accounted on
+// the pager, the candidate-distance minimum folded into the traversal. It
+// returns exactly what NearestNeighbor returns (same ids, same Dist2 bits)
+// and is the query behind the page-access and disk-time columns of Figs.
+// 8–12 and the differential oracle of the directory's tests.
+func (ix *Index) NearestNeighborPaged(q vec.Point) (Neighbor, error) {
+	qc := ix.acquireCtx()
+	defer ix.releaseCtx(qc)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if ix.alive == 0 {
+		return Neighbor{}, ErrEmpty
 	}
-	return Neighbor{ID: int(data), Dist2: d2}, nil
+	ix.stats.queries.Add(1)
+	if ix.bounds.Contains(q) {
+		// Dead ids never appear among the matches: Delete removes every
+		// fragment of a cell from the tree before tombstoning the point.
+		data, d2, seen, ok := ix.tree.NearestCandidate(&qc.tc, q, ix.ptsFlat)
+		ix.stats.candidates.Add(uint64(seen))
+		if ok {
+			return Neighbor{ID: int(data), Dist2: d2}, nil
+		}
+	}
+	ix.stats.fallbacks.Add(1)
+	return ix.fallbackNearest(qc, q), nil
 }
 
 // fallbackNearest answers queries the cell point query cannot: points outside
@@ -113,20 +152,7 @@ func (ix *Index) fallbackNearest(qc *QueryCtx, q vec.Point) Neighbor {
 	copy(qc.clamp, q)
 	ix.bounds.ClampInPlace(qc.clamp)
 
-	best := Neighbor{ID: -1, Dist2: math.Inf(1)}
-	d := ix.dim
-	qc.ids = ix.tree.PointQueryData(&qc.tc, qc.clamp, qc.ids[:0])
-	for _, id64 := range qc.ids {
-		id := int(id64)
-		if ix.points[id] == nil {
-			continue
-		}
-		// Distance from the original query point, via the SoA mirror.
-		d2 := vec.Dist2Flat(q, ix.ptsFlat[id*d:(id+1)*d])
-		if d2 < best.Dist2 || (d2 == best.Dist2 && id < best.ID) {
-			best = Neighbor{ID: id, Dist2: d2}
-		}
-	}
+	best, _ := ix.dirNearest(qc, qc.clamp, q)
 	// Exact verification: the bound is inclusive, so the seed candidate (a
 	// live point in the data index) is rediscovered even if nothing beats it,
 	// and an empty seed (Dist2 = +Inf) degenerates to an unbounded search.
@@ -140,100 +166,40 @@ func (ix *Index) fallbackNearest(qc *QueryCtx, q vec.Point) Neighbor {
 	return best
 }
 
-// NearestNeighborLegacy is the seed (pre-query-engine) recursive
-// closure-based query path, retained verbatim as the reference
-// implementation: equivalence tests assert the QueryCtx engine returns
-// identical results, and the bench-query record (BENCH_query.json) reports
-// the engine's speedup over this path. It shares the index's stats counters.
-func (ix *Index) NearestNeighborLegacy(q vec.Point) (Neighbor, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.alive == 0 {
-		return Neighbor{}, ErrEmpty
-	}
-	ix.stats.queries.Add(1)
-	if !ix.bounds.Contains(q) {
-		ix.stats.fallbacks.Add(1)
-		return ix.scanNearest(q), nil
-	}
-	best := Neighbor{ID: -1}
-	seen := 0
-	metric := vec.Euclidean{}
-	ix.tree.PointQuery(q, func(e xtree.Entry) bool {
-		id := int(e.Data)
-		p := ix.points[id]
-		if p == nil {
-			return true
-		}
-		seen++
-		d2 := metric.Dist2(q, p)
-		if best.ID < 0 || d2 < best.Dist2 || (d2 == best.Dist2 && id < best.ID) {
-			best = Neighbor{ID: id, Dist2: d2}
-		}
-		return true
-	})
-	ix.stats.candidates.Add(uint64(seen))
-	if best.ID < 0 {
-		ix.stats.fallbacks.Add(1)
-		return ix.scanNearest(q), nil
-	}
-	return best, nil
-}
-
 // Candidates returns the distinct point ids whose stored approximation
 // contains q — the paper's overlap measure in query form (1 distinct
-// candidate = the perfect multidimensional-uniform case).
+// candidate = the perfect multidimensional-uniform case) — in ascending
+// order.
 func (ix *Index) Candidates(q vec.Point) []int { return ix.CandidatesAppend(nil, q) }
 
-// CandidatesAppend appends the distinct candidate ids for q to dst and
-// returns it. Passing a reused slice makes the warm path allocation-free.
-// Like every query entry point it counts one query and the inspected
-// candidates in the index stats.
+// CandidatesAppend appends the candidate ids for q to dst and returns it.
+// Passing a reused slice makes the warm path allocation-free. Each survivor
+// of the directory query is verified against the cell's stored fragments, so
+// the result is the exact overlap set, not the stripe-rounded one. Like every
+// query entry point it counts one query and the inspected candidates (the
+// survivors) in the index stats.
 func (ix *Index) CandidatesAppend(dst []int, q vec.Point) []int {
 	qc := ix.acquireCtx()
 	defer ix.releaseCtx(qc)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	ix.stats.queries.Add(1)
+	qc.surv = ix.dir.survivors(qc.surv, q)
 	seen := 0
-	qc.ids = ix.tree.PointQueryData(&qc.tc, q, qc.ids[:0])
-	// Without decomposition every cell is one tree entry, so the matches are
-	// distinct as they come; with it a query on a fragment seam meets several
-	// fragments of one cell and each id is reported at its first match only.
-	dedup := ix.opts.Decompose > 1
-	if dedup {
-		qc.beginMarks(len(ix.points))
-	}
-	for _, id64 := range qc.ids {
-		id := int(id64)
-		if ix.points[id] == nil {
-			continue
-		}
-		seen++
-		if dedup {
-			if qc.mark[id] == qc.epoch {
-				continue
+	for w, word := range qc.surv {
+		seen += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			for _, r := range ix.cells[id] {
+				if r.Contains(q) {
+					dst = append(dst, id)
+					break
+				}
 			}
-			qc.mark[id] = qc.epoch
 		}
-		dst = append(dst, id)
 	}
 	ix.stats.candidates.Add(uint64(seen))
 	return dst
-}
-
-// beginMarks starts a fresh dedup epoch over ids [0, n).
-func (qc *QueryCtx) beginMarks(n int) {
-	if len(qc.mark) < n {
-		qc.mark = append(qc.mark, make([]uint32, n-len(qc.mark))...)
-	}
-	qc.epoch++
-	if qc.epoch == 0 { // wrapped: stamps of 2³² calls ago would read as fresh
-		for i := range qc.mark {
-			qc.mark[i] = 0
-		}
-		qc.epoch = 1
-	}
 }
 
 // KNearest answers an exact k-nearest-neighbor query. k-NN via order-k cells
@@ -351,21 +317,4 @@ func (ix *Index) NearestNeighborBatch(qs []vec.Point, workers int) ([]Neighbor, 
 		}
 	}
 	return out, nil
-}
-
-// scanNearest is the exact O(n) sequential scan, retained as the correctness
-// oracle for the fallback path (tests) and used by NearestNeighborLegacy.
-func (ix *Index) scanNearest(q vec.Point) Neighbor {
-	metric := vec.Euclidean{}
-	best := Neighbor{ID: -1}
-	for id, p := range ix.points {
-		if p == nil {
-			continue
-		}
-		d2 := metric.Dist2(q, p)
-		if best.ID < 0 || d2 < best.Dist2 {
-			best = Neighbor{ID: id, Dist2: d2}
-		}
-	}
-	return best
 }

@@ -1,39 +1,196 @@
 package nncell
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/vec"
+	"repro/internal/xtree"
 )
 
-// The QueryCtx engine must return exactly what the seed recursive path
-// returns, on smooth and clustered data alike, for every constraint-selection
-// algorithm, including queries outside the data space (both paths are exact
-// there via different fallbacks).
-func TestEngineMatchesLegacy(t *testing.T) {
-	for _, name := range []dataset.Name{dataset.NameUniform, dataset.NameFourier} {
+// scanNearest is the exact O(n) sequential scan over the live points, the
+// correctness oracle of the query paths. Ties go to the smaller id.
+func (ix *Index) scanNearest(q vec.Point) Neighbor {
+	metric := vec.Euclidean{}
+	best := Neighbor{ID: -1}
+	for id, p := range ix.points {
+		if p == nil {
+			continue
+		}
+		d2 := metric.Dist2(q, p)
+		if best.ID < 0 || d2 < best.Dist2 {
+			best = Neighbor{ID: id, Dist2: d2}
+		}
+	}
+	return best
+}
+
+// checkThreeWay asserts NearestNeighbor ≡ NearestNeighborPaged ≡ scan oracle
+// (id and Dist2 bit-for-bit) on in-space queries, data points themselves and
+// queries outside the data space (the fallback of both paths).
+func checkThreeWay(t *testing.T, ix *Index, rng *rand.Rand, queries int, label string) {
+	t.Helper()
+	d := ix.Dim()
+	ids := ix.IDs()
+	for qi := 0; qi < queries; qi++ {
+		q := randQuery(rng, d)
+		switch qi % 8 {
+		case 6:
+			p, _ := ix.Point(ids[rng.Intn(len(ids))])
+			q = p
+		case 7:
+			q[qi%d] += 1.5
+		}
+		want := ix.scanNearest(q)
+		got, errG := ix.NearestNeighbor(q)
+		paged, errP := ix.NearestNeighborPaged(q)
+		if errG != nil || errP != nil {
+			t.Fatalf("%s: errors %v / %v", label, errG, errP)
+		}
+		if got != want || paged != want {
+			t.Fatalf("%s q=%v: directory %+v, paged %+v, scan oracle %+v", label, q, got, paged, want)
+		}
+	}
+}
+
+// The cell directory must return exactly what the paged cell X-tree and the
+// scan return, on smooth and clustered data alike, for every
+// constraint-selection algorithm, with and without decomposition, including
+// queries outside the data space (both paths share the exact fallback) and
+// after a Save/Load round trip (Load refills the directory from the
+// validated fragments).
+func TestDirectoryMatchesPagedAndScan(t *testing.T) {
+	for _, name := range []dataset.Name{dataset.NameUniform, dataset.NameClustered} {
 		for _, alg := range Algorithms() {
-			for _, d := range []int{2, 8} {
-				pts := uniquePoints(t, name, int64(200+10*d+int(alg)), 150, d)
-				ix := mustBuild(t, pts, Options{Algorithm: alg})
-				rng := rand.New(rand.NewSource(int64(300 + d)))
-				for qi := 0; qi < 120; qi++ {
-					q := randQuery(rng, d)
-					if qi%8 == 7 {
-						// Push a coordinate outside the unit cube to cover the
-						// fallback on both paths.
-						q[qi%d] += 1.5
+			for _, d := range []int{2, 4, 8, 16} {
+				for _, decompose := range []int{1, 4} {
+					n := 120
+					if d == 16 || decompose > 1 {
+						n = 60 // LP-heavy configurations
 					}
-					want, errW := ix.NearestNeighborLegacy(q)
-					got, errG := ix.NearestNeighbor(q)
-					if errW != nil || errG != nil {
-						t.Fatalf("%s/%s/d=%d: errors %v / %v", name, alg, d, errW, errG)
+					label := fmt.Sprintf("%s/%s/d=%d/k=%d", name, alg, d, decompose)
+					pts := uniquePoints(t, name, int64(200+10*d+int(alg)), n, d)
+					// ExtentBased ranks split dimensions without trial LPs,
+					// which at d = 16 are most of a decomposed build.
+					ix := mustBuild(t, pts, Options{Algorithm: alg, Decompose: decompose, Obliqueness: ExtentBased})
+					rng := rand.New(rand.NewSource(int64(300 + d)))
+					checkThreeWay(t, ix, rng, 80, label)
+
+					var buf bytes.Buffer
+					if err := ix.Save(&buf); err != nil {
+						t.Fatal(err)
 					}
-					if want != got {
-						t.Fatalf("%s/%s/d=%d q=%v: engine %+v, legacy %+v", name, alg, d, q, got, want)
+					loaded, err := Load(&buf, newTestPager())
+					if err != nil {
+						t.Fatal(err)
 					}
+					checkThreeWay(t, loaded, rng, 40, label+"/loaded")
+					if err := loaded.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The three-way equivalence must hold across every kind of mutation: per-op
+// and batched inserts and deletes, and while lazily deferred repairs are
+// still pending (stale cells keep their old superset bits) as well as after
+// the repair pool has drained.
+func TestDirectoryExactUnderChurn(t *testing.T) {
+	for _, decompose := range []int{1, 4} {
+		const d = 4
+		pts := uniquePoints(t, dataset.NameUniform, 71, 260, d)
+		ix := mustBuild(t, pts[:120], Options{
+			Algorithm: NNDirection, Decompose: decompose, LazyRepair: true, RepairWorkers: -1,
+		})
+		rng := rand.New(rand.NewSource(72))
+		label := fmt.Sprintf("k=%d", decompose)
+
+		for _, p := range pts[120:150] {
+			if _, err := ix.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ix.InsertBatch(pts[150:220]); err != nil {
+			t.Fatal(err)
+		}
+		if ix.Stats().StaleCells == 0 {
+			t.Fatal("no repairs pending: the lazy path was not exercised")
+		}
+		checkThreeWay(t, ix, rng, 120, label+"/pending repairs")
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+
+		for id := 0; id < 60; id += 5 {
+			if err := ix.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ix.DeleteBatch([]int{61, 62, 63, 130, 131, 200}); err != nil {
+			t.Fatal(err)
+		}
+		checkThreeWay(t, ix, rng, 120, label+"/after deletes")
+
+		ix.RepairWait()
+		if _, err := ix.InsertBatch(pts[220:]); err != nil {
+			t.Fatal(err)
+		}
+		ix.RepairWait()
+		if ix.Stats().StaleCells != 0 {
+			t.Fatal("repairs still pending after RepairWait")
+		}
+		checkThreeWay(t, ix, rng, 120, label+"/repaired")
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Candidates stays the paper's exact overlap measure: the ascending distinct
+// ids of the fragments the cell X-tree's point query returns, for queries in
+// the space, on data points (cell corners and seams of decomposed cells) and
+// outside the space.
+func TestCandidatesMatchTreePointQuery(t *testing.T) {
+	for _, decompose := range []int{1, 6} {
+		const d = 3
+		pts := uniquePoints(t, dataset.NameDiagonal, 73, 150, d)
+		ix := mustBuild(t, pts, Options{Algorithm: Correct, Decompose: decompose})
+		rng := rand.New(rand.NewSource(74))
+		var qc xtree.QueryCtx
+		for qi := 0; qi < 300; qi++ {
+			q := randQuery(rng, d)
+			switch qi % 6 {
+			case 3:
+				q = pts[rng.Intn(len(pts))]
+			case 4:
+				q[qi%d] = 1 + 1e-10 // inside the ε-padding of boundary cells
+			case 5:
+				q[qi%d] = -0.25
+			}
+			seen := map[int]bool{}
+			var want []int
+			for _, id := range ix.Tree().PointQueryData(&qc, q, nil) {
+				if !seen[int(id)] {
+					seen[int(id)] = true
+					want = append(want, int(id))
+				}
+			}
+			sort.Ints(want)
+			got := ix.Candidates(q)
+			if len(got) != len(want) {
+				t.Fatalf("k=%d q=%v: Candidates %v, tree point query %v", decompose, q, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d q=%v: Candidates %v, tree point query %v", decompose, q, got, want)
 				}
 			}
 		}

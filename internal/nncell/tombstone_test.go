@@ -16,15 +16,16 @@ import (
 // row: after deleting a third of the points it overwrites every tombstone row
 // with the exact query point, so any path that consulted a stale row would
 // report a dead id at distance 0 — an unbeatable, unmistakable answer. Every
-// entry point (NearestCandidate fast path, out-of-bounds fallback, KNearest
-// for k = 1 and k > 1, Candidates) must still answer from the live set only.
+// entry point (the cell-directory fold, the paged NearestCandidate, the
+// out-of-bounds fallback, KNearest for k = 1 and k > 1, Candidates) must
+// still answer from the live set only.
 //
-// The test passes on the pre-hardening code as well: reachability was already
-// impossible because Delete removes the cell's fragments from the cell tree
-// and the point from the data tree before tombstoning, and the remaining
-// mirror readers all guard on points[id] != nil. The NaN poisoning Delete now
-// performs is defense in depth on top of this proof, not the fix for a
-// reachable bug.
+// Reachability is impossible by construction: Delete clears the cell's bit
+// in every directory row (removeFragments), removes its fragments from the
+// cell tree and the point from the data tree before tombstoning, so no
+// reader ever arrives at a dead id. The test asserts the first of these
+// directly — a deleted id has no bit — and the NaN poisoning Delete performs
+// is defense in depth on top of this proof, not the fix for a reachable bug.
 func TestTombstoneCoordsUnreachable(t *testing.T) {
 	const d = 3
 	pts := uniquePoints(t, dataset.NameUniform, 301, 240, d)
@@ -40,6 +41,11 @@ func TestTombstoneCoordsUnreachable(t *testing.T) {
 	deadSet := make(map[int]bool, len(dead))
 	for _, id := range dead {
 		deadSet[id] = true
+		for k, row := range ix.dir.rows {
+			if row[id>>6]>>(id&63)&1 != 0 {
+				t.Fatalf("deleted id %d still has its bit in directory row %d", id, k)
+			}
+		}
 	}
 	var live []vec.Point
 	for id := range pts {
@@ -69,20 +75,23 @@ func TestTombstoneCoordsUnreachable(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(302))
 	for trial := 0; trial < 60; trial++ {
-		// In-bounds queries drive the fused NearestCandidate fast path;
-		// every third trial steps outside the data space to drive the
-		// clamp-and-verify fallback (which also reads the mirror).
+		// In-bounds queries drive the directory fold and the paged
+		// NearestCandidate; every third trial steps outside the data space
+		// to drive the clamp-and-verify fallback (which also reads the
+		// mirror).
 		q := randQuery(rng, d)
 		if trial%3 == 2 {
 			q[trial%d] += 1.5
 		}
 		poison(q)
 
-		nb, err := ix.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
+		for _, query := range []func(vec.Point) (Neighbor, error){ix.NearestNeighbor, ix.NearestNeighborPaged} {
+			nb, err := query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(trial, q, nb)
 		}
-		check(trial, q, nb)
 
 		for _, k := range []int{1, 4} {
 			nbs, err := ix.KNearest(q, k)

@@ -76,12 +76,16 @@ type node struct {
 // j*m+i, so a query predicate tests dimension 0 of every entry in one
 // contiguous pass and later dimensions only for the entries still alive
 // (dimension-first pruning).
-func (n *node) syncFlat(d int) {
+//
+// capacity is the node's maximum entry count: the mirror is allocated for a
+// full node at once (bulk loading packs leaves full, dynamic leaves fill up)
+// and never for more, except while an overflowing leaf waits for its split.
+func (n *node) syncFlat(d, capacity int) {
 	m := len(n.entries)
 	want := m * d
-	if cap(n.flatLo) < want {
-		n.flatLo = make([]float64, 0, 2*want)
-		n.flatHi = make([]float64, 0, 2*want)
+	if limit := max(want, capacity*d); cap(n.flatLo) < want || cap(n.flatLo) > limit {
+		n.flatLo = make([]float64, 0, limit)
+		n.flatHi = make([]float64, 0, limit)
 	}
 	n.flatLo = n.flatLo[:want]
 	n.flatHi = n.flatHi[:want]
@@ -98,7 +102,7 @@ func (n *node) syncFlat(d int) {
 // entry set ends here, which keeps the leaf SoA mirror in sync.
 func (t *Tree) writeNode(n *node) {
 	if n.level == 0 {
-		n.syncFlat(t.dim)
+		n.syncFlat(t.dim, t.maxEntries)
 	}
 	t.pg.Write(n.page)
 }
@@ -537,6 +541,10 @@ func (t *Tree) CheckInvariants() error {
 			if len(n.flatLo) != len(n.entries)*t.dim || len(n.flatHi) != len(n.entries)*t.dim {
 				return fmt.Errorf("rtree: leaf SoA mirror holds %d/%d coords for %d entries",
 					len(n.flatLo), len(n.flatHi), len(n.entries))
+			}
+			if limit := t.maxEntries * t.dim; cap(n.flatLo) > limit || cap(n.flatHi) > limit {
+				return fmt.Errorf("rtree: leaf SoA mirror allocated for %d/%d coords, a full node holds %d",
+					cap(n.flatLo), cap(n.flatHi), limit)
 			}
 			m := len(n.entries)
 			for i := range n.entries {

@@ -614,3 +614,65 @@ func TestShardedLoadRejectsCorruptRouting(t *testing.T) {
 	// invariant (placement disagrees), not load silently.
 	corrupt("policy swapped to hash", func(b []byte) { b[kindOff] = 0 })
 }
+
+// The sharded NN answer — merged from the per-shard cell-directory queries —
+// must be the scan's, Dist2 bit-for-bit, and must equal the best of the
+// shards' paged cell-tree answers, under hash and grid routing alike, before
+// and after batched churn.
+func TestShardedDirectoryMatchesPagedAndScan(t *testing.T) {
+	const d = 4
+	pts := uniquePoints(t, 701, 360, d)
+	for name, opts := range map[string]Options{
+		"hash": testOptions(5),
+		"grid": gridOptions(6, &GridConfig{Dims: []int{0, 2}, Counts: []int{3, 2}}),
+	} {
+		s, err := Build(pts[:300], vec.UnitCube(d), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(702))
+		check := func(stage string) {
+			t.Helper()
+			gids := s.IDs()
+			live := make([]vec.Point, len(gids))
+			for i, gid := range gids {
+				live[i], _ = s.Point(gid)
+			}
+			oracle := scan.New(live, vec.Euclidean{}, pager.New(pager.Config{}))
+			for trial := 0; trial < 150; trial++ {
+				q := randQuery(rng, d)
+				if trial%10 == 9 {
+					q[trial%d] -= 1.25 // outside the data space
+				}
+				wantIdx, wantD2 := oracle.Nearest(q)
+				got, err := s.NearestNeighbor(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gp, _ := s.Point(got.ID); got.Dist2 != wantD2 || !gp.Equal(live[wantIdx]) {
+					t.Fatalf("%s/%s q=%v: sharded %+v (%v), scan %v at dist² %v", name, stage, q, got, gp, live[wantIdx], wantD2)
+				}
+				paged := math.Inf(1)
+				for i := 0; i < s.NumShards(); i++ {
+					if nb, err := s.Shard(i).NearestNeighborPaged(q); err == nil && nb.Dist2 < paged {
+						paged = nb.Dist2
+					}
+				}
+				if paged != wantD2 {
+					t.Fatalf("%s/%s q=%v: best paged shard answer %v, scan %v", name, stage, q, paged, wantD2)
+				}
+			}
+		}
+		check("built")
+		if _, err := s.InsertBatch(pts[300:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DeleteBatch(s.IDs()[:40]); err != nil {
+			t.Fatal(err)
+		}
+		check("churned")
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
