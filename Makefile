@@ -78,10 +78,12 @@ cluster-test:
 # allocates its output only (the neighbor-pool search and the LPs run on the
 # per-worker cellCtx scratch), BenchmarkQueryNearest unless the warm NN query
 # runs at 0 allocs/op; BenchmarkCellDirUpdate tracks the directory's share of
-# a cell recompute, and the query-bench tool must still run end to end.
+# a cell recompute, BenchmarkInsertEager one whole eager insert (ms, LP solves
+# and cells recomputed per op), and the query-bench tool must still run end to
+# end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveMBR|BenchmarkBuild/NN-Direction' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryNearest$$/NN-Direction/d=8|BenchmarkCellDirUpdate' -benchtime 1x ./internal/nncell/
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryNearest$$/NN-Direction/d=8|BenchmarkCellDirUpdate|BenchmarkInsertEager' -benchtime 1x ./internal/nncell/
 	$(GO) run ./cmd/experiments -bench-query /tmp/BENCH_query_smoke.json -bench-n 60 -bench-dims 4
 
 # Ten seconds of native fuzzing per target, on top of the seed corpora that

@@ -142,9 +142,8 @@ func main() {
 		fmt.Printf("saved index to %s (%d bytes)\n", *saveFile, st.Size())
 	}
 	bs := ix.Stats()
-	fmt.Printf("build: %v  (%d LP solves, %d pivots, %d fragments, X-tree height %d, %d supernodes)\n",
-		buildTime.Round(time.Millisecond), bs.LPSolves, bs.LPPivots, bs.Fragments,
-		ix.Tree().Height(), ix.Tree().Supernodes())
+	fmt.Printf("build: %v  (%d LP solves, %d pivots, %d fragments)\n",
+		buildTime.Round(time.Millisecond), bs.LPSolves, bs.LPPivots, bs.Fragments)
 	fmt.Printf("approximation volume sum: %.3f (1.0 = perfect)\n", ix.ApproxVolumeSum())
 
 	var oracle *scan.Scanner

@@ -27,7 +27,7 @@ func main() {
 	}
 
 	// Build the index: every point's Voronoi cell is approximated by an MBR
-	// (solved by linear programming) and stored in an X-tree.
+	// (solved by linear programming) and entered into the cell directory.
 	pg := pager.New(pager.Config{CachePages: 64})
 	index, err := nncell.Build(points, vec.UnitCube(d), pg, nncell.Options{
 		Algorithm: nncell.Sphere, // the paper's best choice for d <= 8
@@ -35,8 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("indexed %d points, %d cell approximations, X-tree height %d\n",
-		index.Len(), index.Fragments(), index.Tree().Height())
+	fmt.Printf("indexed %d points, %d cell approximations\n", index.Len(), index.Fragments())
 
 	// Nearest-neighbor search is now a point query plus candidate refinement.
 	query := vec.Point{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}

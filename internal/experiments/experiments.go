@@ -120,7 +120,10 @@ type measured struct {
 }
 
 // runNNCell builds an NN-cell index and measures the query workload on the
-// paged query path, the one whose page accesses the disk model prices.
+// paged query path, the one whose page accesses the disk model prices. The
+// index derives its cell X-tree on first use, so the build asks for it: tree
+// construction is build time, and none of its page writes reach the query
+// counters.
 func runNNCell(pts, qs []vec.Point, cfg Config, opts nncell.Options) (measured, *nncell.Index, error) {
 	d := pts[0].Dim()
 	pg := pager.New(pager.Config{CachePages: cfg.CachePages})
@@ -129,6 +132,7 @@ func runNNCell(pts, qs []vec.Point, cfg Config, opts nncell.Options) (measured, 
 	if err != nil {
 		return measured{}, nil, err
 	}
+	ix.Tree()
 	build := time.Since(start)
 	pg.ResetStats()
 	start = time.Now()

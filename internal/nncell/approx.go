@@ -14,8 +14,8 @@ import (
 // solver (normalized once per constraint set, then run for all 2·d extent
 // objectives), the bisector constraint matrix in one flat backing array, the
 // objective / id buffers, and the data-tree search scratch of the
-// neighbor-pool queries. One cellCtx serves one goroutine at a time; the bulk
-// builder keeps one per worker, the dynamic path one per operation.
+// neighbor-pool queries and of the affected-cell one. One cellCtx serves one
+// goroutine at a time: a pool worker keeps one, the dynamic path one per operation.
 type cellCtx struct {
 	solver   lp.Solver
 	prob     lp.Problem
@@ -25,6 +25,7 @@ type cellCtx struct {
 	ids      []int            // constraint-point id buffer
 	dc       xtree.QueryCtx   // data-tree k-NN traversal scratch
 	nbrs     []xtree.Neighbor // data-tree k-NN result buffer
+	acc, hit []uint64         // intersectingCells: one rectangle's directory survivors, the verified union
 }
 
 func newCellCtx(d int) *cellCtx {
@@ -32,7 +33,7 @@ func newCellCtx(d int) *cellCtx {
 }
 
 // approximateCell computes the fragment MBRs of point i's NN-cell using the
-// configured algorithm and decomposition. It reads ix.points/ix.dataIdx but
+// configured algorithm and decomposition. It reads ix.ptsFlat/ix.dataIdx but
 // never mutates the index, so the builder may call it from many goroutines,
 // each with its own cellCtx.
 func (ix *Index) approximateCell(cc *cellCtx, i int) ([]vec.Rect, error) {
@@ -41,7 +42,7 @@ func (ix *Index) approximateCell(cc *cellCtx, i int) ([]vec.Rect, error) {
 			return nil, err
 		}
 	}
-	p := ix.points[i]
+	p := ix.point(i)
 	if p == nil {
 		return nil, fmt.Errorf("nncell: approximating tombstoned point %d", i)
 	}
@@ -98,7 +99,7 @@ func (ix *Index) bisectors(cc *cellCtx, p vec.Point, ids []int) []lp.Constraint 
 	pn := p.Norm2()
 	n := 0
 	for _, id := range ids {
-		q := ix.points[id]
+		q := ix.point(id)
 		if q == nil {
 			continue
 		}
@@ -165,7 +166,7 @@ func (ix *Index) noteLP(res *lp.Result) {
 // nearest neighbors and grows until the solved MBR certifies itself
 // (max corner distance ≤ R) or every live point is included.
 func (ix *Index) correctMBR(cc *cellCtx, i int) (vec.Rect, []lp.Constraint, error) {
-	p := ix.points[i]
+	p := ix.point(i)
 	r := ix.initialRadius(cc, i)
 	maxR := cornerDist(p, ix.bounds)
 	for {
@@ -190,13 +191,13 @@ func (ix *Index) correctMBR(cc *cellCtx, i int) (vec.Rect, []lp.Constraint, erro
 // nearest live neighbor (cheap, from the data index); any underestimate only
 // costs an extra pruning round, never correctness.
 func (ix *Index) initialRadius(cc *cellCtx, i int) float64 {
-	cc.nbrs = ix.dataIdx.KNearestCtx(&cc.dc, ix.points[i], 2, math.Inf(1), cc.nbrs[:0])
+	cc.nbrs = ix.dataIdx.KNearestCtx(&cc.dc, ix.point(i), 2, math.Inf(1), cc.nbrs[:0])
 	for _, nb := range cc.nbrs {
 		if int(nb.Entry.Data) != i {
 			return 2 * math.Sqrt(nb.Dist2)
 		}
 	}
-	return cornerDist(ix.points[i], ix.bounds)
+	return cornerDist(ix.point(i), ix.bounds)
 }
 
 // pointsWithin returns the ids of live points other than i within distance
@@ -205,13 +206,13 @@ func (ix *Index) initialRadius(cc *cellCtx, i int) float64 {
 // pruning round instead of the full-point linear scan — and every retrieved
 // point is counted in Stats.PruneVisited.
 func (ix *Index) pointsWithin(cc *cellCtx, i int, radius float64) (ids []int, all bool) {
-	p := ix.points[i]
+	p := ix.point(i)
 	ids = cc.ids[:0]
 	visited := uint64(0)
 	ix.dataIdx.SphereQuery(p, radius, func(e xtree.Entry) bool {
 		visited++
 		id := int(e.Data)
-		if id != i && ix.points[id] != nil {
+		if id != i && ix.point(id) != nil {
 			ids = append(ids, id)
 		}
 		return true
@@ -250,7 +251,7 @@ func (ix *Index) effectiveAlgorithm() Algorithm {
 // algorithms (Point, Sphere, NN-Direction). Any subset of the full point set
 // is sound (Lemma 1): fewer constraints can only enlarge the approximation.
 func (ix *Index) selectConstraintPoints(cc *cellCtx, i int, alg Algorithm) []int {
-	p := ix.points[i]
+	p := ix.point(i)
 	switch alg {
 	case PointAlg:
 		return ix.capClosest(p, ix.leafRegionPoints(i, func(r vec.Rect) bool { return r.Contains(p) }))
@@ -273,7 +274,7 @@ func (ix *Index) capClosest(p vec.Point, ids []int) []int {
 	}
 	metric := vec.Euclidean{}
 	sort.Slice(ids, func(a, b int) bool {
-		return metric.Dist2(p, ix.points[ids[a]]) < metric.Dist2(p, ix.points[ids[b]])
+		return metric.Dist2(p, ix.point(ids[a])) < metric.Dist2(p, ix.point(ids[b]))
 	})
 	return ids[:limit]
 }
@@ -307,10 +308,10 @@ func (ix *Index) nnDirectionPoints(cc *cellCtx, i int) []int {
 		poolSize = 128
 	}
 	// +1: the pool includes i itself.
-	cc.nbrs = ix.dataIdx.KNearestCtx(&cc.dc, ix.points[i], poolSize+1, math.Inf(1), cc.nbrs[:0])
+	cc.nbrs = ix.dataIdx.KNearestCtx(&cc.dc, ix.point(i), poolSize+1, math.Inf(1), cc.nbrs[:0])
 	ids := cc.ids[:0]
 	for _, nb := range cc.nbrs {
-		if id := int(nb.Entry.Data); id != i && ix.points[id] != nil {
+		if id := int(nb.Entry.Data); id != i && ix.point(id) != nil {
 			ids = append(ids, id)
 		}
 	}

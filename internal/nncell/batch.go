@@ -2,7 +2,6 @@ package nncell
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/vec"
 	"repro/internal/wal"
@@ -38,7 +37,7 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 		if p.Dim() != ix.dim {
 			return nil, fmt.Errorf("nncell: batch point %d has dim %d, want %d", k, p.Dim(), ix.dim)
 		}
-		if !ix.bounds.Contains(p) {
+		if !validPoint(p, ix.bounds) {
 			return nil, fmt.Errorf("nncell: batch point %d = %v outside data space %v", k, p, ix.bounds)
 		}
 	}
@@ -46,16 +45,15 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 	// Stage every point. Staging point k before checking point k+1 lets
 	// hasDuplicate catch within-batch duplicates and snapshot duplicates
 	// with the same index probe. Everything staged is rolled back on error.
-	base := len(ix.points)
+	base := len(ix.cells)
 	staged := 0
 	rollback := func() {
 		for k := staged - 1; k >= 0; k-- {
 			id := base + k
-			if !ix.dataIdx.Delete(vec.PointRect(ix.points[id]), int64(id)) {
+			if !ix.dataIdx.Delete(vec.PointRect(ix.point(id)), int64(id)) {
 				panic(fmt.Sprintf("nncell: staged point %d missing from data index during rollback", id))
 			}
 		}
-		ix.points = ix.points[:base]
 		ix.ptsFlat = ix.ptsFlat[:base*ix.dim]
 		ix.cells = ix.cells[:base]
 		ix.alive -= staged
@@ -68,7 +66,6 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 		}
 		id := base + k
 		ids[k] = id
-		ix.points = append(ix.points, p.Clone())
 		ix.ptsFlat = append(ix.ptsFlat, p...)
 		ix.cells = append(ix.cells, nil)
 		ix.alive++
@@ -77,35 +74,28 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 	}
 
 	// Approximate all new cells in parallel against the post-batch point
-	// set (recomputeCells is Build's worker-pool pattern; the new cells are
-	// not in the fragment tree yet, so nothing committed is touched).
+	// set (the new cells are not stored yet, so nothing committed is touched).
 	cc := newCellCtx(ix.dim)
-	newFrags, err := ix.recomputeCells(cc, ids)
+	newFrags, err := ix.approximateCells(cc, ids)
 	if err != nil {
 		rollback()
 		return nil, err
 	}
 
 	// Union of affected cells: every pre-existing cell whose stored
-	// approximation intersects any new cell's outer MBR, deduplicated — the
-	// step that makes the batch path amortize, each touched cell handled
-	// once instead of once per overlapping insert.
-	seen := make(map[int]bool)
-	var affected []int
+	// approximation intersects any new cell's outer MBR, each once — the
+	// step that makes the batch path amortize, a touched cell handled once
+	// instead of once per overlapping insert.
+	outers := make([]vec.Rect, len(ids))
 	for k := range ids {
-		outer := outerMBR(newFrags[k], ix.dim)
-		for _, aid := range ix.intersectingCells(outer, ids[k]) {
-			if !seen[aid] && aid < base {
-				seen[aid] = true
-				affected = append(affected, aid)
-			}
-		}
+		outers[k] = outerMBR(newFrags[k], ix.dim)
 	}
+	affected := ix.intersectingCells(cc, nil, outers...)
 
 	lazy := ix.lazyForLocked(len(affected))
 	var stagedFrags [][]vec.Rect
 	if !lazy {
-		stagedFrags, err = ix.recomputeCells(cc, affected)
+		stagedFrags, err = ix.approximateCells(cc, affected)
 		if err != nil {
 			rollback()
 			return nil, err
@@ -126,7 +116,7 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 		}
 	}
 
-	// Commit: pure tree/bookkeeping mutation, cannot fail.
+	// Commit: pure bookkeeping, cannot fail.
 	for k, id := range ids {
 		ix.storeCell(id, newFrags[k])
 	}
@@ -157,7 +147,7 @@ func (ix *Index) deleteBatchLocked(ids []int, logIt bool) error {
 	}
 	inBatch := make(map[int]bool, len(ids))
 	for k, id := range ids {
-		if id < 0 || id >= len(ix.points) || ix.points[id] == nil {
+		if id < 0 || id >= len(ix.cells) || ix.point(id) == nil {
 			return fmt.Errorf("nncell: batch delete of unknown id %d", id)
 		}
 		if inBatch[id] {
@@ -172,19 +162,19 @@ func (ix *Index) deleteBatchLocked(ids []int, logIt bool) error {
 	staged := 0
 	rollback := func() {
 		for k := staged - 1; k >= 0; k-- {
-			ix.points[ids[k]] = removed[k]
+			copy(ix.ptsFlat[ids[k]*ix.dim:], removed[k])
 			ix.alive++
 			ix.dataIdx.Insert(vec.PointRect(removed[k]), int64(ids[k]))
 		}
 	}
 	for k, id := range ids {
-		p := ix.points[id]
+		p := ix.point(id).Clone()
 		if !ix.dataIdx.Delete(vec.PointRect(p), int64(id)) {
 			rollback()
 			return fmt.Errorf("nncell: id %d missing from data index", id)
 		}
 		removed[k] = p
-		ix.points[id] = nil
+		ix.bury(id)
 		ix.alive--
 		staged++
 	}
@@ -194,18 +184,14 @@ func (ix *Index) deleteBatchLocked(ids []int, logIt bool) error {
 	var affected []int
 	var stagedFrags [][]vec.Rect
 	if ix.alive > 0 {
-		seen := make(map[int]bool)
-		for _, id := range ids {
-			outer := outerMBR(ix.cells[id], ix.dim)
-			for _, aid := range ix.intersectingCells(outer, id) {
-				if !seen[aid] && !inBatch[aid] {
-					seen[aid] = true
-					affected = append(affected, aid)
-				}
-			}
+		outers := make([]vec.Rect, len(ids))
+		for k, id := range ids {
+			outers[k] = outerMBR(ix.cells[id], ix.dim)
 		}
+		cc := newCellCtx(ix.dim)
+		affected = ix.intersectingCells(cc, nil, outers...)
 		var err error
-		stagedFrags, err = ix.recomputeCells(newCellCtx(ix.dim), affected)
+		stagedFrags, err = ix.approximateCells(cc, affected)
 		if err != nil {
 			rollback()
 			return err
@@ -227,9 +213,6 @@ func (ix *Index) deleteBatchLocked(ids []int, logIt bool) error {
 	// Commit.
 	for _, id := range ids {
 		ix.removeFragments(id)
-		for j := id * ix.dim; j < (id+1)*ix.dim; j++ {
-			ix.ptsFlat[j] = math.NaN() // poison, as in deleteLocked
-		}
 		ix.clearStaleLocked(id)
 	}
 	ix.commitStaged(affected, stagedFrags)

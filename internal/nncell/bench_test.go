@@ -130,3 +130,30 @@ func BenchmarkQueryBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInsertEager is the tracked write row: one eager NN-Direction
+// insert into a built index, every affected cell re-solved before the call
+// returns. Besides ms/op it reports the two counts that say what the time
+// bought — LP solves and cells recomputed per insert — which depend on the
+// points alone, so a change in ms/op at equal counts is a change in the
+// write path's overhead.
+func BenchmarkInsertEager(b *testing.B) {
+	for _, c := range []struct{ d, n int }{{4, 5000}, {8, 2000}} {
+		b.Run(fmt.Sprintf("d=%d/n=%d", c.d, c.n), func(b *testing.B) {
+			pts := uniquePoints(b, dataset.NameUniform, int64(7*c.d), c.n+b.N, c.d)
+			ix := mustBuild(b, pts[:c.n], Options{Algorithm: NNDirection})
+			st0 := ix.Stats()
+			b.ResetTimer()
+			for _, p := range pts[c.n:] {
+				if _, err := ix.Insert(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			st, n := ix.Stats(), float64(len(pts)-c.n)
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/n, "ms/op")
+			b.ReportMetric(float64(st.LPSolves-st0.LPSolves)/n, "lp_solves/op")
+			b.ReportMetric(float64(st.Updates-st0.Updates)/n, "cells_updated/op")
+		})
+	}
+}

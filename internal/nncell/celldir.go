@@ -103,20 +103,54 @@ func (cd *cellDir) remove(id int) {
 	}
 }
 
+// sized returns buf with the given length, contents unspecified, reallocating
+// only when it is too small.
+func sized(buf []uint64, words int) []uint64 {
+	if cap(buf) < words {
+		return make([]uint64, words)
+	}
+	return buf[:words]
+}
+
 // survivors ANDs the rows of p's stripes into acc (reused when large enough)
 // and returns it: bit id of the result is set iff cell id's stripe-rounded
 // approximation contains p.
 func (cd *cellDir) survivors(acc []uint64, p vec.Point) []uint64 {
 	words := len(cd.rows[0])
-	if cap(acc) < words {
-		acc = make([]uint64, words)
-	}
-	acc = acc[:words]
+	acc = sized(acc, words)
 	copy(acc, cd.rows[cd.stripe(0, p[0])])
 	for j := 1; j < len(cd.lo); j++ {
 		row := cd.rows[j*stripes+cd.stripe(j, p[j])][:words]
 		for w := range acc {
 			acc[w] &= row[w]
+		}
+	}
+	return acc
+}
+
+// overlapping is the range form of survivors: per dimension it ORs the rows of
+// stripes stripe(r.Lo[j]) … stripe(r.Hi[j]) and ANDs the d results into acc
+// (reused when large enough). That keeps every cell with a fragment
+// intersecting r: the two share a coordinate x in each dimension, and monotone
+// stripe puts stripe(x) inside the fragment's stripe range and inside r's.
+// An empty r (Lo > Hi) ORs no row and leaves nothing.
+func (cd *cellDir) overlapping(acc []uint64, r vec.Rect) []uint64 {
+	acc = sized(acc, len(cd.rows[0]))
+	for w := range acc {
+		acc[w] = ^uint64(0)
+	}
+	for j := range cd.lo {
+		rows := cd.rows[j*stripes : (j+1)*stripes]
+		lo, hi := cd.stripe(j, r.Lo[j]), cd.stripe(j, r.Hi[j])
+		for w, a := range acc {
+			if a == 0 {
+				continue
+			}
+			var or uint64
+			for s := lo; s <= hi; s++ {
+				or |= rows[s][w]
+			}
+			acc[w] = a & or
 		}
 	}
 	return acc

@@ -48,6 +48,41 @@ func checkDirQuery(t *testing.T, cd *cellDir, model map[int][]vec.Rect, q vec.Po
 	}
 }
 
+// checkDirRange is checkDirQuery for the range form: overlapping(r) must be
+// exactly the ids whose per-dimension stripe ranges — again the union over
+// the id's fragments — meet r's stripe range in every dimension, and must
+// include every id with a fragment that intersects r.
+func checkDirRange(t *testing.T, cd *cellDir, model map[int][]vec.Rect, r vec.Rect) {
+	t.Helper()
+	got := map[int]bool{}
+	for w, word := range cd.overlapping(nil, r) {
+		for ; word != 0; word &= word - 1 {
+			got[w<<6|bits.TrailingZeros64(word)] = true
+		}
+	}
+	for id, frags := range model {
+		rounded := true
+		for j := range r.Lo {
+			lo, hi := cd.stripe(j, r.Lo[j]), cd.stripe(j, r.Hi[j])
+			meets := false
+			for _, f := range frags {
+				meets = meets || (lo <= hi && cd.stripe(j, f.Lo[j]) <= hi && lo <= cd.stripe(j, f.Hi[j]))
+			}
+			rounded = rounded && meets
+		}
+		if got[id] != rounded {
+			t.Fatalf("r=%v: id %d (fragments %v) survives=%v, its stripe ranges meet r's=%v", r, id, frags, got[id], rounded)
+		}
+		if intersectsAny(frags, r) && !got[id] {
+			t.Fatalf("r=%v: id %d dismissed although one of its fragments %v intersects r", r, id, frags)
+		}
+		delete(got, id)
+	}
+	for id := range got {
+		t.Fatalf("r=%v: id %d survives but stores no fragment", r, id)
+	}
+}
+
 // dirTestBounds are the data spaces of the directory tests: the unit cube,
 // a shifted box whose extents are not powers of two, and a box with a
 // zero-width dimension.
@@ -99,8 +134,10 @@ func TestCellDirStripe(t *testing.T) {
 // TestCellDirMatchesNaiveModel runs a randomised add/remove sequence with 1–4
 // fragments per id against the naive model, querying random points, exact
 // stripe edges, the bounds' corners and faces, -0.0 and the corners of the
-// stored rectangles themselves. Rectangles are ε-padded, so those on the
-// boundary stick out of the data space.
+// stored rectangles themselves, and ranges drawn the same way: random
+// rectangles with faces on stripe edges and bounds, point rectangles, the
+// stored rectangles, the whole space and an empty rectangle. Rectangles are
+// ε-padded, so those on the boundary stick out of the data space.
 func TestCellDirMatchesNaiveModel(t *testing.T) {
 	for variant := 0; variant < 3; variant++ {
 		for _, d := range []int{1, 2, 5} {
@@ -147,14 +184,29 @@ func TestCellDirMatchesNaiveModel(t *testing.T) {
 					}
 					checkDirQuery(t, cd, model, q)
 				}
+				r := vec.EmptyRect(d)
+				checkDirRange(t, cd, model, r)
+				for trial := 0; trial < 20; trial++ {
+					for j := 0; j < d; j++ {
+						x, y := coord(j), coord(j)
+						if trial%4 == 3 {
+							y = x
+						}
+						r.Lo[j], r.Hi[j] = math.Min(x, y), math.Max(x, y)
+					}
+					checkDirRange(t, cd, model, r)
+				}
 				for _, frags := range model {
 					checkDirQuery(t, cd, model, vec.Point(frags[0].Lo))
 					checkDirQuery(t, cd, model, vec.Point(frags[len(frags)-1].Hi))
+					checkDirRange(t, cd, model, frags[0])
 				}
+				checkDirRange(t, cd, model, b)
 				for j := range q {
 					q[j] = math.Copysign(0, -1)
 				}
 				checkDirQuery(t, cd, model, q)
+				checkDirRange(t, cd, model, vec.Rect{Lo: q, Hi: q})
 				if err := cd.check(b, modelCells(model)); err != nil {
 					t.Fatal(err)
 				}
@@ -178,15 +230,17 @@ func modelCells(model map[int][]vec.Rect) [][]vec.Rect {
 
 // FuzzCellDir drives the directory with a byte script against the naive
 // model. Byte 0 picks the data space and dimensionality; then each op byte
-// adds (replacing) or removes an id or queries a point, its coordinates read
-// from the following bytes on a 1/240 grid that reaches past both bounds —
-// so stripe edges, faces and out-of-space values are all one byte away. The
-// seed scripts run in normal `go test`.
+// adds (replacing) or removes an id or queries a point or a rectangle, its
+// coordinates read from the following bytes on a 1/240 grid that reaches past
+// both bounds — so stripe edges, faces and out-of-space values are all one
+// byte away. The seed scripts run in normal `go test`.
 func FuzzCellDir(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 8, 8, 248, 248, 3, 8, 8, 3, 248, 248, 3, 128, 128})
 	f.Add([]byte{1, 1, 70, 0, 255, 12, 200, 40, 41, 60, 61, 3, 40, 60, 3, 41, 61, 2, 70, 3, 40, 60})
 	f.Add([]byte{5, 0, 1, 8, 23, 38, 53, 68, 83, 3, 23, 38, 53, 0, 65, 100, 100, 100, 101, 101, 101, 3, 100, 100, 100})
 	f.Add([]byte{2, 0, 9, 1, 1, 128, 128, 3, 1, 128, 3, 1, 1, 2, 9, 3, 1, 128})
+	f.Add([]byte{0, 0, 5, 8, 23, 8, 23, 7, 23, 38, 23, 38, 7, 24, 38, 1, 1, 7, 0, 255, 0, 255, 2, 5, 7, 8, 8, 8, 8})
+	f.Add([]byte{7, 4, 3, 8, 68, 8, 68, 8, 68, 128, 248, 128, 248, 128, 248, 7, 68, 128, 68, 128, 69, 127, 7, 100, 100, 100, 100, 100, 100})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
 			return
@@ -234,7 +288,20 @@ func FuzzCellDir(f *testing.F) {
 				cd.remove(int(script[pos]))
 				delete(model, int(script[pos]))
 				pos++
-			case 3: // query
+			case 3: // query: a point, or with the next op bit set a rectangle
+				if op&4 != 0 {
+					if pos+2*d > len(script) {
+						return
+					}
+					r := vec.EmptyRect(d)
+					for j := 0; j < d; j++ {
+						x, y := coord(j, script[pos]), coord(j, script[pos+1])
+						r.Lo[j], r.Hi[j] = math.Min(x, y), math.Max(x, y)
+						pos += 2
+					}
+					checkDirRange(t, cd, model, r)
+					continue
+				}
 				if pos+d > len(script) {
 					return
 				}
@@ -250,6 +317,7 @@ func FuzzCellDir(f *testing.F) {
 			for _, r := range frags {
 				checkDirQuery(t, cd, model, vec.Point(r.Lo))
 				checkDirQuery(t, cd, model, vec.Point(r.Hi))
+				checkDirRange(t, cd, model, r)
 			}
 		}
 		if err := cd.check(b, modelCells(model)); err != nil {

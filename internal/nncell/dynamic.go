@@ -3,6 +3,7 @@ package nncell
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -13,12 +14,14 @@ import (
 
 // Dynamic maintenance follows a stage-then-commit protocol so that Insert and
 // Delete are atomic with respect to failure: every linear program the
-// operation needs is solved before the first committed structure (the cell
-// tree, the stored fragment sets, the tombstone state) is touched. The only
-// provisional mutations made before the solves are the point-table appends of
-// Insert and the point-table removal of Delete — both are required for the
-// solves to see the post-operation point set, and both are rolled back
-// exactly on error, so CheckInvariants holds on every exit path.
+// operation needs is solved before the first committed structure (the stored
+// fragment sets, the cell directory, the fragment counter) is touched. The
+// only provisional mutations made before the solves are the coordinate-row
+// appends of Insert and the row poisoning of Delete, each with its data-index
+// entry — both are required for the solves to see the post-operation point
+// set, and both are rolled back exactly on error, so CheckInvariants holds on
+// every exit path. The affected cells are found on the cell directory
+// (intersectingCells); of the cell X-tree a commit knows only how to drop it.
 
 // Insert adds a new point and returns its id, maintaining the precomputed
 // solution space per §2 of the paper: existing NN-cells can only shrink, and
@@ -51,7 +54,7 @@ func (ix *Index) insertLocked(p vec.Point, logIt bool) (int, error) {
 	if p.Dim() != ix.dim {
 		return 0, fmt.Errorf("nncell: insert of %d-dim point into %d-dim index", p.Dim(), ix.dim)
 	}
-	if !ix.bounds.Contains(p) {
+	if !validPoint(p, ix.bounds) {
 		return 0, fmt.Errorf("nncell: point %v outside data space %v", p, ix.bounds)
 	}
 	if ix.hasDuplicate(p) {
@@ -62,8 +65,7 @@ func (ix *Index) insertLocked(p vec.Point, logIt bool) (int, error) {
 	// post-insert point set (the data index drives constraint selection,
 	// alive drives the pruning termination check). Everything appended here
 	// is rolled back if any solve fails.
-	id := len(ix.points)
-	ix.points = append(ix.points, p.Clone())
+	id := len(ix.cells)
 	ix.ptsFlat = append(ix.ptsFlat, p...)
 	ix.cells = append(ix.cells, nil)
 	ix.alive++
@@ -72,7 +74,6 @@ func (ix *Index) insertLocked(p vec.Point, logIt bool) (int, error) {
 		if !ix.dataIdx.Delete(vec.PointRect(p), int64(id)) {
 			panic(fmt.Sprintf("nncell: staged point %d missing from data index during rollback", id))
 		}
-		ix.points = ix.points[:id]
 		ix.ptsFlat = ix.ptsFlat[:id*ix.dim]
 		ix.cells = ix.cells[:id]
 		ix.alive--
@@ -91,12 +92,11 @@ func (ix *Index) insertLocked(p vec.Point, logIt bool) (int, error) {
 	// LazyRepair the recompute is deferred: the affected cells keep their
 	// current MBRs — still supersets, the insert only shrank them — and are
 	// marked stale for the repair pool at commit (see repair.go).
-	outer := outerMBR(frags, ix.dim)
-	affected := ix.intersectingCells(outer, id)
+	affected := ix.intersectingCells(cc, nil, outerMBR(frags, ix.dim))
 	lazy := ix.lazyForLocked(len(affected))
 	var staged [][]vec.Rect
 	if !lazy {
-		staged, err = ix.recomputeCells(cc, affected)
+		staged, err = ix.approximateCells(cc, affected)
 		if err != nil {
 			rollback()
 			return 0, err
@@ -115,7 +115,7 @@ func (ix *Index) insertLocked(p vec.Point, logIt bool) (int, error) {
 	}
 
 	// Commit: every LP has succeeded and the record is logged, so the
-	// remaining work is pure tree/bookkeeping mutation that cannot fail.
+	// remaining work is pure bookkeeping that cannot fail.
 	ix.storeCell(id, frags)
 	if lazy {
 		ix.markStaleLocked(affected)
@@ -133,7 +133,7 @@ func (ix *Index) insertLocked(p vec.Point, logIt bool) (int, error) {
 func (ix *Index) hasDuplicate(p vec.Point) bool {
 	dup := false
 	ix.dataIdx.Search(vec.PointRect(p), func(e xtree.Entry) bool {
-		q := ix.points[int(e.Data)]
+		q := ix.point(int(e.Data))
 		if q == nil {
 			return true
 		}
@@ -154,9 +154,9 @@ func (ix *Index) hasDuplicate(p vec.Point) bool {
 // superset of those neighbors.
 //
 // Like Insert, Delete stages: the point is hidden from the approximation
-// inputs (data index, point table), all affected cells are recomputed into
+// inputs (data index, coordinate row), all affected cells are recomputed into
 // staged fragment sets, and only when every solve has succeeded are the
-// tree and tombstone mutations committed. On error the point is restored
+// stored cells and the directory changed. On error the point is restored
 // and the index is unchanged.
 func (ix *Index) Delete(id int) error {
 	ix.mu.Lock()
@@ -167,23 +167,23 @@ func (ix *Index) Delete(id int) error {
 // deleteLocked is Delete under an already-held write lock; logIt as in
 // insertLocked.
 func (ix *Index) deleteLocked(id int, logIt bool) error {
-	if id < 0 || id >= len(ix.points) || ix.points[id] == nil {
+	if id < 0 || id >= len(ix.cells) || ix.point(id) == nil {
 		return fmt.Errorf("nncell: delete of unknown id %d", id)
 	}
-	p := ix.points[id]
+	p := ix.point(id).Clone()
 
 	// Stage the removal: the recomputation LPs must see the post-delete
-	// point set, but the committed structures (tree, cells, mirror row)
-	// stay untouched until commit.
+	// point set, but the committed structures (cells, directory) stay
+	// untouched until commit.
 	if !ix.dataIdx.Delete(vec.PointRect(p), int64(id)) {
 		return fmt.Errorf("nncell: id %d missing from data index", id)
 	}
-	ix.points[id] = nil
+	ix.bury(id)
 	ix.alive--
 
 	rollback := func() {
 		// Roll back the staged removal; nothing committed changed.
-		ix.points[id] = p
+		copy(ix.ptsFlat[id*ix.dim:], p)
 		ix.alive++
 		ix.dataIdx.Insert(vec.PointRect(p), int64(id))
 	}
@@ -192,10 +192,10 @@ func (ix *Index) deleteLocked(id int, logIt bool) error {
 		staged   [][]vec.Rect
 	)
 	if ix.alive > 0 {
-		outer := outerMBR(ix.cells[id], ix.dim)
-		affected = ix.intersectingCells(outer, id)
+		cc := newCellCtx(ix.dim)
+		affected = ix.intersectingCells(cc, nil, outerMBR(ix.cells[id], ix.dim))
 		var err error
-		staged, err = ix.recomputeCells(newCellCtx(ix.dim), affected)
+		staged, err = ix.approximateCells(cc, affected)
 		if err != nil {
 			rollback()
 			return err
@@ -212,14 +212,6 @@ func (ix *Index) deleteLocked(id int, logIt bool) error {
 
 	// Commit.
 	ix.removeFragments(id)
-	// Poison the SoA mirror row so that any read path that would resolve the
-	// tombstoned id through stale coordinates yields NaN distances (loudly
-	// wrong) instead of a silently plausible neighbor. Every query path
-	// guards on points[id] != nil or only sees live tree entries, so the row
-	// is unreachable; see TestTombstoneCoordsUnreachable for the proof.
-	for j := id * ix.dim; j < (id+1)*ix.dim; j++ {
-		ix.ptsFlat[j] = math.NaN()
-	}
 	ix.clearStaleLocked(id)
 	ix.commitStaged(affected, staged)
 	ix.notifyMutationLocked(affected, nil, id)
@@ -231,71 +223,61 @@ func (ix *Index) deleteLocked(id int, logIt bool) error {
 // on the caller's cellCtx.
 const minParallelRecompute = 4
 
-// recomputeCells approximates every listed cell against the current point
-// set and returns the staged fragment sets, positionally aligned with ids.
-// The committed index is not touched: callers swap the results in via
-// commitStaged only after the whole batch has succeeded. Large batches run
-// on a worker pool of per-worker cellCtxs — the same pattern Build uses —
+// approximateCells approximates every listed cell against the current point
+// set and returns the fragment sets, positionally aligned with ids. The
+// committed index is not touched: Build stores the results, the dynamic path
+// stages them and swaps them in via commitStaged only after the whole batch
+// has succeeded. Large batches run on a worker pool of per-worker cellCtxs
 // with a shared fail-fast flag so one failed solve stops the others early.
-// Callers hold ix.mu (write side).
-func (ix *Index) recomputeCells(cc *cellCtx, ids []int) ([][]vec.Rect, error) {
+// Callers hold ix.mu (write side) or, in Build, the only reference.
+func (ix *Index) approximateCells(cc *cellCtx, ids []int) ([][]vec.Rect, error) {
 	staged := make([][]vec.Rect, len(ids))
-	workers := ix.opts.Workers
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers <= 1 || len(ids) < minParallelRecompute {
-		for k, aid := range ids {
-			frags, err := ix.approximateCell(cc, aid)
-			if err != nil {
-				return nil, fmt.Errorf("nncell: updating cell %d: %w", aid, err)
-			}
-			staged[k] = frags
-		}
-		return staged, nil
-	}
 	var (
 		next     atomic.Int64
 		failed   atomic.Bool
-		wg       sync.WaitGroup
 		errMu    sync.Mutex
 		firstErr error
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wcc := newCellCtx(ix.dim)
-			for {
-				if failed.Load() {
-					return
-				}
-				k := int(next.Add(1)) - 1
-				if k >= len(ids) {
-					return
-				}
-				frags, err := ix.approximateCell(wcc, ids[k])
-				if err != nil {
-					failed.Store(true)
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("nncell: updating cell %d: %w", ids[k], err)
-					}
-					errMu.Unlock()
-					return
-				}
-				staged[k] = frags
+	work := func(wcc *cellCtx) {
+		for !failed.Load() {
+			k := int(next.Add(1)) - 1
+			if k >= len(ids) {
+				return
 			}
-		}()
+			frags, err := ix.approximateCell(wcc, ids[k])
+			if err != nil {
+				failed.Store(true)
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("nncell: cell %d: %w", ids[k], err)
+				}
+				errMu.Unlock()
+				return
+			}
+			staged[k] = frags
+		}
 	}
-	wg.Wait()
+	workers := min(ix.opts.Workers, len(ids))
+	if workers <= 1 || len(ids) < minParallelRecompute {
+		work(cc)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(newCellCtx(ix.dim))
+			}()
+		}
+		wg.Wait()
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	return staged, nil
 }
 
-// commitStaged swaps the staged fragment sets in: pure tree mutation, no
+// commitStaged swaps the staged fragment sets in: pure bookkeeping, no
 // solves, cannot fail. An eagerly recomputed cell is fresh by definition,
 // so any stale mark is cleared (aborting in-flight repairs of it — the
 // epoch check in repairOne sees the cleared mark and drops the solve).
@@ -309,44 +291,59 @@ func (ix *Index) commitStaged(ids []int, staged [][]vec.Rect) {
 	}
 }
 
-// storeCell records the fragments of a cell and enters them into the tree
-// and the cell directory.
+// storeCell records the fragments of a cell and enters them into the cell
+// directory.
 func (ix *Index) storeCell(id int, frags []vec.Rect) {
+	ix.dropTree()
 	ix.cells[id] = frags
-	for _, r := range frags {
-		ix.tree.Insert(r, int64(id))
-		ix.stats.fragments.Add(1)
-	}
+	ix.stats.fragments.Add(uint64(len(frags)))
 	ix.dir.add(id, frags)
 }
 
-// removeFragments deletes all of a cell's fragments from the tree and the
-// cell directory.
+// removeFragments deletes all of a cell's fragments from the cell directory.
 func (ix *Index) removeFragments(id int) {
-	for _, r := range ix.cells[id] {
-		if !ix.tree.Delete(r, int64(id)) {
-			panic(fmt.Sprintf("nncell: fragment of cell %d missing from tree", id))
-		}
-		ix.stats.fragments.Add(^uint64(0)) // decrement
-	}
+	ix.dropTree()
+	ix.stats.fragments.Add(-uint64(len(ix.cells[id])))
 	ix.dir.remove(id)
 	ix.cells[id] = nil
 }
 
-// intersectingCells returns the distinct live cell ids (≠ exclude) whose
-// stored approximation intersects r.
-func (ix *Index) intersectingCells(r vec.Rect, exclude int) []int {
-	seen := make(map[int]bool)
-	var ids []int
-	ix.tree.Search(r, func(e xtree.Entry) bool {
-		id := int(e.Data)
-		if id != exclude && ix.points[id] != nil && !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
+// intersectingCells appends to dst, ascending and distinct, the ids of the
+// live cells whose stored approximation intersects one of rects: the cell
+// directory's range query, every survivor verified with Rect.Intersects, the
+// predicate a rectangle search on the fragments applies (DESIGN.md §18). A
+// cell staged for removal still has its bits but no coordinate row, which
+// keeps a delete from listing itself; one staged for insertion has no bits
+// yet. Callers hold ix.mu.
+func (ix *Index) intersectingCells(cc *cellCtx, dst []int, rects ...vec.Rect) []int {
+	cc.hit = sized(cc.hit, len(ix.dir.rows[0]))
+	clear(cc.hit)
+	for _, r := range rects {
+		cc.acc = ix.dir.overlapping(cc.acc, r)
+		for w, word := range cc.acc {
+			for word &^= cc.hit[w]; word != 0; word &= word - 1 {
+				b := bits.TrailingZeros64(word)
+				if id := w<<6 | b; ix.point(id) != nil && intersectsAny(ix.cells[id], r) {
+					cc.hit[w] |= 1 << b
+				}
+			}
 		}
-		return true
-	})
-	return ids
+	}
+	for w, word := range cc.hit {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, w<<6|bits.TrailingZeros64(word))
+		}
+	}
+	return dst
+}
+
+func intersectsAny(frags []vec.Rect, r vec.Rect) bool {
+	for _, f := range frags {
+		if f.Intersects(r) {
+			return true
+		}
+	}
+	return false
 }
 
 // outerMBR is the union of a cell's fragment rectangles.

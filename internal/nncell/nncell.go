@@ -7,15 +7,17 @@
 // MBR boundary is the optimum of a linear program whose constraints are the
 // bisector half-spaces between P and (a subset of) the other data points.
 // The approximations, optionally decomposed into up to k fragments along the
-// cell's most oblique dimensions (Definition 5), are stored in an X-tree.
+// cell's most oblique dimensions (Definition 5), are stored per point id.
 // A nearest-neighbor query is then a point query on the approximations
 // followed by a distance comparison among the returned candidates; Lemmas 1
 // and 2 of the paper guarantee no false dismissals, which makes the result
-// exact. The served query (NearestNeighbor) answers that point query from a
-// bit-sliced cell directory (celldir.go) that keeps the approximations
-// rounded outward to a 64-stripe grid — a superset of a superset, so the
-// lemmas hold unchanged; NearestNeighborPaged answers it from the X-tree,
-// with the page accesses the paper's disk model counts.
+// exact. One structure locates approximations, for queries and for writes: a
+// bit-sliced cell directory (celldir.go) that keeps them rounded outward to a
+// 64-stripe grid — a superset of a superset, so the lemmas hold unchanged.
+// NearestNeighbor answers the point query from it, Insert and Delete the
+// affected-cell range query. The paper's X-tree over the approximations is
+// derived from them on demand (Tree); NearestNeighborPaged answers the query
+// from it, with the page accesses the paper's disk model counts.
 //
 // The package supports the paper's four constraint-selection algorithms
 // (Correct, Point, Sphere, NN-Direction), parallel bulk construction, and
@@ -227,14 +229,18 @@ type Index struct {
 	ctxPool sync.Pool
 
 	mu      sync.RWMutex
-	wlog    *wal.Log    // nil: no durability; see AttachWAL
-	points  []vec.Point // nil entries are tombstones
-	ptsFlat []float64   // SoA mirror: point id's coords at [id*dim:(id+1)*dim]; NaN-poisoned for tombstones
+	wlog    *wal.Log  // nil: no durability; see AttachWAL
+	ptsFlat []float64 // the coordinates: point id's at [id*dim:(id+1)*dim], a NaN row for a tombstone (see point)
 	alive   int
 	cells   [][]vec.Rect // fragment MBRs per point id (nil for tombstones)
-	tree    *xtree.Tree  // fragment MBRs, Data = point id (paged form: range search, NearestNeighborPaged)
-	dir     *cellDir     // fragment MBRs rounded to the stripe grid, one bit per cell (NN point query)
+	dir     *cellDir     // fragment MBRs rounded to the stripe grid, one bit per cell (point and range queries)
 	dataIdx *xtree.Tree  // the data points themselves (constraint selection)
+
+	// tree is the paged form of cells (Data = point id): nil until pagedTree
+	// builds it under treeMu (its callers hold mu on the read side only), nil
+	// again once a commit drops it.
+	treeMu sync.Mutex
+	tree   *xtree.Tree
 
 	// Lazy-repair state (see repair.go). stale maps each stale cell id to
 	// the monotonically increasing epoch of its most recent marking; a
@@ -311,14 +317,14 @@ var ErrBadK = errors.New("nncell: k must be positive")
 // Build constructs the index over points (bulk load): it first indexes the
 // raw points in an X-tree (used by the Point/Sphere/NN-Direction constraint
 // selection), then computes every cell's approximation in parallel against
-// the full point set, and finally loads the fragment MBRs into the cell
-// X-tree. The bounds rectangle is the data space; all points must lie in it.
+// the full point set, and finally fills the cell directory from the fragment
+// MBRs. The bounds rectangle is the data space; all points must lie in it.
 // Exact duplicate points are rejected (a duplicated point has an empty
 // NN-cell, which the paper's construction excludes).
 //
 // The build streams: each worker keeps only its own LP scratch (one cellCtx)
-// and appends finished cells to a private accumulator, so peak memory is the
-// output itself (fragment MBRs + tree) plus O(workers) scratch — never all
+// and stores a finished cell under its id, so peak memory is the output
+// itself (fragment MBRs + directory) plus O(workers) scratch — never all
 // 2·d·n constraint sets at once. With AutoThreshold in effect (the default)
 // constraint sets above the threshold are O(d) per cell, which is what makes
 // n = 10⁵ bulk builds both fit in memory and finish; a failed cell stops the
@@ -337,7 +343,7 @@ func Build(points []vec.Point, bounds vec.Rect, pg *pager.Pager, opts Options) (
 		if p.Dim() != d {
 			return nil, fmt.Errorf("nncell: point %d has dim %d, want %d", i, p.Dim(), d)
 		}
-		if !bounds.Contains(p) {
+		if !validPoint(p, bounds) {
 			return nil, fmt.Errorf("nncell: point %d = %v outside data space %v", i, p, bounds)
 		}
 	}
@@ -350,90 +356,58 @@ func Build(points []vec.Point, bounds vec.Rect, pg *pager.Pager, opts Options) (
 		opts:   opts,
 		pg:     pg,
 		bounds: bounds.Clone(),
-		points: make([]vec.Point, len(points)),
-		cells:  make([][]vec.Rect, len(points)),
 		alive:  len(points),
 	}
 	ix.ptsFlat = make([]float64, 0, len(points)*d)
-	for i, p := range points {
-		ix.points[i] = p.Clone()
+	for _, p := range points {
 		ix.ptsFlat = append(ix.ptsFlat, p...)
 	}
 
-	// Phase 1: data index for constraint selection (STR bulk load).
-	dataItems := make([]xtree.Entry, len(ix.points))
-	for i, p := range ix.points {
-		dataItems[i] = xtree.Entry{Rect: vec.PointRect(p), Data: int64(i)}
+	// Phase 1: data index for constraint selection (STR bulk load, which
+	// copies the rectangles it is given).
+	dataItems := make([]xtree.Entry, len(points))
+	ids := make([]int, len(points))
+	for i := range ids {
+		p := ix.point(i)
+		dataItems[i] = xtree.Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(i)}
+		ids[i] = i
 	}
 	ix.dataIdx = xtree.BulkLoad(d, pg, opts.XTree, dataItems)
 
-	// Phase 2: approximate all cells in parallel, streaming finished cells
-	// into per-worker accumulators with a shared fail-fast flag.
-	type cellOut struct {
-		id    int
-		rects []vec.Rect
-	}
-	accs := make([][]cellOut, opts.Workers)
-	fragCounts := make([]int, opts.Workers)
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			cc := newCellCtx(d) // per-worker solver + scratch, reused across cells
-			for {
-				if failed.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(points) {
-					return
-				}
-				rects, err := ix.approximateCell(cc, i)
-				if err != nil {
-					failed.Store(true)
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("nncell: cell %d: %w", i, err)
-					}
-					errMu.Unlock()
-					return
-				}
-				accs[slot] = append(accs[slot], cellOut{i, rects})
-				fragCounts[slot] += len(rects)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	// Phase 2: approximate all cells on the worker pool the dynamic path
+	// uses too, each result going straight into the slot of its id.
+	var err error
+	if ix.cells, err = ix.approximateCells(newCellCtx(d), ids); err != nil {
+		return nil, err
 	}
 
-	// Phase 3: merge the accumulators and bulk-load the fragment MBRs into
-	// the cell X-tree. The entry slice is sized exactly once.
+	// Phase 3: count the fragments and fill the directory.
 	total := 0
-	for _, n := range fragCounts {
-		total += n
-	}
-	items := make([]xtree.Entry, 0, total)
-	for _, acc := range accs {
-		for _, out := range acc {
-			ix.cells[out.id] = out.rects
-			for _, rect := range out.rects {
-				items = append(items, xtree.Entry{Rect: rect, Data: int64(out.id)})
-			}
-		}
+	for _, frags := range ix.cells {
+		total += len(frags)
 	}
 	ix.stats.fragments.Store(uint64(total))
-	ix.tree = xtree.BulkLoad(d, pg, opts.XTree, items)
 	ix.dir = newCellDir(ix.bounds, ix.cells)
 	return ix, nil
+}
+
+// point returns the coordinates of id as a view of its row, nil for a
+// tombstone. Whoever keeps coordinates past a mutation clones them.
+func (ix *Index) point(id int) vec.Point {
+	row := ix.ptsFlat[id*ix.dim : (id+1)*ix.dim : (id+1)*ix.dim]
+	if math.IsNaN(row[0]) { // bury poisons the whole row, and validPoint admits finite coordinates only
+		return nil
+	}
+	return row
+}
+
+// bury poisons id's row: point(id) is nil from here on, and a read path that
+// resolved the tombstone anyway (TestTombstoneCoordsUnreachable: none does)
+// would compute NaN distances, not a plausible neighbor.
+func (ix *Index) bury(id int) {
+	for j := id * ix.dim; j < (id+1)*ix.dim; j++ {
+		ix.ptsFlat[j] = math.NaN()
+	}
 }
 
 // dupIndex reports whether any two points share exactly the same float64 bit
@@ -491,7 +465,6 @@ func NewEmpty(d int, bounds vec.Rect, pg *pager.Pager, opts Options) (*Index, er
 		opts:    opts,
 		pg:      pg,
 		bounds:  bounds.Clone(),
-		tree:    xtree.New(d, pg, opts.XTree),
 		dir:     newCellDir(bounds, nil),
 		dataIdx: xtree.New(d, pg, opts.XTree),
 	}, nil
@@ -515,10 +488,10 @@ func (ix *Index) Bounds() vec.Rect { return ix.bounds.Clone() }
 func (ix *Index) Point(id int) (vec.Point, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if id < 0 || id >= len(ix.points) || ix.points[id] == nil {
+	if id < 0 || id >= len(ix.cells) || ix.point(id) == nil {
 		return nil, false
 	}
-	return ix.points[id].Clone(), true
+	return ix.point(id).Clone(), true
 }
 
 // CellApprox returns the stored fragment MBRs of the cell of point id.
@@ -538,10 +511,43 @@ func (ix *Index) CellApprox(id int) ([]vec.Rect, bool) {
 // Fragments returns the number of rectangles stored in the index.
 func (ix *Index) Fragments() int { return int(ix.stats.fragments.Load()) }
 
-// Tree exposes the backing X-tree for inspection (read-only use).
-func (ix *Index) Tree() *xtree.Tree { return ix.tree }
+// Tree returns the X-tree over the cell approximations (read-only use). The
+// index does not keep one: the first call after a mutation bulk-loads it from
+// the stored fragments in ascending id order, O(n log n), and the next commit
+// returns its pages to the pager. A built tree is never changed, so it does
+// not race with writers, but it must not be queried after that commit.
+func (ix *Index) Tree() *xtree.Tree {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.pagedTree()
+}
 
-// Pager exposes the simulated page store beneath both X-trees, so callers
+// pagedTree is Tree for callers that hold ix.mu (read side suffices).
+func (ix *Index) pagedTree() *xtree.Tree {
+	ix.treeMu.Lock()
+	defer ix.treeMu.Unlock()
+	if ix.tree == nil {
+		items := make([]xtree.Entry, 0, ix.Fragments())
+		for id, frags := range ix.cells {
+			for _, r := range frags {
+				items = append(items, xtree.Entry{Rect: r, Data: int64(id)})
+			}
+		}
+		ix.tree = xtree.BulkLoad(ix.dim, ix.pg, ix.opts.XTree, items)
+	}
+	return ix.tree
+}
+
+// dropTree releases the derived tree ahead of a change to the cells it was
+// built from. Callers hold ix.mu (write side), which excludes treeMu's holders.
+func (ix *Index) dropTree() {
+	if ix.tree != nil {
+		ix.tree.Release()
+		ix.tree = nil
+	}
+}
+
+// Pager exposes the simulated page store beneath the X-trees, so callers
 // (the serving layer's /metrics endpoint, experiment harnesses) can report
 // page-access counters and hit ratios alongside the index stats.
 func (ix *Index) Pager() *pager.Pager { return ix.pg }
@@ -553,7 +559,7 @@ func (ix *Index) Pager() *pager.Pager { return ix.pg }
 func (ix *Index) PagerStats() pager.Stats { return ix.pg.Stats() }
 
 // PagerLivePages returns the allocated, unfreed page count of the backing
-// pager (the index's size on simulated disk).
+// pager: the data index, plus the cell X-tree while one is built (see Tree).
 func (ix *Index) PagerLivePages() int { return ix.pg.LivePages() }
 
 // Stats returns a snapshot of the counters.
@@ -613,17 +619,11 @@ func SphereRadius(n, d int, scale float64) float64 {
 func (ix *Index) IDs() []int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.sortedIDs()
-}
-
-// sortedIDs returns the live point ids; callers must hold ix.mu.
-func (ix *Index) sortedIDs() []int {
 	ids := make([]int, 0, ix.alive)
-	for i, p := range ix.points {
-		if p != nil {
-			ids = append(ids, i)
+	for id := range ix.cells {
+		if ix.point(id) != nil {
+			ids = append(ids, id)
 		}
 	}
-	sort.Ints(ids)
 	return ids
 }

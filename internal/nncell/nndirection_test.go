@@ -15,7 +15,7 @@ import (
 // neighbor pool of point i, per axis direction, the nearest point and the
 // point with the smallest angular deviation from the axis (≤ 4·d ids).
 func paperNNDirectionPicks(ix *Index, i int, pool []int) []int {
-	p := ix.points[i]
+	p := ix.point(i)
 	d := ix.dim
 	type pick struct {
 		nearest, axial int
@@ -26,7 +26,7 @@ func paperNNDirectionPicks(ix *Index, i int, pool []int) []int {
 		picks[k] = pick{nearest: -1, axial: -1, nearD: math.Inf(1), axialD: math.Inf(1)}
 	}
 	for _, id := range pool {
-		q := ix.points[id]
+		q := ix.point(id)
 		d2 := vec.Euclidean{}.Dist2(p, q)
 		for j := 0; j < d; j++ {
 			comp := q[j] - p[j]

@@ -80,10 +80,11 @@ func (ix *Index) Save(w io.Writer) error {
 	if err := write(ix.bounds.Lo, ix.bounds.Hi); err != nil {
 		return err
 	}
-	if err := write(uint64(len(ix.points))); err != nil {
+	if err := write(uint64(len(ix.cells))); err != nil {
 		return err
 	}
-	for id, p := range ix.points {
+	for id := range ix.cells {
+		p := ix.point(id)
 		if p == nil {
 			if err := write(uint8(0)); err != nil {
 				return err
@@ -106,9 +107,8 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 // Load reconstructs a saved index onto a fresh pager. The cell approximations
-// are reused verbatim (no LPs are solved); only the two X-trees are rebuilt,
-// bulk-loaded from the validated entries exactly as Build does, so a loaded
-// index and a built one over the same cells share one tree shape.
+// are reused verbatim (no LPs are solved); only the data X-tree and the cell
+// directory are rebuilt from the validated entries, exactly as Build does.
 //
 // Load treats the stream as untrusted: truncation, header/payload size
 // mismatches, non-finite or out-of-bounds coordinates, duplicate points,
@@ -188,10 +188,11 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	}
 
 	ix := &Index{dim: d, opts: opts, pg: pg, bounds: bounds}
-	// The tree entries are collected while the stream is validated and loaded
-	// only after the checksum has vouched for all of them; like the per-slot
-	// storage they grow with the stream, never from the header's count.
-	var dataItems, cellItems []xtree.Entry
+	// The data-tree entries are collected while the stream is validated and
+	// loaded only after the checksum has vouched for all of them; like the
+	// per-slot storage they grow with the stream, never from the header's count.
+	var dataItems []xtree.Entry
+	total := 0
 	// Duplicate detection, same byte-exact keying as Build: a duplicated
 	// point has an empty NN-cell, so a stream containing one is corrupt.
 	seen := make(map[string]bool)
@@ -205,11 +206,10 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 		if err := read(&aliveFlag); err != nil {
 			return nil, err
 		}
-		// Tombstone slots carry no payload; their mirror rows are
-		// NaN-poisoned exactly as Delete leaves them.
+		// Tombstone slots carry no payload; their rows are NaN-poisoned
+		// exactly as Delete leaves them.
 		switch aliveFlag {
 		case 0:
-			ix.points = append(ix.points, nil)
 			ix.cells = append(ix.cells, nil)
 			ix.ptsFlat = append(ix.ptsFlat, nanRow...)
 			continue
@@ -250,14 +250,11 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 			}
 			frags = append(frags, rc)
 		}
-		ix.points = append(ix.points, p)
 		ix.ptsFlat = append(ix.ptsFlat, p...)
 		ix.cells = append(ix.cells, frags)
 		ix.alive++
+		total += len(frags)
 		dataItems = append(dataItems, xtree.Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(id)})
-		for _, rc := range frags {
-			cellItems = append(cellItems, xtree.Entry{Rect: rc, Data: int64(id)})
-		}
 	}
 	var wantSum uint32
 	if err := binary.Read(br, le, &wantSum); err != nil {
@@ -273,8 +270,7 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 		return nil, ErrEmpty
 	}
 	ix.dataIdx = xtree.BulkLoad(d, pg, opts.XTree, dataItems)
-	ix.stats.fragments.Store(uint64(len(cellItems)))
-	ix.tree = xtree.BulkLoad(d, pg, opts.XTree, cellItems)
+	ix.stats.fragments.Store(uint64(total))
 	ix.dir = newCellDir(bounds, ix.cells)
 	return ix, nil
 }

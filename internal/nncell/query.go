@@ -82,10 +82,10 @@ func (ix *Index) nearestLocked(qc *QueryCtx, q vec.Point) (Neighbor, error) {
 }
 
 // dirNearest runs the cell-directory point query at p and folds the squared
-// distance from q over the survivors, read straight from the SoA mirror;
-// ties go to the smaller id (survivors come in ascending id order). ok is
-// false when nothing survived. Only cells with stored fragments have bits,
-// so the mirror's NaN-poisoned tombstone rows are never read.
+// distance from q over the survivors, read straight from the coordinate
+// store; ties go to the smaller id (survivors come in ascending id order). ok
+// is false when nothing survived. Only cells with stored fragments have bits,
+// so the NaN-poisoned tombstone rows are never read.
 func (ix *Index) dirNearest(qc *QueryCtx, p, q vec.Point) (best Neighbor, ok bool) {
 	qc.surv = ix.dir.survivors(qc.surv, p)
 	best = Neighbor{ID: -1, Dist2: math.Inf(1)}
@@ -108,7 +108,8 @@ func (ix *Index) dirNearest(qc *QueryCtx, p, q vec.Point) (best Neighbor, ok boo
 // the pager, the candidate-distance minimum folded into the traversal. It
 // returns exactly what NearestNeighbor returns (same ids, same Dist2 bits)
 // and is the query behind the page-access and disk-time columns of Figs.
-// 8–12 and the differential oracle of the directory's tests.
+// 8–12 and the differential oracle of the directory's tests. The first call
+// after a mutation bulk-loads the tree (see Tree).
 func (ix *Index) NearestNeighborPaged(q vec.Point) (Neighbor, error) {
 	qc := ix.acquireCtx()
 	defer ix.releaseCtx(qc)
@@ -119,9 +120,9 @@ func (ix *Index) NearestNeighborPaged(q vec.Point) (Neighbor, error) {
 	}
 	ix.stats.queries.Add(1)
 	if ix.bounds.Contains(q) {
-		// Dead ids never appear among the matches: Delete removes every
-		// fragment of a cell from the tree before tombstoning the point.
-		data, d2, seen, ok := ix.tree.NearestCandidate(&qc.tc, q, ix.ptsFlat)
+		// Dead ids never appear among the matches: the tree is built from the
+		// stored fragments, and a tombstone has none.
+		data, d2, seen, ok := ix.pagedTree().NearestCandidate(&qc.tc, q, ix.ptsFlat)
 		ix.stats.candidates.Add(uint64(seen))
 		if ok {
 			return Neighbor{ID: int(data), Dist2: d2}, nil
@@ -246,12 +247,12 @@ func (ix *Index) KNearestAppend(dst []Neighbor, q vec.Point, k int) ([]Neighbor,
 		return dst, ErrEmpty
 	}
 	ix.stats.queries.Add(1)
-	slack := k + len(ix.points) - ix.alive // tombstone slack
+	slack := k + len(ix.cells) - ix.alive // tombstone slack
 	qc.nbrs = ix.dataIdx.KNearestCtx(&qc.dc, q, slack, math.Inf(1), qc.nbrs[:0])
 	start := len(dst)
 	for _, nb := range qc.nbrs {
 		id := int(nb.Entry.Data)
-		if ix.points[id] == nil {
+		if ix.point(id) == nil {
 			continue
 		}
 		dst = append(dst, Neighbor{ID: id, Dist2: nb.Dist2})

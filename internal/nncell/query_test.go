@@ -18,7 +18,8 @@ import (
 func (ix *Index) scanNearest(q vec.Point) Neighbor {
 	metric := vec.Euclidean{}
 	best := Neighbor{ID: -1}
-	for id, p := range ix.points {
+	for id := range ix.cells {
+		p := ix.point(id)
 		if p == nil {
 			continue
 		}

@@ -159,7 +159,7 @@ func (ix *Index) repairWorker() {
 func (ix *Index) repairOne(cc *cellCtx, id int) {
 	ix.mu.RLock()
 	epoch, stale := ix.stale[id]
-	if !stale || id >= len(ix.points) || ix.points[id] == nil {
+	if !stale || id >= len(ix.cells) || ix.point(id) == nil {
 		ix.mu.RUnlock()
 		return
 	}
@@ -171,7 +171,7 @@ func (ix *Index) repairOne(cc *cellCtx, id int) {
 	}
 
 	ix.mu.Lock()
-	if ix.points[id] != nil && ix.stale[id] == epoch {
+	if ix.point(id) != nil && ix.stale[id] == epoch {
 		ix.removeFragments(id)
 		ix.storeCell(id, frags)
 		delete(ix.stale, id)
@@ -188,7 +188,7 @@ func (ix *Index) repairOne(cc *cellCtx, id int) {
 	// The solve is out of date. If the cell is still live and stale (it was
 	// re-marked at a newer epoch after this worker dequeued it), put it back.
 	_, still := ix.stale[id]
-	live := ix.points[id] != nil
+	live := ix.point(id) != nil
 	ix.mu.Unlock()
 	if still && live {
 		ix.rq.mu.Lock()

@@ -10,22 +10,23 @@ import (
 	"repro/internal/vec"
 )
 
-// The ptsFlat SoA mirror keeps a row for every id ever allocated, including
-// tombstones; Delete never compacts it. This test proves the documented
-// invariant that no query path can resolve a tombstoned id through that stale
-// row: after deleting a third of the points it overwrites every tombstone row
-// with the exact query point, so any path that consulted a stale row would
-// report a dead id at distance 0 — an unbeatable, unmistakable answer. Every
+// The coordinate store ptsFlat keeps a row for every id ever allocated,
+// including tombstones; Delete never compacts it. This test proves the
+// documented invariant that no query path can resolve a tombstoned id through
+// that row: after deleting a third of the points it overwrites every tombstone
+// row with the exact query point, so any path that consulted it would report a
+// dead id at distance 0 — an unbeatable, unmistakable answer. Every
 // entry point (the cell-directory fold, the paged NearestCandidate, the
 // out-of-bounds fallback, KNearest for k = 1 and k > 1, Candidates) must
 // still answer from the live set only.
 //
 // Reachability is impossible by construction: Delete clears the cell's bit
-// in every directory row (removeFragments), removes its fragments from the
-// cell tree and the point from the data tree before tombstoning, so no
-// reader ever arrives at a dead id. The test asserts the first of these
-// directly — a deleted id has no bit — and the NaN poisoning Delete performs
-// is defense in depth on top of this proof, not the fix for a reachable bug.
+// in every directory row and drops its fragments (removeFragments), from
+// which alone the paged tree is derived, and takes the point out of the data
+// tree, so no reader ever arrives at a dead id. The test asserts the first of
+// these directly — a deleted id has no bit — and the NaN poisoning Delete
+// performs is defense in depth on top of this proof, not the fix for a
+// reachable bug.
 func TestTombstoneCoordsUnreachable(t *testing.T) {
 	const d = 3
 	pts := uniquePoints(t, dataset.NameUniform, 301, 240, d)
@@ -78,7 +79,7 @@ func TestTombstoneCoordsUnreachable(t *testing.T) {
 		// In-bounds queries drive the directory fold and the paged
 		// NearestCandidate; every third trial steps outside the data space
 		// to drive the clamp-and-verify fallback (which also reads the
-		// mirror).
+		// coordinate store).
 		q := randQuery(rng, d)
 		if trial%3 == 2 {
 			q[trial%d] += 1.5
@@ -112,9 +113,9 @@ func TestTombstoneCoordsUnreachable(t *testing.T) {
 	}
 }
 
-// Delete must leave the mirror row of a tombstone NaN-poisoned so that a
-// future regression that does read a stale row fails loudly (NaN distances)
-// instead of returning a plausible stale neighbor.
+// Delete must leave the row of a tombstone NaN-poisoned: that is what marks
+// the id dead, and a future regression that does read the row fails loudly
+// (NaN distances) instead of returning a plausible stale neighbor.
 func TestDeletePoisonsMirrorRow(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 303, 40, 2)
 	ix := mustBuild(t, pts, Options{Algorithm: Sphere})
@@ -128,6 +129,6 @@ func TestDeletePoisonsMirrorRow(t *testing.T) {
 	}
 	// Live rows stay intact.
 	if ix.ptsFlat[4*2] != pts[4][0] {
-		t.Fatalf("live mirror row clobbered")
+		t.Fatalf("live row clobbered")
 	}
 }

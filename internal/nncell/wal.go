@@ -124,13 +124,13 @@ func (ix *Index) ApplyLogRecord(rec wal.Record) (bool, error) {
 			return false, fmt.Errorf("nncell: replayed %d-dim insert into %d-dim index", len(rec.Point), ix.dim)
 		}
 		switch {
-		case id == len(ix.points):
+		case id == len(ix.cells):
 			if _, err := ix.insertLocked(vec.Point(rec.Point), false); err != nil {
 				return false, fmt.Errorf("nncell: replaying insert %d: %w", id, err)
 			}
 			return true, nil
-		case id < len(ix.points):
-			q := ix.points[id]
+		case id < len(ix.cells):
+			q := ix.point(id)
 			if q == nil {
 				return false, nil // inserted and deleted before the snapshot
 			}
@@ -141,13 +141,13 @@ func (ix *Index) ApplyLogRecord(rec wal.Record) (bool, error) {
 			}
 			return false, nil // stale duplicate
 		default:
-			return false, fmt.Errorf("nncell: replayed insert %d beyond point table of %d (log is missing records)", id, len(ix.points))
+			return false, fmt.Errorf("nncell: replayed insert %d beyond point table of %d (log is missing records)", id, len(ix.cells))
 		}
 	case wal.KindDelete:
-		if id >= len(ix.points) {
-			return false, fmt.Errorf("nncell: replayed delete %d beyond point table of %d (log is missing records)", id, len(ix.points))
+		if id >= len(ix.cells) {
+			return false, fmt.Errorf("nncell: replayed delete %d beyond point table of %d (log is missing records)", id, len(ix.cells))
 		}
-		if ix.points[id] == nil {
+		if ix.point(id) == nil {
 			return false, nil // already a tombstone in the snapshot
 		}
 		if err := ix.deleteLocked(id, false); err != nil {
@@ -180,7 +180,7 @@ func (ix *Index) applyInsertBatch(rec wal.Record) (bool, error) {
 	}
 	first := int(rec.IDs[0])
 	switch {
-	case first == len(ix.points):
+	case first == len(ix.cells):
 		ps := make([]vec.Point, len(rec.IDs))
 		for k := range rec.IDs {
 			if int(rec.IDs[k]) != first+k {
@@ -192,13 +192,13 @@ func (ix *Index) applyInsertBatch(rec wal.Record) (bool, error) {
 			return false, fmt.Errorf("nncell: replaying insert batch at %d: %w", first, err)
 		}
 		return true, nil
-	case first < len(ix.points):
+	case first < len(ix.cells):
 		for k, id64 := range rec.IDs {
 			id := int(id64)
-			if id >= len(ix.points) {
+			if id >= len(ix.cells) {
 				return false, fmt.Errorf("nncell: replayed insert batch straddles the point table at id %d (log is missing records)", id)
 			}
-			q := ix.points[id]
+			q := ix.point(id)
 			if q == nil {
 				continue // inserted and deleted before the snapshot
 			}
@@ -210,7 +210,7 @@ func (ix *Index) applyInsertBatch(rec wal.Record) (bool, error) {
 		}
 		return false, nil // stale duplicate of the whole batch
 	default:
-		return false, fmt.Errorf("nncell: replayed insert batch at %d beyond point table of %d (log is missing records)", first, len(ix.points))
+		return false, fmt.Errorf("nncell: replayed insert batch at %d beyond point table of %d (log is missing records)", first, len(ix.cells))
 	}
 }
 
@@ -223,10 +223,10 @@ func (ix *Index) applyDeleteBatch(rec wal.Record) (bool, error) {
 	var live []int
 	for _, id64 := range rec.IDs {
 		id := int(id64)
-		if id >= len(ix.points) {
-			return false, fmt.Errorf("nncell: replayed delete %d beyond point table of %d (log is missing records)", id, len(ix.points))
+		if id >= len(ix.cells) {
+			return false, fmt.Errorf("nncell: replayed delete %d beyond point table of %d (log is missing records)", id, len(ix.cells))
 		}
-		if ix.points[id] != nil {
+		if ix.point(id) != nil {
 			live = append(live, id)
 		}
 	}

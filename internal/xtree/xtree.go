@@ -646,6 +646,25 @@ func (t *Tree) freeNode(n *node) {
 	}
 }
 
+// Release returns every page of the tree to the pager. It changes no node, so
+// it does not race with a reader still inside a query, but a query started
+// afterwards touches a freed page and panics in the pager: the tree must not
+// be used again.
+func (t *Tree) Release() {
+	var walk func(n *node)
+	walk = func(n *node) {
+		for i := range n.entries {
+			if c := n.entries[i].child; c != nil {
+				walk(c)
+			}
+		}
+		for _, id := range n.pages {
+			t.pg.Free(id)
+		}
+	}
+	walk(t.root)
+}
+
 // insertOrphan re-adds a subtree entry at the given level after condensation.
 func (t *Tree) insertOrphan(e entry, level int) {
 	split := t.orphanAt(t.root, e, level)
