@@ -7,8 +7,10 @@ GO ?= go
 
 check: vet build test race serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke bench-module fuzz-smoke
 
+# gofmt -l prints the files it would change; any name is a failure.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -77,20 +79,23 @@ cluster-test:
 # warm LP loop runs at 0 allocs/op, BenchmarkBuild/NN-Direction unless a build
 # allocates its output only (the neighbor-pool search and the LPs run on the
 # per-worker cellCtx scratch), BenchmarkQueryNearest unless the warm NN query
-# runs at 0 allocs/op; BenchmarkCellDirUpdate tracks the directory's share of
-# a cell recompute, BenchmarkInsertEager one whole eager insert (ms, LP solves
-# and cells recomputed per op), and the query-bench tool must still run end to
-# end.
+# runs at 0 allocs/op, BenchmarkQueryKNearest unless the warm k = 10 query
+# does; BenchmarkCellDirUpdate tracks the two directories' share of a cell
+# recompute and of a point insert + delete, BenchmarkInsertEager one whole
+# eager insert (ms, LP solves and cells recomputed per op), and the
+# query-bench tool must still run end to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveMBR|BenchmarkBuild/NN-Direction' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryNearest$$/NN-Direction/d=8|BenchmarkCellDirUpdate|BenchmarkInsertEager' -benchtime 1x ./internal/nncell/
+	$(GO) test -run '^$$' -bench 'BenchmarkQuery(Nearest|KNearest)$$/NN-Direction/d=8|BenchmarkCellDirUpdate|BenchmarkInsertEager' -benchtime 1x ./internal/nncell/
 	$(GO) run ./cmd/experiments -bench-query /tmp/BENCH_query_smoke.json -bench-n 60 -bench-dims 4
 
 # Ten seconds of native fuzzing per target, on top of the seed corpora that
-# `go test` already runs: the cell directory against its naive model, the
-# snapshot loader on arbitrary bytes, and the LP solvers against each other.
+# `go test` already runs: the cell and point directories against their naive
+# models, the snapshot loader on arbitrary bytes, and the LP solvers against
+# each other.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCellDir' -fuzztime 10s ./internal/nncell/
+	$(GO) test -run '^$$' -fuzz 'FuzzPointDir' -fuzztime 10s ./internal/nncell/
 	$(GO) test -run '^$$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/nncell/
 	$(GO) test -run '^$$' -fuzz 'FuzzSolversAgree' -fuzztime 10s ./internal/lp/
 

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -42,7 +43,7 @@ func main() {
 		benchServe   = flag.String("bench-serve", "", "measure the open-loop serve path (bare index vs result cache vs cache under churn) and write the JSON report to this path (skips figures)")
 		benchQPS     = flag.Float64("bench-qps", 0, "arrival rate for -bench-serve (default 5000)")
 		benchDur     = flag.Duration("bench-duration", 0, "run length per -bench-serve workload (default 2s)")
-		benchScaleN  = flag.Int("bench-scale-n", 0, "when set with -bench-query, also run the large-n scale pass (directory vs paged tree, data X-tree, scan and result cache) at this size")
+		benchScaleN  = flag.Int("bench-scale-n", 0, "when set with -bench-query, also run the large-n scale pass (NN and k=10 on the directories vs paged tree, data X-tree, scan and result cache) at n = 10^4 and this size, d = 4, 8, 16")
 		benchQuery   = flag.String("bench-query", "", "measure NearestNeighbor (cell directory vs paged cell X-tree) for all four algorithms and write the JSON report to this path (skips figures)")
 		benchDynamic = flag.String("bench-dynamic", "", "measure concurrent insert throughput at shard counts 1,2,4,8 and write the JSON report to this path (skips figures)")
 		benchRoute   = flag.String("bench-route", "", "measure NN shards-visited and latency for hash vs grid routing at shard counts 16,64 and write the JSON report to this path (skips figures)")
@@ -88,8 +89,14 @@ func main() {
 		}
 		if *benchScaleN > 0 {
 			rep.ScaleN = *benchScaleN
-			if rep.Scale, err = experiments.BenchQueryScale(*benchScaleN, 8); err != nil {
-				fatalf("bench-query scale pass: %v", err)
+			for _, n := range slices.Compact([]int{min(10000, *benchScaleN), *benchScaleN}) {
+				for _, d := range []int{4, 8, 16} {
+					rows, err := experiments.BenchQueryScale(n, d)
+					if err != nil {
+						fatalf("bench-query scale pass: %v", err)
+					}
+					rep.Scale = append(rep.Scale, rows...)
+				}
 			}
 		}
 		if err := rep.WriteJSON(*benchQuery); err != nil {
@@ -104,6 +111,8 @@ func main() {
 				r.Algorithm, r.Dim, r.N, r.P50Ns/1e3, r.PagedP50Ns/1e3, r.DataXTreeP50Ns/1e3, r.ScanP50Ns/1e3, r.SpeedupVsScan, r.CandidatesPerQuery, r.Verified)
 			fmt.Printf("scale %-17s d=%-3d n=%-7d %9.0f ns/op uncached | %7.0f ns/op cached (%6.1fx, hit rate %.3f)\n",
 				r.Algorithm, r.Dim, r.N, r.NsPerOp, r.CachedNsPerOp, r.CacheSpeedup, r.HitRate)
+			fmt.Printf("scale %-17s d=%-3d n=%-7d knn10 p50 %7.1f us directory | %7.1f data X-tree (%.1fx) | %7.1f scan | %.1f cand/q, %d verified\n",
+				r.Algorithm, r.Dim, r.N, r.KNN10P50Ns/1e3, r.KNN10DataXTreeP50Ns/1e3, r.KNN10SpeedupVsXTree, r.KNN10ScanP50Ns/1e3, r.KNN10CandidatesPerQuery, r.KNN10Verified)
 		}
 		fmt.Printf("wrote %s\n", *benchQuery)
 		return

@@ -3,9 +3,11 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -49,12 +51,13 @@ type QueryBenchResult struct {
 	Fallbacks            uint64  `json:"fallbacks"`
 }
 
-// QueryScaleResult is one large-n measurement of the scale pass: a single
+// QueryScaleResult is one large-n measurement of the scale pass: one size and
 // dimension in the auto-threshold regime. Medians of individually timed
-// calls put the served query next to its alternatives on the same points and
-// query pool — the sequential scan, the paged cell X-tree, NN search on an
-// X-tree of the data points — and the mean-based columns compare it with the
-// exact result cache on a repeating (hot) pool.
+// calls put the served queries, NN and k = 10, next to their alternatives on
+// the same points and query pool — the sequential scan, the paged cell X-tree,
+// best-first search on an X-tree bulk-loaded from the data points — and the
+// mean-based columns compare the NN query with the exact result cache on a
+// repeating (hot) pool.
 type QueryScaleResult struct {
 	Algorithm string `json:"algorithm"`
 	Dim       int    `json:"dim"`
@@ -72,6 +75,18 @@ type QueryScaleResult struct {
 	// aborts the pass, so it equals the pool size).
 	CandidatesPerQuery float64 `json:"candidates_per_query"`
 	Verified           int     `json:"verified"`
+
+	// KNearest(q, 10) on the point directory, the same query on the data
+	// X-tree and a bounded top-10 pass over all points, as p50s. Candidates
+	// are the distance evaluations of the directory's search (cell-directory
+	// seeds plus box survivors); KNN10Verified counts pool queries whose ten
+	// (id, Dist2) pairs equalled the scan pass's, in order.
+	KNN10P50Ns              float64 `json:"knn10_p50_ns"`
+	KNN10DataXTreeP50Ns     float64 `json:"knn10_data_xtree_p50_ns"`
+	KNN10ScanP50Ns          float64 `json:"knn10_scan_p50_ns"`
+	KNN10SpeedupVsXTree     float64 `json:"knn10_speedup_vs_data_xtree"` // KNN10DataXTreeP50Ns / KNN10P50Ns
+	KNN10CandidatesPerQuery float64 `json:"knn10_candidates_per_query"`
+	KNN10Verified           int     `json:"knn10_verified"`
 
 	NsPerOp float64 `json:"ns_per_op"`
 	QPS     float64 `json:"qps"`
@@ -95,7 +110,8 @@ type QueryBenchReport struct {
 	Go      string             `json:"go"`
 	Results []QueryBenchResult `json:"results"`
 
-	// Scale holds the optional -bench-scale-n pass (n typically 1e5).
+	// Scale holds the optional -bench-scale-n pass: n = 1e4 and ScaleN
+	// (typically 1e5), each at d = 4, 8 and 16.
 	ScaleN int                `json:"scale_n,omitempty"`
 	Scale  []QueryScaleResult `json:"scale,omitempty"`
 }
@@ -200,12 +216,12 @@ func p50Ns(calls, pool int, fn func(i int)) float64 {
 	return ns[calls/2]
 }
 
-// BenchQueryScale measures NearestNeighbor at large n (default 1e5) at
-// d=8 against the scan, the paged cell X-tree and the data X-tree, and
-// behind the exact result cache. The algorithm set is restricted to the two
-// that stay tractable at this scale: Correct in its auto-threshold
-// (effective NN-Direction) regime, and NNDirection itself. Results are meant
-// to be attached to QueryBenchReport.Scale.
+// BenchQueryScale measures NearestNeighbor and KNearest(10) at large n
+// (default 1e5, d = 8) against the scan, the paged cell X-tree and the data
+// X-tree, and NearestNeighbor behind the exact result cache. The algorithm
+// set is restricted to the two that stay tractable at this scale: Correct in
+// its auto-threshold (effective NN-Direction) regime, and NNDirection itself.
+// Results are meant to be attached to QueryBenchReport.Scale.
 func BenchQueryScale(n, d int) ([]QueryScaleResult, error) {
 	if n <= 0 {
 		n = 100000
@@ -231,9 +247,24 @@ func BenchQueryScale(n, d int) ([]QueryScaleResult, error) {
 		}
 		qs := queryPoints(rand.New(rand.NewSource(99)), numQueries, d)
 
-		// Every pool answer of both index paths against the scan.
+		// Every pool answer of both index paths, and of the k-NN query,
+		// against the scan.
 		sc := scan.New(pts, vec.Euclidean{}, pager.New(pager.Config{CachePages: 256}))
+		const k = 10
+		top := make([]nncell.Neighbor, 0, k)
+		scanKNN := func(q vec.Point) []nncell.Neighbor {
+			top = top[:0]
+			for id, p := range pts {
+				top, _ = nncell.PushTopK(top, k, nncell.Neighbor{ID: id, Dist2: vec.Euclidean{}.Dist2(q, p)})
+			}
+			nncell.SortTopK(top)
+			return top
+		}
+		nbs := make([]nncell.Neighbor, 0, k)
 		for i, q := range qs {
+			if nbs, err = ix.KNearestAppend(nbs[:0], q, k); err != nil || !slices.Equal(nbs, scanKNN(q)) {
+				return nil, fmt.Errorf("%s: KNearest(query %d, %d) = %+v, %v; the scan says %+v", v.name, i, k, nbs, err, scanKNN(q))
+			}
 			wantID, wantD2 := sc.Nearest(q)
 			want := nncell.Neighbor{ID: wantID, Dist2: wantD2}
 			if got, err := ix.NearestNeighbor(q); err != nil || got != want {
@@ -245,7 +276,7 @@ func BenchQueryScale(n, d int) ([]QueryScaleResult, error) {
 		}
 
 		// The timed calls repeat the pool just verified, so they cannot fail.
-		res := QueryScaleResult{Algorithm: v.name, Dim: d, N: len(pts), Verified: len(qs)}
+		res := QueryScaleResult{Algorithm: v.name, Dim: d, N: len(pts), Verified: len(qs), KNN10Verified: len(qs)}
 		st0 := ix.Stats()
 		res.P50Ns = p50Ns(4096, len(qs), func(i int) { ix.NearestNeighbor(qs[i%len(qs)]) })
 		st1 := ix.Stats()
@@ -261,6 +292,15 @@ func BenchQueryScale(n, d int) ([]QueryScaleResult, error) {
 		res.DataXTreeP50Ns = p50Ns(1024, len(qs), func(i int) { dt.NearestNeighborCtx(&qc, qs[i%len(qs)]) })
 		res.SpeedupVsScan = res.ScanP50Ns / res.P50Ns
 		res.SpeedupVsPaged = res.PagedP50Ns / res.P50Ns
+
+		st0 = ix.Stats()
+		res.KNN10P50Ns = p50Ns(4096, len(qs), func(i int) { nbs, _ = ix.KNearestAppend(nbs[:0], qs[i%len(qs)], k) })
+		st1 = ix.Stats()
+		res.KNN10CandidatesPerQuery = float64(st1.Candidates-st0.Candidates) / float64(st1.Queries-st0.Queries)
+		var tnbs []xtree.Neighbor
+		res.KNN10DataXTreeP50Ns = p50Ns(1024, len(qs), func(i int) { tnbs = dt.KNearestCtx(&qc, qs[i%len(qs)], k, math.Inf(1), tnbs[:0]) })
+		res.KNN10ScanP50Ns = p50Ns(256, 0, func(i int) { scanKNN(qs[i%len(qs)]) })
+		res.KNN10SpeedupVsXTree = res.KNN10DataXTreeP50Ns / res.KNN10P50Ns
 
 		var benchErr error
 		raw := testing.Benchmark(func(b *testing.B) {

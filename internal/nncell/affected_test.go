@@ -105,6 +105,7 @@ func checkAffected(t *testing.T, ix *Index, rng *rand.Rand, label string) {
 	got = ix.intersectingCells(cc, got[:0], outer)
 	want := treeSearchIDs(ix, outer)
 	copy(ix.ptsFlat[id*d:], p)
+	ix.pdir.set(id, p)
 	if !slices.Equal(got, want) || slices.Contains(got, id) {
 		t.Fatalf("%s: with %d staged for deletion: directory %v, tree search %v", label, id, got, want)
 	}

@@ -46,17 +46,10 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 	// hasDuplicate catch within-batch duplicates and snapshot duplicates
 	// with the same index probe. Everything staged is rolled back on error.
 	base := len(ix.cells)
-	staged := 0
 	rollback := func() {
-		for k := staged - 1; k >= 0; k-- {
-			id := base + k
-			if !ix.dataIdx.Delete(vec.PointRect(ix.point(id)), int64(id)) {
-				panic(fmt.Sprintf("nncell: staged point %d missing from data index during rollback", id))
-			}
+		for len(ix.cells) > base {
+			ix.unstagePoint()
 		}
-		ix.ptsFlat = ix.ptsFlat[:base*ix.dim]
-		ix.cells = ix.cells[:base]
-		ix.alive -= staged
 	}
 	ids := make([]int, len(ps))
 	for k, p := range ps {
@@ -64,13 +57,7 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 			rollback()
 			return nil, fmt.Errorf("nncell: duplicate point %v (batch index %d)", p, k)
 		}
-		id := base + k
-		ids[k] = id
-		ix.ptsFlat = append(ix.ptsFlat, p...)
-		ix.cells = append(ix.cells, nil)
-		ix.alive++
-		ix.dataIdx.Insert(vec.PointRect(p), int64(id))
-		staged++
+		ids[k] = ix.stagePoint(p)
 	}
 
 	// Approximate all new cells in parallel against the post-batch point
@@ -162,20 +149,16 @@ func (ix *Index) deleteBatchLocked(ids []int, logIt bool) error {
 	staged := 0
 	rollback := func() {
 		for k := staged - 1; k >= 0; k-- {
-			copy(ix.ptsFlat[ids[k]*ix.dim:], removed[k])
-			ix.alive++
-			ix.dataIdx.Insert(vec.PointRect(removed[k]), int64(ids[k]))
+			ix.unhidePoint(ids[k], removed[k])
 		}
 	}
 	for k, id := range ids {
-		p := ix.point(id).Clone()
-		if !ix.dataIdx.Delete(vec.PointRect(p), int64(id)) {
+		p, ok := ix.hidePoint(id)
+		if !ok {
 			rollback()
 			return fmt.Errorf("nncell: id %d missing from data index", id)
 		}
 		removed[k] = p
-		ix.bury(id)
-		ix.alive--
 		staged++
 	}
 

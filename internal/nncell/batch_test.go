@@ -151,7 +151,7 @@ func TestInsertBatchRollbackOnFailure(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pts := uniquePoints(t, dataset.NameUniform, 505, 70, 2)
 			ix := mustBuild(t, pts[:50], Options{Algorithm: Correct, AutoThreshold: -1})
-			wantLen, wantFrags := ix.Len(), ix.Fragments()
+			wantLen, wantFrags, wantDir := ix.Len(), ix.Fragments(), pointDirSnapshot(ix)
 
 			ix.testHookApprox = func(id int) error {
 				if (id >= 50) != tc.failAffected {
@@ -168,6 +168,7 @@ func TestInsertBatchRollbackOnFailure(t *testing.T) {
 				t.Fatalf("after failed batch: Len=%d Fragments=%d, want %d/%d",
 					ix.Len(), ix.Fragments(), wantLen, wantFrags)
 			}
+			assertPointDirIs(t, ix, wantDir)
 			if err := ix.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}

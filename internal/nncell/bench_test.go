@@ -78,18 +78,26 @@ func BenchmarkQueryNearestPaged(b *testing.B) {
 	})
 }
 
-// BenchmarkCellDirUpdate is the directory's share of one cell recompute on
-// the write path: remove + add of one stored cell.
+// BenchmarkCellDirUpdate is the directories' share of the write path: for the
+// cell directory remove + add of one stored cell (one cell recompute), for
+// the point directory clear + set of one point (one delete and one insert).
 func BenchmarkCellDirUpdate(b *testing.B) {
 	for _, d := range []int{4, 8} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			ix, _ := benchIndex(b, NNDirection, d)
+		ix, _ := benchIndex(b, NNDirection, d)
+		b.Run(fmt.Sprintf("cells/d=%d", d), func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				id := i % benchQueryN
 				ix.dir.remove(id)
 				ix.dir.add(id, ix.cells[id])
+			}
+		})
+		b.Run(fmt.Sprintf("points/d=%d", d), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				id := i % benchQueryN
+				ix.pdir.clear(id)
+				ix.pdir.set(id, ix.point(id))
 			}
 		})
 	}
@@ -107,15 +115,30 @@ func BenchmarkQueryCandidates(b *testing.B) {
 	})
 }
 
+// BenchmarkQueryKNearest is the k = 10 query on the same workload, into a
+// reused result slice; like BenchmarkQueryNearest it fails unless the warm
+// query runs at 0 allocs/op.
 func BenchmarkQueryKNearest(b *testing.B) {
 	forBenchConfigs(b, func(b *testing.B, alg Algorithm, d int) {
 		ix, qs := benchIndex(b, alg, d)
+		nbs := make([]Neighbor, 0, 10)
+		query := func(i int) {
+			var err error
+			if nbs, err = ix.KNearestAppend(nbs[:0], qs[i%len(qs)], 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+		query(0) // warm the pooled context
+		if !raceEnabled {
+			k := 0
+			if allocs := testing.AllocsPerRun(len(qs), func() { k++; query(k) }); allocs != 0 {
+				b.Fatalf("warm KNearestAppend allocates %v/op, want 0", allocs)
+			}
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ix.KNearest(qs[i%len(qs)], 10); err != nil {
-				b.Fatal(err)
-			}
+			query(i)
 		}
 	})
 }

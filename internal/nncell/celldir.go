@@ -20,50 +20,43 @@ const stripes = 64
 // rounded outward to the stripe grid, contains the point — a superset of the
 // cells whose approximation contains it, so Lemma 2 carries over unchanged.
 //
-// stripe is the only code that maps a coordinate to a stripe, for rectangle
-// ends and query points alike, and it is monotone; lo ≤ q ≤ hi therefore
-// implies stripe(lo) ≤ stripe(q) ≤ stripe(hi) whatever the rounding does.
-//
 // A cellDir has no lock of its own: bits change only in storeCell and
 // removeFragments, at commit under the index's write lock.
 type cellDir struct {
-	lo    []float64 // data-space lower corner
-	scale []float64 // stripes / data-space extent; 0 for a zero-width dimension
+	stripeGrid
 	// rows[j*stripes+s] is the bitset of dimension j, stripe s. All rows have
 	// the same length, ⌈len(points)/64⌉ words.
 	rows [][]uint64
 }
 
-// newCellDir returns the directory of the given cells (indexed by point id,
-// nil for tombstones), sized for exactly len(cells) ids in one allocation.
-func newCellDir(bounds vec.Rect, cells [][]vec.Rect) *cellDir {
-	d := bounds.Dim()
-	cd := &cellDir{
+// stripeGrid is the grid both directories (cellDir here, pointDir beside it)
+// are laid on. stripe is the only code that maps a coordinate to a stripe, for
+// rectangle ends, data points and query points alike, and it is monotone;
+// lo ≤ q ≤ hi therefore implies stripe(lo) ≤ stripe(q) ≤ stripe(hi) whatever
+// the rounding does.
+type stripeGrid struct {
+	lo    []float64 // data-space lower corner
+	scale []float64 // stripes / data-space extent; 0 for a zero-width dimension
+}
+
+func newStripeGrid(bounds vec.Rect) stripeGrid {
+	g := stripeGrid{
 		lo:    append([]float64(nil), bounds.Lo...),
-		scale: make([]float64, d),
-		rows:  make([][]uint64, d*stripes),
+		scale: make([]float64, bounds.Dim()),
 	}
-	for j := range cd.scale {
+	for j := range g.scale {
 		if w := bounds.Hi[j] - bounds.Lo[j]; w > 0 {
-			cd.scale[j] = stripes / w
+			g.scale[j] = stripes / w
 		}
 	}
-	words := (len(cells) + 63) / 64
-	back := make([]uint64, len(cd.rows)*words)
-	for k := range cd.rows {
-		cd.rows[k] = back[k*words : (k+1)*words : (k+1)*words]
-	}
-	for id, frags := range cells {
-		cd.add(id, frags)
-	}
-	return cd
+	return g
 }
 
 // stripe maps coordinate x of dimension j to its stripe, clamped to the
 // grid: everything left of the data space lands in stripe 0, everything
 // right of it (and the upper bound itself) in the last one.
-func (cd *cellDir) stripe(j int, x float64) int {
-	t := (x - cd.lo[j]) * cd.scale[j]
+func (g stripeGrid) stripe(j int, x float64) int {
+	t := (x - g.lo[j]) * g.scale[j]
 	if !(t >= 0) { // negative, or NaN from an infinite offset times a zero scale
 		return 0
 	}
@@ -73,15 +66,42 @@ func (cd *cellDir) stripe(j int, x float64) int {
 	return int(t)
 }
 
+// newRows returns d·stripes zeroed bitset rows for n ids, cut from one
+// allocation.
+func newRows(d, n int) [][]uint64 {
+	rows := make([][]uint64, d*stripes)
+	words := (n + 63) / 64
+	back := make([]uint64, len(rows)*words)
+	for k := range rows {
+		rows[k] = back[k*words : (k+1)*words : (k+1)*words]
+	}
+	return rows
+}
+
+// growRows appends zero words to every row until word w exists.
+func growRows(rows [][]uint64, w int) {
+	for len(rows[0]) <= w {
+		for k := range rows {
+			rows[k] = append(rows[k], 0)
+		}
+	}
+}
+
+// newCellDir returns the directory of the given cells (indexed by point id,
+// nil for tombstones), sized for exactly len(cells) ids in one allocation.
+func newCellDir(bounds vec.Rect, cells [][]vec.Rect) *cellDir {
+	cd := &cellDir{stripeGrid: newStripeGrid(bounds), rows: newRows(bounds.Dim(), len(cells))}
+	for id, frags := range cells {
+		cd.add(id, frags)
+	}
+	return cd
+}
+
 // add sets bit id in every row one of the fragments overlaps, growing the
 // rows when id is the first of a new word.
 func (cd *cellDir) add(id int, frags []vec.Rect) {
 	w, bit := id>>6, uint64(1)<<(id&63)
-	for len(cd.rows[0]) <= w {
-		for k := range cd.rows {
-			cd.rows[k] = append(cd.rows[k], 0)
-		}
-	}
+	growRows(cd.rows, w)
 	for _, r := range frags {
 		for j := range cd.lo {
 			base := j * stripes
@@ -161,25 +181,31 @@ func (cd *cellDir) overlapping(acc []uint64, r vec.Rect) []uint64 {
 // each dimension are the union of its fragments' stripe ranges, and a
 // tombstoned or never-committed id has no bit in any row.
 func (cd *cellDir) check(bounds vec.Rect, cells [][]vec.Rect) error {
-	want := newCellDir(bounds, cells)
-	words := len(cd.rows[0])
-	if need := len(want.rows[0]); words < need {
-		return fmt.Errorf("nncell: cell directory rows hold %d words, %d point slots need %d", words, len(cells), need)
+	return compareRows("cell", cd.rows, newCellDir(bounds, cells).rows, "stored fragments say")
+}
+
+// compareRows checks the rows of a directory against those of a fresh fill:
+// equal word for word, any words past the fresh fill's (left behind by a
+// rolled-back append) zero.
+func compareRows(name string, got, want [][]uint64, source string) error {
+	words := len(got[0])
+	if need := len(want[0]); words < need {
+		return fmt.Errorf("nncell: %s directory rows hold %d words, the point slots need %d", name, words, need)
 	}
-	for k, row := range cd.rows {
+	for k, row := range got {
 		if len(row) != words {
-			return fmt.Errorf("nncell: cell directory row (dim %d, stripe %d) holds %d words, row 0 holds %d",
-				k/stripes, k%stripes, len(row), words)
+			return fmt.Errorf("nncell: %s directory row (dim %d, stripe %d) holds %d words, row 0 holds %d",
+				name, k/stripes, k%stripes, len(row), words)
 		}
-		for w, got := range row {
+		for w, g := range row {
 			var exp uint64
-			if w < len(want.rows[k]) {
-				exp = want.rows[k][w]
+			if w < len(want[k]) {
+				exp = want[k][w]
 			}
-			if diff := got ^ exp; diff != 0 {
+			if diff := g ^ exp; diff != 0 {
 				b := bits.TrailingZeros64(diff)
-				return fmt.Errorf("nncell: cell directory bit of id %d (dim %d, stripe %d) is %d, stored fragments say %d",
-					w<<6|b, k/stripes, k%stripes, got>>b&1, exp>>b&1)
+				return fmt.Errorf("nncell: %s directory bit of id %d (dim %d, stripe %d) is %d, %s %d",
+					name, w<<6|b, k/stripes, k%stripes, g>>b&1, source, exp>>b&1)
 			}
 		}
 	}

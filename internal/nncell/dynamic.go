@@ -17,11 +17,12 @@ import (
 // operation needs is solved before the first committed structure (the stored
 // fragment sets, the cell directory, the fragment counter) is touched. The
 // only provisional mutations made before the solves are the coordinate-row
-// appends of Insert and the row poisoning of Delete, each with its data-index
-// entry — both are required for the solves to see the post-operation point
-// set, and both are rolled back exactly on error, so CheckInvariants holds on
-// every exit path. The affected cells are found on the cell directory
-// (intersectingCells); of the cell X-tree a commit knows only how to drop it.
+// appends of Insert and the row poisoning of Delete, each with its
+// point-directory bits and data-index entry (stagePoint, hidePoint) — both are
+// required for the solves to see the post-operation point set, and both are
+// rolled back exactly on error, so CheckInvariants holds on every exit path.
+// The affected cells are found on the cell directory (intersectingCells); of
+// the cell X-tree a commit knows only how to drop it.
 
 // Insert adds a new point and returns its id, maintaining the precomputed
 // solution space per §2 of the paper: existing NN-cells can only shrink, and
@@ -65,19 +66,8 @@ func (ix *Index) insertLocked(p vec.Point, logIt bool) (int, error) {
 	// post-insert point set (the data index drives constraint selection,
 	// alive drives the pruning termination check). Everything appended here
 	// is rolled back if any solve fails.
-	id := len(ix.cells)
-	ix.ptsFlat = append(ix.ptsFlat, p...)
-	ix.cells = append(ix.cells, nil)
-	ix.alive++
-	ix.dataIdx.Insert(vec.PointRect(p), int64(id))
-	rollback := func() {
-		if !ix.dataIdx.Delete(vec.PointRect(p), int64(id)) {
-			panic(fmt.Sprintf("nncell: staged point %d missing from data index during rollback", id))
-		}
-		ix.ptsFlat = ix.ptsFlat[:id*ix.dim]
-		ix.cells = ix.cells[:id]
-		ix.alive--
-	}
+	id := ix.stagePoint(p)
+	rollback := ix.unstagePoint
 
 	cc := newCellCtx(ix.dim)
 	frags, err := ix.approximateCell(cc, id)
@@ -126,6 +116,53 @@ func (ix *Index) insertLocked(p vec.Point, logIt bool) (int, error) {
 	return id, nil
 }
 
+// stagePoint appends p as the next id — coordinate row, point-directory bits,
+// an empty cell slot, the data-index entry — and returns the id.
+func (ix *Index) stagePoint(p vec.Point) int {
+	id := len(ix.cells)
+	ix.ptsFlat = append(ix.ptsFlat, p...)
+	growRows(ix.dir.rows, id>>6) // with pdir's, so a query can combine rows of the two
+	ix.pdir.set(id, p)
+	ix.cells = append(ix.cells, nil)
+	ix.alive++
+	ix.dataIdx.Insert(vec.PointRect(p), int64(id))
+	return id
+}
+
+// unstagePoint takes the most recently staged point back out.
+func (ix *Index) unstagePoint() {
+	id := len(ix.cells) - 1
+	if !ix.dataIdx.Delete(vec.PointRect(ix.point(id)), int64(id)) {
+		panic(fmt.Sprintf("nncell: staged point %d missing from data index during rollback", id))
+	}
+	ix.pdir.clear(id)
+	ix.ptsFlat = ix.ptsFlat[:id*ix.dim]
+	ix.cells = ix.cells[:id]
+	ix.alive--
+}
+
+// hidePoint stages the removal of live point id — out of the data index, row
+// poisoned, point-directory bits cleared — and returns its coordinates for
+// unhidePoint. ok is false, and nothing changed, when the data index does not
+// hold the point.
+func (ix *Index) hidePoint(id int) (p vec.Point, ok bool) {
+	p = ix.point(id).Clone()
+	if !ix.dataIdx.Delete(vec.PointRect(p), int64(id)) {
+		return nil, false
+	}
+	ix.bury(id)
+	ix.alive--
+	return p, true
+}
+
+// unhidePoint puts a hidden point back.
+func (ix *Index) unhidePoint(id int, p vec.Point) {
+	copy(ix.ptsFlat[id*ix.dim:], p)
+	ix.pdir.set(id, p)
+	ix.alive++
+	ix.dataIdx.Insert(vec.PointRect(p), int64(id))
+}
+
 // hasDuplicate reports whether a live point with exactly p's float64 bit
 // patterns is already stored, via a point query against the data index —
 // the same byte-exact dup-key discipline Build uses, at O(log n) page
@@ -170,23 +207,16 @@ func (ix *Index) deleteLocked(id int, logIt bool) error {
 	if id < 0 || id >= len(ix.cells) || ix.point(id) == nil {
 		return fmt.Errorf("nncell: delete of unknown id %d", id)
 	}
-	p := ix.point(id).Clone()
 
 	// Stage the removal: the recomputation LPs must see the post-delete
 	// point set, but the committed structures (cells, directory) stay
 	// untouched until commit.
-	if !ix.dataIdx.Delete(vec.PointRect(p), int64(id)) {
+	p, ok := ix.hidePoint(id)
+	if !ok {
 		return fmt.Errorf("nncell: id %d missing from data index", id)
 	}
-	ix.bury(id)
-	ix.alive--
-
-	rollback := func() {
-		// Roll back the staged removal; nothing committed changed.
-		copy(ix.ptsFlat[id*ix.dim:], p)
-		ix.alive++
-		ix.dataIdx.Insert(vec.PointRect(p), int64(id))
-	}
+	// Rolling back the staged removal suffices; nothing committed changed.
+	rollback := func() { ix.unhidePoint(id, p) }
 	var (
 		affected []int
 		staged   [][]vec.Rect

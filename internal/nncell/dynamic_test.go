@@ -251,7 +251,7 @@ func TestInsertRollbackOnFailure(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pts := uniquePoints(t, dataset.NameUniform, 71, 81, 2)
 			ix := mustBuild(t, pts[:80], tc.opts)
-			wantLen, wantFrags := ix.Len(), ix.Fragments()
+			wantLen, wantFrags, wantDir := ix.Len(), ix.Fragments(), pointDirSnapshot(ix)
 			newID := len(pts) - 1 // next id: 80 points, no tombstones
 
 			ix.testHookApprox = func(id int) error {
@@ -272,6 +272,7 @@ func TestInsertRollbackOnFailure(t *testing.T) {
 			if _, ok := ix.Point(newID); ok {
 				t.Error("rolled-back point still visible")
 			}
+			assertPointDirIs(t, ix, wantDir)
 			if err := ix.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +312,7 @@ func TestDeleteRollbackOnFailure(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		pts := uniquePoints(t, dataset.NameUniform, 73, 80, 2)
 		ix := mustBuild(t, pts, Options{Algorithm: Correct, Workers: workers})
-		wantLen, wantFrags := ix.Len(), ix.Fragments()
+		wantLen, wantFrags, wantDir := ix.Len(), ix.Fragments(), pointDirSnapshot(ix)
 
 		ix.testHookApprox = func(id int) error { return errBoom }
 		err := ix.Delete(17)
@@ -326,12 +327,24 @@ func TestDeleteRollbackOnFailure(t *testing.T) {
 		if p, ok := ix.Point(17); !ok || !p.Equal(pts[17]) {
 			t.Fatalf("workers=%d: point 17 = %v, %v after rolled-back delete", workers, p, ok)
 		}
+		assertPointDirIs(t, ix, wantDir)
 		if err := ix.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 		got, err := ix.NearestNeighbor(pts[17])
 		if err != nil || got.ID != 17 || got.Dist2 != 0 {
 			t.Fatalf("workers=%d: NN at restored point = %v, %v", workers, got, err)
+		}
+		// A failed batch restores every point it had hidden.
+		ix.testHookApprox = func(id int) error { return errBoom }
+		err = ix.DeleteBatch([]int{3, 17, 40})
+		ix.testHookApprox = nil
+		if !errors.Is(err, errBoom) {
+			t.Fatalf("workers=%d: DeleteBatch err = %v, want injected failure", workers, err)
+		}
+		assertPointDirIs(t, ix, wantDir)
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
 		// The delete goes through once the failure clears.
 		if err := ix.Delete(17); err != nil {

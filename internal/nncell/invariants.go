@@ -6,10 +6,11 @@ import (
 )
 
 // CheckInvariants verifies the cross-structure consistency of the index: the
-// coordinate store, the stored cell approximations, the cell directory, the
-// data X-tree and the fragment counter must all describe the same point set.
-// The cell X-tree is derived from the stored cells on demand (Tree) and never
-// maintained, so it has nothing to drift from and no check here. The dynamic path's atomicity contract is stated in terms of this
+// coordinate store, the stored cell approximations, the cell and point
+// directories, the data X-tree and the fragment counter must all describe the
+// same point set. The cell X-tree is derived from the stored cells on demand
+// (Tree) and never maintained, so it has nothing to drift from and no check
+// here. The dynamic path's atomicity contract is stated in terms of this
 // check — Insert and Delete leave it passing on every exit path, success or
 // failure — and the failure-injection tests assert exactly that.
 func (ix *Index) CheckInvariants() error {
@@ -60,6 +61,12 @@ func (ix *Index) CheckInvariants() error {
 	}
 	if err := ix.dir.check(ix.bounds, ix.cells); err != nil {
 		return err
+	}
+	if err := ix.pdir.check(ix.ptsFlat); err != nil {
+		return err
+	}
+	if c, p := len(ix.dir.rows[0]), len(ix.pdir.le[0]); c != p {
+		return fmt.Errorf("nncell: cell directory rows hold %d words, point directory rows %d", c, p)
 	}
 	if err := ix.dataIdx.CheckInvariants(); err != nil {
 		return fmt.Errorf("nncell: data index: %w", err)

@@ -17,7 +17,10 @@
 // NearestNeighbor answers the point query from it, Insert and Delete the
 // affected-cell range query. The paper's X-tree over the approximations is
 // derived from them on demand (Tree); NearestNeighborPaged answers the query
-// from it, with the page accesses the paper's disk model counts.
+// from it, with the page accesses the paper's disk model counts. A second
+// directory on the same grid holds the data points (pointdir.go): KNearest and
+// the fallback for queries outside the data space run an exact box search on
+// it, its radius taken from the points of the cells around the query.
 //
 // The package supports the paper's four constraint-selection algorithms
 // (Correct, Point, Sphere, NN-Direction), parallel bulk construction, and
@@ -193,11 +196,13 @@ type Stats struct {
 	// Fragments is the number of rectangles in the index.
 	Fragments uint64
 	// Queries, Candidates and Fallbacks describe query-time behaviour:
-	// candidate cells inspected, and exact fallbacks taken (0 in normal
-	// operation). On the serving path (NearestNeighbor, CandidatesAppend) a
-	// candidate is a survivor of the cell-directory query, i.e. one distance
-	// evaluation; on NearestNeighborPaged it is a fragment whose MBR contains
-	// the query point.
+	// candidates inspected, and exact fallbacks taken (0 in normal
+	// operation). On the serving path a candidate is one distance
+	// evaluation: for NearestNeighbor and CandidatesAppend a survivor of the
+	// cell-directory query, for KNearest with k > 1 and for the fallback
+	// those seeds plus the point-directory box survivors not among them. On
+	// NearestNeighborPaged it is a fragment whose MBR contains the query
+	// point.
 	Queries, Candidates, Fallbacks uint64
 	// Updates counts affected-cell recomputations due to Insert/Delete.
 	Updates uint64
@@ -234,7 +239,8 @@ type Index struct {
 	alive   int
 	cells   [][]vec.Rect // fragment MBRs per point id (nil for tombstones)
 	dir     *cellDir     // fragment MBRs rounded to the stripe grid, one bit per cell (point and range queries)
-	dataIdx *xtree.Tree  // the data points themselves (constraint selection)
+	pdir    *pointDir    // the live points on the same grid, cumulative rows (k-NN, NN fallback)
+	dataIdx *xtree.Tree  // the data points themselves (constraint selection, duplicate check)
 
 	// tree is the paged form of cells (Data = point id): nil until pagedTree
 	// builds it under treeMu (its callers hold mu on the read side only), nil
@@ -388,6 +394,7 @@ func Build(points []vec.Point, bounds vec.Rect, pg *pager.Pager, opts Options) (
 	}
 	ix.stats.fragments.Store(uint64(total))
 	ix.dir = newCellDir(ix.bounds, ix.cells)
+	ix.pdir = newPointDir(ix.dir.stripeGrid, ix.ptsFlat)
 	return ix, nil
 }
 
@@ -408,6 +415,7 @@ func (ix *Index) bury(id int) {
 	for j := id * ix.dim; j < (id+1)*ix.dim; j++ {
 		ix.ptsFlat[j] = math.NaN()
 	}
+	ix.pdir.clear(id)
 }
 
 // dupIndex reports whether any two points share exactly the same float64 bit
@@ -460,12 +468,14 @@ func NewEmpty(d int, bounds vec.Rect, pg *pager.Pager, opts Options) (*Index, er
 		return nil, fmt.Errorf("nncell: bounds dim %d, want %d", bounds.Dim(), d)
 	}
 	opts.normalize()
+	dir := newCellDir(bounds, nil)
 	return &Index{
 		dim:     d,
 		opts:    opts,
 		pg:      pg,
 		bounds:  bounds.Clone(),
-		dir:     newCellDir(bounds, nil),
+		dir:     dir,
+		pdir:    newPointDir(dir.stripeGrid, nil),
 		dataIdx: xtree.New(d, pg, opts.XTree),
 	}, nil
 }

@@ -1,9 +1,13 @@
 package nncell
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -226,29 +230,125 @@ func TestDecompositionShrinksVolume(t *testing.T) {
 	}
 }
 
-// KNearest must agree with the scan oracle.
-func TestKNearestMatchesScan(t *testing.T) {
-	pts := uniquePoints(t, dataset.NameUniform, 50, 150, 4)
-	ix := mustBuild(t, pts, Options{Algorithm: Sphere})
-	oracle := scan.New(pts, vec.Euclidean{}, newTestPager())
-	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 30; trial++ {
-		q := randQuery(rng, 4)
-		k := 1 + rng.Intn(8)
-		want := oracle.KNearest(q, k)
-		got, err := ix.KNearest(q, k)
-		if err != nil {
-			t.Fatal(err)
+// scanKNearest is the k-NN oracle: every live point with its squared distance
+// from q, sorted by (Dist2, ID), cut to k.
+func (ix *Index) scanKNearest(q vec.Point, k int) []Neighbor {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	var all []Neighbor
+	for id := range ix.cells {
+		if p := ix.point(id); p != nil {
+			all = append(all, Neighbor{ID: id, Dist2: vec.Euclidean{}.Dist2(q, p)})
 		}
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: %d results", k, len(got))
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a].Less(all[b]) })
+	return all[:min(k, len(all))]
+}
+
+// checkKNearest asserts KNearestAppend ≡ sorted scan, ids and Dist2 bit for
+// bit and in the documented (Dist2, ID) order, for k ∈ {1, 2, 10, 100, alive,
+// alive + 5} on queries in the space, on a data point, on the boundary of the
+// space, on the lattice's tie points and outside the space near and far.
+func checkKNearest(t *testing.T, ix *Index, rng *rand.Rand, label string) {
+	t.Helper()
+	d, ids := ix.Dim(), ix.IDs()
+	prefix := []Neighbor{{ID: -7, Dist2: -1}}
+	for qi := 0; qi < 24; qi++ {
+		q := randQuery(rng, d)
+		switch qi % 8 {
+		case 2:
+			q, _ = ix.Point(ids[rng.Intn(len(ids))])
+		case 3: // on faces and corners of the data space
+			for j := range q {
+				if rng.Intn(2) == 0 {
+					q[j] = float64(rng.Intn(2))
+				}
+			}
+		case 4: // equidistant from many lattice points
+			for j := range q {
+				q[j] = float64(rng.Intn(5)) / 4
+			}
+		case 5:
+			q[qi%d] += 1.5
+		case 6:
+			for j := range q {
+				q[j] = -3 - q[j]
+			}
 		}
-		for r := range got {
-			if math.Abs(got[r].Dist2-want[r].Dist2) > 1e-12 {
-				t.Fatalf("k=%d rank %d: %v want %v", k, r, got[r].Dist2, want[r].Dist2)
+		for _, k := range []int{1, 2, 10, 100, len(ids), len(ids) + 5} {
+			want := ix.scanKNearest(q, k)
+			got, err := ix.KNearestAppend(prefix, q, k)
+			if err != nil {
+				t.Fatalf("%s q=%v k=%d: %v", label, q, k, err)
+			}
+			if got[0] != prefix[0] || !slices.Equal(got[1:], want) {
+				t.Fatalf("%s q=%v k=%d:\n got %v after the caller's %v\nwant %v", label, q, k, got[1:], got[0], want)
 			}
 		}
 	}
+}
+
+// KNearest must agree with the sorted scan in every dimensionality the
+// records cover, on uniform data and on a lattice (many exact distance ties,
+// so the (Dist2, ID) order is what is being checked), with tombstones, after a
+// Save/Load round trip and on an index grown from NewEmpty by per-op and
+// batched inserts.
+func TestKNearestMatchesScan(t *testing.T) {
+	for _, d := range []int{2, 4, 8, 16} {
+		rng := rand.New(rand.NewSource(int64(50 + d)))
+		n, latN := 170, 256 // the LPs of a build are the test's cost, so fewer points where they are large
+		if d >= 8 {
+			n, latN = 120, 128
+		}
+		for _, lattice := range []bool{false, true} {
+			label := fmt.Sprintf("d=%d lattice=%v", d, lattice)
+			pts := uniquePoints(t, dataset.NameUniform, int64(50+d), n, d)
+			if lattice { // 16, 4, 2 and 2 points a side: binary fractions, so ties are exact
+				pts = dataset.Grid(rng, latN, d, 0)
+			}
+			ix := mustBuild(t, pts, Options{Algorithm: NNDirection})
+			var dead []int
+			for id := 3; id < len(pts); id += 7 {
+				dead = append(dead, id)
+			}
+			if err := ix.DeleteBatch(dead); err != nil {
+				t.Fatal(err)
+			}
+			checkKNearest(t, ix, rng, label)
+
+			var buf bytes.Buffer
+			if err := ix.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(&buf, newTestPager())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkKNearest(t, loaded, rng, label+" loaded")
+		}
+
+		ix, err := NewEmpty(d, vec.UnitCube(d), newTestPager(), Options{Algorithm: NNDirection})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := uniquePoints(t, dataset.NameClustered, int64(60+d), 40, d)
+		for _, p := range pts[:8] {
+			if _, err := ix.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ix.InsertBatch(pts[8:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.DeleteBatch([]int{0, 5, 34}); err != nil {
+			t.Fatal(err)
+		}
+		checkKNearest(t, ix, rng, fmt.Sprintf("d=%d grown from empty", d))
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix := mustBuild(t, uniquePoints(t, dataset.NameUniform, 50, 20, 4), Options{Algorithm: Sphere})
 	if res, err := ix.KNearest(vec.Point{0, 0, 0, 0}, 0); !errors.Is(err, ErrBadK) {
 		t.Errorf("k=0: got %v, %v; want ErrBadK", res, err)
 	}

@@ -91,11 +91,12 @@ func buildOnCache(t *testing.T, pts []vec.Point, cachePages int, opts Options) *
 }
 
 // TestNearestNeighborAllocs pins the warm query paths to zero allocations:
-// the served query (cell directory), the paged query on the cell X-tree and
-// the out-of-bounds fallback (directory seed + data-tree verification). The
-// pooled QueryCtx owns every scratch buffer, and the pager's accounting —
-// which only the paged query and the fallback's verification reach —
-// allocates nothing whether it hits, misses or evicts.
+// the served query (cell directory), the paged query on the cell X-tree, the
+// out-of-bounds fallback and the k-NN query (cell-directory seeds + box pass
+// on the point directory, inside and outside the data space). The pooled
+// QueryCtx owns every scratch buffer, and the pager's accounting — which only
+// the paged query reaches — allocates nothing whether it hits, misses or
+// evicts.
 func TestNearestNeighborAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -110,6 +111,12 @@ func TestNearestNeighborAllocs(t *testing.T) {
 	}
 	for _, cachePages := range []int{0, 2, 64} {
 		ix := buildOnCache(t, pts, cachePages, Options{Algorithm: NNDirection})
+		nbrs := make([]Neighbor, 0, 10)
+		knn := func(q vec.Point) (Neighbor, error) {
+			var err error
+			nbrs, err = ix.KNearestAppend(nbrs[:0], q, cap(nbrs))
+			return nbrs[0], err
+		}
 		for _, tc := range []struct {
 			name  string
 			query func(vec.Point) (Neighbor, error)
@@ -118,7 +125,9 @@ func TestNearestNeighborAllocs(t *testing.T) {
 		}{
 			{"NearestNeighbor", ix.NearestNeighbor, qs, false},
 			{"NearestNeighborPaged", ix.NearestNeighborPaged, qs, true},
-			{"fallback", ix.NearestNeighbor, outside, true},
+			{"fallback", ix.NearestNeighbor, outside, false},
+			{"KNearestAppend", knn, qs, false},
+			{"KNearestAppend outside", knn, outside, false},
 		} {
 			for _, q := range tc.pool { // warm
 				if _, err := tc.query(q); err != nil {
@@ -140,7 +149,7 @@ func TestNearestNeighborAllocs(t *testing.T) {
 			hits, misses := st.Hits-before.Hits, st.Misses-before.Misses
 			switch {
 			case !tc.paged && hits+misses != 0:
-				t.Fatalf("CachePages %d: %s touched %d pages; the served query reads none", cachePages, tc.name, hits+misses)
+				t.Fatalf("CachePages %d: %s touched %d pages; the directory queries read none", cachePages, tc.name, hits+misses)
 			case tc.paged && hits+misses == 0,
 				tc.paged && cachePages == 2 && misses < hits,
 				tc.paged && cachePages == 64 && hits < misses:

@@ -272,6 +272,7 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	ix.dataIdx = xtree.BulkLoad(d, pg, opts.XTree, dataItems)
 	ix.stats.fragments.Store(uint64(total))
 	ix.dir = newCellDir(bounds, ix.cells)
+	ix.pdir = newPointDir(ix.dir.stripeGrid, ix.ptsFlat)
 	return ix, nil
 }
 

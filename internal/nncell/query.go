@@ -18,20 +18,78 @@ type Neighbor struct {
 	Dist2 float64
 }
 
+// Less is the order of every k-NN result list: ascending squared distance,
+// ties toward the smaller id.
+func (a Neighbor) Less(b Neighbor) bool {
+	return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.ID < b.ID)
+}
+
+// PushTopK offers nb to h, the best (at most k) neighbors seen so far kept as
+// a max-heap under Less — h[0] is the worst of them, the bound a full heap
+// prunes with — and reports whether nb was kept. The single index's box search
+// and the sharded merge select their results with it.
+func PushTopK(h []Neighbor, k int, nb Neighbor) ([]Neighbor, bool) {
+	if len(h) < k {
+		h = append(h, nb)
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !h[parent].Less(h[i]) {
+				break
+			}
+			h[parent], h[i] = h[i], h[parent]
+			i = parent
+		}
+		return h, true
+	}
+	if !nb.Less(h[0]) {
+		return h, false
+	}
+	h[0] = nb
+	siftDown(h, len(h))
+	return h, true
+}
+
+// SortTopK turns a PushTopK heap into the ascending result list, in place.
+func SortTopK(h []Neighbor) {
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h, end)
+	}
+}
+
+// siftDown restores the max-heap order of h[:n] after a change of h[0].
+func siftDown(h []Neighbor, n int) {
+	for root := 0; ; {
+		child := 2*root + 1
+		if child >= n {
+			return
+		}
+		if child+1 < n && h[child].Less(h[child+1]) {
+			child++
+		}
+		if !h[root].Less(h[child]) {
+			return
+		}
+		h[root], h[child] = h[child], h[root]
+		root = child
+	}
+}
+
 // QueryCtx is the reusable per-query scratch of the read path: the survivor
-// bitset of the cell-directory point query, the iterative traversal state and
-// inline heaps for both backing X-trees, the k-NN result buffer, and the
-// clamp buffer of the out-of-bounds fallback. A warm context makes
-// NearestNeighbor, NearestNeighborPaged, CandidatesAppend and the fallback
-// path allocation-free. Contexts are pooled per index (acquireCtx/releaseCtx)
-// for the public entry points and held per worker by NearestNeighborBatch. A
-// QueryCtx is not safe for concurrent use.
+// bitset of the cell-directory point query (during a k-NN search, every point
+// folded so far), the box bitset of the point directory, the traversal state
+// of the paged cell tree, and the clamp buffer and result slot of the
+// fallback. A warm context makes NearestNeighbor, NearestNeighborPaged,
+// CandidatesAppend, KNearestAppend and the fallback path allocation-free.
+// Contexts are pooled per index (acquireCtx/releaseCtx) for the public entry
+// points and held per worker by NearestNeighborBatch. A QueryCtx is not safe
+// for concurrent use.
 type QueryCtx struct {
-	surv  []uint64         // cell-directory survivors, one bit per point id
-	tc    xtree.QueryCtx   // cell-tree traversal scratch (NearestNeighborPaged)
-	dc    xtree.QueryCtx   // data-tree traversal scratch (k-NN, fallback)
-	nbrs  []xtree.Neighbor // data-tree result buffer
-	clamp vec.Point        // clamp-to-bounds buffer of the fallback
+	surv  []uint64       // cell-directory survivors, one bit per point id
+	box   []uint64       // point-directory box survivors not yet folded
+	tc    xtree.QueryCtx // cell-tree traversal scratch (NearestNeighborPaged)
+	clamp vec.Point      // clamp-to-bounds buffer of out-of-bounds queries
+	one   [1]Neighbor    // result slot of the fallback's k = 1 search
 }
 
 // acquireCtx takes a context from the index's pool (allocating only when the
@@ -52,9 +110,9 @@ func (ix *Index) releaseCtx(qc *QueryCtx) { ix.ctxPool.Put(qc) }
 // nearest neighbor is the closest of those candidate points (Lemma 2: no
 // false dismissals). Queries outside the data space — where NN-cells do not
 // tile — and the (numerically pathological, counted) empty-candidate case
-// take the clamp-and-verify fallback, which stays exact and sub-linear.
+// take the clamp-and-verify fallback, which stays exact.
 //
-// The query reads no pages of the cell X-tree and runs on a pooled QueryCtx;
+// The query reads no pages of either X-tree and runs on a pooled QueryCtx;
 // the warm path performs no allocations. NearestNeighborPaged answers the
 // same query from the paged tree.
 func (ix *Index) NearestNeighbor(q vec.Point) (Neighbor, error) {
@@ -134,37 +192,110 @@ func (ix *Index) NearestNeighborPaged(q vec.Point) (Neighbor, error) {
 
 // fallbackNearest answers queries the cell point query cannot: points outside
 // the data space (NN-cells only tile the space) and in-space points that fall
-// into an epsilon gap between stored approximations. It replaces the seed's
-// O(n) sequential scan with two index operations:
-//
-//  1. Clamp q into the data space and run the cell point query there. The
-//     clamped point is tiled by NN-cells, so this almost always yields a
-//     candidate, whose distance (measured from the original q) is an upper
-//     bound on the NN distance.
-//  2. Run the best-first search of [HS 95] on the data X-tree, pruned by
-//     that bound. The search is exact, so the result is the true nearest
-//     neighbor; the seed bound typically reduces it to a single root-to-leaf
-//     verification descent.
+// into an epsilon gap between stored approximations. It is the k-NN search of
+// nearestK with k = 1: the cell point query at q clamped into the data space —
+// tiled by NN-cells, so it almost always yields a candidate — gives an upper
+// bound on the NN distance measured from the original q, and one box pass of
+// the point directory at that radius verifies it. A query in an epsilon gap has
+// no candidate and scans the live points.
 func (ix *Index) fallbackNearest(qc *QueryCtx, q vec.Point) Neighbor {
-	if cap(qc.clamp) < len(q) {
-		qc.clamp = make(vec.Point, len(q))
-	}
-	qc.clamp = qc.clamp[:len(q)]
-	copy(qc.clamp, q)
-	ix.bounds.ClampInPlace(qc.clamp)
+	return ix.nearestK(qc, qc.one[:0], q, 1)[0]
+}
 
-	best, _ := ix.dirNearest(qc, qc.clamp, q)
-	// Exact verification: the bound is inclusive, so the seed candidate (a
-	// live point in the data index) is rediscovered even if nothing beats it,
-	// and an empty seed (Dist2 = +Inf) degenerates to an unbounded search.
-	qc.nbrs = ix.dataIdx.KNearestCtx(&qc.dc, q, 1, best.Dist2, qc.nbrs[:0])
-	if len(qc.nbrs) > 0 {
-		id := int(qc.nbrs[0].Entry.Data)
-		if d2 := qc.nbrs[0].Dist2; d2 < best.Dist2 || (d2 == best.Dist2 && (best.ID < 0 || id < best.ID)) {
-			best = Neighbor{ID: id, Dist2: d2}
+// nearestK appends to dst the min(k, alive) live points nearest to q,
+// ascending by (Dist2, ID), and returns it; callers hold ix.mu (read side)
+// and have checked alive > 0. Neither X-tree is read (DESIGN.md §19):
+//
+//  1. Seeds. The cell-directory survivors at q (clamped into the data space)
+//     are folded into the best k. Any k live points bound the k-th distance,
+//     and the cells around q belong to near ones.
+//  2. Box passes. The point directory returns every live point within r of q
+//     per dimension, a superset of the ball; the unseen ones are folded in.
+//     With k seeds r is the k-th seed distance and one pass is exact. With
+//     0 < m < k seeds r starts at the m-th distance scaled to a ball expected
+//     to hold 2k points, (2k/m)^(1/d), and doubles in volume until k points
+//     are held; a last pass at the k-th distance held then closes the search.
+//     A box that covers the whole grid has seen every live point; a query
+//     without seeds or with k ≥ alive asks for that box at once.
+//
+// The search is exact once the best k held are all within r and every point
+// within r has been seen: an unseen point is farther than r, hence farther
+// than the worst held, ties included.
+func (ix *Index) nearestK(qc *QueryCtx, dst []Neighbor, q vec.Point, k int) []Neighbor {
+	k = min(k, ix.alive)
+	p := q
+	if !ix.bounds.Contains(q) {
+		if cap(qc.clamp) < len(q) {
+			qc.clamp = make(vec.Point, len(q))
+		}
+		qc.clamp = qc.clamp[:len(q)]
+		copy(qc.clamp, q)
+		ix.bounds.ClampInPlace(qc.clamp)
+		p = qc.clamp
+	}
+	qc.surv = ix.dir.survivors(qc.surv, p)
+	// The heap grows in dst's spare capacity, so the closing append copies
+	// nothing when the caller's slice has room for k.
+	h, folded := ix.foldTopK(dst[len(dst):], k, q, qc.surv)
+
+	var r2 float64
+	switch m := len(h); {
+	case m == k:
+		r2 = h[0].Dist2
+	case m == 0 || k == ix.alive: // nothing to start from, or every live point is wanted
+		r2 = math.Inf(1)
+	default:
+		r2 = h[0].Dist2 * math.Pow(float64(2*k)/float64(m), 2/float64(ix.dim))
+	}
+	for {
+		var whole bool
+		qc.box, whole = ix.pdir.box(qc.box, q, outwardRadius(r2))
+		for w, b := range qc.box {
+			qc.box[w] = b &^ qc.surv[w]
+			qc.surv[w] |= b
+		}
+		var n int
+		h, n = ix.foldTopK(h, k, q, qc.box)
+		folded += n
+		if whole || (len(h) == k && h[0].Dist2 <= r2) {
+			break
+		}
+		if len(h) == k {
+			r2 = h[0].Dist2
+		} else {
+			r2 = max(r2*math.Exp2(2/float64(ix.dim)), ix.pdir.minWidth*ix.pdir.minWidth)
 		}
 	}
-	return best
+	ix.stats.candidates.Add(uint64(folded))
+	SortTopK(h)
+	return append(dst, h...)
+}
+
+// outwardRadius returns a radius r such that every point whose computed
+// squared distance from the query is at most r2 lies within r of it in every
+// dimension, in exact arithmetic, so that q−r and q+r — rounded however —
+// bracket its coordinate and monotone stripe keeps it in the box. The relative
+// slack covers the roundings of the difference, the square, the sum and the
+// root (a few 2⁻⁵³ each); the absolute one covers a difference whose square
+// underflowed to less than it should be.
+func outwardRadius(r2 float64) float64 {
+	return math.Sqrt(r2)*(1+0x1p-40) + 0x1p-500
+}
+
+// foldTopK offers every point of set, with its squared distance from q, to
+// the top-k heap h and returns the heap and the number of points offered.
+// Callers pass sets of live ids only, so the NaN-poisoned tombstone rows are
+// never read.
+func (ix *Index) foldTopK(h []Neighbor, k int, q vec.Point, set []uint64) ([]Neighbor, int) {
+	d, n := ix.dim, 0
+	for w, word := range set {
+		n += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			h, _ = PushTopK(h, k, Neighbor{ID: id, Dist2: vec.Dist2Flat(q, ix.ptsFlat[id*d:(id+1)*d])})
+		}
+	}
+	return h, n
 }
 
 // Candidates returns the distinct point ids whose stored approximation
@@ -204,15 +335,15 @@ func (ix *Index) CandidatesAppend(dst []int, q vec.Point) []int {
 }
 
 // KNearest answers an exact k-nearest-neighbor query. k-NN via order-k cells
-// is the paper's stated future work; this implementation answers k = 1
-// through the cell index and larger k through the embedded data X-tree
-// (exact best-first search), so the index is usable as a drop-in k-NN
-// structure either way.
+// is the paper's stated future work; this implementation answers k = 1 with
+// the NN point query and larger k with a box search on the point directory
+// seeded by the NN-cells around q (nearestK), so the index is a drop-in k-NN
+// structure that reads no tree for any k.
 //
 // k <= 0 returns ErrBadK without touching the index or its stats; if k
 // exceeds the number of live points the result is exactly the live set
-// (tombstones excluded), sorted by distance. Every locked path holds the
-// read lock once and counts exactly one query.
+// (tombstones excluded). Results are ascending by (Dist2, ID). Every locked
+// path holds the read lock once and counts exactly one query.
 func (ix *Index) KNearest(q vec.Point, k int) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w (got k=%d)", ErrBadK, k)
@@ -247,20 +378,7 @@ func (ix *Index) KNearestAppend(dst []Neighbor, q vec.Point, k int) ([]Neighbor,
 		return dst, ErrEmpty
 	}
 	ix.stats.queries.Add(1)
-	slack := k + len(ix.cells) - ix.alive // tombstone slack
-	qc.nbrs = ix.dataIdx.KNearestCtx(&qc.dc, q, slack, math.Inf(1), qc.nbrs[:0])
-	start := len(dst)
-	for _, nb := range qc.nbrs {
-		id := int(nb.Entry.Data)
-		if ix.point(id) == nil {
-			continue
-		}
-		dst = append(dst, Neighbor{ID: id, Dist2: nb.Dist2})
-		if len(dst)-start == k {
-			break
-		}
-	}
-	return dst, nil
+	return ix.nearestK(qc, dst, q, k), nil
 }
 
 // NearestNeighborBatch answers many NN queries concurrently with the given

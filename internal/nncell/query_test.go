@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -149,6 +150,101 @@ func TestDirectoryExactUnderChurn(t *testing.T) {
 			t.Fatal("repairs still pending after RepairWait")
 		}
 		checkThreeWay(t, ix, rng, 120, label+"/repaired")
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestKNearestExactUnderChurn: k-NN answers stay equal to the sorted scan
+// across per-op and batched inserts and deletes, with eager repair and with
+// lazily deferred repairs pending and draining in the background, while
+// concurrent readers run k-NN and out-of-bounds NN queries (the other user of
+// the point directory) the whole time. A reader cannot compare with an oracle
+// while the point set moves, so it checks what holds at any instant: the
+// result is as long as asked, ascending by (Dist2, ID), and distinct.
+func TestKNearestExactUnderChurn(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		const d = 4
+		pts := uniquePoints(t, dataset.NameUniform, 81, 200, d)
+		ix := mustBuild(t, pts[:120], Options{Algorithm: NNDirection, LazyRepair: lazy})
+		label := fmt.Sprintf("lazy=%v", lazy)
+
+		stop := make(chan struct{})
+		errs := make(chan error, 4)
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				var nbs []Neighbor
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					q := randQuery(rng, d)
+					if rng.Intn(4) == 0 {
+						q[rng.Intn(d)] += 1.5
+						if _, err := ix.NearestNeighbor(q); err != nil {
+							errs <- err
+							return
+						}
+					}
+					k := 2 + rng.Intn(30)
+					var err error
+					if nbs, err = ix.KNearestAppend(nbs[:0], q, k); err != nil {
+						errs <- err
+						return
+					}
+					sorted := sort.SliceIsSorted(nbs, func(a, b int) bool { return nbs[a].Less(nbs[b]) })
+					for i := 1; sorted && i < len(nbs); i++ {
+						sorted = nbs[i-1] != nbs[i]
+					}
+					if len(nbs) != k || !sorted {
+						errs <- fmt.Errorf("%s: k=%d at %v returned %d neighbors, sorted and distinct: %v", label, k, q, len(nbs), sorted)
+						return
+					}
+				}
+			}(int64(82 + w))
+		}
+
+		rng := rand.New(rand.NewSource(85))
+		step := func(what string, mutate func() error) {
+			t.Helper()
+			if err := mutate(); err != nil {
+				t.Fatalf("%s: %s: %v", label, what, err)
+			}
+			checkKNearest(t, ix, rng, label+"/"+what)
+		}
+		step("inserts", func() error {
+			for _, p := range pts[120:140] {
+				if _, err := ix.Insert(p); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		step("insert batch", func() error { _, err := ix.InsertBatch(pts[140:]); return err })
+		step("deletes", func() error {
+			for id := 0; id < 60; id += 5 {
+				if err := ix.Delete(id); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		step("delete batch", func() error { return ix.DeleteBatch([]int{61, 62, 63, 130, 131, 199}) })
+		step("drained", func() error { ix.RepairWait(); return nil })
+
+		close(stop)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
 		if err := ix.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}

@@ -192,7 +192,7 @@ func TestWALAppendFailureRollsBack(t *testing.T) {
 	if _, err := ix.Insert(p); err != nil {
 		t.Fatal(err)
 	}
-	wantLen := ix.Len()
+	wantLen, wantDir := ix.Len(), pointDirSnapshot(ix)
 
 	m.FailWritesAfter(l.ActiveSegmentPath(), 3, iofault.ErrNoSpace)
 	if _, err := ix.Insert(vec.Point{0.9, 0.8, 0.7}); err == nil {
@@ -214,6 +214,7 @@ func TestWALAppendFailureRollsBack(t *testing.T) {
 	if ix.Len() != wantLen {
 		t.Fatalf("Len = %d after refused delete, want %d", ix.Len(), wantLen)
 	}
+	assertPointDirIs(t, ix, wantDir)
 	// The durable prefix (the one acknowledged insert) still recovers.
 	l.Close()
 	rec := mustBuild(t, pts, Options{Algorithm: Sphere})

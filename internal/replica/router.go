@@ -267,7 +267,11 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request) {
 	launch()
 	var hedge <-chan time.Time
 	if launched < len(targets) {
-		hedge = time.After(rt.cfg.HedgeAfter)
+		// A timer stopped on return: before go 1.23 an expired-or-not
+		// time.After stays live until it fires, one per routed read.
+		timer := time.NewTimer(rt.cfg.HedgeAfter)
+		defer timer.Stop()
+		hedge = timer.C
 	}
 	var lastBad attemptResult
 	for pending > 0 {

@@ -204,6 +204,35 @@ func TestRouterHedgesSlowFollower(t *testing.T) {
 	}
 }
 
+// TestRouterHedgeTimerPerRead: the hedge timer belongs to one read and stops
+// with it. A burst of fast reads never hedges, however many timers it has
+// armed; a read whose first attempt is slow still hedges, at HedgeAfter and
+// not at the slow attempt's end.
+func TestRouterHedgeTimerPerRead(t *testing.T) {
+	p := newFakeBackend(t, "primary")
+	a := newFakeBackend(t, "a")
+	b := newFakeBackend(t, "b")
+	rt := newTestRouter(t, p, a, b)
+	for i := 0; i < 300; i++ {
+		doRead(t, rt)
+	}
+	if h := rt.Stats().Hedges; h != 0 {
+		t.Fatalf("%d hedges in a burst of fast reads", h)
+	}
+
+	a.delay.Store(int64(2 * time.Second))
+	start := time.Now()
+	doRead(t, rt) // round-robin starts one of the two on a
+	doRead(t, rt)
+	elapsed := time.Since(start)
+	if h := rt.Stats().Hedges; h != 1 {
+		t.Fatalf("%d hedges for one slow first attempt, want 1", h)
+	}
+	if elapsed < 60*time.Millisecond || elapsed > time.Second {
+		t.Fatalf("the slow read took %v; hedged at HedgeAfter = 60ms it takes a little over that", elapsed)
+	}
+}
+
 // TestRouterFailsOverOnError: a 500 from one follower retries on the next
 // immediately; the client sees 200.
 func TestRouterFailsOverOnError(t *testing.T) {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/nncell"
 	"repro/internal/pager"
 	"repro/internal/scan"
@@ -414,6 +416,76 @@ func TestShardedKNearestAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v-routed warm KNearestAppend: %v allocs/op, want 0", s.RouteKind(), allocs)
+		}
+	}
+}
+
+// The sharded k-NN answer — per-shard box searches merged through one top-k
+// heap — must be the sorted scan's, global ids and Dist2 bit for bit in
+// (Dist2, ID) order, under hash and grid routing alike: on uniform data and on
+// a lattice whose many exact ties land in different shards, for k from 1 past
+// the live count, for queries in, on the edge of and outside the data space,
+// before and after batched churn.
+func TestShardedKNearestMatchesScan(t *testing.T) {
+	const d = 4
+	for name, opts := range map[string]Options{
+		"hash": testOptions(5),
+		"grid": gridOptions(6, &GridConfig{Dims: []int{0, 2}, Counts: []int{3, 2}}),
+	} {
+		for _, lattice := range []bool{false, true} {
+			opts.Index.Algorithm = nncell.NNDirection
+			pts := uniquePoints(t, 911, 300, d)
+			if lattice {
+				pts = dataset.Grid(nil, 256, d, 0) // 4 a side: binary fractions, exact ties
+			}
+			s, err := Build(pts[:220], vec.UnitCube(d), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(912))
+			check := func(stage string) {
+				t.Helper()
+				gids := s.IDs()
+				for trial := 0; trial < 40; trial++ {
+					q := randQuery(rng, d)
+					switch trial % 5 {
+					case 2: // lattice tie points, faces and corners
+						for j := range q {
+							q[j] = float64(rng.Intn(5)) / 4
+						}
+					case 3:
+						q[trial%d] -= 1.25
+					case 4:
+						q, _ = s.Point(gids[rng.Intn(len(gids))])
+					}
+					all := make([]nncell.Neighbor, len(gids))
+					for i, gid := range gids {
+						p, _ := s.Point(gid)
+						all[i] = nncell.Neighbor{ID: gid, Dist2: vec.Euclidean{}.Dist2(q, p)}
+					}
+					sort.Slice(all, func(a, b int) bool { return all[a].Less(all[b]) })
+					for _, k := range []int{1, 2, 10, 100, len(gids), len(gids) + 5} {
+						got, err := s.KNearest(q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := all[:min(k, len(all))]; !slices.Equal(got, want) {
+							t.Fatalf("%s/lattice=%v/%s q=%v k=%d:\n got %v\nwant %v", name, lattice, stage, q, k, got, want)
+						}
+					}
+				}
+			}
+			check("built")
+			if _, err := s.InsertBatch(pts[220:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.DeleteBatch(s.IDs()[10:50]); err != nil {
+				t.Fatal(err)
+			}
+			check("churned")
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -578,9 +578,10 @@ func (s *Sharded) CandidatesAppend(dst []int, q vec.Point) []int {
 }
 
 // KNearest merges the per-shard k-NN lists into the global k nearest: each
-// shard returns its k closest (exact within its subset, sorted ascending),
-// and the global k smallest are guaranteed to appear among the visited
-// shards' lists. The result is a fresh slice; KNearestAppend reuses one.
+// shard returns its k closest (exact within its subset, ascending by
+// (Dist2, ID)), and the global k smallest are guaranteed to appear among the
+// visited shards' lists. The result is a fresh slice; KNearestAppend reuses
+// one.
 func (s *Sharded) KNearest(q vec.Point, k int) ([]nncell.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w (got k=%d)", nncell.ErrBadK, k)
@@ -629,17 +630,11 @@ func (s *Sharded) KNearestAppend(dst []nncell.Neighbor, q vec.Point, k int) ([]n
 		any = true
 		for _, nb := range nbs {
 			nb.ID = s.globalID(sd.Shard, nb.ID)
-			if len(heap) < k {
-				heap = append(heap, nb)
-				siftUpNbr(heap, len(heap)-1)
-			} else if neighborLess(nb, heap[0]) {
-				heap[0] = nb
-				siftDownNbr(heap, 0, len(heap))
-			} else if nb.Dist2 > heap[0].Dist2 {
-				// The list is non-decreasing in Dist2 (best-first search), so
-				// every later entry also exceeds the heap's worst. Equal
-				// distances keep scanning: ties within a shard arrive in
-				// traversal order, and a later tie can still win on id.
+			var kept bool
+			if heap, kept = nncell.PushTopK(heap, k, nb); !kept {
+				// The list ascends by (Dist2, local id) and the global id is
+				// monotone in the local one, so no later entry beats the
+				// heap's worst either.
 				break
 			}
 		}
@@ -649,51 +644,10 @@ func (s *Sharded) KNearestAppend(dst []nncell.Neighbor, q vec.Point, k int) ([]n
 		qs.heap = heap[:0]
 		return dst, nncell.ErrEmpty
 	}
-	// In-place heapsort: repeatedly swap the max to the end, leaving the
-	// heap array ascending by (Dist2, ID).
-	for end := len(heap) - 1; end > 0; end-- {
-		heap[0], heap[end] = heap[end], heap[0]
-		siftDownNbr(heap, 0, end)
-	}
+	nncell.SortTopK(heap)
 	dst = append(dst, heap...)
 	qs.heap = heap[:0]
 	return dst, nil
-}
-
-// neighborLess is the global result order: ascending squared distance,
-// ties broken toward the lower global id.
-func neighborLess(a, b nncell.Neighbor) bool {
-	return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.ID < b.ID)
-}
-
-// siftUpNbr/siftDownNbr maintain a max-heap under neighborLess (the root is
-// the worst retained result, i.e. the pruning bound).
-func siftUpNbr(h []nncell.Neighbor, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !neighborLess(h[parent], h[i]) {
-			return
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-func siftDownNbr(h []nncell.Neighbor, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && neighborLess(h[child], h[child+1]) {
-			child++
-		}
-		if !neighborLess(h[root], h[child]) {
-			return
-		}
-		h[root], h[child] = h[child], h[root]
-		root = child
-	}
 }
 
 // NearestNeighborBatch answers many NN queries concurrently with the given

@@ -149,16 +149,16 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu     sync.Mutex
-	f      iofault.File
-	seq    uint64 // active segment sequence number
-	size   int64  // bytes written to the active segment
-	synced int64  // durable prefix of the active segment (last successful Sync)
-	recs   uint64 // records appended this lifetime
+	mu      sync.Mutex
+	f       iofault.File
+	seq     uint64 // active segment sequence number
+	size    int64  // bytes written to the active segment
+	synced  int64  // durable prefix of the active segment (last successful Sync)
+	recs    uint64 // records appended this lifetime
 	durRecs uint64 // records appended AND made durable this lifetime
-	dirty  bool   // unsynced appends outstanding
-	failed error  // sticky failure, wraps ErrUnavailable
-	buf    []byte // frame scratch, reused across appends
+	dirty   bool   // unsynced appends outstanding
+	failed  error  // sticky failure, wraps ErrUnavailable
+	buf     []byte // frame scratch, reused across appends
 
 	stopc chan struct{} // closes to stop the interval syncer
 	done  chan struct{}

@@ -42,9 +42,9 @@ type QueryCtx struct {
 
 	acc []float64 // per-entry sign accumulator of the leaf scans
 
-	heap  []nnHeapItem  // best-first node queue (min-heap by dist2)
-	best  []Neighbor    // k-NN candidates (max-heap by Dist2, root = worst)
-	res   []Neighbor    // NearestNeighborCtx result scratch (distinct from best)
+	heap  []nnHeapItem   // best-first node queue (min-heap by dist2)
+	best  []Neighbor     // k-NN candidates (max-heap by Dist2, root = worst)
+	res   []Neighbor     // NearestNeighborCtx result scratch (distinct from best)
 	pages []pager.PageID // batched page-access scratch of the one-shot queries
 }
 

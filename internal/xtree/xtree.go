@@ -72,7 +72,8 @@ type node struct {
 	// Leaf-only; rebuilt by writeNode whenever the entry set changes, so
 	// query-time containment and MinDist² tests scan contiguous memory
 	// dimension-first instead of chasing per-entry slice headers (see
-	// DESIGN.md §8).
+	// DESIGN.md §8). A leaf of points (every entry's Lo and Hi bit-equal, as
+	// in a data index) keeps one mirror, flatHi being flatLo.
 	flatLo, flatHi []float64
 }
 
@@ -85,15 +86,26 @@ type node struct {
 // capacity is the node's maximum entry count: the mirror is allocated for a
 // full node at once (bulk loading packs leaves full, dynamic leaves fill up)
 // and never for more, except while an overflowing leaf waits for its split.
+//
+// While every entry is a point the two halves are one slice; the first entry
+// with extent gives flatHi its own storage again.
 func (n *node) syncFlat(d, capacity int) {
 	m := len(n.entries)
 	want := m * d
-	if limit := max(want, capacity*d); cap(n.flatLo) < want || cap(n.flatLo) > limit {
+	limit := max(want, capacity*d)
+	fits := func(s []float64) bool { return cap(s) >= want && cap(s) <= limit }
+	if !fits(n.flatLo) {
 		n.flatLo = make([]float64, 0, limit)
-		n.flatHi = make([]float64, 0, limit)
 	}
 	n.flatLo = n.flatLo[:want]
-	n.flatHi = n.flatHi[:want]
+	if n.allPoints() {
+		n.flatHi = n.flatLo
+	} else {
+		if !fits(n.flatHi) || n.sharesMirror() {
+			n.flatHi = make([]float64, 0, limit)
+		}
+		n.flatHi = n.flatHi[:want]
+	}
 	for i := range n.entries {
 		lo, hi := n.entries[i].rect.Lo, n.entries[i].rect.Hi
 		for j := 0; j < d; j++ {
@@ -101,6 +113,24 @@ func (n *node) syncFlat(d, capacity int) {
 			n.flatHi[j*m+i] = hi[j]
 		}
 	}
+}
+
+// allPoints reports whether every entry's Lo and Hi are bit-equal.
+func (n *node) allPoints() bool {
+	for i := range n.entries {
+		lo, hi := n.entries[i].rect.Lo, n.entries[i].rect.Hi
+		for j := range lo {
+			if math.Float64bits(lo[j]) != math.Float64bits(hi[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sharesMirror reports whether flatHi is flatLo's storage, not its own.
+func (n *node) sharesMirror() bool {
+	return cap(n.flatLo) > 0 && cap(n.flatHi) > 0 && &n.flatLo[:1][0] == &n.flatHi[:1][0]
 }
 
 func (n *node) isSuper() bool { return len(n.pages) > 1 }
@@ -734,6 +764,9 @@ func (t *Tree) CheckInvariants() error {
 			if limit := t.capacity(n) * t.dim; cap(n.flatLo) > limit || cap(n.flatHi) > limit {
 				return fmt.Errorf("xtree: leaf SoA mirror allocated for %d/%d coords, a full node holds %d",
 					cap(n.flatLo), cap(n.flatHi), limit)
+			}
+			if pts, shared := n.allPoints(), n.sharesMirror(); pts != shared && len(n.entries) > 0 {
+				return fmt.Errorf("xtree: leaf of points: %v, but its SoA mirror is shared: %v", pts, shared)
 			}
 			m := len(n.entries)
 			for i := range n.entries {

@@ -1,7 +1,9 @@
 package xtree
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/pager"
@@ -402,5 +404,93 @@ func BenchmarkNearestNeighborD16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.NearestNeighbor(qs[i%len(qs)])
+	}
+}
+
+// leafMirrors counts the leaves that share one SoA mirror and those that keep
+// two, over the whole tree.
+func leafMirrors(t *Tree) (shared, split int) {
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.level > 0 {
+			for i := range n.entries {
+				walk(n.entries[i].child)
+			}
+			return
+		}
+		if n.sharesMirror() {
+			shared++
+		} else if len(n.entries) > 0 {
+			split++
+		}
+	}
+	walk(t.root)
+	return shared, split
+}
+
+// A leaf of points keeps one mirror for both corners — every leaf of a data
+// index, inserted or bulk-loaded — and gets the second one back the moment an
+// entry with extent arrives, and loses it again when that entry leaves. The
+// invariant check compares the mirror with the entries either way, and the
+// flat query engine must keep matching the recursive search.
+func TestPointLeavesShareOneMirror(t *testing.T) {
+	const d = 5
+	rng := rand.New(rand.NewSource(31))
+	pts := randPoints(rng, 600, d)
+	pts[7][2] = 0 // +0.0 in Lo and Hi alike: still a point
+	items := make([]Entry, len(pts))
+	for i, p := range pts {
+		items[i] = Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(i)}
+	}
+	for name, tr := range map[string]*Tree{
+		"inserted":    buildPointTree(t, pts, Options{}),
+		"bulk-loaded": BulkLoad(d, newTestPager(), Options{}, items),
+	} {
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if shared, split := leafMirrors(tr); shared == 0 || split != 0 {
+			t.Fatalf("%s: %d leaves share a mirror, %d do not; every leaf holds points only", name, shared, split)
+		}
+
+		// One box, and one "point" whose corners differ in the sign of zero.
+		box := vec.Rect{Lo: pts[0].Clone(), Hi: pts[0].Clone()}
+		box.Hi[1] += 0.05
+		zero := vec.Rect{Lo: pts[1].Clone(), Hi: pts[1].Clone()}
+		zero.Lo[3], zero.Hi[3] = math.Copysign(0, -1), 0
+		tr.Insert(box, 1000)
+		tr.Insert(zero, 1001)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("%s: after the boxes: %v", name, err)
+		}
+		if _, split := leafMirrors(tr); split < 1 || split > 2 {
+			t.Fatalf("%s: %d leaves keep two mirrors after two entries with extent", name, split)
+		}
+		var qc QueryCtx
+		for trial := 0; trial < 200; trial++ {
+			q := randPoints(rng, 1, d)[0]
+			if trial%4 == 0 {
+				q = pts[rng.Intn(len(pts))]
+			}
+			want, wantD2, _ := tr.NearestNeighbor(q)
+			got, _ := tr.NearestNeighborCtx(&qc, q)
+			if got.Dist2 != wantD2 {
+				t.Fatalf("%s q=%v: flat engine %d at %v, recursive search %d at %v", name, q, got.Entry.Data, got.Dist2, want.Data, wantD2)
+			}
+		}
+		var hits []int64
+		if hits = tr.PointQueryData(&qc, box.Hi, hits[:0]); !slices.Contains(hits, 1000) {
+			t.Fatalf("%s: point query at the box's upper corner misses it: %v", name, hits)
+		}
+
+		if !tr.Delete(box, 1000) || !tr.Delete(zero, 1001) {
+			t.Fatalf("%s: the boxes are gone", name)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("%s: after deleting the boxes: %v", name, err)
+		}
+		if _, split := leafMirrors(tr); split != 0 {
+			t.Fatalf("%s: %d leaves still keep two mirrors", name, split)
+		}
 	}
 }
