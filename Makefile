@@ -78,7 +78,10 @@ cluster-test:
 # One iteration of the hot-path benchmarks. BenchmarkSolveMBR fails unless the
 # warm LP loop runs at 0 allocs/op, BenchmarkBuild/NN-Direction unless a build
 # allocates its output only (the neighbor-pool search and the LPs run on the
-# per-worker cellCtx scratch), BenchmarkQueryNearest unless the warm NN query
+# per-worker cellCtx scratch, and no tree is built) and, at n = 10^4, d = 8,
+# unless the built index retains no more heap per point than coordinates,
+# cells and the two directories take (a resident tree trips it; the case also
+# prints the build's ms/op), BenchmarkQueryNearest unless the warm NN query
 # runs at 0 allocs/op, BenchmarkQueryKNearest unless the warm k = 10 query
 # does; BenchmarkCellDirUpdate tracks the two directories' share of a cell
 # recompute and of a point insert + delete, BenchmarkInsertEager one whole

@@ -396,3 +396,108 @@ func TestPagedTreeIndependentOfWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestNoTreeAfterCommit: a resident index holds coordinates, cells and two
+// directories. Whatever tree an operation needed — the point X-tree whose
+// leaves define the Point and Sphere selections, the cell X-tree of a paged
+// query before it — is gone once the operation has committed or rolled back,
+// its pages returned; under NN-Direction and Correct a write reads no page at
+// all, under Point and Sphere every write does.
+func TestNoTreeAfterCommit(t *testing.T) {
+	const d = 3
+	pts := uniquePoints(t, dataset.NameUniform, 98, 100, d)
+	for _, alg := range Algorithms() {
+		for _, lazy := range []bool{false, true} {
+			label := fmt.Sprintf("%v lazy=%v", alg, lazy)
+			ix := mustBuild(t, pts[:60], Options{Algorithm: alg, LazyRepair: lazy, RepairWorkers: -1})
+			onPages := alg == PointAlg || alg == Sphere
+			accesses := uint64(0)
+			none := func(x *Index, after string) {
+				t.Helper()
+				if x.tree != nil || x.ptree != nil || x.PagerLivePages() != 0 {
+					t.Fatalf("%s: after %s: cell tree %v, point tree %v, %d live pages",
+						label, after, x.tree != nil, x.ptree != nil, x.PagerLivePages())
+				}
+				if x != ix {
+					return
+				}
+				now := ix.PagerStats().Accesses
+				if read := now > accesses; read != onPages {
+					t.Fatalf("%s: %s read pages: %v", label, after, read)
+				}
+				accesses = now
+			}
+			none(ix, "Build")
+
+			// Each write follows a paged query, so a cell tree is there to drop.
+			paged := func() {
+				t.Helper()
+				if _, err := ix.NearestNeighborPaged(pts[0]); err != nil || ix.tree == nil {
+					t.Fatalf("%s: paged query: %v, tree built: %v", label, err, ix.tree != nil)
+				}
+				accesses = ix.PagerStats().Accesses
+			}
+			paged()
+			if _, err := ix.Insert(pts[60]); err != nil {
+				t.Fatal(err)
+			}
+			none(ix, "Insert")
+			paged()
+			if _, err := ix.InsertBatch(pts[61:70]); err != nil {
+				t.Fatal(err)
+			}
+			none(ix, "InsertBatch")
+			paged()
+			if err := ix.Delete(3); err != nil {
+				t.Fatal(err)
+			}
+			none(ix, "Delete")
+			paged()
+			if err := ix.DeleteBatch([]int{4, 5, 61}); err != nil {
+				t.Fatal(err)
+			}
+			none(ix, "DeleteBatch")
+
+			paged()
+			ix.testHookApprox = func(id int) error {
+				if id != len(ix.cells)-1 { // the new cell succeeds, the first affected one fails
+					return fmt.Errorf("injected")
+				}
+				return nil
+			}
+			if _, err := ix.Insert(pts[70]); err == nil && !lazy {
+				t.Fatalf("%s: the injected failure did not fail the insert", label)
+			}
+			if err := ix.Delete(6); err == nil {
+				t.Fatalf("%s: the injected failure did not fail the delete", label)
+			}
+			ix.testHookApprox = nil
+			none(ix, "a failed insert and a failed delete")
+
+			if lazy {
+				if ix.Stats().StaleCells == 0 {
+					t.Fatalf("%s: nothing stale to repair", label)
+				}
+				ix.RepairWait()
+				none(ix, "RepairWait")
+			}
+
+			var buf bytes.Buffer
+			if err := ix.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(&buf, newTestPager())
+			if err != nil {
+				t.Fatal(err)
+			}
+			none(loaded, "Load")
+			if loaded.PagerStats().Accesses != 0 {
+				t.Fatalf("%s: Load read %d pages", label, loaded.PagerStats().Accesses)
+			}
+			if err := ix.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			checkThreeWay(t, ix, rand.New(rand.NewSource(99)), 30, label)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package nncell
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/lp"
@@ -13,19 +14,19 @@ import (
 // cellCtx bundles the reusable scratch state of cell construction: the LP
 // solver (normalized once per constraint set, then run for all 2·d extent
 // objectives), the bisector constraint matrix in one flat backing array, the
-// objective / id buffers, and the data-tree search scratch of the
-// neighbor-pool queries and of the affected-cell one. One cellCtx serves one
-// goroutine at a time: a pool worker keeps one, the dynamic path one per operation.
+// objective / id buffers, and the directory scratch of the neighbour searches
+// and of the affected-cell one. One cellCtx serves one goroutine at a time: a
+// pool worker keeps one, the dynamic path one per operation.
 type cellCtx struct {
-	solver   lp.Solver
-	prob     lp.Problem
-	cons     []lp.Constraint
-	consFlat []float64        // len(cons)·d coefficient backing, row k at [k*d:(k+1)*d]
-	c        []float64        // objective buffer (len d)
-	ids      []int            // constraint-point id buffer
-	dc       xtree.QueryCtx   // data-tree k-NN traversal scratch
-	nbrs     []xtree.Neighbor // data-tree k-NN result buffer
-	acc, hit []uint64         // intersectingCells: one rectangle's directory survivors, the verified union
+	solver     lp.Solver
+	prob       lp.Problem
+	cons       []lp.Constraint
+	consFlat   []float64  // len(cons)·d coefficient backing, row k at [k*d:(k+1)*d]
+	c          []float64  // objective buffer (len d)
+	ids        []int      // constraint-point id buffer
+	dirScratch            // point-directory searches: neighbour pool, pruning range, duplicate check
+	nbrs       []Neighbor // neighbour-pool result buffer
+	acc, hit   []uint64   // intersectingCells: one rectangle's directory survivors, the verified union
 }
 
 func newCellCtx(d int) *cellCtx {
@@ -33,9 +34,9 @@ func newCellCtx(d int) *cellCtx {
 }
 
 // approximateCell computes the fragment MBRs of point i's NN-cell using the
-// configured algorithm and decomposition. It reads ix.ptsFlat/ix.dataIdx but
-// never mutates the index, so the builder may call it from many goroutines,
-// each with its own cellCtx.
+// configured algorithm and decomposition. It reads the coordinates and the
+// point directory but never mutates the index, so the builder may call it
+// from many goroutines, each with its own cellCtx.
 func (ix *Index) approximateCell(cc *cellCtx, i int) ([]vec.Rect, error) {
 	if ix.testHookApprox != nil {
 		if err := ix.testHookApprox(i); err != nil {
@@ -188,36 +189,33 @@ func (ix *Index) correctMBR(cc *cellCtx, i int) (vec.Rect, []lp.Constraint, erro
 }
 
 // initialRadius estimates the cell radius as twice the distance to the
-// nearest live neighbor (cheap, from the data index); any underestimate only
-// costs an extra pruning round, never correctness.
+// nearest live neighbor; any underestimate only costs an extra pruning round,
+// never correctness.
 func (ix *Index) initialRadius(cc *cellCtx, i int) float64 {
-	cc.nbrs = ix.dataIdx.KNearestCtx(&cc.dc, ix.point(i), 2, math.Inf(1), cc.nbrs[:0])
-	for _, nb := range cc.nbrs {
-		if int(nb.Entry.Data) != i {
-			return 2 * math.Sqrt(nb.Dist2)
-		}
+	if nbrs := ix.nearestOthers(cc, i, 1); len(nbrs) > 0 {
+		return 2 * math.Sqrt(nbrs[0].Dist2)
 	}
 	return cornerDist(ix.point(i), ix.bounds)
 }
 
 // pointsWithin returns the ids of live points other than i within distance
-// radius of point i, and whether that is every live point. The retrieval is a
-// sphere range query on the data index — logarithmic-ish page touches per
-// pruning round instead of the full-point linear scan — and every retrieved
-// point is counted in Stats.PruneVisited.
+// radius of point i, ascending, and whether that is every live point: one box
+// pass of the point directory and a distance test on its survivors instead of
+// a linear scan per pruning round. Every point in the ball, i included, is
+// counted in Stats.PruneVisited.
 func (ix *Index) pointsWithin(cc *cellCtx, i int, radius float64) (ids []int, all bool) {
-	p := ix.point(i)
+	p, d, r2 := ix.point(i), ix.dim, radius*radius
+	cc.box, _ = ix.pdir.box(cc.box, p, outwardRadius(r2))
 	ids = cc.ids[:0]
-	visited := uint64(0)
-	ix.dataIdx.SphereQuery(p, radius, func(e xtree.Entry) bool {
-		visited++
-		id := int(e.Data)
-		if id != i && ix.point(id) != nil {
-			ids = append(ids, id)
+	for w, word := range cc.box {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			if id != i && vec.Dist2Flat(p, ix.ptsFlat[id*d:(id+1)*d]) <= r2 {
+				ids = append(ids, id)
+			}
 		}
-		return true
-	})
-	ix.stats.pruneVisited.Add(visited)
+	}
+	ix.stats.pruneVisited.Add(uint64(len(ids) + 1))
 	cc.ids = ids
 	return ids, len(ids) >= ix.alive-1
 }
@@ -283,7 +281,7 @@ func (ix *Index) capClosest(p vec.Point, ids []int) []int {
 // region satisfies pred — the paper's "Point" and "Sphere" selections.
 func (ix *Index) leafRegionPoints(i int, pred func(vec.Rect) bool) []int {
 	var ids []int
-	ix.dataIdx.VisitLeafRegions(pred, func(e xtree.Entry) bool {
+	ix.pointTree().VisitLeafRegions(pred, func(e xtree.Entry) bool {
 		if int(e.Data) != i {
 			ids = append(ids, int(e.Data))
 		}
@@ -293,28 +291,41 @@ func (ix *Index) leafRegionPoints(i int, pred func(vec.Rect) bool) []int {
 }
 
 // nnDirectionPoints returns the 8·d nearest live neighbors of point i (at
-// least 16, at most 128), fetched with one k-NN query on the data index. The
-// paper's NN-Direction selection — per axis direction, the nearest point and
-// the point of smallest angular deviation, ≤ 4·d points — draws its picks from
-// exactly such a pool; constraining the cell with the whole pool is a superset
-// of those picks, so by Lemma 1 the MBR can only get tighter while remaining a
-// superset of the true cell, and the constraint set stays O(d).
+// least 16, at most 128), ascending by (Dist2, ID). The paper's NN-Direction
+// selection — per axis direction, the nearest point and the point of smallest
+// angular deviation, ≤ 4·d points — draws its picks from exactly such a pool;
+// constraining the cell with the whole pool is a superset of those picks, so by
+// Lemma 1 the MBR can only get tighter while remaining a superset of the true
+// cell, and the constraint set stays O(d).
 func (ix *Index) nnDirectionPoints(cc *cellCtx, i int) []int {
-	poolSize := 8 * ix.dim
-	if poolSize < 16 {
-		poolSize = 16
-	}
-	if poolSize > 128 {
-		poolSize = 128
-	}
-	// +1: the pool includes i itself.
-	cc.nbrs = ix.dataIdx.KNearestCtx(&cc.dc, ix.point(i), poolSize+1, math.Inf(1), cc.nbrs[:0])
 	ids := cc.ids[:0]
-	for _, nb := range cc.nbrs {
-		if id := int(nb.Entry.Data); id != i && ix.point(id) != nil {
-			ids = append(ids, id)
-		}
+	for _, nb := range ix.nearestOthers(cc, i, min(max(8*ix.dim, 16), 128)) {
+		ids = append(ids, nb.ID)
 	}
 	cc.ids = ids
 	return ids
+}
+
+// nearestOthers returns the min(k, alive−1) live points nearest to point i,
+// itself left out, ascending by (Dist2, ID); the slice is cc's until the next
+// call. It is the point directory's search without the read path's seeds —
+// Build has no cells to take them from, and a cell under repair has the wrong
+// ones — so the first radius is the density start (pointDir.densityR2), and
+// what it folds is construction work, not counted in Stats.Candidates.
+// Callers hold ix.mu or, in Build, the only reference.
+func (ix *Index) nearestOthers(cc *cellCtx, i, k int) []Neighbor {
+	others := ix.alive - 1
+	if k = min(k, others); k <= 0 {
+		return nil
+	}
+	cc.seen = sized(cc.seen, len(ix.pdir.le[0]))
+	clear(cc.seen)
+	cc.seen[i>>6] |= 1 << (i & 63)
+	r2 := math.Inf(1) // every other live point is wanted
+	if k < others {
+		r2 = ix.pdir.densityR2(k, ix.alive)
+	}
+	cc.nbrs, _ = ix.pdir.search(&cc.dirScratch, cc.nbrs[:0], k, ix.point(i), ix.ptsFlat, r2)
+	SortTopK(cc.nbrs)
+	return cc.nbrs
 }

@@ -2,6 +2,7 @@ package nncell
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/vec"
 	"repro/internal/wal"
@@ -51,9 +52,10 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 			ix.unstagePoint()
 		}
 	}
+	cc := newCellCtx(ix.dim)
 	ids := make([]int, len(ps))
 	for k, p := range ps {
-		if ix.hasDuplicate(p) {
+		if ix.hasDuplicate(cc, p) {
 			rollback()
 			return nil, fmt.Errorf("nncell: duplicate point %v (batch index %d)", p, k)
 		}
@@ -62,7 +64,6 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 
 	// Approximate all new cells in parallel against the post-batch point
 	// set (the new cells are not stored yet, so nothing committed is touched).
-	cc := newCellCtx(ix.dim)
 	newFrags, err := ix.approximateCells(cc, ids)
 	if err != nil {
 		rollback()
@@ -132,23 +133,13 @@ func (ix *Index) deleteBatchLocked(ids []int, logIt bool) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	inBatch := make(map[int]bool, len(ids))
-	for k, id := range ids {
-		if id < 0 || id >= len(ix.cells) || ix.point(id) == nil {
-			return fmt.Errorf("nncell: batch delete of unknown id %d", id)
-		}
-		if inBatch[id] {
-			return fmt.Errorf("nncell: id %d appears twice in delete batch (index %d)", id, k)
-		}
-		inBatch[id] = true
-	}
-
 	// Stage the removals so the recomputation LPs see the post-batch point
-	// set; committed structures stay untouched until every solve succeeds.
-	removed := make([]vec.Point, len(ids))
-	staged := 0
+	// set; committed structures stay untouched until every solve succeeds. An
+	// id that is dead, was never given out, or came earlier in the batch is not
+	// held by the point directory when its turn comes.
+	removed := make([]vec.Point, 0, len(ids))
 	rollback := func() {
-		for k := staged - 1; k >= 0; k-- {
+		for k := len(removed) - 1; k >= 0; k-- {
 			ix.unhidePoint(ids[k], removed[k])
 		}
 	}
@@ -156,10 +147,12 @@ func (ix *Index) deleteBatchLocked(ids []int, logIt bool) error {
 		p, ok := ix.hidePoint(id)
 		if !ok {
 			rollback()
-			return fmt.Errorf("nncell: id %d missing from data index", id)
+			if slices.Contains(ids[:k], id) {
+				return fmt.Errorf("nncell: id %d appears twice in delete batch (index %d)", id, k)
+			}
+			return fmt.Errorf("nncell: batch delete of unknown id %d", id)
 		}
-		removed[k] = p
-		staged++
+		removed = append(removed, p)
 	}
 
 	// Union of affected survivors: cells intersecting any deleted cell's

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/vec"
 	"repro/internal/wal"
-	"repro/internal/xtree"
 )
 
 // Dynamic maintenance follows a stage-then-commit protocol so that Insert and
@@ -18,11 +17,12 @@ import (
 // fragment sets, the cell directory, the fragment counter) is touched. The
 // only provisional mutations made before the solves are the coordinate-row
 // appends of Insert and the row poisoning of Delete, each with its
-// point-directory bits and data-index entry (stagePoint, hidePoint) — both are
-// required for the solves to see the post-operation point set, and both are
-// rolled back exactly on error, so CheckInvariants holds on every exit path.
-// The affected cells are found on the cell directory (intersectingCells); of
-// the cell X-tree a commit knows only how to drop it.
+// point-directory bits (stagePoint, hidePoint) — both are required for the
+// solves to see the post-operation point set, and both are rolled back exactly
+// on error, so CheckInvariants holds on every exit path. The affected cells
+// are found on the cell directory (intersectingCells), the neighbours of a
+// cell on the point directory; of the X-trees a write knows only how to drop
+// them.
 
 // Insert adds a new point and returns its id, maintaining the precomputed
 // solution space per §2 of the paper: existing NN-cells can only shrink, and
@@ -58,18 +58,18 @@ func (ix *Index) insertLocked(p vec.Point, logIt bool) (int, error) {
 	if !validPoint(p, ix.bounds) {
 		return 0, fmt.Errorf("nncell: point %v outside data space %v", p, ix.bounds)
 	}
-	if ix.hasDuplicate(p) {
+	cc := newCellCtx(ix.dim)
+	if ix.hasDuplicate(cc, p) {
 		return 0, fmt.Errorf("nncell: duplicate point %v", p)
 	}
 
 	// Stage the point itself: the approximation LPs must see the
-	// post-insert point set (the data index drives constraint selection,
+	// post-insert point set (the point directory drives constraint selection,
 	// alive drives the pruning termination check). Everything appended here
 	// is rolled back if any solve fails.
 	id := ix.stagePoint(p)
 	rollback := ix.unstagePoint
 
-	cc := newCellCtx(ix.dim)
 	frags, err := ix.approximateCell(cc, id)
 	if err != nil {
 		rollback()
@@ -117,39 +117,39 @@ func (ix *Index) insertLocked(p vec.Point, logIt bool) (int, error) {
 }
 
 // stagePoint appends p as the next id — coordinate row, point-directory bits,
-// an empty cell slot, the data-index entry — and returns the id.
+// an empty cell slot — and returns the id. Like the three functions after it,
+// it changes the live rows and so drops the trees derived from them.
 func (ix *Index) stagePoint(p vec.Point) int {
+	ix.dropTree()
 	id := len(ix.cells)
 	ix.ptsFlat = append(ix.ptsFlat, p...)
 	growRows(ix.dir.rows, id>>6) // with pdir's, so a query can combine rows of the two
 	ix.pdir.set(id, p)
 	ix.cells = append(ix.cells, nil)
 	ix.alive++
-	ix.dataIdx.Insert(vec.PointRect(p), int64(id))
 	return id
 }
 
 // unstagePoint takes the most recently staged point back out.
 func (ix *Index) unstagePoint() {
+	ix.dropTree()
 	id := len(ix.cells) - 1
-	if !ix.dataIdx.Delete(vec.PointRect(ix.point(id)), int64(id)) {
-		panic(fmt.Sprintf("nncell: staged point %d missing from data index during rollback", id))
-	}
 	ix.pdir.clear(id)
 	ix.ptsFlat = ix.ptsFlat[:id*ix.dim]
 	ix.cells = ix.cells[:id]
 	ix.alive--
 }
 
-// hidePoint stages the removal of live point id — out of the data index, row
-// poisoned, point-directory bits cleared — and returns its coordinates for
-// unhidePoint. ok is false, and nothing changed, when the data index does not
-// hold the point.
+// hidePoint stages the removal of point id — row poisoned, point-directory
+// bits cleared — and returns its coordinates for unhidePoint. ok is false, and
+// nothing changed, when the point directory does not hold id: a dead id, or
+// one that was never given out.
 func (ix *Index) hidePoint(id int) (p vec.Point, ok bool) {
-	p = ix.point(id).Clone()
-	if !ix.dataIdx.Delete(vec.PointRect(p), int64(id)) {
+	if !ix.pdir.holds(id) {
 		return nil, false
 	}
+	ix.dropTree()
+	p = ix.point(id).Clone()
 	ix.bury(id)
 	ix.alive--
 	return p, true
@@ -157,32 +157,31 @@ func (ix *Index) hidePoint(id int) (p vec.Point, ok bool) {
 
 // unhidePoint puts a hidden point back.
 func (ix *Index) unhidePoint(id int, p vec.Point) {
+	ix.dropTree()
 	copy(ix.ptsFlat[id*ix.dim:], p)
 	ix.pdir.set(id, p)
 	ix.alive++
-	ix.dataIdx.Insert(vec.PointRect(p), int64(id))
 }
 
 // hasDuplicate reports whether a live point with exactly p's float64 bit
-// patterns is already stored, via a point query against the data index —
-// the same byte-exact dup-key discipline Build uses, at O(log n) page
-// touches instead of the previous O(n) scan under the exclusive lock.
-func (ix *Index) hasDuplicate(p vec.Point) bool {
-	dup := false
-	ix.dataIdx.Search(vec.PointRect(p), func(e xtree.Entry) bool {
-		q := ix.point(int(e.Data))
-		if q == nil {
+// patterns is already stored — the byte-exact dup-key discipline of Build, so
+// −0.0 and +0.0 are different coordinates. The points of p's grid cell (the
+// point directory's box at radius 0) are the only ones compared.
+func (ix *Index) hasDuplicate(cc *cellCtx, p vec.Point) bool {
+	cc.box, _ = ix.pdir.box(cc.box, p, 0)
+	for w, word := range cc.box {
+	next:
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			for j, x := range ix.ptsFlat[id*ix.dim : (id+1)*ix.dim] {
+				if math.Float64bits(x) != math.Float64bits(p[j]) {
+					continue next
+				}
+			}
 			return true
 		}
-		for j := range p {
-			if math.Float64bits(q[j]) != math.Float64bits(p[j]) {
-				return true
-			}
-		}
-		dup = true
-		return false
-	})
-	return dup
+	}
+	return false
 }
 
 // Delete removes the point with the given id. The cells gaining its
@@ -191,8 +190,8 @@ func (ix *Index) hasDuplicate(p vec.Point) bool {
 // superset of those neighbors.
 //
 // Like Insert, Delete stages: the point is hidden from the approximation
-// inputs (data index, coordinate row), all affected cells are recomputed into
-// staged fragment sets, and only when every solve has succeeded are the
+// inputs (coordinate row, point directory), all affected cells are recomputed
+// into staged fragment sets, and only when every solve has succeeded are the
 // stored cells and the directory changed. On error the point is restored
 // and the index is unchanged.
 func (ix *Index) Delete(id int) error {
@@ -204,16 +203,12 @@ func (ix *Index) Delete(id int) error {
 // deleteLocked is Delete under an already-held write lock; logIt as in
 // insertLocked.
 func (ix *Index) deleteLocked(id int, logIt bool) error {
-	if id < 0 || id >= len(ix.cells) || ix.point(id) == nil {
-		return fmt.Errorf("nncell: delete of unknown id %d", id)
-	}
-
 	// Stage the removal: the recomputation LPs must see the post-delete
 	// point set, but the committed structures (cells, directory) stay
 	// untouched until commit.
 	p, ok := ix.hidePoint(id)
 	if !ok {
-		return fmt.Errorf("nncell: id %d missing from data index", id)
+		return fmt.Errorf("nncell: delete of unknown id %d", id)
 	}
 	// Rolling back the staged removal suffices; nothing committed changed.
 	rollback := func() { ix.unhidePoint(id, p) }

@@ -3,16 +3,17 @@ package nncell
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // CheckInvariants verifies the cross-structure consistency of the index: the
 // coordinate store, the stored cell approximations, the cell and point
-// directories, the data X-tree and the fragment counter must all describe the
-// same point set. The cell X-tree is derived from the stored cells on demand
-// (Tree) and never maintained, so it has nothing to drift from and no check
-// here. The dynamic path's atomicity contract is stated in terms of this
-// check — Insert and Delete leave it passing on every exit path, success or
-// failure — and the failure-injection tests assert exactly that.
+// directories and the fragment counter must all describe the same point set.
+// The X-trees are derived from the stored cells and the live rows on demand
+// (Tree, pointTree) and never maintained, so they have nothing to drift from
+// and no check here. The dynamic path's atomicity contract is stated in terms
+// of this check — Insert and Delete leave it passing on every exit path,
+// success or failure — and the failure-injection tests assert exactly that.
 func (ix *Index) CheckInvariants() error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -45,8 +46,12 @@ func (ix *Index) CheckInvariants() error {
 	if alive != ix.alive {
 		return fmt.Errorf("nncell: alive counter %d, %d live points", ix.alive, alive)
 	}
-	if got := ix.dataIdx.Len(); got != alive {
-		return fmt.Errorf("nncell: data index holds %d entries for %d live points", got, alive)
+	held := 0
+	for _, word := range ix.pdir.live() {
+		held += bits.OnesCount64(word)
+	}
+	if held != alive {
+		return fmt.Errorf("nncell: point directory holds %d points for %d live ones", held, alive)
 	}
 	if got := int(ix.stats.fragments.Load()); got != frags {
 		return fmt.Errorf("nncell: fragment counter %d, cells store %d", got, frags)
@@ -67,9 +72,6 @@ func (ix *Index) CheckInvariants() error {
 	}
 	if c, p := len(ix.dir.rows[0]), len(ix.pdir.le[0]); c != p {
 		return fmt.Errorf("nncell: cell directory rows hold %d words, point directory rows %d", c, p)
-	}
-	if err := ix.dataIdx.CheckInvariants(); err != nil {
-		return fmt.Errorf("nncell: data index: %w", err)
 	}
 	return nil
 }

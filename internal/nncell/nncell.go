@@ -20,7 +20,11 @@
 // from it, with the page accesses the paper's disk model counts. A second
 // directory on the same grid holds the data points (pointdir.go): KNearest and
 // the fallback for queries outside the data space run an exact box search on
-// it, its radius taken from the points of the cells around the query.
+// it, its radius taken from the points of the cells around the query, and cell
+// construction finds a point's neighbours with the same search, started from
+// the point density. The index keeps no tree; the Point and Sphere selections,
+// which the paper defines by the leaf pages of an X-tree over the points,
+// bulk-load that tree for the duration of a build or a write (pointTree).
 //
 // The package supports the paper's four constraint-selection algorithms
 // (Correct, Point, Sphere, NN-Direction), parallel bulk construction, and
@@ -117,7 +121,7 @@ type Options struct {
 	MaxConstraintPoints int
 	// Workers bounds build parallelism. Default: GOMAXPROCS.
 	Workers int
-	// XTree passes structural options to the backing X-tree.
+	// XTree passes structural options to the X-trees built on demand.
 	XTree xtree.Options
 	// Epsilon pads every stored MBR to absorb LP tolerance; queries remain
 	// exact regardless (a scan fallback catches the pathological case), the
@@ -239,14 +243,15 @@ type Index struct {
 	alive   int
 	cells   [][]vec.Rect // fragment MBRs per point id (nil for tombstones)
 	dir     *cellDir     // fragment MBRs rounded to the stripe grid, one bit per cell (point and range queries)
-	pdir    *pointDir    // the live points on the same grid, cumulative rows (k-NN, NN fallback)
-	dataIdx *xtree.Tree  // the data points themselves (constraint selection, duplicate check)
+	pdir    *pointDir    // the live points on the same grid, cumulative rows (k-NN, NN fallback, constraint selection, duplicate check)
 
-	// tree is the paged form of cells (Data = point id): nil until pagedTree
-	// builds it under treeMu (its callers hold mu on the read side only), nil
-	// again once a commit drops it.
+	// The index keeps no tree. tree is the paged form of cells (Data = point
+	// id), ptree that of the live points: each nil until pagedTree or
+	// pointTree builds it under treeMu (their callers hold mu on the read side
+	// only), nil again once a commit, or the staging of a point, drops it.
 	treeMu sync.Mutex
 	tree   *xtree.Tree
+	ptree  *xtree.Tree
 
 	// Lazy-repair state (see repair.go). stale maps each stale cell id to
 	// the monotonically increasing epoch of its most recent marking; a
@@ -320,13 +325,13 @@ var ErrEmpty = errors.New("nncell: empty point set")
 // with errors.Is; the returned error carries the offending value.
 var ErrBadK = errors.New("nncell: k must be positive")
 
-// Build constructs the index over points (bulk load): it first indexes the
-// raw points in an X-tree (used by the Point/Sphere/NN-Direction constraint
-// selection), then computes every cell's approximation in parallel against
-// the full point set, and finally fills the cell directory from the fragment
-// MBRs. The bounds rectangle is the data space; all points must lie in it.
-// Exact duplicate points are rejected (a duplicated point has an empty
-// NN-cell, which the paper's construction excludes).
+// Build constructs the index over points (bulk load): it first fills the point
+// directory (the neighbour searches of constraint selection run on it), then
+// computes every cell's approximation in parallel against the full point set,
+// and finally fills the cell directory from the fragment MBRs. The bounds
+// rectangle is the data space; all points must lie in it. Exact duplicate
+// points are rejected (a duplicated point has an empty NN-cell, which the
+// paper's construction excludes).
 //
 // The build streams: each worker keeps only its own LP scratch (one cellCtx)
 // and stores a finished cell under its id, so peak memory is the output
@@ -369,32 +374,28 @@ func Build(points []vec.Point, bounds vec.Rect, pg *pager.Pager, opts Options) (
 		ix.ptsFlat = append(ix.ptsFlat, p...)
 	}
 
-	// Phase 1: data index for constraint selection (STR bulk load, which
-	// copies the rectangles it is given).
-	dataItems := make([]xtree.Entry, len(points))
-	ids := make([]int, len(points))
-	for i := range ids {
-		p := ix.point(i)
-		dataItems[i] = xtree.Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(i)}
-		ids[i] = i
-	}
-	ix.dataIdx = xtree.BulkLoad(d, pg, opts.XTree, dataItems)
+	// Phase 1: the point directory, which constraint selection searches.
+	ix.pdir = newPointDir(newStripeGrid(ix.bounds), ix.ptsFlat)
 
 	// Phase 2: approximate all cells on the worker pool the dynamic path
 	// uses too, each result going straight into the slot of its id.
+	ids := make([]int, len(points))
+	for i := range ids {
+		ids[i] = i
+	}
 	var err error
 	if ix.cells, err = ix.approximateCells(newCellCtx(d), ids); err != nil {
 		return nil, err
 	}
+	ix.dropTree() // the Point and Sphere selections built one over the points
 
-	// Phase 3: count the fragments and fill the directory.
+	// Phase 3: count the fragments and fill the cell directory.
 	total := 0
 	for _, frags := range ix.cells {
 		total += len(frags)
 	}
 	ix.stats.fragments.Store(uint64(total))
 	ix.dir = newCellDir(ix.bounds, ix.cells)
-	ix.pdir = newPointDir(ix.dir.stripeGrid, ix.ptsFlat)
 	return ix, nil
 }
 
@@ -470,13 +471,12 @@ func NewEmpty(d int, bounds vec.Rect, pg *pager.Pager, opts Options) (*Index, er
 	opts.normalize()
 	dir := newCellDir(bounds, nil)
 	return &Index{
-		dim:     d,
-		opts:    opts,
-		pg:      pg,
-		bounds:  bounds.Clone(),
-		dir:     dir,
-		pdir:    newPointDir(dir.stripeGrid, nil),
-		dataIdx: xtree.New(d, pg, opts.XTree),
+		dim:    d,
+		opts:   opts,
+		pg:     pg,
+		bounds: bounds.Clone(),
+		dir:    dir,
+		pdir:   newPointDir(dir.stripeGrid, nil),
 	}, nil
 }
 
@@ -548,12 +548,38 @@ func (ix *Index) pagedTree() *xtree.Tree {
 	return ix.tree
 }
 
-// dropTree releases the derived tree ahead of a change to the cells it was
-// built from. Callers hold ix.mu (write side), which excludes treeMu's holders.
+// pointTree returns the X-tree over the live points (Data = point id), whose
+// leaf pages define the paper's Point and Sphere selections — the one use the
+// index has for it. Like the cell tree it is bulk-loaded on first need, in
+// ascending id order from whatever rows are live then (a staged insert's
+// included, a staged delete's not), and dropped when they change. Callers hold
+// ix.mu or, in Build, the only reference.
+func (ix *Index) pointTree() *xtree.Tree {
+	ix.treeMu.Lock()
+	defer ix.treeMu.Unlock()
+	if ix.ptree == nil {
+		items := make([]xtree.Entry, 0, ix.alive)
+		for id := 0; id*ix.dim < len(ix.ptsFlat); id++ {
+			if p := ix.point(id); p != nil {
+				items = append(items, xtree.Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(id)}) // BulkLoad copies
+			}
+		}
+		ix.ptree = xtree.BulkLoad(ix.dim, ix.pg, ix.opts.XTree, items)
+	}
+	return ix.ptree
+}
+
+// dropTree releases the derived trees ahead of a change to the cells or the
+// points they were built from. Callers hold ix.mu (write side), which excludes
+// treeMu's holders.
 func (ix *Index) dropTree() {
 	if ix.tree != nil {
 		ix.tree.Release()
 		ix.tree = nil
+	}
+	if ix.ptree != nil {
+		ix.ptree.Release()
+		ix.ptree = nil
 	}
 }
 
@@ -569,7 +595,8 @@ func (ix *Index) Pager() *pager.Pager { return ix.pg }
 func (ix *Index) PagerStats() pager.Stats { return ix.pg.Stats() }
 
 // PagerLivePages returns the allocated, unfreed page count of the backing
-// pager: the data index, plus the cell X-tree while one is built (see Tree).
+// pager: those of the cell X-tree and of the point X-tree while one is built
+// (see Tree, pointTree), none otherwise.
 func (ix *Index) PagerLivePages() int { return ix.pg.LivePages() }
 
 // Stats returns a snapshot of the counters.

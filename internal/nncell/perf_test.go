@@ -10,8 +10,8 @@ import (
 	"repro/internal/vec"
 )
 
-// TestPointsWithinUsesIndex pins the Correct algorithm's pruning to the data
-// index: a small-radius range retrieval must visit (and count) only the
+// TestPointsWithinUsesIndex pins the Correct algorithm's pruning to the point
+// directory: a small-radius range retrieval must visit (and count) only the
 // points inside the sphere, not scan the full point set, and must return
 // exactly the brute-force within-radius set.
 func TestPointsWithinUsesIndex(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/pager"
 	"repro/internal/vec"
-	"repro/internal/xtree"
 )
 
 // The on-disk format of a saved index. The expensive artifact of this data
@@ -107,8 +106,8 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 // Load reconstructs a saved index onto a fresh pager. The cell approximations
-// are reused verbatim (no LPs are solved); only the data X-tree and the cell
-// directory are rebuilt from the validated entries, exactly as Build does.
+// are reused verbatim (no LPs are solved); only the two directories are
+// rebuilt from the validated entries, and no page of the pager is touched.
 //
 // Load treats the stream as untrusted: truncation, header/payload size
 // mismatches, non-finite or out-of-bounds coordinates, duplicate points,
@@ -188,10 +187,6 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	}
 
 	ix := &Index{dim: d, opts: opts, pg: pg, bounds: bounds}
-	// The data-tree entries are collected while the stream is validated and
-	// loaded only after the checksum has vouched for all of them; like the
-	// per-slot storage they grow with the stream, never from the header's count.
-	var dataItems []xtree.Entry
 	total := 0
 	// Duplicate detection, same byte-exact keying as Build: a duplicated
 	// point has an empty NN-cell, so a stream containing one is corrupt.
@@ -254,7 +249,6 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 		ix.cells = append(ix.cells, frags)
 		ix.alive++
 		total += len(frags)
-		dataItems = append(dataItems, xtree.Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(id)})
 	}
 	var wantSum uint32
 	if err := binary.Read(br, le, &wantSum); err != nil {
@@ -269,7 +263,6 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	if ix.alive == 0 {
 		return nil, ErrEmpty
 	}
-	ix.dataIdx = xtree.BulkLoad(d, pg, opts.XTree, dataItems)
 	ix.stats.fragments.Store(uint64(total))
 	ix.dir = newCellDir(bounds, ix.cells)
 	ix.pdir = newPointDir(ix.dir.stripeGrid, ix.ptsFlat)

@@ -2,13 +2,16 @@ package nncell
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/vec"
 )
 
-// pointDir is the point directory behind the k-NN query and the NN fallback:
-// for every (dimension j, stripe s) of the cell directory's grid one bitset
-// over point ids, with bit id set iff the point is live and
+// pointDir is the point directory, the index's one neighbour-search
+// structure: the k-NN query and the NN fallback run on it, and so do cell
+// construction's neighbour pool and pruning ranges and the duplicate check of
+// a write. It keeps, for every (dimension j, stripe s) of the cell directory's
+// grid, one bitset over point ids, with bit id set iff the point is live and
 // stripe(j, p[j]) ≤ s. The rows are cumulative, so the live points whose
 // stripe in dimension j lies in [a, b] are le[b] &^ le[a-1] — two row reads
 // whatever the width of the range — and the last row of any dimension is the
@@ -31,6 +34,17 @@ type pointDir struct {
 	// without a usable seed distance starts from; +Inf when every dimension
 	// has zero width.
 	minWidth float64
+	// side is the geometric mean of the positive data-space extents and dims
+	// their number: the cube densityR2 spreads the live points over.
+	side float64
+	dims int
+}
+
+// dirScratch is the bitset scratch of one search: seen holds every point
+// folded into the result so far or excluded from it, box the survivors of the
+// current pass that are not in seen. A QueryCtx and a cellCtx each embed one.
+type dirScratch struct {
+	seen, box []uint64
 }
 
 // newPointDir returns the directory of the rows of ptsFlat (d coordinates per
@@ -38,10 +52,16 @@ type pointDir struct {
 func newPointDir(g stripeGrid, ptsFlat []float64) *pointDir {
 	d := len(g.lo)
 	pd := &pointDir{stripeGrid: g, le: newRows(d, len(ptsFlat)/d), minWidth: math.Inf(1)}
+	logVol := 0.0
 	for _, sc := range g.scale {
 		if sc > 0 {
 			pd.minWidth = min(pd.minWidth, 1/sc)
+			logVol += math.Log(stripes / sc)
+			pd.dims++
 		}
+	}
+	if pd.dims > 0 {
+		pd.side = math.Exp(logVol / float64(pd.dims))
 	}
 	for id := 0; id*d < len(ptsFlat); id++ {
 		if p := ptsFlat[id*d : (id+1)*d]; !math.IsNaN(p[0]) {
@@ -77,6 +97,12 @@ func (pd *pointDir) clear(id int) {
 // live is the bitset of the live points. The caller must not change it.
 func (pd *pointDir) live() []uint64 { return pd.le[stripes-1] }
 
+// holds reports whether id is a live point; any integer may be asked about.
+func (pd *pointDir) holds(id int) bool {
+	live := pd.live()
+	return id >= 0 && id>>6 < len(live) && live[id>>6]>>(id&63)&1 != 0
+}
+
 // box writes into acc (reused when large enough) the live points whose stripe
 // lies, in every dimension j, between those of q[j]−r and q[j]+r. whole
 // reports that no dimension excluded a stripe, so acc is the live set; an
@@ -107,6 +133,84 @@ func (pd *pointDir) box(acc []uint64, q vec.Point, r float64) (_ []uint64, whole
 		}
 	}
 	return acc, whole
+}
+
+// densityR2 is the squared radius a search for k of n live points starts from
+// when it has no seed distance: half the side of a box expected to hold 2k of
+// them, were they spread evenly over the data space. Only a start — search
+// grows a radius that finds too few and closes on the k-th distance held — so
+// skewed data costs passes, not exactness.
+func (pd *pointDir) densityR2(k, n int) float64 {
+	if pd.dims == 0 {
+		return math.Inf(1)
+	}
+	r := pd.side * math.Pow(float64(2*k)/float64(n), 1/float64(pd.dims)) / 2
+	return r * r
+}
+
+// search completes the top-k heap h (PushTopK order) of the live points
+// nearest to q and returns it with the number of points it folded. On entry
+// ds.seen, which must span the rows, marks the points not to fold: those h
+// already holds the best k of (the read path's seeds) and those the caller
+// leaves out (a cell's own point). pts is the coordinate store, 1 ≤ k, and r2
+// the squared radius of the first pass.
+//
+// A pass takes the box at r2 — every live point within √r2 of q per dimension,
+// a superset of the ball — and folds the ones not seen before. The search is
+// exact once the k held are all within r2 and every point within r2 has been
+// seen: an unseen point is farther than √r2, hence farther than the worst
+// held, ties included. So a heap that filled up moves r2 to its k-th distance
+// and one more pass closes the search; one that did not doubles the box's
+// volume (from at least one stripe width) and tries again; and a box that
+// covers the whole grid has seen every live point.
+func (pd *pointDir) search(ds *dirScratch, h []Neighbor, k int, q vec.Point, pts []float64, r2 float64) ([]Neighbor, int) {
+	folded := 0
+	for {
+		var whole bool
+		ds.box, whole = pd.box(ds.box, q, outwardRadius(r2))
+		for w, b := range ds.box {
+			ds.box[w] = b &^ ds.seen[w]
+			ds.seen[w] |= b
+		}
+		var n int
+		h, n = foldTopK(h, k, q, pts, ds.box)
+		folded += n
+		if whole || (len(h) == k && h[0].Dist2 <= r2) {
+			return h, folded
+		}
+		if len(h) == k {
+			r2 = h[0].Dist2
+		} else {
+			r2 = max(r2*math.Exp2(2/float64(len(q))), pd.minWidth*pd.minWidth)
+		}
+	}
+}
+
+// outwardRadius returns a radius r such that every point whose computed
+// squared distance from the query is at most r2 lies within r of it in every
+// dimension, in exact arithmetic, so that q−r and q+r — rounded however —
+// bracket its coordinate and monotone stripe keeps it in the box. The relative
+// slack covers the roundings of the difference, the square, the sum and the
+// root (a few 2⁻⁵³ each); the absolute one covers a difference whose square
+// underflowed to less than it should be.
+func outwardRadius(r2 float64) float64 {
+	return math.Sqrt(r2)*(1+0x1p-40) + 0x1p-500
+}
+
+// foldTopK offers every point of set, with its squared distance from q, to
+// the top-k heap h and returns the heap and the number of points offered.
+// Callers pass sets of live ids only, so the NaN-poisoned tombstone rows of
+// pts are never read.
+func foldTopK(h []Neighbor, k int, q vec.Point, pts []float64, set []uint64) ([]Neighbor, int) {
+	d, n := len(q), 0
+	for w, word := range set {
+		n += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			h, _ = PushTopK(h, k, Neighbor{ID: id, Dist2: vec.Dist2Flat(q, pts[id*d:(id+1)*d])})
+		}
+	}
+	return h, n
 }
 
 // check verifies the directory against the coordinate store: it must equal,

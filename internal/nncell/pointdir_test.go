@@ -1,12 +1,15 @@
 package nncell
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/vec"
 )
 
@@ -60,6 +63,44 @@ func checkPointBall(t *testing.T, pd *pointDir, model map[int]vec.Point, q vec.P
 	}
 }
 
+// checkPointSearch runs the seedless search — the one cell construction makes:
+// nothing seen, the density start — for the k points nearest to q and compares
+// it with the sorted model, ids and Dist2 bit for bit in (Dist2, ID) order;
+// what it folded must be what it marked seen.
+func checkPointSearch(t *testing.T, pd *pointDir, model map[int]vec.Point, q vec.Point, k int) {
+	t.Helper()
+	if k = min(k, len(model)); k == 0 {
+		return
+	}
+	var want []Neighbor
+	for id, p := range model {
+		want = append(want, Neighbor{ID: id, Dist2: vec.Dist2Flat(q, p)})
+	}
+	slices.SortFunc(want, func(a, b Neighbor) int {
+		if a.Less(b) {
+			return -1
+		}
+		return 1
+	})
+	r2 := math.Inf(1)
+	if k < len(model) {
+		r2 = pd.densityR2(k, len(model))
+	}
+	ds := dirScratch{seen: make([]uint64, len(pd.le[0]))}
+	got, folded := pd.search(&ds, nil, k, q, modelFlat(model, len(q)), r2)
+	SortTopK(got)
+	if !slices.Equal(got, want[:k]) {
+		t.Fatalf("q=%v k=%d of %d from r2=%v:\n got %v\nwant %v", q, k, len(model), r2, got, want[:k])
+	}
+	seen := 0
+	for _, word := range ds.seen {
+		seen += bits.OnesCount64(word)
+	}
+	if folded != seen || folded < k || folded > len(model) {
+		t.Fatalf("q=%v k=%d of %d: folded %d points, marked %d seen", q, k, len(model), folded, seen)
+	}
+}
+
 // pointDirSnapshot copies the rows of ix's point directory, and
 // assertPointDirIs checks them against such a copy bit for bit: what a
 // rolled-back mutation owes the directory. Words a rolled-back append left
@@ -96,8 +137,8 @@ func modelFlat(model map[int]vec.Point, d int) []float64 {
 // the naive model in the three data spaces of the directory tests, with points
 // and box centres on stripe edges, the faces of the data space and ±0.0, radii
 // from 0 (the box is q's grid cell) through stripe multiples to +Inf, the
-// empty directory, and the ball-in-box property at the distances of the stored
-// points themselves.
+// empty directory, the ball-in-box property at the distances of the stored
+// points themselves, and the seedless search for 1 to 129 neighbours.
 func TestPointDirMatchesNaiveModel(t *testing.T) {
 	for variant := 0; variant < 3; variant++ {
 		for _, d := range []int{1, 2, 5} {
@@ -157,6 +198,7 @@ func TestPointDirMatchesNaiveModel(t *testing.T) {
 					}
 					checkPointBox(t, pd, model, q, radius())
 					checkPointBall(t, pd, model, q, radius())
+					checkPointSearch(t, pd, model, q, 1+rng.Intn(129))
 				}
 				var prev vec.Point
 				for _, p := range model {
@@ -198,7 +240,8 @@ func TestOutwardRadiusCoversUnderflow(t *testing.T) {
 // −0.0) and the radius from one more byte: 0 the grid cell of q, 255 the whole
 // grid, otherwise a multiple of 1/240 of dimension 0's extent — so stripe
 // edges, faces, zero-width dimensions and empty and whole-grid boxes are all
-// one byte away. The seed scripts run in normal `go test`.
+// one byte away. The same byte, mod 129, plus one is the k of a seedless search
+// from q. The seed scripts run in normal `go test`.
 func FuzzPointDir(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 8, 248, 0, 6, 128, 128, 3, 8, 248, 0, 3, 8, 248, 255})
 	f.Add([]byte{1, 0, 70, 0, 255, 0, 71, 23, 38, 3, 23, 38, 15, 2, 70, 3, 0, 255, 240})
@@ -259,13 +302,150 @@ func FuzzPointDir(f *testing.F) {
 				}
 				checkPointBox(t, pd, model, q, r)
 				checkPointBall(t, pd, model, q, r*r)
+				checkPointSearch(t, pd, model, q, 1+int(rb)%129)
 			}
 		}
 		for _, p := range model {
 			checkPointBox(t, pd, model, p, 0)
+			checkPointSearch(t, pd, model, p, 2)
 		}
 		if err := pd.check(modelFlat(model, d)); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestDuplicateCheckOnDirectory: a write's duplicate check reads the point
+// directory — the points of the new point's grid cell, compared bit for bit.
+// An exact duplicate is rejected whatever the constraint selection, alone or
+// inside a batch, against the snapshot or against the batch itself; −0.0 and
+// +0.0 are different coordinates, so the twin of a stored point goes in (once);
+// and a deleted point's coordinates are free again. A rejected write leaves no
+// trace.
+func TestDuplicateCheckOnDirectory(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, alg := range Algorithms() {
+		pts := uniquePoints(t, dataset.NameUniform, 95, 40, 2)
+		pts = append(pts, vec.Point{0, 0.5}, vec.Point{0.25, 0.25}, vec.Point{1, 1}, vec.Point{0.5, 0})
+		ix := mustBuild(t, pts, Options{Algorithm: alg})
+		cc := newCellCtx(2)
+		rejected := func(what string, err error, snap [][]uint64, n int) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("%v: %s accepted", alg, what)
+			}
+			assertPointDirIs(t, ix, snap)
+			if ix.Len() != n {
+				t.Fatalf("%v: %s left %d points, %d before", alg, what, ix.Len(), n)
+			}
+			if err := ix.CheckInvariants(); err != nil {
+				t.Fatalf("%v: after %s: %v", alg, what, err)
+			}
+		}
+
+		snap, n := pointDirSnapshot(ix), ix.Len()
+		for i, p := range pts {
+			if !ix.hasDuplicate(cc, p) {
+				t.Fatalf("%v: stored point %d = %v not found", alg, i, p)
+			}
+			_, err := ix.Insert(p.Clone())
+			rejected("a stored point", err, snap, n)
+			// Same grid cell, one bit away in one coordinate.
+			near := p.Clone()
+			near[i%2] = math.Nextafter(near[i%2], 0.5)
+			if ix.hasDuplicate(cc, near) {
+				t.Fatalf("%v: %v taken for a duplicate of %v", alg, near, p)
+			}
+		}
+		_, err := ix.InsertBatch([]vec.Point{{0.3, 0.7}, {1, 1}})
+		rejected("a batch holding a stored point", err, snap, n)
+		_, err = ix.InsertBatch([]vec.Point{{0.3, 0.7}, {0.6, 0.1}, {0.3, 0.7}})
+		rejected("a batch holding a point twice", err, snap, n)
+
+		twin := vec.Point{negZero, 0.5}
+		if ix.hasDuplicate(cc, twin) {
+			t.Fatalf("%v: −0.0 taken for +0.0", alg)
+		}
+		id, err := ix.Insert(twin)
+		if err != nil {
+			t.Fatalf("%v: the −0.0 twin of a stored point: %v", alg, err)
+		}
+		if got, _ := ix.Point(id); math.Float64bits(got[0]) != math.Float64bits(negZero) {
+			t.Fatalf("%v: stored %v for the −0.0 twin", alg, got)
+		}
+		snap, n = pointDirSnapshot(ix), ix.Len()
+		_, err = ix.Insert(twin)
+		rejected("the twin a second time", err, snap, n)
+		if _, err := ix.InsertBatch([]vec.Point{{0.5, negZero}, {negZero, negZero}}); err != nil {
+			t.Fatalf("%v: a batch of twins: %v", alg, err)
+		}
+
+		if err := ix.Delete(41); err != nil { // (0.25, 0.25)
+			t.Fatal(err)
+		}
+		if ix.hasDuplicate(cc, pts[41]) {
+			t.Fatalf("%v: a deleted point still counts as stored", alg)
+		}
+		if _, err := ix.Insert(pts[41]); err != nil {
+			t.Fatalf("%v: re-insert of a deleted point: %v", alg, err)
+		}
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		checkThreeWay(t, ix, rand.New(rand.NewSource(96)), 40, alg.String())
+	}
+}
+
+// TestHidePointOnDirectory: the point directory says whether an id is held. A
+// dead id, a negative one, one past the slots and one past the rows are "not
+// held" and touch nothing — not alive, not a bit, not a coordinate — and
+// Delete and DeleteBatch report them unknown; a held id is hidden and comes
+// back bit for bit.
+func TestHidePointOnDirectory(t *testing.T) {
+	pts := uniquePoints(t, dataset.NameUniform, 97, 70, 3)
+	ix := mustBuild(t, pts, Options{Algorithm: NNDirection})
+	if err := ix.Delete(5); err != nil {
+		t.Fatal(err)
+	}
+	snap, n, flat := pointDirSnapshot(ix), ix.Len(), slices.Clone(ix.ptsFlat)
+	same := func(what string) {
+		t.Helper()
+		assertPointDirIs(t, ix, snap)
+		if ix.alive != n || ix.Len() != n {
+			t.Fatalf("%s: alive %d, was %d", what, ix.alive, n)
+		}
+		if !slices.EqualFunc(ix.ptsFlat, flat, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%s: coordinates changed", what)
+		}
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	for _, id := range []int{5, -1, -64, len(pts), len(pts) + 1, 127, 128, 1 << 40, math.MinInt} {
+		if p, ok := ix.hidePoint(id); ok || p != nil {
+			t.Fatalf("hidePoint(%d) = %v, %v on an id the index does not hold", id, p, ok)
+		}
+		same(fmt.Sprintf("hidePoint(%d)", id))
+		if err := ix.Delete(id); err == nil || !strings.Contains(err.Error(), "unknown id") {
+			t.Fatalf("Delete(%d): %v", id, err)
+		}
+		if err := ix.DeleteBatch([]int{7, id}); err == nil || !strings.Contains(err.Error(), "unknown id") {
+			t.Fatalf("DeleteBatch(7, %d): %v", id, err)
+		}
+		same(fmt.Sprintf("Delete(%d)", id))
+	}
+	if err := ix.DeleteBatch([]int{7, 8, 7}); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("DeleteBatch(7, 8, 7): %v", err)
+	}
+	same("DeleteBatch(7, 8, 7)")
+
+	p, ok := ix.hidePoint(7)
+	if !ok || !slices.Equal(p, pts[7]) {
+		t.Fatalf("hidePoint(7) = %v, %v; the point is %v", p, ok, pts[7])
+	}
+	if ix.alive != n-1 || ix.pdir.holds(7) || ix.point(7) != nil {
+		t.Fatalf("after hidePoint(7): alive %d of %d, held %v, row %v", ix.alive, n, ix.pdir.holds(7), ix.point(7))
+	}
+	ix.unhidePoint(7, p)
+	same("hidePoint and unhidePoint")
 }

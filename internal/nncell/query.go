@@ -76,20 +76,19 @@ func siftDown(h []Neighbor, n int) {
 }
 
 // QueryCtx is the reusable per-query scratch of the read path: the survivor
-// bitset of the cell-directory point query (during a k-NN search, every point
-// folded so far), the box bitset of the point directory, the traversal state
-// of the paged cell tree, and the clamp buffer and result slot of the
-// fallback. A warm context makes NearestNeighbor, NearestNeighborPaged,
-// CandidatesAppend, KNearestAppend and the fallback path allocation-free.
-// Contexts are pooled per index (acquireCtx/releaseCtx) for the public entry
+// bitset of the cell-directory point query, the bitsets of the point
+// directory's search, the traversal state of the paged cell tree, and the
+// clamp buffer and result slot of the fallback. A warm context makes
+// NearestNeighbor, NearestNeighborPaged, CandidatesAppend, KNearestAppend and
+// the fallback path allocation-free. Contexts are pooled per index (acquireCtx/releaseCtx) for the public entry
 // points and held per worker by NearestNeighborBatch. A QueryCtx is not safe
 // for concurrent use.
 type QueryCtx struct {
-	surv  []uint64       // cell-directory survivors, one bit per point id
-	box   []uint64       // point-directory box survivors not yet folded
-	tc    xtree.QueryCtx // cell-tree traversal scratch (NearestNeighborPaged)
-	clamp vec.Point      // clamp-to-bounds buffer of out-of-bounds queries
-	one   [1]Neighbor    // result slot of the fallback's k = 1 search
+	surv       []uint64       // cell-directory survivors, one bit per point id
+	dirScratch                // point-directory search (nearestK), seen starting as the survivors
+	tc         xtree.QueryCtx // cell-tree traversal scratch (NearestNeighborPaged)
+	clamp      vec.Point      // clamp-to-bounds buffer of out-of-bounds queries
+	one        [1]Neighbor    // result slot of the fallback's k = 1 search
 }
 
 // acquireCtx takes a context from the index's pool (allocating only when the
@@ -209,18 +208,11 @@ func (ix *Index) fallbackNearest(qc *QueryCtx, q vec.Point) Neighbor {
 //  1. Seeds. The cell-directory survivors at q (clamped into the data space)
 //     are folded into the best k. Any k live points bound the k-th distance,
 //     and the cells around q belong to near ones.
-//  2. Box passes. The point directory returns every live point within r of q
-//     per dimension, a superset of the ball; the unseen ones are folded in.
-//     With k seeds r is the k-th seed distance and one pass is exact. With
-//     0 < m < k seeds r starts at the m-th distance scaled to a ball expected
-//     to hold 2k points, (2k/m)^(1/d), and doubles in volume until k points
-//     are held; a last pass at the k-th distance held then closes the search.
-//     A box that covers the whole grid has seen every live point; a query
-//     without seeds or with k ≥ alive asks for that box at once.
-//
-// The search is exact once the best k held are all within r and every point
-// within r has been seen: an unseen point is farther than r, hence farther
-// than the worst held, ties included.
+//  2. Box passes (pointDir.search, the routine cell construction finds its
+//     neighbours with). With k seeds the radius is the k-th seed distance and
+//     one pass is exact. With 0 < m < k seeds it starts at the m-th distance
+//     scaled to a ball expected to hold 2k points, (2k/m)^(1/d). A query
+//     without seeds or with k ≥ alive asks for the whole grid at once.
 func (ix *Index) nearestK(qc *QueryCtx, dst []Neighbor, q vec.Point, k int) []Neighbor {
 	k = min(k, ix.alive)
 	p := q
@@ -233,10 +225,10 @@ func (ix *Index) nearestK(qc *QueryCtx, dst []Neighbor, q vec.Point, k int) []Ne
 		ix.bounds.ClampInPlace(qc.clamp)
 		p = qc.clamp
 	}
-	qc.surv = ix.dir.survivors(qc.surv, p)
+	qc.seen = ix.dir.survivors(qc.seen, p)
 	// The heap grows in dst's spare capacity, so the closing append copies
 	// nothing when the caller's slice has room for k.
-	h, folded := ix.foldTopK(dst[len(dst):], k, q, qc.surv)
+	h, seeds := foldTopK(dst[len(dst):], k, q, ix.ptsFlat, qc.seen)
 
 	var r2 float64
 	switch m := len(h); {
@@ -247,55 +239,10 @@ func (ix *Index) nearestK(qc *QueryCtx, dst []Neighbor, q vec.Point, k int) []Ne
 	default:
 		r2 = h[0].Dist2 * math.Pow(float64(2*k)/float64(m), 2/float64(ix.dim))
 	}
-	for {
-		var whole bool
-		qc.box, whole = ix.pdir.box(qc.box, q, outwardRadius(r2))
-		for w, b := range qc.box {
-			qc.box[w] = b &^ qc.surv[w]
-			qc.surv[w] |= b
-		}
-		var n int
-		h, n = ix.foldTopK(h, k, q, qc.box)
-		folded += n
-		if whole || (len(h) == k && h[0].Dist2 <= r2) {
-			break
-		}
-		if len(h) == k {
-			r2 = h[0].Dist2
-		} else {
-			r2 = max(r2*math.Exp2(2/float64(ix.dim)), ix.pdir.minWidth*ix.pdir.minWidth)
-		}
-	}
-	ix.stats.candidates.Add(uint64(folded))
+	h, folded := ix.pdir.search(&qc.dirScratch, h, k, q, ix.ptsFlat, r2)
+	ix.stats.candidates.Add(uint64(seeds + folded))
 	SortTopK(h)
 	return append(dst, h...)
-}
-
-// outwardRadius returns a radius r such that every point whose computed
-// squared distance from the query is at most r2 lies within r of it in every
-// dimension, in exact arithmetic, so that q−r and q+r — rounded however —
-// bracket its coordinate and monotone stripe keeps it in the box. The relative
-// slack covers the roundings of the difference, the square, the sum and the
-// root (a few 2⁻⁵³ each); the absolute one covers a difference whose square
-// underflowed to less than it should be.
-func outwardRadius(r2 float64) float64 {
-	return math.Sqrt(r2)*(1+0x1p-40) + 0x1p-500
-}
-
-// foldTopK offers every point of set, with its squared distance from q, to
-// the top-k heap h and returns the heap and the number of points offered.
-// Callers pass sets of live ids only, so the NaN-poisoned tombstone rows are
-// never read.
-func (ix *Index) foldTopK(h []Neighbor, k int, q vec.Point, set []uint64) ([]Neighbor, int) {
-	d, n := ix.dim, 0
-	for w, word := range set {
-		n += bits.OnesCount64(word)
-		for ; word != 0; word &= word - 1 {
-			id := w<<6 | bits.TrailingZeros64(word)
-			h, _ = PushTopK(h, k, Neighbor{ID: id, Dist2: vec.Dist2Flat(q, ix.ptsFlat[id*d:(id+1)*d])})
-		}
-	}
-	return h, n
 }
 
 // Candidates returns the distinct point ids whose stored approximation

@@ -228,7 +228,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP nncell_pager_hit_ratio Fraction of page reads served from cache.\n")
 	fmt.Fprintf(w, "# TYPE nncell_pager_hit_ratio gauge\n")
 	fmt.Fprintf(w, "nncell_pager_hit_ratio %g\n", ratio)
-	fmt.Fprintf(w, "# HELP nncell_pager_live_pages Allocated, unfreed pages: the data index, plus the cell X-tree only while a paged query has one built.\n")
+	fmt.Fprintf(w, "# HELP nncell_pager_live_pages Allocated, unfreed pages: none in a resident index; the cell X-tree's while a paged query has one built, the point X-tree's while a Point or Sphere write runs.\n")
 	fmt.Fprintf(w, "# TYPE nncell_pager_live_pages gauge\n")
 	fmt.Fprintf(w, "nncell_pager_live_pages %d\n", ix.PagerLivePages())
 

@@ -560,10 +560,12 @@ func TestShardStats(t *testing.T) {
 			t.Errorf("shard %d saw no queries", i)
 		}
 	}
+	// The Sphere selection read the leaf pages of each shard's point X-tree
+	// during the build; a built index keeps no tree.
 	if s.PagerStats().Accesses == 0 {
 		t.Error("no pager accesses recorded")
 	}
-	if s.PagerLivePages() == 0 {
-		t.Error("no live pages")
+	if n := s.PagerLivePages(); n != 0 {
+		t.Errorf("%d pages live in a built index", n)
 	}
 }
