@@ -19,7 +19,6 @@ import (
 	"repro/internal/lp"
 	"repro/internal/nncell"
 	"repro/internal/pager"
-	"repro/internal/rtree"
 	"repro/internal/vec"
 	"repro/internal/xtree"
 )
@@ -352,36 +351,6 @@ func BenchmarkAblationCache(b *testing.B) {
 				}
 			}
 			b.ReportMetric(missRate, "miss-rate")
-		})
-	}
-}
-
-// BenchmarkAblationReinsert measures the R*-tree with and without forced
-// reinsert (query page accesses).
-func BenchmarkAblationReinsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	pts := dataset.Deduplicate(dataset.Uniform(rng, 3000, 8))
-	qs := dataset.Uniform(rand.New(rand.NewSource(12)), 200, 8)
-	for _, disable := range []bool{false, true} {
-		name := "with-reinsert"
-		if disable {
-			name = "no-reinsert"
-		}
-		b.Run(name, func(b *testing.B) {
-			var perQuery float64
-			for i := 0; i < b.N; i++ {
-				pg := pager.New(pager.Config{CachePages: 64})
-				tr := rtree.New(8, pg, rtree.Options{DisableReinsert: disable})
-				for j, p := range pts {
-					tr.Insert(vec.PointRect(p), int64(j))
-				}
-				pg.ResetStats()
-				for _, q := range qs {
-					tr.NearestNeighbor(q)
-				}
-				perQuery = float64(pg.Stats().Accesses) / float64(len(qs))
-			}
-			b.ReportMetric(perQuery, "pages/query")
 		})
 	}
 }

@@ -293,9 +293,9 @@ func serveMain(args []string) {
 		}
 		srv.SetNotReady("loading snapshot")
 		// The snapshot magic decides the loader: single-index (NNCELLv2)
-		// streams keep working unchanged, sharded streams (NNSHRDv2, or the
-		// routing-free v1) restore the full partition, whose width and
-		// routing policy are recorded in the stream.
+		// streams keep working unchanged, sharded streams (NNSHRDv2) restore
+		// the full partition, whose width and routing policy are recorded in
+		// the stream.
 		f, err := os.Open(*loadFile)
 		if err != nil {
 			fatalf("%v", err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -218,5 +219,21 @@ func TestServeLoadConflictFlags(t *testing.T) {
 	}
 	if !strings.Contains(out, "conflicts with a single-index snapshot") {
 		t.Errorf("no shard-conflict error:\n%s", out)
+	}
+}
+
+// A sharded v1 snapshot (a format with no writer and, now, no loader) must
+// stop `serve -load` with the loader's error, not a panic.
+func TestServeLoadRejectsV1Snapshot(t *testing.T) {
+	old := filepath.Join(t.TempDir(), "v1.bin")
+	if err := os.WriteFile(old, append([]byte("NNSHRDv1"), 2, 0, 0, 0, 0, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := run(t, "serve", "-addr", "127.0.0.1:0", "-load", old)
+	if err == nil {
+		t.Fatalf("serve started from a v1 snapshot:\n%s", out)
+	}
+	if !strings.Contains(out, "bad magic") || strings.Contains(out, "panic") {
+		t.Errorf("want a bad-magic error and no panic:\n%s", out)
 	}
 }

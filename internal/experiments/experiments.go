@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/nncell"
 	"repro/internal/pager"
-	"repro/internal/rtree"
 	"repro/internal/scan"
 	"repro/internal/vec"
 	"repro/internal/xtree"
@@ -158,7 +157,7 @@ func runRStar(pts, qs []vec.Point, cfg Config) measured {
 	d := pts[0].Dim()
 	pg := pager.New(pager.Config{CachePages: cfg.CachePages})
 	start := time.Now()
-	tr := rtree.New(d, pg, rtree.Options{})
+	tr := xtree.NewRStar(d, pg)
 	for i, p := range pts {
 		tr.Insert(vec.PointRect(p), int64(i))
 	}

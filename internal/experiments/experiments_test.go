@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/nncell"
 )
 
 // tiny returns a configuration small enough for unit tests.
@@ -105,4 +109,45 @@ func parseF(t *testing.T, s string) float64 {
 		t.Fatalf("parse %q: %v", s, err)
 	}
 	return v
+}
+
+// TestGoldenPageCounts pins the deterministic counters of the three measured
+// structures, so a change to the tree engine that builds a different tree (or
+// walks the same tree differently) fails here and not in a regenerated
+// figure: runRStar ([BKSS 90] insert-built, [RKV 95] search), runXTree
+// ([BKK 96] insert-built, [HS 95] search), runNNCell (bulk-loaded cell tree,
+// NearestCandidate), and the LP constraint points Point and Sphere collect
+// through VisitLeafRegions on the bulk-loaded point tree.
+func TestGoldenPageCounts(t *testing.T) {
+	// The trees take all N points; the cell index, whose build is LP-bound,
+	// a third of them, and Point and Sphere the first SmallN.
+	cfg := Config{N: 1500, SmallN: 200, Queries: 40, Seed: 7}.withDefaults()
+	type golden struct {
+		rstar, xtree, nncell uint64
+		point, sphere        string
+	}
+	want := map[int]golden{
+		4:  {rstar: 128, xtree: 127, nncell: 175, point: "49.00", sphere: "188.25"},
+		8:  {rstar: 696, xtree: 681, nncell: 1384, point: "24.00", sphere: "199.00"},
+		12: {rstar: 2758, xtree: 2670, nncell: 1399, point: "11.52", sphere: "199.00"},
+	}
+	for _, d := range []int{4, 8, 12} {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(d)))
+		pts := dataset.Deduplicate(dataset.Uniform(rng, cfg.N, d))
+		qs := queryPoints(rng, cfg.Queries, d)
+		got := golden{rstar: runRStar(pts, qs, cfg).accesses, xtree: runXTree(pts, qs, cfg).accesses}
+		cells := func(n int, alg nncell.Algorithm) (accesses uint64, lpPoints string) {
+			m, ix, err := runNNCell(pts[:n], qs, cfg, nncell.Options{Algorithm: alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.accesses, f2(float64(ix.Stats().ConstraintPoints) / float64(n))
+		}
+		got.nncell, _ = cells(cfg.N/3, buildAlgorithm(d))
+		_, got.point = cells(cfg.SmallN, nncell.PointAlg)
+		_, got.sphere = cells(cfg.SmallN, nncell.Sphere)
+		if got != want[d] {
+			t.Errorf("d=%d: got %+v, want %+v", d, got, want[d])
+		}
+	}
 }

@@ -121,8 +121,6 @@ type Options struct {
 	MaxConstraintPoints int
 	// Workers bounds build parallelism. Default: GOMAXPROCS.
 	Workers int
-	// XTree passes structural options to the X-trees built on demand.
-	XTree xtree.Options
 	// Epsilon pads every stored MBR to absorb LP tolerance; queries remain
 	// exact regardless (a scan fallback catches the pathological case), the
 	// padding merely keeps the fallback rare. Default 1e-9.
@@ -543,7 +541,7 @@ func (ix *Index) pagedTree() *xtree.Tree {
 				items = append(items, xtree.Entry{Rect: r, Data: int64(id)})
 			}
 		}
-		ix.tree = xtree.BulkLoad(ix.dim, ix.pg, ix.opts.XTree, items)
+		ix.tree = xtree.BulkLoad(ix.dim, ix.pg, xtree.Options{}, items)
 	}
 	return ix.tree
 }
@@ -564,7 +562,7 @@ func (ix *Index) pointTree() *xtree.Tree {
 				items = append(items, xtree.Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(id)}) // BulkLoad copies
 			}
 		}
-		ix.ptree = xtree.BulkLoad(ix.dim, ix.pg, ix.opts.XTree, items)
+		ix.ptree = xtree.BulkLoad(ix.dim, ix.pg, xtree.Options{}, items)
 	}
 	return ix.ptree
 }

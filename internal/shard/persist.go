@@ -13,19 +13,14 @@ import (
 	"repro/internal/vec"
 )
 
-// Magic identifies the current sharded snapshot stream; callers that accept
-// several formats (e.g. `nncell serve -load`) sniff it against the
-// single-index magic before choosing a loader. MagicV1 is the previous
-// sharded format, which Load still accepts (v1 predates pluggable routing,
-// so a v1 stream always loads hash-routed).
-const (
-	Magic   = "NNSHRDv2"
-	MagicV1 = "NNSHRDv1"
-)
+// Magic identifies the sharded snapshot stream; callers that accept several
+// formats (e.g. `nncell serve -load`) sniff it against the single-index magic
+// before choosing a loader.
+const Magic = "NNSHRDv2"
 
-// IsSnapshotMagic reports whether m is the magic of any sharded snapshot
-// version this package can load.
-func IsSnapshotMagic(m string) bool { return m == Magic || m == MagicV1 }
+// IsSnapshotMagic reports whether m is the magic of a sharded snapshot this
+// package can load.
+func IsSnapshotMagic(m string) bool { return m == Magic }
 
 // maxShardCount bounds the header-declared shard count; it exists to reject
 // absurd inputs early, and Load never trusts it for allocation beyond the
@@ -55,9 +50,9 @@ const maxShardBlob = 1 << 36
 // The header records everything Load needs to rebuild the router
 // deterministically (grid tile edges are a pure function of bounds × dims ×
 // counts), so routed placement is identical across save/load. Recording dim
-// and bounds in the header — v1 recovered them from the first non-empty
-// shard — also lets an all-empty sharded index round-trip, which the empty
-// bootstrap path (NewEmpty + periodic snapshots before any insert) needs.
+// and bounds in the header also lets an all-empty sharded index round-trip,
+// which the empty bootstrap path (NewEmpty + periodic snapshots before any
+// insert) needs.
 //
 // Empty shards (no live points) are written as absent — the per-shard v2
 // format cannot represent an empty index — and are recreated empty on load.
@@ -146,14 +141,13 @@ func (s *Sharded) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reconstructs a sharded index from a stream written by Save (current
-// or v1 format). Each shard gets a fresh pager configured by opts.Pager;
-// opts.Shards, opts.Route and opts.Grid are ignored — the stream records the
-// partition width and routing policy, which the global-id mapping and point
-// placement depend on. Every present shard blob is fully validated by the
-// per-shard v2 loader; Load additionally checks that all shards agree with
-// the header on dimensionality and data space, and that every point routes
-// to the shard that stores it.
+// Load reconstructs a sharded index from a stream written by Save. Each shard
+// gets a fresh pager configured by opts.Pager; opts.Shards, opts.Route and
+// opts.Grid are ignored — the stream records the partition width and routing
+// policy, which the global-id mapping and point placement depend on. Every
+// present shard blob is fully validated by the per-shard v2 loader; Load
+// additionally checks that all shards agree with the header on dimensionality
+// and data space, and that every point routes to the shard that stores it.
 func Load(r io.Reader, opts Options) (*Sharded, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
@@ -162,11 +156,7 @@ func Load(r io.Reader, opts Options) (*Sharded, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("shard: load: %w", err)
 	}
-	switch string(magic) {
-	case Magic:
-	case MagicV1:
-		return loadV1(br, opts)
-	default:
+	if string(magic) != Magic {
 		return nil, fmt.Errorf("shard: load: bad magic %q", magic)
 	}
 
@@ -276,60 +266,9 @@ func Load(r io.Reader, opts Options) (*Sharded, error) {
 	return sh, nil
 }
 
-// loadV1 reads the remainder of a v1 stream (magic already consumed). v1
-// carries no routing header — placement was always FNV hash — and no
-// geometry, so an all-absent v1 stream is unloadable (ErrEmpty), exactly as
-// before.
-func loadV1(br *bufio.Reader, opts Options) (*Sharded, error) {
-	le := binary.LittleEndian
-	var count uint32
-	if err := binary.Read(br, le, &count); err != nil {
-		return nil, fmt.Errorf("shard: load: %w", err)
-	}
-	if count == 0 || count > maxShardCount {
-		return nil, fmt.Errorf("shard: load: implausible shard count %d", count)
-	}
-	sh := &Sharded{
-		router: &hashRouter{shards: int(count)},
-		shards: make([]*nncell.Index, count),
-		pagers: make([]*pager.Pager, count),
-	}
-	if err := loadShardBlobs(br, sh, opts); err != nil {
-		return nil, err
-	}
-
-	// Cross-shard validation: some shard must be non-empty (v1 has no other
-	// source for dim/bounds), and all present shards must agree.
-	for i, ix := range sh.shards {
-		if ix == nil {
-			continue
-		}
-		if sh.dim == 0 {
-			sh.dim = ix.Dim()
-			sh.bounds = ix.Bounds()
-		}
-		if ix.Dim() != sh.dim {
-			return nil, fmt.Errorf("shard: load: shard %d has dim %d, shard stream established %d", i, ix.Dim(), sh.dim)
-		}
-		if !ix.Bounds().Equal(sh.bounds) {
-			return nil, fmt.Errorf("shard: load: shard %d data space %v disagrees with %v", i, ix.Bounds(), sh.bounds)
-		}
-	}
-	if sh.dim == 0 {
-		return nil, nncell.ErrEmpty
-	}
-	if err := fillEmptyShards(sh, opts); err != nil {
-		return nil, err
-	}
-	if err := checkRoutingInvariant(sh); err != nil {
-		return nil, err
-	}
-	return sh, nil
-}
-
-// loadShardBlobs reads the per-shard present/blob section (shared by every
-// stream version) into sh.shards/sh.pagers, leaving absent slots nil, and
-// enforces that the stream ends exactly after the last shard.
+// loadShardBlobs reads the per-shard present/blob section into
+// sh.shards/sh.pagers, leaving absent slots nil, and enforces that the stream
+// ends exactly after the last shard.
 func loadShardBlobs(br *bufio.Reader, sh *Sharded, opts Options) error {
 	le := binary.LittleEndian
 	for i := range sh.shards {

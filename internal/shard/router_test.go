@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -605,53 +606,17 @@ func TestShardedPersistRoundTripGrid(t *testing.T) {
 	}
 }
 
-// A v1 stream (no routing header) must still load, hash-routed, from its
-// hand-assembled byte layout: magic, shard count, per-shard presence/blobs.
-func TestShardedLoadV1Compat(t *testing.T) {
-	const d = 3
-	pts := uniquePoints(t, 614, 90, d)
-	s := mustBuild(t, pts, d, 4) // hash-routed, so blobs satisfy v1 placement
-	var v1 bytes.Buffer
-	v1.WriteString(MagicV1)
-	writeU32 := func(v uint32) {
-		v1.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+// A v1 stream (magic, shard count, per-shard presence/blobs; no routing
+// header) had a loader until nothing wrote the format any more. Load now
+// rejects it by its magic, and the sniffing callers no longer claim it.
+func TestShardedLoadRejectsV1(t *testing.T) {
+	v1 := append([]byte("NNSHRDv1"), 2, 0, 0, 0, 0, 0) // two absent shards
+	if IsSnapshotMagic(string(v1[:len(Magic)])) {
+		t.Error("IsSnapshotMagic still claims the v1 magic")
 	}
-	writeU32(uint32(s.NumShards()))
-	for i := 0; i < s.NumShards(); i++ {
-		ix := s.Shard(i)
-		if ix.Len() == 0 {
-			v1.WriteByte(0)
-			continue
-		}
-		var blob bytes.Buffer
-		if err := ix.Save(&blob); err != nil {
-			t.Fatal(err)
-		}
-		v1.WriteByte(1)
-		n := uint64(blob.Len())
-		for b := 0; b < 8; b++ {
-			v1.WriteByte(byte(n >> (8 * b)))
-		}
-		v1.Write(blob.Bytes())
-	}
-	loaded, err := Load(bytes.NewReader(v1.Bytes()), Options{Pager: pager.Config{CachePages: 16}})
-	if err != nil {
-		t.Fatalf("v1 load: %v", err)
-	}
-	if loaded.RouteKind() != RouteHash || loaded.NumShards() != s.NumShards() || loaded.Len() != s.Len() {
-		t.Fatalf("v1 load: kind=%v shards=%d len=%d", loaded.RouteKind(), loaded.NumShards(), loaded.Len())
-	}
-	rng := rand.New(rand.NewSource(615))
-	for i := 0; i < 25; i++ {
-		q := randQuery(rng, d)
-		a, _ := s.NearestNeighbor(q)
-		b, err := loaded.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.ID != b.ID || a.Dist2 != b.Dist2 {
-			t.Fatalf("v1 query %d: (%d, %v) vs (%d, %v)", i, a.ID, a.Dist2, b.ID, b.Dist2)
-		}
+	_, err := Load(bytes.NewReader(v1), Options{Pager: pager.Config{CachePages: 16}})
+	if err == nil || !strings.Contains(err.Error(), `bad magic "NNSHRDv1"`) {
+		t.Fatalf("v1 load: err = %v, want the bad-magic error", err)
 	}
 }
 

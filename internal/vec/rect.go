@@ -277,19 +277,6 @@ func ContainsFlat(p Point, lo, hi []float64) bool {
 	return true
 }
 
-// IntersectsFlat reports whether the rectangle stored at lo/hi intersects s.
-// The SoA form of Rect.Intersects.
-func IntersectsFlat(s Rect, lo, hi []float64) bool {
-	lo = lo[:len(s.Lo)]
-	hi = hi[:len(s.Lo)]
-	for i := range s.Lo {
-		if lo[i] > s.Hi[i] || s.Lo[i] > hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Dist2Flat returns the squared Euclidean distance between p and the point
 // stored at q, a flat coordinate slice of length len(p). Same operations in
 // the same order as Euclidean.Dist2, so results are bitwise identical; used

@@ -13,7 +13,13 @@ import (
 // (splits never run); the result answers queries identically to an
 // incrementally built tree and remains fully dynamic afterwards.
 func BulkLoad(d int, pg *pager.Pager, opts Options, items []Entry) *Tree {
-	t := New(d, pg, opts)
+	return bulkLoad(d, pg, opts, splitBKK, items)
+}
+
+// bulkLoad packs the tree the same way under either policy, which only
+// matters to the inserts and deletes that follow.
+func bulkLoad(d int, pg *pager.Pager, opts Options, policy overflowPolicy, items []Entry) *Tree {
+	t := newTree(d, pg, opts, policy)
 	if len(items) == 0 {
 		return t
 	}

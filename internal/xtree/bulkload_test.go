@@ -8,7 +8,9 @@ import (
 	"repro/internal/vec"
 )
 
-func TestBulkLoadInvariantsAndQueries(t *testing.T) {
+func TestBulkLoadInvariantsAndQueries(t *testing.T) { eachPolicy(t, testBulkLoadInvariantsAndQueries) }
+
+func testBulkLoadInvariantsAndQueries(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(75))
 	for _, n := range []int{0, 1, 7, 59, 60, 500, 1200} {
 		for _, d := range []int{2, 12} {
@@ -17,7 +19,7 @@ func TestBulkLoadInvariantsAndQueries(t *testing.T) {
 			for i, p := range pts {
 				items[i] = Entry{Rect: vec.PointRect(p), Data: int64(i)}
 			}
-			tr := BulkLoad(d, newTestPager(), Options{}, items)
+			tr := bulkLoad(d, newTestPager(), Options{}, policy, items)
 			if tr.Len() != n {
 				t.Fatalf("n=%d d=%d: Len=%d", n, d, tr.Len())
 			}
@@ -44,6 +46,10 @@ func TestBulkLoadInvariantsAndQueries(t *testing.T) {
 }
 
 func TestBulkLoadRectEntriesAndDynamics(t *testing.T) {
+	eachPolicy(t, testBulkLoadRectEntriesAndDynamics)
+}
+
+func testBulkLoadRectEntriesAndDynamics(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(76))
 	d := 4
 	items := make([]Entry, 500)
@@ -54,7 +60,7 @@ func TestBulkLoadRectEntriesAndDynamics(t *testing.T) {
 		r.ExtendPoint(b)
 		items[i] = Entry{Rect: r, Data: int64(i)}
 	}
-	tr := BulkLoad(d, newTestPager(), Options{}, items)
+	tr := bulkLoad(d, newTestPager(), Options{}, policy, items)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,5 +94,21 @@ func TestBulkLoadRectEntriesAndDynamics(t *testing.T) {
 	}
 	if tr.Len() != 450 {
 		t.Fatalf("Len = %d", tr.Len())
+	}
+}
+
+// Bulk loading must produce a much better packed tree than repeated inserts.
+func TestBulkLoadPacksTighter(t *testing.T) { eachPolicy(t, testBulkLoadPacksTighter) }
+
+func testBulkLoadPacksTighter(t *testing.T, policy overflowPolicy) {
+	rng := rand.New(rand.NewSource(73))
+	pts := randPoints(rng, 2000, 6)
+	items := make([]Entry, len(pts))
+	for i, p := range pts {
+		items[i] = Entry{Rect: vec.PointRect(p), Data: int64(i)}
+	}
+	bulk := bulkLoad(6, newTestPager(), Options{}, policy, items).pg.LivePages()
+	if inc := buildPointTree(t, pts, policy).pg.LivePages(); bulk >= inc {
+		t.Errorf("bulk pages %d >= incremental pages %d", bulk, inc)
 	}
 }

@@ -10,19 +10,10 @@ import (
 // This file is the zero-allocation query engine: an iterative traversal over
 // a reusable explicit node stack plus concrete-typed inline heaps, replacing
 // the recursive closure-based paths of search.go on the read hot path. A
-// QueryCtx owns all scratch state, so a warm context answers point, range and
+// QueryCtx owns all scratch state, so a warm context answers point and
 // (k-)nearest-neighbor queries without allocating. Leaf rectangle tests run
 // against the flat SoA coordinate mirror maintained by writeNode, scanning
 // cache-linearly and pruning dimension-first.
-
-// queryMode selects the predicate of an iterative traversal.
-type queryMode uint8
-
-const (
-	modeNone queryMode = iota
-	modePoint
-	modeRange
-)
 
 // QueryCtx holds the reusable scratch of the iterative query engine: the
 // traversal stack, the best-first node heap and the k-NN result heap. The
@@ -30,10 +21,8 @@ const (
 // QueryCtx is not safe for concurrent use, and at most one traversal may be
 // active on it at a time (starting a new query resets the previous one).
 type QueryCtx struct {
-	t    *Tree
-	mode queryMode
-	q    vec.Point // point query target (modePoint)
-	r    vec.Rect  // range query window (modeRange)
+	t *Tree
+	q vec.Point // target of the traversal started by BeginPoint
 
 	stack []*node // nodes not yet visited, top = next
 	leaf  *node   // leaf currently being scanned
@@ -53,19 +42,7 @@ type QueryCtx struct {
 // recursive PointQuery visits them.
 func (t *Tree) BeginPoint(qc *QueryCtx, p vec.Point) {
 	qc.t = t
-	qc.mode = modePoint
 	qc.q = p
-	qc.stack = append(qc.stack[:0], t.root)
-	qc.leaf = nil
-	qc.li = 0
-}
-
-// BeginRange starts an iterative range query: Next yields every leaf entry
-// whose rectangle intersects r, in recursive Search order.
-func (t *Tree) BeginRange(qc *QueryCtx, r vec.Rect) {
-	qc.t = t
-	qc.mode = modeRange
-	qc.r = r
 	qc.stack = append(qc.stack[:0], t.root)
 	qc.leaf = nil
 	qc.li = 0
@@ -90,35 +67,24 @@ func (qc *QueryCtx) next() (leaf *node, idx int, ok bool) {
 			qc.leaf = nil
 		}
 		if len(qc.stack) == 0 {
-			qc.mode = modeNone
 			return nil, 0, false
 		}
 		n := qc.stack[len(qc.stack)-1]
 		qc.stack = qc.stack[:len(qc.stack)-1]
 		t.accessNode(n)
 		if n.level == 0 {
-			if qc.mode == modePoint {
-				qc.matchLeafPoint(n, d, qc.q)
-			} else {
-				qc.matchLeafRange(n, d, qc.r)
-			}
+			qc.matchLeafPoint(n, d, qc.q)
 			qc.leaf = n
 			qc.li = 0
 			continue
 		}
 		// Push matching children in reverse so the LIFO pop order equals the
-		// recursive visit order. The flat predicates on the stored corner
-		// slices are the same tests as Rect.Contains/Intersects minus the
-		// dimension assertion.
+		// recursive visit order. The flat predicate on the stored corner
+		// slices is the same test as Rect.Contains minus the dimension
+		// assertion.
 		for i := len(n.entries) - 1; i >= 0; i-- {
 			r := &n.entries[i].rect
-			match := false
-			if qc.mode == modePoint {
-				match = vec.ContainsFlat(qc.q, r.Lo, r.Hi)
-			} else {
-				match = vec.IntersectsFlat(qc.r, r.Lo, r.Hi)
-			}
-			if match {
+			if vec.ContainsFlat(qc.q, r.Lo, r.Hi) {
 				qc.stack = append(qc.stack, n.entries[i].child)
 			}
 		}
@@ -133,7 +99,6 @@ func (qc *QueryCtx) next() (leaf *node, idx int, ok bool) {
 // save/restore entirely. Page accesses are identical to the other paths.
 func (t *Tree) PointQueryData(qc *QueryCtx, p vec.Point, dst []int64) []int64 {
 	d := t.dim
-	qc.mode = modeNone
 	qc.leaf = nil
 	pages := qc.pages[:0]
 	stack := append(qc.stack[:0], t.root)
@@ -174,7 +139,6 @@ func (t *Tree) PointQueryData(qc *QueryCtx, p vec.Point, dst []int64) []int64 {
 // candidate list of PointQueryData and its second pass.
 func (t *Tree) NearestCandidate(qc *QueryCtx, q vec.Point, coords []float64) (data int64, d2 float64, count int, ok bool) {
 	d := t.dim
-	qc.mode = modeNone
 	qc.leaf = nil
 	bestData, bestD2 := int64(-1), math.Inf(1)
 	pages := qc.pages[:0]
@@ -257,49 +221,8 @@ func (qc *QueryCtx) matchLeafPoint(n *node, d int, p vec.Point) {
 	qc.surv = surv[:k]
 }
 
-// matchLeafRange is matchLeafPoint for a window query: it keeps the entries
-// whose rectangle intersects r. Per dimension, lo <= r.Hi && r.Lo <= hi is
-// sign(r.Hi-lo)*(hi-r.Lo) >= 0 by the same argument (both factors negative
-// would need r.Hi < lo <= hi < r.Lo, an inverted window).
-func (qc *QueryCtx) matchLeafRange(n *node, d int, r vec.Rect) {
-	m := len(n.entries)
-	if m == 0 {
-		qc.surv = qc.surv[:0]
-		return
-	}
-	if cap(qc.surv) < m {
-		qc.surv = make([]int32, 0, 2*m)
-		qc.acc = make([]float64, 0, 2*m)
-	}
-	lo, hi := n.flatLo, n.flatHi
-	acc := qc.acc[:m]
-	rlo, rhi := r.Lo[0], r.Hi[0]
-	for i := range acc {
-		acc[i] = (rhi - lo[i]) * (hi[i] - rlo)
-	}
-	for j := 1; j < d; j++ {
-		rlo, rhi := r.Lo[j], r.Hi[j]
-		base := j * m
-		blo := lo[base : base+m]
-		bhi := hi[base : base+m]
-		for i := 0; i < m; i++ {
-			acc[i] = min(acc[i], (rhi-blo[i])*(bhi[i]-rlo))
-		}
-	}
-	surv := qc.surv[:m]
-	k := 0
-	for i := 0; i < m; i++ {
-		surv[k] = int32(i)
-		if acc[i] >= 0 {
-			k++
-		}
-	}
-	qc.acc = acc
-	qc.surv = surv[:k]
-}
-
 // Next returns the next matching leaf entry of the traversal started by
-// BeginPoint or BeginRange, and ok=false when the traversal is exhausted.
+// BeginPoint, and ok=false when the traversal is exhausted.
 // Page accesses are recorded against the pager exactly as in the recursive
 // paths (every visited node once, when it is first scanned).
 func (qc *QueryCtx) Next() (e Entry, ok bool) {

@@ -24,9 +24,9 @@ func randRects(rng *rand.Rand, n, d int, maxEdge float64) []vec.Rect {
 	return rects
 }
 
-func buildRectTree(t testing.TB, rects []vec.Rect, opts Options) *Tree {
+func buildRectTree(t testing.TB, rects []vec.Rect, policy overflowPolicy) *Tree {
 	t.Helper()
-	tr := New(rects[0].Dim(), newTestPager(), opts)
+	tr := newTree(rects[0].Dim(), newTestPager(), Options{}, policy)
 	for i, r := range rects {
 		tr.Insert(r, int64(i))
 	}
@@ -36,12 +36,6 @@ func buildRectTree(t testing.TB, rects []vec.Rect, opts Options) *Tree {
 func collectPoint(tr *Tree, p vec.Point) []Entry {
 	var out []Entry
 	tr.PointQuery(p, func(e Entry) bool { out = append(out, e); return true })
-	return out
-}
-
-func collectRange(tr *Tree, r vec.Rect) []Entry {
-	var out []Entry
-	tr.Search(r, func(e Entry) bool { out = append(out, e); return true })
 	return out
 }
 
@@ -62,10 +56,14 @@ func entriesEqual(t *testing.T, label string, want, got []Entry) {
 // exactly: same entries in the same visit order, and the same page-access
 // accounting against the pager.
 func TestQueryCtxPointMatchesRecursive(t *testing.T) {
+	eachPolicy(t, testQueryCtxPointMatchesRecursive)
+}
+
+func testQueryCtxPointMatchesRecursive(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(71))
 	for _, d := range []int{2, 3, 8} {
 		rects := randRects(rng, 500, d, 0.4)
-		tr := buildRectTree(t, rects, Options{})
+		tr := buildRectTree(t, rects, policy)
 		var qc QueryCtx
 		var ids []int64
 		for qi := 0; qi < 100; qi++ {
@@ -109,45 +107,15 @@ func TestQueryCtxPointMatchesRecursive(t *testing.T) {
 	}
 }
 
-// Same contract for window queries: BeginRange/Next equals recursive Search.
-func TestQueryCtxRangeMatchesRecursive(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for _, d := range []int{2, 3, 8} {
-		rects := randRects(rng, 500, d, 0.3)
-		tr := buildRectTree(t, rects, Options{})
-		var qc QueryCtx
-		for qi := 0; qi < 100; qi++ {
-			w := randRects(rng, 1, d, 0.5)[0]
-
-			tr.pg.ResetStats()
-			want := collectRange(tr, w)
-			recAcc := tr.pg.Stats().Accesses
-
-			tr.pg.ResetStats()
-			var got []Entry
-			tr.BeginRange(&qc, w)
-			for {
-				e, ok := qc.Next()
-				if !ok {
-					break
-				}
-				got = append(got, e)
-			}
-			entriesEqual(t, "range", want, got)
-			if iterAcc := tr.pg.Stats().Accesses; recAcc != iterAcc {
-				t.Fatalf("d=%d q=%d: recursive touched %d pages, iterative %d", d, qi, recAcc, iterAcc)
-			}
-		}
-	}
-}
-
 // NearestCandidate must agree with resolving the recursive point query by
 // hand: fewest squared distance over all matches, ties to the smaller payload.
-func TestNearestCandidateMatchesScan(t *testing.T) {
+func TestNearestCandidateMatchesScan(t *testing.T) { eachPolicy(t, testNearestCandidateMatchesScan) }
+
+func testNearestCandidateMatchesScan(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(79))
 	for _, d := range []int{2, 8} {
 		rects := randRects(rng, 600, d, 0.5)
-		tr := buildRectTree(t, rects, Options{})
+		tr := buildRectTree(t, rects, policy)
 		// Payload i resolves to the center of rectangle i via the SoA mirror.
 		coords := make([]float64, 600*d)
 		for i, r := range rects {
@@ -179,11 +147,13 @@ func TestNearestCandidateMatchesScan(t *testing.T) {
 
 // KNearestCtx with an infinite bound performs the same heap operations as the
 // recursive KNearest, so results must be identical including order.
-func TestKNearestCtxMatchesRecursive(t *testing.T) {
+func TestKNearestCtxMatchesRecursive(t *testing.T) { eachPolicy(t, testKNearestCtxMatchesRecursive) }
+
+func testKNearestCtxMatchesRecursive(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(83))
 	for _, d := range []int{2, 8} {
 		pts := randPoints(rng, 600, d)
-		tr := buildPointTree(t, pts, Options{})
+		tr := buildPointTree(t, pts, policy)
 		var qc QueryCtx
 		var out []Neighbor
 		for _, k := range []int{1, 5, 32} {
@@ -207,10 +177,12 @@ func TestKNearestCtxMatchesRecursive(t *testing.T) {
 
 // The pruning bound is inclusive: a bounded search returns exactly the
 // unbounded results with Dist2 <= bound (capped at k).
-func TestKNearestCtxBound(t *testing.T) {
+func TestKNearestCtxBound(t *testing.T) { eachPolicy(t, testKNearestCtxBound) }
+
+func testKNearestCtxBound(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(89))
 	pts := randPoints(rng, 500, 6)
-	tr := buildPointTree(t, pts, Options{})
+	tr := buildPointTree(t, pts, policy)
 	var qc QueryCtx
 	for qi := 0; qi < 50; qi++ {
 		q := randPoints(rng, 1, 6)[0]
@@ -237,20 +209,21 @@ func TestKNearestCtxBound(t *testing.T) {
 }
 
 // A warm QueryCtx answers every query form without allocating.
-func TestQueryCtxZeroAllocs(t *testing.T) {
+func TestQueryCtxZeroAllocs(t *testing.T) { eachPolicy(t, testQueryCtxZeroAllocs) }
+
+func testQueryCtxZeroAllocs(t *testing.T, policy overflowPolicy) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	rng := rand.New(rand.NewSource(97))
 	const n, d = 600, 8
 	pts := randPoints(rng, n, d)
-	tr := buildPointTree(t, pts, Options{})
+	tr := buildPointTree(t, pts, policy)
 	coords := make([]float64, n*d)
 	for i, p := range pts {
 		copy(coords[i*d:], p)
 	}
 	qs := randPoints(rng, 64, d)
-	w := randRects(rng, 1, d, 0.5)[0]
 
 	var qc QueryCtx
 	ids := make([]int64, 0, n)
@@ -260,7 +233,7 @@ func TestQueryCtxZeroAllocs(t *testing.T) {
 			ids = tr.PointQueryData(&qc, q, ids[:0])
 			tr.NearestCandidate(&qc, q, coords)
 			nbrs = tr.KNearestCtx(&qc, q, 10, math.Inf(1), nbrs[:0])
-			tr.BeginRange(&qc, w)
+			tr.BeginPoint(&qc, q)
 			for {
 				if _, ok := qc.NextData(); !ok {
 					break

@@ -2,11 +2,14 @@ package xtree
 
 import (
 	"container/heap"
+	"math"
+	"sort"
 
 	"repro/internal/vec"
 )
 
-// Neighbor is one result of a (k-)nearest-neighbor query.
+// Neighbor is one result of a (k-)nearest-neighbor query. Dist2 is the
+// squared Euclidean distance from the query point to the entry's rectangle.
 type Neighbor struct {
 	Entry Entry
 	Dist2 float64
@@ -29,12 +32,8 @@ func (t *Tree) Search(q vec.Rect, visit func(Entry) bool) {
 	t.searchNode(t.root, func(r vec.Rect) bool { return r.Intersects(q) }, visit)
 }
 
-// SphereQuery visits every leaf entry whose rectangle intersects the
-// Euclidean ball around center.
-func (t *Tree) SphereQuery(center vec.Point, radius float64, visit func(Entry) bool) {
-	t.searchNode(t.root, func(r vec.Rect) bool { return r.IntersectsSphere(center, radius) }, visit)
-}
-
+// searchNode is the generic overlap-driven traversal; pred must be monotone
+// (true for a child's rect whenever it is true for a contained rect).
 func (t *Tree) searchNode(n *node, pred func(vec.Rect) bool, visit func(Entry) bool) bool {
 	t.accessNode(n)
 	for i := range n.entries {
@@ -171,4 +170,62 @@ func (h *resultHeap) Pop() interface{} {
 	it := old[n-1]
 	*h = old[:n-1]
 	return it
+}
+
+// NearestNeighborDF is the depth-first branch-and-bound nearest-neighbor
+// search of Roussopoulos, Kelley and Vincent [RKV 95]: active branch lists
+// sorted by MINDIST, pruned with MINMAXDIST. This is the R-tree NN algorithm
+// the paper benchmarks against (its CPU cost — sorting nodes by min–max
+// distance — is what Fig. 9 attributes the R-tree's slowness to).
+func (t *Tree) NearestNeighborDF(q vec.Point) (e Entry, dist2 float64, ok bool) {
+	if t.size == 0 {
+		return Entry{}, 0, false
+	}
+	best := math.Inf(1)
+	var bestEntry Entry
+	t.nnDF(t.root, q, &best, &bestEntry)
+	return bestEntry, best, true
+}
+
+func (t *Tree) nnDF(n *node, q vec.Point, best *float64, bestEntry *Entry) {
+	t.accessNode(n)
+	metric := vec.Euclidean{}
+	if n.level == 0 {
+		for i := range n.entries {
+			e := &n.entries[i]
+			if d2 := metric.MinDist2(q, e.rect); d2 < *best {
+				*best = d2
+				*bestEntry = Entry{Rect: e.rect, Data: e.data}
+			}
+		}
+		return
+	}
+	// Build the active branch list: (MINDIST, MINMAXDIST) per child.
+	type branch struct {
+		idx              int
+		minDist, minMax2 float64
+	}
+	abl := make([]branch, 0, len(n.entries))
+	for i := range n.entries {
+		abl = append(abl, branch{
+			idx:     i,
+			minDist: metric.MinDist2(q, n.entries[i].rect),
+			minMax2: vec.MinMaxDist2(q, n.entries[i].rect),
+		})
+	}
+	sort.Slice(abl, func(a, b int) bool { return abl[a].minDist < abl[b].minDist })
+	// Downward pruning: a branch whose MINDIST exceeds the smallest
+	// MINMAXDIST cannot contain the NN.
+	minMinMax := math.Inf(1)
+	for _, b := range abl {
+		if b.minMax2 < minMinMax {
+			minMinMax = b.minMax2
+		}
+	}
+	for _, b := range abl {
+		if b.minDist > *best || b.minDist > minMinMax {
+			continue
+		}
+		t.nnDF(n.entries[b.idx].child, q, best, bestEntry)
+	}
 }

@@ -1,6 +1,12 @@
-// Package xtree implements the X-tree of Berchtold, Keim and Kriegel
-// [BKK 96] — the paper's main competitor index and also the structure in
-// which it stores NN-cell approximations.
+// Package xtree is the repository's one tree engine. It implements the X-tree
+// of Berchtold, Keim and Kriegel [BKK 96] — the paper's main competitor index
+// and also the structure in which it stores NN-cell approximations — and, as
+// a second overflow policy of the same engine, the R*-tree of Beckmann,
+// Kriegel, Schneider and Seeger [BKSS 90], the paper's other baseline. Node
+// layout, page accounting, ChooseSubtree, the topological split, bulk
+// loading, deletion and every search are shared; the two differ only in what
+// an overflowing node does, and the constructor fixes that: New and BulkLoad
+// build X-trees, NewRStar an R*-tree.
 //
 // The X-tree extends the R*-tree for high-dimensional data with two ideas:
 //
@@ -18,6 +24,15 @@
 //     the pager accounting reflects.
 //
 // Leaf nodes split with the plain R* topological split.
+//
+// The R*-tree instead answers the first overflow on each level of one
+// insertion with a forced reinsert of the 30 % of the node's entries farthest
+// from its center, splits topologically otherwise, and never forms a
+// supernode.
+//
+// All structural page accesses are recorded against a pager.Pager so that
+// experiments can report page accesses and cache behaviour exactly as the
+// paper does.
 package xtree
 
 import (
@@ -35,14 +50,13 @@ type Entry struct {
 	Data int64
 }
 
-// Options tune the X-tree. The zero value selects the published defaults.
+// Options tune the X-tree's directory overflow. The zero value selects the
+// published defaults.
 type Options struct {
 	// MaxOverlap is the split-overlap threshold above which the tree tries an
 	// overlap-minimal split (and, failing that, creates a supernode).
 	// Defaults to 0.2, the value of [BKK 96].
 	MaxOverlap float64
-	// MinFillRatio is the minimum fill for split groups. Defaults to 0.4.
-	MinFillRatio float64
 	// MaxSupernodePages caps supernode growth; 0 means unlimited.
 	MaxSupernodePages int
 }
@@ -51,10 +65,29 @@ func (o *Options) normalize() {
 	if o.MaxOverlap <= 0 || o.MaxOverlap >= 1 {
 		o.MaxOverlap = 0.2
 	}
-	if o.MinFillRatio <= 0 || o.MinFillRatio > 0.5 {
-		o.MinFillRatio = 0.4
-	}
 }
+
+const (
+	// minFillRatio is the minimum node fill m/M of both papers.
+	minFillRatio = 0.4
+	// reinsertRatio is the share of a node's entries a forced reinsert
+	// removes [BKSS 90, §4.3].
+	reinsertRatio = 0.3
+)
+
+// overflowPolicy is what a node does when it holds more entries than its
+// pages take. It is fixed by the constructor.
+type overflowPolicy uint8
+
+const (
+	// splitBKK is the X-tree: a leaf splits topologically; a directory node
+	// tries the topological split, then the overlap-minimal one, and becomes a
+	// supernode when neither is acceptable.
+	splitBKK overflowPolicy = iota
+	// reinsertBKSS is the R*-tree: forced reinsert once per level per
+	// insertion, the topological split otherwise.
+	reinsertBKSS
+)
 
 type entry struct {
 	rect  vec.Rect
@@ -143,12 +176,14 @@ func (n *node) mbr(dim int) vec.Rect {
 	return r
 }
 
-// Tree is an X-tree. Like the R*-tree it is not safe for concurrent
-// mutation.
+// Tree is an X-tree or, built by NewRStar, an R*-tree. It is not safe for
+// concurrent mutation; concurrent read-only queries are safe only against a
+// quiescent tree.
 type Tree struct {
-	dim  int
-	pg   *pager.Pager
-	opts Options
+	dim    int
+	pg     *pager.Pager
+	opts   Options
+	policy overflowPolicy
 
 	baseMax    int // entries per single page (M)
 	minEntries int // m for split balance
@@ -156,13 +191,39 @@ type Tree struct {
 	height     int
 	size       int
 	supernodes int // live supernode count (statistics)
+
+	// queue holds the entries one Insert or one condensed orphan still has to
+	// place: the entry itself, then whatever forced reinserts evicted.
+	// reinserted has bit l set once level l was treated by reinsert during the
+	// current queue ([BKSS 90]: at most once per level per inserted rectangle).
+	queue      []pendingInsert
+	reinserted uint64
 }
 
-// EntryBytes returns the per-entry page footprint at dimensionality d.
+// pendingInsert is an entry waiting to be (re)inserted at a given level.
+type pendingInsert struct {
+	e     entry
+	level int
+}
+
+// EntryBytes returns the on-page size of one entry at dimensionality d: a
+// 2·d-coordinate rectangle of float64 plus an 8-byte pointer/datum, matching
+// the paper's space accounting ("2·d floats per approximation").
 func EntryBytes(d int) int { return 16*d + 8 }
 
 // New creates an empty X-tree of dimensionality d over the given pager.
 func New(d int, pg *pager.Pager, opts Options) *Tree {
+	return newTree(d, pg, opts, splitBKK)
+}
+
+// NewRStar creates an empty R*-tree of dimensionality d over the given pager.
+func NewRStar(d int, pg *pager.Pager) *Tree {
+	return newTree(d, pg, Options{}, reinsertBKSS)
+}
+
+// newTree derives the fanout from the pager's block size; a minimum fanout of
+// 4 is enforced so the split heuristics remain well defined at extreme d.
+func newTree(d int, pg *pager.Pager, opts Options, policy overflowPolicy) *Tree {
 	if d <= 0 {
 		panic("xtree: non-positive dimensionality")
 	}
@@ -171,11 +232,11 @@ func New(d int, pg *pager.Pager, opts Options) *Tree {
 	if m < 4 {
 		m = 4
 	}
-	minE := int(float64(m) * opts.MinFillRatio)
+	minE := int(float64(m) * minFillRatio)
 	if minE < 1 {
 		minE = 1
 	}
-	t := &Tree{dim: d, pg: pg, opts: opts, baseMax: m, minEntries: minE}
+	t := &Tree{dim: d, pg: pg, opts: opts, policy: policy, baseMax: m, minEntries: minE}
 	t.root = t.newNode(0, 1)
 	t.height = 1
 	return t
@@ -208,30 +269,37 @@ func (t *Tree) Supernodes() int { return t.supernodes }
 // MaxEntries returns the single-page node capacity M.
 func (t *Tree) MaxEntries() int { return t.baseMax }
 
-// Bounds returns the MBR of all data.
-func (t *Tree) Bounds() vec.Rect {
-	if t.size == 0 {
-		return vec.EmptyRect(t.dim)
-	}
-	return t.root.mbr(t.dim)
-}
-
 // Insert adds a rectangle with its datum.
 func (t *Tree) Insert(r vec.Rect, data int64) {
 	if r.Dim() != t.dim {
 		panic(fmt.Sprintf("xtree: insert of %d-dim rect into %d-dim tree", r.Dim(), t.dim))
 	}
-	split := t.insertAt(t.root, entry{rect: r.Clone(), data: data})
-	if split != nil {
-		oldRoot := t.root
-		t.root = t.newNode(oldRoot.level+1, 1)
-		t.root.entries = append(t.root.entries,
-			entry{rect: oldRoot.mbr(t.dim), child: oldRoot},
-			*split)
-		t.writeNode(t.root)
-		t.height++
-	}
+	t.insertQueued(entry{rect: r.Clone(), data: data}, 0)
 	t.size++
+}
+
+// insertQueued places e at the given level and then everything forced
+// reinserts evicted on the way. Evicted entries do not recurse into the tree
+// while an insertion pass is on the stack: they wait in the queue until the
+// current root-to-leaf pass completes, so a reinsert-triggered split can
+// never invalidate ancestors held by the recursion.
+func (t *Tree) insertQueued(e entry, level int) {
+	t.reinserted = 0
+	t.queue = append(t.queue[:0], pendingInsert{e, level})
+	for i := 0; i < len(t.queue); i++ {
+		p := t.queue[i]
+		if split := t.insertAt(t.root, p.e, p.level); split != nil {
+			// Root split: grow the tree.
+			oldRoot := t.root
+			t.root = t.newNode(oldRoot.level+1, 1)
+			t.root.entries = append(t.root.entries,
+				entry{rect: oldRoot.mbr(t.dim), child: oldRoot},
+				*split)
+			t.writeNode(t.root)
+			t.height++
+		}
+	}
+	clear(t.queue) // the scratch must not keep entries of later deletes alive
 }
 
 func (t *Tree) accessNode(n *node) { t.pg.AccessRun(n.pages) }
@@ -248,30 +316,33 @@ func (t *Tree) writeNode(n *node) {
 	}
 }
 
-func (t *Tree) insertAt(n *node, e entry) *entry {
+// insertAt descends from n to the target level and adds e there: a data entry
+// at level 0, a subtree entry (a forced-reinsert eviction or a condensed
+// orphan) at the level it came from. It returns a non-nil entry if n was
+// split (the new sibling).
+func (t *Tree) insertAt(n *node, e entry, level int) *entry {
 	t.accessNode(n)
-	if n.level == 0 {
-		n.entries = append(n.entries, e)
-		t.writeNode(n)
-		if len(n.entries) > t.capacity(n) {
-			return t.overflowLeaf(n)
+	if n.level > level {
+		i := t.chooseSubtree(n, e.rect)
+		split := t.insertAt(n.entries[i].child, e, level)
+		n.entries[i].rect = n.entries[i].child.mbr(t.dim)
+		if split != nil {
+			n.entries = append(n.entries, *split)
 		}
-		return nil
-	}
-	i := t.chooseSubtree(n, e.rect)
-	split := t.insertAt(n.entries[i].child, e)
-	n.entries[i].rect = n.entries[i].child.mbr(t.dim)
-	if split != nil {
-		n.entries = append(n.entries, *split)
+	} else {
+		n.entries = append(n.entries, e)
 	}
 	t.writeNode(n)
 	if len(n.entries) > t.capacity(n) {
-		return t.overflowDir(n)
+		return t.overflow(n)
 	}
 	return nil
 }
 
-// chooseSubtree is the R* descent rule (the X-tree inherits it unchanged).
+// chooseSubtree is the R* descent rule (the X-tree inherits it unchanged): at
+// the level directly above the leaves, minimize overlap enlargement (ties:
+// area enlargement, then area); higher up, minimize area enlargement (ties:
+// area).
 func (t *Tree) chooseSubtree(n *node, r vec.Rect) int {
 	best := 0
 	if n.level == 1 {
@@ -315,6 +386,8 @@ func (t *Tree) chooseSubtree(n *node, r vec.Rect) int {
 	return best
 }
 
+// overlapEnlargement computes how much the overlap of entry i with its
+// siblings grows when i is enlarged to cover r.
 func (t *Tree) overlapEnlargement(n *node, i int, r vec.Rect) float64 {
 	enlarged := n.entries[i].rect.Union(r)
 	delta := 0.0
@@ -328,18 +401,19 @@ func (t *Tree) overlapEnlargement(n *node, i int, r vec.Rect) float64 {
 	return delta
 }
 
-// overflowLeaf splits a data node with the plain topological split.
-func (t *Tree) overflowLeaf(n *node) *entry {
-	g1, g2 := t.topologicalSplit(n.entries)
-	return t.applySplit(n, g1, g2)
-}
-
-// overflowDir handles directory-node overflow per the X-tree algorithm:
+// overflow treats a node holding more entries than its pages take. A data
+// node of the X-tree and every node of the R*-tree past its forced reinsert
+// split topologically; a directory node of the X-tree follows [BKK 96]:
 // topological split if its overlap is acceptable, otherwise overlap-minimal
 // split, otherwise supernode extension.
-func (t *Tree) overflowDir(n *node) *entry {
+func (t *Tree) overflow(n *node) *entry {
+	if t.policy == reinsertBKSS && n != t.root && t.reinserted&(1<<n.level) == 0 {
+		t.reinserted |= 1 << n.level
+		t.reinsert(n)
+		return nil
+	}
 	g1, g2 := t.topologicalSplit(n.entries)
-	if t.splitOverlap(g1, g2) <= t.opts.MaxOverlap {
+	if t.policy == reinsertBKSS || n.level == 0 || t.splitOverlap(g1, g2) <= t.opts.MaxOverlap {
 		return t.applySplit(n, g1, g2)
 	}
 	if o1, o2, ok := t.overlapMinimalSplit(n.entries); ok {
@@ -352,6 +426,40 @@ func (t *Tree) overflowDir(n *node) *entry {
 	}
 	t.extendSupernode(n)
 	return nil
+}
+
+// reinsert removes the reinsertRatio share of entries farthest from the node
+// MBR's center and queues them for reinsertion at n's level ("far reinsert").
+func (t *Tree) reinsert(n *node) {
+	p := int(float64(t.baseMax+1) * reinsertRatio)
+	if p < 1 {
+		p = 1
+	}
+	center := n.mbr(t.dim).Center()
+	type ranked struct {
+		idx  int
+		dist float64
+	}
+	order := make([]ranked, len(n.entries))
+	for i := range n.entries {
+		c := n.entries[i].rect.Center()
+		order[i] = ranked{i, vec.Euclidean{}.Dist2(center, c)}
+	}
+	sort.Slice(order, func(a, b int) bool { return order[a].dist > order[b].dist })
+	drop := make(map[int]bool, p)
+	for _, r := range order[:p] {
+		drop[r.idx] = true
+	}
+	kept := n.entries[:0]
+	for i := range n.entries {
+		if drop[i] {
+			t.queue = append(t.queue, pendingInsert{n.entries[i], n.level})
+		} else {
+			kept = append(kept, n.entries[i])
+		}
+	}
+	n.entries = kept
+	t.writeNode(n)
 }
 
 // splitOverlap is the Jaccard-style overlap measure of [BKK 96]:
@@ -436,7 +544,7 @@ func (t *Tree) extendSupernode(n *node) {
 }
 
 // topologicalSplit is the R* split: axis by minimum margin sum, distribution
-// by minimum overlap (ties: minimum area).
+// by minimum overlap (ties: minimum combined area) [BKSS 90, §4.2].
 func (t *Tree) topologicalSplit(entries []entry) (g1, g2 []entry) {
 	d := t.dim
 	total := len(entries)
@@ -607,10 +715,7 @@ func (t *Tree) findLeaf(n *node, r vec.Rect, data int64, path *[]*node) (*node, 
 // (nothing above it can have changed). Supernodes that shrank back under
 // single-page capacity revert along the way.
 func (t *Tree) condensePath(path []*node) {
-	var orphans []struct {
-		e     entry
-		level int
-	}
+	var orphans []pendingInsert
 	for i := len(path) - 1; i > 0; i-- {
 		n, parent := path[i], path[i-1]
 		j := -1
@@ -625,10 +730,7 @@ func (t *Tree) condensePath(path []*node) {
 		}
 		if len(n.entries) < t.minEntries {
 			for _, e := range n.entries {
-				orphans = append(orphans, struct {
-					e     entry
-					level int
-				}{e, n.level})
+				orphans = append(orphans, pendingInsert{e, n.level})
 			}
 			t.freeNode(n)
 			parent.entries = append(parent.entries[:j], parent.entries[j+1:]...)
@@ -645,7 +747,7 @@ func (t *Tree) condensePath(path []*node) {
 	}
 	t.revertSupernode(t.root)
 	for _, o := range orphans {
-		t.insertOrphan(o.e, o.level)
+		t.insertQueued(o.e, o.level)
 	}
 	for t.root.level > 0 && len(t.root.entries) == 1 {
 		child := t.root.entries[0].child
@@ -693,46 +795,6 @@ func (t *Tree) Release() {
 		}
 	}
 	walk(t.root)
-}
-
-// insertOrphan re-adds a subtree entry at the given level after condensation.
-func (t *Tree) insertOrphan(e entry, level int) {
-	split := t.orphanAt(t.root, e, level)
-	if split != nil {
-		oldRoot := t.root
-		t.root = t.newNode(oldRoot.level+1, 1)
-		t.root.entries = append(t.root.entries,
-			entry{rect: oldRoot.mbr(t.dim), child: oldRoot},
-			*split)
-		t.writeNode(t.root)
-		t.height++
-	}
-}
-
-func (t *Tree) orphanAt(n *node, e entry, level int) *entry {
-	t.accessNode(n)
-	if n.level == level {
-		n.entries = append(n.entries, e)
-		t.writeNode(n)
-		if len(n.entries) > t.capacity(n) {
-			if n.level == 0 {
-				return t.overflowLeaf(n)
-			}
-			return t.overflowDir(n)
-		}
-		return nil
-	}
-	i := t.chooseSubtree(n, e.rect)
-	split := t.orphanAt(n.entries[i].child, e, level)
-	n.entries[i].rect = n.entries[i].child.mbr(t.dim)
-	if split != nil {
-		n.entries = append(n.entries, *split)
-	}
-	t.writeNode(n)
-	if len(n.entries) > t.capacity(n) {
-		return t.overflowDir(n)
-	}
-	return nil
 }
 
 // CheckInvariants validates the structure for tests.

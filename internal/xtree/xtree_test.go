@@ -27,46 +27,90 @@ func randPoints(rng *rand.Rand, n, d int) []vec.Point {
 	return pts
 }
 
-func buildPointTree(t testing.TB, pts []vec.Point, opts Options) *Tree {
+// eachPolicy runs f as one subtest per overflow policy: everything but the
+// supernode cases holds for the X-tree and the R*-tree alike, on one engine.
+func eachPolicy(t *testing.T, f func(t *testing.T, policy overflowPolicy)) {
+	for _, p := range []struct {
+		name   string
+		policy overflowPolicy
+	}{{"xtree", splitBKK}, {"rstar", reinsertBKSS}} {
+		t.Run(p.name, func(t *testing.T) { f(t, p.policy) })
+	}
+}
+
+func buildPointTree(t testing.TB, pts []vec.Point, policy overflowPolicy) *Tree {
 	t.Helper()
-	tr := New(pts[0].Dim(), newTestPager(), opts)
+	tr := newTree(pts[0].Dim(), newTestPager(), Options{}, policy)
 	for i, p := range pts {
 		tr.Insert(vec.PointRect(p), int64(i))
 	}
 	return tr
 }
 
-func TestEmptyTree(t *testing.T) {
-	tr := New(4, newTestPager(), Options{})
+// The overflow policy is the constructor's choice and nothing else's.
+func TestConstructorsFixThePolicy(t *testing.T) {
+	if p := New(3, newTestPager(), Options{}).policy; p != splitBKK {
+		t.Errorf("New: policy %d", p)
+	}
+	if p := BulkLoad(3, newTestPager(), Options{}, nil).policy; p != splitBKK {
+		t.Errorf("BulkLoad: policy %d", p)
+	}
+	if p := NewRStar(3, newTestPager()).policy; p != reinsertBKSS {
+		t.Errorf("NewRStar: policy %d", p)
+	}
+}
+
+func TestEmptyTree(t *testing.T) { eachPolicy(t, testEmptyTree) }
+
+func testEmptyTree(t *testing.T, policy overflowPolicy) {
+	tr := newTree(4, newTestPager(), Options{}, policy)
 	if tr.Len() != 0 || tr.Height() != 1 || tr.Supernodes() != 0 {
 		t.Errorf("Len=%d Height=%d Super=%d", tr.Len(), tr.Height(), tr.Supernodes())
 	}
 	if _, _, ok := tr.NearestNeighbor(vec.Point{0, 0, 0, 0}); ok {
 		t.Error("NN on empty tree returned ok")
 	}
+	if _, _, ok := tr.NearestNeighborDF(vec.Point{0, 0, 0, 0}); ok {
+		t.Error("depth-first NN on empty tree returned ok")
+	}
+	if got := tr.KNearest(vec.Point{0, 0, 0, 0}, 3); got != nil {
+		t.Errorf("KNearest on empty tree = %v", got)
+	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestInsertAndInvariants(t *testing.T) {
+func TestInsertAndInvariants(t *testing.T) { eachPolicy(t, testInsertAndInvariants) }
+
+func testInsertAndInvariants(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(21))
 	for _, d := range []int{2, 6, 12, 16} {
 		pts := randPoints(rng, 600, d)
-		tr := buildPointTree(t, pts, Options{})
+		tr := buildPointTree(t, pts, policy)
 		if tr.Len() != 600 {
 			t.Fatalf("d=%d: Len=%d", d, tr.Len())
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
+		if tr.Height() < 2 {
+			t.Errorf("d=%d: tree did not grow (height %d)", d, tr.Height())
+		}
+		if policy == reinsertBKSS && tr.Supernodes() != 0 {
+			t.Errorf("d=%d: R*-tree formed %d supernodes", d, tr.Supernodes())
+		}
 	}
 }
 
 func TestPointQueryFindsInsertedPoints(t *testing.T) {
+	eachPolicy(t, testPointQueryFindsInsertedPoints)
+}
+
+func testPointQueryFindsInsertedPoints(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(22))
 	pts := randPoints(rng, 400, 5)
-	tr := buildPointTree(t, pts, Options{})
+	tr := buildPointTree(t, pts, policy)
 	for i, p := range pts {
 		found := false
 		tr.PointQuery(p, func(e Entry) bool {
@@ -82,11 +126,13 @@ func TestPointQueryFindsInsertedPoints(t *testing.T) {
 	}
 }
 
-func TestNearestNeighborMatchesScan(t *testing.T) {
+func TestNearestNeighborMatchesScan(t *testing.T) { eachPolicy(t, testNearestNeighborMatchesScan) }
+
+func testNearestNeighborMatchesScan(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(23))
 	for _, d := range []int{2, 8, 14} {
 		pts := randPoints(rng, 500, d)
-		tr := buildPointTree(t, pts, Options{})
+		tr := buildPointTree(t, pts, policy)
 		oracle := scan.New(pts, vec.Euclidean{}, newTestPager())
 		for trial := 0; trial < 80; trial++ {
 			q := randPoints(rng, 1, d)[0]
@@ -95,14 +141,20 @@ func TestNearestNeighborMatchesScan(t *testing.T) {
 			if !ok || absDiff(gotD2, wantD2) > 1e-12 {
 				t.Fatalf("d=%d trial %d: got %v want %v ok=%v", d, trial, gotD2, wantD2, ok)
 			}
+			// The depth-first search [RKV 95] must agree.
+			if _, dfD2, _ := tr.NearestNeighborDF(q); absDiff(dfD2, wantD2) > 1e-12 {
+				t.Fatalf("d=%d trial %d: DF NN dist %v, scan %v", d, trial, dfD2, wantD2)
+			}
 		}
 	}
 }
 
-func TestKNearestMatchesScan(t *testing.T) {
+func TestKNearestMatchesScan(t *testing.T) { eachPolicy(t, testKNearestMatchesScan) }
+
+func testKNearestMatchesScan(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(24))
 	pts := randPoints(rng, 300, 6)
-	tr := buildPointTree(t, pts, Options{})
+	tr := buildPointTree(t, pts, policy)
 	oracle := scan.New(pts, vec.Euclidean{}, newTestPager())
 	for trial := 0; trial < 25; trial++ {
 		q := randPoints(rng, 1, 6)[0]
@@ -118,12 +170,17 @@ func TestKNearestMatchesScan(t *testing.T) {
 			}
 		}
 	}
+	if got := tr.KNearest(make(vec.Point, 6), 1000); len(got) != 300 {
+		t.Errorf("k larger than the dataset returned %d results", len(got))
+	}
 }
 
-func TestRangeSearchMatchesBruteForce(t *testing.T) {
+func TestRangeSearchMatchesBruteForce(t *testing.T) { eachPolicy(t, testRangeSearchMatchesBruteForce) }
+
+func testRangeSearchMatchesBruteForce(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(25))
 	pts := randPoints(rng, 400, 3)
-	tr := buildPointTree(t, pts, Options{})
+	tr := buildPointTree(t, pts, policy)
 	for trial := 0; trial < 40; trial++ {
 		lo := make(vec.Point, 3)
 		hi := make(vec.Point, 3)
@@ -211,10 +268,12 @@ func TestSupernodeAccessCostsMultiplePages(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
+func TestDelete(t *testing.T) { eachPolicy(t, testDelete) }
+
+func testDelete(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(28))
 	pts := randPoints(rng, 300, 4)
-	tr := buildPointTree(t, pts, Options{})
+	tr := buildPointTree(t, pts, policy)
 	for i := 0; i < 150; i++ {
 		if !tr.Delete(vec.PointRect(pts[i]), int64(i)) {
 			t.Fatalf("Delete(%d) failed", i)
@@ -225,6 +284,19 @@ func TestDelete(t *testing.T) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if tr.Delete(vec.PointRect(pts[0]), 0) {
+		t.Error("second delete of the same entry succeeded")
+	}
+	for i, p := range pts {
+		found := false
+		tr.PointQuery(p, func(e Entry) bool {
+			found = found || e.Data == int64(i)
+			return !found
+		})
+		if found != (i >= 150) {
+			t.Fatalf("point %d: found=%v after deleting the first 150", i, found)
+		}
 	}
 	oracle := scan.New(pts[150:], vec.Euclidean{}, newTestPager())
 	for trial := 0; trial < 40; trial++ {
@@ -242,6 +314,9 @@ func TestDelete(t *testing.T) {
 	}
 	if tr.Len() != 0 {
 		t.Fatalf("Len after all deletes = %d", tr.Len())
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -264,9 +339,11 @@ func TestMaxSupernodePagesCap(t *testing.T) {
 	}
 }
 
-func TestMixedWorkload(t *testing.T) {
+func TestMixedWorkload(t *testing.T) { eachPolicy(t, testMixedWorkload) }
+
+func testMixedWorkload(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(30))
-	tr := New(3, newTestPager(), Options{})
+	tr := newTree(3, newTestPager(), Options{}, policy)
 	live := map[int64]vec.Point{}
 	next := int64(0)
 	for op := 0; op < 1500; op++ {
@@ -292,6 +369,9 @@ func TestMixedWorkload(t *testing.T) {
 			}
 		}
 	}
+	if tr.Len() != len(live) {
+		t.Fatalf("Len=%d, live=%d", tr.Len(), len(live))
+	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,10 +382,12 @@ func TestMixedWorkload(t *testing.T) {
 // cell) at a dimensionality that forms supernodes, checking invariants and
 // range-query equivalence throughout — the path-based condense must keep
 // every stored directory MBR exact and revert shrunken supernodes.
-func TestDeleteCondensePath(t *testing.T) {
+func TestDeleteCondensePath(t *testing.T) { eachPolicy(t, testDeleteCondensePath) }
+
+func testDeleteCondensePath(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(31))
 	d := 8
-	tr := New(d, newTestPager(), Options{})
+	tr := newTree(d, newTestPager(), Options{}, policy)
 	mkRect := func() vec.Rect {
 		lo := make(vec.Point, d)
 		hi := make(vec.Point, d)
@@ -375,6 +457,34 @@ func TestDeleteCondensePath(t *testing.T) {
 	}
 }
 
+func TestPageAccountingDuringQueries(t *testing.T) { eachPolicy(t, testPageAccountingDuringQueries) }
+
+func testPageAccountingDuringQueries(t *testing.T, policy overflowPolicy) {
+	rng := rand.New(rand.NewSource(10))
+	tr := buildPointTree(t, randPoints(rng, 1000, 8), policy)
+	q := vec.Point{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
+	for name, search := range map[string]func(){
+		"best-first":  func() { tr.NearestNeighbor(q) },
+		"depth-first": func() { tr.NearestNeighborDF(q) },
+	} {
+		tr.pg.ResetStats()
+		search()
+		if acc := tr.pg.Stats().Accesses; acc == 0 || acc > uint64(tr.pg.LivePages()) {
+			t.Errorf("%s NN accessed %d pages of a tree of %d", name, acc, tr.pg.LivePages())
+		}
+	}
+}
+
+func TestDimMismatchPanics(t *testing.T) {
+	tr := New(2, newTestPager(), Options{})
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on dim mismatch")
+		}
+	}()
+	tr.Insert(vec.PointRect(vec.Point{1, 2, 3}), 0)
+}
+
 func absDiff(a, b float64) float64 {
 	if a > b {
 		return a - b
@@ -398,7 +508,7 @@ func BenchmarkInsertD16(b *testing.B) {
 func BenchmarkNearestNeighborD16(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	pts := randPoints(rng, 10000, 16)
-	tr := buildPointTree(b, pts, Options{})
+	tr := buildPointTree(b, pts, splitBKK)
 	qs := randPoints(rng, 64, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -443,7 +553,7 @@ func TestPointLeavesShareOneMirror(t *testing.T) {
 		items[i] = Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(i)}
 	}
 	for name, tr := range map[string]*Tree{
-		"inserted":    buildPointTree(t, pts, Options{}),
+		"inserted":    buildPointTree(t, pts, splitBKK),
 		"bulk-loaded": BulkLoad(d, newTestPager(), Options{}, items),
 	} {
 		if err := tr.CheckInvariants(); err != nil {
