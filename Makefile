@@ -1,9 +1,10 @@
-# Development workflow. `make check` is the pre-commit gate; the bench
-# targets track the construction and query hot paths (see DESIGN.md
-# §"Construction hot path" and §"Query engine").
+# Development workflow. `make check` is the pre-commit gate; bench-smoke
+# gates the construction and query hot paths (see DESIGN.md §"Construction
+# hot path" and §"Query engine"), bench-query regenerates BENCH_query.json.
+# The system's own speed claims are measured by bench/ (BENCHMARK.json).
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench-module fuzz-smoke bench-build bench-query bench-dynamic bench-bulk bench-serve bench-route bench
+.PHONY: check vet build test race bench-smoke bench-module fuzz-smoke bench-query bench
 
 check: vet build test race bench-smoke bench-module fuzz-smoke
 
@@ -38,11 +39,14 @@ race:
 # runs at 0 allocs/op, BenchmarkQueryKNearest unless the warm k = 10 query
 # does; BenchmarkCellDirUpdate tracks the two directories' share of a cell
 # recompute and of a point insert + delete, BenchmarkInsertEager one whole
-# eager insert (ms, LP solves and cells recomputed per op), and the
-# query-bench tool must still run end to end.
+# eager insert (ms, LP solves and cells recomputed per op),
+# BenchmarkDynamicInsert concurrent inserts at 1, 2 and 4 shards (the only
+# record of shard-count scaling), and the query-bench tool must still run end
+# to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveMBR|BenchmarkBuild/NN-Direction' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery(Nearest|KNearest)$$/NN-Direction/d=8|BenchmarkCellDirUpdate|BenchmarkInsertEager' -benchtime 1x ./internal/nncell/
+	$(GO) test -run '^$$' -bench BenchmarkDynamicInsert -benchtime 1x ./internal/shard/
 	$(GO) run ./cmd/experiments -bench-query /tmp/BENCH_query_smoke.json -bench-n 60 -bench-dims 4
 
 # Ten seconds of native fuzzing per target, on top of the seed corpora that
@@ -65,11 +69,6 @@ bench-module:
 bench:
 	$(GO) test -run '^$$' -bench . .
 
-# Regenerate the machine-readable construction-performance record that is
-# tracked across PRs.
-bench-build:
-	$(GO) run ./cmd/experiments -bench-build BENCH_build.json
-
 # Regenerate the machine-readable query-performance record (QPS, speedup of
 # the cell directory over the paged cell X-tree, work counters) tracked across
 # PRs, plus the large-n scale pass (n=10^5: directory vs paged tree, data
@@ -77,28 +76,3 @@ bench-build:
 # 10^5-point indexes and takes a few minutes.
 bench-query:
 	$(GO) run ./cmd/experiments -bench-query BENCH_query.json -bench-scale-n 100000
-
-# Regenerate the machine-readable dynamic-maintenance record: concurrent
-# insert throughput at shard counts 1/2/4/8 (d=8) for base sizes 512 and
-# 10^4, tracked across PRs.
-bench-dynamic:
-	$(GO) run ./cmd/experiments -bench-dynamic BENCH_dynamic.json
-
-# Regenerate the machine-readable bulk-maintenance record: InsertBatch vs
-# per-op Insert at n=10^4 and 10^5 (ack + flush), plus the auto-threshold
-# constraint-selection trade. The 10^5 run takes several minutes.
-bench-bulk:
-	$(GO) run ./cmd/experiments -bench-bulk BENCH_bulk.json
-
-# Regenerate the machine-readable serving-performance record: the open-loop
-# Zipf hot-spot workload against the bare index, the result-cached index,
-# and the cached index under insert churn (p50/p99, hit rate, invalidation
-# counts, cache speedup).
-bench-serve:
-	$(GO) run ./cmd/experiments -bench-serve BENCH_serve.json
-
-# Regenerate the machine-readable routing record: shards visited per NN query
-# and query latency under hash vs grid routing at S=16/64, uniform and
-# near-data workloads, every answer verified against the sequential scan.
-bench-route:
-	$(GO) run ./cmd/experiments -bench-route BENCH_route.json

@@ -121,8 +121,8 @@ func BenchmarkFig13Decomposition(b *testing.B) {
 
 // BenchmarkBuild measures full index construction (ns/op and allocs/op) for
 // every constraint-selection algorithm across dimensions — the quantity the
-// paper's §2 optimizes and the one BENCH_build.json tracks across PRs
-// (regenerate with `make bench-build`).
+// paper's §2 optimizes — and reports the LP work and the stored fragments of
+// one build next to them.
 func BenchmarkBuild(b *testing.B) {
 	const n = 250
 	for _, alg := range nncell.Algorithms() {
@@ -130,11 +130,14 @@ func BenchmarkBuild(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/d=%d", alg, d), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(int64(100*d + int(alg))))
 				pts := dataset.Deduplicate(dataset.Uniform(rng, n, d))
+				var stats nncell.Stats
 				build := func() {
-					if _, err := nncell.Build(pts, vec.UnitCube(d), pager.New(pager.Config{}),
-						nncell.Options{Algorithm: alg}); err != nil {
+					ix, err := nncell.Build(pts, vec.UnitCube(d), pager.New(pager.Config{}),
+						nncell.Options{Algorithm: alg})
+					if err != nil {
 						b.Fatal(err)
 					}
+					stats = ix.Stats()
 				}
 				// NN-Direction's neighbor-pool search, constraint matrix and LPs
 				// run on per-worker scratch and no tree is built, so what a build
@@ -151,6 +154,9 @@ func BenchmarkBuild(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					build()
 				}
+				b.ReportMetric(float64(stats.LPSolves), "lp_solves/op")
+				b.ReportMetric(float64(stats.LPPivots), "lp_pivots/op")
+				b.ReportMetric(float64(stats.Fragments), "fragments")
 			})
 		}
 	}

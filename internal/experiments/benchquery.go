@@ -102,7 +102,7 @@ type QueryScaleResult struct {
 
 // QueryBenchReport is the machine-readable query-performance record emitted
 // by `cmd/experiments -bench-query` so the QPS trajectory is tracked across
-// PRs, parallel to BENCH_build.json for construction.
+// PRs.
 type QueryBenchReport struct {
 	N       int                `json:"n"`
 	Dims    []int              `json:"dims"`

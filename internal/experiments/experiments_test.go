@@ -151,3 +151,23 @@ func TestGoldenPageCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestRunNNCellPinsAlgorithm: at the size where the library switches Correct
+// to NN-Direction on its own, a figure labelled "Correct" must still run
+// Correct. Only Correct prunes its constraint set with range queries, so
+// PruneVisited tells the two apart.
+func TestRunNNCellPinsAlgorithm(t *testing.T) {
+	const d = 2
+	rng := rand.New(rand.NewSource(7))
+	pts := dataset.Deduplicate(dataset.Uniform(rng, nncell.DefaultAutoThreshold+50, d))
+	if len(pts) < nncell.DefaultAutoThreshold {
+		t.Fatalf("%d distinct points, need %d", len(pts), nncell.DefaultAutoThreshold)
+	}
+	_, ix, err := runNNCell(pts, queryPoints(rng, 1, d), tiny().withDefaults(), nncell.Options{Algorithm: nncell.Correct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Stats().PruneVisited == 0 {
+		t.Error("runNNCell built a Correct index of 4096+ points with NN-Direction's constraint selection")
+	}
+}

@@ -37,6 +37,16 @@ func FuzzLoad(f *testing.F) {
 		flipped[pos] ^= 0xFF
 		f.Add(flipped)
 	}
+	// No live slot: tombstones only.
+	drained := mustBuild(f, pts[:2], Options{Algorithm: Sphere})
+	if err := drained.DeleteBatch([]int{0, 1}); err != nil {
+		f.Fatal(err)
+	}
+	var empty bytes.Buffer
+	if err := drained.Save(&empty); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty.Bytes())
 	f.Add([]byte("NNCELLv2"))
 	f.Add([]byte("NNCELLv2\x00\x00\x00\x00"))
 	f.Add(bytes.Repeat([]byte{0xA5}, 200))
@@ -48,8 +58,8 @@ func FuzzLoad(f *testing.F) {
 		}
 		// A successfully loaded index must be internally consistent and
 		// answer queries without panicking.
-		if loaded.Len() <= 0 || loaded.Dim() <= 0 {
-			t.Fatalf("loaded index with Len=%d Dim=%d", loaded.Len(), loaded.Dim())
+		if loaded.Dim() <= 0 {
+			t.Fatalf("loaded index with Dim=%d", loaded.Dim())
 		}
 		b := loaded.Bounds()
 		q := make(vec.Point, loaded.Dim())
@@ -57,6 +67,12 @@ func FuzzLoad(f *testing.F) {
 			q[j] = (b.Lo[j] + b.Hi[j]) / 2
 		}
 		nb, err := loaded.NearestNeighbor(q)
+		if loaded.Len() == 0 {
+			if err != ErrEmpty {
+				t.Fatalf("query on loaded empty index: %v, want ErrEmpty", err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("query on loaded index: %v", err)
 		}

@@ -108,6 +108,8 @@ func (ix *Index) Save(w io.Writer) error {
 // Load reconstructs a saved index onto a fresh pager. The cell approximations
 // are reused verbatim (no LPs are solved); only the two directories are
 // rebuilt from the validated entries, and no page of the pager is touched.
+// A stream with no live slot loads as the empty index it was saved from: the
+// tombstone slots are kept, so the next Insert gets the next id.
 //
 // Load treats the stream as untrusted: truncation, header/payload size
 // mismatches, non-finite or out-of-bounds coordinates, duplicate points,
@@ -259,9 +261,6 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("nncell: load: trailing garbage after checksum")
-	}
-	if ix.alive == 0 {
-		return nil, ErrEmpty
 	}
 	ix.stats.fragments.Store(uint64(total))
 	ix.dir = newCellDir(bounds, ix.cells)

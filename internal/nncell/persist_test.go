@@ -240,3 +240,53 @@ func TestSaveLoadSinglePoint(t *testing.T) {
 		t.Errorf("NN = %v, %v", nb, err)
 	}
 }
+
+// TestSaveLoadNoLivePoints: an index with no live point — never filled, or
+// drained by deletes — round-trips, keeps its tombstone slots, and hands the
+// next Insert the next id (a reload that restarted ids at 0 would reissue ids
+// and reject the log records written after the snapshot).
+func TestSaveLoadNoLivePoints(t *testing.T) {
+	pts := []vec.Point{{0.2, 0.3}, {0.7, 0.1}, {0.5, 0.9}}
+	for _, drained := range []int{0, len(pts)} {
+		ix, err := NewEmpty(2, vec.UnitCube(2), newTestPager(), Options{Algorithm: Correct})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pts[:drained] {
+			id, err := ix.Insert(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf, newTestPager())
+		if err != nil {
+			t.Fatalf("%d drained slots: Load: %v", drained, err)
+		}
+		if err := loaded.CheckInvariants(); err != nil {
+			t.Fatalf("%d drained slots: %v", drained, err)
+		}
+		if loaded.Len() != 0 {
+			t.Fatalf("%d drained slots: Len = %d, want 0", drained, loaded.Len())
+		}
+		if _, err := loaded.NearestNeighbor(vec.Point{0.5, 0.5}); err != ErrEmpty {
+			t.Errorf("%d drained slots: NN on reloaded empty index: %v, want ErrEmpty", drained, err)
+		}
+		id, err := loaded.Insert(vec.Point{0.4, 0.4})
+		if err != nil || id != drained {
+			t.Fatalf("%d drained slots: Insert after reload = id %d, %v; want id %d", drained, id, err, drained)
+		}
+		if nb, err := loaded.NearestNeighbor(vec.Point{0.1, 0.9}); err != nil || nb.ID != id {
+			t.Errorf("%d drained slots: NN after insert = %v, %v", drained, nb, err)
+		}
+		if err := loaded.CheckInvariants(); err != nil {
+			t.Fatalf("%d drained slots, after insert: %v", drained, err)
+		}
+	}
+}

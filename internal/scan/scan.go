@@ -78,22 +78,6 @@ func (s *Scanner) Nearest(q vec.Point) (int, float64) {
 	return bestIdx, best
 }
 
-// NearestExcluding returns the closest point to q whose index is not in
-// excl. It returns index -1 if every point is excluded. This is the oracle
-// for "nearest neighbor of a data point other than itself".
-func (s *Scanner) NearestExcluding(q vec.Point, excl map[int]bool) (int, float64) {
-	bestIdx, best := -1, 0.0
-	for i, p := range s.points {
-		if excl[i] {
-			continue
-		}
-		if d2 := s.metric.Dist2(q, p); bestIdx < 0 || d2 < best {
-			best, bestIdx = d2, i
-		}
-	}
-	return bestIdx, best
-}
-
 // KNearest returns the k closest points in increasing distance order (fewer
 // if the set is smaller). Ties resolve by index.
 func (s *Scanner) KNearest(q vec.Point, k int) []Neighbor {
@@ -117,19 +101,4 @@ func (s *Scanner) KNearest(q vec.Point, k int) []Neighbor {
 		k = len(all)
 	}
 	return all[:k]
-}
-
-// RangeQuery returns the indices of all points within the given surrogate
-// distance of q (inclusive).
-func (s *Scanner) RangeQuery(q vec.Point, dist2 float64) []int {
-	for _, id := range s.pages {
-		s.pg.Access(id)
-	}
-	var out []int
-	for i, p := range s.points {
-		if s.metric.Dist2(q, p) <= dist2 {
-			out = append(out, i)
-		}
-	}
-	return out
 }

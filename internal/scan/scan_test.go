@@ -52,29 +52,6 @@ func TestKNearestOrderAndBounds(t *testing.T) {
 	}
 }
 
-func TestNearestExcluding(t *testing.T) {
-	s := New(pts(0.1, 0.2, 0.9), vec.Euclidean{}, pager.New(pager.Config{}))
-	idx, _ := s.NearestExcluding(vec.Point{0.1}, map[int]bool{0: true})
-	if idx != 1 {
-		t.Errorf("NearestExcluding = %d, want 1", idx)
-	}
-	idx, _ = s.NearestExcluding(vec.Point{0.1}, map[int]bool{0: true, 1: true, 2: true})
-	if idx != -1 {
-		t.Errorf("all excluded: idx = %d, want -1", idx)
-	}
-}
-
-func TestRangeQuery(t *testing.T) {
-	s := New(pts(0.0, 0.5, 1.0), vec.Euclidean{}, pager.New(pager.Config{}))
-	got := s.RangeQuery(vec.Point{0.4}, 0.02) // radius ~0.141
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("RangeQuery = %v", got)
-	}
-	if got := s.RangeQuery(vec.Point{0.5}, 10); len(got) != 3 {
-		t.Errorf("wide range returned %v", got)
-	}
-}
-
 func TestPageAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	points := make([]vec.Point, 1000)

@@ -54,8 +54,11 @@ const maxShardBlob = 1 << 36
 // which the empty bootstrap path (NewEmpty + periodic snapshots before any
 // insert) needs.
 //
-// Empty shards (no live points) are written as absent — the per-shard v2
-// format cannot represent an empty index — and are recreated empty on load.
+// Save writes every shard's blob, a drained or never-used one included: its
+// tombstone slots keep local ids, and with them global ids, from being handed
+// out twice after a reload, and let the log records that follow the snapshot
+// replay. The absent flag stays legal on load (such a shard is recreated
+// empty).
 // Integrity is per shard: every present blob carries the v2 CRC, and Load
 // additionally revalidates the routing invariant over all loaded points, so
 // a stream whose blobs were shuffled between shard slots (or whose routing
@@ -115,16 +118,6 @@ func (s *Sharded) Save(w io.Writer) error {
 	var buf bytes.Buffer
 	for i, ix := range s.shards {
 		buf.Reset()
-		// A shard with no live points is absent in the stream. Note the
-		// Len/Save pair is not atomic against a concurrent insert into this
-		// shard; the snapshot is simply taken per shard at slightly
-		// different instants, as documented above.
-		if ix.Len() == 0 {
-			if err := binary.Write(bw, le, uint8(0)); err != nil {
-				return fmt.Errorf("shard: save: %w", err)
-			}
-			continue
-		}
 		if err := ix.Save(&buf); err != nil {
 			return fmt.Errorf("shard: save shard %d: %w", i, err)
 		}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sync"
@@ -431,11 +432,81 @@ func TestShardedEmptyShardsAndDrain(t *testing.T) {
 	}
 }
 
+// A sharded index with no live point — never filled, or drained by deletes —
+// round-trips with its tombstone slots: the reloaded index hands the next
+// insert the global id the original hands out, not one already used.
+func TestShardedSaveLoadNoLivePoints(t *testing.T) {
+	const d, S = 2, 2
+	pts := uniquePoints(t, 115, 6, d)
+	for _, drained := range []int{0, len(pts) - 1} {
+		s, err := NewEmpty(d, vec.UnitCube(d), testOptions(S))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pts[:drained] {
+			gid, err := s.Insert(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Delete(gid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf, testOptions(0))
+		if err != nil {
+			t.Fatalf("%d drained slots: %v", drained, err)
+		}
+		if err := loaded.CheckInvariants(); err != nil {
+			t.Fatalf("%d drained slots: %v", drained, err)
+		}
+		if loaded.Len() != 0 || loaded.NumShards() != S {
+			t.Fatalf("%d drained slots: loaded Len=%d NumShards=%d", drained, loaded.Len(), loaded.NumShards())
+		}
+		p := pts[len(pts)-1]
+		want, err := s.Insert(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loaded.Insert(p)
+		if err != nil || got != want {
+			t.Fatalf("%d drained slots: Insert after reload = id %d, %v; the saved index gives %d", drained, got, err, want)
+		}
+		if err := loaded.CheckInvariants(); err != nil {
+			t.Fatalf("%d drained slots, after insert: %v", drained, err)
+		}
+	}
+
+	// Save never writes the absent flag; a stream that carries it (a snapshot
+	// an earlier version took of an empty shard) still loads. Header, hash
+	// routing, two absent shards:
+	stream := []byte(Magic)
+	stream = binary.LittleEndian.AppendUint32(stream, S)
+	stream = binary.LittleEndian.AppendUint16(stream, d)
+	for _, v := range []float64{0, 0, 1, 1} {
+		stream = binary.LittleEndian.AppendUint64(stream, math.Float64bits(v))
+	}
+	stream = append(stream, byte(RouteHash), 0, 0)
+	old, err := Load(bytes.NewReader(stream), testOptions(0))
+	if err != nil {
+		t.Fatalf("all-absent stream: %v", err)
+	}
+	if old.Len() != 0 || old.NumShards() != S {
+		t.Fatalf("all-absent stream: loaded Len=%d NumShards=%d", old.Len(), old.NumShards())
+	}
+	if _, err := old.Insert(pts[0]); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestShardedPersistRoundTrip(t *testing.T) {
 	const d = 3
 	pts := uniquePoints(t, 114, 130, d)
 	// 9 shards over 120 points: occasionally a shard is empty, and the
-	// 3-point variant below guarantees absent shards exercise the flag.
+	// 3-point variant below guarantees shards that never held a point.
 	for _, tc := range []struct {
 		n, S int
 	}{{120, 9}, {3, 8}} {
@@ -483,7 +554,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 			}
 		}
 		// The loaded index must keep accepting routed dynamic updates —
-		// including into shards that were absent in the stream.
+		// including into shards that were empty in the stream.
 		for _, p := range pts[tc.n : tc.n+6] {
 			if _, err := got.Insert(p); err != nil {
 				t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package stats provides the small measurement utilities used by the CLI
 // tools and experiment harness: a log-bucketed latency histogram with
-// quantile estimates, and a running scalar summary. Everything is
-// allocation-free on the hot path and safe for concurrent use.
+// quantile estimates, allocation-free on the hot path and safe for concurrent
+// use.
 package stats
 
 import (
@@ -162,71 +162,4 @@ func (h *Histogram) String() string {
 		h.Quantile(0.9).Round(time.Microsecond),
 		h.Quantile(0.99).Round(time.Microsecond),
 		h.Max().Round(time.Microsecond))
-}
-
-// Summary tracks running mean/min/max of a scalar series (Welford's method
-// for the variance).
-type Summary struct {
-	mu       sync.Mutex
-	count    uint64
-	mean, m2 float64
-	min, max float64
-}
-
-// Observe records one value.
-func (s *Summary) Observe(v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.count++
-	if s.count == 1 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
-	delta := v - s.mean
-	s.mean += delta / float64(s.count)
-	s.m2 += delta * (v - s.mean)
-}
-
-// Count returns the number of observations.
-func (s *Summary) Count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Mean returns the running mean (0 if empty).
-func (s *Summary) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mean
-}
-
-// StdDev returns the sample standard deviation (0 for < 2 observations).
-func (s *Summary) StdDev() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.count-1))
-}
-
-// Min returns the smallest observation (0 if empty).
-func (s *Summary) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.min
-}
-
-// Max returns the largest observation (0 if empty).
-func (s *Summary) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.max
 }

@@ -95,44 +95,6 @@ func TestHistogramString(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.StdDev() != 0 || s.Count() != 0 {
-		t.Error("empty summary not zeroed")
-	}
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Observe(v)
-	}
-	if s.Count() != 8 || s.Mean() != 5 {
-		t.Errorf("Count/Mean = %d/%v", s.Count(), s.Mean())
-	}
-	// Sample stddev of this classic set is sqrt(32/7).
-	if math.Abs(s.StdDev()-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Errorf("StdDev = %v", s.StdDev())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-}
-
-func TestSummaryConcurrent(t *testing.T) {
-	var s Summary
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				s.Observe(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if s.Count() != 4000 || s.Mean() != 1 || s.StdDev() != 0 {
-		t.Errorf("summary = %d/%v/%v", s.Count(), s.Mean(), s.StdDev())
-	}
-}
-
 func TestHistogramSnapshot(t *testing.T) {
 	var h Histogram
 	durations := []time.Duration{0, 1, 3, 1024, 1500, time.Millisecond}

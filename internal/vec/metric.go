@@ -1,15 +1,12 @@
 package vec
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Metric is a distance function on points. The paper's definition of NN-cells
 // is parameterized over an arbitrary distance function d: R^d × R^d → R+; the
 // LP-based MBR construction additionally requires the bisector of two points
-// to be a hyperplane, which holds for the (optionally weighted) Euclidean
-// metric. The tree indexes and the sequential scan work with any Metric.
+// to be a hyperplane, which holds for the Euclidean metric, the only one
+// implemented. The tree indexes and the sequential scan take any Metric.
 type Metric interface {
 	// Dist returns the distance between p and q.
 	Dist(p, q Point) float64
@@ -59,134 +56,6 @@ func (Euclidean) MinDist2(p Point, r Rect) float64 {
 
 // Name implements Metric.
 func (Euclidean) Name() string { return "L2" }
-
-// WeightedEuclidean is a per-dimension weighted L2 metric, the standard
-// adaptable-similarity metric in multimedia retrieval. Weights must be
-// positive. Bisectors remain hyperplanes, so the NN-cell construction still
-// applies after rescaling each axis by sqrt(w_i).
-type WeightedEuclidean struct {
-	Weights []float64
-}
-
-// NewWeightedEuclidean validates the weights and returns the metric.
-func NewWeightedEuclidean(w []float64) (WeightedEuclidean, error) {
-	for i, wi := range w {
-		if wi <= 0 || math.IsNaN(wi) || math.IsInf(wi, 0) {
-			return WeightedEuclidean{}, fmt.Errorf("vec: weight %d is %v, want positive finite", i, wi)
-		}
-	}
-	return WeightedEuclidean{Weights: w}, nil
-}
-
-// Dist returns the weighted Euclidean distance between p and q.
-func (m WeightedEuclidean) Dist(p, q Point) float64 { return math.Sqrt(m.Dist2(p, q)) }
-
-// Dist2 returns the squared weighted Euclidean distance between p and q.
-func (m WeightedEuclidean) Dist2(p, q Point) float64 {
-	mustSameDim(len(p), len(q))
-	mustSameDim(len(p), len(m.Weights))
-	s := 0.0
-	for i := range p {
-		d := p[i] - q[i]
-		s += m.Weights[i] * d * d
-	}
-	return s
-}
-
-// MinDist2 returns the weighted squared distance from p to rectangle r.
-func (m WeightedEuclidean) MinDist2(p Point, r Rect) float64 {
-	mustSameDim(len(p), r.Dim())
-	s := 0.0
-	for i := range p {
-		switch {
-		case p[i] < r.Lo[i]:
-			d := r.Lo[i] - p[i]
-			s += m.Weights[i] * d * d
-		case p[i] > r.Hi[i]:
-			d := p[i] - r.Hi[i]
-			s += m.Weights[i] * d * d
-		}
-	}
-	return s
-}
-
-// Name implements Metric.
-func (m WeightedEuclidean) Name() string { return "weighted-L2" }
-
-// Manhattan is the L1 metric. Supported by the tree indexes and scan; not by
-// the LP cell construction (L1 bisectors are not hyperplanes).
-type Manhattan struct{}
-
-// Dist returns the L1 distance between p and q.
-func (Manhattan) Dist(p, q Point) float64 {
-	mustSameDim(len(p), len(q))
-	s := 0.0
-	for i := range p {
-		s += math.Abs(p[i] - q[i])
-	}
-	return s
-}
-
-// Dist2 for L1 is the distance itself (already monotone and cheap).
-func (Manhattan) Dist2(p, q Point) float64 { return Manhattan{}.Dist(p, q) }
-
-// MinDist2 returns the L1 distance from p to rectangle r.
-func (Manhattan) MinDist2(p Point, r Rect) float64 {
-	mustSameDim(len(p), r.Dim())
-	s := 0.0
-	for i := range p {
-		switch {
-		case p[i] < r.Lo[i]:
-			s += r.Lo[i] - p[i]
-		case p[i] > r.Hi[i]:
-			s += p[i] - r.Hi[i]
-		}
-	}
-	return s
-}
-
-// Name implements Metric.
-func (Manhattan) Name() string { return "L1" }
-
-// Chebyshev is the L∞ metric.
-type Chebyshev struct{}
-
-// Dist returns the L∞ distance between p and q.
-func (Chebyshev) Dist(p, q Point) float64 {
-	mustSameDim(len(p), len(q))
-	s := 0.0
-	for i := range p {
-		if d := math.Abs(p[i] - q[i]); d > s {
-			s = d
-		}
-	}
-	return s
-}
-
-// Dist2 for L∞ is the distance itself.
-func (Chebyshev) Dist2(p, q Point) float64 { return Chebyshev{}.Dist(p, q) }
-
-// MinDist2 returns the L∞ distance from p to rectangle r.
-func (Chebyshev) MinDist2(p Point, r Rect) float64 {
-	mustSameDim(len(p), r.Dim())
-	s := 0.0
-	for i := range p {
-		d := 0.0
-		switch {
-		case p[i] < r.Lo[i]:
-			d = r.Lo[i] - p[i]
-		case p[i] > r.Hi[i]:
-			d = p[i] - r.Hi[i]
-		}
-		if d > s {
-			s = d
-		}
-	}
-	return s
-}
-
-// Name implements Metric.
-func (Chebyshev) Name() string { return "Linf" }
 
 // MinMaxDist2 returns the squared MINMAXDIST of Roussopoulos et al. [RKV 95]
 // from point p to rectangle r under the Euclidean metric: the smallest upper

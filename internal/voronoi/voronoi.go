@@ -1,10 +1,10 @@
 // Package voronoi computes exact NN-cells (first-order Voronoi cells) in two
-// dimensions by half-plane clipping, plus order-m cells per the paper's
-// Definition 1. High-dimensional cells cannot be stored explicitly — that is
-// the whole premise of the paper — but in 2-D the exact cells are cheap, and
-// this package serves as the geometric ground truth against which the
-// LP-based MBR approximations of internal/nncell are verified. It also
-// renders ASCII NN-diagrams in the spirit of the paper's Figures 1 and 2.
+// dimensions by half-plane clipping. High-dimensional cells cannot be stored
+// explicitly — that is the whole premise of the paper — but in 2-D the exact
+// cells are cheap, and this package serves as the geometric ground truth
+// against which the LP-based MBR approximations of internal/nncell are
+// verified. It also renders ASCII NN-diagrams in the spirit of the paper's
+// Figures 1 and 2.
 package voronoi
 
 import (
@@ -153,28 +153,6 @@ func NNDiagram(points []vec.Point, bounds vec.Rect) []Polygon {
 		cells[i] = NNCell(points, i, bounds)
 	}
 	return cells
-}
-
-// OrderMCell returns the order-m Voronoi cell of the point subset A (indices
-// into points) per Definition 1: all locations x such that every point of A
-// is at least as close to x as every point outside A. It is the geometric
-// object behind k-NN precomputation, the paper's stated future work.
-func OrderMCell(points []vec.Point, subset []int, bounds vec.Rect) Polygon {
-	inA := make(map[int]bool, len(subset))
-	for _, i := range subset {
-		inA[i] = true
-	}
-	cell := RectPolygon(bounds)
-	for _, i := range subset {
-		for j := range points {
-			if inA[j] || cell.IsEmpty() {
-				continue
-			}
-			a, b := Bisector(points[i], points[j])
-			cell = cell.ClipHalfPlane(a, b)
-		}
-	}
-	return cell
 }
 
 // Render draws an ASCII NN-diagram: each character cell of the w×h raster is

@@ -131,47 +131,6 @@ func TestCellMembershipMatchesNearest(t *testing.T) {
 	}
 }
 
-func TestOrderMCell(t *testing.T) {
-	// Three collinear points; the order-2 cell of the two outer points is
-	// empty (no location has them as its two nearest), while adjacent pairs
-	// have non-empty order-2 cells.
-	pts := []vec.Point{{0.2, 0.5}, {0.5, 0.5}, {0.8, 0.5}}
-	adj := OrderMCell(pts, []int{0, 1}, unit())
-	if adj.IsEmpty() {
-		t.Error("order-2 cell of adjacent pair is empty")
-	}
-	outer := OrderMCell(pts, []int{0, 2}, unit())
-	if !outer.IsEmpty() {
-		t.Errorf("order-2 cell of outer pair should be empty, area %v", outer.Area())
-	}
-	// Membership check: inside adj, the two nearest points must be {0, 1}.
-	rng := rand.New(rand.NewSource(33))
-	metric := vec.Euclidean{}
-	for trial := 0; trial < 500; trial++ {
-		q := vec.Point{rng.Float64(), rng.Float64()}
-		d := []float64{metric.Dist2(q, pts[0]), metric.Dist2(q, pts[1]), metric.Dist2(q, pts[2])}
-		in01 := d[0] <= d[2] && d[1] <= d[2]
-		if in01 && !adj.Contains(q) {
-			t.Fatalf("q=%v has {0,1} as 2-NN but is outside their order-2 cell", q)
-		}
-	}
-}
-
-// Order-m cells for all m-subsets tile the data space (Definition 1).
-func TestOrder2CellsTile(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	pts := randPoints(rng, 8)
-	total := 0.0
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			total += OrderMCell(pts, []int{i, j}, unit()).Area()
-		}
-	}
-	if math.Abs(total-1) > 1e-6 {
-		t.Errorf("order-2 cells tile to %v, want 1", total)
-	}
-}
-
 func TestRender(t *testing.T) {
 	pts := []vec.Point{{0.25, 0.5}, {0.75, 0.5}}
 	s := Render(pts, unit(), 20, 8)
@@ -195,27 +154,5 @@ func BenchmarkNNCell100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NNCell(pts, i%len(pts), unit())
-	}
-}
-
-func TestRenderSVG(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	pts := randPoints(rng, 15)
-	svg := RenderSVG(pts, unit(), SVGOptions{Width: 300, ShowMBRs: true})
-	if !strings.HasPrefix(svg, "<svg") || !strings.HasSuffix(svg, "</svg>\n") {
-		t.Fatal("not a well-formed SVG document")
-	}
-	if got := strings.Count(svg, "<polygon"); got != len(pts) {
-		t.Errorf("%d polygons, want %d", got, len(pts))
-	}
-	if got := strings.Count(svg, "<circle"); got != 15 {
-		t.Errorf("%d circles, want 15", got)
-	}
-	if got := strings.Count(svg, "<rect"); got != 16 { // background + 15 MBRs
-		t.Errorf("%d rects, want 16", got)
-	}
-	plain := RenderSVG(pts, unit(), SVGOptions{})
-	if strings.Count(plain, "<rect") != 1 {
-		t.Error("MBRs drawn without ShowMBRs")
 	}
 }
