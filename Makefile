@@ -8,10 +8,14 @@ GO ?= go
 
 check: vet build test race bench-smoke bench-module fuzz-smoke
 
-# gofmt -l prints the files it would change; any name is a failure.
+# gofmt -l prints the files it would change; any name is a failure. So is any
+# line of cmd/ that names the single-index adapters or the snapshot sniff, or
+# switches on a type: the binaries serve one index kind (shard.Sharded), and
+# the twin must not grow back unnoticed.
 vet:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
+	@if grep -rnE 'replica\.Single|IsSnapshotMagic|\.\(type\)' cmd/; then echo "cmd/ may not tell index kinds apart"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -7,16 +7,17 @@
 //	nncell -demo           # 2-D ASCII NN-diagram (paper Fig. 1/2)
 //
 // The serve subcommand exposes an index over HTTP (see internal/server for
-// the endpoints and the /metrics observability surface):
+// the endpoints and the /metrics observability surface). What it serves is
+// always a shard.Sharded, of one shard unless -shards or the snapshot says
+// otherwise:
 //
 //	nncell -n 2000 -d 8 -save index.bin -queries 0
 //	nncell serve -addr :8080 -load index.bin
 //	nncell serve -addr :8080 -n 2000 -d 8    # build synthetic, then serve
-//	nncell serve -addr :8080 -n 2000 -d 8 -shards 4   # sharded writes
+//	nncell serve -addr :8080 -n 2000 -d 8 -shards 4   # writes lock one shard of four
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -186,20 +187,20 @@ func main() {
 	}
 }
 
-// serveMain implements `nncell serve`: load (or build) an index, then serve
-// it over HTTP until SIGINT/SIGTERM, draining in-flight requests on the way
-// out.
+// serveMain implements `nncell serve`: load (or build) a sharded index, then
+// serve it over HTTP until SIGINT/SIGTERM, draining in-flight requests on the
+// way out.
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("nncell serve", flag.ExitOnError)
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
-		loadFile    = fs.String("load", "", "serve the index saved in this file (single or sharded format, auto-detected)")
+		loadFile    = fs.String("load", "", "serve the index saved in this file (a serve snapshot, or an `nncell -save` file: served as one shard)")
 		shards      = fs.Int("shards", 1, "partition the index into this many shards (writes lock one shard; see -route for query fan-out)")
 		routeName   = fs.String("route", "hash", "shard routing policy: hash (uniform, all-shard fan-out) or grid (space tiles, ring-pruned fan-out)")
 		n           = fs.Int("n", 2000, "points for a synthetic index (when -load is absent; 0 bootstraps an empty index that accepts inserts)")
 		d           = fs.Int("d", 8, "dimensionality of the synthetic index")
 		data        = fs.String("data", "uniform", "synthetic dataset: uniform|grid|diagonal|clustered|fourier")
-		alg         = fs.String("alg", "sphere", "approximation algorithm for the synthetic index")
+		alg         = fs.String("alg", "nndir", "approximation algorithm for the synthetic index and for every write: correct|nndir")
 		decompose   = fs.Int("decompose", 0, "fragment budget per cell for the synthetic index")
 		seed        = fs.Int64("seed", 1, "random seed for the synthetic index")
 		pagerCache  = fs.Int("pager-cache", 64, "pager cache budget in pages")
@@ -212,7 +213,7 @@ func serveMain(args []string) {
 		maxK        = fs.Int("max-k", 256, "largest accepted k")
 		snapshot    = fs.String("snapshot", "", "periodically save the serving index to this file (with -wal-dir each snapshot also compacts the log)")
 		snapEvery   = fs.Duration("snapshot-every", 5*time.Minute, "snapshot interval")
-		walDir      = fs.String("wal-dir", "", "write-ahead-log directory: replay it on startup, then log every insert/delete (also enables /v1/repl/ so followers can replicate)")
+		walDir      = fs.String("wal-dir", "", "write-ahead-log directory, one shard-NNNN/ log per shard: replay it on startup, then log every insert/delete (also enables /v1/repl/ so followers can replicate)")
 		fsyncMode   = fs.String("fsync", "interval", "wal fsync policy: always|interval|never")
 		fsyncEvery  = fs.Duration("fsync-interval", 100*time.Millisecond, "fsync cadence for -fsync interval")
 		follow      = fs.String("follow", "", "run as a read-only follower of this primary base URL: bootstrap from its snapshot, tail its WAL")
@@ -236,8 +237,15 @@ func serveMain(args []string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if explicit["route"] && *loadFile == "" && *shards <= 1 {
-		fatalf("-route requires -shards > 1 (a single index has no partition to route)")
+	// Point and Sphere are defined by X-tree leaf pages (paper §3), so an
+	// index under them bulk-loads a point X-tree on every write: they are the
+	// figures' algorithms, not a server's.
+	algorithm, err := parseAlg(*alg)
+	if err == nil && (algorithm == nncell.PointAlg || algorithm == nncell.Sphere) {
+		err = fmt.Errorf("serve takes -alg correct|nndir; %s reads X-tree pages on every write and belongs to the figure CLI (`nncell -alg %s`, without serve)", *alg, *alg)
+	}
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	var policy wal.Policy
@@ -276,11 +284,19 @@ func serveMain(args []string) {
 	go func() { serveDone <- srv.Serve(ctx) }()
 	fmt.Printf("nncell: listening on http://%s (not ready: loading index)\n", srv.Addr())
 
-	var ix server.Index
-	if *loadFile != "" {
+	opts := shard.Options{
+		Shards: *shards,
+		Route:  route,
+		Pager:  pager.Config{CachePages: *pagerCache},
+		Index:  nncell.Options{Algorithm: algorithm, Decompose: *decompose},
+	}
+	var ix *shard.Sharded
+	start := time.Now()
+	switch {
+	case *loadFile != "":
 		// Synthetic-build flags describe an index this run will never build.
-		// Parameters the snapshot also records (-d, -shards) FAIL FAST on
-		// conflict — serving a 7-d snapshot to a client that asked for -d 3
+		// Parameters the snapshot also records (-d, -shards, -route) FAIL FAST
+		// on conflict — serving a 7-d snapshot to a client that asked for -d 3
 		// is an operational error, not a note. The rest are merely ignored.
 		var ignored []string
 		for _, name := range []string{"n", "data", "alg", "decompose", "seed"} {
@@ -292,159 +308,62 @@ func serveMain(args []string) {
 			fmt.Printf("note: %v describe a synthetic build and are ignored with -load\n", ignored)
 		}
 		srv.SetNotReady("loading snapshot")
-		// The snapshot magic decides the loader: single-index (NNCELLv2)
-		// streams keep working unchanged, sharded streams (NNSHRDv2) restore
-		// the full partition, whose width and routing policy are recorded in
-		// the stream.
 		f, err := os.Open(*loadFile)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		magic := make([]byte, len(shard.Magic))
-		if _, err := io.ReadFull(f, magic); err != nil {
-			fatalf("load: reading magic: %v", err)
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
+		// The stream records its own width, routing and per-shard options
+		// (shard.Load tells a bare `nncell -save` file from a serve snapshot).
+		ix, err = shard.Load(f, shard.Options{Pager: opts.Pager})
+		f.Close()
+		if err != nil {
 			fatalf("load: %v", err)
 		}
-		start := time.Now()
-		if shard.IsSnapshotMagic(string(magic)) {
-			sx, err := shard.Load(f, shard.Options{Pager: pager.Config{CachePages: *pagerCache}})
-			f.Close()
-			if err != nil {
-				fatalf("load: %v", err)
-			}
-			if explicit["shards"] && *shards != sx.NumShards() {
-				fatalf("load: -shards %d conflicts with the snapshot's %d shards (drop the flag, or rebuild)", *shards, sx.NumShards())
-			}
-			if explicit["d"] && *d != sx.Dim() {
-				fatalf("load: -d %d conflicts with the snapshot's dimensionality %d", *d, sx.Dim())
-			}
-			if explicit["route"] && route != sx.RouteKind() {
-				fatalf("load: -route %v conflicts with the snapshot's %v routing (placement is recorded in the stream)", route, sx.RouteKind())
-			}
-			fmt.Printf("nncell: loaded %d points (d=%d, %d fragments, %d shards, %v-routed) from %s in %v\n",
-				sx.Len(), sx.Dim(), sx.Fragments(), sx.NumShards(), sx.RouteKind(), *loadFile, time.Since(start).Round(time.Millisecond))
-			ix = sx
-		} else {
-			six, err := nncell.Load(f, pager.New(pager.Config{CachePages: *pagerCache}))
-			f.Close()
-			if err != nil {
-				fatalf("load: %v", err)
-			}
-			if explicit["shards"] && *shards != 1 {
-				fatalf("load: -shards %d conflicts with a single-index snapshot (it has no partition)", *shards)
-			}
-			if explicit["route"] {
-				fatalf("load: -route applies to sharded indexes; the snapshot is single-index")
-			}
-			if explicit["d"] && *d != six.Dim() {
-				fatalf("load: -d %d conflicts with the snapshot's dimensionality %d", *d, six.Dim())
-			}
-			fmt.Printf("nncell: loaded %d points (d=%d, %d fragments) from %s in %v\n",
-				six.Len(), six.Dim(), six.Fragments(), *loadFile, time.Since(start).Round(time.Millisecond))
-			ix = six
+		if explicit["shards"] && *shards != ix.NumShards() {
+			fatalf("load: -shards %d conflicts with the snapshot's %d shards (drop the flag, or rebuild)", *shards, ix.NumShards())
 		}
-	} else if *n == 0 {
+		if explicit["d"] && *d != ix.Dim() {
+			fatalf("load: -d %d conflicts with the snapshot's dimensionality %d", *d, ix.Dim())
+		}
+		if explicit["route"] && route != ix.RouteKind() {
+			fatalf("load: -route %v conflicts with the snapshot's %v routing (placement is recorded in the stream)", route, ix.RouteKind())
+		}
+		fmt.Printf("nncell: loaded %d points (d=%d, %d fragments, %d shards, %v-routed) from %s in %v\n",
+			ix.Len(), ix.Dim(), ix.Fragments(), ix.NumShards(), ix.RouteKind(), *loadFile, time.Since(start).Round(time.Millisecond))
+	case *n == 0:
 		// Empty bootstrap: start with zero points and let routed inserts
 		// (WAL-replayed or live) populate the index. The data space defaults
 		// to the unit cube of the requested dimensionality.
 		srv.SetNotReady("bootstrapping empty index")
-		algorithm, err := parseAlg(*alg)
-		if err != nil {
-			fatalf("%v", err)
+		if ix, err = shard.NewEmpty(*d, vec.UnitCube(*d), opts); err != nil {
+			fatalf("bootstrap: %v", err)
 		}
-		opts := nncell.Options{Algorithm: algorithm, Decompose: *decompose}
-		if *shards > 1 {
-			sx, err := shard.NewEmpty(*d, vec.UnitCube(*d), shard.Options{
-				Shards: *shards,
-				Route:  route,
-				Pager:  pager.Config{CachePages: *pagerCache},
-				Index:  opts,
-			})
-			if err != nil {
-				fatalf("bootstrap: %v", err)
-			}
-			fmt.Printf("nncell: bootstrapped empty sharded index (d=%d, %d %v-routed shards)\n",
-				*d, sx.NumShards(), sx.RouteKind())
-			ix = sx
-		} else {
-			six, err := nncell.NewEmpty(*d, vec.UnitCube(*d), pager.New(pager.Config{CachePages: *pagerCache}), opts)
-			if err != nil {
-				fatalf("bootstrap: %v", err)
-			}
-			fmt.Printf("nncell: bootstrapped empty index (d=%d)\n", *d)
-			ix = six
-		}
-	} else {
+		fmt.Printf("nncell: bootstrapped empty index (d=%d, %d %v-routed shards)\n", *d, ix.NumShards(), ix.RouteKind())
+	default:
 		srv.SetNotReady("building index")
-		algorithm, err := parseAlg(*alg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		rng := rand.New(rand.NewSource(*seed))
-		pts, err := dataset.Generate(dataset.Name(*data), rng, *n, *d)
+		pts, err := dataset.Generate(dataset.Name(*data), rand.New(rand.NewSource(*seed)), *n, *d)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		pts = dataset.Deduplicate(pts)
-		opts := nncell.Options{Algorithm: algorithm, Decompose: *decompose}
-		start := time.Now()
-		if *shards > 1 {
-			sx, err := shard.Build(pts, vec.UnitCube(*d), shard.Options{
-				Shards: *shards,
-				Route:  route,
-				Pager:  pager.Config{CachePages: *pagerCache},
-				Index:  opts,
-			})
-			if err != nil {
-				fatalf("build: %v", err)
-			}
-			fmt.Printf("nncell: built synthetic sharded index, %d %s points (d=%d) across %d %v-routed shards in %v\n",
-				len(pts), *data, *d, sx.NumShards(), sx.RouteKind(), time.Since(start).Round(time.Millisecond))
-			ix = sx
-		} else {
-			six, err := nncell.Build(pts, vec.UnitCube(*d), pager.New(pager.Config{CachePages: *pagerCache}), opts)
-			if err != nil {
-				fatalf("build: %v", err)
-			}
-			fmt.Printf("nncell: built synthetic index, %d %s points (d=%d) in %v\n",
-				len(pts), *data, *d, time.Since(start).Round(time.Millisecond))
-			ix = six
+		if ix, err = shard.Build(pts, vec.UnitCube(*d), opts); err != nil {
+			fatalf("build: %v", err)
 		}
+		fmt.Printf("nncell: built synthetic index, %d %s points (d=%d) across %d %v-routed shards in %v\n",
+			len(pts), *data, *d, ix.NumShards(), ix.RouteKind(), time.Since(start).Round(time.Millisecond))
 	}
 
 	// Durability: replay first (recovering the acknowledged mutations of the
 	// previous lifetime), then open fresh segments and attach, so every
 	// mutation served below is logged before it is acknowledged.
-	var closeWAL func() error
 	if *walDir != "" {
 		srv.SetNotReady("replaying wal")
-		walOpts := wal.Options{Policy: policy, Interval: *fsyncEvery}
-		var rs nncell.RecoveryStats
-		switch x := ix.(type) {
-		case *shard.Sharded:
-			var err error
-			if rs, err = x.Recover(nil, *walDir); err != nil {
-				fatalf("wal replay: %v", err)
-			}
-			if err := x.OpenWALs(*walDir, walOpts); err != nil {
-				fatalf("%v", err)
-			}
-			closeWAL = x.Close // drains pending repairs, then closes the per-shard logs
-		case *nncell.Index:
-			var err error
-			if rs, err = x.Recover(nil, *walDir); err != nil {
-				fatalf("wal replay: %v", err)
-			}
-			l, err := wal.Open(*walDir, walOpts)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			x.AttachWAL(l)
-			closeWAL = func() error { x.AttachWAL(nil); return l.Close() }
-		default:
-			fatalf("wal: index type %T does not support durability", ix)
+		rs, err := ix.Recover(nil, *walDir)
+		if err != nil {
+			fatalf("wal replay: %v", err)
+		}
+		if err := ix.OpenWALs(*walDir, wal.Options{Policy: policy, Interval: *fsyncEvery}); err != nil {
+			fatalf("%v", err)
 		}
 		fmt.Printf("nncell: wal replay: %d records from %d segments (%d applied, %d stale, %d torn) in %v\n",
 			rs.Records, rs.Segments, rs.Applied, rs.Stale, rs.TornSegments, rs.Duration.Round(time.Millisecond))
@@ -457,14 +376,7 @@ func serveMain(args []string) {
 		// A durable server is a capable primary: mount the shipping protocol
 		// so followers can bootstrap from a consistent snapshot and tail the
 		// logs (see internal/replica; followers run with -follow).
-		var prim replica.Primary
-		switch x := ix.(type) {
-		case *shard.Sharded:
-			prim = replica.ShardedPrimary(x)
-		case *nncell.Index:
-			prim = replica.SinglePrimary(x)
-		}
-		src, err := replica.NewSource(prim, nil)
+		src, err := replica.NewSource(replica.ShardedPrimary(ix), nil)
 		if err != nil {
 			fatalf("replication source: %v", err)
 		}
@@ -475,22 +387,16 @@ func serveMain(args []string) {
 	if resCache != nil {
 		// Invalidation must be live before the first query can race a
 		// mutation, so the hook attaches ahead of SetIndex.
-		switch x := ix.(type) {
-		case *shard.Sharded:
-			x.SetMutationHook(resCache.Invalidate)
-		case *nncell.Index:
-			x.SetMutationHook(resCache.Invalidate)
-		}
+		ix.SetMutationHook(resCache.Invalidate)
 	}
 
 	srv.SetIndex(ix)
 	fmt.Printf("nncell: serving on http://%s\n", srv.Addr())
 
 	err = <-serveDone
-	if closeWAL != nil {
-		if cerr := closeWAL(); cerr != nil && err == nil {
-			err = fmt.Errorf("closing wal: %w", cerr)
-		}
+	// Close drains pending repairs, then closes whatever logs are attached.
+	if cerr := ix.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("closing wal: %w", cerr)
 	}
 	if err != nil {
 		fatalf("serve: %v", err)
@@ -502,11 +408,11 @@ func serveMain(args []string) {
 // a read-only replica from the primary's snapshot, tail its shipped WAL
 // segments, and serve queries with lag-aware readiness — /healthz fails
 // while bootstrapping or over the lag SLO, which is how the read router
-// decides to shed this node. The snapshot stream's magic picks the loader,
-// so a follower tracks single-index and sharded primaries alike.
+// decides to shed this node.
 func serveFollower(primary, addr string, pagerCache int, lagRecs uint64, lagSLO time.Duration,
 	timeout, grace time.Duration, maxBody int64, maxInflight, maxBatch, maxK int, explicit map[string]bool) {
-	for _, name := range []string{"load", "wal-dir", "snapshot", "shards", "cache", "n", "d", "data", "alg", "decompose", "route"} {
+	for _, name := range []string{"load", "wal-dir", "fsync", "fsync-interval", "snapshot", "snapshot-every",
+		"shards", "route", "cache", "n", "d", "data", "alg", "decompose", "seed"} {
 		if explicit[name] {
 			fatalf("-%s does not apply with -follow: a follower's index, shape and durability come from the primary", name)
 		}
@@ -515,36 +421,23 @@ func serveFollower(primary, addr string, pagerCache int, lagRecs uint64, lagSLO 
 
 	// The freshly loaded index travels from Load to OnReplica through this
 	// box; both run sequentially on the follower's goroutine.
-	var pending atomic.Value
+	var pending atomic.Pointer[shard.Sharded]
 	var srv *server.Server
 	fol, err := replica.NewFollower(replica.Config{
 		Primary: primary,
 		Load: func(r io.Reader) (replica.Replica, error) {
-			br := bufio.NewReader(r)
-			magic, err := br.Peek(len(shard.Magic))
-			if err != nil {
-				return nil, fmt.Errorf("reading snapshot magic: %w", err)
-			}
-			if shard.IsSnapshotMagic(string(magic)) {
-				sx, err := shard.Load(br, shard.Options{Pager: pager.Config{CachePages: pagerCache}})
-				if err != nil {
-					return nil, err
-				}
-				pending.Store(server.Index(sx))
-				return replica.ShardedReplica(sx), nil
-			}
-			six, err := nncell.Load(br, pager.New(pager.Config{CachePages: pagerCache}))
+			sx, err := shard.Load(r, shard.Options{Pager: pager.Config{CachePages: pagerCache}})
 			if err != nil {
 				return nil, err
 			}
-			pending.Store(server.Index(six))
-			return replica.SingleReplica(six), nil
+			pending.Store(sx)
+			return replica.ShardedReplica(sx), nil
 		},
 		OnReplica: func(replica.Replica) {
-			if ix, ok := pending.Load().(server.Index); ok {
-				srv.SetIndex(ix)
-				fmt.Printf("nncell: follower bootstrapped: %d points (d=%d) from %s\n",
-					ix.Len(), ix.Dim(), primary)
+			if sx := pending.Load(); sx != nil {
+				srv.SetIndex(sx)
+				fmt.Printf("nncell: follower bootstrapped: %d points (d=%d, %d shards) from %s\n",
+					sx.Len(), sx.Dim(), sx.NumShards(), primary)
 			}
 		},
 		Logf: func(format string, args ...interface{}) {

@@ -234,7 +234,7 @@ func TestServeGridEmptyBootstrap(t *testing.T) {
 			t.Fatal("timed out waiting for serve banner")
 		}
 	}
-	if !strings.Contains(banner.String(), "bootstrapped empty sharded index") {
+	if !strings.Contains(banner.String(), "bootstrapped empty index (d=3, 8 grid-routed shards)") {
 		t.Errorf("no empty-bootstrap banner:\n%s", banner.String())
 	}
 

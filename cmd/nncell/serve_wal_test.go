@@ -217,8 +217,141 @@ func TestServeLoadConflictFlags(t *testing.T) {
 	if err == nil {
 		t.Fatalf("serve with conflicting -shards started anyway:\n%s", out)
 	}
-	if !strings.Contains(out, "conflicts with a single-index snapshot") {
+	if !strings.Contains(out, "-shards 4 conflicts with the snapshot's 1 shards") {
 		t.Errorf("no shard-conflict error:\n%s", out)
+	}
+}
+
+// TestServeSavedIndexAsOneShard: the file `nncell -save` writes (one bare
+// index, NNCELLv2) is served as the one shard of a sharded index — ids
+// unchanged, the WAL under shard-0000/, every snapshot the server writes in the
+// sharded format — and the whole durability and replication story runs on it:
+// insert, SIGKILL, replay, follower bootstrap, snapshot, reload.
+func TestServeSavedIndexAsOneShard(t *testing.T) {
+	dir := t.TempDir()
+	idx, walDir, snap := filepath.Join(dir, "idx.bin"), filepath.Join(dir, "wal"), filepath.Join(dir, "snap.bin")
+	if out, err := run(t, "-n", "60", "-d", "3", "-queries", "0", "-save", idx); err != nil {
+		t.Fatalf("build+save: %v\n%s", err, out)
+	}
+	args := []string{"-addr", "127.0.0.1:0", "-load", idx, "-wal-dir", walDir, "-fsync", "always",
+		"-snapshot", snap, "-snapshot-every", "1h"}
+
+	p := startServe(t, args...)
+	targets := [][]float64{{0.123456, 0.654321, 0.111111}, {0.987654, 0.456789, 0.777777}}
+	for i, pt := range targets {
+		var ins struct {
+			ID int `json:"id"`
+		}
+		p.post(t, "/v1/insert", map[string]interface{}{"point": pt}, &ins)
+		if ins.ID != 60+i {
+			t.Fatalf("insert %d got id %d, want %d: one shard keeps the saved index's ids", i, ins.ID, 60+i)
+		}
+	}
+	if err := p.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	p.cmd.Wait()
+	if segs, _ := filepath.Glob(filepath.Join(walDir, "shard-0000", "wal-*.log")); len(segs) == 0 {
+		t.Fatal("no log segments under wal/shard-0000")
+	}
+	if segs, _ := filepath.Glob(filepath.Join(walDir, "wal-*.log")); len(segs) != 0 {
+		t.Fatalf("log segments at the root of -wal-dir: %v", segs)
+	}
+
+	p2 := startServe(t, args...)
+	var h healthzResponse
+	p2.get(t, "/healthz", &h)
+	if h.Points != 62 || h.Recovery == nil || h.Recovery.Applied != 2 {
+		t.Fatalf("after kill -9: healthz %+v, want 62 points and 2 applied records", h)
+	}
+
+	// A follower bootstraps from the one-shard snapshot and answers alike.
+	fol := &proc{name: "follower", bin: binPath, addr: freeAddr(t), log: filepath.Join(dir, "follower.log")}
+	fol.args = []string{"serve", "-addr", fol.addr, "-follow", p2.baseURL}
+	fol.start(t)
+	fol.waitReady(t, 20*time.Second)
+	for i, pt := range targets {
+		ans, code, err := postNN(http.DefaultClient, fol.url(), pt)
+		if err != nil || code != http.StatusOK || ans.ID != 60+i || ans.Dist2 != 0 {
+			t.Fatalf("follower nn %v = %+v, code %d, err %v; want id %d at distance 0", pt, ans, code, err, 60+i)
+		}
+	}
+	fol.kill9(t)
+
+	// The shutdown snapshot is the sharded format, and serves again.
+	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for range p2.lines {
+	}
+	if err := p2.cmd.Wait(); err != nil {
+		t.Fatalf("serve exited uncleanly: %v", err)
+	}
+	raw, err := os.ReadFile(snap)
+	if err != nil || !bytes.HasPrefix(raw, []byte("NNSHRDv2")) {
+		t.Fatalf("snapshot starts %q (err %v), want NNSHRDv2", raw[:min(8, len(raw))], err)
+	}
+	p3 := startServe(t, "-addr", "127.0.0.1:0", "-load", snap, "-wal-dir", walDir)
+	p3.get(t, "/healthz", &h)
+	if h.Points != 62 {
+		t.Fatalf("reloaded snapshot serves %d points, want 62", h.Points)
+	}
+}
+
+// A -wal-dir with segment files at its root is a single-index server's log.
+// No shard directory replays it, so serve must stop and name the files rather
+// than come up without the writes they hold.
+func TestServeRefusesRootLevelWAL(t *testing.T) {
+	walDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(walDir, "wal-000000001.log"), []byte("NNWALv1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := run(t, "serve", "-addr", "127.0.0.1:0", "-n", "20", "-d", "2", "-wal-dir", walDir)
+	if err == nil {
+		t.Fatalf("serve started over a root-level log:\n%s", out)
+	}
+	if !strings.Contains(out, "wal-000000001.log") || !strings.Contains(out, "shard-0000") {
+		t.Errorf("error names neither the segment nor where a one-shard index reads it:\n%s", out)
+	}
+}
+
+// The default serve index is one shard under NN-Direction: a write reads no
+// simulator page (under Sphere, the old default, each one bulk-loaded a point
+// X-tree), and the page-defined algorithms are refused.
+func TestServeDefaults(t *testing.T) {
+	p := startServe(t, "-addr", "127.0.0.1:0", "-n", "300", "-d", "4")
+	for i := 0; i < 5; i++ {
+		x := 0.05 + 0.17*float64(i)
+		p.post(t, "/v1/insert", map[string]interface{}{"point": []float64{x, 1 - x, x / 2, 0.5}}, nil)
+	}
+	resp, err := http.Get(p.baseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"nncell_pager_accesses_total 0\n", `nncell_shard_points{shard="0"} 305`} {
+		if !bytes.Contains(metrics, []byte(want)) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+
+	for _, alg := range []string{"sphere", "point"} {
+		out, err := run(t, "serve", "-addr", "127.0.0.1:0", "-n", "20", "-d", "2", "-alg", alg)
+		if err == nil || !strings.Contains(out, "correct|nndir") {
+			t.Errorf("serve -alg %s: err %v, want a refusal naming correct|nndir:\n%s", alg, err, out)
+		}
+	}
+}
+
+// Flags that configure a primary's build or durability say so under -follow
+// instead of being dropped without a word.
+func TestFollowRejectsPrimaryFlags(t *testing.T) {
+	for _, flag := range [][]string{{"-seed", "3"}, {"-fsync", "always"}, {"-fsync-interval", "1s"}, {"-snapshot-every", "1s"}} {
+		out, err := run(t, append([]string{"serve", "-addr", "127.0.0.1:0", "-follow", "http://127.0.0.1:1"}, flag...)...)
+		if err == nil || !strings.Contains(out, flag[0]+" does not apply with -follow") {
+			t.Errorf("%v under -follow: err %v\n%s", flag, err, out)
+		}
 	}
 }
 

@@ -28,8 +28,14 @@ func (ix *Index) InsertBatch(ps []vec.Point) ([]int, error) {
 	return ix.insertBatchLocked(ps, true)
 }
 
-// insertBatchLocked is InsertBatch under an already-held write lock; logIt
-// as in insertLocked.
+// insertBatchLocked is InsertBatch under an already-held write lock, and the
+// one insert path: Insert passes a batch of one. logIt selects whether the
+// mutation is appended to the attached WAL: true for foreground inserts, false
+// during replay (the record being applied came FROM the log). The WAL append
+// sits between staging and commit: it runs only after every LP has succeeded
+// (no log records for mutations that would have failed anyway) and before any
+// committed structure changes, so an append failure rolls back to the exact
+// pre-call state and the mutation is never acknowledged.
 func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 	if len(ps) == 0 {
 		return nil, nil
@@ -80,6 +86,9 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 	}
 	affected := ix.intersectingCells(cc, nil, outers...)
 
+	// With LazyRepair the recompute is deferred: the affected cells keep their
+	// current MBRs — still supersets, an insert only shrinks cells — and are
+	// marked stale for the repair pool at commit (see repair.go).
 	lazy := ix.lazyForLocked(len(affected))
 	var stagedFrags [][]vec.Rect
 	if !lazy {
@@ -127,8 +136,9 @@ func (ix *Index) DeleteBatch(ids []int) error {
 	return ix.deleteBatchLocked(ids, true)
 }
 
-// deleteBatchLocked is DeleteBatch under an already-held write lock; logIt
-// as in insertLocked.
+// deleteBatchLocked is DeleteBatch under an already-held write lock, and the
+// one delete path: Delete passes a batch of one. logIt as in
+// insertBatchLocked.
 func (ix *Index) deleteBatchLocked(ids []int, logIt bool) error {
 	if len(ids) == 0 {
 		return nil

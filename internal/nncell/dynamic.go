@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/vec"
-	"repro/internal/wal"
 )
 
 // Dynamic maintenance follows a stage-then-commit protocol so that Insert and
@@ -32,88 +31,17 @@ import (
 // exact (the paper uses a sphere query for the same purpose; a rectangle
 // query against the new cell's MBR is the tighter form of the same idea).
 //
-// The affected-cell recomputation runs on the same worker pool pattern as
-// Build; all recomputed fragment sets are staged and committed only after
-// every LP solve has succeeded. On any error the index is left exactly as it
+// Insert is InsertBatch with one point (batch.go): staging, the log record and
+// the commit are the batch's, so on any error the index is left exactly as it
 // was before the call.
 func (ix *Index) Insert(p vec.Point) (int, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.insertLocked(p, true)
-}
-
-// insertLocked is Insert under an already-held write lock. logIt selects
-// whether the mutation is appended to the attached WAL: true for foreground
-// inserts, false during replay (the record being applied came FROM the log).
-// The WAL append sits between staging and commit: it runs only after every
-// LP has succeeded (no log records for mutations that would have failed
-// anyway) and before any committed structure changes, so an append failure
-// rolls back to the exact pre-call state and the mutation is never
-// acknowledged — the crash-consistency contract is "logged iff committed
-// iff acknowledged".
-func (ix *Index) insertLocked(p vec.Point, logIt bool) (int, error) {
-	if p.Dim() != ix.dim {
-		return 0, fmt.Errorf("nncell: insert of %d-dim point into %d-dim index", p.Dim(), ix.dim)
-	}
-	if !validPoint(p, ix.bounds) {
-		return 0, fmt.Errorf("nncell: point %v outside data space %v", p, ix.bounds)
-	}
-	cc := newCellCtx(ix.dim)
-	if ix.hasDuplicate(cc, p) {
-		return 0, fmt.Errorf("nncell: duplicate point %v", p)
-	}
-
-	// Stage the point itself: the approximation LPs must see the
-	// post-insert point set (the point directory drives constraint selection,
-	// alive drives the pruning termination check). Everything appended here
-	// is rolled back if any solve fails.
-	id := ix.stagePoint(p)
-	rollback := ix.unstagePoint
-
-	frags, err := ix.approximateCell(cc, id)
+	ids, err := ix.insertBatchLocked([]vec.Point{p}, true)
 	if err != nil {
-		rollback()
-		return 0, fmt.Errorf("nncell: approximating new cell: %w", err)
+		return 0, err
 	}
-
-	// Recompute every cell whose approximation intersects the new cell's
-	// outer MBR (superset of the truly shrinking cells) into a staged set;
-	// nothing committed is touched until all of them succeed. With
-	// LazyRepair the recompute is deferred: the affected cells keep their
-	// current MBRs — still supersets, the insert only shrank them — and are
-	// marked stale for the repair pool at commit (see repair.go).
-	affected := ix.intersectingCells(cc, nil, outerMBR(frags, ix.dim))
-	lazy := ix.lazyForLocked(len(affected))
-	var staged [][]vec.Rect
-	if !lazy {
-		staged, err = ix.approximateCells(cc, affected)
-		if err != nil {
-			rollback()
-			return 0, err
-		}
-	}
-
-	// Make the mutation durable before committing it: every solve has
-	// succeeded, so the only remaining failure mode is the log itself, and a
-	// failed append must leave the index exactly as it was (the caller never
-	// gets an id for a record that is not on disk).
-	if logIt && ix.wlog != nil {
-		if err := ix.wlog.Append(wal.Record{Kind: wal.KindInsert, ID: int64(id), Point: p}); err != nil {
-			rollback()
-			return 0, fmt.Errorf("nncell: logging insert: %w", err)
-		}
-	}
-
-	// Commit: every LP has succeeded and the record is logged, so the
-	// remaining work is pure bookkeeping that cannot fail.
-	ix.storeCell(id, frags)
-	if lazy {
-		ix.markStaleLocked(affected)
-	} else {
-		ix.commitStaged(affected, staged)
-	}
-	ix.notifyMutationLocked(affected, []vec.Point{p}, id)
-	return id, nil
+	return ids[0], nil
 }
 
 // stagePoint appends p as the next id — coordinate row, point-directory bits,
@@ -189,58 +117,15 @@ func (ix *Index) hasDuplicate(cc *cellCtx, p vec.Point) bool {
 // intersects the deleted cell's approximation is recomputed, a sound
 // superset of those neighbors.
 //
-// Like Insert, Delete stages: the point is hidden from the approximation
-// inputs (coordinate row, point directory), all affected cells are recomputed
-// into staged fragment sets, and only when every solve has succeeded are the
-// stored cells and the directory changed. On error the point is restored
-// and the index is unchanged.
+// Delete is DeleteBatch with one id (batch.go): the point is hidden from the
+// approximation inputs, all affected cells are recomputed into staged fragment
+// sets, and only when every solve has succeeded are the stored cells and the
+// directory changed. On error the point is restored and the index is
+// unchanged.
 func (ix *Index) Delete(id int) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.deleteLocked(id, true)
-}
-
-// deleteLocked is Delete under an already-held write lock; logIt as in
-// insertLocked.
-func (ix *Index) deleteLocked(id int, logIt bool) error {
-	// Stage the removal: the recomputation LPs must see the post-delete
-	// point set, but the committed structures (cells, directory) stay
-	// untouched until commit.
-	p, ok := ix.hidePoint(id)
-	if !ok {
-		return fmt.Errorf("nncell: delete of unknown id %d", id)
-	}
-	// Rolling back the staged removal suffices; nothing committed changed.
-	rollback := func() { ix.unhidePoint(id, p) }
-	var (
-		affected []int
-		staged   [][]vec.Rect
-	)
-	if ix.alive > 0 {
-		cc := newCellCtx(ix.dim)
-		affected = ix.intersectingCells(cc, nil, outerMBR(ix.cells[id], ix.dim))
-		var err error
-		staged, err = ix.approximateCells(cc, affected)
-		if err != nil {
-			rollback()
-			return err
-		}
-	}
-
-	// Durability before commit, as in insertLocked.
-	if logIt && ix.wlog != nil {
-		if err := ix.wlog.Append(wal.Record{Kind: wal.KindDelete, ID: int64(id)}); err != nil {
-			rollback()
-			return fmt.Errorf("nncell: logging delete: %w", err)
-		}
-	}
-
-	// Commit.
-	ix.removeFragments(id)
-	ix.clearStaleLocked(id)
-	ix.commitStaged(affected, staged)
-	ix.notifyMutationLocked(affected, nil, id)
-	return nil
+	return ix.deleteBatchLocked([]int{id}, true)
 }
 
 // minParallelRecompute is the affected-set size below which the per-cell LP

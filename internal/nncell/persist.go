@@ -53,12 +53,37 @@ const (
 func (ix *Index) Save(w io.Writer) error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	return ix.saveLocked(w, false)
+}
+
+// SaveFramed writes the byte length of the stream Save writes, a little-endian
+// uint64, and then that stream, both under one hold of the read lock: what a
+// container format (shard.Save) needs to frame an index without buffering it.
+func (ix *Index) SaveFramed(w io.Writer) error {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.saveLocked(w, true)
+}
+
+// saveLocked writes the stream, after its length when framed. The length is
+// every term of the layout above, and a stream that comes out at another
+// length is an error. Callers hold ix.mu.
+func (ix *Index) saveLocked(w io.Writer, framed bool) error {
 	bw := bufio.NewWriter(w)
 	le := binary.LittleEndian
 
+	d := uint64(ix.dim)
+	size := uint64(len(persistMagic)) + 5*4 + 2*8 + 2*d*8 + 8 + uint64(len(ix.cells)) +
+		uint64(ix.alive)*(d*8+4) + ix.stats.fragments.Load()*2*d*8 + 4
+	if framed {
+		if err := binary.Write(bw, le, size); err != nil {
+			return fmt.Errorf("nncell: save: %w", err)
+		}
+	}
 	if _, err := bw.WriteString(persistMagic); err != nil {
 		return fmt.Errorf("nncell: save: %w", err)
 	}
+	written := uint64(len(persistMagic)) + 4 // magic and checksum, the two parts that bypass write
 	sum := crc32.NewIEEE()
 	body := io.MultiWriter(bw, sum)
 	write := func(vs ...interface{}) error {
@@ -66,6 +91,7 @@ func (ix *Index) Save(w io.Writer) error {
 			if err := binary.Write(body, le, v); err != nil {
 				return fmt.Errorf("nncell: save: %w", err)
 			}
+			written += uint64(binary.Size(v))
 		}
 		return nil
 	}
@@ -101,6 +127,9 @@ func (ix *Index) Save(w io.Writer) error {
 	}
 	if err := binary.Write(bw, le, sum.Sum32()); err != nil {
 		return fmt.Errorf("nncell: save: %w", err)
+	}
+	if written != size {
+		return fmt.Errorf("nncell: save: stream of %d bytes, layout says %d", written, size)
 	}
 	return bw.Flush()
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Durability: an index with an attached WAL appends one record per
-// committed Insert/Delete (see insertLocked/deleteLocked: the append runs
+// committed write (see insertBatchLocked/deleteBatchLocked: the append runs
 // after every LP has succeeded and before the commit, so "acknowledged"
 // equals "logged"). Recovery is load-snapshot-then-Recover; replay is
 // verifiable and idempotent because insert records carry the slot id the
@@ -101,59 +101,17 @@ func (ix *Index) Recover(fsys iofault.FS, dir string) (RecoveryStats, error) {
 
 // ApplyLogRecord applies one replayed record, reporting whether it mutated
 // the index (false: a stale duplicate of state the snapshot already holds).
-// The id carried by each record makes the replay verifiable:
-//
-//   - insert with id == len(points): the next free slot — apply; the
-//     re-execution provably assigns exactly id.
-//   - insert with id < len(points): the snapshot already covers this
-//     record. If the slot holds bit-identical coordinates (or a tombstone —
-//     the point was inserted and later deleted, both before the snapshot),
-//     it is a stale duplicate; a live slot with DIFFERENT bits means this
-//     log does not belong to this snapshot — error.
-//   - insert with id > len(points): a gap — records are missing below id,
-//     so the acknowledged history cannot be reconstructed — error.
-//   - delete of a live id: apply. Delete of a tombstone: stale. Delete of
-//     an id beyond the table: gap — error.
+// The ids carried by each record make the replay verifiable; applyInsertBatch
+// and applyDeleteBatch hold the case analysis. The single kinds — what logs
+// written before a write became a batch of one hold — are batches of one.
 func (ix *Index) ApplyLogRecord(rec wal.Record) (bool, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	id := int(rec.ID)
 	switch rec.Kind {
 	case wal.KindInsert:
-		if len(rec.Point) != ix.dim {
-			return false, fmt.Errorf("nncell: replayed %d-dim insert into %d-dim index", len(rec.Point), ix.dim)
-		}
-		switch {
-		case id == len(ix.cells):
-			if _, err := ix.insertLocked(vec.Point(rec.Point), false); err != nil {
-				return false, fmt.Errorf("nncell: replaying insert %d: %w", id, err)
-			}
-			return true, nil
-		case id < len(ix.cells):
-			q := ix.point(id)
-			if q == nil {
-				return false, nil // inserted and deleted before the snapshot
-			}
-			for j := range q {
-				if math.Float64bits(q[j]) != math.Float64bits(rec.Point[j]) {
-					return false, fmt.Errorf("nncell: replayed insert %d does not match the snapshot's point (wrong log for this snapshot?)", id)
-				}
-			}
-			return false, nil // stale duplicate
-		default:
-			return false, fmt.Errorf("nncell: replayed insert %d beyond point table of %d (log is missing records)", id, len(ix.cells))
-		}
+		return ix.applyInsertBatch(wal.Record{IDs: []int64{rec.ID}, Coords: rec.Point})
 	case wal.KindDelete:
-		if id >= len(ix.cells) {
-			return false, fmt.Errorf("nncell: replayed delete %d beyond point table of %d (log is missing records)", id, len(ix.cells))
-		}
-		if ix.point(id) == nil {
-			return false, nil // already a tombstone in the snapshot
-		}
-		if err := ix.deleteLocked(id, false); err != nil {
-			return false, fmt.Errorf("nncell: replaying delete %d: %w", id, err)
-		}
-		return true, nil
+		return ix.applyDeleteBatch(wal.Record{IDs: []int64{rec.ID}})
 	case wal.KindInsertBatch:
 		return ix.applyInsertBatch(rec)
 	case wal.KindDeleteBatch:
@@ -163,16 +121,22 @@ func (ix *Index) ApplyLogRecord(rec wal.Record) (bool, error) {
 	}
 }
 
-// applyInsertBatch replays one KindInsertBatch record with the same
-// per-slot case analysis as KindInsert, extended to a run of ids. A batch
-// commits all-or-nothing and slot ids are append-only, so a consistent
-// snapshot covers either the whole batch or none of it. Hence the legal
-// shapes are exactly two: every id already inside the table (stale
-// duplicate — each slot verified bit-identical or tombstoned), or the run
-// starting exactly at len(points) and contiguous (apply the whole batch;
-// re-execution provably assigns exactly those ids). Anything else — a
-// straddle, a gap, a bit mismatch — means the log does not belong to this
-// snapshot.
+// applyInsertBatch replays an insert record: a run of slot ids with their
+// coordinates. A batch commits all-or-nothing and slot ids are append-only, so
+// a consistent snapshot covers either the whole batch or none of it. Hence the
+// legal shapes are exactly two:
+//
+//   - the run starts exactly at len(points) and is contiguous: apply the whole
+//     batch; the re-execution provably assigns exactly those ids.
+//   - every id is already inside the table: the snapshot covers the record.
+//     A slot holding bit-identical coordinates, or a tombstone (the point was
+//     inserted and later deleted, both before the snapshot), is a stale
+//     duplicate; a live slot with DIFFERENT bits means this log does not
+//     belong to this snapshot — error.
+//
+// Anything else — a run that straddles the table's end, or starts beyond it
+// (records are missing below it, so the acknowledged history cannot be
+// reconstructed) — is an error.
 func (ix *Index) applyInsertBatch(rec wal.Record) (bool, error) {
 	dim := rec.BatchDim()
 	if dim != ix.dim {
@@ -214,11 +178,11 @@ func (ix *Index) applyInsertBatch(rec wal.Record) (bool, error) {
 	}
 }
 
-// applyDeleteBatch replays one KindDeleteBatch record. Per-id analysis as
-// KindDelete; ids already tombstoned in the snapshot are skipped and the
-// still-live remainder is deleted as one batch (the snapshot may postdate
-// the batch's commit, covering all of it, or predate it, covering none —
-// either way every id must at least exist in the table).
+// applyDeleteBatch replays a delete record. An id beyond the table is a gap —
+// error; ids already tombstoned in the snapshot are stale and skipped; the
+// still-live remainder is deleted as one batch (the snapshot may postdate the
+// batch's commit, covering all of it, or predate it, covering none — either
+// way every id must at least exist in the table).
 func (ix *Index) applyDeleteBatch(rec wal.Record) (bool, error) {
 	var live []int
 	for _, id64 := range rec.IDs {

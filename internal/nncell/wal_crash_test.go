@@ -328,6 +328,47 @@ func TestRecoverRejectsGap(t *testing.T) {
 	}
 }
 
+// TestReplaySingleKindRecords: no foreground write logs KindInsert or
+// KindDelete any more, but logs written before a write became a batch of one
+// hold them, so a hand-built log of single-kind records must replay under the
+// batch analysis: apply, stale duplicate and wrong log alike.
+func TestReplaySingleKindRecords(t *testing.T) {
+	const d = 2
+	pts := uniquePoints(t, dataset.NameUniform, 308, 6, d)
+	p := vec.Point{0.41, 0.59}
+	want := mustBuild(t, pts, Options{Algorithm: Correct})
+	if _, err := want.Insert(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Delete(2); err != nil {
+		t.Fatal(err)
+	}
+
+	m := iofault.NewMem()
+	l, _ := wal.Open("wal", wal.Options{FS: m})
+	for _, rec := range []wal.Record{
+		{Kind: wal.KindInsert, ID: 1, Point: pts[1]},          // stale: the snapshot's own slot
+		{Kind: wal.KindInsert, ID: int64(len(pts)), Point: p}, // the next free slot: applies
+		{Kind: wal.KindDelete, ID: 2},                         // live: applies
+		{Kind: wal.KindDelete, ID: 2},                         // a tombstone by now: stale
+	} {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	rec := mustBuild(t, pts, Options{Algorithm: Correct})
+	rs, err := rec.Recover(m, "wal")
+	if err != nil || rs.Applied != 2 || rs.Stale != 2 {
+		t.Fatalf("applied %d / stale %d, err %v; want 2 / 2", rs.Applied, rs.Stale, err)
+	}
+	assertSameState(t, rec, want, 888)
+
+	if _, err := rec.ApplyLogRecord(wal.Record{Kind: wal.KindInsert, ID: 0, Point: []float64{0.9, 0.9}}); err == nil {
+		t.Fatal("a single insert record contradicting a live slot was accepted")
+	}
+}
+
 // TestCompactionProtocol: Rotate → Save → TruncateBefore leaves a log that,
 // replayed over the new snapshot, reproduces every post-snapshot mutation
 // and nothing else.

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,13 +12,12 @@ import (
 	"repro/internal/vec"
 )
 
-// Magic identifies the sharded snapshot stream; callers that accept several
-// formats (e.g. `nncell serve -load`) sniff it against the single-index magic
-// before choosing a loader.
+// Magic identifies the sharded snapshot stream. Load tells it from a bare
+// NNCELLv2 stream itself; the export and IsSnapshotMagic stay only because
+// bench/ still sniffs before choosing between two replica adapters.
 const Magic = "NNSHRDv2"
 
-// IsSnapshotMagic reports whether m is the magic of a sharded snapshot this
-// package can load.
+// IsSnapshotMagic reports whether m is the magic of a sharded snapshot.
 func IsSnapshotMagic(m string) bool { return m == Magic }
 
 // maxShardCount bounds the header-declared shard count; it exists to reject
@@ -115,20 +113,14 @@ func (s *Sharded) Save(w io.Writer) error {
 	default:
 		return fmt.Errorf("shard: save: unpersistable router %T", r)
 	}
-	var buf bytes.Buffer
 	for i, ix := range s.shards {
-		buf.Reset()
-		if err := ix.Save(&buf); err != nil {
-			return fmt.Errorf("shard: save shard %d: %w", i, err)
-		}
 		if err := binary.Write(bw, le, uint8(1)); err != nil {
 			return fmt.Errorf("shard: save: %w", err)
 		}
-		if err := binary.Write(bw, le, uint64(buf.Len())); err != nil {
-			return fmt.Errorf("shard: save: %w", err)
-		}
-		if _, err := bw.Write(buf.Bytes()); err != nil {
-			return fmt.Errorf("shard: save: %w", err)
+		// Length and blob stream out under one hold of the shard's read lock;
+		// nothing is buffered to learn the length.
+		if err := ix.SaveFramed(bw); err != nil {
+			return fmt.Errorf("shard: save shard %d: %w", i, err)
 		}
 	}
 	return bw.Flush()
@@ -141,17 +133,31 @@ func (s *Sharded) Save(w io.Writer) error {
 // present shard blob is fully validated by the per-shard v2 loader; Load
 // additionally checks that all shards agree with the header on dimensionality
 // and data space, and that every point routes to the shard that stores it.
+//
+// This is also where a snapshot's kind is decided, and the only place: a
+// stream that does not open with Magic is read as a bare NNCELLv2 index (what
+// nncell.Index.Save and `nncell -save` write) and adopted as the only shard of
+// a hash-routed S = 1 partition — gid = local·1 + 0, so every id is unchanged.
+// Any other stream fails that loader's own magic check.
 func Load(r io.Reader, opts Options) (*Sharded, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
 
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("shard: load: %w", err)
+	if magic, _ := br.Peek(len(Magic)); string(magic) != Magic {
+		pg := pager.New(opts.Pager)
+		ix, err := nncell.Load(br, pg)
+		if err != nil {
+			return nil, fmt.Errorf("shard: load: %w", err)
+		}
+		return &Sharded{
+			dim:    ix.Dim(),
+			bounds: ix.Bounds(),
+			router: &hashRouter{shards: 1},
+			shards: []*nncell.Index{ix},
+			pagers: []*pager.Pager{pg},
+		}, nil
 	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("shard: load: bad magic %q", magic)
-	}
+	br.Discard(len(Magic)) // peeked in full just above
 
 	var count uint32
 	if err := binary.Read(br, le, &count); err != nil {

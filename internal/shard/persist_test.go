@@ -1,0 +1,213 @@
+package shard
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"io"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/iofault"
+	"repro/internal/nncell"
+	"repro/internal/pager"
+	"repro/internal/vec"
+)
+
+// A bare NNCELLv2 stream — what nncell.Index.Save and `nncell -save` write —
+// loads as the one shard of a hash-routed partition, and that partition is the
+// saved index: same ids, same answers to the bit, same next id.
+func TestLoadAdoptsBareIndexAsOneShard(t *testing.T) {
+	const d, n = 4, 400
+	pts := uniquePoints(t, 131, n+1, d)
+	built, err := nncell.Build(pts[:n], vec.UnitCube(d), pager.New(pager.Config{}), nncell.Options{Algorithm: nncell.NNDirection})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{3, 77, n - 1} { // tombstones travel with the stream
+		if err := built.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stream bytes.Buffer
+	if err := built.Save(&stream); err != nil {
+		t.Fatal(err)
+	}
+	bare, err := nncell.Load(bytes.NewReader(stream.Bytes()), pager.New(pager.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := Load(bytes.NewReader(stream.Bytes()), testOptions(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sx.NumShards() != 1 || sx.RouteKind() != RouteHash || sx.Dim() != d || !sx.Bounds().Equal(bare.Bounds()) {
+		t.Fatalf("adopted as %d %v-routed shards, d=%d, bounds %v", sx.NumShards(), sx.RouteKind(), sx.Dim(), sx.Bounds())
+	}
+	if !slices.Equal(sx.IDs(), bare.IDs()) {
+		t.Fatal("ids changed in adoption")
+	}
+	if err := sx.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	sameNeighbor := func(a, b nncell.Neighbor) bool {
+		return a.ID == b.ID && math.Float64bits(a.Dist2) == math.Float64bits(b.Dist2)
+	}
+	rng := rand.New(rand.NewSource(132))
+	live := bare.IDs()
+	for trial := 0; trial < 2000; trial++ {
+		q := randQuery(rng, d)
+		switch trial % 3 {
+		case 1: // outside the data space
+			for j := range q {
+				q[j] = 2*q[j] - 0.5
+			}
+		case 2: // a data point itself
+			q, _ = bare.Point(live[rng.Intn(len(live))])
+		}
+		want, werr := bare.NearestNeighbor(q)
+		got, gerr := sx.NearestNeighbor(q)
+		if werr != nil || gerr != nil || !sameNeighbor(got, want) {
+			t.Fatalf("trial %d: NN %v (%v), bare index %v (%v)", trial, got, gerr, want, werr)
+		}
+		wantK, werr := bare.KNearest(q, 10)
+		gotK, gerr := sx.KNearest(q, 10)
+		if werr != nil || gerr != nil || !slices.EqualFunc(gotK, wantK, sameNeighbor) {
+			t.Fatalf("trial %d: k-NN %v (%v), bare index %v (%v)", trial, gotK, gerr, wantK, werr)
+		}
+		if got, want := sx.Candidates(q), bare.Candidates(q); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: candidates %v, bare index %v", trial, got, want)
+		}
+	}
+
+	want, werr := bare.Insert(pts[n])
+	got, gerr := sx.Insert(pts[n])
+	if werr != nil || gerr != nil || got != want {
+		t.Fatalf("next id %d (%v), bare index %d (%v)", got, gerr, want, werr)
+	}
+
+	// What the adopted index writes is the sharded format, and it loads back.
+	var snap bytes.Buffer
+	if err := sx.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(snap.Bytes(), []byte(Magic)) {
+		t.Fatalf("snapshot starts %q, want %q", snap.Bytes()[:8], Magic)
+	}
+	again, err := Load(&snap, testOptions(0))
+	if err != nil || again.NumShards() != 1 || !slices.Equal(again.IDs(), sx.IDs()) {
+		t.Fatalf("reload of the one-shard snapshot: %v", err)
+	}
+}
+
+// saveBuffered is Save as it was before it streamed: every shard serialised
+// into a buffer to learn its length. Kept as the byte-for-byte reference.
+func saveBuffered(s *Sharded, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	le := binary.LittleEndian
+	bw.WriteString(Magic)
+	binary.Write(bw, le, uint32(len(s.shards)))
+	binary.Write(bw, le, uint16(s.dim))
+	binary.Write(bw, le, []float64(s.bounds.Lo))
+	binary.Write(bw, le, []float64(s.bounds.Hi))
+	binary.Write(bw, le, uint8(s.router.Kind()))
+	if r, ok := s.router.(*gridRouter); ok {
+		binary.Write(bw, le, uint8(len(r.dims)))
+		for i, dim := range r.dims {
+			binary.Write(bw, le, uint16(dim))
+			binary.Write(bw, le, uint32(r.counts[i]))
+		}
+	}
+	var buf bytes.Buffer
+	for _, ix := range s.shards {
+		buf.Reset()
+		if err := ix.Save(&buf); err != nil {
+			return err
+		}
+		binary.Write(bw, le, uint8(1))
+		binary.Write(bw, le, uint64(buf.Len()))
+		bw.Write(buf.Bytes())
+	}
+	return bw.Flush()
+}
+
+// The streamed Save writes the bytes the buffered one wrote: hash and grid
+// routing, shards with tombstones, shards that never held a point.
+func TestSaveMatchesBufferedReference(t *testing.T) {
+	const d = 3
+	pts := uniquePoints(t, 133, 150, d)
+	grid := testOptions(4)
+	grid.Route = RouteGrid
+	for name, opts := range map[string]Options{"hash S=1": testOptions(1), "hash S=5": testOptions(5), "grid S=4": grid} {
+		for _, n := range []int{3, 150} {
+			s, err := Build(pts[:n], vec.UnitCube(d), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, gid := range s.IDs()[:n/3] {
+				if err := s.Delete(gid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got, want bytes.Buffer
+			if err := s.Save(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := saveBuffered(s, &want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s, n=%d: streamed Save wrote %d bytes that differ from the buffered %d", name, n, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// Save must not hold a shard's blob in memory to learn its length: at the
+// served shape (n = 10^4, d = 8, one shard) the buffer was 2 MB and more of
+// resident memory per snapshot, paid again for every bootstrapping follower.
+func TestSaveDoesNotBufferShards(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("builds 10^4 points at d = 8; allocation counts are perturbed under -race")
+	}
+	const d, n = 8, 10000
+	opts := testOptions(1)
+	opts.Index.Algorithm = nncell.NNDirection
+	s, err := Build(uniquePoints(t, 134, n, d), vec.UnitCube(d), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(save func(io.Writer) error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := save(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	bare, sharded := allocated(s.Shard(0).Save), allocated(s.Save)
+	if sharded > bare+64<<10 {
+		t.Errorf("Sharded.Save allocated %d bytes, its one shard's Save %d: more than 64 KiB on top", sharded, bare)
+	}
+}
+
+// A log at the root of the WAL directory is a single-index server's: Recover
+// must refuse it by name, since no shard would replay its records.
+func TestRecoverRefusesRootLevelLog(t *testing.T) {
+	s := mustBuild(t, uniquePoints(t, 135, 10, 2), 2, 1)
+	m := iofault.NewMem()
+	if _, err := s.Recover(m, "wal"); err != nil {
+		t.Fatalf("missing directory: %v", err)
+	}
+	m.SetFile("wal/wal-000000007.log", []byte("NNWALv1\n"))
+	_, err := s.Recover(m, "wal")
+	if err == nil || !strings.Contains(err.Error(), "wal-000000007.log") {
+		t.Fatalf("root-level segment: err = %v, want a refusal naming it", err)
+	}
+}

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -232,9 +233,8 @@ func Build(points []vec.Point, bounds vec.Rect, opts Options) (*Sharded, error) 
 }
 
 // NewEmpty constructs a sharded index with zero points, ready to accept
-// routed inserts — the sharded counterpart of nncell.NewEmpty, so `serve
-// -shards` can bootstrap fresh (e.g. recover purely from a WAL, or start an
-// ingest-only node). Derived grid geometry falls back to the first split
+// routed inserts, so `nncell serve -n 0` can bootstrap fresh (e.g. recover
+// purely from a WAL, or start an ingest-only node). Derived grid geometry falls back to the first split
 // dimensions, there being no points to measure variance over; pass
 // Options.Grid to pin it.
 func NewEmpty(d int, bounds vec.Rect, opts Options) (*Sharded, error) {
@@ -651,12 +651,13 @@ func (s *Sharded) KNearestAppend(dst []nncell.Neighbor, q vec.Point, k int) ([]n
 }
 
 // NearestNeighborBatch answers many NN queries concurrently with the given
-// parallelism (0 = one worker per shard, capped at the batch size). Results
-// are positionally aligned with the queries; one query's error fails the
-// whole batch fast, as in the single-index batch path.
+// parallelism (0 = GOMAXPROCS, as for a bare index: each query walks its
+// shards sequentially, so the shard count says nothing about useful width;
+// capped at the batch size). Results are positionally aligned with the
+// queries; one query's error fails the whole batch fast.
 func (s *Sharded) NearestNeighborBatch(qs []vec.Point, workers int) ([]nncell.Neighbor, error) {
 	if workers <= 0 {
-		workers = len(s.shards)
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(qs) {
 		workers = len(qs)

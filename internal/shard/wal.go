@@ -3,7 +3,9 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/iofault"
 	"repro/internal/nncell"
@@ -74,8 +76,30 @@ func (s *Sharded) Close() error {
 // Recover replays each shard's log directory under root into that shard.
 // Stats are summed across shards; per-shard divergence errors abort with
 // the shard number attached.
+//
+// Segment files (wal-*.log, see package wal) at the root itself are the layout
+// of the single-index server `nncell serve` used to run without -shards. No
+// shard directory replays them, so recovering around them would drop
+// acknowledged writes without a word: Recover refuses and names them.
 func (s *Sharded) Recover(fsys iofault.FS, root string) (nncell.RecoveryStats, error) {
 	var total nncell.RecoveryStats
+	if fsys == nil {
+		fsys = iofault.OS{}
+	}
+	names, err := fsys.ReadDir(root)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return total, fmt.Errorf("shard: recovering: %w", err)
+	}
+	var stray []string
+	for _, name := range names {
+		if ok, _ := filepath.Match("wal-*.log", name); ok {
+			stray = append(stray, name)
+		}
+	}
+	if len(stray) > 0 {
+		return total, fmt.Errorf("shard: %s holds log segments at its root (%s): a single-index server's layout, which no shard replays (a one-shard index replays them from %s)",
+			root, strings.Join(stray, ", "), WALDir(root, 0))
+	}
 	for i, ix := range s.shards {
 		rs, err := ix.Recover(fsys, WALDir(root, i))
 		total.Segments += rs.Segments
