@@ -192,6 +192,11 @@ func BenchmarkBuild(b *testing.B) {
 				b.Fatalf("a built index retains %.0f B per point, want <= 440", perPoint)
 			}
 			b.ReportMetric(perPoint, "retained_B/point")
+			pivots := ix.Stats().LPPivots
+			if pivots > 2_200_000 {
+				b.Fatalf("Build took %d LP pivots, want <= 2.2 M (a ratio test that stalls on axis objectives takes 2.9 M)", pivots)
+			}
+			b.ReportMetric(float64(pivots), "lp_pivots/op")
 		}
 		runtime.KeepAlive(ix)
 		b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
@@ -199,13 +204,16 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // BenchmarkSolveMBR isolates the warm 2·d-extent LP loop over one shared,
-// pre-loaded constraint set — the per-cell inner loop of construction. The
-// solver reuse contract requires 0 allocs/op here.
+// pre-loaded constraint set — the per-cell inner loop of construction — and
+// reports the pivots of the 2·d solves next to their time. The solver reuse
+// contract requires 0 allocs/op here.
 func BenchmarkSolveMBR(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
 	for _, d := range []int{4, 8, 16} {
 		for _, m := range []int{50, 500} {
 			b.Run(fmt.Sprintf("d=%d/m=%d", d, m), func(b *testing.B) {
+				// Seeded per case, so the polytope — and with it pivots/op —
+				// is the same at every b.N the harness tries.
+				rng := rand.New(rand.NewSource(int64(17 + 1000*d + m)))
 				p := &lp.Problem{NumVars: d, Lo: make([]float64, d), Hi: make([]float64, d)}
 				center := make([]float64, d)
 				for j := 0; j < d; j++ {
@@ -226,15 +234,17 @@ func BenchmarkSolveMBR(b *testing.B) {
 					b.Fatal(err)
 				}
 				c := make([]float64, d)
+				pivots := 0
 				extents := func() {
+					pivots = 0
 					for j := 0; j < d; j++ {
-						c[j] = 1
-						if _, err := s.Solve(c); err != nil {
-							b.Fatal(err)
-						}
-						c[j] = -1
-						if _, err := s.Solve(c); err != nil {
-							b.Fatal(err)
+						for _, sign := range [2]float64{1, -1} {
+							c[j] = sign
+							res, err := s.Solve(c)
+							if err != nil {
+								b.Fatal(err)
+							}
+							pivots += res.Iterations
 						}
 						c[j] = 0
 					}
@@ -247,6 +257,7 @@ func BenchmarkSolveMBR(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					extents()
 				}
+				b.ReportMetric(float64(pivots), "pivots/op")
 			})
 		}
 	}

@@ -17,11 +17,14 @@
 //     inverse in product form (O(d²)), re-synchronizing it from the basis
 //     columns every refactorEvery pivots. Because the data-space box rows are
 //     always present, a dual-feasible starting basis and its inverse exist in
-//     closed form and no phase-1 is ever needed. A Solver validates and
-//     row-normalizes the constraint set once (Load), then solves any number
-//     of objectives over it (Solve) without heap allocation — exactly the
-//     access pattern of the 2·d extent LPs of one cell, which share one
-//     constraint set.
+//     closed form and no phase-1 is ever needed. A Solver validates the
+//     constraint set and scales its rows to unit Euclidean norm once (Load),
+//     then solves any number of objectives over it (Solve) without heap
+//     allocation — exactly the access pattern of the 2·d extent LPs of one
+//     cell, which share one constraint set. Those objectives are ±e_j, whose
+//     starting basis is degenerate in d − 1 rows; the ratio test's
+//     largest-pivot tie-break (see Solve) is what keeps them to about a dozen
+//     pivots each.
 //
 //   - Maximize: the one-shot convenience wrapper over a throwaway Solver.
 //
@@ -41,8 +44,8 @@ import (
 )
 
 // Numerical tolerances. Inputs are expected to be normalized to roughly unit
-// scale (the NN-cell pipeline works inside [0,1]^d and normalizes constraint
-// rows); the solvers additionally rescale each row to unit infinity-norm.
+// scale (the NN-cell pipeline works inside [0,1]^d); the simplex additionally
+// rescales each row to unit Euclidean norm, Seidel to unit infinity norm.
 const (
 	tolPivot  = 1e-11 // smallest acceptable pivot magnitude
 	tolRed    = 1e-9  // reduced-cost optimality tolerance
@@ -52,11 +55,13 @@ const (
 	// refactorEvery is the number of product-form updates after which B⁻¹ is
 	// recomputed from the basis columns. An update divides by a pivot the
 	// ratio test has bounded away from zero (> tolPivot, on columns of unit
-	// infinity norm), so each one adds a rounding error of a few ulps of the
+	// Euclidean norm), so each one adds a rounding error of a few ulps of the
 	// entries it combines; re-synchronizing caps how many of those can add up,
 	// which keeps the drift orders of magnitude below tolRed — the tolerance
 	// at which optimality is decided and the NN-cell pipeline pads its MBRs.
-	// The extent LPs of a cell take ~20 pivots, so most solves never re-sync.
+	// The extent LPs of a cell take ~12 pivots (TestExtentPivotCounts), so
+	// nearly all of them never re-sync; dense objectives over hundreds of rows
+	// at d = 16 do (TestProductFormAgreesWithRefactor).
 	refactorEvery = 32
 )
 
@@ -147,7 +152,7 @@ func Maximize(p *Problem, c []float64) (*Result, error) {
 // Solver is a reusable dual revised simplex. The zero value is ready for use:
 //
 //	var s lp.Solver
-//	s.Load(problem)        // validate + row-normalize once
+//	s.Load(problem)        // validate + scale rows to unit length, once
 //	for each objective c:
 //	    res, err := s.Solve(c)   // zero heap allocations when warm
 //
@@ -167,7 +172,7 @@ type Solver struct {
 	lo, hi []float64 // caller's box (not copied)
 
 	// Dual constraint matrix. Column layout (d rows): columns 0..m-1 are the
-	// user constraints, row-normalized to unit infinity norm; columns
+	// user constraints, row-normalized to unit Euclidean norm; columns
 	// m..m+d-1 are the box upper rows (+e_j), columns m+d..m+2d-1 the box
 	// lower rows (−e_j). User columns are stored in one flat backing array,
 	// column j at cons[j*d : (j+1)*d].
@@ -182,11 +187,12 @@ type Solver struct {
 	mat      [][]float64 // refactor scratch [B | I], d rows × 2d into matFlat
 	matFlat  []float64
 
+	nz      []int     // indices of the non-zeros of c
 	lambda  []float64 // dual basic values B⁻¹ c
 	pi      []float64 // simplex multipliers w_B B⁻¹
 	u       []float64 // entering column in basis coordinates
-	colbuf  []float64
-	inBasis []bool
+	colbuf  []float64 // refactor's column scratch
+	inBasis []bool    // per column, valid during a Solve
 
 	x     []float64 // result vertex buffer
 	tight []int     // result tight-set buffer
@@ -207,26 +213,24 @@ func (s *Solver) Load(p *Problem) error {
 	for j := range p.Cons {
 		con := &p.Cons[j]
 		col := s.cons[j*d : (j+1)*d]
-		// Normalize each row to unit infinity norm for conditioning. A zero
-		// row is either trivially satisfiable (b >= 0, kept as a zero column
-		// that can never enter the basis) or infeasible.
+		// Normalize each row to unit Euclidean norm: w_k − π·M_k is then the
+		// signed distance from π to the constraint's hyperplane, so pricing
+		// compares cuts by depth. A zero row is either trivially satisfiable
+		// (b >= 0, kept as a zero column that can never enter the basis) or
+		// infeasible.
 		scale := 0.0
 		for _, a := range con.A {
-			if v := math.Abs(a); v > scale {
-				scale = v
-			}
+			scale += a * a
 		}
 		b := con.B
 		if scale > 0 {
-			inv := 1 / scale
+			inv := 1 / math.Sqrt(scale)
 			for i, a := range con.A {
 				col[i] = a * inv
 			}
 			b *= inv
 		} else {
-			for i := range col {
-				col[i] = 0
-			}
+			clear(col)
 		}
 		s.w[j] = b
 	}
@@ -275,6 +279,9 @@ func (s *Solver) sizeScratch(d, m int) {
 	}
 	if cap(s.tight) < d {
 		s.tight = make([]int, 0, d)
+	}
+	if cap(s.nz) < d {
+		s.nz = make([]int, 0, d)
 	}
 	s.lambda = growFloat(s.lambda, d)
 	s.pi = growFloat(s.pi, d)
@@ -341,8 +348,16 @@ func (s *Solver) column(k int, dst []float64) {
 // the columns of Aᵀ include ±e_j for every dimension. Picking, for each j,
 // the +e_j column when c_j ≥ 0 and the −e_j column otherwise yields a basis
 // B = diag(±1) = B⁻¹ with B⁻¹c = |c| ≥ 0 — a dual-feasible starting point
-// with no phase-1 and no factorization. Pricing uses Dantzig's rule and falls
-// back to Bland's rule after a run of degenerate pivots, which guarantees
+// with no phase-1 and no factorization.
+//
+// Pricing (price) is Dantzig's rule: the most negative reduced cost, which on
+// rows of unit Euclidean norm is the constraint the current vertex violates by
+// the largest distance. The ratio test breaks its ties toward the largest pivot
+// element u_i. That is what keeps an extent objective from stalling: c = ±e_j
+// starts with d − 1 zero multipliers, so every early ratio is a tie at zero,
+// and the largest |u_i| is the basis column the entering one can replace with
+// the best-conditioned exchange. A run of more than 2·d + 20 zero-step pivots
+// switches both choices to Bland's lowest-index rule, which guarantees
 // termination.
 func (s *Solver) Solve(c []float64) (*Result, error) {
 	if s.d == 0 {
@@ -352,106 +367,87 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 		return nil, fmt.Errorf("lp: objective has %d coefficients, want %d", len(c), s.d)
 	}
 	s.c = c
-	d := s.d
+	d, m := s.d, s.m
+	lambda, pi, u, inBasis := s.lambda, s.pi, s.u, s.inBasis
+	basis, binv, cons, w := s.basis, s.binv, s.cons, s.w
+
 	// Starting basis: signed identity from box rows, which is its own inverse.
+	// inBasis is set here once and then follows the pivots, two flips each.
+	clear(inBasis)
+	nz := s.nz[:0] // the non-zeros of c: one for an extent objective
 	for j := 0; j < d; j++ {
-		row := s.binv[j]
-		for i := range row {
-			row[i] = 0
-		}
+		row := binv[j]
+		clear(row)
 		if c[j] >= 0 {
-			s.basis[j] = s.m + j // +e_j column
+			basis[j] = m + j // +e_j column
 			row[j] = 1
 		} else {
-			s.basis[j] = s.m + s.d + j // -e_j column
+			basis[j] = m + d + j // -e_j column
 			row[j] = -1
+		}
+		inBasis[basis[j]] = true
+		if c[j] != 0 {
+			nz = append(nz, j)
 		}
 	}
 
-	lambda, pi, u, colbuf, inBasis := s.lambda, s.pi, s.u, s.colbuf, s.inBasis
-
 	degenerate := 0
 	bland := false
-	iters := 0
-	for ; iters < maxPivots; iters++ {
-		// lambda = B⁻¹ c
-		for i := 0; i < d; i++ {
+	for iters := 0; iters < maxPivots; iters++ {
+		// lambda = B⁻¹ c and pi = w_B B⁻¹
+		clear(pi)
+		for i, row := range binv {
 			v := 0.0
-			for j := 0; j < d; j++ {
-				v += s.binv[i][j] * c[j]
+			for _, j := range nz {
+				v += row[j] * c[j]
 			}
 			lambda[i] = v
-		}
-		// pi = w_B B⁻¹
-		for j := 0; j < d; j++ {
-			v := 0.0
-			for i := 0; i < d; i++ {
-				v += s.w[s.basis[i]] * s.binv[i][j]
+			wb := w[basis[i]]
+			for j, b := range row {
+				pi[j] += wb * b
 			}
-			pi[j] = v
-		}
-		for i := range inBasis {
-			inBasis[i] = false
-		}
-		for _, k := range s.basis {
-			inBasis[k] = true
 		}
 
-		// Pricing: find entering column with negative reduced cost.
-		enter := -1
-		bestRed := -tolRed
-		total := s.m + 2*d
-		for k := 0; k < total; k++ {
-			if inBasis[k] {
-				continue
-			}
-			var red float64
-			switch {
-			case k < s.m:
-				red = s.w[k]
-				col := s.cons[k*d : (k+1)*d]
-				for i := 0; i < d; i++ {
-					red -= pi[i] * col[i]
-				}
-			case k < s.m+d:
-				red = s.w[k] - pi[k-s.m]
-			default:
-				red = s.w[k] + pi[k-s.m-d]
-			}
-			if red < bestRed {
-				if bland {
-					enter = k
-					break // Bland: first (lowest-index) improving column
-				}
-				bestRed = red
-				enter = k
-			}
-		}
+		enter := s.price(bland)
 		if enter < 0 {
 			return s.finish(pi, lambda, iters)
 		}
 
 		// Direction u = B⁻¹ M_enter.
-		s.column(enter, colbuf)
-		for i := 0; i < d; i++ {
-			v := 0.0
-			for j := 0; j < d; j++ {
-				v += s.binv[i][j] * colbuf[j]
+		switch {
+		case enter < m:
+			col := cons[enter*d : (enter+1)*d]
+			for i, row := range binv {
+				v := 0.0
+				for j, b := range row {
+					v += b * col[j]
+				}
+				u[i] = v
 			}
-			u[i] = v
+		case enter < m+d:
+			for i, row := range binv {
+				u[i] = row[enter-m]
+			}
+		default:
+			for i, row := range binv {
+				u[i] = -row[enter-m-d]
+			}
 		}
 
-		// Ratio test: leaving row minimizes lambda_i / u_i over u_i > 0.
+		// Ratio test: the leaving row minimizes lambda_i / u_i over u_i > 0;
+		// among ties, the largest u_i (the lowest column index under Bland).
 		leave := -1
 		bestRatio := math.Inf(1)
 		for i := 0; i < d; i++ {
-			if u[i] > tolPivot {
-				ratio := lambda[i] / u[i]
-				if ratio < bestRatio-tolRatio ||
-					(ratio < bestRatio+tolRatio && (leave < 0 || s.basis[i] < s.basis[leave])) {
-					bestRatio = ratio
-					leave = i
-				}
+			if u[i] <= tolPivot {
+				continue
+			}
+			ratio := lambda[i] / u[i]
+			switch {
+			case ratio < bestRatio-tolRatio:
+				bestRatio, leave = ratio, i
+			case ratio < bestRatio+tolRatio && tieBreak(bland, u[i], u[leave], basis[i], basis[leave]):
+				bestRatio, leave = math.Min(ratio, bestRatio), i
 			}
 		}
 		if leave < 0 {
@@ -467,7 +463,9 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 			degenerate = 0
 		}
 
-		s.basis[leave] = enter
+		inBasis[basis[leave]] = false
+		inBasis[enter] = true
+		basis[leave] = enter
 		if (iters+1)%refactorEvery == 0 {
 			if err := s.refactor(); err != nil {
 				return nil, err
@@ -477,21 +475,89 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 		// Product-form update: the new basis differs from the old in column
 		// `leave` only, so B⁻¹ changes by one elementary row operation per
 		// row, driven by the direction u already computed for the ratio test.
-		pivotRow := s.binv[leave]
+		pivotRow := binv[leave]
 		inv := 1 / u[leave]
 		for j := range pivotRow {
 			pivotRow[j] *= inv
 		}
-		for i := 0; i < d; i++ {
+		for i, row := range binv {
 			if f := u[i]; i != leave && f != 0 {
-				row := s.binv[i]
-				for j := range row {
-					row[j] -= f * pivotRow[j]
+				for j, p := range pivotRow {
+					row[j] -= f * p
 				}
 			}
 		}
 	}
 	return nil, ErrNumeric
+}
+
+// price returns the entering column: the non-basic one with the most
+// negative reduced cost w_k − π·M_k, under Bland's rule the first negative one,
+// or −1 at optimality. User columns go four at a time, each with its own
+// accumulator and its subtractions in index order, so a reduced cost is the
+// same float whichever lane computed it; basic columns are priced like the
+// rest and turned away only if they would win.
+func (s *Solver) price(bland bool) int {
+	d, m := s.d, s.m
+	pi, cons, w, inBasis := s.pi, s.cons, s.w, s.inBasis
+	enter := -1
+	bestRed := -tolRed
+	k := 0
+	for ; k+4 <= m; k += 4 {
+		c0 := cons[k*d : k*d+d][:len(pi)]
+		c1 := cons[(k+1)*d : (k+1)*d+d][:len(pi)]
+		c2 := cons[(k+2)*d : (k+2)*d+d][:len(pi)]
+		c3 := cons[(k+3)*d : (k+3)*d+d][:len(pi)]
+		r0, r1, r2, r3 := w[k], w[k+1], w[k+2], w[k+3]
+		for i, p := range pi {
+			r0 -= p * c0[i]
+			r1 -= p * c1[i]
+			r2 -= p * c2[i]
+			r3 -= p * c3[i]
+		}
+		if r0 < bestRed || r1 < bestRed || r2 < bestRed || r3 < bestRed {
+			for t, red := range [4]float64{r0, r1, r2, r3} {
+				if red < bestRed && !inBasis[k+t] {
+					if bland {
+						return k + t
+					}
+					bestRed, enter = red, k+t
+				}
+			}
+		}
+	}
+	for ; k < m+2*d; k++ {
+		var red float64
+		switch {
+		case k < m:
+			red = w[k]
+			col := cons[k*d : (k+1)*d]
+			for i, p := range pi {
+				red -= p * col[i]
+			}
+		case k < m+d:
+			red = w[k] - pi[k-m]
+		default:
+			red = w[k] + pi[k-m-d]
+		}
+		if red < bestRed && !inBasis[k] {
+			if bland {
+				return k
+			}
+			bestRed, enter = red, k
+		}
+	}
+	return enter
+}
+
+// tieBreak reports whether row i replaces the current leaving row when their
+// ratios tie: the larger pivot element wins, or under Bland's rule the lower
+// column index.
+func tieBreak(bland bool, ui, uLeave float64, ki, kLeave int) bool {
+	if bland {
+		return ki < kLeave
+	}
+	return ui > uLeave
 }
 
 // finish recovers the primal vertex from the final basis. At dual optimality

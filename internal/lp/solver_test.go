@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -256,9 +257,11 @@ func solveRefactorEveryPivot(s *Solver, c []float64) (*Result, error) {
 			}
 			if s.u[i] > tolPivot {
 				ratio := s.lambda[i] / s.u[i]
-				if ratio < bestRatio-tolRatio ||
-					(ratio < bestRatio+tolRatio && (leave < 0 || s.basis[i] < s.basis[leave])) {
+				switch {
+				case ratio < bestRatio-tolRatio:
 					bestRatio, leave = ratio, i
+				case ratio < bestRatio+tolRatio && tieBreak(bland, s.u[i], s.u[leave], s.basis[i], s.basis[leave]):
+					bestRatio, leave = math.Min(ratio, bestRatio), i
 				}
 			}
 		}
@@ -275,6 +278,18 @@ func solveRefactorEveryPivot(s *Solver, c []float64) (*Result, error) {
 		s.basis[leave] = enter
 	}
 	return nil, ErrNumeric
+}
+
+// bisector returns the half-space of the points at least as close to p as to
+// q: 2(q − p)·x ≤ ‖q‖² − ‖p‖².
+func bisector(p, q []float64) Constraint {
+	a := make([]float64, len(p))
+	b := 0.0
+	for j := range a {
+		a[j] = 2 * (q[j] - p[j])
+		b += q[j]*q[j] - p[j]*p[j]
+	}
+	return Constraint{A: a, B: b}
 }
 
 // bisectorProblem builds the constraint set of one NN-cell: the bisector
@@ -316,32 +331,57 @@ func bisectorProblem(rng *rand.Rand, d, m int) *Problem {
 					q[j] = rng.Float64()
 				}
 			}
-			a := make([]float64, d)
-			b := 0.0
-			for j := range a {
-				a[j] = 2 * (q[j] - center[j])
-				b += q[j]*q[j] - center[j]*center[j]
-			}
-			p.Cons = append(p.Cons, Constraint{A: a, B: b})
+			p.Cons = append(p.Cons, bisector(center, q))
 		}
 	}
 	return p
 }
 
+// gaussianProblem builds a polytope of m Gaussian-direction half-spaces, each
+// passing within 0.1 of a common interior point of the unit cube — the family
+// BenchmarkSolveMBR times. Nothing about it is degenerate, so at d = 16 and
+// m ≥ 500 a solve takes several dozen genuine basis exchanges.
+func gaussianProblem(rng *rand.Rand, d, m int) *Problem {
+	p := &Problem{NumVars: d, Lo: make([]float64, d), Hi: make([]float64, d)}
+	center := make([]float64, d)
+	for j := range center {
+		p.Hi[j] = 1
+		center[j] = 0.3 + 0.4*rng.Float64()
+	}
+	for i := 0; i < m; i++ {
+		a := make([]float64, d)
+		dot := 0.0
+		for j := range a {
+			a[j] = rng.NormFloat64()
+			dot += a[j] * center[j]
+		}
+		p.Cons = append(p.Cons, Constraint{A: a, B: dot + 0.1*rng.Float64()})
+	}
+	return p
+}
+
 // TestProductFormAgreesWithRefactor is the property the O(d²) pivot rests on:
-// over random bisector LPs up to d = 16 and m = 128 — enough pivots per solve
-// to cross the periodic re-sync — the product-form Solve returns the optimum
-// of the refactor-every-pivot reference, and of the independent Seidel
-// oracle, to 1e-9. Seidel's expected O(d!·m) cost confines it at d = 16 to
+// the product-form Solve returns the optimum of the refactor-every-pivot
+// reference, and of the independent Seidel oracle, to 1e-9 — over random
+// bisector LPs up to d = 16 and m = 128, and over Gaussian polytopes at
+// d = 16 and m = 500..1000, whose solves run long enough to cross the periodic
+// re-sync (the bisector family no longer does: its extent LPs finish in about
+// a dozen pivots). Seidel's expected O(d!·m) cost confines it at d = 16 to
 // the problems with m ≤ 32 (all of them take 25 s).
 func TestProductFormAgreesWithRefactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var s, ref Solver
-	crossedResync := false
-	for trial := 0; trial < 240; trial++ {
-		d := []int{2, 4, 8, 16}[trial%4]
-		m := 1 + rng.Intn(128)
-		p := bisectorProblem(rng, d, m)
+	crossedResync := 0
+	for trial := 0; trial < 250; trial++ {
+		var d, m int
+		var p *Problem
+		if trial < 240 {
+			d, m = []int{2, 4, 8, 16}[trial%4], 1+rng.Intn(128)
+			p = bisectorProblem(rng, d, m)
+		} else {
+			d, m = 16, 500+rng.Intn(501)
+			p = gaussianProblem(rng, d, m)
+		}
 		if err := s.Load(p); err != nil {
 			t.Fatalf("trial %d: Load: %v", trial, err)
 		}
@@ -364,7 +404,9 @@ func TestProductFormAgreesWithRefactor(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d (d=%d m=%d): Solve: %v", trial, d, m, err)
 			}
-			crossedResync = crossedResync || got.Iterations > refactorEvery
+			if got.Iterations > refactorEvery {
+				crossedResync++
+			}
 			checkFeasible(t, p, got.X, "product form")
 			want, err := solveRefactorEveryPivot(&ref, c)
 			if err != nil {
@@ -387,7 +429,136 @@ func TestProductFormAgreesWithRefactor(t *testing.T) {
 			}
 		}
 	}
-	if !crossedResync {
+	t.Logf("%d solves ran past refactorEvery = %d pivots", crossedResync, refactorEvery)
+	if crossedResync == 0 {
 		t.Fatal("no solve ran past refactorEvery pivots; the periodic re-sync was never exercised")
 	}
+}
+
+// cellProblems returns the constraint sets of the first `cells` NN-cells of n
+// seeded uniform points in the unit cube as an NN-Direction build forms them:
+// the bisector half-spaces between a point and its 8·d nearest neighbours.
+func cellProblems(seed int64, n, d, cells int) []*Problem {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = make([]float64, d)
+		for j := range pts[i] {
+			pts[i][j] = rng.Float64()
+		}
+	}
+	lo, hi := make([]float64, d), make([]float64, d)
+	for j := range hi {
+		hi[j] = 1
+	}
+	dist2 := make([]float64, n)
+	order := make([]int, n)
+	probs := make([]*Problem, cells)
+	for i := range probs {
+		center := pts[i]
+		for k, q := range pts {
+			order[k], dist2[k] = k, 0
+			for j := range q {
+				dist2[k] += (q[j] - center[j]) * (q[j] - center[j])
+			}
+		}
+		sort.Slice(order, func(a, b int) bool { return dist2[order[a]] < dist2[order[b]] })
+		p := &Problem{NumVars: d, Lo: lo, Hi: hi}
+		for _, k := range order[1 : 1+8*d] { // order[0] is the point itself
+			p.Cons = append(p.Cons, bisector(center, pts[k]))
+		}
+		probs[i] = p
+	}
+	return probs
+}
+
+// TestExtentPivotCounts gates the pivot count of the only LPs the product
+// solves — the 2·d objectives ±e_j over a cell's bisector set — so that a
+// stall cannot hide behind a green timing. An extent objective starts with
+// d − 1 zero multipliers, and a ratio test that breaks those ties by column
+// index instead of by pivot size spends most of its pivots at step length zero
+// (17.9 per solve at d = 8 and 40.9 at d = 16, against ~8 basis exchanges
+// needed). The counts are deterministic — 7.03, 11.64 and 11.56 today, where
+// the lowest-index tie-break took 7.76, 17.86 and 40.85 — and no solve may
+// reach the 2·d + 20 zero-step pivots that trip the Bland's-rule fallback.
+func TestExtentPivotCounts(t *testing.T) {
+	for _, tc := range []struct {
+		d       int
+		maxMean float64
+	}{{4, 7.4}, {8, 13}, {16, 13}} {
+		d := tc.d
+		var s Solver
+		c := make([]float64, d)
+		solves, pivots := 0, 0
+		for i, p := range cellProblems(int64(d), 10000, d, 200) {
+			if err := s.Load(p); err != nil {
+				t.Fatalf("d=%d cell %d: Load: %v", d, i, err)
+			}
+			for j := 0; j < d; j++ {
+				for _, sign := range []float64{1, -1} {
+					c[j] = sign
+					res, err := s.Solve(c)
+					if err != nil {
+						t.Fatalf("d=%d cell %d: Solve: %v", d, i, err)
+					}
+					if res.Iterations > 2*d+20 {
+						t.Errorf("d=%d cell %d objective %+.0f·e_%d: %d pivots, want <= 2·d + 20 = %d",
+							d, i, sign, j, res.Iterations, 2*d+20)
+					}
+					solves++
+					pivots += res.Iterations
+				}
+				c[j] = 0
+			}
+		}
+		mean := float64(pivots) / float64(solves)
+		t.Logf("d=%d: %d extent solves, %.2f pivots per solve", d, solves, mean)
+		if mean > tc.maxMean {
+			t.Errorf("d=%d: %.2f pivots per extent solve, want <= %v", d, mean, tc.maxMean)
+		}
+	}
+}
+
+// TestExtentsCoverReferenceVertex checks that the tie-break trades no
+// soundness for speed. For every cell of a seeded n = 2000, d = 8
+// NN-Direction build, each of the 2·d solved extents must reach the cell's
+// optimal vertex as the refactor-every-pivot reference finds it, to 1e-12:
+// the MBR assembled from them is then still a superset of the cell (Lemma 1)
+// before the index pads it by Epsilon = 1e-9. The reference vertex itself
+// must satisfy every bisector, or it would vouch for nothing.
+func TestExtentsCoverReferenceVertex(t *testing.T) {
+	const n, d = 2000, 8
+	var s, ref Solver
+	c := make([]float64, d)
+	worst := 0.0
+	for i, p := range cellProblems(2000, n, d, n) {
+		if err := s.Load(p); err != nil {
+			t.Fatalf("cell %d: Load: %v", i, err)
+		}
+		if err := ref.Load(p); err != nil {
+			t.Fatalf("cell %d: Load: %v", i, err)
+		}
+		for j := 0; j < d; j++ {
+			for _, sign := range []float64{1, -1} {
+				c[j] = sign
+				got, err := s.Solve(c)
+				if err != nil {
+					t.Fatalf("cell %d: Solve: %v", i, err)
+				}
+				want, err := solveRefactorEveryPivot(&ref, c)
+				if err != nil {
+					t.Fatalf("cell %d: reference: %v", i, err)
+				}
+				checkFeasible(t, p, want.X, "reference vertex")
+				if short := sign*want.X[j] - got.Value; short > 1e-12 {
+					t.Fatalf("cell %d objective %+.0f·e_%d: solved extent %v falls %g short of the reference vertex's %v",
+						i, sign, j, got.Value, short, sign*want.X[j])
+				} else if short > worst {
+					worst = short
+				}
+			}
+			c[j] = 0
+		}
+	}
+	t.Logf("%d extents, largest shortfall against the reference vertex %g", 2*d*n, worst)
 }

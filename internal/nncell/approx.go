@@ -16,7 +16,9 @@ import (
 // objectives), the bisector constraint matrix in one flat backing array, the
 // objective / id buffers, and the directory scratch of the neighbour searches
 // and of the affected-cell one. One cellCtx serves one goroutine at a time: a
-// pool worker keeps one, the dynamic path one per operation.
+// pool worker keeps one, the dynamic path one per operation. It also counts
+// the LP work of the cell under construction, which approximateCell adds to
+// the index's shared counters once per cell instead of once per solve.
 type cellCtx struct {
 	solver     lp.Solver
 	prob       lp.Problem
@@ -27,6 +29,8 @@ type cellCtx struct {
 	dirScratch            // point-directory searches: neighbour pool, pruning range, duplicate check
 	nbrs       []Neighbor // neighbour-pool result buffer
 	acc, hit   []uint64   // intersectingCells: one rectangle's directory survivors, the verified union
+
+	lpSolves, lpPivots, constraintPoints uint64 // of the current cell, not yet in ix.stats
 }
 
 func newCellCtx(d int) *cellCtx {
@@ -38,6 +42,7 @@ func newCellCtx(d int) *cellCtx {
 // point directory but never mutates the index, so the builder may call it
 // from many goroutines, each with its own cellCtx.
 func (ix *Index) approximateCell(cc *cellCtx, i int) ([]vec.Rect, error) {
+	defer ix.flushLPCounts(cc)
 	if ix.testHookApprox != nil {
 		if err := ix.testHookApprox(i); err != nil {
 			return nil, err
@@ -111,9 +116,8 @@ func (ix *Index) bisectors(cc *cellCtx, p vec.Point, ids []int) []lp.Constraint 
 		cc.cons[n] = lp.Constraint{A: a, B: q.Norm2() - pn}
 		n++
 	}
-	cons := cc.cons[:n]
-	ix.stats.constraintPoints.Add(uint64(n))
-	return cons
+	cc.constraintPoints += uint64(n)
+	return cc.cons[:n]
 }
 
 // solveMBR runs the 2·d extent LPs of Definition 3 over the given bisector
@@ -133,14 +137,14 @@ func (ix *Index) solveMBR(cc *cellCtx, p vec.Point, cons []lp.Constraint) (vec.R
 		if err != nil {
 			return vec.Rect{}, err
 		}
-		ix.noteLP(res)
+		cc.noteLP(res)
 		mbr.Hi[j] = res.Value
 		c[j] = -1
 		res, err = cc.solver.Solve(c)
 		if err != nil {
 			return vec.Rect{}, err
 		}
-		ix.noteLP(res)
+		cc.noteLP(res)
 		mbr.Lo[j] = -res.Value
 		c[j] = 0
 		// The point itself is feasible, so the extent must straddle it;
@@ -155,9 +159,20 @@ func (ix *Index) solveMBR(cc *cellCtx, p vec.Point, cons []lp.Constraint) (vec.R
 	return mbr, nil
 }
 
-func (ix *Index) noteLP(res *lp.Result) {
-	ix.stats.lpSolves.Add(1)
-	ix.stats.lpPivots.Add(uint64(res.Iterations))
+// noteLP counts one solve on the ctx.
+func (cc *cellCtx) noteLP(res *lp.Result) {
+	cc.lpSolves++
+	cc.lpPivots += uint64(res.Iterations)
+}
+
+// flushLPCounts moves the LP work counted on cc since the last flush into the
+// index's counters: three atomic adds per cell on words every build worker
+// shares, where two per solve and one per constraint set made 33 at d = 8.
+func (ix *Index) flushLPCounts(cc *cellCtx) {
+	ix.stats.lpSolves.Add(cc.lpSolves)
+	ix.stats.lpPivots.Add(cc.lpPivots)
+	ix.stats.constraintPoints.Add(cc.constraintPoints)
+	cc.lpSolves, cc.lpPivots, cc.constraintPoints = 0, 0, 0
 }
 
 // correctMBR computes the exact MBR approximation with sound pruning: if the

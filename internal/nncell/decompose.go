@@ -136,7 +136,7 @@ func (ix *Index) solveFragmentBox(cc *cellCtx) (vec.Rect, error) {
 			c[j] = 0
 			return vec.Rect{}, err
 		}
-		ix.noteLP(res)
+		cc.noteLP(res)
 		mbr.Hi[j] = res.Value
 		c[j] = -1
 		res, err = cc.solver.Solve(c)
@@ -144,7 +144,7 @@ func (ix *Index) solveFragmentBox(cc *cellCtx) (vec.Rect, error) {
 			c[j] = 0
 			return vec.Rect{}, err
 		}
-		ix.noteLP(res)
+		cc.noteLP(res)
 		mbr.Lo[j] = -res.Value
 		c[j] = 0
 		if mbr.Lo[j] > mbr.Hi[j] {
