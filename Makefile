@@ -41,7 +41,10 @@ race:
 # cells and the two directories take (a resident tree trips it; the case also
 # prints the build's ms/op), BenchmarkQueryNearest unless the warm NN query
 # runs at 0 allocs/op, BenchmarkQueryKNearest unless the warm k = 10 query
-# does; BenchmarkCellDirUpdate tracks the two directories' share of a cell
+# does (the regexp's NN-Direction/d=8 selects both the n = 250 case and the
+# served shape NN-Direction/d=8/n=10000, where a directory row is 157 words
+# and the query kernels are the query; both print folds/op);
+# BenchmarkCellDirUpdate tracks the two directories' share of a cell
 # recompute and of a point insert + delete, BenchmarkInsertEager one whole
 # eager insert (ms, LP solves and cells recomputed per op),
 # BenchmarkDynamicInsert concurrent inserts at 1, 2 and 4 shards (the only

@@ -3,7 +3,6 @@ package nncell
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"repro/internal/lp"
@@ -14,8 +13,10 @@ import (
 // cellCtx bundles the reusable scratch state of cell construction: the LP
 // solver (normalized once per constraint set, then run for all 2·d extent
 // objectives), the bisector constraint matrix in one flat backing array, the
-// objective / id buffers, and the directory scratch of the neighbour searches
-// and of the affected-cell one. One cellCtx serves one goroutine at a time: a
+// objective / id buffers, the directory scratch of the neighbour searches
+// (bitsets, and a candidate list as long as the fullest set folded: the whole
+// point set only for a search that asks for all of it) and the bitsets of the
+// affected-cell search. One cellCtx serves one goroutine at a time: a
 // pool worker keeps one, the dynamic path one per operation. It also counts
 // the LP work of the cell under construction, which approximateCell adds to
 // the index's shared counters once per cell instead of once per solve.
@@ -219,15 +220,12 @@ func (ix *Index) initialRadius(cc *cellCtx, i int) float64 {
 // a linear scan per pruning round. Every point in the ball, i included, is
 // counted in Stats.PruneVisited.
 func (ix *Index) pointsWithin(cc *cellCtx, i int, radius float64) (ids []int, all bool) {
-	p, d, r2 := ix.point(i), ix.dim, radius*radius
+	p, r2 := ix.point(i), radius*radius
 	cc.box, _ = ix.pdir.box(cc.box, p, outwardRadius(r2))
 	ids = cc.ids[:0]
-	for w, word := range cc.box {
-		for ; word != 0; word &= word - 1 {
-			id := w<<6 | bits.TrailingZeros64(word)
-			if id != i && vec.Dist2Flat(p, ix.ptsFlat[id*d:(id+1)*d]) <= r2 {
-				ids = append(ids, id)
-			}
+	for _, nb := range cc.dists(p, ix.ptsFlat, cc.box) {
+		if nb.ID != i && nb.Dist2 <= r2 {
+			ids = append(ids, nb.ID)
 		}
 	}
 	ix.stats.pruneVisited.Add(uint64(len(ids) + 1))

@@ -241,11 +241,31 @@ func FuzzCellDir(f *testing.F) {
 	f.Add([]byte{2, 0, 9, 1, 1, 128, 128, 3, 1, 128, 3, 1, 1, 2, 9, 3, 1, 128})
 	f.Add([]byte{0, 0, 5, 8, 23, 8, 23, 7, 23, 38, 23, 38, 7, 24, 38, 1, 1, 7, 0, 255, 0, 255, 2, 5, 7, 8, 8, 8, 8})
 	f.Add([]byte{7, 4, 3, 8, 68, 8, 68, 8, 68, 128, 248, 128, 248, 128, 248, 7, 68, 128, 68, 128, 69, 127, 7, 100, 100, 100, 100, 100, 100})
+	// d = 5 and d = 9: one row, then one more row, past the four-row passes of
+	// the fused AND; ids in three and in four words.
+	f.Add([]byte{12,
+		0, 5, 8, 248, 8, 248, 8, 248, 8, 248, 8, 248,
+		0, 70, 8, 128, 8, 128, 8, 128, 8, 128, 8, 128,
+		0, 200, 100, 160, 100, 160, 100, 160, 100, 160, 100, 160,
+		3, 120, 120, 120, 120, 120,
+		3, 200, 200, 200, 200, 60,
+		7, 8, 128, 8, 128, 8, 128, 8, 128, 130, 248,
+		2, 70,
+		3, 100, 100, 100, 100, 100})
+	f.Add([]byte{25,
+		0, 3, 8, 248, 8, 248, 8, 248, 8, 248, 8, 248, 8, 248, 8, 248, 8, 248, 8, 248,
+		0, 130, 8, 128, 8, 128, 8, 128, 8, 128, 8, 128, 8, 128, 8, 128, 8, 128, 120, 248,
+		0, 255, 100, 160, 100, 160, 100, 160, 100, 160, 100, 160, 100, 160, 100, 160, 100, 160, 100, 160,
+		3, 120, 120, 120, 120, 120, 120, 120, 120, 120,
+		3, 120, 120, 120, 120, 120, 120, 120, 120, 119,
+		7, 8, 100, 8, 100, 8, 100, 8, 100, 8, 100, 8, 100, 8, 100, 8, 100, 161, 248,
+		2, 3,
+		3, 120, 120, 120, 120, 120, 120, 120, 120, 130})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
 			return
 		}
-		d := 1 + int(script[0]/3)%4
+		d := 1 + int(script[0]/3)%9
 		b := dirTestBounds(int(script[0]), d)
 		coord := func(j int, v byte) float64 {
 			if v == 1 {

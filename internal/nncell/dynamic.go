@@ -97,17 +97,15 @@ func (ix *Index) unhidePoint(id int, p vec.Point) {
 // point directory's box at radius 0) are the only ones compared.
 func (ix *Index) hasDuplicate(cc *cellCtx, p vec.Point) bool {
 	cc.box, _ = ix.pdir.box(cc.box, p, 0)
-	for w, word := range cc.box {
-	next:
-		for ; word != 0; word &= word - 1 {
-			id := w<<6 | bits.TrailingZeros64(word)
-			for j, x := range ix.ptsFlat[id*ix.dim : (id+1)*ix.dim] {
-				if math.Float64bits(x) != math.Float64bits(p[j]) {
-					continue next
-				}
+	cc.cand = appendBits(cc.cand[:0], cc.box)
+next:
+	for _, nb := range cc.cand {
+		for j, x := range ix.ptsFlat[nb.ID*ix.dim:][:ix.dim] {
+			if math.Float64bits(x) != math.Float64bits(p[j]) {
+				continue next
 			}
-			return true
 		}
+		return true
 	}
 	return false
 }

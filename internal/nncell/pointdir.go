@@ -2,7 +2,6 @@ package nncell
 
 import (
 	"math"
-	"math/bits"
 
 	"repro/internal/vec"
 )
@@ -40,11 +39,22 @@ type pointDir struct {
 	dims int
 }
 
-// dirScratch is the bitset scratch of one search: seen holds every point
+// dirScratch is the scratch of one directory search. seen holds every point
 // folded into the result so far or excluded from it, box the survivors of the
-// current pass that are not in seen. A QueryCtx and a cellCtx each embed one.
+// current pass that are not in seen; cand lists the points of the set being
+// walked (appendBits) with their squared distances (dist2s), as many entries
+// as the fullest set has had bits. A QueryCtx and a cellCtx each embed one.
 type dirScratch struct {
 	seen, box []uint64
+	cand      []Neighbor
+}
+
+// dists lists the points of set in ds.cand, ascending by id, each with its
+// squared distance from q, and returns the list. Callers pass sets of live ids
+// only, so the NaN-poisoned tombstone rows of pts are never read.
+func (ds *dirScratch) dists(q vec.Point, pts []float64, set []uint64) []Neighbor {
+	ds.cand = dist2s(appendBits(ds.cand[:0], set), q, pts)
+	return ds.cand
 }
 
 // newPointDir returns the directory of the rows of ptsFlat (d coordinates per
@@ -107,31 +117,36 @@ func (pd *pointDir) holds(id int) bool {
 // lies, in every dimension j, between those of q[j]−r and q[j]+r. whole
 // reports that no dimension excluded a stripe, so acc is the live set; an
 // infinite or NaN r asks for exactly that.
+//
+// A dimension with stripes a … b keeps le[b] &^ le[a−1]; over all of them that
+// is the AND of the upper rows with every bit of a lower row cleared, so the
+// rows are gathered and taken four per pass (andRows, andNotRows). Every row
+// is a subset of the live set, which therefore joins only when no dimension
+// has an upper row to give.
 func (pd *pointDir) box(acc []uint64, q vec.Point, r float64) (_ []uint64, whole bool) {
 	acc = sized(acc, len(pd.le[0]))
-	copy(acc, pd.live())
-	if !(r < math.Inf(1)) {
-		return acc, true
-	}
-	whole = true
-	for j := range pd.lo {
-		a, b := pd.stripe(j, q[j]-r), pd.stripe(j, q[j]+r)
-		if a == 0 && (b == stripes-1 || pd.scale[j] == 0) {
-			continue // a zero-width dimension has the one stripe
-		}
-		whole = false
-		hi := pd.le[j*stripes+b][:len(acc)]
-		if a == 0 {
-			for w := range acc {
-				acc[w] &= hi[w]
+	var hiBuf, loBuf [gatherDims][]uint64
+	hi, lo := hiBuf[:0], loBuf[:0]
+	if r < math.Inf(1) {
+		for j := range pd.lo {
+			if pd.scale[j] == 0 {
+				continue // a zero-width dimension has the one stripe
 			}
-			continue
-		}
-		lo := pd.le[j*stripes+a-1][:len(acc)]
-		for w := range acc {
-			acc[w] &= hi[w] &^ lo[w]
+			a, b := pd.stripe(j, q[j]-r), pd.stripe(j, q[j]+r)
+			if b < stripes-1 {
+				hi = append(hi, pd.le[j*stripes+b])
+			}
+			if a > 0 {
+				lo = append(lo, pd.le[j*stripes+a-1])
+			}
 		}
 	}
+	whole = len(hi)+len(lo) == 0
+	if len(hi) == 0 {
+		hi = append(hi, pd.live())
+	}
+	andRows(acc, hi)
+	andNotRows(acc, lo)
 	return acc, whole
 }
 
@@ -173,7 +188,7 @@ func (pd *pointDir) search(ds *dirScratch, h []Neighbor, k int, q vec.Point, pts
 			ds.seen[w] |= b
 		}
 		var n int
-		h, n = foldTopK(h, k, q, pts, ds.box)
+		h, n = ds.foldTopK(h, k, q, pts, ds.box)
 		folded += n
 		if whole || (len(h) == k && h[0].Dist2 <= r2) {
 			return h, folded
@@ -197,20 +212,18 @@ func outwardRadius(r2 float64) float64 {
 	return math.Sqrt(r2)*(1+0x1p-40) + 0x1p-500
 }
 
-// foldTopK offers every point of set, with its squared distance from q, to
-// the top-k heap h and returns the heap and the number of points offered.
-// Callers pass sets of live ids only, so the NaN-poisoned tombstone rows of
-// pts are never read.
-func foldTopK(h []Neighbor, k int, q vec.Point, pts []float64, set []uint64) ([]Neighbor, int) {
-	d, n := len(q), 0
-	for w, word := range set {
-		n += bits.OnesCount64(word)
-		for ; word != 0; word &= word - 1 {
-			id := w<<6 | bits.TrailingZeros64(word)
-			h, _ = PushTopK(h, k, Neighbor{ID: id, Dist2: vec.Dist2Flat(q, pts[id*d:(id+1)*d])})
+// foldTopK offers every point of set (live ids only), in ascending id order
+// with its squared distance from q, to the top-k heap h and returns the heap
+// and the number of points offered.
+func (ds *dirScratch) foldTopK(h []Neighbor, k int, q vec.Point, pts []float64, set []uint64) ([]Neighbor, int) {
+	cand := ds.dists(q, pts, set)
+	for _, nb := range cand {
+		if len(h) == k && nb.Dist2 > h[0].Dist2 {
+			continue // PushTopK would say the same, after a call
 		}
+		h, _ = PushTopK(h, k, nb)
 	}
-	return h, n
+	return h, len(cand)
 }
 
 // check verifies the directory against the coordinate store: it must equal,

@@ -249,11 +249,31 @@ func FuzzPointDir(f *testing.F) {
 	f.Add([]byte{2, 0, 9, 1, 1, 0, 10, 128, 1, 3, 1, 128, 0, 3, 1, 1, 255, 2, 9, 3, 1, 128, 60})
 	f.Add([]byte{7, 0, 3, 68, 128, 8, 0, 4, 69, 127, 248, 3, 68, 128, 8, 1, 3, 100, 100, 100, 120})
 	f.Add([]byte{0, 3, 128, 128, 255, 3, 128, 128, 0})
+	// d = 5 and d = 9: upper and lower rows past the four-row passes of the
+	// fused AND, in every tail length a box's mix of clipped dimensions gives.
+	f.Add([]byte{12,
+		0, 5, 8, 23, 38, 53, 68,
+		0, 70, 128, 128, 128, 128, 128,
+		0, 200, 130, 126, 128, 131, 127,
+		3, 128, 128, 128, 128, 128, 10,
+		3, 128, 128, 128, 128, 240, 60,
+		3, 128, 128, 128, 128, 128, 255,
+		2, 70,
+		3, 8, 23, 38, 53, 68, 0})
+	f.Add([]byte{25,
+		0, 3, 8, 23, 38, 53, 68, 83, 98, 113, 128,
+		0, 130, 128, 128, 128, 128, 128, 128, 128, 128, 128,
+		0, 255, 130, 126, 128, 131, 127, 129, 128, 125, 132,
+		3, 128, 128, 128, 128, 128, 128, 128, 128, 128, 12,
+		3, 20, 128, 240, 128, 20, 128, 240, 128, 128, 40,
+		3, 128, 128, 128, 128, 128, 128, 128, 128, 128, 255,
+		2, 130,
+		3, 8, 23, 38, 53, 68, 83, 98, 113, 128, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
 			return
 		}
-		d := 1 + int(script[0]/3)%4
+		d := 1 + int(script[0]/3)%9
 		b := dirTestBounds(int(script[0]), d)
 		coord := func(j int, v byte) float64 {
 			if v == 1 {

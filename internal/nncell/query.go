@@ -3,7 +3,6 @@ package nncell
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -76,16 +75,18 @@ func siftDown(h []Neighbor, n int) {
 }
 
 // QueryCtx is the reusable per-query scratch of the read path: the survivor
-// bitset of the cell-directory point query, the bitsets of the point
-// directory's search, the traversal state of the paged cell tree, and the
-// clamp buffer and result slot of the fallback. A warm context makes
-// NearestNeighbor, NearestNeighborPaged, CandidatesAppend, KNearestAppend and
-// the fallback path allocation-free. Contexts are pooled per index (acquireCtx/releaseCtx) for the public entry
-// points and held per worker by NearestNeighborBatch. A QueryCtx is not safe
-// for concurrent use.
+// bitset of the cell-directory point query, the directory scratch — the
+// bitsets of the point directory's search and the list every query walks its
+// candidates and their distances through, which holds as many entries as the
+// fullest candidate set seen, not one per point — the traversal state of the
+// paged cell tree, and the clamp buffer and result slot of the fallback. A
+// warm context makes NearestNeighbor, NearestNeighborPaged, CandidatesAppend,
+// KNearestAppend and the fallback path allocation-free. Contexts are pooled
+// per index (acquireCtx/releaseCtx) for the public entry points and held per
+// worker by NearestNeighborBatch. A QueryCtx is not safe for concurrent use.
 type QueryCtx struct {
 	surv       []uint64       // cell-directory survivors, one bit per point id
-	dirScratch                // point-directory search (nearestK), seen starting as the survivors
+	dirScratch                // point-directory search (nearestK), seen starting as the survivors; every fold's candidate list
 	tc         xtree.QueryCtx // cell-tree traversal scratch (NearestNeighborPaged)
 	clamp      vec.Point      // clamp-to-bounds buffer of out-of-bounds queries
 	one        [1]Neighbor    // result slot of the fallback's k = 1 search
@@ -130,7 +131,7 @@ func (ix *Index) nearestLocked(qc *QueryCtx, q vec.Point) (Neighbor, error) {
 	}
 	ix.stats.queries.Add(1)
 	if ix.bounds.Contains(q) {
-		if nb, ok := ix.dirNearest(qc, q, q); ok {
+		if nb, ok := ix.dirNearest(qc, q); ok {
 			return nb, nil
 		}
 	}
@@ -138,26 +139,26 @@ func (ix *Index) nearestLocked(qc *QueryCtx, q vec.Point) (Neighbor, error) {
 	return ix.fallbackNearest(qc, q), nil
 }
 
-// dirNearest runs the cell-directory point query at p and folds the squared
-// distance from q over the survivors, read straight from the coordinate
-// store; ties go to the smaller id (survivors come in ascending id order). ok
-// is false when nothing survived. Only cells with stored fragments have bits,
-// so the NaN-poisoned tombstone rows are never read.
-func (ix *Index) dirNearest(qc *QueryCtx, p, q vec.Point) (best Neighbor, ok bool) {
-	qc.surv = ix.dir.survivors(qc.surv, p)
-	best = Neighbor{ID: -1, Dist2: math.Inf(1)}
-	d, seen := ix.dim, 0
-	for w, word := range qc.surv {
-		seen += bits.OnesCount64(word)
-		for ; word != 0; word &= word - 1 {
-			id := w<<6 | bits.TrailingZeros64(word)
-			if d2 := vec.Dist2Flat(q, ix.ptsFlat[id*d:(id+1)*d]); d2 < best.Dist2 {
-				best = Neighbor{ID: id, Dist2: d2}
-			}
+// dirNearest runs the cell-directory point query at q and takes the minimum
+// of the squared distances from q to the survivors, read straight from the
+// coordinate store (dirScratch.dists); the survivors are listed in ascending
+// id order and only a strictly smaller distance replaces the least, so ties go
+// to the smaller id. ok is false when nothing survived. Only cells with stored
+// fragments have bits, so the NaN-poisoned tombstone rows are never read.
+func (ix *Index) dirNearest(qc *QueryCtx, q vec.Point) (_ Neighbor, ok bool) {
+	qc.surv = ix.dir.survivors(qc.surv, q)
+	cand := qc.dists(q, ix.ptsFlat, qc.surv)
+	at, least := -1, math.Inf(1)
+	for i := range cand {
+		if d2 := cand[i].Dist2; d2 < least {
+			at, least = i, d2
 		}
 	}
-	ix.stats.candidates.Add(uint64(seen))
-	return best, best.ID >= 0
+	ix.stats.candidates.Add(uint64(len(cand)))
+	if at < 0 {
+		return Neighbor{}, false
+	}
+	return cand[at], true
 }
 
 // NearestNeighborPaged answers the NN query the way the paper's disk model
@@ -228,7 +229,7 @@ func (ix *Index) nearestK(qc *QueryCtx, dst []Neighbor, q vec.Point, k int) []Ne
 	qc.seen = ix.dir.survivors(qc.seen, p)
 	// The heap grows in dst's spare capacity, so the closing append copies
 	// nothing when the caller's slice has room for k.
-	h, seeds := foldTopK(dst[len(dst):], k, q, ix.ptsFlat, qc.seen)
+	h, seeds := qc.foldTopK(dst[len(dst):], k, q, ix.ptsFlat, qc.seen)
 
 	var r2 float64
 	switch m := len(h); {
@@ -258,27 +259,44 @@ func (ix *Index) Candidates(q vec.Point) []int { return ix.CandidatesAppend(nil,
 // query entry point it counts one query and the inspected candidates (the
 // survivors) in the index stats.
 func (ix *Index) CandidatesAppend(dst []int, q vec.Point) []int {
+	dst, _ = ix.candidatesAppend(dst, q, false)
+	return dst
+}
+
+// CandidatesNearestAppend is CandidatesAppend that also returns the smallest
+// squared distance from q to an appended candidate, +Inf when there is none:
+// the bound a sharded caller prunes farther shards with, taken where the
+// coordinates are instead of one Point copy per candidate.
+func (ix *Index) CandidatesNearestAppend(dst []int, q vec.Point) ([]int, float64) {
+	return ix.candidatesAppend(dst, q, true)
+}
+
+func (ix *Index) candidatesAppend(dst []int, q vec.Point, nearest bool) ([]int, float64) {
 	qc := ix.acquireCtx()
 	defer ix.releaseCtx(qc)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	ix.stats.queries.Add(1)
 	qc.surv = ix.dir.survivors(qc.surv, q)
-	seen := 0
-	for w, word := range qc.surv {
-		seen += bits.OnesCount64(word)
-		for ; word != 0; word &= word - 1 {
-			id := w<<6 | bits.TrailingZeros64(word)
-			for _, r := range ix.cells[id] {
-				if r.Contains(q) {
-					dst = append(dst, id)
-					break
+	qc.cand = appendBits(qc.cand[:0], qc.surv)
+	ix.stats.candidates.Add(uint64(len(qc.cand)))
+	kept := qc.cand[:0] // with nearest, the verified survivors compacted in place
+	for _, nb := range qc.cand {
+		for _, r := range ix.cells[nb.ID] {
+			if r.Contains(q) {
+				dst = append(dst, nb.ID)
+				if nearest {
+					kept = append(kept, nb)
 				}
+				break
 			}
 		}
 	}
-	ix.stats.candidates.Add(uint64(seen))
-	return dst
+	best := math.Inf(1)
+	for _, nb := range dist2s(kept, q, ix.ptsFlat) {
+		best = min(best, nb.Dist2)
+	}
+	return dst, best
 }
 
 // KNearest answers an exact k-nearest-neighbor query. k-NN via order-k cells

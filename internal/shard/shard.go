@@ -552,7 +552,6 @@ func (s *Sharded) CandidatesAppend(dst []int, q vec.Point) []int {
 	prune := qs.plan[len(qs.plan)-1].MinDist2 > 0
 	bound := math.Inf(1)
 	visited := 0
-	metric := vec.Euclidean{}
 	for _, sd := range qs.plan {
 		if prune && sd.MinDist2 > bound {
 			break
@@ -560,17 +559,17 @@ func (s *Sharded) CandidatesAppend(dst []int, q vec.Point) []int {
 		visited++
 		ix := s.shards[sd.Shard]
 		start := len(dst)
-		dst = ix.CandidatesAppend(dst, q)
+		if prune {
+			// The shard takes the nearest candidate's distance where the
+			// coordinates are; asking it for each Point would copy them out.
+			var nearest float64
+			dst, nearest = ix.CandidatesNearestAppend(dst, q)
+			bound = min(bound, nearest)
+		} else {
+			dst = ix.CandidatesAppend(dst, q)
+		}
 		for j := start; j < len(dst); j++ {
-			local := dst[j]
-			if prune {
-				if p, ok := ix.Point(local); ok {
-					if d2 := metric.Dist2(q, p); d2 < bound {
-						bound = d2
-					}
-				}
-			}
-			dst[j] = s.globalID(sd.Shard, local)
+			dst[j] = s.globalID(sd.Shard, dst[j])
 		}
 	}
 	s.recordVisits(visited)

@@ -319,37 +319,44 @@ func TestShardedMixedWorkloadConcurrent(t *testing.T) {
 	}
 }
 
-// The warm sharded read path must stay allocation-free: the fan-out is a
-// sequential loop over per-shard queries that each run on a pooled QueryCtx.
+// The warm sharded read path must stay allocation-free, whatever the routing:
+// the fan-out is a sequential loop over per-shard queries that each run on a
+// pooled QueryCtx, and under grid routing the bound CandidatesAppend prunes
+// farther shards with is taken inside the shard, not from a copy of every
+// candidate's point.
 func TestShardedNearestNeighborAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	const d = 4
 	pts := uniquePoints(t, 111, 250, d)
-	s := mustBuild(t, pts, d, 4)
 	q := vec.Point{0.3, 0.7, 0.2, 0.9}
-	for i := 0; i < 5; i++ { // warm the per-shard QueryCtx pools
-		if _, err := s.NearestNeighbor(q); err != nil {
-			t.Fatal(err)
+	for name, s := range map[string]*Sharded{
+		"hash": mustBuild(t, pts, d, 4),
+		"grid": mustBuildGrid(t, pts, d, 4, nil),
+	} {
+		for i := 0; i < 5; i++ { // warm the per-shard QueryCtx pools
+			if _, err := s.NearestNeighbor(q); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := s.NearestNeighbor(q); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := s.NearestNeighbor(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm sharded NearestNeighbor: %v allocs/op, want 0", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm sharded NearestNeighbor: %v allocs/op, want 0", allocs)
-	}
-	// CandidatesAppend into a reused buffer is likewise allocation-free once
-	// the buffer has grown to the working size.
-	buf := s.CandidatesAppend(nil, q)
-	allocs = testing.AllocsPerRun(100, func() {
-		buf = s.CandidatesAppend(buf[:0], q)
-	})
-	if allocs != 0 {
-		t.Errorf("warm sharded CandidatesAppend: %v allocs/op, want 0", allocs)
+		// CandidatesAppend into a reused buffer is likewise allocation-free
+		// once the buffer has grown to the working size.
+		buf := s.CandidatesAppend(nil, q)
+		allocs = testing.AllocsPerRun(100, func() {
+			buf = s.CandidatesAppend(buf[:0], q)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm sharded CandidatesAppend: %v allocs/op, want 0", name, allocs)
+		}
 	}
 }
 
