@@ -4,18 +4,39 @@
 # The system's own speed claims are measured by bench/ (BENCHMARK.json).
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench-module fuzz-smoke bench-query bench
+.PHONY: check vet doc-check build test race bench-smoke bench-module fuzz-smoke bench-query bench
 
-check: vet build test race bench-smoke bench-module fuzz-smoke
+check: vet doc-check build test race bench-smoke bench-module fuzz-smoke
 
 # gofmt -l prints the files it would change; any name is a failure. So is any
 # line of cmd/ that names the single-index adapters or the snapshot sniff, or
 # switches on a type: the binaries serve one index kind (shard.Sharded), and
-# the twin must not grow back unnoticed.
+# the twin must not grow back unnoticed. Nor may the page simulator reach the
+# served stack again (its tests still hand nncell.Build and scan.New the pager
+# those signatures take), or internal/xtree a second best-first search.
 vet:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	@if grep -rnE 'replica\.Single|IsSnapshotMagic|\.\(type\)' cmd/; then echo "cmd/ may not tell index kinds apart"; exit 1; fi
+	@if grep -rn --include='*.go' --exclude='*_test.go' '"repro/internal/pager"' internal/server internal/replica cmd/nnrouter; then echo "the served stack may not import internal/pager"; exit 1; fi
+	@if grep -rn '"container/heap"' internal/xtree; then echo "internal/xtree has one best-first search, on QueryCtx's heaps"; exit 1; fi
+
+# README.md and DESIGN.md may quote only what the source defines: every
+# nncell_* metric name must occur in non-test Go (a prefix form such as
+# nncell_wal_* passes as the prefix of one that does), and every -flag must be
+# one a cmd/ binary defines (or the prefix of one, as -bench-*) or one of the
+# go tool's flags the docs use.
+GO_TOOL_FLAGS = race run bench benchmem benchtime count cpu
+doc-check:
+	@bad=0; \
+	for m in $$(grep -ohE 'nncell_[a-z0-9_]+' README.md DESIGN.md | sort -u); do \
+		grep -rqF --include='*.go' --exclude='*_test.go' "$$m" cmd internal || { echo "doc-check: no source defines metric $$m"; bad=1; }; \
+	done; \
+	defined="$$(grep -ohE '(fs|flag)\.[A-Za-z0-9]+\("[a-z0-9-]+"' cmd/*/main.go | cut -d'"' -f2; printf '%s\n' $(GO_TOOL_FLAGS))"; \
+	for f in $$(grep -ohE '(^|[ (])`?-[a-z][a-z0-9-]*' README.md DESIGN.md | sed -E 's/^[ (]?`?-//' | sort -u); do \
+		echo "$$defined" | grep -q -- "^$$f" || { echo "doc-check: no binary defines flag -$$f"; bad=1; }; \
+	done; \
+	exit $$bad
 
 build:
 	$(GO) build ./...

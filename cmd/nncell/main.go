@@ -203,7 +203,6 @@ func serveMain(args []string) {
 		alg         = fs.String("alg", "nndir", "approximation algorithm for the synthetic index and for every write: correct|nndir")
 		decompose   = fs.Int("decompose", 0, "fragment budget per cell for the synthetic index")
 		seed        = fs.Int64("seed", 1, "random seed for the synthetic index")
-		pagerCache  = fs.Int("pager-cache", 64, "pager cache budget in pages")
 		cacheSize   = fs.Int("cache", 0, "result-cache capacity in entries (0 = off): memoize exact NN answers, invalidated at mutation commit")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-request admission deadline")
 		grace       = fs.Duration("grace", 10*time.Second, "shutdown drain budget")
@@ -225,7 +224,7 @@ func serveMain(args []string) {
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	if *follow != "" {
-		serveFollower(*follow, *addr, *pagerCache, *lagSLORecs, *lagSLO, *timeout, *grace,
+		serveFollower(*follow, *addr, *lagSLORecs, *lagSLO, *timeout, *grace,
 			*maxBody, *maxInflight, *maxBatch, *maxK, explicit)
 		return
 	}
@@ -237,12 +236,11 @@ func serveMain(args []string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// Point and Sphere are defined by X-tree leaf pages (paper §3), so an
-	// index under them bulk-loads a point X-tree on every write: they are the
-	// figures' algorithms, not a server's.
+	// Point and Sphere are defined by X-tree leaf pages (paper §3), which only
+	// a Build has: they are the figures' algorithms, not a server's.
 	algorithm, err := parseAlg(*alg)
 	if err == nil && (algorithm == nncell.PointAlg || algorithm == nncell.Sphere) {
-		err = fmt.Errorf("serve takes -alg correct|nndir; %s reads X-tree pages on every write and belongs to the figure CLI (`nncell -alg %s`, without serve)", *alg, *alg)
+		err = fmt.Errorf("serve takes -alg correct|nndir; %s selects from X-tree pages, at Build only, and belongs to the figure CLI (`nncell -alg %s`, without serve)", *alg, *alg)
 	}
 	if err != nil {
 		fatalf("%v", err)
@@ -287,7 +285,6 @@ func serveMain(args []string) {
 	opts := shard.Options{
 		Shards: *shards,
 		Route:  route,
-		Pager:  pager.Config{CachePages: *pagerCache},
 		Index:  nncell.Options{Algorithm: algorithm, Decompose: *decompose},
 	}
 	var ix *shard.Sharded
@@ -314,7 +311,7 @@ func serveMain(args []string) {
 		}
 		// The stream records its own width, routing and per-shard options
 		// (shard.Load tells a bare `nncell -save` file from a serve snapshot).
-		ix, err = shard.Load(f, shard.Options{Pager: opts.Pager})
+		ix, err = shard.Load(f, shard.Options{})
 		f.Close()
 		if err != nil {
 			fatalf("load: %v", err)
@@ -328,8 +325,8 @@ func serveMain(args []string) {
 		if explicit["route"] && route != ix.RouteKind() {
 			fatalf("load: -route %v conflicts with the snapshot's %v routing (placement is recorded in the stream)", route, ix.RouteKind())
 		}
-		fmt.Printf("nncell: loaded %d points (d=%d, %d fragments, %d shards, %v-routed) from %s in %v\n",
-			ix.Len(), ix.Dim(), ix.Fragments(), ix.NumShards(), ix.RouteKind(), *loadFile, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("nncell: loaded %d points (d=%d, %d fragments, %d shards, %v-routed, built under %v) from %s in %v\n",
+			ix.Len(), ix.Dim(), ix.Fragments(), ix.NumShards(), ix.RouteKind(), ix.Shard(0).Algorithm(), *loadFile, time.Since(start).Round(time.Millisecond))
 	case *n == 0:
 		// Empty bootstrap: start with zero points and let routed inserts
 		// (WAL-replayed or live) populate the index. The data space defaults
@@ -409,7 +406,7 @@ func serveMain(args []string) {
 // segments, and serve queries with lag-aware readiness — /healthz fails
 // while bootstrapping or over the lag SLO, which is how the read router
 // decides to shed this node.
-func serveFollower(primary, addr string, pagerCache int, lagRecs uint64, lagSLO time.Duration,
+func serveFollower(primary, addr string, lagRecs uint64, lagSLO time.Duration,
 	timeout, grace time.Duration, maxBody int64, maxInflight, maxBatch, maxK int, explicit map[string]bool) {
 	for _, name := range []string{"load", "wal-dir", "fsync", "fsync-interval", "snapshot", "snapshot-every",
 		"shards", "route", "cache", "n", "d", "data", "alg", "decompose", "seed"} {
@@ -426,7 +423,7 @@ func serveFollower(primary, addr string, pagerCache int, lagRecs uint64, lagSLO 
 	fol, err := replica.NewFollower(replica.Config{
 		Primary: primary,
 		Load: func(r io.Reader) (replica.Replica, error) {
-			sx, err := shard.Load(r, shard.Options{Pager: pager.Config{CachePages: pagerCache}})
+			sx, err := shard.Load(r, shard.Options{})
 			if err != nil {
 				return nil, err
 			}

@@ -168,7 +168,6 @@ func TestServeSmoke(t *testing.T) {
 	for _, want := range []string{
 		`nncell_http_requests_total{endpoint="nn",code="2xx"} 1`,
 		"nncell_http_request_duration_seconds_bucket",
-		"nncell_pager_hit_ratio",
 		"nncell_index_points 60",
 	} {
 		if !strings.Contains(metrics, want) {

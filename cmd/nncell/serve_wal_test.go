@@ -315,9 +315,9 @@ func TestServeRefusesRootLevelWAL(t *testing.T) {
 	}
 }
 
-// The default serve index is one shard under NN-Direction: a write reads no
-// simulator page (under Sphere, the old default, each one bulk-loaded a point
-// X-tree), and the page-defined algorithms are refused.
+// The default serve index is one shard under NN-Direction: /metrics has the
+// shard series and nothing of the page simulator, and the page-defined
+// algorithms, which are Build's and the figures', are refused.
 func TestServeDefaults(t *testing.T) {
 	p := startServe(t, "-addr", "127.0.0.1:0", "-n", "300", "-d", "4")
 	for i := 0; i < 5; i++ {
@@ -330,10 +330,11 @@ func TestServeDefaults(t *testing.T) {
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"nncell_pager_accesses_total 0\n", `nncell_shard_points{shard="0"} 305`} {
-		if !bytes.Contains(metrics, []byte(want)) {
-			t.Errorf("/metrics missing %q", want)
-		}
+	if want := `nncell_shard_points{shard="0"} 305`; !bytes.Contains(metrics, []byte(want)) {
+		t.Errorf("/metrics missing %q", want)
+	}
+	if bytes.Contains(metrics, []byte("nncell_pager_")) {
+		t.Error("/metrics carries a pager series: a served index reads no page")
 	}
 
 	for _, alg := range []string{"sphere", "point"} {

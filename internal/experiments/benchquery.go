@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -298,7 +297,7 @@ func BenchQueryScale(n, d int) ([]QueryScaleResult, error) {
 		st1 = ix.Stats()
 		res.KNN10CandidatesPerQuery = float64(st1.Candidates-st0.Candidates) / float64(st1.Queries-st0.Queries)
 		var tnbs []xtree.Neighbor
-		res.KNN10DataXTreeP50Ns = p50Ns(1024, len(qs), func(i int) { tnbs = dt.KNearestCtx(&qc, qs[i%len(qs)], k, math.Inf(1), tnbs[:0]) })
+		res.KNN10DataXTreeP50Ns = p50Ns(1024, len(qs), func(i int) { tnbs = dt.KNearestCtx(&qc, qs[i%len(qs)], k, tnbs[:0]) })
 		res.KNN10ScanP50Ns = p50Ns(256, 0, func(i int) { scanKNN(qs[i%len(qs)]) })
 		res.KNN10SpeedupVsXTree = res.KNN10DataXTreeP50Ns / res.KNN10P50Ns
 

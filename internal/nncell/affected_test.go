@@ -13,6 +13,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/pager"
 	"repro/internal/vec"
+	"repro/internal/wal"
 	"repro/internal/xtree"
 )
 
@@ -338,11 +339,11 @@ func TestPagedTreePagesReturned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := ix.PagerLivePages()
+		before := ix.pg.LivePages()
 		if _, err := ix.NearestNeighborPaged(randQuery(rng, d)); err != nil {
 			t.Fatal(err)
 		}
-		if ix.PagerLivePages() <= before {
+		if ix.pg.LivePages() <= before {
 			t.Fatal("the paged query built no tree")
 		}
 	}
@@ -352,7 +353,7 @@ func TestPagedTreePagesReturned(t *testing.T) {
 	if _, err := twin.Insert(vec.Point{0.123, 0.456}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := ix.PagerLivePages(), twin.PagerLivePages(); got != want {
+	if got, want := ix.pg.LivePages(), twin.pg.LivePages(); got != want {
 		t.Fatalf("%d live pages after 1000 build-and-drop rounds, %d without any: pages leaked", got, want)
 	}
 }
@@ -375,7 +376,7 @@ func TestPagedTreeIndependentOfWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := run{height: ix.Tree().Height(), pages: ix.PagerLivePages()}
+		r := run{height: ix.Tree().Height(), pages: ix.pg.LivePages()}
 		pg.ResetStats()
 		rng := rand.New(rand.NewSource(91))
 		for qi := 0; qi < 100; qi++ {
@@ -398,11 +399,11 @@ func TestPagedTreeIndependentOfWorkers(t *testing.T) {
 }
 
 // TestNoTreeAfterCommit: a resident index holds coordinates, cells and two
-// directories. Whatever tree an operation needed — the point X-tree whose
-// leaves define the Point and Sphere selections, the cell X-tree of a paged
-// query before it — is gone once the operation has committed or rolled back,
-// its pages returned; under NN-Direction and Correct a write reads no page at
-// all, under Point and Sphere every write does.
+// directories. Build is the only operation that may read a page, and does under
+// Point and Sphere, whose selections are the leaf pages of a point X-tree it
+// loads and releases. No write, repair or replay reads one under any
+// algorithm, and the cell X-tree of a paged query is gone once a write has
+// changed a cell, its pages returned.
 func TestNoTreeAfterCommit(t *testing.T) {
 	const d = 3
 	pts := uniquePoints(t, dataset.NameUniform, 98, 100, d)
@@ -410,22 +411,18 @@ func TestNoTreeAfterCommit(t *testing.T) {
 		for _, lazy := range []bool{false, true} {
 			label := fmt.Sprintf("%v lazy=%v", alg, lazy)
 			ix := mustBuild(t, pts[:60], Options{Algorithm: alg, LazyRepair: lazy, RepairWorkers: -1})
-			onPages := alg == PointAlg || alg == Sphere
-			accesses := uint64(0)
+			if read := ix.PagerStats().Accesses > 0; read != (alg == PointAlg || alg == Sphere) {
+				t.Fatalf("%s: Build read pages: %v", label, read)
+			}
+			accesses := ix.PagerStats().Accesses
 			none := func(x *Index, after string) {
 				t.Helper()
-				if x.tree != nil || x.ptree != nil || x.PagerLivePages() != 0 {
-					t.Fatalf("%s: after %s: cell tree %v, point tree %v, %d live pages",
-						label, after, x.tree != nil, x.ptree != nil, x.PagerLivePages())
+				if x.tree != nil || x.pg.LivePages() != 0 {
+					t.Fatalf("%s: after %s: cell tree %v, %d live pages", label, after, x.tree != nil, x.pg.LivePages())
 				}
-				if x != ix {
-					return
+				if x == ix && ix.PagerStats().Accesses != accesses {
+					t.Fatalf("%s: %s read pages", label, after)
 				}
-				now := ix.PagerStats().Accesses
-				if read := now > accesses; read != onPages {
-					t.Fatalf("%s: %s read pages: %v", label, after, read)
-				}
-				accesses = now
 			}
 			none(ix, "Build")
 
@@ -458,7 +455,12 @@ func TestNoTreeAfterCommit(t *testing.T) {
 			}
 			none(ix, "DeleteBatch")
 
+			// A write that rolls back changes no cell, so the tree of the paged
+			// query before it is still the tree of the stored cells and stays;
+			// the lazy insert fails no solve of its own, commits its new cell
+			// and drops it.
 			paged()
+			built := ix.tree
 			ix.testHookApprox = func(id int) error {
 				if id != len(ix.cells)-1 { // the new cell succeeds, the first affected one fails
 					return fmt.Errorf("injected")
@@ -472,7 +474,12 @@ func TestNoTreeAfterCommit(t *testing.T) {
 				t.Fatalf("%s: the injected failure did not fail the delete", label)
 			}
 			ix.testHookApprox = nil
-			none(ix, "a failed insert and a failed delete")
+			if lazy {
+				none(ix, "a lazy insert and a failed delete")
+			} else if ix.tree != built || ix.PagerStats().Accesses != accesses {
+				t.Fatalf("%s: a failed insert and a failed delete: tree replaced %v, pages read %v",
+					label, ix.tree != built, ix.PagerStats().Accesses != accesses)
+			}
 
 			if lazy {
 				if ix.Stats().StaleCells == 0 {
@@ -490,10 +497,23 @@ func TestNoTreeAfterCommit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			none(loaded, "Load")
-			if loaded.PagerStats().Accesses != 0 {
-				t.Fatalf("%s: Load read %d pages", label, loaded.PagerStats().Accesses)
+			// Replay is the write path again, on an index Build never touched.
+			next := len(ix.cells)
+			for _, rec := range []wal.Record{
+				{Kind: wal.KindInsert, ID: int64(next), Point: pts[71]},
+				{Kind: wal.KindInsertBatch, IDs: []int64{int64(next + 1), int64(next + 2)}, Coords: append(pts[72].Clone(), pts[73]...)},
+				{Kind: wal.KindDelete, ID: 7},
+				{Kind: wal.KindDeleteBatch, IDs: []int64{8, int64(next)}},
+			} {
+				if applied, err := loaded.ApplyLogRecord(rec); err != nil || !applied {
+					t.Fatalf("%s: replaying kind %d: applied %v, %v", label, rec.Kind, applied, err)
+				}
 			}
+			none(loaded, "Load and replay")
+			if loaded.PagerStats().Accesses != 0 {
+				t.Fatalf("%s: Load and replay read %d pages", label, loaded.PagerStats().Accesses)
+			}
+			checkThreeWay(t, loaded, rand.New(rand.NewSource(99)), 30, label+" replayed")
 			if err := ix.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}

@@ -31,6 +31,11 @@ type cellCtx struct {
 	nbrs       []Neighbor // neighbour-pool result buffer
 	acc, hit   []uint64   // intersectingCells: one rectangle's directory survivors, the verified union
 
+	// pages is the X-tree over the points whose leaf pages define the Point
+	// and Sphere selections. Only Build sets it, on its workers' contexts; a
+	// context without one selects NN-Direction instead (effectiveAlgorithm).
+	pages *xtree.Tree
+
 	lpSolves, lpPivots, constraintPoints uint64 // of the current cell, not yet in ix.stats
 }
 
@@ -58,7 +63,7 @@ func (ix *Index) approximateCell(cc *cellCtx, i int) ([]vec.Rect, error) {
 		cons []lp.Constraint
 		err  error
 	)
-	if alg := ix.effectiveAlgorithm(); alg == Correct {
+	if alg := ix.effectiveAlgorithm(cc); alg == Correct {
 		mbr, cons, err = ix.correctMBR(cc, i)
 	} else {
 		ids := ix.selectConstraintPoints(cc, i, alg)
@@ -246,16 +251,22 @@ func cornerDist(p vec.Point, r vec.Rect) float64 {
 
 // effectiveAlgorithm resolves the constraint selection actually used for
 // the next solve: the configured algorithm, except that Correct switches to
-// NN-Direction once the live point count reaches AutoThreshold. Correct
-// solves against O(n) constraint points per cell — quadratic total work at
-// bulk scale — while NN-Direction keeps every set O(d); the switch is sound
-// by Lemma 1 (any subset only enlarges the approximation, queries stay
-// exact). Callers hold ix.mu (alive is guarded by it).
-func (ix *Index) effectiveAlgorithm() Algorithm {
-	if ix.opts.Algorithm == Correct && ix.opts.AutoThreshold > 0 && ix.alive >= ix.opts.AutoThreshold {
+// NN-Direction once the live point count reaches AutoThreshold, and Point and
+// Sphere wherever there are no pages to select from, which is everywhere but
+// in Build. Correct solves against O(n) constraint points per cell —
+// quadratic total work at bulk scale — while NN-Direction keeps every set
+// O(d); both switches are sound by Lemma 1 (any subset only enlarges the
+// approximation, queries stay exact). Callers hold ix.mu (alive is guarded by
+// it).
+func (ix *Index) effectiveAlgorithm(cc *cellCtx) Algorithm {
+	switch alg := ix.opts.Algorithm; {
+	case alg == Correct && ix.opts.AutoThreshold > 0 && ix.alive >= ix.opts.AutoThreshold:
 		return NNDirection
+	case (alg == PointAlg || alg == Sphere) && cc.pages == nil:
+		return NNDirection
+	default:
+		return alg
 	}
-	return ix.opts.Algorithm
 }
 
 // selectConstraintPoints implements the optimized constraint-selection
@@ -265,10 +276,10 @@ func (ix *Index) selectConstraintPoints(cc *cellCtx, i int, alg Algorithm) []int
 	p := ix.point(i)
 	switch alg {
 	case PointAlg:
-		return ix.capClosest(p, ix.leafRegionPoints(i, func(r vec.Rect) bool { return r.Contains(p) }))
+		return ix.capClosest(p, leafRegionPoints(cc.pages, i, func(r vec.Rect) bool { return r.Contains(p) }))
 	case Sphere:
-		radius := SphereRadius(ix.alive, ix.dim, ix.opts.SphereRadiusScale)
-		return ix.capClosest(p, ix.leafRegionPoints(i, func(r vec.Rect) bool { return r.IntersectsSphere(p, radius) }))
+		radius := SphereRadius(ix.alive, ix.dim)
+		return ix.capClosest(p, leafRegionPoints(cc.pages, i, func(r vec.Rect) bool { return r.IntersectsSphere(p, radius) }))
 	case NNDirection:
 		return ix.nnDirectionPoints(cc, i)
 	default:
@@ -290,11 +301,12 @@ func (ix *Index) capClosest(p vec.Point, ids []int) []int {
 	return ids[:limit]
 }
 
-// leafRegionPoints gathers the data points stored on index pages whose page
-// region satisfies pred — the paper's "Point" and "Sphere" selections.
-func (ix *Index) leafRegionPoints(i int, pred func(vec.Rect) bool) []int {
+// leafRegionPoints gathers the data points other than i stored on leaf pages
+// of the point X-tree whose page region satisfies pred — the paper's "Point"
+// and "Sphere" selections.
+func leafRegionPoints(pages *xtree.Tree, i int, pred func(vec.Rect) bool) []int {
 	var ids []int
-	ix.pointTree().VisitLeafRegions(pred, func(e xtree.Entry) bool {
+	pages.VisitLeafRegions(pred, func(e xtree.Entry) bool {
 		if int(e.Data) != i {
 			ids = append(ids, int(e.Data))
 		}

@@ -20,8 +20,8 @@ import (
 // solves to see the post-operation point set, and both are rolled back exactly
 // on error, so CheckInvariants holds on every exit path. The affected cells
 // are found on the cell directory (intersectingCells), the neighbours of a
-// cell on the point directory; of the X-trees a write knows only how to drop
-// them.
+// cell on the point directory; of the paged cell tree a write knows only how to
+// drop it when a stored cell changes (storeCell, removeFragments).
 
 // Insert adds a new point and returns its id, maintaining the precomputed
 // solution space per §2 of the paper: existing NN-cells can only shrink, and
@@ -45,10 +45,8 @@ func (ix *Index) Insert(p vec.Point) (int, error) {
 }
 
 // stagePoint appends p as the next id — coordinate row, point-directory bits,
-// an empty cell slot — and returns the id. Like the three functions after it,
-// it changes the live rows and so drops the trees derived from them.
+// an empty cell slot — and returns the id.
 func (ix *Index) stagePoint(p vec.Point) int {
-	ix.dropTree()
 	id := len(ix.cells)
 	ix.ptsFlat = append(ix.ptsFlat, p...)
 	growRows(ix.dir.rows, id>>6) // with pdir's, so a query can combine rows of the two
@@ -60,7 +58,6 @@ func (ix *Index) stagePoint(p vec.Point) int {
 
 // unstagePoint takes the most recently staged point back out.
 func (ix *Index) unstagePoint() {
-	ix.dropTree()
 	id := len(ix.cells) - 1
 	ix.pdir.clear(id)
 	ix.ptsFlat = ix.ptsFlat[:id*ix.dim]
@@ -76,7 +73,6 @@ func (ix *Index) hidePoint(id int) (p vec.Point, ok bool) {
 	if !ix.pdir.holds(id) {
 		return nil, false
 	}
-	ix.dropTree()
 	p = ix.point(id).Clone()
 	ix.bury(id)
 	ix.alive--
@@ -85,7 +81,6 @@ func (ix *Index) hidePoint(id int) (p vec.Point, ok bool) {
 
 // unhidePoint puts a hidden point back.
 func (ix *Index) unhidePoint(id int, p vec.Point) {
-	ix.dropTree()
 	copy(ix.ptsFlat[id*ix.dim:], p)
 	ix.pdir.set(id, p)
 	ix.alive++
@@ -136,8 +131,9 @@ const minParallelRecompute = 4
 // committed index is not touched: Build stores the results, the dynamic path
 // stages them and swaps them in via commitStaged only after the whole batch
 // has succeeded. Large batches run on a worker pool of per-worker cellCtxs
-// with a shared fail-fast flag so one failed solve stops the others early.
-// Callers hold ix.mu (write side) or, in Build, the only reference.
+// with a shared fail-fast flag so one failed solve stops the others early,
+// and with cc's point tree when Build gave it one. Callers hold ix.mu (write
+// side) or, in Build, the only reference.
 func (ix *Index) approximateCells(cc *cellCtx, ids []int) ([][]vec.Rect, error) {
 	staged := make([][]vec.Rect, len(ids))
 	var (
@@ -174,7 +170,9 @@ func (ix *Index) approximateCells(cc *cellCtx, ids []int) ([][]vec.Rect, error) 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				work(newCellCtx(ix.dim))
+				wcc := newCellCtx(ix.dim)
+				wcc.pages = cc.pages
+				work(wcc)
 			}()
 		}
 		wg.Wait()

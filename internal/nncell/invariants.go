@@ -9,11 +9,11 @@ import (
 // CheckInvariants verifies the cross-structure consistency of the index: the
 // coordinate store, the stored cell approximations, the cell and point
 // directories and the fragment counter must all describe the same point set.
-// The X-trees are derived from the stored cells and the live rows on demand
-// (Tree, pointTree) and never maintained, so they have nothing to drift from
-// and no check here. The dynamic path's atomicity contract is stated in terms
-// of this check — Insert and Delete leave it passing on every exit path,
-// success or failure — and the failure-injection tests assert exactly that.
+// The cell X-tree is derived from the stored cells on demand (Tree) and never
+// maintained, so it has nothing to drift from and no check here. The dynamic
+// path's atomicity contract is stated in terms of this check — Insert and
+// Delete leave it passing on every exit path, success or failure — and the
+// failure-injection tests assert exactly that.
 func (ix *Index) CheckInvariants() error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

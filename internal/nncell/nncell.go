@@ -22,14 +22,16 @@
 // the fallback for queries outside the data space run an exact box search on
 // it, its radius taken from the points of the cells around the query, and cell
 // construction finds a point's neighbours with the same search, started from
-// the point density. The index keeps no tree; the Point and Sphere selections,
-// which the paper defines by the leaf pages of an X-tree over the points,
-// bulk-load that tree for the duration of a build or a write (pointTree).
+// the point density. The index keeps no tree.
 //
 // The package supports the paper's four constraint-selection algorithms
 // (Correct, Point, Sphere, NN-Direction), parallel bulk construction, and
 // the dynamic case: insertion with affected-cell maintenance and deletion
-// with neighbor recomputation.
+// with neighbor recomputation. Point and Sphere are defined by the leaf pages
+// of an X-tree over the points, which only Build loads: they are what the
+// figures measure, and every cell computed after Build, on any index, selects
+// NN-Direction (any subset of the points keeps the approximation a superset,
+// Lemma 1).
 package nncell
 
 import (
@@ -58,7 +60,8 @@ const (
 	// cell), yielding the exact MBR approximation.
 	Correct Algorithm = iota
 	// PointAlg uses all points stored on data pages whose page region
-	// contains the point being inserted.
+	// contains the point being inserted. Build only, like Sphere: a cell
+	// computed by a write, a repair or a replay selects NNDirection.
 	PointAlg
 	// Sphere uses all points on data pages whose region intersects a sphere
 	// around the point (radius: the paper's heuristic, see SphereRadius).
@@ -110,9 +113,6 @@ type Options struct {
 	Decompose int
 	// Obliqueness picks the decomposition ranking heuristic.
 	Obliqueness ObliquenessHeuristic
-	// SphereRadiusScale multiplies the Sphere algorithm's heuristic radius.
-	// Default 1.
-	SphereRadiusScale float64
 	// MaxConstraintPoints caps the constraint-set size of the Point and
 	// Sphere selections (0 = unlimited). On heavily clustered data those
 	// selections can degenerate to nearly all points — the pathology §2 of
@@ -166,9 +166,6 @@ const DefaultAutoThreshold = 4096
 func (o *Options) normalize() {
 	if o.Decompose < 1 {
 		o.Decompose = 1
-	}
-	if o.SphereRadiusScale <= 0 {
-		o.SphereRadiusScale = 1
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -244,12 +241,10 @@ type Index struct {
 	pdir    *pointDir    // the live points on the same grid, cumulative rows (k-NN, NN fallback, constraint selection, duplicate check)
 
 	// The index keeps no tree. tree is the paged form of cells (Data = point
-	// id), ptree that of the live points: each nil until pagedTree or
-	// pointTree builds it under treeMu (their callers hold mu on the read side
-	// only), nil again once a commit, or the staging of a point, drops it.
+	// id): nil until pagedTree builds it under treeMu (its callers hold mu on
+	// the read side only), nil again once a commit changes a cell.
 	treeMu sync.Mutex
 	tree   *xtree.Tree
-	ptree  *xtree.Tree
 
 	// Lazy-repair state (see repair.go). stale maps each stale cell id to
 	// the monotonically increasing epoch of its most recent marking; a
@@ -376,16 +371,26 @@ func Build(points []vec.Point, bounds vec.Rect, pg *pager.Pager, opts Options) (
 	ix.pdir = newPointDir(newStripeGrid(ix.bounds), ix.ptsFlat)
 
 	// Phase 2: approximate all cells on the worker pool the dynamic path
-	// uses too, each result going straight into the slot of its id.
+	// uses too, each result going straight into the slot of its id. The Point
+	// and Sphere selections read the leaf pages of an X-tree over the points
+	// (Data = point id, ascending): this is the one place that builds it.
 	ids := make([]int, len(points))
 	for i := range ids {
 		ids[i] = i
 	}
+	cc := newCellCtx(d)
+	if opts.Algorithm == PointAlg || opts.Algorithm == Sphere {
+		items := make([]xtree.Entry, len(points))
+		for id, p := range points {
+			items[id] = xtree.Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(id)} // BulkLoad copies
+		}
+		cc.pages = xtree.BulkLoad(d, pg, xtree.Options{}, items)
+		defer cc.pages.Release()
+	}
 	var err error
-	if ix.cells, err = ix.approximateCells(newCellCtx(d), ids); err != nil {
+	if ix.cells, err = ix.approximateCells(cc, ids); err != nil {
 		return nil, err
 	}
-	ix.dropTree() // the Point and Sphere selections built one over the points
 
 	// Phase 3: count the fragments and fill the cell directory.
 	total := 0
@@ -516,6 +521,10 @@ func (ix *Index) CellApprox(id int) ([]vec.Rect, bool) {
 	return out, true
 }
 
+// Algorithm returns the configured constraint selection: what Build ran
+// under, and what a snapshot records.
+func (ix *Index) Algorithm() Algorithm { return ix.opts.Algorithm }
+
 // Fragments returns the number of rectangles stored in the index.
 func (ix *Index) Fragments() int { return int(ix.stats.fragments.Load()) }
 
@@ -546,56 +555,20 @@ func (ix *Index) pagedTree() *xtree.Tree {
 	return ix.tree
 }
 
-// pointTree returns the X-tree over the live points (Data = point id), whose
-// leaf pages define the paper's Point and Sphere selections — the one use the
-// index has for it. Like the cell tree it is bulk-loaded on first need, in
-// ascending id order from whatever rows are live then (a staged insert's
-// included, a staged delete's not), and dropped when they change. Callers hold
-// ix.mu or, in Build, the only reference.
-func (ix *Index) pointTree() *xtree.Tree {
-	ix.treeMu.Lock()
-	defer ix.treeMu.Unlock()
-	if ix.ptree == nil {
-		items := make([]xtree.Entry, 0, ix.alive)
-		for id := 0; id*ix.dim < len(ix.ptsFlat); id++ {
-			if p := ix.point(id); p != nil {
-				items = append(items, xtree.Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(id)}) // BulkLoad copies
-			}
-		}
-		ix.ptree = xtree.BulkLoad(ix.dim, ix.pg, xtree.Options{}, items)
-	}
-	return ix.ptree
-}
-
-// dropTree releases the derived trees ahead of a change to the cells or the
-// points they were built from. Callers hold ix.mu (write side), which excludes
-// treeMu's holders.
+// dropTree releases the derived cell tree ahead of a change to the cells it
+// was built from. Callers hold ix.mu (write side), which excludes treeMu's
+// holders.
 func (ix *Index) dropTree() {
 	if ix.tree != nil {
 		ix.tree.Release()
 		ix.tree = nil
 	}
-	if ix.ptree != nil {
-		ix.ptree.Release()
-		ix.ptree = nil
-	}
 }
 
-// Pager exposes the simulated page store beneath the X-trees, so callers
-// (the serving layer's /metrics endpoint, experiment harnesses) can report
-// page-access counters and hit ratios alongside the index stats.
-func (ix *Index) Pager() *pager.Pager { return ix.pg }
-
-// PagerStats returns the page-access counters of the backing pager. The
-// serving layer reads pager metrics through this method (rather than Pager)
-// so a sharded index can report the aggregate over its per-shard pagers
-// behind the same interface.
+// PagerStats returns the page-access counters of the pager the index was built
+// or loaded on: what Build's Point and Sphere selections and the paged query
+// (Tree, NearestNeighborPaged) read.
 func (ix *Index) PagerStats() pager.Stats { return ix.pg.Stats() }
-
-// PagerLivePages returns the allocated, unfreed page count of the backing
-// pager: those of the cell X-tree and of the point X-tree while one is built
-// (see Tree, pointTree), none otherwise.
-func (ix *Index) PagerLivePages() int { return ix.pg.LivePages() }
 
 // Stats returns a snapshot of the counters.
 func (ix *Index) Stats() Stats {
@@ -643,11 +616,11 @@ func (ix *Index) ApproxVolumeSum() float64 {
 // database of n points in dimension d: a multiple of the expected
 // nearest-neighbor scale n^(-1/d) of the unit data space (the paper reports
 // the heuristic "radius = 2·(1/n)^(1/d)" as working well on uniform data).
-func SphereRadius(n, d int, scale float64) float64 {
+func SphereRadius(n, d int) float64 {
 	if n < 1 {
 		n = 1
 	}
-	return 2 * scale * math.Pow(1/float64(n), 1/float64(d))
+	return 2 * math.Pow(1/float64(n), 1/float64(d))
 }
 
 // IDs returns the ids of all live points in increasing order.

@@ -227,7 +227,7 @@ func checkNeighborSearches(t *testing.T, ix *Index, label string) {
 				t.Fatalf("%s: point %d: pool id %d at rank %d, scan says %d", label, i, id, k, want[k].ID)
 			}
 		}
-		nbrs := tree.KNearestCtx(&tc, ix.point(i), len(all)+1, math.Inf(1), nil) // i itself comes first or among the ties at 0
+		nbrs := tree.KNearestCtx(&tc, ix.point(i), len(all)+1, nil) // i itself comes first or among the ties at 0
 		ref := make([]Neighbor, 0, len(nbrs))
 		for _, nb := range nbrs {
 			if int(nb.Entry.Data) != i {

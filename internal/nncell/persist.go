@@ -21,7 +21,7 @@ import (
 //	magic   [8]byte  "NNCELLv2"
 //	dim     uint32
 //	flags   uint32   (reserved, 0)
-//	options: algorithm, decompose, obliqueness uint32; sphereScale, epsilon float64
+//	options: algorithm, decompose, obliqueness uint32; sphereScale (always 1), epsilon float64
 //	bounds: 2·dim float64
 //	count   uint64   (point slots, including tombstones)
 //	per slot: alive uint8; if alive: dim float64 coordinates,
@@ -98,7 +98,7 @@ func (ix *Index) saveLocked(w io.Writer, framed bool) error {
 	if err := write(
 		uint32(ix.dim), uint32(0),
 		uint32(ix.opts.Algorithm), uint32(ix.opts.Decompose), uint32(ix.opts.Obliqueness),
-		ix.opts.SphereRadiusScale, ix.opts.Epsilon,
+		float64(1), ix.opts.Epsilon,
 	); err != nil {
 		return err
 	}
@@ -191,11 +191,10 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	}
 	d := int(dim)
 	opts := Options{
-		Algorithm:         Algorithm(alg),
-		Decompose:         int(decomp),
-		Obliqueness:       ObliquenessHeuristic(obliq),
-		SphereRadiusScale: sphereScale,
-		Epsilon:           epsilon,
+		Algorithm:   Algorithm(alg),
+		Decompose:   int(decomp),
+		Obliqueness: ObliquenessHeuristic(obliq),
+		Epsilon:     epsilon,
 	}
 	opts.normalize()
 

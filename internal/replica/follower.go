@@ -29,8 +29,7 @@ type Config struct {
 	// timeout (stream requests long-poll); per-request contexts bound every
 	// call.
 	Client *http.Client
-	// Load builds a fresh index from a snapshot stream (the caller picks
-	// pager config and sharded-vs-single detection).
+	// Load builds a fresh index from a snapshot stream.
 	Load func(r io.Reader) (Replica, error)
 	// OnReplica is called with each freshly bootstrapped index, before any
 	// records are applied to it — the server installs it for read traffic

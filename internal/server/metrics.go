@@ -107,9 +107,8 @@ const (
 )
 
 // handleMetrics renders the observability surface in the Prometheus text
-// exposition format: per-endpoint request counters and latency histograms,
-// index work counters, and the pager's cache behaviour (hit ratio — the
-// quantity the paper's page-access experiments track).
+// exposition format: per-endpoint request counters and latency histograms
+// and the index work counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
@@ -203,34 +202,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP nncell_stale_cells Cells marked stale by lazy repair, still serving superset MBRs.\n")
 	fmt.Fprintf(w, "# TYPE nncell_stale_cells gauge\n")
 	fmt.Fprintf(w, "nncell_stale_cells %d\n", ist.StaleCells)
-	fmt.Fprintf(w, "# HELP nncell_stale_cells_highwater Largest stale backlog reached (MaxStaleCells backpressure headroom).\n")
+	fmt.Fprintf(w, "# HELP nncell_stale_cells_highwater Largest stale backlog lazy repair has reached since the process started.\n")
 	fmt.Fprintf(w, "# TYPE nncell_stale_cells_highwater gauge\n")
 	fmt.Fprintf(w, "nncell_stale_cells_highwater %d\n", ist.StaleCellsHighWater)
 	fmt.Fprintf(w, "# HELP nncell_repairs_total Stale cells re-approximated and committed by the repair pool.\n")
 	fmt.Fprintf(w, "# TYPE nncell_repairs_total counter\n")
 	fmt.Fprintf(w, "nncell_repairs_total{result=\"ok\"} %d\n", ist.Repairs)
 	fmt.Fprintf(w, "nncell_repairs_total{result=\"error\"} %d\n", ist.RepairFailures)
-
-	pst := ix.PagerStats()
-	fmt.Fprintf(w, "# HELP nncell_pager_accesses_total Logical page reads.\n")
-	fmt.Fprintf(w, "# TYPE nncell_pager_accesses_total counter\n")
-	fmt.Fprintf(w, "nncell_pager_accesses_total %d\n", pst.Accesses)
-	fmt.Fprintf(w, "# HELP nncell_pager_hits_total Page reads served from cache.\n")
-	fmt.Fprintf(w, "# TYPE nncell_pager_hits_total counter\n")
-	fmt.Fprintf(w, "nncell_pager_hits_total %d\n", pst.Hits)
-	fmt.Fprintf(w, "# HELP nncell_pager_misses_total Page reads that would hit disk.\n")
-	fmt.Fprintf(w, "# TYPE nncell_pager_misses_total counter\n")
-	fmt.Fprintf(w, "nncell_pager_misses_total %d\n", pst.Misses)
-	ratio := 0.0
-	if pst.Accesses > 0 {
-		ratio = float64(pst.Hits) / float64(pst.Accesses)
-	}
-	fmt.Fprintf(w, "# HELP nncell_pager_hit_ratio Fraction of page reads served from cache.\n")
-	fmt.Fprintf(w, "# TYPE nncell_pager_hit_ratio gauge\n")
-	fmt.Fprintf(w, "nncell_pager_hit_ratio %g\n", ratio)
-	fmt.Fprintf(w, "# HELP nncell_pager_live_pages Allocated, unfreed pages: none in a resident index; the cell X-tree's while a paged query has one built, the point X-tree's while a Point or Sphere write runs.\n")
-	fmt.Fprintf(w, "# TYPE nncell_pager_live_pages gauge\n")
-	fmt.Fprintf(w, "nncell_pager_live_pages %d\n", ix.PagerLivePages())
 
 	// Per-shard breakdown when the served index is sharded: routing skew
 	// and per-shard maintenance load are invisible in the aggregates above.

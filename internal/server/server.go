@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/iofault"
 	"repro/internal/nncell"
-	"repro/internal/pager"
 	"repro/internal/replica"
 	"repro/internal/rescache"
 	"repro/internal/vec"
@@ -34,8 +33,8 @@ import (
 
 // Index is the serving abstraction: everything the handlers, the metrics
 // surface and the snapshot loop need from an index. Both nncell.Index (one
-// lock, one pager) and shard.Sharded (hash-partitioned, fan-out reads,
-// per-shard locking) satisfy it, so the same serving layer fronts either.
+// lock) and shard.Sharded (hash-partitioned, fan-out reads, per-shard
+// locking) satisfy it, so the same serving layer fronts either.
 type Index interface {
 	Dim() int
 	Len() int
@@ -50,8 +49,6 @@ type Index interface {
 	Delete(id int) error
 	Stats() nncell.Stats
 	Save(w io.Writer) error
-	PagerStats() pager.Stats
-	PagerLivePages() int
 }
 
 // walRotator is the single-index WAL compaction surface (nncell.Index).

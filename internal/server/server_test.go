@@ -332,14 +332,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		`nncell_http_request_duration_seconds_count{endpoint="nn"} 20`,
 		"nncell_index_points 150",
 		"nncell_index_queries_total",
-		"nncell_pager_hit_ratio",
-		"nncell_pager_accesses_total",
 		"nncell_http_in_flight",
 		"nncell_index_fallbacks_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+	if strings.Contains(text, "nncell_pager_") {
+		t.Error("metrics output carries a pager series: a served index reads no page")
 	}
 	// Histogram buckets must be cumulative: the +Inf bucket equals the count.
 	if strings.Count(text, `nncell_http_request_duration_seconds_bucket{endpoint="nn"`) < 3 {

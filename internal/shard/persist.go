@@ -144,8 +144,7 @@ func Load(r io.Reader, opts Options) (*Sharded, error) {
 	le := binary.LittleEndian
 
 	if magic, _ := br.Peek(len(Magic)); string(magic) != Magic {
-		pg := pager.New(opts.Pager)
-		ix, err := nncell.Load(br, pg)
+		ix, err := nncell.Load(br, pager.New(opts.Pager))
 		if err != nil {
 			return nil, fmt.Errorf("shard: load: %w", err)
 		}
@@ -154,7 +153,6 @@ func Load(r io.Reader, opts Options) (*Sharded, error) {
 			bounds: ix.Bounds(),
 			router: &hashRouter{shards: 1},
 			shards: []*nncell.Index{ix},
-			pagers: []*pager.Pager{pg},
 		}, nil
 	}
 	br.Discard(len(Magic)) // peeked in full just above
@@ -237,7 +235,6 @@ func Load(r io.Reader, opts Options) (*Sharded, error) {
 		bounds: bounds,
 		router: router,
 		shards: make([]*nncell.Index, count),
-		pagers: make([]*pager.Pager, count),
 	}
 	if err := loadShardBlobs(br, sh, opts); err != nil {
 		return nil, err
@@ -266,7 +263,7 @@ func Load(r io.Reader, opts Options) (*Sharded, error) {
 }
 
 // loadShardBlobs reads the per-shard present/blob section into
-// sh.shards/sh.pagers, leaving absent slots nil, and enforces that the stream
+// sh.shards, leaving absent slots nil, and enforces that the stream
 // ends exactly after the last shard.
 func loadShardBlobs(br *bufio.Reader, sh *Sharded, opts Options) error {
 	le := binary.LittleEndian
@@ -289,17 +286,15 @@ func loadShardBlobs(br *bufio.Reader, sh *Sharded, opts Options) error {
 		if blobLen == 0 || blobLen > maxShardBlob {
 			return fmt.Errorf("shard: load: implausible blob length %d for shard %d", blobLen, i)
 		}
-		pg := pager.New(opts.Pager)
 		// The limited reader makes the inner loader's EOF checks line up
 		// with the declared blob boundary: a blob that is shorter or longer
 		// than declared fails the v2 loader's own trailing-garbage /
 		// truncation validation.
-		ix, err := nncell.Load(io.LimitReader(br, int64(blobLen)), pg)
+		ix, err := nncell.Load(io.LimitReader(br, int64(blobLen)), pager.New(opts.Pager))
 		if err != nil {
 			return fmt.Errorf("shard: load: shard %d: %w", i, err)
 		}
 		sh.shards[i] = ix
-		sh.pagers[i] = pg
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return fmt.Errorf("shard: load: trailing garbage after last shard")
@@ -314,13 +309,11 @@ func fillEmptyShards(sh *Sharded, opts Options) error {
 		if sh.shards[i] != nil {
 			continue
 		}
-		pg := pager.New(opts.Pager)
-		ix, err := nncell.NewEmpty(sh.dim, sh.bounds, pg, opts.Index)
+		ix, err := nncell.NewEmpty(sh.dim, sh.bounds, pager.New(opts.Pager), opts.Index)
 		if err != nil {
 			return fmt.Errorf("shard: load: shard %d: %w", i, err)
 		}
 		sh.shards[i] = ix
-		sh.pagers[i] = pg
 	}
 	return nil
 }

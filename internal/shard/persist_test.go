@@ -15,8 +15,68 @@ import (
 	"repro/internal/iofault"
 	"repro/internal/nncell"
 	"repro/internal/pager"
+	"repro/internal/scan"
 	"repro/internal/vec"
 )
+
+// A snapshot whose header records Sphere — what `nncell -n … -save f` writes by
+// default — is served like any other: no write on the loaded index reads a
+// page (the Point and Sphere selections are Build's), and every answer after
+// each write is the scan's.
+func TestLoadedSphereSnapshotWritesReadNoPage(t *testing.T) {
+	const d, n = 4, 300
+	pts := uniquePoints(t, 141, n+12, d)
+	built, err := nncell.Build(pts[:n], vec.UnitCube(d), pager.New(pager.Config{}), nncell.Options{Algorithm: nncell.Sphere})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.PagerStats().Accesses == 0 {
+		t.Fatal("the Sphere build read no page: not the snapshot this test is about")
+	}
+	var stream bytes.Buffer
+	if err := built.Save(&stream); err != nil {
+		t.Fatal(err)
+	}
+	sx, err := Load(&stream, testOptions(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := slices.Clone(pts[:n])
+	rng := rand.New(rand.NewSource(142))
+	check := func(after string) {
+		t.Helper()
+		if pst := sx.Shard(0).PagerStats(); pst.Accesses != 0 || pst.Allocs != 0 {
+			t.Fatalf("%s read %d pages and allocated %d", after, pst.Accesses, pst.Allocs)
+		}
+		oracle := scan.New(live, vec.Euclidean{}, pager.New(pager.Config{}))
+		for trial := 0; trial < 100; trial++ {
+			q := randQuery(rng, d)
+			_, want := oracle.Nearest(q)
+			if got, err := sx.NearestNeighbor(q); err != nil || got.Dist2 != want {
+				t.Fatalf("%s, query %d: %v (%v), scan %v", after, trial, got, err, want)
+			}
+		}
+	}
+	check("Load")
+	if _, err := sx.Insert(pts[n]); err != nil {
+		t.Fatal(err)
+	}
+	live = append(live, pts[n])
+	check("Insert")
+	if err := sx.Delete(5); err != nil {
+		t.Fatal(err)
+	}
+	live = slices.Delete(live, 5, 6)
+	check("Delete")
+	if _, err := sx.InsertBatch(pts[n+1:]); err != nil {
+		t.Fatal(err)
+	}
+	live = append(live, pts[n+1:]...)
+	check("InsertBatch")
+	if err := sx.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // A bare NNCELLv2 stream — what nncell.Index.Save and `nncell -save` write —
 // loads as the one shard of a hash-routed partition, and that partition is the

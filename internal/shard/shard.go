@@ -1,6 +1,6 @@
 // Package shard partitions an NN-cell index into S independent nncell.Index
 // shards so that dynamic maintenance parallelizes across the partition: each
-// shard owns its own RWMutex, its own X-trees and its own pager, so routed
+// shard owns its own RWMutex and its own directories, so routed
 // Insert/Delete streams to different shards proceed concurrently instead of
 // serializing behind one index-wide write lock, while queries fan out over
 // all shards.
@@ -61,8 +61,9 @@ type Options struct {
 	// from the build points (highest-variance dimensions, near-equal tile
 	// counts).
 	Grid *GridConfig
-	// Pager configures each shard's private pager (per-shard caches avoid
-	// the single pager lock becoming the cross-shard bottleneck).
+	// Pager configures each shard's private pager: the page store of the
+	// figures' trees (a Point or Sphere Build, Shard(i).Tree()). No served
+	// query or write reads a page.
 	Pager pager.Config
 	// Index passes construction options through to every shard.
 	Index nncell.Options
@@ -87,7 +88,6 @@ type Sharded struct {
 	bounds vec.Rect
 	router Router
 	shards []*nncell.Index
-	pagers []*pager.Pager
 
 	// scratch pools the per-query fan-out state (visit plan, per-shard k-NN
 	// list, merge heap) so warm read paths stay allocation-free.
@@ -210,24 +210,21 @@ func Build(points []vec.Point, bounds vec.Rect, opts Options) (*Sharded, error) 
 		bounds: bounds.Clone(),
 		router: r,
 		shards: make([]*nncell.Index, r.Shards()),
-		pagers: make([]*pager.Pager, r.Shards()),
 	}
 	for i, part := range parts {
-		pg := pager.New(opts.Pager)
 		var (
 			ix  *nncell.Index
 			err error
 		)
 		if len(part) == 0 {
-			ix, err = nncell.NewEmpty(d, bounds, pg, opts.Index)
+			ix, err = nncell.NewEmpty(d, bounds, pager.New(opts.Pager), opts.Index)
 		} else {
-			ix, err = nncell.Build(part, bounds, pg, opts.Index)
+			ix, err = nncell.Build(part, bounds, pager.New(opts.Pager), opts.Index)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
 		}
 		sh.shards[i] = ix
-		sh.pagers[i] = pg
 	}
 	return sh, nil
 }
@@ -254,16 +251,13 @@ func NewEmpty(d int, bounds vec.Rect, opts Options) (*Sharded, error) {
 		bounds: bounds.Clone(),
 		router: r,
 		shards: make([]*nncell.Index, r.Shards()),
-		pagers: make([]*pager.Pager, r.Shards()),
 	}
 	for i := range sh.shards {
-		pg := pager.New(opts.Pager)
-		ix, err := nncell.NewEmpty(d, bounds, pg, opts.Index)
+		ix, err := nncell.NewEmpty(d, bounds, pager.New(opts.Pager), opts.Index)
 		if err != nil {
 			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
 		}
 		sh.shards[i] = ix
-		sh.pagers[i] = pg
 	}
 	return sh, nil
 }
@@ -727,12 +721,10 @@ func (s *Sharded) Stats() nncell.Stats {
 // shard in /metrics so routing skew and per-shard maintenance load are
 // visible in production.
 type ShardStat struct {
-	Points        int
-	Fragments     uint64
-	Queries       uint64
-	Updates       uint64
-	PagerAccesses uint64
-	PagerHits     uint64
+	Points    int
+	Fragments uint64
+	Queries   uint64
+	Updates   uint64
 }
 
 // ShardStats returns one entry per shard, indexed by shard number.
@@ -740,42 +732,14 @@ func (s *Sharded) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(s.shards))
 	for i, ix := range s.shards {
 		st := ix.Stats()
-		pst := s.pagers[i].Stats()
 		out[i] = ShardStat{
-			Points:        ix.Len(),
-			Fragments:     st.Fragments,
-			Queries:       st.Queries,
-			Updates:       st.Updates,
-			PagerAccesses: pst.Accesses,
-			PagerHits:     pst.Hits,
+			Points:    ix.Len(),
+			Fragments: st.Fragments,
+			Queries:   st.Queries,
+			Updates:   st.Updates,
 		}
 	}
 	return out
-}
-
-// PagerStats returns the aggregate page-access counters over all per-shard
-// pagers.
-func (s *Sharded) PagerStats() pager.Stats {
-	var out pager.Stats
-	for _, pg := range s.pagers {
-		st := pg.Stats()
-		out.Accesses += st.Accesses
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Writes += st.Writes
-		out.Allocs += st.Allocs
-		out.Frees += st.Frees
-	}
-	return out
-}
-
-// PagerLivePages returns the total allocated, unfreed pages across shards.
-func (s *Sharded) PagerLivePages() int {
-	n := 0
-	for _, pg := range s.pagers {
-		n += pg.LivePages()
-	}
-	return n
 }
 
 // CheckInvariants verifies every shard's internal consistency plus the

@@ -640,10 +640,13 @@ func TestShardStats(t *testing.T) {
 	}
 	// The Sphere selection read the leaf pages of each shard's point X-tree
 	// during the build; a built index keeps no tree.
-	if s.PagerStats().Accesses == 0 {
-		t.Error("no pager accesses recorded")
-	}
-	if n := s.PagerLivePages(); n != 0 {
-		t.Errorf("%d pages live in a built index", n)
+	for i := 0; i < s.NumShards(); i++ {
+		pst := s.Shard(i).PagerStats()
+		if pst.Accesses == 0 {
+			t.Errorf("shard %d: no pager accesses recorded", i)
+		}
+		if pst.Allocs != pst.Frees {
+			t.Errorf("shard %d: %d pages live in a built index", i, pst.Allocs-pst.Frees)
+		}
 	}
 }

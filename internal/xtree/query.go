@@ -7,26 +7,19 @@ import (
 	"repro/internal/vec"
 )
 
-// This file is the zero-allocation query engine: an iterative traversal over
-// a reusable explicit node stack plus concrete-typed inline heaps, replacing
-// the recursive closure-based paths of search.go on the read hot path. A
-// QueryCtx owns all scratch state, so a warm context answers point and
+// This file is the query engine: iterative traversals over a reusable explicit
+// node stack, and the one best-first search on concrete-typed heaps. A QueryCtx
+// owns all scratch state, so a warm context answers point and
 // (k-)nearest-neighbor queries without allocating. Leaf rectangle tests run
 // against the flat SoA coordinate mirror maintained by writeNode, scanning
 // cache-linearly and pruning dimension-first.
 
-// QueryCtx holds the reusable scratch of the iterative query engine: the
-// traversal stack, the best-first node heap and the k-NN result heap. The
-// zero value is ready to use; a warm context performs no allocations. A
-// QueryCtx is not safe for concurrent use, and at most one traversal may be
-// active on it at a time (starting a new query resets the previous one).
+// QueryCtx holds the reusable scratch of the query engine: the traversal
+// stack, the best-first node heap and the k-NN result heap. The zero value is
+// ready to use; a warm context performs no allocations. A QueryCtx is not safe
+// for concurrent use.
 type QueryCtx struct {
-	t *Tree
-	q vec.Point // target of the traversal started by BeginPoint
-
 	stack []*node // nodes not yet visited, top = next
-	leaf  *node   // leaf currently being scanned
-	li    int     // next position within surv
 	surv  []int32 // indices of the current leaf's matching entries
 
 	acc []float64 // per-entry sign accumulator of the leaf scans
@@ -34,72 +27,20 @@ type QueryCtx struct {
 	heap  []nnHeapItem   // best-first node queue (min-heap by dist2)
 	best  []Neighbor     // k-NN candidates (max-heap by Dist2, root = worst)
 	res   []Neighbor     // NearestNeighborCtx result scratch (distinct from best)
-	pages []pager.PageID // batched page-access scratch of the one-shot queries
+	pages []pager.PageID // batched page-access scratch of the point queries
 }
 
-// BeginPoint starts an iterative point query for p: subsequent Next calls
-// yield every leaf entry whose rectangle contains p, in exactly the order the
-// recursive PointQuery visits them.
-func (t *Tree) BeginPoint(qc *QueryCtx, p vec.Point) {
-	qc.t = t
-	qc.q = p
-	qc.stack = append(qc.stack[:0], t.root)
-	qc.leaf = nil
-	qc.li = 0
-}
-
-// next advances the traversal to the next matching leaf entry and returns the
-// leaf and the entry index. Next and NextData wrap it; NextData skips the
-// Entry materialisation (two rect slice headers per hit) on paths that only
-// need the payload.
-func (qc *QueryCtx) next() (leaf *node, idx int, ok bool) {
-	t := qc.t
-	d := t.dim
-	for {
-		if n := qc.leaf; n != nil {
-			// Yield the precomputed matches of the current leaf (found by one
-			// dimension-first pass over the SoA mirror when it was popped).
-			if qc.li < len(qc.surv) {
-				i := int(qc.surv[qc.li])
-				qc.li++
-				return n, i, true
-			}
-			qc.leaf = nil
-		}
-		if len(qc.stack) == 0 {
-			return nil, 0, false
-		}
-		n := qc.stack[len(qc.stack)-1]
-		qc.stack = qc.stack[:len(qc.stack)-1]
-		t.accessNode(n)
-		if n.level == 0 {
-			qc.matchLeafPoint(n, d, qc.q)
-			qc.leaf = n
-			qc.li = 0
-			continue
-		}
-		// Push matching children in reverse so the LIFO pop order equals the
-		// recursive visit order. The flat predicate on the stored corner
-		// slices is the same test as Rect.Contains minus the dimension
-		// assertion.
-		for i := len(n.entries) - 1; i >= 0; i-- {
-			r := &n.entries[i].rect
-			if vec.ContainsFlat(qc.q, r.Lo, r.Hi) {
-				qc.stack = append(qc.stack, n.entries[i].child)
-			}
-		}
-	}
+// nnHeapItem is a node waiting in the best-first queue, at its MINDIST.
+type nnHeapItem struct {
+	dist2 float64
+	child *node
 }
 
 // PointQueryData appends the payload of every leaf entry whose rectangle
 // contains p to dst (in recursive PointQuery visit order) and returns it,
-// using qc's reusable stack. It answers the same query as BeginPoint/Next but
-// as one tight loop: hot paths that resolve matches purely by payload (the
-// NN-cell candidate scan) skip the per-entry iterator call and its state
-// save/restore entirely. Page accesses are identical to the other paths.
+// using qc's reusable stack. Page accesses are identical to PointQuery's.
 func (t *Tree) PointQueryData(qc *QueryCtx, p vec.Point, dst []int64) []int64 {
 	d := t.dim
-	qc.leaf = nil
 	pages := qc.pages[:0]
 	stack := append(qc.stack[:0], t.root)
 	for len(stack) > 0 {
@@ -123,7 +64,7 @@ func (t *Tree) PointQueryData(qc *QueryCtx, p vec.Point, dst []int64) []int64 {
 	qc.stack = stack
 	// One batched pager call replays the visit-order accesses under a single
 	// lock acquisition; counters and LRU state end up exactly as with the
-	// per-node accounting of the incremental paths.
+	// per-node accounting of the recursive path.
 	qc.pages = pages
 	t.pg.AccessRun(pages)
 	return dst
@@ -139,7 +80,6 @@ func (t *Tree) PointQueryData(qc *QueryCtx, p vec.Point, dst []int64) []int64 {
 // candidate list of PointQueryData and its second pass.
 func (t *Tree) NearestCandidate(qc *QueryCtx, q vec.Point, coords []float64) (data int64, d2 float64, count int, ok bool) {
 	d := t.dim
-	qc.leaf = nil
 	bestData, bestD2 := int64(-1), math.Inf(1)
 	pages := qc.pages[:0]
 	stack := append(qc.stack[:0], t.root)
@@ -221,33 +161,26 @@ func (qc *QueryCtx) matchLeafPoint(n *node, d int, p vec.Point) {
 	qc.surv = surv[:k]
 }
 
-// Next returns the next matching leaf entry of the traversal started by
-// BeginPoint, and ok=false when the traversal is exhausted.
-// Page accesses are recorded against the pager exactly as in the recursive
-// paths (every visited node once, when it is first scanned).
-func (qc *QueryCtx) Next() (e Entry, ok bool) {
-	n, i, ok := qc.next()
-	if !ok {
-		return Entry{}, false
-	}
-	return Entry{Rect: n.entries[i].rect, Data: n.entries[i].data}, true
+// NearestNeighbor returns the closest leaf entry to q (Euclidean), best-first
+// [HS 95]. ok is false on an empty tree.
+func (t *Tree) NearestNeighbor(q vec.Point) (e Entry, dist2 float64, ok bool) {
+	var qc QueryCtx
+	nb, ok := t.NearestNeighborCtx(&qc, q)
+	return nb.Entry, nb.Dist2, ok
 }
 
-// NextData is Next reduced to the entry payload, for callers that resolve
-// matches by id and never look at the rectangle.
-func (qc *QueryCtx) NextData() (data int64, ok bool) {
-	n, i, ok := qc.next()
-	if !ok {
-		return 0, false
-	}
-	return n.entries[i].data, true
+// KNearest returns the k closest leaf entries to q in increasing distance
+// order: KNearestCtx on a context of its own.
+func (t *Tree) KNearest(q vec.Point, k int) []Neighbor {
+	var qc QueryCtx
+	return t.KNearestCtx(&qc, q, k, nil)
 }
 
 // NearestNeighborCtx is the zero-allocation form of NearestNeighbor: the
 // best-first search runs on qc's reusable heaps. ok is false on an empty
 // tree.
 func (t *Tree) NearestNeighborCtx(qc *QueryCtx, q vec.Point) (nb Neighbor, ok bool) {
-	qc.res = t.KNearestCtx(qc, q, 1, math.Inf(1), qc.res[:0])
+	qc.res = t.KNearestCtx(qc, q, 1, qc.res[:0])
 	if len(qc.res) == 0 {
 		return Neighbor{}, false
 	}
@@ -255,20 +188,13 @@ func (t *Tree) NearestNeighborCtx(qc *QueryCtx, q vec.Point) (nb Neighbor, ok bo
 }
 
 // KNearestCtx appends the k closest leaf entries to q (increasing distance)
-// to out and returns it, running the best-first traversal of [HS 95] on qc's
-// reusable concrete-typed heaps — no container/heap boxing, no per-query
-// allocations beyond out's own growth (pass a reused slice for none).
-//
-// bound is an inclusive pruning radius on squared distance: entries and
-// subtrees farther than bound are never visited or reported. Pass
-// math.Inf(1) for an unbounded search. The out-of-bounds fallback of the
-// NN-cell index seeds bound with a clamp-candidate distance, which turns the
-// search into a verification descent.
-//
-// With an infinite bound the traversal performs the same heap operations in
-// the same order as the recursive KNearest, so results are identical. out
-// must not alias qc's internal scratch slices.
-func (t *Tree) KNearestCtx(qc *QueryCtx, q vec.Point, k int, bound float64, out []Neighbor) []Neighbor {
+// to out and returns it, using the best-first traversal of [HS 95] with a
+// bounded result heap: only nodes enter the priority queue; leaf entries
+// compete in a size-k max-heap, and traversal stops when the nearest
+// unexplored node is farther than the current k-th best candidate. Both heaps
+// are qc's — no per-query allocations beyond out's own growth (pass a reused
+// slice for none). out must not alias qc's internal scratch slices.
+func (t *Tree) KNearestCtx(qc *QueryCtx, q vec.Point, k int, out []Neighbor) []Neighbor {
 	if k <= 0 || t.size == 0 {
 		return out
 	}
@@ -276,11 +202,7 @@ func (t *Tree) KNearestCtx(qc *QueryCtx, q vec.Point, k int, bound float64, out 
 	qc.best = qc.best[:0]
 	for len(qc.heap) > 0 {
 		it := qc.heap[0]
-		limit := bound
-		if len(qc.best) == k && qc.best[0].Dist2 < limit {
-			limit = qc.best[0].Dist2
-		}
-		if it.dist2 > limit {
+		if len(qc.best) == k && it.dist2 > qc.best[0].Dist2 {
 			break
 		}
 		qc.heap = nodeHeapPop(qc.heap)
@@ -289,9 +211,6 @@ func (t *Tree) KNearestCtx(qc *QueryCtx, q vec.Point, k int, bound float64, out 
 		for i := range n.entries {
 			if n.level == 0 {
 				d2 := vec.MinDist2Stride(q, n.flatLo, n.flatHi, i, len(n.entries))
-				if d2 > bound {
-					continue
-				}
 				if len(qc.best) < k {
 					qc.best = resultHeapPush(qc.best, Neighbor{
 						Entry: Entry{Rect: n.entries[i].rect, Data: n.entries[i].data}, Dist2: d2})
@@ -302,9 +221,6 @@ func (t *Tree) KNearestCtx(qc *QueryCtx, q vec.Point, k int, bound float64, out 
 				}
 			} else {
 				d2 := vec.Euclidean{}.MinDist2(q, n.entries[i].rect)
-				if d2 > bound {
-					continue
-				}
 				if len(qc.best) < k || d2 <= qc.best[0].Dist2 {
 					qc.heap = nodeHeapPush(qc.heap, nnHeapItem{dist2: d2, child: n.entries[i].child})
 				}
@@ -321,10 +237,8 @@ func (t *Tree) KNearestCtx(qc *QueryCtx, q vec.Point, k int, bound float64, out 
 	return out
 }
 
-// The inline heaps below mirror container/heap's sift algorithms exactly
-// (same comparisons, same swap order) on concrete element types, so the
-// ctx-based searches reproduce the reference traversal bit for bit while
-// avoiding interface{} boxing on every push and pop.
+// The two heaps are binary heaps on concrete element types: no interface{}
+// boxing on a push or a pop.
 
 // nodeHeapPush appends it and sifts up (min-heap by dist2).
 func nodeHeapPush(h []nnHeapItem, it nnHeapItem) []nnHeapItem {

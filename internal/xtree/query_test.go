@@ -39,22 +39,9 @@ func collectPoint(tr *Tree, p vec.Point) []Entry {
 	return out
 }
 
-func entriesEqual(t *testing.T, label string, want, got []Entry) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: %d entries, recursive found %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if want[i].Data != got[i].Data || !want[i].Rect.Equal(got[i].Rect) {
-			t.Fatalf("%s: entry %d: recursive %v/%d, iterative %v/%d",
-				label, i, want[i].Rect, want[i].Data, got[i].Rect, got[i].Data)
-		}
-	}
-}
-
-// The iterative point traversal must reproduce the recursive PointQuery
-// exactly: same entries in the same visit order, and the same page-access
-// accounting against the pager.
+// The iterative point query must reproduce the recursive PointQuery exactly:
+// same payloads in the same visit order, and the same page-access accounting
+// against the pager.
 func TestQueryCtxPointMatchesRecursive(t *testing.T) {
 	eachPolicy(t, testQueryCtxPointMatchesRecursive)
 }
@@ -72,22 +59,6 @@ func testQueryCtxPointMatchesRecursive(t *testing.T, policy overflowPolicy) {
 			tr.pg.ResetStats()
 			want := collectPoint(tr, q)
 			recAcc := tr.pg.Stats().Accesses
-
-			tr.pg.ResetStats()
-			var got []Entry
-			tr.BeginPoint(&qc, q)
-			for {
-				e, ok := qc.Next()
-				if !ok {
-					break
-				}
-				got = append(got, e)
-			}
-			iterAcc := tr.pg.Stats().Accesses
-			entriesEqual(t, "point", want, got)
-			if recAcc != iterAcc {
-				t.Fatalf("d=%d q=%d: recursive touched %d pages, iterative %d", d, qi, recAcc, iterAcc)
-			}
 
 			tr.pg.ResetStats()
 			ids = tr.PointQueryData(&qc, q, ids[:0])
@@ -145,69 +116,6 @@ func testNearestCandidateMatchesScan(t *testing.T, policy overflowPolicy) {
 	}
 }
 
-// KNearestCtx with an infinite bound performs the same heap operations as the
-// recursive KNearest, so results must be identical including order.
-func TestKNearestCtxMatchesRecursive(t *testing.T) { eachPolicy(t, testKNearestCtxMatchesRecursive) }
-
-func testKNearestCtxMatchesRecursive(t *testing.T, policy overflowPolicy) {
-	rng := rand.New(rand.NewSource(83))
-	for _, d := range []int{2, 8} {
-		pts := randPoints(rng, 600, d)
-		tr := buildPointTree(t, pts, policy)
-		var qc QueryCtx
-		var out []Neighbor
-		for _, k := range []int{1, 5, 32} {
-			for qi := 0; qi < 50; qi++ {
-				q := randPoints(rng, 1, d)[0]
-				want := tr.KNearest(q, k)
-				out = tr.KNearestCtx(&qc, q, k, math.Inf(1), out[:0])
-				if len(want) != len(out) {
-					t.Fatalf("d=%d k=%d: ctx returned %d, recursive %d", d, k, len(out), len(want))
-				}
-				for i := range want {
-					if want[i].Entry.Data != out[i].Entry.Data || want[i].Dist2 != out[i].Dist2 {
-						t.Fatalf("d=%d k=%d q=%d: result %d: ctx %d@%g, recursive %d@%g",
-							d, k, qi, i, out[i].Entry.Data, out[i].Dist2, want[i].Entry.Data, want[i].Dist2)
-					}
-				}
-			}
-		}
-	}
-}
-
-// The pruning bound is inclusive: a bounded search returns exactly the
-// unbounded results with Dist2 <= bound (capped at k).
-func TestKNearestCtxBound(t *testing.T) { eachPolicy(t, testKNearestCtxBound) }
-
-func testKNearestCtxBound(t *testing.T, policy overflowPolicy) {
-	rng := rand.New(rand.NewSource(89))
-	pts := randPoints(rng, 500, 6)
-	tr := buildPointTree(t, pts, policy)
-	var qc QueryCtx
-	for qi := 0; qi < 50; qi++ {
-		q := randPoints(rng, 1, 6)[0]
-		full := tr.KNearest(q, 10)
-		for _, cut := range []int{0, 3, 9} {
-			bound := full[cut].Dist2
-			got := tr.KNearestCtx(&qc, q, 10, bound, nil)
-			var want []Neighbor
-			for _, nb := range full {
-				if nb.Dist2 <= bound {
-					want = append(want, nb)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("q=%d bound=%g: got %d results, want %d", qi, bound, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Entry.Data != want[i].Entry.Data || got[i].Dist2 != want[i].Dist2 {
-					t.Fatalf("q=%d bound=%g: result %d differs", qi, bound, i)
-				}
-			}
-		}
-	}
-}
-
 // A warm QueryCtx answers every query form without allocating.
 func TestQueryCtxZeroAllocs(t *testing.T) { eachPolicy(t, testQueryCtxZeroAllocs) }
 
@@ -232,13 +140,7 @@ func testQueryCtxZeroAllocs(t *testing.T, policy overflowPolicy) {
 		for _, q := range qs {
 			ids = tr.PointQueryData(&qc, q, ids[:0])
 			tr.NearestCandidate(&qc, q, coords)
-			nbrs = tr.KNearestCtx(&qc, q, 10, math.Inf(1), nbrs[:0])
-			tr.BeginPoint(&qc, q)
-			for {
-				if _, ok := qc.NextData(); !ok {
-					break
-				}
-			}
+			nbrs = tr.KNearestCtx(&qc, q, 10, nbrs[:0])
 		}
 	}
 	warm()
@@ -248,13 +150,7 @@ func testQueryCtxZeroAllocs(t *testing.T, policy overflowPolicy) {
 		k++
 		ids = tr.PointQueryData(&qc, q, ids[:0])
 		tr.NearestCandidate(&qc, q, coords)
-		nbrs = tr.KNearestCtx(&qc, q, 10, math.Inf(1), nbrs[:0])
-		tr.BeginPoint(&qc, q)
-		for {
-			if _, ok := qc.NextData(); !ok {
-				break
-			}
-		}
+		nbrs = tr.KNearestCtx(&qc, q, 10, nbrs[:0])
 	})
 	if allocs != 0 {
 		t.Fatalf("warm query engine allocates %v/op, want 0", allocs)

@@ -1,7 +1,6 @@
 package xtree
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -17,12 +16,9 @@ type Neighbor struct {
 
 // PointQuery visits every leaf entry whose rectangle contains p; visit
 // returns false to stop. With NN-cell approximations stored in the tree, this
-// single call answers a nearest-neighbor query.
-//
-// This recursive closure-based traversal is the seed (PR 1) query path. It is
-// retained as the reference implementation: the zero-allocation iterative
-// engine (QueryCtx) is tested for result-identical behaviour against it, and
-// the bench-query record measures its speedup over this path.
+// single call answers a nearest-neighbor query. PointQuery and Search are the
+// closure reference that PointQueryData and the cell directory's tests are
+// compared against.
 func (t *Tree) PointQuery(p vec.Point, visit func(Entry) bool) {
 	t.searchNode(t.root, func(r vec.Rect) bool { return r.Contains(p) }, visit)
 }
@@ -84,92 +80,6 @@ func (t *Tree) visitLeafRegions(n *node, region vec.Rect, pred func(vec.Rect) bo
 		}
 	}
 	return true
-}
-
-type nnHeapItem struct {
-	dist2 float64
-	child *node
-}
-
-type nnHeap []nnHeapItem
-
-func (h nnHeap) Len() int            { return len(h) }
-func (h nnHeap) Less(i, j int) bool  { return h[i].dist2 < h[j].dist2 }
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(nnHeapItem)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// NearestNeighbor returns the closest leaf entry to q (Euclidean), best-first
-// [HS 95]. ok is false on an empty tree.
-func (t *Tree) NearestNeighbor(q vec.Point) (e Entry, dist2 float64, ok bool) {
-	res := t.KNearest(q, 1)
-	if len(res) == 0 {
-		return Entry{}, 0, false
-	}
-	return res[0].Entry, res[0].Dist2, true
-}
-
-// KNearest returns the k closest leaf entries to q in increasing distance
-// order, using the best-first traversal of [HS 95] with a bounded result
-// heap: only nodes enter the priority queue; leaf entries compete in a
-// size-k max-heap, and traversal stops when the nearest unexplored node is
-// farther than the current k-th best candidate.
-func (t *Tree) KNearest(q vec.Point, k int) []Neighbor {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	metric := vec.Euclidean{}
-	nodes := &nnHeap{}
-	heap.Push(nodes, nnHeapItem{dist2: 0, child: t.root})
-	best := &resultHeap{}
-	for nodes.Len() > 0 {
-		it := heap.Pop(nodes).(nnHeapItem)
-		if best.Len() == k && it.dist2 > (*best)[0].Dist2 {
-			break
-		}
-		n := it.child
-		t.accessNode(n)
-		for i := range n.entries {
-			e := &n.entries[i]
-			d2 := metric.MinDist2(q, e.rect)
-			if n.level == 0 {
-				if best.Len() < k {
-					heap.Push(best, Neighbor{Entry: Entry{Rect: e.rect, Data: e.data}, Dist2: d2})
-				} else if d2 < (*best)[0].Dist2 {
-					(*best)[0] = Neighbor{Entry: Entry{Rect: e.rect, Data: e.data}, Dist2: d2}
-					heap.Fix(best, 0)
-				}
-			} else if best.Len() < k || d2 <= (*best)[0].Dist2 {
-				heap.Push(nodes, nnHeapItem{dist2: d2, child: e.child})
-			}
-		}
-	}
-	out := make([]Neighbor, best.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(best).(Neighbor)
-	}
-	return out
-}
-
-// resultHeap is a max-heap of the current k best candidates (root = worst).
-type resultHeap []Neighbor
-
-func (h resultHeap) Len() int            { return len(h) }
-func (h resultHeap) Less(i, j int) bool  { return h[i].Dist2 > h[j].Dist2 }
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // NearestNeighborDF is the depth-first branch-and-bound nearest-neighbor
