@@ -1,9 +1,8 @@
 // Command loadgen drives a running nncell server with an open-loop query
 // schedule (see internal/loadgen): arrivals fire at the target rate
 // regardless of completions, queries repeat over a Zipf-skewed hot pool,
-// and optional insert churn exercises cache invalidation. The run report
-// prints as text or JSON; with -metrics the tool also scrapes the server's
-// nncell_cache_* counters after the run.
+// and optional insert churn writes to the index while it is read. The run
+// report prints as text or JSON.
 //
 // Usage:
 //
@@ -11,7 +10,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -78,23 +76,6 @@ func probeDim(base string, client *http.Client) (int, error) {
 	return h.Dim, nil
 }
 
-// scrapeCacheMetrics returns the server's nncell_cache_* exposition lines.
-func scrapeCacheMetrics(base string, client *http.Client) ([]string, error) {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var lines []string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if line := sc.Text(); strings.HasPrefix(line, "nncell_cache_") {
-			lines = append(lines, line)
-		}
-	}
-	return lines, sc.Err()
-}
-
 func main() {
 	var (
 		addr     = flag.String("addr", "localhost:8080", "server host:port")
@@ -107,7 +88,6 @@ func main() {
 		churnQPS = flag.Float64("churn-qps", 0, "insert arrival rate (0 = read-only)")
 		maxOut   = flag.Int("max-outstanding", 512, "in-flight cap; arrivals beyond it are shed")
 		asJSON   = flag.Bool("json", false, "emit the report as JSON")
-		metrics  = flag.Bool("metrics", true, "scrape nncell_cache_* from /metrics after the run")
 	)
 	flag.Parse()
 
@@ -146,21 +126,10 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	var cacheLines []string
-	if *metrics {
-		if cacheLines, err = scrapeCacheMetrics(base, client); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: scraping /metrics: %v\n", err)
-		}
-	}
-
 	if *asJSON {
-		out := struct {
-			loadgen.Report
-			CacheMetrics []string `json:"cache_metrics,omitempty"`
-		}{rep, cacheLines}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := enc.Encode(rep); err != nil {
 			fatalf("%v", err)
 		}
 		return
@@ -176,9 +145,6 @@ func main() {
 		rep.OnsetP50Micros, rep.OnsetP99Micros)
 	if rep.ChurnSent > 0 || rep.ChurnErrors > 0 {
 		fmt.Printf("  churn: %d inserts, %d errors\n", rep.ChurnSent, rep.ChurnErrors)
-	}
-	for _, line := range cacheLines {
-		fmt.Printf("  %s\n", line)
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"repro/internal/nncell"
 	"repro/internal/pager"
 	"repro/internal/replica"
-	"repro/internal/rescache"
 	"repro/internal/scan"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -203,7 +202,6 @@ func serveMain(args []string) {
 		alg         = fs.String("alg", "nndir", "approximation algorithm for the synthetic index and for every write: correct|nndir")
 		decompose   = fs.Int("decompose", 0, "fragment budget per cell for the synthetic index")
 		seed        = fs.Int64("seed", 1, "random seed for the synthetic index")
-		cacheSize   = fs.Int("cache", 0, "result-cache capacity in entries (0 = off): memoize exact NN answers, invalidated at mutation commit")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-request admission deadline")
 		grace       = fs.Duration("grace", 10*time.Second, "shutdown drain budget")
 		maxBody     = fs.Int64("max-body", 1<<20, "request body cap in bytes")
@@ -254,16 +252,10 @@ func serveMain(args []string) {
 		}
 	}
 
-	var resCache *rescache.Cache
-	if *cacheSize > 0 {
-		resCache = rescache.New(*cacheSize)
-	}
-
 	// The server starts BEFORE the index exists: liveness and /metrics come
 	// up immediately, readiness reports the loading/replaying phase, and
 	// query traffic is shed with 503 until recovery completes.
 	srv := server.New(nil, server.Config{
-		Cache:          resCache,
 		RequestTimeout: *timeout,
 		ShutdownGrace:  *grace,
 		MaxBodyBytes:   *maxBody,
@@ -381,12 +373,6 @@ func serveMain(args []string) {
 		fmt.Printf("nncell: replication source mounted at /v1/repl/ (boot %s)\n", src.BootID())
 	}
 
-	if resCache != nil {
-		// Invalidation must be live before the first query can race a
-		// mutation, so the hook attaches ahead of SetIndex.
-		ix.SetMutationHook(resCache.Invalidate)
-	}
-
 	srv.SetIndex(ix)
 	fmt.Printf("nncell: serving on http://%s\n", srv.Addr())
 
@@ -409,7 +395,7 @@ func serveMain(args []string) {
 func serveFollower(primary, addr string, lagRecs uint64, lagSLO time.Duration,
 	timeout, grace time.Duration, maxBody int64, maxInflight, maxBatch, maxK int, explicit map[string]bool) {
 	for _, name := range []string{"load", "wal-dir", "fsync", "fsync-interval", "snapshot", "snapshot-every",
-		"shards", "route", "cache", "n", "d", "data", "alg", "decompose", "seed"} {
+		"shards", "route", "n", "d", "data", "alg", "decompose", "seed"} {
 		if explicit[name] {
 			fatalf("-%s does not apply with -follow: a follower's index, shape and durability come from the primary", name)
 		}

@@ -7,18 +7,19 @@
 // (coordinated-omission-free).
 //
 // Queries are drawn from a fixed pool of points with Zipf-distributed
-// popularity, which produces the hot-spot repetition a result cache is
-// designed to exploit. An optional churn goroutine issues inserts at its
-// own rate to exercise invalidation during the run.
+// popularity: the hot-spot repetition of a production read stream. An
+// optional churn goroutine issues inserts at its own rate, so reads are
+// measured while the index is being written.
 package loadgen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
-	"repro/internal/stats"
 	"repro/internal/vec"
 )
 
@@ -53,8 +54,8 @@ type Config struct {
 	ChurnQPS float64 // insert arrival rate; 0 disables churn
 }
 
-// Report summarizes a run. All latency quantiles are bucket upper bounds
-// from a power-of-two histogram (factor-2 resolution).
+// Report summarizes a run. Every latency quantile is an exact nearest-rank
+// percentile over all admitted queries.
 type Report struct {
 	Sent      uint64 `json:"sent"`      // arrivals admitted to the target
 	Completed uint64 `json:"completed"` // queries that returned (ok or error)
@@ -117,20 +118,22 @@ func Run(t Target, cfg Config) (Report, error) {
 	var (
 		rep      Report
 		mu       sync.Mutex // guards rep counters
-		service  stats.Histogram
-		onset    stats.Histogram
 		inflight = make(chan struct{}, cfg.MaxOutstanding)
 		wg       sync.WaitGroup
 	)
 
 	// Pre-draw the arrival sequence so the scheduling loop does no rng
-	// work (the zipf source is not safe for concurrent use anyway).
+	// work (the zipf source is not safe for concurrent use anyway), and
+	// give every arrival its latency slots up front: the query admitted
+	// k-th writes slot k and nothing else, so recording takes no lock.
 	interval := time.Duration(float64(time.Second) / cfg.QPS)
 	n := int(cfg.Duration / interval)
 	picks := make([]uint64, n)
 	for i := range picks {
 		picks[i] = zipf.Uint64()
 	}
+	service := make([]time.Duration, n)
+	onset := make([]time.Duration, n)
 
 	churnStop := make(chan struct{})
 	var churnWG sync.WaitGroup
@@ -171,6 +174,7 @@ func Run(t Target, cfg Config) (Report, error) {
 			rep.Shed++ // scheduler is the only writer of Shed before wg.Wait
 			continue
 		}
+		slot := rep.Sent
 		rep.Sent++
 		q := pool[picks[i]]
 		wg.Add(1)
@@ -180,8 +184,8 @@ func Run(t Target, cfg Config) (Report, error) {
 			issued := time.Now()
 			err := t.Query(q)
 			done := time.Now()
-			service.Observe(done.Sub(issued))
-			onset.Observe(done.Sub(scheduled))
+			service[slot] = done.Sub(issued)
+			onset[slot] = done.Sub(scheduled)
 			if err != nil {
 				mu.Lock()
 				rep.Errors++
@@ -194,17 +198,41 @@ func Run(t Target, cfg Config) (Report, error) {
 	churnWG.Wait()
 	rep.Elapsed = time.Since(start)
 
-	rep.Completed = service.Count()
-	rep.ServiceP50Micros = micros(service.Quantile(0.5))
-	rep.ServiceP99Micros = micros(service.Quantile(0.99))
-	rep.ServiceMeanMicros = micros(service.Mean())
-	rep.OnsetP50Micros = micros(onset.Quantile(0.5))
-	rep.OnsetP99Micros = micros(onset.Quantile(0.99))
+	rep.Completed = rep.Sent
+	service, onset = service[:rep.Sent], onset[:rep.Sent]
+	slices.Sort(service)
+	slices.Sort(onset)
+	rep.ServiceP50Micros = micros(percentile(service, 0.5))
+	rep.ServiceP99Micros = micros(percentile(service, 0.99))
+	rep.ServiceMeanMicros = micros(mean(service))
+	rep.OnsetP50Micros = micros(percentile(onset, 0.5))
+	rep.OnsetP99Micros = micros(percentile(onset, 0.99))
 	if secs := rep.Elapsed.Seconds(); secs > 0 {
 		rep.AchievedQPS = float64(rep.Sent) / secs
 		rep.EffectiveQPS = float64(rep.Completed) / secs
 	}
 	return rep, nil
+}
+
+// percentile returns the nearest-rank p-quantile of ascending samples: the
+// smallest sample with at least p of all samples at or below it (0 for none).
+func percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(p * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
+}
+
+func mean(samples []time.Duration) time.Duration {
+	if len(samples) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, d := range samples {
+		sum += d
+	}
+	return sum / time.Duration(len(samples))
 }
 
 func randPoint(rng *rand.Rand, b vec.Rect) vec.Point {

@@ -89,7 +89,8 @@ func TestRunAccounting(t *testing.T) {
 			rep.ServiceP50Micros, rep.OnsetP50Micros)
 	}
 	// Onset latency includes scheduling delay, so it can never undercut
-	// service latency at the same quantile (both are bucket upper bounds).
+	// service latency at the same quantile (each onset sample dominates the
+	// service sample of the same query).
 	if rep.OnsetP50Micros < rep.ServiceP50Micros {
 		t.Fatalf("onset p50 %v < service p50 %v", rep.OnsetP50Micros, rep.ServiceP50Micros)
 	}
@@ -140,6 +141,41 @@ func TestRunShedsAtOutstandingCap(t *testing.T) {
 	}
 	if rep.Completed != rep.Sent {
 		t.Fatalf("completed %d != sent %d", rep.Completed, rep.Sent)
+	}
+}
+
+// The reported quantiles are sample values, not histogram bucket edges: a
+// run where every query takes 300 µs reports 300 µs (a power-of-two
+// histogram reports the 524 µs edge above it).
+func TestPercentileNearestRank(t *testing.T) {
+	flat := make([]time.Duration, 1000)
+	for i := range flat {
+		flat[i] = 300 * time.Microsecond
+	}
+	ramp := make([]time.Duration, 100) // 1, 2, …, 100 µs
+	for i := range ramp {
+		ramp[i] = time.Duration(i+1) * time.Microsecond
+	}
+	for _, tc := range []struct {
+		samples []time.Duration
+		p       float64
+		want    time.Duration
+	}{
+		{flat, 0.5, 300 * time.Microsecond},
+		{flat, 0.99, 300 * time.Microsecond},
+		{ramp, 0, 1 * time.Microsecond},
+		{ramp, 0.5, 50 * time.Microsecond},
+		{ramp, 0.99, 99 * time.Microsecond},
+		{ramp, 1, 100 * time.Microsecond},
+		{ramp[:1], 0.5, 1 * time.Microsecond},
+		{nil, 0.5, 0},
+	} {
+		if got := percentile(tc.samples, tc.p); got != tc.want {
+			t.Errorf("percentile(%d samples, %v) = %v, want %v", len(tc.samples), tc.p, got, tc.want)
+		}
+	}
+	if got := mean(ramp); got != 50500*time.Nanosecond {
+		t.Errorf("mean(1..100 µs) = %v, want 50.5µs", got)
 	}
 }
 

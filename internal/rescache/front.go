@@ -21,9 +21,8 @@ type Inner interface {
 
 // Front wraps an index with the result cache: NearestNeighbor consults the
 // cache first, mutations pass through (their commit hooks invalidate). It
-// is the library-level integration; the HTTP server wires the same Cache
-// into its handlers directly instead (it needs the concrete index type for
-// snapshots and WAL control, plus per-endpoint counters).
+// is the one integration of the cache; the HTTP server has none (DESIGN.md
+// §13 has the served verdict).
 type Front struct {
 	Inner
 	cache *Cache
@@ -58,9 +57,8 @@ func (f *Front) NearestNeighbor(q vec.Point) (nncell.Neighbor, error) {
 
 // NearestNeighborBatch partitions the batch into cache hits and misses,
 // answers the hits from the cache, and forwards the misses in one call to
-// the inner concurrent batch entry point with the caller's parallelism —
-// the same shape the server handler uses. Results are re-associated
-// positionally via the miss index list.
+// the inner concurrent batch entry point with the caller's parallelism.
+// Results are re-associated positionally via the miss index list.
 //
 // The epoch protocol matches the scalar path, captured once for the whole
 // miss sub-batch before the inner call: any mutation that commits after the

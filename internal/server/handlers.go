@@ -55,8 +55,9 @@ func writeError(w http.ResponseWriter, code int, format string, args ...interfac
 }
 
 // decodeQuery parses a single-point request from either verb and validates
-// the point against the index. A false return means the response was written.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (vec.Point, int, bool) {
+// the point against the index's dimensionality. A false return means the
+// response was written.
+func decodeQuery(w http.ResponseWriter, r *http.Request, dim int) (vec.Point, int, bool) {
 	var req queryRequest
 	switch r.Method {
 	case http.MethodGet:
@@ -90,7 +91,7 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (vec.Point,
 		writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return nil, 0, false
 	}
-	q, err := s.validatePoint(req.Point)
+	q, err := validatePoint(req.Point, dim)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, 0, false
@@ -117,9 +118,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 // validatePoint checks dimensionality and finiteness. Out-of-bounds points
 // are fine — the index's clamp-and-verify fallback answers them exactly —
 // but NaN/Inf coordinates would poison distance comparisons.
-func (s *Server) validatePoint(coords []float64) (vec.Point, error) {
-	if len(coords) != s.index().Dim() {
-		return nil, fmt.Errorf("point has %d dimensions, index has %d", len(coords), s.index().Dim())
+func validatePoint(coords []float64, dim int) (vec.Point, error) {
+	if len(coords) != dim {
+		return nil, fmt.Errorf("point has %d dimensions, index has %d", len(coords), dim)
 	}
 	for j, v := range coords {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -153,45 +154,22 @@ func queryStatus(err error) int {
 	return http.StatusServiceUnavailable
 }
 
-// cachedNN is the single-NN query path shared by /v1/nn and /v1/knn (k=1):
-// consult the result cache when configured, fall through to the index on a
-// miss, and fill with the epoch captured before the index ran (the ordering
-// rescache's fill-race guard requires). Per-endpoint hit/miss counters feed
-// the nncell_cache_* metrics.
-func (s *Server) cachedNN(endpoint string, q vec.Point) (nncell.Neighbor, error) {
-	c := s.cfg.Cache
-	if c == nil {
-		return s.index().NearestNeighbor(q)
-	}
-	if nb, ok := c.Get(q); ok {
-		s.m.cacheCount(endpoint, true)
-		return nb, nil
-	}
-	s.m.cacheCount(endpoint, false)
-	epoch := c.Epoch()
-	nb, err := s.index().NearestNeighbor(q)
-	if err == nil {
-		c.Put(q, nb, epoch)
-	}
-	return nb, err
-}
-
-func (s *Server) handleNN(w http.ResponseWriter, r *http.Request) {
-	q, _, ok := s.decodeQuery(w, r)
+func (s *Server) handleNN(w http.ResponseWriter, r *http.Request, ix Index) {
+	q, _, ok := decodeQuery(w, r, ix.Dim())
 	if !ok {
 		return
 	}
-	nb, err := s.cachedNN("nn", q)
+	nb, err := ix.NearestNeighbor(q)
 	if err != nil {
 		writeError(w, queryStatus(err), "query failed: %v", err)
 		return
 	}
-	p, _ := s.index().Point(nb.ID)
+	p, _ := ix.Point(nb.ID)
 	writeJSON(w, http.StatusOK, nnResponse{ID: nb.ID, Dist2: nb.Dist2, Point: p})
 }
 
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	q, k, ok := s.decodeQuery(w, r)
+func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, ix Index) {
+	q, k, ok := decodeQuery(w, r, ix.Dim())
 	if !ok {
 		return
 	}
@@ -199,21 +177,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var (
-		nbs []nncell.Neighbor
-		err error
-	)
-	if k == 1 {
-		// k=1 is an NN query in k-NN clothing; route it through the cache.
-		// Larger k is never cached (first-order invalidation sets do not
-		// bound order-k answer changes — see rescache).
-		var nb nncell.Neighbor
-		if nb, err = s.cachedNN("knn", q); err == nil {
-			nbs = []nncell.Neighbor{nb}
-		}
-	} else {
-		nbs, err = s.index().KNearest(q, k)
-	}
+	nbs, err := ix.KNearest(q, k)
 	if err != nil {
 		writeError(w, queryStatus(err), "query failed: %v", err)
 		return
@@ -227,13 +191,13 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}{out})
 }
 
-func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
-	q, _, ok := s.decodeQuery(w, r)
+func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request, ix Index) {
+	q, _, ok := decodeQuery(w, r, ix.Dim())
 	if !ok {
 		return
 	}
 	bufp := s.cands.Get().(*[]int)
-	ids := s.index().CandidatesAppend((*bufp)[:0], q)
+	ids := ix.CandidatesAppend((*bufp)[:0], q)
 	writeJSON(w, http.StatusOK, struct {
 		IDs   []int `json:"ids"`
 		Count int   `json:"count"`
@@ -242,9 +206,9 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	s.cands.Put(bufp)
 }
 
-// decodeBatch parses and validates a batch body. A false return means the
-// response was written.
-func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]vec.Point, int, bool) {
+// decodeBatch parses a batch body and validates its points against the
+// index's dimensionality. A false return means the response was written.
+func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, dim int) ([]vec.Point, int, bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -264,7 +228,7 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]vec.Poin
 	}
 	qs := make([]vec.Point, len(req.Points))
 	for i, coords := range req.Points {
-		q, err := s.validatePoint(coords)
+		q, err := validatePoint(coords, dim)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "point %d: %v", i, err)
 			return nil, 0, false
@@ -284,12 +248,12 @@ func batchWorkers(n int) int {
 	return w
 }
 
-func (s *Server) handleNNBatch(w http.ResponseWriter, r *http.Request) {
-	qs, _, ok := s.decodeBatch(w, r)
+func (s *Server) handleNNBatch(w http.ResponseWriter, r *http.Request, ix Index) {
+	qs, _, ok := s.decodeBatch(w, r, ix.Dim())
 	if !ok {
 		return
 	}
-	nbs, err := s.batchNN(qs)
+	nbs, err := ix.NearestNeighborBatch(qs, batchWorkers(len(qs)))
 	if err != nil {
 		writeError(w, queryStatus(err), "query failed: %v", err)
 		return
@@ -303,45 +267,8 @@ func (s *Server) handleNNBatch(w http.ResponseWriter, r *http.Request) {
 	}{out})
 }
 
-// batchNN answers a batch of NN queries, partitioning through the result
-// cache when one is configured: hits are filled in directly, the misses run
-// through the index's concurrent batch path against one epoch captured
-// before any of them computes, and successful answers back-fill the cache.
-func (s *Server) batchNN(qs []vec.Point) ([]nncell.Neighbor, error) {
-	c := s.cfg.Cache
-	if c == nil {
-		return s.index().NearestNeighborBatch(qs, batchWorkers(len(qs)))
-	}
-	out := make([]nncell.Neighbor, len(qs))
-	var missQs []vec.Point
-	var missAt []int
-	for i, q := range qs {
-		if nb, ok := c.Get(q); ok {
-			s.m.cacheCount("nn_batch", true)
-			out[i] = nb
-			continue
-		}
-		s.m.cacheCount("nn_batch", false)
-		missQs = append(missQs, q)
-		missAt = append(missAt, i)
-	}
-	if len(missQs) == 0 {
-		return out, nil
-	}
-	epoch := c.Epoch()
-	nbs, err := s.index().NearestNeighborBatch(missQs, batchWorkers(len(missQs)))
-	if err != nil {
-		return nil, err
-	}
-	for k, nb := range nbs {
-		out[missAt[k]] = nb
-		c.Put(missQs[k], nb, epoch)
-	}
-	return out, nil
-}
-
-func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
-	qs, k, ok := s.decodeBatch(w, r)
+func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request, ix Index) {
+	qs, k, ok := s.decodeBatch(w, r, ix.Dim())
 	if !ok {
 		return
 	}
@@ -351,7 +278,7 @@ func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([][]neighborResponse, len(qs))
 	for i, q := range qs {
-		nbs, err := s.index().KNearest(q, k)
+		nbs, err := ix.KNearest(q, k)
 		if err != nil {
 			writeError(w, queryStatus(err), "query %d failed: %v", i, err)
 			return
@@ -367,15 +294,15 @@ func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 	}{out})
 }
 
-func (s *Server) handleCandidatesBatch(w http.ResponseWriter, r *http.Request) {
-	qs, _, ok := s.decodeBatch(w, r)
+func (s *Server) handleCandidatesBatch(w http.ResponseWriter, r *http.Request, ix Index) {
+	qs, _, ok := s.decodeBatch(w, r, ix.Dim())
 	if !ok {
 		return
 	}
 	out := make([][]int, len(qs))
 	buf := make([]int, 0, 16)
 	for i, q := range qs {
-		buf = s.index().CandidatesAppend(buf[:0], q)
+		buf = ix.CandidatesAppend(buf[:0], q)
 		out[i] = append([]int(nil), buf...)
 	}
 	writeJSON(w, http.StatusOK, struct {
@@ -424,7 +351,7 @@ type replResponse struct {
 
 // handleRepl forwards to the installed replication source; 404 on servers
 // that are not primaries.
-func (s *Server) handleRepl(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRepl(w http.ResponseWriter, r *http.Request, _ Index) {
 	src := s.replSource()
 	if src == nil {
 		writeError(w, http.StatusNotFound, "replication is not enabled on this server")
@@ -480,8 +407,7 @@ func (s *Server) replUnready() string {
 // bootstrapping), 503 while a follower lags past its SLO, 200 with the
 // index summary — and the recovery and replication reports, when there are
 // any — once serving. Liveness is the separate /healthz/live.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ix := s.index()
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, ix Index) {
 	if ix == nil {
 		reason, _ := s.reason.Load().(string)
 		writeJSON(w, http.StatusServiceUnavailable, struct {
@@ -514,20 +440,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleLiveness reports that the process is up and serving HTTP — nothing
 // about the index. Restart-deciders probe this; traffic-routers probe
 // /healthz.
-func (s *Server) handleLiveness(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLiveness(w http.ResponseWriter, r *http.Request, _ Index) {
 	writeJSON(w, http.StatusOK, struct {
 		Status    string  `json:"status"`
 		UptimeSec float64 `json:"uptime_seconds"`
 	}{"ok", time.Since(startTime).Seconds()})
 }
 
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request, ix Index) {
 	if r.URL.Path != "/" {
 		writeError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	ix := s.index()
 	if ix == nil {
 		reason, _ := s.reason.Load().(string)
 		fmt.Fprintf(w, "nncell query server: not ready (%s)\n", reason)
@@ -572,7 +497,7 @@ func (s *Server) mutable(w http.ResponseWriter) bool {
 	return true
 }
 
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, ix Index) {
 	if !s.mutable(w) {
 		return
 	}
@@ -585,12 +510,12 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	p, err := s.validatePoint(req.Point)
+	p, err := validatePoint(req.Point, ix.Dim())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	id, err := s.index().Insert(p)
+	id, err := ix.Insert(p)
 	if err != nil {
 		writeError(w, mutationStatus(err), "insert failed: %v", err)
 		return
@@ -604,15 +529,15 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // acquisition and one WAL append per touched shard instead of one per
 // point (see nncell.InsertBatch for the amortization and atomicity
 // contract; against a sharded index atomicity is per shard).
-func (s *Server) handleInsertBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleInsertBatch(w http.ResponseWriter, r *http.Request, ix Index) {
 	if !s.mutable(w) {
 		return
 	}
-	ps, _, ok := s.decodeBatch(w, r)
+	ps, _, ok := s.decodeBatch(w, r, ix.Dim())
 	if !ok {
 		return
 	}
-	ids, err := s.index().InsertBatch(ps)
+	ids, err := ix.InsertBatch(ps)
 	if err != nil {
 		writeError(w, mutationStatus(err), "insert batch failed: %v", err)
 		return
@@ -623,7 +548,7 @@ func (s *Server) handleInsertBatch(w http.ResponseWriter, r *http.Request) {
 	}{ids, len(ids)})
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, ix Index) {
 	if !s.mutable(w) {
 		return
 	}
@@ -642,7 +567,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing id")
 		return
 	}
-	if err := s.index().Delete(*req.ID); err != nil {
+	if err := ix.Delete(*req.ID); err != nil {
 		writeError(w, mutationStatus(err), "delete failed: %v", err)
 		return
 	}
@@ -650,13 +575,4 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		Status string `json:"status"`
 		ID     int    `json:"id"`
 	}{"deleted", *req.ID})
-}
-
-// Stats re-exports the index stats snapshot (for embedding callers; zero
-// value while the index is still loading).
-func (s *Server) Stats() nncell.Stats {
-	if ix := s.index(); ix != nil {
-		return ix.Stats()
-	}
-	return nncell.Stats{}
 }

@@ -28,17 +28,6 @@ type endpointMetrics struct {
 	latency stats.Histogram
 }
 
-// cacheEndpoints is the fixed label set of the per-endpoint result-cache
-// counters: the endpoints that consult the cache (see Server.cachedNN and
-// Server.batchNN).
-var cacheEndpoints = []string{"nn", "knn", "nn_batch"}
-
-// cacheCounters is one endpoint's hit/miss pair.
-type cacheCounters struct {
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
 type metrics struct {
 	inflight          atomic.Int64
 	rejected          atomic.Uint64
@@ -47,36 +36,14 @@ type metrics struct {
 	lastSnapshotNanos atomic.Int64
 	snapshotSeconds   stats.Histogram
 	endpoints         map[string]*endpointMetrics
-	cache             map[string]*cacheCounters
 }
 
 func newMetrics() *metrics {
-	m := &metrics{
-		endpoints: make(map[string]*endpointMetrics, len(endpointNames)),
-		cache:     make(map[string]*cacheCounters, len(cacheEndpoints)),
-	}
+	m := &metrics{endpoints: make(map[string]*endpointMetrics, len(endpointNames))}
 	for _, name := range endpointNames {
 		m.endpoints[name] = &endpointMetrics{}
 	}
-	for _, name := range cacheEndpoints {
-		m.cache[name] = &cacheCounters{}
-	}
 	return m
-}
-
-// cacheCount records one result-cache lookup on an endpoint. Only the fixed
-// cacheEndpoints names are ever passed, so the map is read-only after
-// construction.
-func (m *metrics) cacheCount(endpoint string, hit bool) {
-	cc := m.cache[endpoint]
-	if cc == nil {
-		return
-	}
-	if hit {
-		cc.hits.Add(1)
-	} else {
-		cc.misses.Add(1)
-	}
 }
 
 func (m *metrics) record(name string, code int, d time.Duration) {
@@ -109,7 +76,7 @@ const (
 // handleMetrics renders the observability surface in the Prometheus text
 // exposition format: per-endpoint request counters and latency histograms
 // and the index work counters.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, ix Index) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
 	names := make([]string, 0, len(s.m.endpoints))
@@ -160,7 +127,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE nncell_http_rejected_total counter\n")
 	fmt.Fprintf(w, "nncell_http_rejected_total %d\n", s.m.rejected.Load())
 
-	ix := s.index()
 	ready := 0
 	if ix != nil {
 		ready = 1
@@ -169,7 +135,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE nncell_ready gauge\n")
 	fmt.Fprintf(w, "nncell_ready %d\n", ready)
 	s.writeRecoveryMetrics(w)
-	s.writeCacheMetrics(w)
 	s.writeReplMetrics(w)
 	if ix == nil {
 		// The index sections below need an index; during recovery the
@@ -302,46 +267,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP nncell_uptime_seconds Process uptime.\n")
 	fmt.Fprintf(w, "# TYPE nncell_uptime_seconds gauge\n")
 	fmt.Fprintf(w, "nncell_uptime_seconds %g\n", time.Since(startTime).Seconds())
-}
-
-// writeCacheMetrics emits the result-cache series when a cache is
-// configured: per-endpoint hit/miss counters from the handlers plus the
-// cache's own fill/invalidation/eviction accounting. Absent series = cache
-// off.
-func (s *Server) writeCacheMetrics(w http.ResponseWriter) {
-	c := s.cfg.Cache
-	if c == nil {
-		return
-	}
-	fmt.Fprintf(w, "# HELP nncell_cache_requests_total Result-cache lookups by endpoint and outcome.\n")
-	fmt.Fprintf(w, "# TYPE nncell_cache_requests_total counter\n")
-	for _, name := range cacheEndpoints {
-		cc := s.m.cache[name]
-		fmt.Fprintf(w, "nncell_cache_requests_total{endpoint=%q,outcome=\"hit\"} %d\n", name, cc.hits.Load())
-		fmt.Fprintf(w, "nncell_cache_requests_total{endpoint=%q,outcome=\"miss\"} %d\n", name, cc.misses.Load())
-	}
-	st := c.Stats()
-	fmt.Fprintf(w, "# HELP nncell_cache_entries Memoized answers currently cached.\n")
-	fmt.Fprintf(w, "# TYPE nncell_cache_entries gauge\n")
-	fmt.Fprintf(w, "nncell_cache_entries %d\n", st.Entries)
-	fmt.Fprintf(w, "# HELP nncell_cache_fills_total Misses whose answer was written back.\n")
-	fmt.Fprintf(w, "# TYPE nncell_cache_fills_total counter\n")
-	fmt.Fprintf(w, "nncell_cache_fills_total %d\n", st.Puts)
-	fmt.Fprintf(w, "# HELP nncell_cache_fill_aborts_total Fills dropped by the epoch guard (racing mutation).\n")
-	fmt.Fprintf(w, "# TYPE nncell_cache_fill_aborts_total counter\n")
-	fmt.Fprintf(w, "nncell_cache_fill_aborts_total %d\n", st.FillAborts)
-	fmt.Fprintf(w, "# HELP nncell_cache_evictions_total Entries displaced by capacity.\n")
-	fmt.Fprintf(w, "# TYPE nncell_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "nncell_cache_evictions_total %d\n", st.Evictions)
-	fmt.Fprintf(w, "# HELP nncell_cache_invalidations_total Commit-time invalidation batches from index mutations.\n")
-	fmt.Fprintf(w, "# TYPE nncell_cache_invalidations_total counter\n")
-	fmt.Fprintf(w, "nncell_cache_invalidations_total %d\n", st.Invalidations)
-	fmt.Fprintf(w, "# HELP nncell_cache_invalidated_entries_total Cached answers dropped by invalidation.\n")
-	fmt.Fprintf(w, "# TYPE nncell_cache_invalidated_entries_total counter\n")
-	fmt.Fprintf(w, "nncell_cache_invalidated_entries_total %d\n", st.InvalidatedEntries)
-	fmt.Fprintf(w, "# HELP nncell_cache_epoch Current invalidation epoch.\n")
-	fmt.Fprintf(w, "# TYPE nncell_cache_epoch counter\n")
-	fmt.Fprintf(w, "nncell_cache_epoch %d\n", st.Epoch)
 }
 
 // writeReplMetrics emits the replication series when this server is a

@@ -18,10 +18,20 @@ func (sw *statusWriter) WriteHeader(code int) {
 	sw.ResponseWriter.WriteHeader(code)
 }
 
+// handler is an endpoint body. ix is the served index as instrument resolved
+// it for this request; it is nil only on the unlimited endpoints, while the
+// index loads.
+type handler func(w http.ResponseWriter, r *http.Request, ix Index)
+
 // instrument wraps a handler with the serving-layer middleware: in-flight
 // accounting, admission control (for limited endpoints), the request
 // deadline, the body-size cap, and per-endpoint latency/status metrics.
-func (s *Server) instrument(name string, limited bool, h http.HandlerFunc) http.Handler {
+//
+// It reads the served index once and hands that one value to the handler:
+// SetIndex may swap the index mid-request (a follower re-bootstrap), and a
+// handler that looked it up again could answer with one index's id and the
+// other's coordinates.
+func (s *Server) instrument(name string, limited bool, h handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.m.inflight.Add(1)
@@ -31,11 +41,12 @@ func (s *Server) instrument(name string, limited bool, h http.HandlerFunc) http.
 		defer cancel()
 		r = r.WithContext(ctx)
 
+		ix := s.index()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		if limited {
 			// Query/mutation endpoints need the index; during startup
 			// recovery they shed with the same reason readiness reports.
-			if s.index() == nil {
+			if ix == nil {
 				reason, _ := s.reason.Load().(string)
 				writeError(sw, http.StatusServiceUnavailable, "index not ready: %s", reason)
 				s.m.record(name, sw.code, time.Since(start))
@@ -52,7 +63,7 @@ func (s *Server) instrument(name string, limited bool, h http.HandlerFunc) http.
 		if r.Body != nil {
 			r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
 		}
-		h(sw, r)
+		h(sw, r, ix)
 		s.m.record(name, sw.code, time.Since(start))
 	})
 }

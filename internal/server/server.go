@@ -27,7 +27,6 @@ import (
 	"repro/internal/iofault"
 	"repro/internal/nncell"
 	"repro/internal/replica"
-	"repro/internal/rescache"
 	"repro/internal/vec"
 )
 
@@ -100,13 +99,6 @@ type Config struct {
 	// FS is the filesystem snapshots are written through. Default the real
 	// one; crash tests inject an iofault.Mem.
 	FS iofault.FS
-	// Cache, if non-nil, memoizes exact single-NN answers on /v1/nn,
-	// /v1/knn (k=1) and /v1/nn/batch. The caller must ALSO install
-	// Cache.Invalidate as the served index's mutation hook (SetMutationHook)
-	// before mutations flow, or cached answers go stale — the serve command
-	// wires both ends. Handlers keep per-endpoint hit/miss counters and
-	// /metrics exposes the nncell_cache_* series. Nil disables caching.
-	Cache *rescache.Cache
 	// ReadOnly makes every mutation endpoint answer 403: follower mode.
 	// Writes belong on the primary; the read router forwards them there.
 	ReadOnly bool

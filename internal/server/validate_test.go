@@ -4,12 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/rescache"
-	"repro/internal/vec"
 )
 
 // postRaw sends body verbatim, bypassing json.Marshal so malformed and
@@ -167,75 +163,5 @@ func TestEmptyIndexNotFound(t *testing.T) {
 	for _, ep := range []string{"/v1/nn", "/v1/knn"} {
 		resp, body := postRaw(t, client, ts.URL+ep, `{"point":[0.1,0.2,0.3]}`)
 		requireJSONError(t, resp, body, http.StatusNotFound)
-	}
-}
-
-// TestServeWithCache exercises the cache through the HTTP surface: repeat
-// queries hit, an insert through /v1/insert invalidates, and the counters
-// behind nncell_cache_* reflect both.
-func TestServeWithCache(t *testing.T) {
-	ix, _ := buildTestIndex(t, 150)
-	c := rescache.New(1024)
-	ix.SetMutationHook(c.Invalidate)
-	s := New(ix, Config{Cache: c})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	client := ts.Client()
-
-	q := vec.Point{0.31, 0.62, 0.47}
-	get := func() nnResponse {
-		resp, body := postJSON(t, client, ts.URL+"/v1/nn", queryRequest{Point: q})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("nn: status %d: %s", resp.StatusCode, body)
-		}
-		var out nnResponse
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	first := get()
-	second := get()
-	if first.ID != second.ID || first.Dist2 != second.Dist2 {
-		t.Fatalf("cached answer diverged: %+v vs %+v", first, second)
-	}
-	if st := c.Stats(); st.Hits == 0 {
-		t.Fatalf("no cache hits after repeat query: %+v", st)
-	}
-
-	// Insert the query point itself: the cached answer MUST be invalidated
-	// (the new point is at distance 0).
-	resp, body := postJSON(t, client, ts.URL+"/v1/insert", queryRequest{Point: q})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("insert: status %d: %s", resp.StatusCode, body)
-	}
-	after := get()
-	if after.Dist2 != 0 {
-		t.Fatalf("query after inserting the query point: dist2 %v, want 0 (stale cache?)", after.Dist2)
-	}
-	st := c.Stats()
-	if st.Invalidations == 0 || st.InvalidatedEntries == 0 {
-		t.Fatalf("insert did not invalidate: %+v", st)
-	}
-
-	// The metrics surface reports the per-endpoint counters.
-	mresp, err := client.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(mresp.Body)
-	mresp.Body.Close()
-	metrics := buf.String()
-	for _, want := range []string{
-		`nncell_cache_requests_total{endpoint="nn",outcome="hit"}`,
-		`nncell_cache_requests_total{endpoint="nn",outcome="miss"}`,
-		"nncell_cache_invalidations_total",
-		"nncell_cache_epoch",
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Fatalf("metrics missing %q", want)
-		}
 	}
 }
