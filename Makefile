@@ -14,7 +14,10 @@ check: vet doc-check build test race bench-smoke bench-module fuzz-smoke
 # the twin must not grow back unnoticed. Nor may the page simulator reach the
 # served stack again (its tests still hand nncell.Build and scan.New the pager
 # those signatures take), or internal/xtree a second best-first search. The
-# result cache is a library feature: no served binary may link it.
+# result cache is a library feature: no served binary may link it. A cell is
+# one rectangle: the served stack may not name Decompose or Fragments, except
+# where Sharded.Stats sums nncell.Stats.Fragments (the live cell count the
+# benchmark reads).
 vet:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
@@ -22,6 +25,7 @@ vet:
 	@if grep -rn --include='*.go' --exclude='*_test.go' '"repro/internal/pager"' internal/server internal/replica cmd/nnrouter; then echo "the served stack may not import internal/pager"; exit 1; fi
 	@if grep -rn '"container/heap"' internal/xtree; then echo "internal/xtree has one best-first search, on QueryCtx's heaps"; exit 1; fi
 	@if $(GO) list -deps ./cmd/nncell ./cmd/nnrouter ./cmd/loadgen | grep -x repro/internal/rescache; then echo "the served binaries may not link internal/rescache"; exit 1; fi
+	@if grep -rnwE --include='*.go' --exclude='*_test.go' 'Decompose|Fragments' internal/server internal/shard internal/replica cmd/nncell cmd/nnrouter | grep -v 'out\.Fragments += st\.Fragments'; then echo "the served stack stores one rectangle per cell: it may not name Decompose or Fragments"; exit 1; fi
 
 # README.md and DESIGN.md may quote only what the source defines: every
 # nncell_* metric name must occur in non-test Go (a prefix form such as

@@ -121,8 +121,7 @@ func BenchmarkFig13Decomposition(b *testing.B) {
 
 // BenchmarkBuild measures full index construction (ns/op and allocs/op) for
 // every constraint-selection algorithm across dimensions — the quantity the
-// paper's §2 optimizes — and reports the LP work and the stored fragments of
-// one build next to them.
+// paper's §2 optimizes — and reports the LP work of one build next to them.
 func BenchmarkBuild(b *testing.B) {
 	const n = 250
 	for _, alg := range nncell.Algorithms() {
@@ -141,12 +140,12 @@ func BenchmarkBuild(b *testing.B) {
 				}
 				// NN-Direction's neighbor-pool search, constraint matrix and LPs
 				// run on per-worker scratch and no tree is built, so what a build
-				// allocates is its output: the solved MBR, its padded and clipped
-				// copies and the fragment slice, 7 allocations per cell, plus a
-				// few dozen for the directories and the workers.
+				// allocates is its output: the solved MBR and its padded and
+				// clipped copies, 6 allocations per cell, plus a few dozen for the
+				// directories and the workers (6.4 per cell measured at n = 250).
 				if alg == nncell.NNDirection {
-					if perCell := testing.AllocsPerRun(1, build) / float64(len(pts)); perCell > 8 {
-						b.Fatalf("Build allocates %.1f times per cell, want output only (<= 8)", perCell)
+					if perCell := testing.AllocsPerRun(1, build) / float64(len(pts)); perCell > 7 {
+						b.Fatalf("Build allocates %.1f times per cell, want output only (<= 7)", perCell)
 					}
 				}
 				b.ReportAllocs()
@@ -156,16 +155,15 @@ func BenchmarkBuild(b *testing.B) {
 				}
 				b.ReportMetric(float64(stats.LPSolves), "lp_solves/op")
 				b.ReportMetric(float64(stats.LPPivots), "lp_pivots/op")
-				b.ReportMetric(float64(stats.Fragments), "fragments")
 			})
 		}
 	}
 
 	// The served shape (the benchmark's lib-nn-d8): besides ms/op it reports
-	// the heap a built index retains per point — 64 B of coordinates, 200 B
-	// of fragment MBR and 64 B in each directory at d = 8, 398 B measured —
-	// and fails above 440 B, so that a resident tree (another ~280 B per
-	// point) cannot come back unnoticed.
+	// the heap a built index retains per point — 64 B of coordinates, 176 B
+	// of cell MBR and 64 B in each directory at d = 8, 373 B measured — and
+	// fails above 416 B, so that a resident tree (another ~280 B per point)
+	// cannot come back unnoticed.
 	b.Run("NN-Direction/d=8/n=10000", func(b *testing.B) {
 		const n, d = 10000, 8
 		b.StopTimer()
@@ -188,8 +186,8 @@ func BenchmarkBuild(b *testing.B) {
 			}
 			b.StopTimer()
 			perPoint := float64(heap()-before) / float64(len(pts))
-			if perPoint > 440 {
-				b.Fatalf("a built index retains %.0f B per point, want <= 440", perPoint)
+			if perPoint > 416 {
+				b.Fatalf("a built index retains %.0f B per point, want <= 416", perPoint)
 			}
 			b.ReportMetric(perPoint, "retained_B/point")
 			pivots := ix.Stats().LPPivots
@@ -265,49 +263,30 @@ func BenchmarkSolveMBR(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------
 
-// BenchmarkAblationDecompK varies the fragment budget k and reports the
-// approximation volume sum (lower = tighter approximations).
+// BenchmarkAblationDecompK varies the fragment budget k of Decompose over one
+// built index and reports the approximation volume sum of the fragments
+// (lower = tighter approximations).
 func BenchmarkAblationDecompK(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	pts := dataset.Deduplicate(dataset.Diagonal(rng, 300, 6, 0.02))
+	ix, err := nncell.Build(pts, vec.UnitCube(6), pager.New(pager.Config{}), nncell.Options{Algorithm: nncell.Correct})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, k := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			var vol float64
 			for i := 0; i < b.N; i++ {
-				ix, err := nncell.Build(pts, vec.UnitCube(6), pager.New(pager.Config{}), nncell.Options{
-					Algorithm: nncell.Correct,
-					Decompose: k,
-				})
+				cells, err := ix.Decompose(k)
 				if err != nil {
 					b.Fatal(err)
 				}
-				vol = ix.ApproxVolumeSum()
-			}
-			b.ReportMetric(vol, "volume-sum")
-		})
-	}
-}
-
-// BenchmarkAblationObliqueness compares the two decomposition heuristics.
-func BenchmarkAblationObliqueness(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	pts := dataset.Deduplicate(dataset.Diagonal(rng, 300, 6, 0.02))
-	for _, h := range []struct {
-		name string
-		o    nncell.ObliquenessHeuristic
-	}{{"volume-greedy", nncell.VolumeGreedy}, {"extent", nncell.ExtentBased}} {
-		b.Run(h.name, func(b *testing.B) {
-			var vol float64
-			for i := 0; i < b.N; i++ {
-				ix, err := nncell.Build(pts, vec.UnitCube(6), pager.New(pager.Config{}), nncell.Options{
-					Algorithm:   nncell.Correct,
-					Decompose:   8,
-					Obliqueness: h.o,
-				})
-				if err != nil {
-					b.Fatal(err)
+				vol = 0
+				for _, frags := range cells {
+					for _, r := range frags {
+						vol += r.Volume()
+					}
 				}
-				vol = ix.ApproxVolumeSum()
 			}
 			b.ReportMetric(vol, "volume-sum")
 		})

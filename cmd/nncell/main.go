@@ -3,7 +3,7 @@
 // quickest way to see the paper's approach end to end:
 //
 //	nncell -n 2000 -d 8 -alg sphere -queries 500
-//	nncell -n 1000 -d 12 -alg nndir -decompose 8
+//	nncell -n 1000 -d 12 -alg nndir
 //	nncell -demo           # 2-D ASCII NN-diagram (paper Fig. 1/2)
 //
 // The serve subcommand exposes an index over HTTP (see internal/server for
@@ -50,18 +50,17 @@ func main() {
 		return
 	}
 	var (
-		n         = flag.Int("n", 2000, "number of data points")
-		saveFile  = flag.String("save", "", "write the built index to this file")
-		loadFile  = flag.String("load", "", "load the index from this file instead of building")
-		d         = flag.Int("d", 8, "dimensionality")
-		data      = flag.String("data", "uniform", "dataset: uniform|grid|diagonal|clustered|fourier")
-		alg       = flag.String("alg", "sphere", "approximation algorithm: correct|point|sphere|nndir")
-		decompose = flag.Int("decompose", 0, "fragment budget per cell (0 = no decomposition)")
-		queries   = flag.Int("queries", 500, "number of nearest-neighbor queries")
-		seed      = flag.Int64("seed", 1, "random seed")
-		cache     = flag.Int("cache", 64, "cache budget in pages")
-		verify    = flag.Bool("verify", true, "verify every answer against a sequential scan")
-		demo      = flag.Bool("demo", false, "render a 2-D ASCII NN-diagram and exit")
+		n        = flag.Int("n", 2000, "number of data points")
+		saveFile = flag.String("save", "", "write the built index to this file")
+		loadFile = flag.String("load", "", "load the index from this file instead of building")
+		d        = flag.Int("d", 8, "dimensionality")
+		data     = flag.String("data", "uniform", "dataset: uniform|grid|diagonal|clustered|fourier")
+		alg      = flag.String("alg", "sphere", "approximation algorithm: correct|point|sphere|nndir")
+		queries  = flag.Int("queries", 500, "number of nearest-neighbor queries")
+		seed     = flag.Int64("seed", 1, "random seed")
+		cache    = flag.Int("cache", 64, "cache budget in pages")
+		verify   = flag.Bool("verify", true, "verify every answer against a sequential scan")
+		demo     = flag.Bool("demo", false, "render a 2-D ASCII NN-diagram and exit")
 	)
 	flag.Parse()
 
@@ -85,7 +84,7 @@ func main() {
 		var ignored []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "n", "d", "data", "alg", "decompose":
+			case "n", "d", "data", "alg":
 				ignored = append(ignored, "-"+f.Name)
 			}
 		})
@@ -120,13 +119,10 @@ func main() {
 			fatalf("%v", err)
 		}
 		pts = dataset.Deduplicate(pts)
-		fmt.Printf("building NN-cell index: %d %s points, d=%d, algorithm=%v, decompose=%d\n",
-			len(pts), *data, *d, algorithm, *decompose)
+		fmt.Printf("building NN-cell index: %d %s points, d=%d, algorithm=%v\n",
+			len(pts), *data, *d, algorithm)
 		start := time.Now()
-		ix, err = nncell.Build(pts, vec.UnitCube(*d), pg, nncell.Options{
-			Algorithm: algorithm,
-			Decompose: *decompose,
-		})
+		ix, err = nncell.Build(pts, vec.UnitCube(*d), pg, nncell.Options{Algorithm: algorithm})
 		if err != nil {
 			fatalf("build: %v", err)
 		}
@@ -142,8 +138,8 @@ func main() {
 		fmt.Printf("saved index to %s (%d bytes)\n", *saveFile, st.Size())
 	}
 	bs := ix.Stats()
-	fmt.Printf("build: %v  (%d LP solves, %d pivots, %d fragments)\n",
-		buildTime.Round(time.Millisecond), bs.LPSolves, bs.LPPivots, bs.Fragments)
+	fmt.Printf("build: %v  (%d LP solves, %d pivots)\n",
+		buildTime.Round(time.Millisecond), bs.LPSolves, bs.LPPivots)
 	fmt.Printf("approximation volume sum: %.3f (1.0 = perfect)\n", ix.ApproxVolumeSum())
 
 	var oracle *scan.Scanner
@@ -200,7 +196,6 @@ func serveMain(args []string) {
 		d           = fs.Int("d", 8, "dimensionality of the synthetic index")
 		data        = fs.String("data", "uniform", "synthetic dataset: uniform|grid|diagonal|clustered|fourier")
 		alg         = fs.String("alg", "nndir", "approximation algorithm for the synthetic index and for every write: correct|nndir")
-		decompose   = fs.Int("decompose", 0, "fragment budget per cell for the synthetic index")
 		seed        = fs.Int64("seed", 1, "random seed for the synthetic index")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-request admission deadline")
 		grace       = fs.Duration("grace", 10*time.Second, "shutdown drain budget")
@@ -277,7 +272,7 @@ func serveMain(args []string) {
 	opts := shard.Options{
 		Shards: *shards,
 		Route:  route,
-		Index:  nncell.Options{Algorithm: algorithm, Decompose: *decompose},
+		Index:  nncell.Options{Algorithm: algorithm},
 	}
 	var ix *shard.Sharded
 	start := time.Now()
@@ -288,7 +283,7 @@ func serveMain(args []string) {
 		// on conflict — serving a 7-d snapshot to a client that asked for -d 3
 		// is an operational error, not a note. The rest are merely ignored.
 		var ignored []string
-		for _, name := range []string{"n", "data", "alg", "decompose", "seed"} {
+		for _, name := range []string{"n", "data", "alg", "seed"} {
 			if explicit[name] {
 				ignored = append(ignored, "-"+name)
 			}
@@ -317,8 +312,8 @@ func serveMain(args []string) {
 		if explicit["route"] && route != ix.RouteKind() {
 			fatalf("load: -route %v conflicts with the snapshot's %v routing (placement is recorded in the stream)", route, ix.RouteKind())
 		}
-		fmt.Printf("nncell: loaded %d points (d=%d, %d fragments, %d shards, %v-routed, built under %v) from %s in %v\n",
-			ix.Len(), ix.Dim(), ix.Fragments(), ix.NumShards(), ix.RouteKind(), ix.Shard(0).Algorithm(), *loadFile, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("nncell: loaded %d points (d=%d, %d shards, %v-routed, built under %v) from %s in %v\n",
+			ix.Len(), ix.Dim(), ix.NumShards(), ix.RouteKind(), ix.Shard(0).Algorithm(), *loadFile, time.Since(start).Round(time.Millisecond))
 	case *n == 0:
 		// Empty bootstrap: start with zero points and let routed inserts
 		// (WAL-replayed or live) populate the index. The data space defaults
@@ -395,7 +390,7 @@ func serveMain(args []string) {
 func serveFollower(primary, addr string, lagRecs uint64, lagSLO time.Duration,
 	timeout, grace time.Duration, maxBody int64, maxInflight, maxBatch, maxK int, explicit map[string]bool) {
 	for _, name := range []string{"load", "wal-dir", "fsync", "fsync-interval", "snapshot", "snapshot-every",
-		"shards", "route", "n", "d", "data", "alg", "decompose", "seed"} {
+		"shards", "route", "n", "d", "data", "alg", "seed"} {
 		if explicit[name] {
 			fatalf("-%s does not apply with -follow: a follower's index, shape and durability come from the primary", name)
 		}
@@ -476,9 +471,9 @@ func runDemo(seed int64) {
 	if err != nil {
 		fatalf("query: %v", err)
 	}
-	frags, _ := ix.CellApprox(nb.ID)
+	cell, _ := ix.CellApprox(nb.ID)
 	fmt.Printf("\nquery %v -> nearest neighbor is point %c at %v\n", q, 'a'+nb.ID%26, pts[nb.ID])
-	fmt.Printf("its cell's MBR approximation: %v\n", frags[0])
+	fmt.Printf("its cell's MBR approximation: %v\n", cell)
 }
 
 func parseAlg(s string) (nncell.Algorithm, error) {

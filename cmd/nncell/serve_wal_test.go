@@ -3,8 +3,10 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -369,5 +371,32 @@ func TestServeLoadRejectsV1Snapshot(t *testing.T) {
 	}
 	if !strings.Contains(out, "bad magic") || strings.Contains(out, "panic") {
 		t.Errorf("want a bad-magic error and no panic:\n%s", out)
+	}
+}
+
+// TestServeLoadRejectsDecomposedSnapshot: an index stores one rectangle per
+// cell, so a saved stream whose decompose slot says otherwise (what an index
+// with decomposed cells wrote) is refused by name, not served and not a panic.
+func TestServeLoadRejectsDecomposedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	idx := filepath.Join(dir, "idx.bin")
+	if out, err := run(t, "-n", "40", "-d", "3", "-alg", "correct", "-queries", "0", "-save", idx); err != nil {
+		t.Fatalf("build+save: %v\n%s", err, out)
+	}
+	b, err := os.ReadFile(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[20:], 2) // the decompose slot, after magic, dim, flags and algorithm
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[8:len(b)-4]))
+	if err := os.WriteFile(idx, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := run(t, "serve", "-addr", "127.0.0.1:0", "-load", idx)
+	if err == nil {
+		t.Fatalf("serve started from a decomposed snapshot:\n%s", out)
+	}
+	if !strings.Contains(out, "decompose slot") || strings.Contains(out, "panic") {
+		t.Errorf("want the decompose-slot error and no panic:\n%s", out)
 	}
 }

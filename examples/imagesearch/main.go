@@ -69,15 +69,12 @@ func main() {
 	}
 
 	pg := pager.New(pager.Config{CachePages: 128})
-	index, err := nncell.Build(points, vec.UnitCube(8), pg, nncell.Options{
-		Algorithm: nncell.Sphere,
-		Decompose: 4,
-	})
+	index, err := nncell.Build(points, vec.UnitCube(8), pg, nncell.Options{Algorithm: nncell.Sphere})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("image database: %d images, %d classes, %d cell fragments indexed\n\n",
-		numImages, len(classes), index.Fragments())
+	fmt.Printf("image database: %d images, %d classes, %d cells indexed\n\n",
+		numImages, len(classes), index.Len())
 
 	// Query by example: a fresh photo of each scene type.
 	correct := 0

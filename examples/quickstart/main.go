@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("indexed %d points, %d cell approximations\n", index.Len(), index.Fragments())
+	fmt.Printf("indexed %d points, one cell approximation each\n", index.Len())
 
 	// Nearest-neighbor search is now a point query plus candidate refinement.
 	query := vec.Point{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}

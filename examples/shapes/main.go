@@ -99,7 +99,7 @@ func main() {
 	}
 	fmt.Printf("shape database: %d contours from %d families, %d Fourier dims\n",
 		numShapes, numFamilies, dims)
-	fmt.Printf("index: %d fragments, volume sum %.2f\n\n", index.Fragments(), index.ApproxVolumeSum())
+	fmt.Printf("index: %d cells, volume sum %.2f\n\n", index.Len(), index.ApproxVolumeSum())
 
 	// Retrieval test: strongly deformed new instances must find their family.
 	hits := 0

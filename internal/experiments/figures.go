@@ -286,9 +286,6 @@ func fourierComparison(cfg Config, n, d int) ([]measured, error) {
 	// The constraint cap bounds the Sphere selection, which otherwise
 	// degenerates to nearly all points on clustered data (the pathology §2
 	// of the paper reports for its real data); capping is sound (Lemma 1).
-	// Decomposition is deliberately NOT enabled here: on this workload the
-	// 8x fragment count costs more in index size than it saves in overlap
-	// (measured; see EXPERIMENTS.md).
 	nnm, _, err := runNNCell(pts, qs, cfg, nncell.Options{
 		Algorithm:           nncell.Sphere,
 		MaxConstraintPoints: 256,
@@ -303,7 +300,8 @@ func fourierComparison(cfg Config, n, d int) ([]measured, error) {
 
 // Fig13 reproduces Figure 13: the effect of decomposing the approximations,
 // measured (like the paper) as the overlap of the exact (Correct)
-// approximations with and without decomposition, per dimension.
+// approximations with and without decomposition, per dimension. The index
+// stores one rectangle per cell; the decomposed variant is its Decompose.
 func Fig13(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
@@ -322,21 +320,44 @@ func Fig13(cfg Config) (*Table, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(d)))
 		pts := dataset.Deduplicate(dataset.Uniform(rng, cfg.SmallN, d))
 		qs := queryPoints(rng, cfg.Queries, d)
-		for _, variant := range []struct {
-			name string
-			opts nncell.Options
-		}{
-			{"exact", nncell.Options{Algorithm: nncell.Correct}},
-			{"decomposed", nncell.Options{Algorithm: nncell.Correct, Decompose: cfg.Decompose}},
-		} {
-			_, ix, err := runNNCell(pts, qs, cfg, variant.opts)
-			if err != nil {
-				return nil, fmt.Errorf("fig13 d=%d %s: %w", d, variant.name, err)
-			}
-			t.AddRow(d, variant.name, f2(avgCandidates(ix, qs)), f2(ix.ApproxVolumeSum()), ix.Fragments())
+		_, ix, err := runNNCell(pts, qs, cfg, nncell.Options{Algorithm: nncell.Correct})
+		if err != nil {
+			return nil, fmt.Errorf("fig13 d=%d: %w", d, err)
 		}
+		t.AddRow(d, "exact", f2(avgCandidates(ix, qs)), f2(ix.ApproxVolumeSum()), ix.Len())
+		cells, err := ix.Decompose(cfg.Decompose)
+		if err != nil {
+			return nil, fmt.Errorf("fig13 d=%d decomposed: %w", d, err)
+		}
+		overlap, volume, fragments := fragmentOverlap(cells, ix.Bounds(), qs)
+		t.AddRow(d, "decomposed", f2(overlap), f2(volume), fragments)
 	}
 	return t, nil
+}
+
+// fragmentOverlap measures a decomposition the way Candidates and
+// ApproxVolumeSum measure the stored cells: the mean number of cells with a
+// fragment containing a query, Σ vol(fragments ∩ DS)/vol(DS), and the number
+// of fragments.
+func fragmentOverlap(cells [][]vec.Rect, bounds vec.Rect, qs []vec.Point) (overlap, volume float64, fragments int) {
+	total := 0
+	for _, q := range qs {
+		for _, frags := range cells {
+			for _, r := range frags {
+				if r.Contains(q) {
+					total++
+					break
+				}
+			}
+		}
+	}
+	for _, frags := range cells {
+		fragments += len(frags)
+		for _, r := range frags {
+			volume += r.IntersectionVolume(bounds)
+		}
+	}
+	return float64(total) / float64(len(qs)), volume / bounds.Volume(), fragments
 }
 
 // Runner produces one figure's table.

@@ -524,7 +524,7 @@ func TestExtentPivotCounts(t *testing.T) {
 // NN-Direction build, each of the 2·d solved extents must reach the cell's
 // optimal vertex as the refactor-every-pivot reference finds it, to 1e-12:
 // the MBR assembled from them is then still a superset of the cell (Lemma 1)
-// before the index pads it by Epsilon = 1e-9. The reference vertex itself
+// before the index pads it by epsilon = 1e-9. The reference vertex itself
 // must satisfy every bisector, or it would vouch for nothing.
 func TestExtentsCoverReferenceVertex(t *testing.T) {
 	const n, d = 2000, 8

@@ -18,8 +18,8 @@ import (
 )
 
 // treeSearchIDs is the affected-cell query as the index answered it while it
-// maintained the cell X-tree: a rectangle search on the fragments, reduced to
-// the ascending distinct ids of live cells.
+// maintained the cell X-tree: a rectangle search on the cells, reduced to the
+// ascending distinct ids of live cells.
 func treeSearchIDs(ix *Index, rects ...vec.Rect) []int {
 	seen := map[int]bool{}
 	var ids []int
@@ -70,10 +70,10 @@ func checkAffected(t *testing.T, ix *Index, rng *rand.Rand, label string) {
 	}
 	rects = append(rects, vec.EmptyRect(d), b, vec.Rect{Lo: negZero, Hi: make(vec.Point, d)})
 	for k := 0; k < 20; k++ {
-		// What a write asks: a stored cell's outer MBR, as is and padded past
-		// the bounds it was clipped to; and a data point.
+		// What a write asks: a stored cell's MBR, as is and padded past the
+		// bounds it was clipped to; and a data point.
 		id := live[rng.Intn(len(live))]
-		outer := outerMBR(ix.cells[id], d)
+		outer := ix.cells[id]
 		padded := outer.Clone()
 		for j := 0; j < d; j++ {
 			padded.Lo[j] -= 1e-9
@@ -97,11 +97,11 @@ func checkAffected(t *testing.T, ix *Index, rng *rand.Rand, label string) {
 			t.Fatalf("%s rects=%v: directory %v, tree search %v", label, rects[k:k+3], got, want)
 		}
 	}
-	// A cell staged for deletion keeps its fragments until commit but must
+	// A cell staged for deletion keeps its rectangle until commit but must
 	// not list itself.
 	id := live[rng.Intn(len(live))]
 	p := ix.point(id).Clone()
-	outer := outerMBR(ix.cells[id], d)
+	outer := ix.cells[id]
 	ix.bury(id)
 	got = ix.intersectingCells(cc, got[:0], outer)
 	want := treeSearchIDs(ix, outer)
@@ -114,62 +114,60 @@ func checkAffected(t *testing.T, ix *Index, rng *rand.Rand, label string) {
 
 // The affected-cell query on the directory returns exactly what the rectangle
 // search on the cell X-tree returns: in the unit cube and in a space with a
-// zero-width dimension, with and without decomposition, after every kind of
-// mutation and while lazy repairs are pending.
+// zero-width dimension, after every kind of mutation and while lazy repairs
+// are pending.
 func TestAffectedSetMatchesTreeSearch(t *testing.T) {
 	for _, flat := range []bool{false, true} {
-		for _, decompose := range []int{1, 4} {
-			const d = 3
-			label := fmt.Sprintf("flat=%v/k=%d", flat, decompose)
-			pts := uniquePoints(t, dataset.NameUniform, 81, 200, d)
-			bounds := vec.UnitCube(d)
-			if flat {
-				bounds.Lo[d-1], bounds.Hi[d-1] = 0.5, 0.5
-				for _, p := range pts {
-					p[d-1] = 0.5
-				}
+		const d = 3
+		label := fmt.Sprintf("flat=%v", flat)
+		pts := uniquePoints(t, dataset.NameUniform, 81, 200, d)
+		bounds := vec.UnitCube(d)
+		if flat {
+			bounds.Lo[d-1], bounds.Hi[d-1] = 0.5, 0.5
+			for _, p := range pts {
+				p[d-1] = 0.5
 			}
-			ix, err := Build(pts[:100], bounds, newTestPager(), Options{
-				Algorithm: NNDirection, Decompose: decompose, LazyRepair: true, RepairWorkers: -1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(82))
-			checkAffected(t, ix, rng, label+"/built")
+		}
+		ix, err := Build(pts[:100], bounds, newTestPager(), Options{
+			Algorithm: NNDirection, LazyRepair: true, RepairWorkers: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(82))
+		checkAffected(t, ix, rng, label+"/built")
 
-			for _, p := range pts[100:120] {
-				if _, err := ix.Insert(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := ix.InsertBatch(pts[120:170]); err != nil {
+		for _, p := range pts[100:120] {
+			if _, err := ix.Insert(p); err != nil {
 				t.Fatal(err)
 			}
-			if ix.Stats().StaleCells == 0 {
-				t.Fatal("no repairs pending: the lazy path was not exercised")
-			}
-			checkAffected(t, ix, rng, label+"/pending repairs")
+		}
+		if _, err := ix.InsertBatch(pts[120:170]); err != nil {
+			t.Fatal(err)
+		}
+		if ix.Stats().StaleCells == 0 {
+			t.Fatal("no repairs pending: the lazy path was not exercised")
+		}
+		checkAffected(t, ix, rng, label+"/pending repairs")
 
-			for id := 0; id < 40; id += 3 {
-				if err := ix.Delete(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := ix.DeleteBatch([]int{41, 43, 101, 102, 150}); err != nil {
+		for id := 0; id < 40; id += 3 {
+			if err := ix.Delete(id); err != nil {
 				t.Fatal(err)
 			}
-			checkAffected(t, ix, rng, label+"/after deletes")
+		}
+		if err := ix.DeleteBatch([]int{41, 43, 101, 102, 150}); err != nil {
+			t.Fatal(err)
+		}
+		checkAffected(t, ix, rng, label+"/after deletes")
 
-			ix.RepairWait()
-			if _, err := ix.InsertBatch(pts[170:]); err != nil {
-				t.Fatal(err)
-			}
-			ix.RepairWait()
-			checkAffected(t, ix, rng, label+"/repaired")
-			if err := ix.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
+		ix.RepairWait()
+		if _, err := ix.InsertBatch(pts[170:]); err != nil {
+			t.Fatal(err)
+		}
+		ix.RepairWait()
+		checkAffected(t, ix, rng, label+"/repaired")
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -186,7 +184,7 @@ func TestIntersectingCellsAllocs(t *testing.T) {
 	var ids []int
 	k := 0
 	query := func() {
-		ids = ix.intersectingCells(cc, ids[:0], ix.cells[k%len(pts)][0])
+		ids = ix.intersectingCells(cc, ids[:0], ix.cells[k%len(pts)])
 		k++
 	}
 	query()
@@ -204,7 +202,7 @@ func TestIntersectingCellsAllocs(t *testing.T) {
 func TestPagedTreeFollowsEveryCommit(t *testing.T) {
 	const d = 3
 	pts := uniquePoints(t, dataset.NameClustered, 84, 160, d)
-	ix := mustBuild(t, pts[:80], Options{Algorithm: NNDirection, Decompose: 3, LazyRepair: true, RepairWorkers: -1})
+	ix := mustBuild(t, pts[:80], Options{Algorithm: NNDirection, LazyRepair: true, RepairWorkers: -1})
 	rng := rand.New(rand.NewSource(85))
 	check := func(ix *Index, label string) {
 		t.Helper()
@@ -213,8 +211,8 @@ func TestPagedTreeFollowsEveryCommit(t *testing.T) {
 		}
 		checkThreeWay(t, ix, rng, 40, label)
 		tree := ix.Tree()
-		if tree.Len() != ix.Fragments() {
-			t.Fatalf("%s: derived tree holds %d fragments, the index stores %d", label, tree.Len(), ix.Fragments())
+		if tree.Len() != ix.Len() {
+			t.Fatalf("%s: derived tree holds %d cells, the index stores %d", label, tree.Len(), ix.Len())
 		}
 		if err := tree.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -372,7 +370,7 @@ func TestPagedTreeIndependentOfWorkers(t *testing.T) {
 	var runs []run
 	for _, workers := range []int{1, 4} {
 		pg := pager.New(pager.Config{PageSize: 4096, CachePages: 8})
-		ix, err := Build(pts, vec.UnitCube(d), pg, Options{Algorithm: NNDirection, Decompose: 2, Workers: workers})
+		ix, err := Build(pts, vec.UnitCube(d), pg, Options{Algorithm: NNDirection, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,50 +43,47 @@ func newCellCtx(d int) *cellCtx {
 	return &cellCtx{c: make([]float64, d)}
 }
 
-// approximateCell computes the fragment MBRs of point i's NN-cell using the
-// configured algorithm and decomposition. It reads the coordinates and the
-// point directory but never mutates the index, so the builder may call it
+// approximateCell computes the approximation MBR of point i's NN-cell using
+// the configured algorithm, padded and clipped. It reads the coordinates and
+// the point directory but never mutates the index, so the builder may call it
 // from many goroutines, each with its own cellCtx.
-func (ix *Index) approximateCell(cc *cellCtx, i int) ([]vec.Rect, error) {
+func (ix *Index) approximateCell(cc *cellCtx, i int) (vec.Rect, error) {
 	defer ix.flushLPCounts(cc)
 	if ix.testHookApprox != nil {
 		if err := ix.testHookApprox(i); err != nil {
-			return nil, err
+			return vec.Rect{}, err
 		}
 	}
-	p := ix.point(i)
-	if p == nil {
-		return nil, fmt.Errorf("nncell: approximating tombstoned point %d", i)
-	}
-	var (
-		mbr  vec.Rect
-		cons []lp.Constraint
-		err  error
-	)
-	if alg := ix.effectiveAlgorithm(cc); alg == Correct {
-		mbr, cons, err = ix.correctMBR(cc, i)
-	} else {
-		ids := ix.selectConstraintPoints(cc, i, alg)
-		cons = ix.bisectors(cc, p, ids)
-		mbr, err = ix.solveMBR(cc, p, cons)
-	}
+	mbr, _, err := ix.solveCell(cc, i)
 	if err != nil {
-		return nil, err
+		return vec.Rect{}, err
 	}
-	if ix.opts.Decompose > 1 {
-		return ix.decompose(cc, cons, mbr)
-	}
-	return []vec.Rect{ix.finishRect(mbr)}, nil
+	return ix.finishRect(mbr), nil
 }
 
-// finishRect pads a solved MBR by Epsilon (absorbing LP tolerance; padding
+// solveCell selects point i's constraints and solves its (un-padded) MBR,
+// returning the constraint set with it (valid until the next solve on cc).
+func (ix *Index) solveCell(cc *cellCtx, i int) (vec.Rect, []lp.Constraint, error) {
+	p := ix.point(i)
+	if p == nil {
+		return vec.Rect{}, nil, fmt.Errorf("nncell: approximating tombstoned point %d", i)
+	}
+	if alg := ix.effectiveAlgorithm(cc); alg != Correct {
+		cons := ix.bisectors(cc, p, ix.selectConstraintPoints(cc, i, alg))
+		mbr, err := ix.solveMBR(cc, p, cons)
+		return mbr, cons, err
+	}
+	return ix.correctMBR(cc, i)
+}
+
+// finishRect pads a solved MBR by epsilon (absorbing LP tolerance; padding
 // keeps the approximation a superset, so correctness is unaffected) and clips
 // it to the data space.
 func (ix *Index) finishRect(r vec.Rect) vec.Rect {
 	out := r.Clone()
 	for j := 0; j < ix.dim; j++ {
-		out.Lo[j] -= ix.opts.Epsilon
-		out.Hi[j] += ix.opts.Epsilon
+		out.Lo[j] -= epsilon
+		out.Hi[j] += epsilon
 	}
 	return out.Clip(ix.bounds)
 }

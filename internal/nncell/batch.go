@@ -70,29 +70,25 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 
 	// Approximate all new cells in parallel against the post-batch point
 	// set (the new cells are not stored yet, so nothing committed is touched).
-	newFrags, err := ix.approximateCells(cc, ids)
+	newCells, err := ix.approximateCells(cc, ids)
 	if err != nil {
 		rollback()
 		return nil, err
 	}
 
 	// Union of affected cells: every pre-existing cell whose stored
-	// approximation intersects any new cell's outer MBR, each once — the
-	// step that makes the batch path amortize, a touched cell handled once
-	// instead of once per overlapping insert.
-	outers := make([]vec.Rect, len(ids))
-	for k := range ids {
-		outers[k] = outerMBR(newFrags[k], ix.dim)
-	}
-	affected := ix.intersectingCells(cc, nil, outers...)
+	// approximation intersects any new cell's MBR, each once — the step that
+	// makes the batch path amortize, a touched cell handled once instead of
+	// once per overlapping insert.
+	affected := ix.intersectingCells(cc, nil, newCells...)
 
 	// With LazyRepair the recompute is deferred: the affected cells keep their
 	// current MBRs — still supersets, an insert only shrinks cells — and are
 	// marked stale for the repair pool at commit (see repair.go).
 	lazy := ix.lazyForLocked(len(affected))
-	var stagedFrags [][]vec.Rect
+	var staged []vec.Rect
 	if !lazy {
-		stagedFrags, err = ix.approximateCells(cc, affected)
+		staged, err = ix.approximateCells(cc, affected)
 		if err != nil {
 			rollback()
 			return nil, err
@@ -115,12 +111,12 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 
 	// Commit: pure bookkeeping, cannot fail.
 	for k, id := range ids {
-		ix.storeCell(id, newFrags[k])
+		ix.storeCell(id, newCells[k])
 	}
 	if lazy {
 		ix.markStaleLocked(affected)
 	} else {
-		ix.commitStaged(affected, stagedFrags)
+		ix.commitStaged(affected, staged)
 	}
 	ix.notifyMutationLocked(affected, ps, ids...)
 	return ids, nil
@@ -168,16 +164,16 @@ func (ix *Index) deleteBatchLocked(ids []int, logIt bool) error {
 	// Union of affected survivors: cells intersecting any deleted cell's
 	// approximation, recomputed once against the post-batch point set.
 	var affected []int
-	var stagedFrags [][]vec.Rect
+	var staged []vec.Rect
 	if ix.alive > 0 {
-		outers := make([]vec.Rect, len(ids))
+		deleted := make([]vec.Rect, len(ids))
 		for k, id := range ids {
-			outers[k] = outerMBR(ix.cells[id], ix.dim)
+			deleted[k] = ix.cells[id]
 		}
 		cc := newCellCtx(ix.dim)
-		affected = ix.intersectingCells(cc, nil, outers...)
+		affected = ix.intersectingCells(cc, nil, deleted...)
 		var err error
-		stagedFrags, err = ix.approximateCells(cc, affected)
+		staged, err = ix.approximateCells(cc, affected)
 		if err != nil {
 			rollback()
 			return err
@@ -198,10 +194,10 @@ func (ix *Index) deleteBatchLocked(ids []int, logIt bool) error {
 
 	// Commit.
 	for _, id := range ids {
-		ix.removeFragments(id)
+		ix.removeCell(id)
 		ix.clearStaleLocked(id)
 	}
-	ix.commitStaged(affected, stagedFrags)
+	ix.commitStaged(affected, staged)
 	ix.notifyMutationLocked(affected, nil, ids...)
 	return nil
 }

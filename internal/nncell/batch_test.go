@@ -96,14 +96,14 @@ func TestInsertBatchMatchesExactCells(t *testing.T) {
 	bounds := vec.UnitCube(2)
 	for i := range pts {
 		exact := voronoi.NNCell(pts, i, bounds).MBR()
-		frags, ok := ix.CellApprox(i)
-		if !ok || len(frags) != 1 {
+		cell, ok := ix.CellApprox(i)
+		if !ok {
 			t.Fatalf("cell %d missing after batch insert", i)
 		}
 		for j := 0; j < 2; j++ {
-			if math.Abs(frags[0].Lo[j]-exact.Lo[j]) > 1e-6 || math.Abs(frags[0].Hi[j]-exact.Hi[j]) > 1e-6 {
+			if math.Abs(cell.Lo[j]-exact.Lo[j]) > 1e-6 || math.Abs(cell.Hi[j]-exact.Hi[j]) > 1e-6 {
 				t.Fatalf("cell %d dim %d: got [%v,%v], exact [%v,%v]",
-					i, j, frags[0].Lo[j], frags[0].Hi[j], exact.Lo[j], exact.Hi[j])
+					i, j, cell.Lo[j], cell.Hi[j], exact.Lo[j], exact.Hi[j])
 			}
 		}
 	}
@@ -113,7 +113,7 @@ func TestInsertBatchMatchesExactCells(t *testing.T) {
 func TestInsertBatchValidation(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 503, 30, 3)
 	ix := mustBuild(t, pts[:20], Options{Algorithm: Sphere})
-	wantLen, wantFrags := ix.Len(), ix.Fragments()
+	wantLen := ix.Len()
 	cases := map[string][]vec.Point{
 		"dim mismatch":     {pts[20], vec.Point{0.5, 0.5}},
 		"out of bounds":    {pts[20], vec.Point{0.5, 0.5, 1.5}},
@@ -124,9 +124,8 @@ func TestInsertBatchValidation(t *testing.T) {
 		if _, err := ix.InsertBatch(batch); err == nil {
 			t.Errorf("%s: InsertBatch accepted a bad batch", name)
 		}
-		if ix.Len() != wantLen || ix.Fragments() != wantFrags {
-			t.Fatalf("%s: batch failure leaked state: Len=%d Fragments=%d, want %d/%d",
-				name, ix.Len(), ix.Fragments(), wantLen, wantFrags)
+		if ix.Len() != wantLen {
+			t.Fatalf("%s: batch failure leaked state: Len=%d, want %d", name, ix.Len(), wantLen)
 		}
 		if err := ix.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -151,7 +150,7 @@ func TestInsertBatchRollbackOnFailure(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pts := uniquePoints(t, dataset.NameUniform, 505, 70, 2)
 			ix := mustBuild(t, pts[:50], Options{Algorithm: Correct, AutoThreshold: -1})
-			wantLen, wantFrags, wantDir := ix.Len(), ix.Fragments(), pointDirSnapshot(ix)
+			wantLen, wantDir := ix.Len(), pointDirSnapshot(ix)
 
 			ix.testHookApprox = func(id int) error {
 				if (id >= 50) != tc.failAffected {
@@ -164,9 +163,8 @@ func TestInsertBatchRollbackOnFailure(t *testing.T) {
 			if !errors.Is(err, errBoom) {
 				t.Fatalf("InsertBatch err = %v, want injected failure", err)
 			}
-			if ix.Len() != wantLen || ix.Fragments() != wantFrags {
-				t.Fatalf("after failed batch: Len=%d Fragments=%d, want %d/%d",
-					ix.Len(), ix.Fragments(), wantLen, wantFrags)
+			if ix.Len() != wantLen {
+				t.Fatalf("after failed batch: Len=%d, want %d", ix.Len(), wantLen)
 			}
 			assertPointDirIs(t, ix, wantDir)
 			if err := ix.CheckInvariants(); err != nil {
@@ -214,7 +212,7 @@ func TestDeleteBatch(t *testing.T) {
 
 	// Validation: unknown id, double delete, duplicate inside the batch all
 	// fail without leaking state.
-	wantLen, wantFrags := ix.Len(), ix.Fragments()
+	wantLen := ix.Len()
 	for name, batch := range map[string][]int{
 		"unknown":   {1, 9999},
 		"tombstone": {1, 3},
@@ -223,7 +221,7 @@ func TestDeleteBatch(t *testing.T) {
 		if err := ix.DeleteBatch(batch); err == nil {
 			t.Errorf("%s: DeleteBatch accepted a bad batch", name)
 		}
-		if ix.Len() != wantLen || ix.Fragments() != wantFrags {
+		if ix.Len() != wantLen {
 			t.Fatalf("%s: failed batch leaked state", name)
 		}
 		if err := ix.CheckInvariants(); err != nil {

@@ -14,14 +14,14 @@ import (
 const stripes = 64
 
 // cellDir is the cell directory behind the NN point query: for every
-// (dimension, stripe) one bitset over point ids, with bit id set iff some
-// stored fragment of cell id overlaps that stripe. ANDing the d rows of a
+// (dimension, stripe) one bitset over point ids, with bit id set iff the
+// stored rectangle of cell id overlaps that stripe. ANDing the d rows of a
 // query point's stripes leaves exactly the cells whose approximation,
 // rounded outward to the stripe grid, contains the point — a superset of the
 // cells whose approximation contains it, so Lemma 2 carries over unchanged.
 //
 // A cellDir has no lock of its own: bits change only in storeCell and
-// removeFragments, at commit under the index's write lock.
+// removeCell, at commit under the index's write lock.
 type cellDir struct {
 	stripeGrid
 	// rows[j*stripes+s] is the bitset of dimension j, stripe s. All rows have
@@ -88,26 +88,26 @@ func growRows(rows [][]uint64, w int) {
 }
 
 // newCellDir returns the directory of the given cells (indexed by point id,
-// nil for tombstones), sized for exactly len(cells) ids in one allocation.
-func newCellDir(bounds vec.Rect, cells [][]vec.Rect) *cellDir {
+// nil Lo for tombstones), sized for exactly len(cells) ids in one allocation.
+func newCellDir(bounds vec.Rect, cells []vec.Rect) *cellDir {
 	cd := &cellDir{stripeGrid: newStripeGrid(bounds), rows: newRows(bounds.Dim(), len(cells))}
-	for id, frags := range cells {
-		cd.add(id, frags)
+	for id, r := range cells {
+		if r.Lo != nil {
+			cd.add(id, r)
+		}
 	}
 	return cd
 }
 
-// add sets bit id in every row one of the fragments overlaps, growing the
-// rows when id is the first of a new word.
-func (cd *cellDir) add(id int, frags []vec.Rect) {
+// add sets bit id in every row r overlaps, growing the rows when id is the
+// first of a new word.
+func (cd *cellDir) add(id int, r vec.Rect) {
 	w, bit := id>>6, uint64(1)<<(id&63)
 	growRows(cd.rows, w)
-	for _, r := range frags {
-		for j := range cd.lo {
-			base := j * stripes
-			for s, hi := cd.stripe(j, r.Lo[j]), cd.stripe(j, r.Hi[j]); s <= hi; s++ {
-				cd.rows[base+s][w] |= bit
-			}
+	for j := range cd.lo {
+		base := j * stripes
+		for s, hi := cd.stripe(j, r.Lo[j]), cd.stripe(j, r.Hi[j]); s <= hi; s++ {
+			cd.rows[base+s][w] |= bit
 		}
 	}
 }
@@ -154,9 +154,9 @@ func (cd *cellDir) survivors(acc []uint64, p vec.Point) []uint64 {
 
 // overlapping is the range form of survivors: per dimension it ORs the rows of
 // stripes stripe(r.Lo[j]) … stripe(r.Hi[j]) and ANDs the d results into acc
-// (reused when large enough). That keeps every cell with a fragment
-// intersecting r: the two share a coordinate x in each dimension, and monotone
-// stripe puts stripe(x) inside the fragment's stripe range and inside r's.
+// (reused when large enough). That keeps every cell whose rectangle
+// intersects r: the two share a coordinate x in each dimension, and monotone
+// stripe puts stripe(x) inside the cell's stripe range and inside r's.
 // An empty r (Lo > Hi) ORs no row and leaves nothing.
 func (cd *cellDir) overlapping(acc []uint64, r vec.Rect) []uint64 {
 	acc = sized(acc, len(cd.rows[0]))
@@ -182,10 +182,10 @@ func (cd *cellDir) overlapping(acc []uint64, r vec.Rect) []uint64 {
 
 // check verifies the directory against the stored cells: it must equal the
 // directory a fresh fill would produce — for every live id the set bits of
-// each dimension are the union of its fragments' stripe ranges, and a
-// tombstoned or never-committed id has no bit in any row.
-func (cd *cellDir) check(bounds vec.Rect, cells [][]vec.Rect) error {
-	return compareRows("cell", cd.rows, newCellDir(bounds, cells).rows, "stored fragments say")
+// each dimension are its rectangle's stripe range, and a tombstoned or
+// never-committed id has no bit in any row.
+func (cd *cellDir) check(bounds vec.Rect, cells []vec.Rect) error {
+	return compareRows("cell", cd.rows, newCellDir(bounds, cells).rows, "stored cells say")
 }
 
 // compareRows checks the rows of a directory against those of a fresh fill:

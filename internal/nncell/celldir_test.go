@@ -11,11 +11,10 @@ import (
 )
 
 // checkDirQuery compares the directory's answer at q with the naive model
-// (the fragments of every id, as given): the survivors must be exactly the
-// ids whose per-dimension stripe ranges — the union over the id's fragments,
-// dimension by dimension — cover q's stripes, and must include every id with
-// a fragment that contains q (Lemma 1 through the outward rounding).
-func checkDirQuery(t *testing.T, cd *cellDir, model map[int][]vec.Rect, q vec.Point) {
+// (the rectangle of every id, as given): the survivors must be exactly the
+// ids whose per-dimension stripe ranges cover q's stripes, and must include
+// every id whose rectangle contains q (Lemma 1 through the outward rounding).
+func checkDirQuery(t *testing.T, cd *cellDir, model map[int]vec.Rect, q vec.Point) {
 	t.Helper()
 	got := map[int]bool{}
 	for w, word := range cd.survivors(nil, q) {
@@ -23,36 +22,29 @@ func checkDirQuery(t *testing.T, cd *cellDir, model map[int][]vec.Rect, q vec.Po
 			got[w<<6|bits.TrailingZeros64(word)] = true
 		}
 	}
-	for id, frags := range model {
+	for id, r := range model {
 		rounded := true
 		for j := range q {
-			covered := false
-			for _, r := range frags {
-				s := cd.stripe(j, q[j])
-				covered = covered || (cd.stripe(j, r.Lo[j]) <= s && s <= cd.stripe(j, r.Hi[j]))
-			}
-			rounded = rounded && covered
+			s := cd.stripe(j, q[j])
+			rounded = rounded && cd.stripe(j, r.Lo[j]) <= s && s <= cd.stripe(j, r.Hi[j])
 		}
 		if got[id] != rounded {
-			t.Fatalf("q=%v: id %d (fragments %v) survives=%v, its stripe ranges cover q=%v", q, id, frags, got[id], rounded)
+			t.Fatalf("q=%v: id %d (cell %v) survives=%v, its stripe ranges cover q=%v", q, id, r, got[id], rounded)
 		}
-		for _, r := range frags {
-			if r.Contains(q) && !got[id] {
-				t.Fatalf("q=%v: id %d dismissed although its fragment %v contains q", q, id, r)
-			}
+		if r.Contains(q) && !got[id] {
+			t.Fatalf("q=%v: id %d dismissed although its cell %v contains q", q, id, r)
 		}
 		delete(got, id)
 	}
 	for id := range got {
-		t.Fatalf("q=%v: id %d survives but stores no fragment", q, id)
+		t.Fatalf("q=%v: id %d survives but stores no cell", q, id)
 	}
 }
 
 // checkDirRange is checkDirQuery for the range form: overlapping(r) must be
-// exactly the ids whose per-dimension stripe ranges — again the union over
-// the id's fragments — meet r's stripe range in every dimension, and must
-// include every id with a fragment that intersects r.
-func checkDirRange(t *testing.T, cd *cellDir, model map[int][]vec.Rect, r vec.Rect) {
+// exactly the ids whose per-dimension stripe ranges meet r's stripe range in
+// every dimension, and must include every id whose rectangle intersects r.
+func checkDirRange(t *testing.T, cd *cellDir, model map[int]vec.Rect, r vec.Rect) {
 	t.Helper()
 	got := map[int]bool{}
 	for w, word := range cd.overlapping(nil, r) {
@@ -60,26 +52,22 @@ func checkDirRange(t *testing.T, cd *cellDir, model map[int][]vec.Rect, r vec.Re
 			got[w<<6|bits.TrailingZeros64(word)] = true
 		}
 	}
-	for id, frags := range model {
+	for id, c := range model {
 		rounded := true
 		for j := range r.Lo {
 			lo, hi := cd.stripe(j, r.Lo[j]), cd.stripe(j, r.Hi[j])
-			meets := false
-			for _, f := range frags {
-				meets = meets || (lo <= hi && cd.stripe(j, f.Lo[j]) <= hi && lo <= cd.stripe(j, f.Hi[j]))
-			}
-			rounded = rounded && meets
+			rounded = rounded && lo <= hi && cd.stripe(j, c.Lo[j]) <= hi && lo <= cd.stripe(j, c.Hi[j])
 		}
 		if got[id] != rounded {
-			t.Fatalf("r=%v: id %d (fragments %v) survives=%v, its stripe ranges meet r's=%v", r, id, frags, got[id], rounded)
+			t.Fatalf("r=%v: id %d (cell %v) survives=%v, its stripe ranges meet r's=%v", r, id, c, got[id], rounded)
 		}
-		if intersectsAny(frags, r) && !got[id] {
-			t.Fatalf("r=%v: id %d dismissed although one of its fragments %v intersects r", r, id, frags)
+		if c.Intersects(r) && !got[id] {
+			t.Fatalf("r=%v: id %d dismissed although its cell %v intersects r", r, id, c)
 		}
 		delete(got, id)
 	}
 	for id := range got {
-		t.Fatalf("r=%v: id %d survives but stores no fragment", r, id)
+		t.Fatalf("r=%v: id %d survives but stores no cell", r, id)
 	}
 }
 
@@ -131,8 +119,8 @@ func TestCellDirStripe(t *testing.T) {
 	}
 }
 
-// TestCellDirMatchesNaiveModel runs a randomised add/remove sequence with 1–4
-// fragments per id against the naive model, querying random points, exact
+// TestCellDirMatchesNaiveModel runs a randomised add/remove sequence against
+// the naive model, querying random points, exact
 // stripe edges, the bounds' corners and faces, -0.0 and the corners of the
 // stored rectangles themselves, and ranges drawn the same way: random
 // rectangles with faces on stripe edges and bounds, point rectangles, the
@@ -156,23 +144,19 @@ func TestCellDirMatchesNaiveModel(t *testing.T) {
 				return b.Lo[j] + (b.Hi[j]-b.Lo[j])*rng.Float64()
 			}
 			cd := newCellDir(b, nil)
-			model := map[int][]vec.Rect{}
+			model := map[int]vec.Rect{}
 			for step := 0; step < 400; step++ {
 				id := rng.Intn(150)
 				cd.remove(id)
 				delete(model, id)
 				if rng.Intn(4) > 0 {
-					frags := make([]vec.Rect, 1+rng.Intn(4))
-					for f := range frags {
-						r := vec.EmptyRect(d)
-						for j := 0; j < d; j++ {
-							x, y := coord(j), coord(j)
-							r.Lo[j], r.Hi[j] = math.Min(x, y)-1e-9, math.Max(x, y)+1e-9
-						}
-						frags[f] = r
+					r := vec.EmptyRect(d)
+					for j := 0; j < d; j++ {
+						x, y := coord(j), coord(j)
+						r.Lo[j], r.Hi[j] = math.Min(x, y)-1e-9, math.Max(x, y)+1e-9
 					}
-					cd.add(id, frags)
-					model[id] = frags
+					cd.add(id, r)
+					model[id] = r
 				}
 				if step%10 != 9 {
 					continue
@@ -196,10 +180,10 @@ func TestCellDirMatchesNaiveModel(t *testing.T) {
 					}
 					checkDirRange(t, cd, model, r)
 				}
-				for _, frags := range model {
-					checkDirQuery(t, cd, model, vec.Point(frags[0].Lo))
-					checkDirQuery(t, cd, model, vec.Point(frags[len(frags)-1].Hi))
-					checkDirRange(t, cd, model, frags[0])
+				for _, c := range model {
+					checkDirQuery(t, cd, model, vec.Point(c.Lo))
+					checkDirQuery(t, cd, model, vec.Point(c.Hi))
+					checkDirRange(t, cd, model, c)
 				}
 				checkDirRange(t, cd, model, b)
 				for j := range q {
@@ -215,22 +199,23 @@ func TestCellDirMatchesNaiveModel(t *testing.T) {
 	}
 }
 
-// modelCells lays the model out the way Index.cells is: indexed by id, nil
+// modelCells lays the model out the way Index.cells is: indexed by id, nil Lo
 // where no cell is stored.
-func modelCells(model map[int][]vec.Rect) [][]vec.Rect {
-	var cells [][]vec.Rect
-	for id, frags := range model {
+func modelCells(model map[int]vec.Rect) []vec.Rect {
+	var cells []vec.Rect
+	for id, r := range model {
 		for len(cells) <= id {
-			cells = append(cells, nil)
+			cells = append(cells, vec.Rect{})
 		}
-		cells[id] = frags
+		cells[id] = r
 	}
 	return cells
 }
 
 // FuzzCellDir drives the directory with a byte script against the naive
 // model. Byte 0 picks the data space and dimensionality; then each op byte
-// adds (replacing) or removes an id or queries a point or a rectangle, its
+// adds (replacing) or removes an id's rectangle or queries a point or a
+// rectangle, its
 // coordinates read from the following bytes on a 1/240 grid that reaches past
 // both bounds — so stripe edges, faces and out-of-space values are all one
 // byte away. The seed scripts run in normal `go test`.
@@ -274,33 +259,26 @@ func FuzzCellDir(f *testing.F) {
 			return b.Lo[j] + (b.Hi[j]-b.Lo[j])*(float64(v)-8)/240
 		}
 		cd := newCellDir(b, nil)
-		model := map[int][]vec.Rect{}
+		model := map[int]vec.Rect{}
 		for pos := 1; pos < len(script); {
 			op := script[pos]
 			pos++
 			switch op % 4 {
-			case 0, 1: // add id with 1–4 fragments, replacing what it had
-				if pos >= len(script) {
+			case 0, 1: // add id's rectangle, replacing what it had
+				if pos+1+2*d > len(script) {
 					return
 				}
-				id, nfrags := int(script[pos]), 1+int(op/4)%4
+				id := int(script[pos])
 				pos++
-				if pos+nfrags*2*d > len(script) {
-					return
-				}
-				frags := make([]vec.Rect, nfrags)
-				for k := range frags {
-					r := vec.EmptyRect(d)
-					for j := 0; j < d; j++ {
-						x, y := coord(j, script[pos]), coord(j, script[pos+1])
-						r.Lo[j], r.Hi[j] = math.Min(x, y), math.Max(x, y)
-						pos += 2
-					}
-					frags[k] = r
+				r := vec.EmptyRect(d)
+				for j := 0; j < d; j++ {
+					x, y := coord(j, script[pos]), coord(j, script[pos+1])
+					r.Lo[j], r.Hi[j] = math.Min(x, y), math.Max(x, y)
+					pos += 2
 				}
 				cd.remove(id)
-				cd.add(id, frags)
-				model[id] = frags
+				cd.add(id, r)
+				model[id] = r
 			case 2: // remove id
 				if pos >= len(script) {
 					return
@@ -333,12 +311,10 @@ func FuzzCellDir(f *testing.F) {
 				checkDirQuery(t, cd, model, q)
 			}
 		}
-		for _, frags := range model {
-			for _, r := range frags {
-				checkDirQuery(t, cd, model, vec.Point(r.Lo))
-				checkDirQuery(t, cd, model, vec.Point(r.Hi))
-				checkDirRange(t, cd, model, r)
-			}
+		for _, r := range model {
+			checkDirQuery(t, cd, model, vec.Point(r.Lo))
+			checkDirQuery(t, cd, model, vec.Point(r.Hi))
+			checkDirRange(t, cd, model, r)
 		}
 		if err := cd.check(b, modelCells(model)); err != nil {
 			t.Fatal(err)

@@ -128,7 +128,7 @@ func TestConcurrentQueriesWithWrites(t *testing.T) {
 // Save, which the snapshot loop runs while queries are in flight.
 func TestConcurrentMixedWorkloadWithSave(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 106, 400, 3)
-	ix := mustBuild(t, pts[:250], Options{Algorithm: Sphere, Decompose: 2})
+	ix := mustBuild(t, pts[:250], Options{Algorithm: Sphere})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	errs := make(chan error, 16)

@@ -7,22 +7,67 @@ import (
 	"repro/internal/vec"
 )
 
-// decompose implements the MBR decomposition of Definition 5: the cell is cut
-// into equal slabs along its most oblique dimensions, each fragment gets its
-// own MBR (solved with the same constraints restricted to the slab box), and
-// empty fragments are dropped. The total fragment budget is Options.Decompose
-// (the paper's k ≤ 10); partition counts per dimension decrease with
-// decreasing obliqueness, realized here by repeated doubling in rank order.
+// Decompose returns the MBR decomposition of Definition 5 of every live cell,
+// indexed by point id (nil for a tombstone): each cell's constraints are
+// selected again the way Build selects them, and the cell is cut into equal
+// slabs along its most oblique dimensions, at most k fragments in total (the
+// paper's k ≤ 10), each with its own MBR. Below k = 2 a cell is one fragment,
+// its MBR.
+//
+// The index stores and serves one rectangle per cell: the cell directory keys
+// a cell by point id, and a cell's bits are the union of its fragments' stripe
+// ranges, which is its MBR's, so fragments would buy the served query nothing
+// while every write re-solved them. What decomposition cuts is the overlap of
+// the paged X-tree of the paper's Fig. 13, which is where it is measured. The
+// index is not changed; the extra LP solves are not counted in Stats.
+func (ix *Index) Decompose(k int) ([][]vec.Rect, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	cc := ix.buildCtx()
+	if cc.pages != nil {
+		defer cc.pages.Release()
+	}
+	ids := make([]int, 0, ix.alive)
+	for id, r := range ix.cells {
+		if r.Lo != nil {
+			ids = append(ids, id)
+		}
+	}
+	frags, err := eachCell(ix, cc, ids, func(wcc *cellCtx, id int) ([]vec.Rect, error) {
+		mbr, cons, err := ix.solveCell(wcc, id)
+		if err != nil {
+			return nil, err
+		}
+		return ix.decompose(wcc, cons, mbr, k)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]vec.Rect, len(ix.cells))
+	for n, id := range ids {
+		out[id] = frags[n]
+	}
+	return out, nil
+}
+
+// decompose cuts one cell, solved as mbr under cons, into equal slabs along
+// its most oblique dimensions; each fragment gets its own MBR (solved with the
+// same constraints restricted to the slab box), and empty fragments are
+// dropped. Partition counts per dimension decrease with decreasing
+// obliqueness, realized here by repeated doubling in rank order until the
+// budget k is exhausted.
 //
 // The constraint set is loaded into cc's solver once; every slab LP (both the
 // trial splits of the obliqueness ranking and the final fragment grid) only
 // swaps the variable box via SetBounds, skipping re-normalization.
-func (ix *Index) decompose(cc *cellCtx, cons []lp.Constraint, mbr vec.Rect) ([]vec.Rect, error) {
+func (ix *Index) decompose(cc *cellCtx, cons []lp.Constraint, mbr vec.Rect, k int) ([]vec.Rect, error) {
+	if k < 2 {
+		return []vec.Rect{ix.finishRect(mbr)}, nil
+	}
 	cc.prob = lp.Problem{NumVars: ix.dim, Cons: cons, Lo: ix.bounds.Lo, Hi: ix.bounds.Hi}
 	if err := cc.solver.Load(&cc.prob); err != nil {
 		return nil, err
 	}
-	k := ix.opts.Decompose
 	ranked := ix.rankDimensions(cc, mbr)
 	// Assign partition counts by doubling along the obliqueness ranking
 	// until the budget is exhausted: k=10 → (2,2,2), k=4 → (2,2), k=16 →
@@ -45,9 +90,6 @@ func (ix *Index) decompose(cc *cellCtx, cons []lp.Constraint, mbr vec.Rect) ([]v
 		if !progressed || prod*2 > k {
 			break
 		}
-	}
-	if prod == 1 {
-		return []vec.Rect{ix.finishRect(mbr)}, nil
 	}
 	splitDims := make([]int, 0, len(counts))
 	for dim := range counts {
@@ -156,42 +198,34 @@ func (ix *Index) solveFragmentBox(cc *cellCtx) (vec.Rect, error) {
 	return mbr, nil
 }
 
-// rankDimensions orders dimensions by decreasing obliqueness. VolumeGreedy
-// measures, per dimension, how much total approximation volume a trial 2-way
-// decomposition would save (the paper's goal function in Definition 4);
-// ExtentBased simply prefers long cell extents. The VolumeGreedy trials run
-// against the constraint set already loaded in cc's solver.
+// rankDimensions orders dimensions by decreasing obliqueness: per dimension,
+// how much total approximation volume a trial 2-way decomposition would save
+// (the paper's goal function in Definition 4). The trials run against the
+// constraint set already loaded in cc's solver.
 func (ix *Index) rankDimensions(cc *cellCtx, mbr vec.Rect) []int {
 	d := ix.dim
 	score := make([]float64, d)
-	switch ix.opts.Obliqueness {
-	case ExtentBased:
-		for j := 0; j < d; j++ {
-			score[j] = mbr.Extent(j)
+	vol := mbr.Volume()
+	for j := 0; j < d; j++ {
+		if mbr.Extent(j) <= 4*epsilon {
+			score[j] = -1
+			continue
 		}
-	default: // VolumeGreedy
-		vol := mbr.Volume()
-		for j := 0; j < d; j++ {
-			if mbr.Extent(j) <= 4*ix.opts.Epsilon {
+		mid := (mbr.Lo[j] + mbr.Hi[j]) / 2
+		loBox, hiBox := mbr.SplitAt(j, mid)
+		sub := 0.0
+		for _, box := range []vec.Rect{loBox, hiBox} {
+			frag, ok, err := ix.fragmentMBR(cc, box)
+			if err != nil {
 				score[j] = -1
-				continue
+				sub = vol
+				break
 			}
-			mid := (mbr.Lo[j] + mbr.Hi[j]) / 2
-			loBox, hiBox := mbr.SplitAt(j, mid)
-			sub := 0.0
-			for _, box := range []vec.Rect{loBox, hiBox} {
-				frag, ok, err := ix.fragmentMBR(cc, box)
-				if err != nil {
-					score[j] = -1
-					sub = vol
-					break
-				}
-				if ok {
-					sub += frag.Volume()
-				}
+			if ok {
+				sub += frag.Volume()
 			}
-			score[j] = vol - sub
 		}
+		score[j] = vol - sub
 	}
 	order := make([]int, d)
 	for j := range order {

@@ -13,7 +13,7 @@ import (
 // Dynamic maintenance follows a stage-then-commit protocol so that Insert and
 // Delete are atomic with respect to failure: every linear program the
 // operation needs is solved before the first committed structure (the stored
-// fragment sets, the cell directory, the fragment counter) is touched. The
+// cell rectangles, the cell directory) is touched. The
 // only provisional mutations made before the solves are the coordinate-row
 // appends of Insert and the row poisoning of Delete, each with its
 // point-directory bits (stagePoint, hidePoint) — both are required for the
@@ -21,13 +21,13 @@ import (
 // on error, so CheckInvariants holds on every exit path. The affected cells
 // are found on the cell directory (intersectingCells), the neighbours of a
 // cell on the point directory; of the paged cell tree a write knows only how to
-// drop it when a stored cell changes (storeCell, removeFragments).
+// drop it when a stored cell changes (storeCell, removeCell).
 
 // Insert adds a new point and returns its id, maintaining the precomputed
 // solution space per §2 of the paper: existing NN-cells can only shrink, and
 // only cells whose region intersects the new point's cell are affected. The
 // affected set is over-approximated soundly — every stored approximation
-// intersecting the new cell's outer MBR is recomputed — so the index stays
+// intersecting the new cell's MBR is recomputed — so the index stays
 // exact (the paper uses a sphere query for the same purpose; a rectangle
 // query against the new cell's MBR is the tighter form of the same idea).
 //
@@ -51,7 +51,7 @@ func (ix *Index) stagePoint(p vec.Point) int {
 	ix.ptsFlat = append(ix.ptsFlat, p...)
 	growRows(ix.dir.rows, id>>6) // with pdir's, so a query can combine rows of the two
 	ix.pdir.set(id, p)
-	ix.cells = append(ix.cells, nil)
+	ix.cells = append(ix.cells, vec.Rect{})
 	ix.alive++
 	return id
 }
@@ -111,8 +111,8 @@ next:
 // superset of those neighbors.
 //
 // Delete is DeleteBatch with one id (batch.go): the point is hidden from the
-// approximation inputs, all affected cells are recomputed into staged fragment
-// sets, and only when every solve has succeeded are the stored cells and the
+// approximation inputs, all affected cells are recomputed into staged
+// rectangles, and only when every solve has succeeded are the stored cells and the
 // directory changed. On error the point is restored and the index is
 // unchanged.
 func (ix *Index) Delete(id int) error {
@@ -127,15 +127,20 @@ func (ix *Index) Delete(id int) error {
 const minParallelRecompute = 4
 
 // approximateCells approximates every listed cell against the current point
-// set and returns the fragment sets, positionally aligned with ids. The
-// committed index is not touched: Build stores the results, the dynamic path
-// stages them and swaps them in via commitStaged only after the whole batch
-// has succeeded. Large batches run on a worker pool of per-worker cellCtxs
+// set and returns the rectangles, positionally aligned with ids. The committed
+// index is not touched: Build stores the results, the dynamic path stages them
+// and swaps them in via commitStaged only after the whole batch has succeeded.
+// Callers hold ix.mu (write side) or, in Build, the only reference.
+func (ix *Index) approximateCells(cc *cellCtx, ids []int) ([]vec.Rect, error) {
+	return eachCell(ix, cc, ids, ix.approximateCell)
+}
+
+// eachCell runs f on every listed cell and returns the results, positionally
+// aligned with ids. Large batches run on a worker pool of per-worker cellCtxs
 // with a shared fail-fast flag so one failed solve stops the others early,
-// and with cc's point tree when Build gave it one. Callers hold ix.mu (write
-// side) or, in Build, the only reference.
-func (ix *Index) approximateCells(cc *cellCtx, ids []int) ([][]vec.Rect, error) {
-	staged := make([][]vec.Rect, len(ids))
+// and with cc's point tree when buildCtx gave it one; smaller ones run on cc.
+func eachCell[T any](ix *Index, cc *cellCtx, ids []int, f func(*cellCtx, int) (T, error)) ([]T, error) {
+	staged := make([]T, len(ids))
 	var (
 		next     atomic.Int64
 		failed   atomic.Bool
@@ -148,7 +153,7 @@ func (ix *Index) approximateCells(cc *cellCtx, ids []int) ([][]vec.Rect, error) 
 			if k >= len(ids) {
 				return
 			}
-			frags, err := ix.approximateCell(wcc, ids[k])
+			v, err := f(wcc, ids[k])
 			if err != nil {
 				failed.Store(true)
 				errMu.Lock()
@@ -158,7 +163,7 @@ func (ix *Index) approximateCells(cc *cellCtx, ids []int) ([][]vec.Rect, error) 
 				errMu.Unlock()
 				return
 			}
-			staged[k] = frags
+			staged[k] = v
 		}
 	}
 	workers := min(ix.opts.Workers, len(ids))
@@ -183,44 +188,42 @@ func (ix *Index) approximateCells(cc *cellCtx, ids []int) ([][]vec.Rect, error) 
 	return staged, nil
 }
 
-// commitStaged swaps the staged fragment sets in: pure bookkeeping, no
-// solves, cannot fail. An eagerly recomputed cell is fresh by definition,
-// so any stale mark is cleared (aborting in-flight repairs of it — the
-// epoch check in repairOne sees the cleared mark and drops the solve).
-// Callers hold ix.mu (write side).
-func (ix *Index) commitStaged(ids []int, staged [][]vec.Rect) {
+// commitStaged swaps the staged rectangles in: pure bookkeeping, no solves,
+// cannot fail. An eagerly recomputed cell is fresh by definition, so any stale
+// mark is cleared (aborting in-flight repairs of it — the epoch check in
+// repairOne sees the cleared mark and drops the solve). Callers hold ix.mu
+// (write side).
+func (ix *Index) commitStaged(ids []int, staged []vec.Rect) {
 	for k, aid := range ids {
-		ix.removeFragments(aid)
+		ix.removeCell(aid)
 		ix.storeCell(aid, staged[k])
 		ix.clearStaleLocked(aid)
 		ix.stats.updates.Add(1)
 	}
 }
 
-// storeCell records the fragments of a cell and enters them into the cell
+// storeCell records the rectangle of a cell and enters it into the cell
 // directory.
-func (ix *Index) storeCell(id int, frags []vec.Rect) {
+func (ix *Index) storeCell(id int, r vec.Rect) {
 	ix.dropTree()
-	ix.cells[id] = frags
-	ix.stats.fragments.Add(uint64(len(frags)))
-	ix.dir.add(id, frags)
+	ix.cells[id] = r
+	ix.dir.add(id, r)
 }
 
-// removeFragments deletes all of a cell's fragments from the cell directory.
-func (ix *Index) removeFragments(id int) {
+// removeCell deletes a cell's rectangle from the cell directory.
+func (ix *Index) removeCell(id int) {
 	ix.dropTree()
-	ix.stats.fragments.Add(-uint64(len(ix.cells[id])))
 	ix.dir.remove(id)
-	ix.cells[id] = nil
+	ix.cells[id] = vec.Rect{}
 }
 
 // intersectingCells appends to dst, ascending and distinct, the ids of the
 // live cells whose stored approximation intersects one of rects: the cell
 // directory's range query, every survivor verified with Rect.Intersects, the
-// predicate a rectangle search on the fragments applies (DESIGN.md §18). A
-// cell staged for removal still has its bits but no coordinate row, which
-// keeps a delete from listing itself; one staged for insertion has no bits
-// yet. Callers hold ix.mu.
+// predicate a rectangle search on the cell X-tree applies. A cell staged for
+// removal still has its bits but no coordinate row, which keeps a delete from
+// listing itself; one staged for insertion has no bits yet. Callers hold
+// ix.mu.
 func (ix *Index) intersectingCells(cc *cellCtx, dst []int, rects ...vec.Rect) []int {
 	cc.hit = sized(cc.hit, len(ix.dir.rows[0]))
 	clear(cc.hit)
@@ -229,7 +232,7 @@ func (ix *Index) intersectingCells(cc *cellCtx, dst []int, rects ...vec.Rect) []
 		for w, word := range cc.acc {
 			for word &^= cc.hit[w]; word != 0; word &= word - 1 {
 				b := bits.TrailingZeros64(word)
-				if id := w<<6 | b; ix.point(id) != nil && intersectsAny(ix.cells[id], r) {
+				if id := w<<6 | b; ix.point(id) != nil && ix.cells[id].Intersects(r) {
 					cc.hit[w] |= 1 << b
 				}
 			}
@@ -241,22 +244,4 @@ func (ix *Index) intersectingCells(cc *cellCtx, dst []int, rects ...vec.Rect) []
 		}
 	}
 	return dst
-}
-
-func intersectsAny(frags []vec.Rect, r vec.Rect) bool {
-	for _, f := range frags {
-		if f.Intersects(r) {
-			return true
-		}
-	}
-	return false
-}
-
-// outerMBR is the union of a cell's fragment rectangles.
-func outerMBR(frags []vec.Rect, d int) vec.Rect {
-	out := vec.EmptyRect(d)
-	for _, r := range frags {
-		out.UnionInPlace(r)
-	}
-	return out
 }

@@ -29,14 +29,14 @@ func TestInsertMaintainsExactness(t *testing.T) {
 	bounds := vec.UnitCube(2)
 	for i := range pts {
 		exact := voronoi.NNCell(pts, i, bounds).MBR()
-		frags, ok := ix.CellApprox(i)
-		if !ok || len(frags) != 1 {
+		cell, ok := ix.CellApprox(i)
+		if !ok {
 			t.Fatalf("cell %d missing after inserts", i)
 		}
 		for j := 0; j < 2; j++ {
-			if math.Abs(frags[0].Lo[j]-exact.Lo[j]) > 1e-6 || math.Abs(frags[0].Hi[j]-exact.Hi[j]) > 1e-6 {
+			if math.Abs(cell.Lo[j]-exact.Lo[j]) > 1e-6 || math.Abs(cell.Hi[j]-exact.Hi[j]) > 1e-6 {
 				t.Fatalf("cell %d dim %d: got [%v,%v], exact [%v,%v]",
-					i, j, frags[0].Lo[j], frags[0].Hi[j], exact.Lo[j], exact.Hi[j])
+					i, j, cell.Lo[j], cell.Hi[j], exact.Lo[j], exact.Hi[j])
 			}
 		}
 	}
@@ -48,7 +48,7 @@ func TestInsertMaintainsExactness(t *testing.T) {
 func TestInsertQueriesStayExact(t *testing.T) {
 	for _, opts := range []Options{
 		{Algorithm: Sphere},
-		{Algorithm: NNDirection, Decompose: 4},
+		{Algorithm: NNDirection},
 	} {
 		pts := uniquePoints(t, dataset.NameClustered, 62, 150, 4)
 		ix := mustBuild(t, pts[:75], opts)
@@ -106,14 +106,14 @@ func TestDeleteMaintainsExactness(t *testing.T) {
 	bounds := vec.UnitCube(2)
 	for i := range rest {
 		exact := voronoi.NNCell(rest, i, bounds).MBR()
-		frags, ok := ix.CellApprox(40 + i)
-		if !ok || len(frags) != 1 {
+		cell, ok := ix.CellApprox(40 + i)
+		if !ok {
 			t.Fatalf("cell %d missing after deletes", 40+i)
 		}
 		for j := 0; j < 2; j++ {
-			if math.Abs(frags[0].Lo[j]-exact.Lo[j]) > 1e-6 || math.Abs(frags[0].Hi[j]-exact.Hi[j]) > 1e-6 {
+			if math.Abs(cell.Lo[j]-exact.Lo[j]) > 1e-6 || math.Abs(cell.Hi[j]-exact.Hi[j]) > 1e-6 {
 				t.Fatalf("cell %d dim %d: got [%v,%v], exact [%v,%v]",
-					40+i, j, frags[0].Lo[j], frags[0].Hi[j], exact.Lo[j], exact.Hi[j])
+					40+i, j, cell.Lo[j], cell.Hi[j], exact.Lo[j], exact.Hi[j])
 			}
 		}
 	}
@@ -158,8 +158,8 @@ func TestDeleteAllThenQueryAndReinsert(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ix.Len() != 0 || ix.Fragments() != 0 {
-		t.Fatalf("Len=%d Fragments=%d after deleting everything", ix.Len(), ix.Fragments())
+	if ix.Len() != 0 || ix.Stats().Fragments != 0 {
+		t.Fatalf("Len=%d Fragments=%d after deleting everything", ix.Len(), ix.Stats().Fragments)
 	}
 	if _, err := ix.NearestNeighbor(vec.Point{0.5, 0.5}); err != ErrEmpty {
 		t.Errorf("query on empty index: err = %v", err)
@@ -169,9 +169,9 @@ func TestDeleteAllThenQueryAndReinsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frags, _ := ix.CellApprox(id)
-	if len(frags) != 1 || !frags[0].ContainsRect(vec.UnitCube(2)) {
-		t.Errorf("first reinserted cell = %v, want unit cube", frags)
+	cell, ok := ix.CellApprox(id)
+	if !ok || !cell.ContainsRect(vec.UnitCube(2)) {
+		t.Errorf("first reinserted cell = %v, want unit cube", cell)
 	}
 	got, err := ix.NearestNeighbor(vec.Point{0.9, 0.9})
 	if err != nil || got.ID != id {
@@ -183,7 +183,7 @@ func TestDeleteAllThenQueryAndReinsert(t *testing.T) {
 func TestMixedDynamicWorkload(t *testing.T) {
 	rng := rand.New(rand.NewSource(69))
 	pts := uniquePoints(t, dataset.NameUniform, 70, 400, 3)
-	ix := mustBuild(t, pts[:50], Options{Algorithm: Sphere, Decompose: 2})
+	ix := mustBuild(t, pts[:50], Options{Algorithm: Sphere})
 	type rec struct {
 		id int
 		p  vec.Point
@@ -234,7 +234,7 @@ func TestMixedDynamicWorkload(t *testing.T) {
 
 // Failure injection via the approximateCell test hook: a failing solve at any
 // stage of Insert must leave the index byte-for-byte as it was — the staged
-// point rolled back, no fragments touched, every invariant intact.
+// point rolled back, no stored cell touched, every invariant intact.
 func TestInsertRollbackOnFailure(t *testing.T) {
 	errBoom := errors.New("boom")
 	for _, tc := range []struct {
@@ -251,7 +251,7 @@ func TestInsertRollbackOnFailure(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pts := uniquePoints(t, dataset.NameUniform, 71, 81, 2)
 			ix := mustBuild(t, pts[:80], tc.opts)
-			wantLen, wantFrags, wantDir := ix.Len(), ix.Fragments(), pointDirSnapshot(ix)
+			wantLen, wantDir := ix.Len(), pointDirSnapshot(ix)
 			newID := len(pts) - 1 // next id: 80 points, no tombstones
 
 			ix.testHookApprox = func(id int) error {
@@ -265,9 +265,8 @@ func TestInsertRollbackOnFailure(t *testing.T) {
 			if !errors.Is(err, errBoom) {
 				t.Fatalf("Insert err = %v, want injected failure", err)
 			}
-			if ix.Len() != wantLen || ix.Fragments() != wantFrags {
-				t.Fatalf("after failed insert: Len=%d Fragments=%d, want %d/%d",
-					ix.Len(), ix.Fragments(), wantLen, wantFrags)
+			if ix.Len() != wantLen {
+				t.Fatalf("after failed insert: Len=%d, want %d", ix.Len(), wantLen)
 			}
 			if _, ok := ix.Point(newID); ok {
 				t.Error("rolled-back point still visible")
@@ -306,13 +305,13 @@ func TestInsertRollbackOnFailure(t *testing.T) {
 }
 
 // A failing recompute during Delete must restore the point: no tombstone, no
-// fragment changes, queries still see it.
+// stored cell changes, queries still see it.
 func TestDeleteRollbackOnFailure(t *testing.T) {
 	errBoom := errors.New("boom")
 	for _, workers := range []int{1, 8} {
 		pts := uniquePoints(t, dataset.NameUniform, 73, 80, 2)
 		ix := mustBuild(t, pts, Options{Algorithm: Correct, Workers: workers})
-		wantLen, wantFrags, wantDir := ix.Len(), ix.Fragments(), pointDirSnapshot(ix)
+		wantLen, wantDir := ix.Len(), pointDirSnapshot(ix)
 
 		ix.testHookApprox = func(id int) error { return errBoom }
 		err := ix.Delete(17)
@@ -320,9 +319,8 @@ func TestDeleteRollbackOnFailure(t *testing.T) {
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("workers=%d: Delete err = %v, want injected failure", workers, err)
 		}
-		if ix.Len() != wantLen || ix.Fragments() != wantFrags {
-			t.Fatalf("workers=%d: after failed delete: Len=%d Fragments=%d, want %d/%d",
-				workers, ix.Len(), ix.Fragments(), wantLen, wantFrags)
+		if ix.Len() != wantLen {
+			t.Fatalf("workers=%d: after failed delete: Len=%d, want %d", workers, ix.Len(), wantLen)
 		}
 		if p, ok := ix.Point(17); !ok || !p.Equal(pts[17]) {
 			t.Fatalf("workers=%d: point 17 = %v, %v after rolled-back delete", workers, p, ok)

@@ -16,7 +16,7 @@ import (
 // normal `go test`.
 func FuzzLoad(f *testing.F) {
 	pts := uniquePoints(f, dataset.NameUniform, 401, 25, 3)
-	ix := mustBuild(f, pts, Options{Algorithm: Sphere, Decompose: 2})
+	ix := mustBuild(f, pts, Options{Algorithm: Sphere})
 	if err := ix.Delete(3); err != nil { // a tombstone slot in the image
 		f.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // CheckInvariants verifies the cross-structure consistency of the index: the
-// coordinate store, the stored cell approximations, the cell and point
-// directories and the fragment counter must all describe the same point set.
+// coordinate store, the stored cell approximations and the cell and point
+// directories must all describe the same point set.
 // The cell X-tree is derived from the stored cells on demand (Tree) and never
 // maintained, so it has nothing to drift from and no check here. The dynamic
 // path's atomicity contract is stated in terms of this check — Insert and
@@ -20,11 +20,11 @@ func (ix *Index) CheckInvariants() error {
 	if len(ix.ptsFlat) != len(ix.cells)*ix.dim {
 		return fmt.Errorf("nncell: %d coords for %d cell slots (dim %d)", len(ix.ptsFlat), len(ix.cells), ix.dim)
 	}
-	alive, frags := 0, 0
-	for id := range ix.cells {
+	alive := 0
+	for id, r := range ix.cells {
 		p := ix.point(id)
 		if p == nil {
-			if ix.cells[id] != nil {
+			if r.Lo != nil {
 				return fmt.Errorf("nncell: tombstone %d still has a stored cell", id)
 			}
 			for j, v := range ix.ptsFlat[id*ix.dim : (id+1)*ix.dim] {
@@ -35,10 +35,9 @@ func (ix *Index) CheckInvariants() error {
 			continue
 		}
 		alive++
-		if len(ix.cells[id]) == 0 {
+		if r.Lo == nil {
 			return fmt.Errorf("nncell: live point %d has no stored cell", id)
 		}
-		frags += len(ix.cells[id])
 		if !validPoint(p, ix.bounds) {
 			return fmt.Errorf("nncell: point %d = %v outside data space %v", id, p, ix.bounds)
 		}
@@ -52,9 +51,6 @@ func (ix *Index) CheckInvariants() error {
 	}
 	if held != alive {
 		return fmt.Errorf("nncell: point directory holds %d points for %d live ones", held, alive)
-	}
-	if got := int(ix.stats.fragments.Load()); got != frags {
-		return fmt.Errorf("nncell: fragment counter %d, cells store %d", got, frags)
 	}
 	for id := range ix.stale {
 		if id < 0 || id >= len(ix.cells) || ix.point(id) == nil {

@@ -6,8 +6,9 @@
 // approximated by its minimum bounding hyper-rectangle (Definition 3). Each
 // MBR boundary is the optimum of a linear program whose constraints are the
 // bisector half-spaces between P and (a subset of) the other data points.
-// The approximations, optionally decomposed into up to k fragments along the
-// cell's most oblique dimensions (Definition 5), are stored per point id.
+// One approximation rectangle is stored per point id; the decomposition of
+// Definition 5 (up to k fragments along the cell's most oblique dimensions) is
+// computed from the stored cells on demand (Decompose), for the figures.
 // A nearest-neighbor query is then a point query on the approximations
 // followed by a distance comparison among the returned candidates; Lemmas 1
 // and 2 of the paper guarantee no false dismissals, which makes the result
@@ -93,26 +94,10 @@ func (a Algorithm) String() string {
 // Algorithms lists all constraint-selection variants in the paper's order.
 func Algorithms() []Algorithm { return []Algorithm{Correct, PointAlg, Sphere, NNDirection} }
 
-// ObliquenessHeuristic selects how decomposition ranks dimensions.
-type ObliquenessHeuristic int
-
-const (
-	// VolumeGreedy ranks dimensions by the measured volume reduction of a
-	// trial 2-way decomposition (solves extra LPs; highest quality).
-	VolumeGreedy ObliquenessHeuristic = iota
-	// ExtentBased ranks dimensions by cell extent (no extra LPs; cheap).
-	ExtentBased
-)
-
 // Options configure index construction.
 type Options struct {
 	// Algorithm is the constraint-selection variant. Default Correct.
 	Algorithm Algorithm
-	// Decompose is the fragment budget k per cell (Definition 5). Values
-	// 0 and 1 mean no decomposition. The paper recommends k ≤ 10.
-	Decompose int
-	// Obliqueness picks the decomposition ranking heuristic.
-	Obliqueness ObliquenessHeuristic
 	// MaxConstraintPoints caps the constraint-set size of the Point and
 	// Sphere selections (0 = unlimited). On heavily clustered data those
 	// selections can degenerate to nearly all points — the pathology §2 of
@@ -121,10 +106,6 @@ type Options struct {
 	MaxConstraintPoints int
 	// Workers bounds build parallelism. Default: GOMAXPROCS.
 	Workers int
-	// Epsilon pads every stored MBR to absorb LP tolerance; queries remain
-	// exact regardless (a scan fallback catches the pathological case), the
-	// padding merely keeps the fallback rare. Default 1e-9.
-	Epsilon float64
 	// AutoThreshold makes NN-Direction the effective constraint selection
 	// once the live point count reaches this value, when Algorithm is
 	// Correct. The Correct selection solves LPs against O(n) constraint
@@ -163,15 +144,14 @@ type Options struct {
 // (left zero) switches the Correct constraint selection to NN-Direction.
 const DefaultAutoThreshold = 4096
 
+// epsilon pads every stored MBR to absorb LP tolerance (finishRect); queries
+// remain exact regardless (the fallback catches the pathological case), the
+// padding merely keeps the fallback rare.
+const epsilon = 1e-9
+
 func (o *Options) normalize() {
-	if o.Decompose < 1 {
-		o.Decompose = 1
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Epsilon <= 0 {
-		o.Epsilon = 1e-9
 	}
 	if o.AutoThreshold == 0 {
 		o.AutoThreshold = DefaultAutoThreshold
@@ -192,7 +172,8 @@ type Stats struct {
 	// (one batch = one cell side set), for the quality/performance analysis
 	// of Fig. 4/5.
 	ConstraintPoints uint64
-	// Fragments is the number of rectangles in the index.
+	// Fragments is the number of stored approximation rectangles: one per
+	// live point.
 	Fragments uint64
 	// Queries, Candidates and Fallbacks describe query-time behaviour:
 	// candidates inspected, and exact fallbacks taken (0 in normal
@@ -200,8 +181,7 @@ type Stats struct {
 	// evaluation: for NearestNeighbor and CandidatesAppend a survivor of the
 	// cell-directory query, for KNearest with k > 1 and for the fallback
 	// those seeds plus the point-directory box survivors not among them. On
-	// NearestNeighborPaged it is a fragment whose MBR contains the query
-	// point.
+	// NearestNeighborPaged it is a cell whose MBR contains the query point.
 	Queries, Candidates, Fallbacks uint64
 	// Updates counts affected-cell recomputations due to Insert/Delete.
 	Updates uint64
@@ -236,9 +216,9 @@ type Index struct {
 	wlog    *wal.Log  // nil: no durability; see AttachWAL
 	ptsFlat []float64 // the coordinates: point id's at [id*dim:(id+1)*dim], a NaN row for a tombstone (see point)
 	alive   int
-	cells   [][]vec.Rect // fragment MBRs per point id (nil for tombstones)
-	dir     *cellDir     // fragment MBRs rounded to the stripe grid, one bit per cell (point and range queries)
-	pdir    *pointDir    // the live points on the same grid, cumulative rows (k-NN, NN fallback, constraint selection, duplicate check)
+	cells   []vec.Rect // the approximation MBR per point id (nil Lo for a tombstone or a staged insert)
+	dir     *cellDir   // the cells rounded to the stripe grid, one bit per cell (point and range queries)
+	pdir    *pointDir  // the live points on the same grid, cumulative rows (k-NN, NN fallback, constraint selection, duplicate check)
 
 	// The index keeps no tree. tree is the paged form of cells (Data = point
 	// id): nil until pagedTree builds it under treeMu (its callers hold mu on
@@ -258,7 +238,6 @@ type Index struct {
 
 	stats struct {
 		lpSolves, lpPivots, constraintPoints atomic.Uint64
-		fragments                            atomic.Uint64
 		queries, candidates, fallbacks       atomic.Uint64
 		updates                              atomic.Uint64
 		pruneVisited                         atomic.Uint64
@@ -321,14 +300,14 @@ var ErrBadK = errors.New("nncell: k must be positive")
 // Build constructs the index over points (bulk load): it first fills the point
 // directory (the neighbour searches of constraint selection run on it), then
 // computes every cell's approximation in parallel against the full point set,
-// and finally fills the cell directory from the fragment MBRs. The bounds
+// and finally fills the cell directory from the cell MBRs. The bounds
 // rectangle is the data space; all points must lie in it. Exact duplicate
 // points are rejected (a duplicated point has an empty NN-cell, which the
 // paper's construction excludes).
 //
 // The build streams: each worker keeps only its own LP scratch (one cellCtx)
 // and stores a finished cell under its id, so peak memory is the output
-// itself (fragment MBRs + directory) plus O(workers) scratch — never all
+// itself (cell MBRs + directories) plus O(workers) scratch — never all
 // 2·d·n constraint sets at once. With AutoThreshold in effect (the default)
 // constraint sets above the threshold are O(d) per cell, which is what makes
 // n = 10⁵ bulk builds both fit in memory and finish; a failed cell stops the
@@ -378,13 +357,8 @@ func Build(points []vec.Point, bounds vec.Rect, pg *pager.Pager, opts Options) (
 	for i := range ids {
 		ids[i] = i
 	}
-	cc := newCellCtx(d)
-	if opts.Algorithm == PointAlg || opts.Algorithm == Sphere {
-		items := make([]xtree.Entry, len(points))
-		for id, p := range points {
-			items[id] = xtree.Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(id)} // BulkLoad copies
-		}
-		cc.pages = xtree.BulkLoad(d, pg, xtree.Options{}, items)
+	cc := ix.buildCtx()
+	if cc.pages != nil {
 		defer cc.pages.Release()
 	}
 	var err error
@@ -392,14 +366,28 @@ func Build(points []vec.Point, bounds vec.Rect, pg *pager.Pager, opts Options) (
 		return nil, err
 	}
 
-	// Phase 3: count the fragments and fill the cell directory.
-	total := 0
-	for _, frags := range ix.cells {
-		total += len(frags)
-	}
-	ix.stats.fragments.Store(uint64(total))
+	// Phase 3: fill the cell directory.
 	ix.dir = newCellDir(ix.bounds, ix.cells)
 	return ix, nil
+}
+
+// buildCtx returns the cellCtx of a selection over the whole point set, as
+// Build runs it: under Point and Sphere it carries the X-tree over the live
+// points (Data = point id, ascending) whose leaf pages those selections read,
+// which the caller releases. Build and Decompose are the only callers; every
+// other cell is computed on a context without pages.
+func (ix *Index) buildCtx() *cellCtx {
+	cc := newCellCtx(ix.dim)
+	if alg := ix.opts.Algorithm; alg == PointAlg || alg == Sphere {
+		items := make([]xtree.Entry, 0, ix.alive)
+		for id := 0; id < len(ix.ptsFlat)/ix.dim; id++ {
+			if p := ix.point(id); p != nil {
+				items = append(items, xtree.Entry{Rect: vec.Rect{Lo: p, Hi: p}, Data: int64(id)}) // BulkLoad copies
+			}
+		}
+		cc.pages = xtree.BulkLoad(ix.dim, ix.pg, xtree.Options{}, items)
+	}
+	return cc
 }
 
 // point returns the coordinates of id as a view of its row, nil for a
@@ -507,30 +495,23 @@ func (ix *Index) Point(id int) (vec.Point, bool) {
 	return ix.point(id).Clone(), true
 }
 
-// CellApprox returns the stored fragment MBRs of the cell of point id.
-func (ix *Index) CellApprox(id int) ([]vec.Rect, bool) {
+// CellApprox returns the stored approximation MBR of the cell of point id.
+func (ix *Index) CellApprox(id int) (vec.Rect, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if id < 0 || id >= len(ix.cells) || ix.cells[id] == nil {
-		return nil, false
+	if id < 0 || id >= len(ix.cells) || ix.cells[id].Lo == nil {
+		return vec.Rect{}, false
 	}
-	out := make([]vec.Rect, len(ix.cells[id]))
-	for i, r := range ix.cells[id] {
-		out[i] = r.Clone()
-	}
-	return out, true
+	return ix.cells[id].Clone(), true
 }
 
 // Algorithm returns the configured constraint selection: what Build ran
 // under, and what a snapshot records.
 func (ix *Index) Algorithm() Algorithm { return ix.opts.Algorithm }
 
-// Fragments returns the number of rectangles stored in the index.
-func (ix *Index) Fragments() int { return int(ix.stats.fragments.Load()) }
-
 // Tree returns the X-tree over the cell approximations (read-only use). The
 // index does not keep one: the first call after a mutation bulk-loads it from
-// the stored fragments in ascending id order, O(n log n), and the next commit
+// the stored cells in ascending id order, O(n log n), and the next commit
 // returns its pages to the pager. A built tree is never changed, so it does
 // not race with writers, but it must not be queried after that commit.
 func (ix *Index) Tree() *xtree.Tree {
@@ -544,9 +525,9 @@ func (ix *Index) pagedTree() *xtree.Tree {
 	ix.treeMu.Lock()
 	defer ix.treeMu.Unlock()
 	if ix.tree == nil {
-		items := make([]xtree.Entry, 0, ix.Fragments())
-		for id, frags := range ix.cells {
-			for _, r := range frags {
+		items := make([]xtree.Entry, 0, ix.alive)
+		for id, r := range ix.cells {
+			if r.Lo != nil {
 				items = append(items, xtree.Entry{Rect: r, Data: int64(id)})
 			}
 		}
@@ -572,6 +553,9 @@ func (ix *Index) PagerStats() pager.Stats { return ix.pg.Stats() }
 
 // Stats returns a snapshot of the counters.
 func (ix *Index) Stats() Stats {
+	ix.mu.RLock()
+	cells := uint64(ix.alive)
+	ix.mu.RUnlock()
 	stale := ix.stats.staleCells.Load()
 	if stale < 0 {
 		stale = 0
@@ -580,7 +564,7 @@ func (ix *Index) Stats() Stats {
 		LPSolves:            ix.stats.lpSolves.Load(),
 		LPPivots:            ix.stats.lpPivots.Load(),
 		ConstraintPoints:    ix.stats.constraintPoints.Load(),
-		Fragments:           ix.stats.fragments.Load(),
+		Fragments:           cells,
 		Queries:             ix.stats.queries.Load(),
 		Candidates:          ix.stats.candidates.Load(),
 		Fallbacks:           ix.stats.fallbacks.Load(),
@@ -593,15 +577,15 @@ func (ix *Index) Stats() Stats {
 	}
 }
 
-// ApproxVolumeSum returns Σ vol(fragments)/vol(DS): the expected number of
+// ApproxVolumeSum returns Σ vol(cells)/vol(DS): the expected number of
 // candidate cells for a uniformly distributed query — the paper's "overlap"
 // quality measure in analytic form. The ideal value is 1.
 func (ix *Index) ApproxVolumeSum() float64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	total := 0.0
-	for _, frags := range ix.cells {
-		for _, r := range frags {
+	for _, r := range ix.cells {
+		if r.Lo != nil {
 			total += r.IntersectionVolume(ix.bounds)
 		}
 	}

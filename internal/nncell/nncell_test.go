@@ -56,11 +56,10 @@ func TestCorrectMatchesExactVoronoi2D(t *testing.T) {
 	bounds := vec.UnitCube(2)
 	for i := range pts {
 		exact := voronoi.NNCell(pts, i, bounds).MBR()
-		frags, ok := ix.CellApprox(i)
-		if !ok || len(frags) != 1 {
-			t.Fatalf("cell %d: frags=%v ok=%v", i, frags, ok)
+		got, ok := ix.CellApprox(i)
+		if !ok {
+			t.Fatalf("cell %d: no stored cell", i)
 		}
-		got := frags[0]
 		for j := 0; j < 2; j++ {
 			if math.Abs(got.Lo[j]-exact.Lo[j]) > 1e-6 || math.Abs(got.Hi[j]-exact.Hi[j]) > 1e-6 {
 				t.Fatalf("cell %d dim %d: got [%v,%v], exact [%v,%v]",
@@ -79,21 +78,18 @@ func TestLemma1OptimizedSupersets(t *testing.T) {
 		for i := range pts {
 			cf, _ := correct.CellApprox(i)
 			of, _ := opt.CellApprox(i)
-			if len(cf) != 1 || len(of) != 1 {
-				t.Fatalf("%v cell %d: unexpected fragment counts %d/%d", alg, i, len(cf), len(of))
-			}
 			// Allow epsilon slack (both sides are padded by 1e-9).
 			for j := 0; j < 4; j++ {
-				if of[0].Lo[j] > cf[0].Lo[j]+1e-7 || of[0].Hi[j] < cf[0].Hi[j]-1e-7 {
-					t.Fatalf("%v cell %d: optimized %v does not contain correct %v", alg, i, of[0], cf[0])
+				if of.Lo[j] > cf.Lo[j]+1e-7 || of.Hi[j] < cf.Hi[j]-1e-7 {
+					t.Fatalf("%v cell %d: optimized %v does not contain correct %v", alg, i, of, cf)
 				}
 			}
 		}
 	}
 }
 
-// Lemma 2 / end-to-end exactness: for every algorithm, dataset shape, and
-// decomposition setting, the index must return the true nearest neighbor.
+// Lemma 2 / end-to-end exactness: for every algorithm and dataset shape, the
+// index must return the true nearest neighbor.
 func TestExactNearestNeighborAllConfigurations(t *testing.T) {
 	configs := []struct {
 		name string
@@ -103,9 +99,6 @@ func TestExactNearestNeighborAllConfigurations(t *testing.T) {
 		{"point", Options{Algorithm: PointAlg}},
 		{"sphere", Options{Algorithm: Sphere}},
 		{"nndir", Options{Algorithm: NNDirection}},
-		{"correct-decomp4", Options{Algorithm: Correct, Decompose: 4}},
-		{"sphere-decomp8", Options{Algorithm: Sphere, Decompose: 8}},
-		{"nndir-decomp8-extent", Options{Algorithm: NNDirection, Decompose: 8, Obliqueness: ExtentBased}},
 	}
 	shapes := []dataset.Name{dataset.NameUniform, dataset.NameGrid, dataset.NameDiagonal, dataset.NameClustered, dataset.NameFourier}
 	rng := rand.New(rand.NewSource(43))
@@ -138,7 +131,7 @@ func TestExactNearestNeighborAllConfigurations(t *testing.T) {
 // Data points themselves are queries too: each point's NN is itself.
 func TestSelfQueries(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameClustered, 44, 150, 5)
-	ix := mustBuild(t, pts, Options{Algorithm: Sphere, Decompose: 4})
+	ix := mustBuild(t, pts, Options{Algorithm: Sphere})
 	for i, p := range pts {
 		got, err := ix.NearestNeighbor(p)
 		if err != nil {
@@ -174,7 +167,7 @@ func TestOutOfBoundsQueryExact(t *testing.T) {
 // approximation volume is exactly the data-space volume.
 func TestGridIsPerfect(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameGrid, 46, 81, 2) // 9x9 lattice
-	ix := mustBuild(t, pts, Options{Algorithm: Correct, Epsilon: 1e-12})
+	ix := mustBuild(t, pts, Options{Algorithm: Correct})
 	if vs := ix.ApproxVolumeSum(); math.Abs(vs-1) > 1e-6 {
 		t.Errorf("ApproxVolumeSum = %v, want 1", vs)
 	}
@@ -200,32 +193,70 @@ func TestApproxVolumeLowerBound(t *testing.T) {
 	}
 }
 
-// Decomposition must reduce (or at least not increase) the total
-// approximation volume, and fragment unions must stay inside the cell MBR.
+// Decompose(8) cuts every cell into at most 8 fragments, each inside the
+// stored rectangle up to rounding, and does not increase the total approximation volume;
+// Decompose(1) re-selects and re-solves exactly the stored cells; a tombstone
+// has no fragments; and the index is left as it was.
 func TestDecompositionShrinksVolume(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameDiagonal, 49, 80, 4)
-	plain := mustBuild(t, pts, Options{Algorithm: Correct})
-	dec := mustBuild(t, pts, Options{Algorithm: Correct, Decompose: 8})
-	vPlain, vDec := plain.ApproxVolumeSum(), dec.ApproxVolumeSum()
-	if vDec > vPlain+1e-9 {
-		t.Errorf("decomposed volume %v > plain %v", vDec, vPlain)
+	ix := mustBuild(t, pts, Options{Algorithm: Correct})
+	if err := ix.Delete(5); err != nil {
+		t.Fatal(err)
 	}
-	if vDec >= vPlain*0.99 {
-		t.Logf("note: decomposition saved little volume (%v -> %v)", vPlain, vDec)
+	stats := ix.Stats()
+	one, err := ix.Decompose(1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	dec, err := ix.Decompose(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one[5] != nil || dec[5] != nil {
+		t.Fatalf("tombstone 5 decomposed into %v / %v", one[5], dec[5])
+	}
+	vDec := 0.0
 	for i := range pts {
-		pf, _ := plain.CellApprox(i)
-		df, _ := dec.CellApprox(i)
-		if len(df) > 8 {
-			t.Fatalf("cell %d has %d fragments > budget 8", i, len(df))
+		cell, ok := ix.CellApprox(i)
+		if !ok {
+			continue
 		}
-		outer := pf[0]
-		for _, f := range df {
-			for j := 0; j < 4; j++ {
-				if f.Lo[j] < outer.Lo[j]-1e-7 || f.Hi[j] > outer.Hi[j]+1e-7 {
-					t.Fatalf("cell %d: fragment %v escapes MBR %v", i, f, outer)
+		if len(one[i]) != 1 || !one[i][0].Equal(cell) {
+			t.Fatalf("cell %d: Decompose(1) = %v, stored %v", i, one[i], cell)
+		}
+		if n := len(dec[i]); n == 0 || n > 8 {
+			t.Fatalf("cell %d has %d fragments, want 1 to 8", i, n)
+		}
+		for _, f := range dec[i] {
+			for j := range f.Lo { // up to the rounding of the slab LPs
+				if f.Lo[j] < cell.Lo[j]-1e-12 || f.Hi[j] > cell.Hi[j]+1e-12 {
+					t.Fatalf("cell %d: fragment %v escapes the stored MBR %v", i, f, cell)
 				}
 			}
+			vDec += f.Volume()
+		}
+	}
+	if vPlain := ix.ApproxVolumeSum(); vDec > vPlain+1e-9 {
+		t.Errorf("decomposed volume %v > plain %v", vDec, vPlain)
+	} else if vDec >= vPlain*0.99 {
+		t.Logf("note: decomposition saved little volume (%v -> %v)", vPlain, vDec)
+	}
+	if after := ix.Stats(); after.LPSolves != stats.LPSolves || after.Fragments != uint64(ix.Len()) {
+		t.Errorf("Decompose changed the index's stats: %+v, then %+v", stats, after)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Sphere selects from the pages of a point tree, which Decompose loads
+	// again as Build did.
+	sphere := mustBuild(t, pts, Options{Algorithm: Sphere})
+	if one, err = sphere.Decompose(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := range pts {
+		if cell, _ := sphere.CellApprox(i); len(one[i]) != 1 || !one[i][0].Equal(cell) {
+			t.Fatalf("Sphere cell %d: Decompose(1) = %v, stored %v", i, one[i], cell)
 		}
 	}
 }
@@ -379,9 +410,9 @@ func TestBuildValidation(t *testing.T) {
 // A single point owns the whole data space.
 func TestSinglePoint(t *testing.T) {
 	ix := mustBuild(t, []vec.Point{{0.3, 0.7}}, Options{Algorithm: Correct})
-	frags, _ := ix.CellApprox(0)
-	if len(frags) != 1 || !frags[0].ContainsRect(vec.UnitCube(2)) {
-		t.Errorf("single-point cell = %v, want the unit cube", frags)
+	cell, ok := ix.CellApprox(0)
+	if !ok || !cell.ContainsRect(vec.UnitCube(2)) {
+		t.Errorf("single-point cell = %v, want the unit cube", cell)
 	}
 	got, err := ix.NearestNeighbor(vec.Point{0.9, 0.1})
 	if err != nil || got.ID != 0 {
@@ -416,8 +447,8 @@ func TestStatsAccounting(t *testing.T) {
 	if s.LPSolves == 0 || s.ConstraintPoints == 0 {
 		t.Errorf("no LP accounting: %+v", s)
 	}
-	if int(s.Fragments) != ix.Fragments() || ix.Fragments() != 50 {
-		t.Errorf("fragments = %d / %d", s.Fragments, ix.Fragments())
+	if s.Fragments != 50 {
+		t.Errorf("fragments = %d, want one per point", s.Fragments)
 	}
 	rng := rand.New(rand.NewSource(54))
 	for i := 0; i < 10; i++ {
@@ -484,8 +515,8 @@ func TestMaxConstraintPointsSoundness(t *testing.T) {
 		cf, _ := ix.CellApprox(i)
 		ff, _ := full.CellApprox(i)
 		for j := 0; j < 4; j++ {
-			if cf[0].Lo[j] > ff[0].Lo[j]+1e-7 || cf[0].Hi[j] < ff[0].Hi[j]-1e-7 {
-				t.Fatalf("cell %d: capped approx %v does not contain uncapped %v", i, cf[0], ff[0])
+			if cf.Lo[j] > ff.Lo[j]+1e-7 || cf.Hi[j] < ff.Hi[j]-1e-7 {
+				t.Fatalf("cell %d: capped approx %v does not contain uncapped %v", i, cf, ff)
 			}
 		}
 	}

@@ -87,9 +87,9 @@ func TestNNDirectionPoolTighterThanPicks(t *testing.T) {
 			t.Fatal(err)
 		}
 		loose := ix.finishRect(mbr)
-		stored := ix.cells[i][0]
+		stored := ix.cells[i]
 		for j := 0; j < d; j++ {
-			// Both sides carry the same Epsilon padding; the slack absorbs LP
+			// Both sides carry the same epsilon padding; the slack absorbs LP
 			// round-off between two solves of different constraint sets.
 			if stored.Lo[j] < loose.Lo[j]-1e-9 || stored.Hi[j] > loose.Hi[j]+1e-9 {
 				t.Fatalf("cell %d dim %d: stored [%v, %v] not inside pick-based [%v, %v]",

@@ -3,6 +3,7 @@ package nncell
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -163,8 +164,7 @@ func TestNearestNeighborAllocs(t *testing.T) {
 }
 
 // TestCandidatesAllocs checks the reusable result buffer: a warm
-// CandidatesAppend with a recycled slice allocates nothing, with one fragment
-// per cell and with decomposed cells (several fragments verified per id).
+// CandidatesAppend with a recycled slice allocates nothing.
 func TestCandidatesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -172,8 +172,8 @@ func TestCandidatesAllocs(t *testing.T) {
 	const n, d = 400, 6
 	pts := uniquePoints(t, dataset.NameUniform, 25, n, d)
 	qs := dataset.Uniform(rand.New(rand.NewSource(26)), 64, d)
-	for _, tc := range []struct{ cachePages, decompose int }{{0, 1}, {2, 1}, {64, 1}, {2, 4}} {
-		ix := buildOnCache(t, pts, tc.cachePages, Options{Algorithm: Sphere, Decompose: tc.decompose})
+	for _, cachePages := range []int{0, 2, 64} {
+		ix := buildOnCache(t, pts, cachePages, Options{Algorithm: Sphere})
 		ids := make([]int, 0, n)
 		for _, q := range qs {
 			ids = ix.CandidatesAppend(ids[:0], q)
@@ -184,27 +184,28 @@ func TestCandidatesAllocs(t *testing.T) {
 			k++
 		})
 		if allocs != 0 {
-			t.Fatalf("%+v: CandidatesAppend allocates %v/op, want 0", tc, allocs)
+			t.Fatalf("cache %d pages: CandidatesAppend allocates %v/op, want 0", cachePages, allocs)
 		}
 	}
 }
 
-// TestCandidatesDistinct: a decomposed index stores several fragments per
-// cell, and a query point on fragment seams must still report each candidate
-// id once.
+// TestCandidatesDistinct: Candidates reports each id once, ascending, and
+// exactly the cells whose stored rectangle contains the query — also on the
+// data points, where neighbouring cells meet.
 func TestCandidatesDistinct(t *testing.T) {
 	const n, d = 120, 3
 	pts := uniquePoints(t, dataset.NameDiagonal, 27, n, d)
-	ix := mustBuild(t, pts, Options{Algorithm: Correct, Decompose: 8})
-	qs := dataset.Uniform(rand.New(rand.NewSource(28)), 200, d)
+	ix := mustBuild(t, pts, Options{Algorithm: Correct})
+	qs := append(dataset.Uniform(rand.New(rand.NewSource(28)), 200, d), pts...)
 	for _, q := range qs {
-		ids := ix.Candidates(q)
-		seen := map[int]bool{}
-		for _, id := range ids {
-			if seen[id] {
-				t.Fatalf("duplicate candidate id %d for query %v", id, q)
+		var want []int
+		for id := range pts {
+			if r, _ := ix.CellApprox(id); r.Contains(q) {
+				want = append(want, id)
 			}
-			seen[id] = true
+		}
+		if got := ix.Candidates(q); !slices.Equal(got, want) {
+			t.Fatalf("query %v: candidates %v, cells containing it %v", q, got, want)
 		}
 	}
 }

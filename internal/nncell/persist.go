@@ -21,12 +21,20 @@ import (
 //	magic   [8]byte  "NNCELLv2"
 //	dim     uint32
 //	flags   uint32   (reserved, 0)
-//	options: algorithm, decompose, obliqueness uint32; sphereScale (always 1), epsilon float64
+//	options: algorithm, decompose (1), obliqueness (0) uint32;
+//	         sphereScale (1), epsilon (1e-9) float64
 //	bounds: 2·dim float64
 //	count   uint64   (point slots, including tombstones)
 //	per slot: alive uint8; if alive: dim float64 coordinates,
-//	          nfrags uint32, then per fragment 2·dim float64
+//	          nfrags uint32 (1), then the cell's MBR, 2·dim float64
 //	crc32   uint32   (IEEE, over everything after the magic)
+//
+// The slots with a value in parentheses are fixed: they held the fragment
+// budget, its ranking heuristic and each cell's fragment count when cells
+// could be stored decomposed, and two options that are constants now. Save
+// writes exactly those values and Load rejects a stream holding any other, so
+// the layout, and every snapshot written in it without decomposition, is
+// unchanged.
 //
 // The trailing checksum covers the whole payload, so a long-lived server
 // loading a snapshot detects bit rot and truncated copies instead of serving
@@ -40,9 +48,8 @@ const persistMagic = "NNCELLv2"
 // per-slot storage grows incrementally as the stream proves it contains the
 // data, so a forged count cannot reserve memory the stream never backs.
 const (
-	maxPersistCount  = 1 << 40
-	maxPersistDim    = 1 << 16
-	maxPersistDecomp = 1 << 20
+	maxPersistCount = 1 << 40
+	maxPersistDim   = 1 << 16
 	// maxPersistCoords bounds count·dim. Tombstone slots cost one stream byte
 	// but dim mirror floats, so without this cap a short forged header could
 	// amplify a few kilobytes of input into gigabytes of NaN rows.
@@ -74,7 +81,7 @@ func (ix *Index) saveLocked(w io.Writer, framed bool) error {
 
 	d := uint64(ix.dim)
 	size := uint64(len(persistMagic)) + 5*4 + 2*8 + 2*d*8 + 8 + uint64(len(ix.cells)) +
-		uint64(ix.alive)*(d*8+4) + ix.stats.fragments.Load()*2*d*8 + 4
+		uint64(ix.alive)*(d*8+4+2*d*8) + 4
 	if framed {
 		if err := binary.Write(bw, le, size); err != nil {
 			return fmt.Errorf("nncell: save: %w", err)
@@ -97,8 +104,8 @@ func (ix *Index) saveLocked(w io.Writer, framed bool) error {
 	}
 	if err := write(
 		uint32(ix.dim), uint32(0),
-		uint32(ix.opts.Algorithm), uint32(ix.opts.Decompose), uint32(ix.opts.Obliqueness),
-		float64(1), ix.opts.Epsilon,
+		uint32(ix.opts.Algorithm), uint32(1), uint32(0),
+		float64(1), float64(epsilon),
 	); err != nil {
 		return err
 	}
@@ -116,13 +123,9 @@ func (ix *Index) saveLocked(w io.Writer, framed bool) error {
 			}
 			continue
 		}
-		if err := write(uint8(1), []float64(p), uint32(len(ix.cells[id]))); err != nil {
+		r := ix.cells[id]
+		if err := write(uint8(1), []float64(p), uint32(1), []float64(r.Lo), []float64(r.Hi)); err != nil {
 			return err
-		}
-		for _, r := range ix.cells[id] {
-			if err := write([]float64(r.Lo), []float64(r.Hi)); err != nil {
-				return err
-			}
 		}
 	}
 	if err := binary.Write(bw, le, sum.Sum32()); err != nil {
@@ -142,7 +145,8 @@ func (ix *Index) saveLocked(w io.Writer, framed bool) error {
 //
 // Load treats the stream as untrusted: truncation, header/payload size
 // mismatches, non-finite or out-of-bounds coordinates, duplicate points,
-// invalid option enums, checksum mismatches and trailing garbage all return
+// invalid option enums, a fixed slot holding another value than the one Save
+// writes, checksum mismatches and trailing garbage all return
 // errors. It never panics on malformed input and never returns an index it
 // did not fully validate (FuzzLoad exercises this contract).
 func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
@@ -167,8 +171,8 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 		return nil
 	}
 	var dim, flags, alg, decomp, obliq uint32
-	var sphereScale, epsilon float64
-	if err := read(&dim, &flags, &alg, &decomp, &obliq, &sphereScale, &epsilon); err != nil {
+	var sphereScale, eps float64
+	if err := read(&dim, &flags, &alg, &decomp, &obliq, &sphereScale, &eps); err != nil {
 		return nil, err
 	}
 	if dim == 0 || dim > maxPersistDim {
@@ -180,22 +184,21 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	if Algorithm(alg) > NNDirection {
 		return nil, fmt.Errorf("nncell: load: unknown algorithm %d", alg)
 	}
-	if ObliquenessHeuristic(obliq) > ExtentBased {
-		return nil, fmt.Errorf("nncell: load: unknown obliqueness heuristic %d", obliq)
-	}
-	if decomp > maxPersistDecomp {
-		return nil, fmt.Errorf("nncell: load: implausible decompose budget %d", decomp)
-	}
-	if !isFinite(sphereScale) || sphereScale < 0 || !isFinite(epsilon) || epsilon < 0 {
-		return nil, fmt.Errorf("nncell: load: invalid options (sphereScale=%v epsilon=%v)", sphereScale, epsilon)
+	for _, slot := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"decompose", float64(decomp), 1},
+		{"obliqueness", float64(obliq), 0},
+		{"sphereScale", sphereScale, 1},
+		{"epsilon", eps, epsilon},
+	} {
+		if slot.got != slot.want {
+			return nil, fmt.Errorf("nncell: load: %s slot holds %v, want %v (one rectangle per cell)", slot.name, slot.got, slot.want)
+		}
 	}
 	d := int(dim)
-	opts := Options{
-		Algorithm:   Algorithm(alg),
-		Decompose:   int(decomp),
-		Obliqueness: ObliquenessHeuristic(obliq),
-		Epsilon:     epsilon,
-	}
+	opts := Options{Algorithm: Algorithm(alg)}
 	opts.normalize()
 
 	bounds := vec.EmptyRect(d)
@@ -217,11 +220,7 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	}
 
 	ix := &Index{dim: d, opts: opts, pg: pg, bounds: bounds}
-	total := 0
-	// Duplicate detection, same byte-exact keying as Build: a duplicated
-	// point has an empty NN-cell, so a stream containing one is corrupt.
-	seen := make(map[string]bool)
-	keyBuf := make([]byte, 0, 8*d)
+	p := make(vec.Point, d)
 	nanRow := make([]float64, d)
 	for j := range nanRow {
 		nanRow[j] = math.NaN()
@@ -235,14 +234,13 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 		// exactly as Delete leaves them.
 		switch aliveFlag {
 		case 0:
-			ix.cells = append(ix.cells, nil)
+			ix.cells = append(ix.cells, vec.Rect{})
 			ix.ptsFlat = append(ix.ptsFlat, nanRow...)
 			continue
 		case 1:
 		default:
 			return nil, fmt.Errorf("nncell: load: corrupt alive flag %d at slot %d", aliveFlag, id)
 		}
-		p := make(vec.Point, d)
 		var nfrags uint32
 		if err := read(p, &nfrags); err != nil {
 			return nil, err
@@ -250,35 +248,19 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 		if !validPoint(p, bounds) {
 			return nil, fmt.Errorf("nncell: load: point %d = %v outside data space", id, p)
 		}
-		keyBuf = keyBuf[:0]
-		for _, v := range p {
-			keyBuf = binary.LittleEndian.AppendUint64(keyBuf, math.Float64bits(v))
+		if nfrags != 1 {
+			return nil, fmt.Errorf("nncell: load: fragment count slot of point %d holds %d, want 1 (one rectangle per cell)", id, nfrags)
 		}
-		k := string(keyBuf)
-		if seen[k] {
-			return nil, fmt.Errorf("nncell: load: duplicate point %v at slot %d", p, id)
+		rc := vec.EmptyRect(d)
+		if err := read(rc.Lo, rc.Hi); err != nil {
+			return nil, err
 		}
-		seen[k] = true
-		// A cell never has more fragments than the decompose budget, which
-		// maxPersistDecomp has already capped.
-		if nfrags == 0 || nfrags > uint32(opts.Decompose) {
-			return nil, fmt.Errorf("nncell: load: implausible fragment count %d for point %d (decompose budget %d)", nfrags, id, opts.Decompose)
-		}
-		var frags []vec.Rect
-		for f := uint32(0); f < nfrags; f++ {
-			rc := vec.EmptyRect(d)
-			if err := read(rc.Lo, rc.Hi); err != nil {
-				return nil, err
-			}
-			if !validRect(rc) {
-				return nil, fmt.Errorf("nncell: load: invalid fragment %d of point %d: %v", f, id, rc)
-			}
-			frags = append(frags, rc)
+		if !validRect(rc) {
+			return nil, fmt.Errorf("nncell: load: invalid cell of point %d: %v", id, rc)
 		}
 		ix.ptsFlat = append(ix.ptsFlat, p...)
-		ix.cells = append(ix.cells, frags)
+		ix.cells = append(ix.cells, rc)
 		ix.alive++
-		total += len(frags)
 	}
 	var wantSum uint32
 	if err := binary.Read(br, le, &wantSum); err != nil {
@@ -290,7 +272,17 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("nncell: load: trailing garbage after checksum")
 	}
-	ix.stats.fragments.Store(uint64(total))
+	// Duplicate detection, Build's: a duplicated point has an empty NN-cell,
+	// so a stream containing one is corrupt.
+	live, slots := make([]vec.Point, 0, ix.alive), make([]int, 0, ix.alive)
+	for id := range ix.cells {
+		if q := ix.point(id); q != nil {
+			live, slots = append(live, q), append(slots, id)
+		}
+	}
+	if _, j, dup := dupIndex(live, d); dup {
+		return nil, fmt.Errorf("nncell: load: duplicate point %v at slot %d", live[j], slots[j])
+	}
 	ix.dir = newCellDir(bounds, ix.cells)
 	ix.pdir = newPointDir(ix.dir.stripeGrid, ix.ptsFlat)
 	return ix, nil

@@ -15,7 +15,7 @@ import (
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameClustered, 81, 150, 5)
-	orig := mustBuild(t, pts, Options{Algorithm: Sphere, Decompose: 4})
+	orig := mustBuild(t, pts, Options{Algorithm: Sphere})
 	// Exercise tombstones in the saved image.
 	if err := orig.Delete(7); err != nil {
 		t.Fatal(err)
@@ -39,24 +39,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Stats().LPSolves != 0 {
 		t.Error("Load ran LPs")
 	}
-	// Every stored cell must round-trip exactly.
+	// Every stored cell must round-trip exactly, and so must the stream.
 	for id := range pts {
-		of, ook := orig.CellApprox(id)
-		lf, lok := loaded.CellApprox(id)
+		oc, ook := orig.CellApprox(id)
+		lc, lok := loaded.CellApprox(id)
 		if ook != lok {
 			t.Fatalf("cell %d presence mismatch", id)
 		}
-		if !ook {
-			continue
+		if ook && !oc.Equal(lc) {
+			t.Fatalf("cell %d differs", id)
 		}
-		if len(of) != len(lf) {
-			t.Fatalf("cell %d fragment count %d vs %d", id, len(of), len(lf))
-		}
-		for f := range of {
-			if !of[f].Equal(lf[f]) {
-				t.Fatalf("cell %d fragment %d differs", id, f)
-			}
-		}
+	}
+	var again bytes.Buffer
+	if err := loaded.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), image) {
+		t.Fatal("saving the loaded index wrote other bytes than the stream it was loaded from")
 	}
 	// And the loaded index answers exactly (including further dynamics).
 	livePts := make([]vec.Point, 0, len(pts))
@@ -94,18 +93,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if err := loaded.CheckInvariants(); err != nil {
 		t.Fatalf("loaded index after Insert/Delete: %v", err)
-	}
-
-	// A cell with more fragments than the header's decompose budget is
-	// corrupt: without decomposition CandidatesAppend reports tree matches
-	// undeduplicated, which is only sound at one fragment per cell.
-	if orig.Fragments() <= orig.Len() {
-		t.Fatal("fixture has no decomposed cell")
-	}
-	const offDecompose = 20
-	forged := repack(image, func(b []byte) { binary.LittleEndian.PutUint32(b[offDecompose:], 1) })
-	if _, err := Load(bytes.NewReader(forged), newTestPager()); err == nil {
-		t.Fatal("Load accepted cells with more fragments than the decompose budget")
 	}
 }
 
@@ -159,11 +146,13 @@ func TestLoadRejectsCorruptInput(t *testing.T) {
 // answered with an enormous up-front allocation. The hardened loader must
 // return an error for every one of them.
 //
-// Layout of the fixture (d = 2, Correct, no decomposition → exactly one
-// fragment per cell): header = magic 8 + dim 4 + flags 4 + alg 4 + decompose
-// 4 + obliqueness 4 + sphereScale 8 + epsilon 8 = 44 bytes; bounds 2·2·8 =
-// 32; count (uint64) at offset 76; slots from offset 84, each alive slot =
-// flag 1 + coords 16 + nfrags 4 + fragment 32 = 53 bytes.
+// Layout of the fixture (d = 2, Correct): header = magic 8 + dim 4 + flags 4
+// + alg 4 + decompose 4 + obliqueness 4 + sphereScale 8 + epsilon 8 = 44
+// bytes; bounds 2·2·8 = 32; count (uint64) at offset 76; slots from offset
+// 84, each alive slot = flag 1 + coords 16 + nfrags 4 + cell 32 = 53 bytes.
+// The decompose, obliqueness, sphereScale, epsilon and nfrags slots are fixed
+// (1, 0, 1, 1e-9, 1): a stream that decomposed its cells, or padded them by
+// another epsilon, is refused.
 func TestLoadRejectsForgedPayloads(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 84, 12, 2)
 	ix := mustBuild(t, pts, Options{Algorithm: Correct})
@@ -174,11 +163,14 @@ func TestLoadRejectsForgedPayloads(t *testing.T) {
 	good := buf.Bytes()
 	le := binary.LittleEndian
 	const (
-		offAlg     = 16
-		offEpsilon = 36
-		offCount   = 76
-		offSlots   = 84
-		slotSize   = 53
+		offAlg         = 16
+		offDecompose   = 20
+		offObliqueness = 24
+		offSphereScale = 28
+		offEpsilon     = 36
+		offCount       = 76
+		offSlots       = 84
+		slotSize       = 53
 	)
 
 	cases := map[string]func(b []byte){
@@ -193,6 +185,12 @@ func TestLoadRejectsForgedPayloads(t *testing.T) {
 		"NaN epsilon": func(b []byte) {
 			le.PutUint64(b[offEpsilon:], math.Float64bits(math.NaN()))
 		},
+		"epsilon not the constant": func(b []byte) {
+			le.PutUint64(b[offEpsilon:], math.Float64bits(1e-12))
+		},
+		"decompose 2":   func(b []byte) { le.PutUint32(b[offDecompose:], 2) },
+		"obliqueness 1": func(b []byte) { le.PutUint32(b[offObliqueness:], 1) },
+		"sphereScale 2": func(b []byte) { le.PutUint64(b[offSphereScale:], math.Float64bits(2)) },
 		"NaN point coordinate": func(b []byte) {
 			le.PutUint64(b[offSlots+1:], math.Float64bits(math.NaN()))
 		},
@@ -203,6 +201,7 @@ func TestLoadRejectsForgedPayloads(t *testing.T) {
 			copy(b[offSlots+slotSize+1:offSlots+slotSize+17], b[offSlots+1:offSlots+17])
 		},
 		"zero fragment count": func(b []byte) { le.PutUint32(b[offSlots+17:], 0) },
+		"nfrags 2":            func(b []byte) { le.PutUint32(b[offSlots+17:], 2) },
 		"huge fragment count": func(b []byte) { le.PutUint32(b[offSlots+17:], 1<<24) },
 		"NaN fragment corner": func(b []byte) {
 			le.PutUint64(b[offSlots+21:], math.Float64bits(math.NaN()))

@@ -143,8 +143,8 @@ func (ix *Index) nearestLocked(qc *QueryCtx, q vec.Point) (Neighbor, error) {
 // of the squared distances from q to the survivors, read straight from the
 // coordinate store (dirScratch.dists); the survivors are listed in ascending
 // id order and only a strictly smaller distance replaces the least, so ties go
-// to the smaller id. ok is false when nothing survived. Only cells with stored
-// fragments have bits, so the NaN-poisoned tombstone rows are never read.
+// to the smaller id. ok is false when nothing survived. Only stored cells have
+// bits, so the NaN-poisoned tombstone rows are never read.
 func (ix *Index) dirNearest(qc *QueryCtx, q vec.Point) (_ Neighbor, ok bool) {
 	qc.surv = ix.dir.survivors(qc.surv, q)
 	cand := qc.dists(q, ix.ptsFlat, qc.surv)
@@ -179,7 +179,7 @@ func (ix *Index) NearestNeighborPaged(q vec.Point) (Neighbor, error) {
 	ix.stats.queries.Add(1)
 	if ix.bounds.Contains(q) {
 		// Dead ids never appear among the matches: the tree is built from the
-		// stored fragments, and a tombstone has none.
+		// stored cells, and a tombstone has none.
 		data, d2, seen, ok := ix.pagedTree().NearestCandidate(&qc.tc, q, ix.ptsFlat)
 		ix.stats.candidates.Add(uint64(seen))
 		if ok {
@@ -254,7 +254,7 @@ func (ix *Index) Candidates(q vec.Point) []int { return ix.CandidatesAppend(nil,
 
 // CandidatesAppend appends the candidate ids for q to dst and returns it.
 // Passing a reused slice makes the warm path allocation-free. Each survivor
-// of the directory query is verified against the cell's stored fragments, so
+// of the directory query is verified against the cell's stored rectangle, so
 // the result is the exact overlap set, not the stripe-rounded one. Like every
 // query entry point it counts one query and the inspected candidates (the
 // survivors) in the index stats.
@@ -282,13 +282,10 @@ func (ix *Index) candidatesAppend(dst []int, q vec.Point, nearest bool) ([]int, 
 	ix.stats.candidates.Add(uint64(len(qc.cand)))
 	kept := qc.cand[:0] // with nearest, the verified survivors compacted in place
 	for _, nb := range qc.cand {
-		for _, r := range ix.cells[nb.ID] {
-			if r.Contains(q) {
-				dst = append(dst, nb.ID)
-				if nearest {
-					kept = append(kept, nb)
-				}
-				break
+		if ix.cells[nb.ID].Contains(q) {
+			dst = append(dst, nb.ID)
+			if nearest {
+				kept = append(kept, nb)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -62,39 +63,34 @@ func checkThreeWay(t *testing.T, ix *Index, rng *rand.Rand, queries int, label s
 
 // The cell directory must return exactly what the paged cell X-tree and the
 // scan return, on smooth and clustered data alike, for every
-// constraint-selection algorithm, with and without decomposition, including
-// queries outside the data space (both paths share the exact fallback) and
-// after a Save/Load round trip (Load refills the directory from the
-// validated fragments).
+// constraint-selection algorithm, including queries outside the data space
+// (both paths share the exact fallback) and after a Save/Load round trip
+// (Load refills the directory from the validated cells).
 func TestDirectoryMatchesPagedAndScan(t *testing.T) {
 	for _, name := range []dataset.Name{dataset.NameUniform, dataset.NameClustered} {
 		for _, alg := range Algorithms() {
 			for _, d := range []int{2, 4, 8, 16} {
-				for _, decompose := range []int{1, 4} {
-					n := 120
-					if d == 16 || decompose > 1 {
-						n = 60 // LP-heavy configurations
-					}
-					label := fmt.Sprintf("%s/%s/d=%d/k=%d", name, alg, d, decompose)
-					pts := uniquePoints(t, name, int64(200+10*d+int(alg)), n, d)
-					// ExtentBased ranks split dimensions without trial LPs,
-					// which at d = 16 are most of a decomposed build.
-					ix := mustBuild(t, pts, Options{Algorithm: alg, Decompose: decompose, Obliqueness: ExtentBased})
-					rng := rand.New(rand.NewSource(int64(300 + d)))
-					checkThreeWay(t, ix, rng, 80, label)
+				n := 120
+				if d == 16 {
+					n = 60 // LP-heavy
+				}
+				label := fmt.Sprintf("%s/%s/d=%d", name, alg, d)
+				pts := uniquePoints(t, name, int64(200+10*d+int(alg)), n, d)
+				ix := mustBuild(t, pts, Options{Algorithm: alg})
+				rng := rand.New(rand.NewSource(int64(300 + d)))
+				checkThreeWay(t, ix, rng, 80, label)
 
-					var buf bytes.Buffer
-					if err := ix.Save(&buf); err != nil {
-						t.Fatal(err)
-					}
-					loaded, err := Load(&buf, newTestPager())
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkThreeWay(t, loaded, rng, 40, label+"/loaded")
-					if err := loaded.CheckInvariants(); err != nil {
-						t.Fatal(err)
-					}
+				var buf bytes.Buffer
+				if err := ix.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := Load(&buf, newTestPager())
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkThreeWay(t, loaded, rng, 40, label+"/loaded")
+				if err := loaded.CheckInvariants(); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
@@ -106,53 +102,48 @@ func TestDirectoryMatchesPagedAndScan(t *testing.T) {
 // still pending (stale cells keep their old superset bits) as well as after
 // the repair pool has drained.
 func TestDirectoryExactUnderChurn(t *testing.T) {
-	for _, decompose := range []int{1, 4} {
-		const d = 4
-		pts := uniquePoints(t, dataset.NameUniform, 71, 260, d)
-		ix := mustBuild(t, pts[:120], Options{
-			Algorithm: NNDirection, Decompose: decompose, LazyRepair: true, RepairWorkers: -1,
-		})
-		rng := rand.New(rand.NewSource(72))
-		label := fmt.Sprintf("k=%d", decompose)
+	const d = 4
+	pts := uniquePoints(t, dataset.NameUniform, 71, 260, d)
+	ix := mustBuild(t, pts[:120], Options{Algorithm: NNDirection, LazyRepair: true, RepairWorkers: -1})
+	rng := rand.New(rand.NewSource(72))
 
-		for _, p := range pts[120:150] {
-			if _, err := ix.Insert(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := ix.InsertBatch(pts[150:220]); err != nil {
+	for _, p := range pts[120:150] {
+		if _, err := ix.Insert(p); err != nil {
 			t.Fatal(err)
 		}
-		if ix.Stats().StaleCells == 0 {
-			t.Fatal("no repairs pending: the lazy path was not exercised")
-		}
-		checkThreeWay(t, ix, rng, 120, label+"/pending repairs")
-		if err := ix.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if _, err := ix.InsertBatch(pts[150:220]); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Stats().StaleCells == 0 {
+		t.Fatal("no repairs pending: the lazy path was not exercised")
+	}
+	checkThreeWay(t, ix, rng, 120, "pending repairs")
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 
-		for id := 0; id < 60; id += 5 {
-			if err := ix.Delete(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := ix.DeleteBatch([]int{61, 62, 63, 130, 131, 200}); err != nil {
+	for id := 0; id < 60; id += 5 {
+		if err := ix.Delete(id); err != nil {
 			t.Fatal(err)
 		}
-		checkThreeWay(t, ix, rng, 120, label+"/after deletes")
+	}
+	if err := ix.DeleteBatch([]int{61, 62, 63, 130, 131, 200}); err != nil {
+		t.Fatal(err)
+	}
+	checkThreeWay(t, ix, rng, 120, "after deletes")
 
-		ix.RepairWait()
-		if _, err := ix.InsertBatch(pts[220:]); err != nil {
-			t.Fatal(err)
-		}
-		ix.RepairWait()
-		if ix.Stats().StaleCells != 0 {
-			t.Fatal("repairs still pending after RepairWait")
-		}
-		checkThreeWay(t, ix, rng, 120, label+"/repaired")
-		if err := ix.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
+	ix.RepairWait()
+	if _, err := ix.InsertBatch(pts[220:]); err != nil {
+		t.Fatal(err)
+	}
+	ix.RepairWait()
+	if ix.Stats().StaleCells != 0 {
+		t.Fatal("repairs still pending after RepairWait")
+	}
+	checkThreeWay(t, ix, rng, 120, "repaired")
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -251,45 +242,32 @@ func TestKNearestExactUnderChurn(t *testing.T) {
 	}
 }
 
-// Candidates stays the paper's exact overlap measure: the ascending distinct
-// ids of the fragments the cell X-tree's point query returns, for queries in
-// the space, on data points (cell corners and seams of decomposed cells) and
-// outside the space.
+// Candidates stays the paper's exact overlap measure: the ascending ids of
+// the cells the cell X-tree's point query returns, for queries in the space,
+// on data points (cell corners) and outside the space.
 func TestCandidatesMatchTreePointQuery(t *testing.T) {
-	for _, decompose := range []int{1, 6} {
-		const d = 3
-		pts := uniquePoints(t, dataset.NameDiagonal, 73, 150, d)
-		ix := mustBuild(t, pts, Options{Algorithm: Correct, Decompose: decompose})
-		rng := rand.New(rand.NewSource(74))
-		var qc xtree.QueryCtx
-		for qi := 0; qi < 300; qi++ {
-			q := randQuery(rng, d)
-			switch qi % 6 {
-			case 3:
-				q = pts[rng.Intn(len(pts))]
-			case 4:
-				q[qi%d] = 1 + 1e-10 // inside the ε-padding of boundary cells
-			case 5:
-				q[qi%d] = -0.25
-			}
-			seen := map[int]bool{}
-			var want []int
-			for _, id := range ix.Tree().PointQueryData(&qc, q, nil) {
-				if !seen[int(id)] {
-					seen[int(id)] = true
-					want = append(want, int(id))
-				}
-			}
-			sort.Ints(want)
-			got := ix.Candidates(q)
-			if len(got) != len(want) {
-				t.Fatalf("k=%d q=%v: Candidates %v, tree point query %v", decompose, q, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("k=%d q=%v: Candidates %v, tree point query %v", decompose, q, got, want)
-				}
-			}
+	const d = 3
+	pts := uniquePoints(t, dataset.NameDiagonal, 73, 150, d)
+	ix := mustBuild(t, pts, Options{Algorithm: Correct})
+	rng := rand.New(rand.NewSource(74))
+	var qc xtree.QueryCtx
+	for qi := 0; qi < 300; qi++ {
+		q := randQuery(rng, d)
+		switch qi % 6 {
+		case 3:
+			q = pts[rng.Intn(len(pts))]
+		case 4:
+			q[qi%d] = 1 + 1e-10 // inside the ε-padding of boundary cells
+		case 5:
+			q[qi%d] = -0.25
+		}
+		var want []int
+		for _, id := range ix.Tree().PointQueryData(&qc, q, nil) {
+			want = append(want, int(id))
+		}
+		sort.Ints(want)
+		if got := ix.Candidates(q); !slices.Equal(got, want) {
+			t.Fatalf("q=%v: Candidates %v, tree point query %v", q, got, want)
 		}
 	}
 }
@@ -376,7 +354,7 @@ func TestKNearestStatsDiscipline(t *testing.T) {
 }
 
 // The engine must stay exact across structural updates: deletes tombstone
-// points and remove their fragments, inserts recompute affected cells, and
+// points and remove their cells, inserts recompute affected cells, and
 // the SoA coordinate mirror must track both.
 func TestEngineExactAfterUpdates(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 67, 120, 4)

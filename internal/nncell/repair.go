@@ -163,7 +163,7 @@ func (ix *Index) repairOne(cc *cellCtx, id int) {
 		ix.mu.RUnlock()
 		return
 	}
-	frags, err := ix.approximateCell(cc, id)
+	r, err := ix.approximateCell(cc, id)
 	ix.mu.RUnlock()
 	if err != nil {
 		ix.stats.repairFailures.Add(1)
@@ -172,15 +172,15 @@ func (ix *Index) repairOne(cc *cellCtx, id int) {
 
 	ix.mu.Lock()
 	if ix.point(id) != nil && ix.stale[id] == epoch {
-		ix.removeFragments(id)
-		ix.storeCell(id, frags)
+		ix.removeCell(id)
+		ix.storeCell(id, r)
 		delete(ix.stale, id)
 		ix.stats.staleCells.Add(-1)
 		ix.stats.repairs.Add(1)
 		// A repair commit swaps the cell's stored approximation; the exact
 		// answer function is unchanged (the true cell was fixed at mark time),
 		// but notifying keeps the result cache's invariant conservative: no
-		// entry filled against a pre-repair fragment survives the repair.
+		// entry filled against a pre-repair rectangle survives the repair.
 		ix.notifyMutationLocked(nil, nil, id)
 		ix.mu.Unlock()
 		return

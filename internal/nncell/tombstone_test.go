@@ -21,7 +21,7 @@ import (
 // still answer from the live set only.
 //
 // Reachability is impossible by construction: Delete clears the cell's bit
-// in every directory row and drops its fragments (removeFragments), from
+// in every directory row and drops its rectangle (removeCell), from
 // which alone the paged tree is derived, and takes the point out of the data
 // tree, so no reader ever arrives at a dead id. The test asserts the first of
 // these directly — a deleted id has no bit — and the NaN poisoning Delete

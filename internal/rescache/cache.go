@@ -11,10 +11,10 @@
 // Entries are keyed by the query point's raw float64 bit patterns (FNV-1a
 // over the bits, full-key compare on lookup) — the same byte-exact key
 // discipline nncell uses for duplicate detection. Keying by the point rather
-// than by a fragment id is what keeps the cache exact: stored MBR fragments
-// are supersets of the true cells and overlap each other, so two queries in
-// the same fragment can have different answers, but two queries with the
-// same bits always have the same answer.
+// than by the stored rectangle it falls in is what keeps the cache exact:
+// stored MBRs are supersets of the true cells and overlap each other, so two
+// queries in the same MBR can have different answers, but two queries with
+// the same bits always have the same answer.
 //
 // # Invalidation
 //
@@ -45,7 +45,7 @@
 //     all inserted points); lazy-repair commits invalidate the repaired
 //     cell (conservative — a repair moves no true cell boundary — but
 //     keeps the invariant simple: no entry survives a change to the
-//     fragments it was computed against).
+//     rectangles it was computed against).
 //
 // Only k = 1 answers are cached. Higher-order answers (k-NN lists) change
 // when the k-th-place order statistic moves, which neither per-entry signal

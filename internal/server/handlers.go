@@ -430,11 +430,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, ix Index)
 		Status      string            `json:"status"`
 		Points      int               `json:"points"`
 		Dim         int               `json:"dim"`
-		Fragments   int               `json:"fragments"`
 		UptimeSec   float64           `json:"uptime_seconds"`
 		Recovery    *recoveryResponse `json:"recovery,omitempty"`
 		Replication *replResponse     `json:"replication,omitempty"`
-	}{"ok", ix.Len(), ix.Dim(), ix.Fragments(), time.Since(startTime).Seconds(), recoveryJSON(s.recoveryInfo()), s.replJSON()})
+	}{"ok", ix.Len(), ix.Dim(), time.Since(startTime).Seconds(), recoveryJSON(s.recoveryInfo()), s.replJSON()})
 }
 
 // handleLiveness reports that the process is up and serving HTTP — nothing
@@ -458,7 +457,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request, ix Index) {
 		fmt.Fprintf(w, "nncell query server: not ready (%s)\n", reason)
 		return
 	}
-	fmt.Fprintf(w, `nncell query server (d=%d, %d points, %d fragments)
+	fmt.Fprintf(w, `nncell query server (d=%d, %d points)
 
 endpoints:
   GET|POST /v1/nn                  {"point":[...]}            -> nearest neighbor
@@ -473,7 +472,7 @@ endpoints:
   GET      /healthz                readiness (503 while loading)
   GET      /healthz/live           liveness
   GET      /metrics                Prometheus text format
-`, ix.Dim(), ix.Len(), ix.Fragments())
+`, ix.Dim(), ix.Len())
 }
 
 // mutationStatus maps an Insert/Delete error to an HTTP status: a latched

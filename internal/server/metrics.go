@@ -149,9 +149,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, ix Index)
 	fmt.Fprintf(w, "# HELP nncell_index_points Live points in the index.\n")
 	fmt.Fprintf(w, "# TYPE nncell_index_points gauge\n")
 	fmt.Fprintf(w, "nncell_index_points %d\n", ix.Len())
-	fmt.Fprintf(w, "# HELP nncell_index_fragments Cell-approximation fragments stored.\n")
-	fmt.Fprintf(w, "# TYPE nncell_index_fragments gauge\n")
-	fmt.Fprintf(w, "nncell_index_fragments %d\n", ist.Fragments)
 	fmt.Fprintf(w, "# HELP nncell_index_queries_total Queries answered by the index.\n")
 	fmt.Fprintf(w, "# TYPE nncell_index_queries_total counter\n")
 	fmt.Fprintf(w, "nncell_index_queries_total %d\n", ist.Queries)
@@ -183,11 +180,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, ix Index)
 		fmt.Fprintf(w, "# TYPE nncell_shard_points gauge\n")
 		for i, st := range sts {
 			fmt.Fprintf(w, "nncell_shard_points{shard=\"%d\"} %d\n", i, st.Points)
-		}
-		fmt.Fprintf(w, "# HELP nncell_shard_fragments Cell-approximation fragments per shard.\n")
-		fmt.Fprintf(w, "# TYPE nncell_shard_fragments gauge\n")
-		for i, st := range sts {
-			fmt.Fprintf(w, "nncell_shard_fragments{shard=\"%d\"} %d\n", i, st.Fragments)
 		}
 		fmt.Fprintf(w, "# HELP nncell_shard_queries_total Queries answered per shard.\n")
 		fmt.Fprintf(w, "# TYPE nncell_shard_queries_total counter\n")

@@ -37,7 +37,6 @@ import (
 type Index interface {
 	Dim() int
 	Len() int
-	Fragments() int
 	Point(id int) (vec.Point, bool)
 	NearestNeighbor(q vec.Point) (nncell.Neighbor, error)
 	KNearest(q vec.Point, k int) ([]nncell.Neighbor, error)

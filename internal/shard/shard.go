@@ -291,15 +291,6 @@ func (s *Sharded) Len() int {
 	return n
 }
 
-// Fragments returns the total number of stored approximation rectangles.
-func (s *Sharded) Fragments() int {
-	n := 0
-	for _, ix := range s.shards {
-		n += ix.Fragments()
-	}
-	return n
-}
-
 // Point returns the point with the given global id, or ok=false.
 func (s *Sharded) Point(gid int) (vec.Point, bool) {
 	if gid < 0 {
@@ -721,10 +712,9 @@ func (s *Sharded) Stats() nncell.Stats {
 // shard in /metrics so routing skew and per-shard maintenance load are
 // visible in production.
 type ShardStat struct {
-	Points    int
-	Fragments uint64
-	Queries   uint64
-	Updates   uint64
+	Points  int
+	Queries uint64
+	Updates uint64
 }
 
 // ShardStats returns one entry per shard, indexed by shard number.
@@ -733,10 +723,9 @@ func (s *Sharded) ShardStats() []ShardStat {
 	for i, ix := range s.shards {
 		st := ix.Stats()
 		out[i] = ShardStat{
-			Points:    ix.Len(),
-			Fragments: st.Fragments,
-			Queries:   st.Queries,
-			Updates:   st.Updates,
+			Points:  ix.Len(),
+			Queries: st.Queries,
+			Updates: st.Updates,
 		}
 	}
 	return out

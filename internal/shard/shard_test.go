@@ -416,8 +416,8 @@ func TestShardedEmptyShardsAndDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Len() != 0 || s.Fragments() != 0 {
-		t.Fatalf("Len=%d Fragments=%d after draining", s.Len(), s.Fragments())
+	if s.Len() != 0 || s.Stats().Fragments != 0 {
+		t.Fatalf("Len=%d Fragments=%d after draining", s.Len(), s.Stats().Fragments)
 	}
 	if _, err := s.NearestNeighbor(vec.Point{0.5, 0.5}); err != nncell.ErrEmpty {
 		t.Errorf("query on drained index: err = %v, want ErrEmpty", err)
@@ -616,19 +616,18 @@ func TestShardStats(t *testing.T) {
 	if len(sts) != 4 {
 		t.Fatalf("%d shard stats", len(sts))
 	}
-	points, frags, queries := 0, uint64(0), uint64(0)
+	points, queries := 0, uint64(0)
 	for _, st := range sts {
 		points += st.Points
-		frags += st.Fragments
 		queries += st.Queries
 	}
 	if points != s.Len() {
 		t.Errorf("per-shard points sum %d, Len %d", points, s.Len())
 	}
-	if frags != uint64(s.Fragments()) {
-		t.Errorf("per-shard fragments sum %d, Fragments %d", frags, s.Fragments())
-	}
 	agg := s.Stats()
+	if agg.Fragments != uint64(points) {
+		t.Errorf("aggregate cell rectangles %d, per-shard points sum %d", agg.Fragments, points)
+	}
 	if agg.Queries != queries {
 		t.Errorf("aggregate queries %d, per-shard sum %d", agg.Queries, queries)
 	}
