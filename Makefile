@@ -62,11 +62,13 @@ race:
 
 # One iteration of the hot-path benchmarks. BenchmarkSolveMBR fails unless the
 # warm LP loop runs at 0 allocs/op, BenchmarkBuild/NN-Direction unless a build
-# allocates its output only (the neighbor-pool search and the LPs run on the
-# per-worker cellCtx scratch, and no tree is built) and, at n = 10^4, d = 8,
+# allocates less than once per cell (the neighbor-pool search, the LPs and the
+# solved MBR run on the per-worker cellCtx scratch, every cell goes straight
+# into its float32 slab row, and no tree is built) and, at n = 10^4, d = 8,
 # unless the built index retains no more heap per point than coordinates,
-# cells and the two directories take (a resident tree trips it; the case also
-# prints the build's ms/op), BenchmarkQueryNearest unless the warm NN query
+# float32 cell rows and the two directories take (<= 280 B: a resident tree or
+# per-cell float64 rectangles trip it; the case also prints the build's
+# ms/op), BenchmarkQueryNearest unless the warm NN query
 # runs at 0 allocs/op, BenchmarkQueryKNearest unless the warm k = 10 query
 # does (the regexp's NN-Direction/d=8 selects both the n = 250 case and the
 # served shape NN-Direction/d=8/n=10000, where a directory row is 157 words

@@ -138,14 +138,15 @@ func BenchmarkBuild(b *testing.B) {
 					}
 					stats = ix.Stats()
 				}
-				// NN-Direction's neighbor-pool search, constraint matrix and LPs
-				// run on per-worker scratch and no tree is built, so what a build
-				// allocates is its output: the solved MBR and its padded and
-				// clipped copies, 6 allocations per cell, plus a few dozen for the
-				// directories and the workers (6.4 per cell measured at n = 250).
+				// NN-Direction's neighbor-pool search, constraint matrix, LPs and
+				// solved MBR run on per-worker scratch, every cell is written into
+				// its row of one float32 slab, and no tree is built, so a build
+				// allocates a few dozen times in all — the slab, the coordinates,
+				// the directories and the workers — and nothing per cell (0.45 per
+				// cell measured at n = 250).
 				if alg == nncell.NNDirection {
-					if perCell := testing.AllocsPerRun(1, build) / float64(len(pts)); perCell > 7 {
-						b.Fatalf("Build allocates %.1f times per cell, want output only (<= 7)", perCell)
+					if perCell := testing.AllocsPerRun(1, build) / float64(len(pts)); perCell > 1 {
+						b.Fatalf("Build allocates %.2f times per cell, want nothing per cell (<= 1)", perCell)
 					}
 				}
 				b.ReportAllocs()
@@ -160,10 +161,11 @@ func BenchmarkBuild(b *testing.B) {
 	}
 
 	// The served shape (the benchmark's lib-nn-d8): besides ms/op it reports
-	// the heap a built index retains per point — 64 B of coordinates, 176 B
-	// of cell MBR and 64 B in each directory at d = 8, 373 B measured — and
-	// fails above 416 B, so that a resident tree (another ~280 B per point)
-	// cannot come back unnoticed.
+	// the heap a built index retains per point — 64 B of coordinates, a 64 B
+	// float32 cell row and 64 B in each directory at d = 8, 262 B measured —
+	// and fails above 280 B, so that neither a resident tree (another ~280 B
+	// per point) nor per-cell float64 rectangles (another ~112 B) can come
+	// back unnoticed.
 	b.Run("NN-Direction/d=8/n=10000", func(b *testing.B) {
 		const n, d = 10000, 8
 		b.StopTimer()
@@ -186,8 +188,8 @@ func BenchmarkBuild(b *testing.B) {
 			}
 			b.StopTimer()
 			perPoint := float64(heap()-before) / float64(len(pts))
-			if perPoint > 416 {
-				b.Fatalf("a built index retains %.0f B per point, want <= 416", perPoint)
+			if perPoint > 280 {
+				b.Fatalf("a built index retains %.0f B per point, want <= 280", perPoint)
 			}
 			b.ReportMetric(perPoint, "retained_B/point")
 			pivots := ix.Stats().LPPivots

@@ -73,7 +73,7 @@ func checkAffected(t *testing.T, ix *Index, rng *rand.Rand, label string) {
 		// What a write asks: a stored cell's MBR, as is and padded past the
 		// bounds it was clipped to; and a data point.
 		id := live[rng.Intn(len(live))]
-		outer := ix.cells[id]
+		outer := ix.cells.rect(id)
 		padded := outer.Clone()
 		for j := 0; j < d; j++ {
 			padded.Lo[j] -= 1e-9
@@ -101,7 +101,7 @@ func checkAffected(t *testing.T, ix *Index, rng *rand.Rand, label string) {
 	// not list itself.
 	id := live[rng.Intn(len(live))]
 	p := ix.point(id).Clone()
-	outer := ix.cells[id]
+	outer := ix.cells.rect(id)
 	ix.bury(id)
 	got = ix.intersectingCells(cc, got[:0], outer)
 	want := treeSearchIDs(ix, outer)
@@ -181,10 +181,14 @@ func TestIntersectingCellsAllocs(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 83, 300, 4)
 	ix := mustBuild(t, pts, Options{Algorithm: NNDirection})
 	cc := newCellCtx(ix.dim)
+	cells := make([]vec.Rect, len(pts))
+	for id := range cells {
+		cells[id] = ix.cells.rect(id)
+	}
 	var ids []int
 	k := 0
 	query := func() {
-		ids = ix.intersectingCells(cc, ids[:0], ix.cells[k%len(pts)])
+		ids = ix.intersectingCells(cc, ids[:0], cells[k%len(pts)])
 		k++
 	}
 	query()
@@ -460,7 +464,7 @@ func TestNoTreeAfterCommit(t *testing.T) {
 			paged()
 			built := ix.tree
 			ix.testHookApprox = func(id int) error {
-				if id != len(ix.cells)-1 { // the new cell succeeds, the first affected one fails
+				if id != ix.cells.len()-1 { // the new cell succeeds, the first affected one fails
 					return fmt.Errorf("injected")
 				}
 				return nil
@@ -496,7 +500,7 @@ func TestNoTreeAfterCommit(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Replay is the write path again, on an index Build never touched.
-			next := len(ix.cells)
+			next := ix.cells.len()
 			for _, rec := range []wal.Record{
 				{Kind: wal.KindInsert, ID: int64(next), Point: pts[71]},
 				{Kind: wal.KindInsertBatch, IDs: []int64{int64(next + 1), int64(next + 2)}, Coords: append(pts[72].Clone(), pts[73]...)},

@@ -26,6 +26,7 @@ type cellCtx struct {
 	cons       []lp.Constraint
 	consFlat   []float64  // len(cons)·d coefficient backing, row k at [k*d:(k+1)*d]
 	c          []float64  // objective buffer (len d)
+	mbr        vec.Rect   // solveMBR's result, valid until the next solve
 	ids        []int      // constraint-point id buffer
 	dirScratch            // point-directory searches: neighbour pool, pruning range, duplicate check
 	nbrs       []Neighbor // neighbour-pool result buffer
@@ -40,29 +41,32 @@ type cellCtx struct {
 }
 
 func newCellCtx(d int) *cellCtx {
-	return &cellCtx{c: make([]float64, d)}
+	return &cellCtx{c: make([]float64, d), mbr: vec.EmptyRect(d)}
 }
 
 // approximateCell computes the approximation MBR of point i's NN-cell using
-// the configured algorithm, padded and clipped. It reads the coordinates and
-// the point directory but never mutates the index, so the builder may call it
-// from many goroutines, each with its own cellCtx.
-func (ix *Index) approximateCell(cc *cellCtx, i int) (vec.Rect, error) {
+// the configured algorithm and writes it into row (2·d floats) in its stored
+// form (finishRect). It reads the coordinates and the point directory but
+// never mutates the index, so the builder may call it from many goroutines,
+// each with its own cellCtx and its own rows; it allocates nothing of its own.
+func (ix *Index) approximateCell(cc *cellCtx, i int, row []float32) error {
 	defer ix.flushLPCounts(cc)
 	if ix.testHookApprox != nil {
 		if err := ix.testHookApprox(i); err != nil {
-			return vec.Rect{}, err
+			return err
 		}
 	}
 	mbr, _, err := ix.solveCell(cc, i)
 	if err != nil {
-		return vec.Rect{}, err
+		return err
 	}
-	return ix.finishRect(mbr), nil
+	putRow(row, ix.finishRect(mbr))
+	return nil
 }
 
 // solveCell selects point i's constraints and solves its (un-padded) MBR,
-// returning the constraint set with it (valid until the next solve on cc).
+// returning the constraint set with it (both valid until the next solve on
+// cc).
 func (ix *Index) solveCell(cc *cellCtx, i int) (vec.Rect, []lp.Constraint, error) {
 	p := ix.point(i)
 	if p == nil {
@@ -76,16 +80,16 @@ func (ix *Index) solveCell(cc *cellCtx, i int) (vec.Rect, []lp.Constraint, error
 	return ix.correctMBR(cc, i)
 }
 
-// finishRect pads a solved MBR by epsilon (absorbing LP tolerance; padding
-// keeps the approximation a superset, so correctness is unaffected) and clips
-// it to the data space.
+// finishRect turns a solved MBR into the rectangle the index stores, in place:
+// padded by epsilon (absorbing LP tolerance), clipped to the data space, then
+// rounded outward to float32 values (cellStore). Padding and rounding keep the
+// approximation a superset, so correctness is unaffected.
 func (ix *Index) finishRect(r vec.Rect) vec.Rect {
-	out := r.Clone()
-	for j := 0; j < ix.dim; j++ {
-		out.Lo[j] -= epsilon
-		out.Hi[j] += epsilon
+	for j := range r.Lo {
+		r.Lo[j] = float64(down32(max(r.Lo[j]-epsilon, ix.bounds.Lo[j])))
+		r.Hi[j] = float64(up32(min(r.Hi[j]+epsilon, ix.bounds.Hi[j])))
 	}
-	return out.Clip(ix.bounds)
+	return r
 }
 
 // bisectors converts constraint point ids into the half-spaces
@@ -124,15 +128,15 @@ func (ix *Index) bisectors(cc *cellCtx, p vec.Point, ids []int) []lp.Constraint 
 }
 
 // solveMBR runs the 2·d extent LPs of Definition 3 over the given bisector
-// constraints and returns the (un-padded) MBR. The constraint set is
-// normalized and validated once; all 2·d objectives reuse it.
+// constraints and returns the (un-padded) MBR, which is cc.mbr. The constraint
+// set is normalized and validated once; all 2·d objectives reuse it.
 func (ix *Index) solveMBR(cc *cellCtx, p vec.Point, cons []lp.Constraint) (vec.Rect, error) {
 	cc.prob = lp.Problem{NumVars: ix.dim, Cons: cons, Lo: ix.bounds.Lo, Hi: ix.bounds.Hi}
 	if err := cc.solver.Load(&cc.prob); err != nil {
 		return vec.Rect{}, err
 	}
 	d := ix.dim
-	mbr := vec.EmptyRect(d)
+	mbr := cc.mbr
 	c := cc.c
 	for j := 0; j < d; j++ {
 		c[j] = 1

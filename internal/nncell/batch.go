@@ -52,9 +52,9 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 	// Stage every point. Staging point k before checking point k+1 lets
 	// hasDuplicate catch within-batch duplicates and snapshot duplicates
 	// with the same index probe. Everything staged is rolled back on error.
-	base := len(ix.cells)
+	base := ix.cells.len()
 	rollback := func() {
-		for len(ix.cells) > base {
+		for ix.cells.len() > base {
 			ix.unstagePoint()
 		}
 	}
@@ -80,13 +80,17 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 	// approximation intersects any new cell's MBR, each once — the step that
 	// makes the batch path amortize, a touched cell handled once instead of
 	// once per overlapping insert.
-	affected := ix.intersectingCells(cc, nil, newCells...)
+	news := make([]vec.Rect, len(ids))
+	for k := range ids {
+		news[k] = newCells.rect(k)
+	}
+	affected := ix.intersectingCells(cc, nil, news...)
 
 	// With LazyRepair the recompute is deferred: the affected cells keep their
 	// current MBRs — still supersets, an insert only shrinks cells — and are
 	// marked stale for the repair pool at commit (see repair.go).
 	lazy := ix.lazyForLocked(len(affected))
-	var staged []vec.Rect
+	var staged cellStore
 	if !lazy {
 		staged, err = ix.approximateCells(cc, affected)
 		if err != nil {
@@ -111,7 +115,7 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 
 	// Commit: pure bookkeeping, cannot fail.
 	for k, id := range ids {
-		ix.storeCell(id, newCells[k])
+		ix.storeCell(id, newCells.row(k))
 	}
 	if lazy {
 		ix.markStaleLocked(affected)
@@ -164,11 +168,11 @@ func (ix *Index) deleteBatchLocked(ids []int, logIt bool) error {
 	// Union of affected survivors: cells intersecting any deleted cell's
 	// approximation, recomputed once against the post-batch point set.
 	var affected []int
-	var staged []vec.Rect
+	var staged cellStore
 	if ix.alive > 0 {
 		deleted := make([]vec.Rect, len(ids))
 		for k, id := range ids {
-			deleted[k] = ix.cells[id]
+			deleted[k] = ix.cells.rect(id)
 		}
 		cc := newCellCtx(ix.dim)
 		affected = ix.intersectingCells(cc, nil, deleted...)

@@ -116,7 +116,7 @@ func BenchmarkCellDirUpdate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				id := i % benchQueryN
 				ix.dir.remove(id)
-				ix.dir.add(id, ix.cells[id])
+				ix.dir.add(id, ix.cells.row(id))
 			}
 		})
 		b.Run(fmt.Sprintf("points/d=%d", d), func(b *testing.B) {

@@ -87,26 +87,28 @@ func growRows(rows [][]uint64, w int) {
 	}
 }
 
-// newCellDir returns the directory of the given cells (indexed by point id,
-// nil Lo for tombstones), sized for exactly len(cells) ids in one allocation.
-func newCellDir(bounds vec.Rect, cells []vec.Rect) *cellDir {
-	cd := &cellDir{stripeGrid: newStripeGrid(bounds), rows: newRows(bounds.Dim(), len(cells))}
-	for id, r := range cells {
-		if r.Lo != nil {
-			cd.add(id, r)
+// newCellDir returns the directory of the given cells (the empty rows of
+// tombstones set no bit), sized for exactly cells.len() ids in one allocation.
+func newCellDir(bounds vec.Rect, cells cellStore) *cellDir {
+	cd := &cellDir{stripeGrid: newStripeGrid(bounds), rows: newRows(bounds.Dim(), cells.len())}
+	for id := 0; id < cells.len(); id++ {
+		if cells.has(id) {
+			cd.add(id, cells.row(id))
 		}
 	}
 	return cd
 }
 
-// add sets bit id in every row r overlaps, growing the rows when id is the
-// first of a new word.
-func (cd *cellDir) add(id int, r vec.Rect) {
+// add sets bit id in every directory row the cell row (a cellStore row: Lo
+// then Hi) overlaps, growing the directory rows when id is the first of a new
+// word.
+func (cd *cellDir) add(id int, row []float32) {
 	w, bit := id>>6, uint64(1)<<(id&63)
 	growRows(cd.rows, w)
-	for j := range cd.lo {
+	d := len(cd.lo)
+	for j := 0; j < d; j++ {
 		base := j * stripes
-		for s, hi := cd.stripe(j, r.Lo[j]), cd.stripe(j, r.Hi[j]); s <= hi; s++ {
+		for s, hi := cd.stripe(j, float64(row[j])), cd.stripe(j, float64(row[d+j])); s <= hi; s++ {
 			cd.rows[base+s][w] |= bit
 		}
 	}
@@ -184,7 +186,7 @@ func (cd *cellDir) overlapping(acc []uint64, r vec.Rect) []uint64 {
 // directory a fresh fill would produce — for every live id the set bits of
 // each dimension are its rectangle's stripe range, and a tombstoned or
 // never-committed id has no bit in any row.
-func (cd *cellDir) check(bounds vec.Rect, cells []vec.Rect) error {
+func (cd *cellDir) check(bounds vec.Rect, cells cellStore) error {
 	return compareRows("cell", cd.rows, newCellDir(bounds, cells).rows, "stored cells say")
 }
 

@@ -93,7 +93,7 @@ func dirTestBounds(variant, d int) vec.Rect {
 // sorted sweep that includes every edge case, exact on the stripe edges of
 // the unit interval, and constant on a zero-width dimension.
 func TestCellDirStripe(t *testing.T) {
-	cd := newCellDir(dirTestBounds(2, 2), nil) // dim 0: [0,1], dim 1: [0.5,0.5]
+	cd := newCellDir(dirTestBounds(2, 2), newCellStore(2, 0)) // dim 0: [0,1], dim 1: [0.5,0.5]
 	xs := []float64{math.Inf(-1), -1, -1e-9, math.Copysign(0, -1), 0, 1e-300, 1 - 1e-16, 1, 1 + 1e-9, 7, math.Inf(1)}
 	for k := 0; k <= stripes; k++ {
 		e := float64(k) / stripes
@@ -143,7 +143,7 @@ func TestCellDirMatchesNaiveModel(t *testing.T) {
 				}
 				return b.Lo[j] + (b.Hi[j]-b.Lo[j])*rng.Float64()
 			}
-			cd := newCellDir(b, nil)
+			cd := newCellDir(b, newCellStore(d, 0))
 			model := map[int]vec.Rect{}
 			for step := 0; step < 400; step++ {
 				id := rng.Intn(150)
@@ -155,8 +155,9 @@ func TestCellDirMatchesNaiveModel(t *testing.T) {
 						x, y := coord(j), coord(j)
 						r.Lo[j], r.Hi[j] = math.Min(x, y)-1e-9, math.Max(x, y)+1e-9
 					}
-					cd.add(id, r)
-					model[id] = r
+					var row []float32
+					row, model[id] = storedRow(r)
+					cd.add(id, row)
 				}
 				if step%10 != 9 {
 					continue
@@ -191,7 +192,7 @@ func TestCellDirMatchesNaiveModel(t *testing.T) {
 				}
 				checkDirQuery(t, cd, model, q)
 				checkDirRange(t, cd, model, vec.Rect{Lo: q, Hi: q})
-				if err := cd.check(b, modelCells(model)); err != nil {
+				if err := cd.check(b, modelCells(d, model)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -199,15 +200,23 @@ func TestCellDirMatchesNaiveModel(t *testing.T) {
 	}
 }
 
-// modelCells lays the model out the way Index.cells is: indexed by id, nil Lo
-// where no cell is stored.
-func modelCells(model map[int]vec.Rect) []vec.Rect {
-	var cells []vec.Rect
+// storedRow rounds r outward the way the index stores a cell and returns the
+// cellStore row with its widened rectangle, the form the model keeps.
+func storedRow(r vec.Rect) ([]float32, vec.Rect) {
+	s := newCellStore(r.Dim(), 1)
+	s.set(0, r)
+	return s.row(0), s.rect(0)
+}
+
+// modelCells lays the model out the way Index.cells is: indexed by id, an
+// empty row where no cell is stored.
+func modelCells(d int, model map[int]vec.Rect) cellStore {
+	cells := newCellStore(d, 0)
 	for id, r := range model {
-		for len(cells) <= id {
-			cells = append(cells, vec.Rect{})
+		for cells.len() <= id {
+			cells.grow()
 		}
-		cells[id] = r
+		cells.set(id, r)
 	}
 	return cells
 }
@@ -258,7 +267,7 @@ func FuzzCellDir(f *testing.F) {
 			}
 			return b.Lo[j] + (b.Hi[j]-b.Lo[j])*(float64(v)-8)/240
 		}
-		cd := newCellDir(b, nil)
+		cd := newCellDir(b, newCellStore(d, 0))
 		model := map[int]vec.Rect{}
 		for pos := 1; pos < len(script); {
 			op := script[pos]
@@ -277,8 +286,9 @@ func FuzzCellDir(f *testing.F) {
 					pos += 2
 				}
 				cd.remove(id)
-				cd.add(id, r)
-				model[id] = r
+				var row []float32
+				row, model[id] = storedRow(r)
+				cd.add(id, row)
 			case 2: // remove id
 				if pos >= len(script) {
 					return
@@ -316,7 +326,7 @@ func FuzzCellDir(f *testing.F) {
 			checkDirQuery(t, cd, model, vec.Point(r.Hi))
 			checkDirRange(t, cd, model, r)
 		}
-		if err := cd.check(b, modelCells(model)); err != nil {
+		if err := cd.check(b, modelCells(d, model)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -11,8 +11,9 @@ import (
 // indexed by point id (nil for a tombstone): each cell's constraints are
 // selected again the way Build selects them, and the cell is cut into equal
 // slabs along its most oblique dimensions, at most k fragments in total (the
-// paper's k ≤ 10), each with its own MBR. Below k = 2 a cell is one fragment,
-// its MBR.
+// paper's k ≤ 10), each with its own MBR, rounded outward like a stored cell
+// (finishRect). Below k = 2 a cell is one fragment, the rectangle the index
+// stores for it.
 //
 // The index stores and serves one rectangle per cell: the cell directory keys
 // a cell by point id, and a cell's bits are the union of its fragments' stripe
@@ -28,22 +29,23 @@ func (ix *Index) Decompose(k int) ([][]vec.Rect, error) {
 		defer cc.pages.Release()
 	}
 	ids := make([]int, 0, ix.alive)
-	for id, r := range ix.cells {
-		if r.Lo != nil {
+	for id := 0; id < ix.cells.len(); id++ {
+		if ix.cells.has(id) {
 			ids = append(ids, id)
 		}
 	}
-	frags, err := eachCell(ix, cc, ids, func(wcc *cellCtx, id int) ([]vec.Rect, error) {
-		mbr, cons, err := ix.solveCell(wcc, id)
-		if err != nil {
-			return nil, err
+	frags := make([][]vec.Rect, len(ids))
+	err := eachCell(ix, cc, ids, func(wcc *cellCtx, n int) error {
+		mbr, cons, err := ix.solveCell(wcc, ids[n])
+		if err == nil {
+			frags[n], err = ix.decompose(wcc, cons, mbr.Clone(), k)
 		}
-		return ix.decompose(wcc, cons, mbr, k)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]vec.Rect, len(ix.cells))
+	out := make([][]vec.Rect, ix.cells.len())
 	for n, id := range ids {
 		out[id] = frags[n]
 	}

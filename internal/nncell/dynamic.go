@@ -13,9 +13,9 @@ import (
 // Dynamic maintenance follows a stage-then-commit protocol so that Insert and
 // Delete are atomic with respect to failure: every linear program the
 // operation needs is solved before the first committed structure (the stored
-// cell rectangles, the cell directory) is touched. The
-// only provisional mutations made before the solves are the coordinate-row
-// appends of Insert and the row poisoning of Delete, each with its
+// cell rows, the cell directory) is touched. The only provisional mutations
+// made before the solves are the coordinate-row appends of Insert and the row
+// poisoning of Delete, each with its
 // point-directory bits (stagePoint, hidePoint) — both are required for the
 // solves to see the post-operation point set, and both are rolled back exactly
 // on error, so CheckInvariants holds on every exit path. The affected cells
@@ -47,21 +47,20 @@ func (ix *Index) Insert(p vec.Point) (int, error) {
 // stagePoint appends p as the next id — coordinate row, point-directory bits,
 // an empty cell slot — and returns the id.
 func (ix *Index) stagePoint(p vec.Point) int {
-	id := len(ix.cells)
+	id := ix.cells.grow()
 	ix.ptsFlat = append(ix.ptsFlat, p...)
 	growRows(ix.dir.rows, id>>6) // with pdir's, so a query can combine rows of the two
 	ix.pdir.set(id, p)
-	ix.cells = append(ix.cells, vec.Rect{})
 	ix.alive++
 	return id
 }
 
 // unstagePoint takes the most recently staged point back out.
 func (ix *Index) unstagePoint() {
-	id := len(ix.cells) - 1
+	id := ix.cells.len() - 1
 	ix.pdir.clear(id)
 	ix.ptsFlat = ix.ptsFlat[:id*ix.dim]
-	ix.cells = ix.cells[:id]
+	ix.cells.truncate(id)
 	ix.alive--
 }
 
@@ -127,20 +126,24 @@ func (ix *Index) Delete(id int) error {
 const minParallelRecompute = 4
 
 // approximateCells approximates every listed cell against the current point
-// set and returns the rectangles, positionally aligned with ids. The committed
-// index is not touched: Build stores the results, the dynamic path stages them
-// and swaps them in via commitStaged only after the whole batch has succeeded.
-// Callers hold ix.mu (write side) or, in Build, the only reference.
-func (ix *Index) approximateCells(cc *cellCtx, ids []int) ([]vec.Rect, error) {
-	return eachCell(ix, cc, ids, ix.approximateCell)
+// set and returns the rows, positionally aligned with ids, in one slab. The
+// committed index is not touched: Build keeps the slab (its ids are 0…n−1), the
+// dynamic path stages it and copies its rows in via commitStaged only after the
+// whole batch has succeeded. Callers hold ix.mu (write side) or, in Build, the
+// only reference.
+func (ix *Index) approximateCells(cc *cellCtx, ids []int) (cellStore, error) {
+	staged := newCellStore(ix.dim, len(ids))
+	err := eachCell(ix, cc, ids, func(wcc *cellCtx, k int) error {
+		return ix.approximateCell(wcc, ids[k], staged.row(k))
+	})
+	return staged, err
 }
 
-// eachCell runs f on every listed cell and returns the results, positionally
-// aligned with ids. Large batches run on a worker pool of per-worker cellCtxs
-// with a shared fail-fast flag so one failed solve stops the others early,
-// and with cc's point tree when buildCtx gave it one; smaller ones run on cc.
-func eachCell[T any](ix *Index, cc *cellCtx, ids []int, f func(*cellCtx, int) (T, error)) ([]T, error) {
-	staged := make([]T, len(ids))
+// eachCell runs f(·, k) for every position k of ids; f stores its own result.
+// Large batches run on a worker pool of per-worker cellCtxs with a shared
+// fail-fast flag so one failed solve stops the others early, and with cc's
+// point tree when buildCtx gave it one; smaller ones run on cc.
+func eachCell(ix *Index, cc *cellCtx, ids []int, f func(wcc *cellCtx, k int) error) error {
 	var (
 		next     atomic.Int64
 		failed   atomic.Bool
@@ -153,8 +156,7 @@ func eachCell[T any](ix *Index, cc *cellCtx, ids []int, f func(*cellCtx, int) (T
 			if k >= len(ids) {
 				return
 			}
-			v, err := f(wcc, ids[k])
-			if err != nil {
+			if err := f(wcc, k); err != nil {
 				failed.Store(true)
 				errMu.Lock()
 				if firstErr == nil {
@@ -163,7 +165,6 @@ func eachCell[T any](ix *Index, cc *cellCtx, ids []int, f func(*cellCtx, int) (T
 				errMu.Unlock()
 				return
 			}
-			staged[k] = v
 		}
 	}
 	workers := min(ix.opts.Workers, len(ids))
@@ -182,48 +183,45 @@ func eachCell[T any](ix *Index, cc *cellCtx, ids []int, f func(*cellCtx, int) (T
 		}
 		wg.Wait()
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return staged, nil
+	return firstErr
 }
 
-// commitStaged swaps the staged rectangles in: pure bookkeeping, no solves,
+// commitStaged copies the staged rows in: pure bookkeeping, no solves,
 // cannot fail. An eagerly recomputed cell is fresh by definition, so any stale
 // mark is cleared (aborting in-flight repairs of it — the epoch check in
 // repairOne sees the cleared mark and drops the solve). Callers hold ix.mu
 // (write side).
-func (ix *Index) commitStaged(ids []int, staged []vec.Rect) {
+func (ix *Index) commitStaged(ids []int, staged cellStore) {
 	for k, aid := range ids {
 		ix.removeCell(aid)
-		ix.storeCell(aid, staged[k])
+		ix.storeCell(aid, staged.row(k))
 		ix.clearStaleLocked(aid)
 		ix.stats.updates.Add(1)
 	}
 }
 
-// storeCell records the rectangle of a cell and enters it into the cell
+// storeCell copies a cell's row into the slab and enters it into the cell
 // directory.
-func (ix *Index) storeCell(id int, r vec.Rect) {
+func (ix *Index) storeCell(id int, row []float32) {
 	ix.dropTree()
-	ix.cells[id] = r
-	ix.dir.add(id, r)
+	copy(ix.cells.row(id), row)
+	ix.dir.add(id, row)
 }
 
-// removeCell deletes a cell's rectangle from the cell directory.
+// removeCell deletes a cell's row from the slab and the cell directory.
 func (ix *Index) removeCell(id int) {
 	ix.dropTree()
 	ix.dir.remove(id)
-	ix.cells[id] = vec.Rect{}
+	ix.cells.clear(id)
 }
 
 // intersectingCells appends to dst, ascending and distinct, the ids of the
 // live cells whose stored approximation intersects one of rects: the cell
-// directory's range query, every survivor verified with Rect.Intersects, the
-// predicate a rectangle search on the cell X-tree applies. A cell staged for
-// removal still has its bits but no coordinate row, which keeps a delete from
-// listing itself; one staged for insertion has no bits yet. Callers hold
-// ix.mu.
+// directory's range query, every survivor verified against its row with
+// Rect.Intersects' predicate, the one a rectangle search on the cell X-tree
+// applies. A cell staged for removal still has its bits but no coordinate row,
+// which keeps a delete from listing itself; one staged for insertion has no
+// bits yet. Callers hold ix.mu.
 func (ix *Index) intersectingCells(cc *cellCtx, dst []int, rects ...vec.Rect) []int {
 	cc.hit = sized(cc.hit, len(ix.dir.rows[0]))
 	clear(cc.hit)
@@ -232,7 +230,7 @@ func (ix *Index) intersectingCells(cc *cellCtx, dst []int, rects ...vec.Rect) []
 		for w, word := range cc.acc {
 			for word &^= cc.hit[w]; word != 0; word &= word - 1 {
 				b := bits.TrailingZeros64(word)
-				if id := w<<6 | b; ix.point(id) != nil && ix.cells[id].Intersects(r) {
+				if id := w<<6 | b; ix.point(id) != nil && ix.cells.intersects(id, r) {
 					cc.hit[w] |= 1 << b
 				}
 			}

@@ -17,14 +17,14 @@ import (
 func (ix *Index) CheckInvariants() error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if len(ix.ptsFlat) != len(ix.cells)*ix.dim {
-		return fmt.Errorf("nncell: %d coords for %d cell slots (dim %d)", len(ix.ptsFlat), len(ix.cells), ix.dim)
+	if len(ix.ptsFlat) != ix.cells.len()*ix.dim {
+		return fmt.Errorf("nncell: %d coords for %d cell slots (dim %d)", len(ix.ptsFlat), ix.cells.len(), ix.dim)
 	}
 	alive := 0
-	for id, r := range ix.cells {
+	for id := 0; id < ix.cells.len(); id++ {
 		p := ix.point(id)
 		if p == nil {
-			if r.Lo != nil {
+			if ix.cells.has(id) {
 				return fmt.Errorf("nncell: tombstone %d still has a stored cell", id)
 			}
 			for j, v := range ix.ptsFlat[id*ix.dim : (id+1)*ix.dim] {
@@ -35,7 +35,7 @@ func (ix *Index) CheckInvariants() error {
 			continue
 		}
 		alive++
-		if r.Lo == nil {
+		if !ix.cells.has(id) {
 			return fmt.Errorf("nncell: live point %d has no stored cell", id)
 		}
 		if !validPoint(p, ix.bounds) {
@@ -53,7 +53,7 @@ func (ix *Index) CheckInvariants() error {
 		return fmt.Errorf("nncell: point directory holds %d points for %d live ones", held, alive)
 	}
 	for id := range ix.stale {
-		if id < 0 || id >= len(ix.cells) || ix.point(id) == nil {
+		if id < 0 || id >= ix.cells.len() || ix.point(id) == nil {
 			return fmt.Errorf("nncell: stale mark on dead slot %d", id)
 		}
 	}

@@ -216,9 +216,9 @@ type Index struct {
 	wlog    *wal.Log  // nil: no durability; see AttachWAL
 	ptsFlat []float64 // the coordinates: point id's at [id*dim:(id+1)*dim], a NaN row for a tombstone (see point)
 	alive   int
-	cells   []vec.Rect // the approximation MBR per point id (nil Lo for a tombstone or a staged insert)
-	dir     *cellDir   // the cells rounded to the stripe grid, one bit per cell (point and range queries)
-	pdir    *pointDir  // the live points on the same grid, cumulative rows (k-NN, NN fallback, constraint selection, duplicate check)
+	cells   cellStore // the approximation MBR per point id, float32 rounded outward (an empty row for a tombstone or a staged insert)
+	dir     *cellDir  // the cells rounded to the stripe grid, one bit per cell (point and range queries)
+	pdir    *pointDir // the live points on the same grid, cumulative rows (k-NN, NN fallback, constraint selection, duplicate check)
 
 	// The index keeps no tree. tree is the paged form of cells (Data = point
 	// id): nil until pagedTree builds it under treeMu (its callers hold mu on
@@ -460,12 +460,14 @@ func NewEmpty(d int, bounds vec.Rect, pg *pager.Pager, opts Options) (*Index, er
 		return nil, fmt.Errorf("nncell: bounds dim %d, want %d", bounds.Dim(), d)
 	}
 	opts.normalize()
-	dir := newCellDir(bounds, nil)
+	cells := newCellStore(d, 0)
+	dir := newCellDir(bounds, cells)
 	return &Index{
 		dim:    d,
 		opts:   opts,
 		pg:     pg,
 		bounds: bounds.Clone(),
+		cells:  cells,
 		dir:    dir,
 		pdir:   newPointDir(dir.stripeGrid, nil),
 	}, nil
@@ -489,20 +491,21 @@ func (ix *Index) Bounds() vec.Rect { return ix.bounds.Clone() }
 func (ix *Index) Point(id int) (vec.Point, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if id < 0 || id >= len(ix.cells) || ix.point(id) == nil {
+	if id < 0 || id >= ix.cells.len() || ix.point(id) == nil {
 		return nil, false
 	}
 	return ix.point(id).Clone(), true
 }
 
-// CellApprox returns the stored approximation MBR of the cell of point id.
+// CellApprox returns the stored approximation MBR of the cell of point id: its
+// float32 row, widened.
 func (ix *Index) CellApprox(id int) (vec.Rect, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if id < 0 || id >= len(ix.cells) || ix.cells[id].Lo == nil {
+	if id < 0 || id >= ix.cells.len() || !ix.cells.has(id) {
 		return vec.Rect{}, false
 	}
-	return ix.cells[id].Clone(), true
+	return ix.cells.rect(id), true
 }
 
 // Algorithm returns the configured constraint selection: what Build ran
@@ -526,9 +529,9 @@ func (ix *Index) pagedTree() *xtree.Tree {
 	defer ix.treeMu.Unlock()
 	if ix.tree == nil {
 		items := make([]xtree.Entry, 0, ix.alive)
-		for id, r := range ix.cells {
-			if r.Lo != nil {
-				items = append(items, xtree.Entry{Rect: r, Data: int64(id)})
+		for id := 0; id < ix.cells.len(); id++ {
+			if ix.cells.has(id) {
+				items = append(items, xtree.Entry{Rect: ix.cells.rect(id), Data: int64(id)})
 			}
 		}
 		ix.tree = xtree.BulkLoad(ix.dim, ix.pg, xtree.Options{}, items)
@@ -584,9 +587,9 @@ func (ix *Index) ApproxVolumeSum() float64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	total := 0.0
-	for _, r := range ix.cells {
-		if r.Lo != nil {
-			total += r.IntersectionVolume(ix.bounds)
+	for id := 0; id < ix.cells.len(); id++ {
+		if ix.cells.has(id) {
+			total += ix.cells.rect(id).IntersectionVolume(ix.bounds)
 		}
 	}
 	v := ix.bounds.Volume()
@@ -612,7 +615,7 @@ func (ix *Index) IDs() []int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	ids := make([]int, 0, ix.alive)
-	for id := range ix.cells {
+	for id := 0; id < ix.cells.len(); id++ {
 		if ix.point(id) != nil {
 			ids = append(ids, id)
 		}

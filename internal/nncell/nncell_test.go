@@ -267,7 +267,7 @@ func (ix *Index) scanKNearest(q vec.Point, k int) []Neighbor {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var all []Neighbor
-	for id := range ix.cells {
+	for id := range ix.cells.len() {
 		if p := ix.point(id); p != nil {
 			all = append(all, Neighbor{ID: id, Dist2: vec.Euclidean{}.Dist2(q, p)})
 		}

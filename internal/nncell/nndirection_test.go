@@ -87,7 +87,7 @@ func TestNNDirectionPoolTighterThanPicks(t *testing.T) {
 			t.Fatal(err)
 		}
 		loose := ix.finishRect(mbr)
-		stored := ix.cells[i]
+		stored := ix.cells.rect(i)
 		for j := 0; j < d; j++ {
 			// Both sides carry the same epsilon padding; the slack absorbs LP
 			// round-off between two solves of different constraint sets.

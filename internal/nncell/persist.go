@@ -36,6 +36,16 @@ import (
 // the layout, and every snapshot written in it without decomposition, is
 // unchanged.
 //
+// The index keeps its cells as float32 rows rounded outward (cellStore); the
+// stream keeps float64 corners. Save writes each row widened and clipped to
+// the data space; Load rounds every corner outward again, which gives the row
+// back (a widened corner is a float32 value, and a clipped one rounds to the
+// row's bound, the float32 next to the data-space edge). So Save∘Load∘Save
+// writes the stream it started from, and a stream whose corners are not
+// float32 values loads as the rounded superset of its cells, which Lemma 1
+// keeps exact. The clip keeps a data space wider than the float32 range from
+// writing an infinite corner.
+//
 // The trailing checksum covers the whole payload, so a long-lived server
 // loading a snapshot detects bit rot and truncated copies instead of serving
 // a silently-corrupt solution space (a flipped MBR bit can shrink a cell and
@@ -80,7 +90,7 @@ func (ix *Index) saveLocked(w io.Writer, framed bool) error {
 	le := binary.LittleEndian
 
 	d := uint64(ix.dim)
-	size := uint64(len(persistMagic)) + 5*4 + 2*8 + 2*d*8 + 8 + uint64(len(ix.cells)) +
+	size := uint64(len(persistMagic)) + 5*4 + 2*8 + 2*d*8 + 8 + uint64(ix.cells.len()) +
 		uint64(ix.alive)*(d*8+4+2*d*8) + 4
 	if framed {
 		if err := binary.Write(bw, le, size); err != nil {
@@ -112,10 +122,11 @@ func (ix *Index) saveLocked(w io.Writer, framed bool) error {
 	if err := write(ix.bounds.Lo, ix.bounds.Hi); err != nil {
 		return err
 	}
-	if err := write(uint64(len(ix.cells))); err != nil {
+	if err := write(uint64(ix.cells.len())); err != nil {
 		return err
 	}
-	for id := range ix.cells {
+	lo, hi := make([]float64, ix.dim), make([]float64, ix.dim)
+	for id := 0; id < ix.cells.len(); id++ {
 		p := ix.point(id)
 		if p == nil {
 			if err := write(uint8(0)); err != nil {
@@ -123,8 +134,12 @@ func (ix *Index) saveLocked(w io.Writer, framed bool) error {
 			}
 			continue
 		}
-		r := ix.cells[id]
-		if err := write(uint8(1), []float64(p), uint32(1), []float64(r.Lo), []float64(r.Hi)); err != nil {
+		row := ix.cells.row(id)
+		for j := range lo {
+			lo[j] = max(float64(row[j]), ix.bounds.Lo[j])
+			hi[j] = min(float64(row[ix.dim+j]), ix.bounds.Hi[j])
+		}
+		if err := write(uint8(1), []float64(p), uint32(1), lo, hi); err != nil {
 			return err
 		}
 	}
@@ -138,8 +153,9 @@ func (ix *Index) saveLocked(w io.Writer, framed bool) error {
 }
 
 // Load reconstructs a saved index onto a fresh pager. The cell approximations
-// are reused verbatim (no LPs are solved); only the two directories are
-// rebuilt from the validated entries, and no page of the pager is touched.
+// are reused, rounded outward to float32 (no LPs are solved); only the two
+// directories are rebuilt from the validated entries, and no page of the pager
+// is touched.
 // A stream with no live slot loads as the empty index it was saved from: the
 // tombstone slots are kept, so the next Insert gets the next id.
 //
@@ -219,8 +235,9 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 		return nil, fmt.Errorf("nncell: load: implausible index size (%d points × %d dims)", count, d)
 	}
 
-	ix := &Index{dim: d, opts: opts, pg: pg, bounds: bounds}
+	ix := &Index{dim: d, opts: opts, pg: pg, bounds: bounds, cells: newCellStore(d, 0)}
 	p := make(vec.Point, d)
+	rc := vec.EmptyRect(d)
 	nanRow := make([]float64, d)
 	for j := range nanRow {
 		nanRow[j] = math.NaN()
@@ -234,7 +251,7 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 		// exactly as Delete leaves them.
 		switch aliveFlag {
 		case 0:
-			ix.cells = append(ix.cells, vec.Rect{})
+			ix.cells.grow()
 			ix.ptsFlat = append(ix.ptsFlat, nanRow...)
 			continue
 		case 1:
@@ -251,7 +268,6 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 		if nfrags != 1 {
 			return nil, fmt.Errorf("nncell: load: fragment count slot of point %d holds %d, want 1 (one rectangle per cell)", id, nfrags)
 		}
-		rc := vec.EmptyRect(d)
 		if err := read(rc.Lo, rc.Hi); err != nil {
 			return nil, err
 		}
@@ -259,7 +275,7 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 			return nil, fmt.Errorf("nncell: load: invalid cell of point %d: %v", id, rc)
 		}
 		ix.ptsFlat = append(ix.ptsFlat, p...)
-		ix.cells = append(ix.cells, rc)
+		ix.cells.set(ix.cells.grow(), rc)
 		ix.alive++
 	}
 	var wantSum uint32
@@ -275,7 +291,7 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	// Duplicate detection, Build's: a duplicated point has an empty NN-cell,
 	// so a stream containing one is corrupt.
 	live, slots := make([]vec.Point, 0, ix.alive), make([]int, 0, ix.alive)
-	for id := range ix.cells {
+	for id := 0; id < ix.cells.len(); id++ {
 		if q := ix.point(id); q != nil {
 			live, slots = append(live, q), append(slots, id)
 		}

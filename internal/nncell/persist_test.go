@@ -289,3 +289,134 @@ func TestSaveLoadNoLivePoints(t *testing.T) {
 		}
 	}
 }
+
+// Save∘Load∘Save writes the stream Save started from, for indexes built under
+// NN-Direction, Correct and Sphere over a data space whose edges are no
+// float32 values (so Save clips rows that Load rounds back out), each with a
+// tombstone; and for one over a data space past the float32 range, whose edge
+// cells have infinite rows that Save must not write.
+func TestSaveLoadSaveByteIdentical(t *testing.T) {
+	wide := vec.Rect{Lo: vec.Point{-1e39, 0}, Hi: vec.Point{1e39, 1}}
+	for k, alg := range []Algorithm{NNDirection, Correct, Sphere, NNDirection} {
+		ix := buildInBox(t, oddBox, 502, 150, alg)
+		if k == 3 {
+			ix = buildInBox(t, wide, 502, 150, alg)
+		}
+		if err := ix.Delete(9); err != nil {
+			t.Fatal(err)
+		}
+		var first, second bytes.Buffer
+		if err := ix.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(bytes.NewReader(first.Bytes()), newTestPager())
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if err := loaded.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("%s: Save∘Load∘Save wrote other bytes than Save", alg)
+		}
+	}
+}
+
+// float64CellStream returns the stream of a small NN-Direction index over
+// oddBox, with a tombstone, whose cell corners are forged to the float64
+// rectangles an index stored before its cells were float32 rows (solvedCells)
+// — corners that are no float32 values — and those rectangles, indexed by id.
+func float64CellStream(tb testing.TB) ([]byte, []vec.Rect) {
+	tb.Helper()
+	ix := buildInBox(tb, oddBox, 503, 60, NNDirection)
+	if err := ix.Delete(4); err != nil {
+		tb.Fatal(err)
+	}
+	cells := solvedCells(tb, ix)
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	d := ix.dim
+	return repack(buf.Bytes(), func(b []byte) {
+		off := 44 + 2*d*8 + 8 // header, bounds, count: the first slot
+		for _, r := range cells {
+			off++ // alive flag
+			if r.Lo == nil {
+				continue
+			}
+			off += d*8 + 4 // coordinates, fragment count
+			for _, v := range append(r.Lo.Clone(), r.Hi...) {
+				binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
+				off += 8
+			}
+		}
+	}), cells
+}
+
+// A stream whose cell corners are no float32 values — what Save wrote while
+// cells were float64 rectangles — loads as their outward-rounded superset,
+// answers 512 queries as the scan does, and saves to a stream Save∘Load
+// reproduces byte for byte.
+func TestLoadRoundsFloat64CellsOutward(t *testing.T) {
+	stream, cells := float64CellStream(t)
+	loaded, err := Load(bytes.NewReader(stream), newTestPager())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	d, odd := loaded.dim, 0
+	for id, r := range cells {
+		if r.Lo == nil {
+			if loaded.cells.has(id) {
+				t.Fatalf("tombstone %d loaded with a cell", id)
+			}
+			continue
+		}
+		row := loaded.cells.row(id)
+		for j := range r.Lo {
+			checkRoundedOut(t, "loaded Lo", r.Lo[j], row[j], up32(r.Lo[j]))
+			checkRoundedOut(t, "loaded Hi", r.Hi[j], down32(r.Hi[j]), row[d+j])
+			if float64(float32(r.Lo[j])) != r.Lo[j] {
+				odd++
+			}
+		}
+	}
+	if odd == 0 {
+		t.Fatal("the forged stream holds float32 corners only")
+	}
+
+	rng := rand.New(rand.NewSource(504))
+	live := loaded.IDs()
+	for trial := 0; trial < 512; trial++ {
+		q := make(vec.Point, d)
+		for j := range q {
+			q[j] = oddBox.Lo[j] + (oddBox.Hi[j]-oddBox.Lo[j])*rng.Float64()
+		}
+		if trial%4 == 3 {
+			q, _ = loaded.Point(live[rng.Intn(len(live))])
+		}
+		got, err := loaded.NearestNeighbor(q)
+		want := loaded.scanNearest(q)
+		if err != nil || got.ID != want.ID || math.Abs(got.Dist2-want.Dist2) > 1e-12 {
+			t.Fatalf("trial %d: q=%v: NN %v (%v), scan %v", trial, q, got, err, want)
+		}
+	}
+
+	var first, second bytes.Buffer
+	if err := loaded.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Load(bytes.NewReader(first.Bytes()), newTestPager())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := again.Save(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("Save∘Load∘Save of the loaded index wrote other bytes than Save")
+	}
+}

@@ -282,7 +282,7 @@ func (ix *Index) candidatesAppend(dst []int, q vec.Point, nearest bool) ([]int, 
 	ix.stats.candidates.Add(uint64(len(qc.cand)))
 	kept := qc.cand[:0] // with nearest, the verified survivors compacted in place
 	for _, nb := range qc.cand {
-		if ix.cells[nb.ID].Contains(q) {
+		if ix.cells.contains(nb.ID, q) {
 			dst = append(dst, nb.ID)
 			if nearest {
 				kept = append(kept, nb)

@@ -20,7 +20,7 @@ import (
 func (ix *Index) scanNearest(q vec.Point) Neighbor {
 	metric := vec.Euclidean{}
 	best := Neighbor{ID: -1}
-	for id := range ix.cells {
+	for id := range ix.cells.len() {
 		p := ix.point(id)
 		if p == nil {
 			continue

@@ -159,11 +159,12 @@ func (ix *Index) repairWorker() {
 func (ix *Index) repairOne(cc *cellCtx, id int) {
 	ix.mu.RLock()
 	epoch, stale := ix.stale[id]
-	if !stale || id >= len(ix.cells) || ix.point(id) == nil {
+	if !stale || id >= ix.cells.len() || ix.point(id) == nil {
 		ix.mu.RUnlock()
 		return
 	}
-	r, err := ix.approximateCell(cc, id)
+	row := make([]float32, 2*ix.dim)
+	err := ix.approximateCell(cc, id, row)
 	ix.mu.RUnlock()
 	if err != nil {
 		ix.stats.repairFailures.Add(1)
@@ -173,7 +174,7 @@ func (ix *Index) repairOne(cc *cellCtx, id int) {
 	ix.mu.Lock()
 	if ix.point(id) != nil && ix.stale[id] == epoch {
 		ix.removeCell(id)
-		ix.storeCell(id, r)
+		ix.storeCell(id, row)
 		delete(ix.stale, id)
 		ix.stats.staleCells.Add(-1)
 		ix.stats.repairs.Add(1)

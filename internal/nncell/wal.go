@@ -144,7 +144,7 @@ func (ix *Index) applyInsertBatch(rec wal.Record) (bool, error) {
 	}
 	first := int(rec.IDs[0])
 	switch {
-	case first == len(ix.cells):
+	case first == ix.cells.len():
 		ps := make([]vec.Point, len(rec.IDs))
 		for k := range rec.IDs {
 			if int(rec.IDs[k]) != first+k {
@@ -156,10 +156,10 @@ func (ix *Index) applyInsertBatch(rec wal.Record) (bool, error) {
 			return false, fmt.Errorf("nncell: replaying insert batch at %d: %w", first, err)
 		}
 		return true, nil
-	case first < len(ix.cells):
+	case first < ix.cells.len():
 		for k, id64 := range rec.IDs {
 			id := int(id64)
-			if id >= len(ix.cells) {
+			if id >= ix.cells.len() {
 				return false, fmt.Errorf("nncell: replayed insert batch straddles the point table at id %d (log is missing records)", id)
 			}
 			q := ix.point(id)
@@ -174,7 +174,7 @@ func (ix *Index) applyInsertBatch(rec wal.Record) (bool, error) {
 		}
 		return false, nil // stale duplicate of the whole batch
 	default:
-		return false, fmt.Errorf("nncell: replayed insert batch at %d beyond point table of %d (log is missing records)", first, len(ix.cells))
+		return false, fmt.Errorf("nncell: replayed insert batch at %d beyond point table of %d (log is missing records)", first, ix.cells.len())
 	}
 }
 
@@ -187,8 +187,8 @@ func (ix *Index) applyDeleteBatch(rec wal.Record) (bool, error) {
 	var live []int
 	for _, id64 := range rec.IDs {
 		id := int(id64)
-		if id >= len(ix.cells) {
-			return false, fmt.Errorf("nncell: replayed delete %d beyond point table of %d (log is missing records)", id, len(ix.cells))
+		if id >= ix.cells.len() {
+			return false, fmt.Errorf("nncell: replayed delete %d beyond point table of %d (log is missing records)", id, ix.cells.len())
 		}
 		if ix.point(id) != nil {
 			live = append(live, id)

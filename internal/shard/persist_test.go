@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -269,5 +270,86 @@ func TestRecoverRefusesRootLevelLog(t *testing.T) {
 	_, err := s.Recover(m, "wal")
 	if err == nil || !strings.Contains(err.Error(), "wal-000000007.log") {
 		t.Fatalf("root-level segment: err = %v, want a refusal naming it", err)
+	}
+}
+
+// testdata/nnshrdv2-float64-cells.snap was written by Save while cells were
+// stored as float64 rectangles: a 2-shard, hash-routed NN-Direction index of
+// 160 points, d = 3, over a data space whose edges are no float32 values, one
+// point deleted. Its cell corners are no float32 values. It loads as the
+// outward-rounded superset of its cells — every loaded corner a float32 value
+// on the outer side, every cell around its point — answers 512 queries as the
+// scan does, and what it saves Save∘Load reproduces byte for byte.
+func TestLoadFloat64CellSnapshot(t *testing.T) {
+	old, err := os.ReadFile("testdata/nnshrdv2-float64-cells.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := Load(bytes.NewReader(old), testOptions(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sx.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	d, b, ids := sx.Dim(), sx.Bounds(), sx.IDs()
+	if sx.NumShards() != 2 || d != 3 || len(ids) != 159 {
+		t.Fatalf("loaded %d shards, d = %d, %d points; want 2, 3, 159", sx.NumShards(), d, len(ids))
+	}
+	live := make([]vec.Point, len(ids))
+	for k, gid := range ids {
+		live[k], _ = sx.Point(gid)
+	}
+	for i := 0; i < sx.NumShards(); i++ {
+		ix := sx.Shard(i)
+		for _, id := range ix.IDs() {
+			cell, _ := ix.CellApprox(id)
+			p, _ := ix.Point(id)
+			for j := range p {
+				lo, hi := cell.Lo[j], cell.Hi[j]
+				if float64(float32(lo)) != lo || float64(float32(hi)) != hi || !(lo <= p[j] && p[j] <= hi) {
+					t.Fatalf("shard %d cell %d: [%v, %v] in dim %d, point %v", i, id, lo, hi, j, p[j])
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(505))
+	for trial := 0; trial < 512; trial++ {
+		q := make(vec.Point, d)
+		for j := range q {
+			q[j] = b.Lo[j] + (b.Hi[j]-b.Lo[j])*rng.Float64()
+		}
+		if trial%4 == 3 {
+			q = live[rng.Intn(len(live))]
+		}
+		best, bestD2 := -1, math.Inf(1)
+		for k, p := range live {
+			if d2 := (vec.Euclidean{}).Dist2(q, p); d2 < bestD2 {
+				best, bestD2 = ids[k], d2
+			}
+		}
+		got, err := sx.NearestNeighbor(q)
+		if err != nil || got.ID != best || math.Abs(got.Dist2-bestD2) > 1e-12 {
+			t.Fatalf("trial %d: q=%v: NN %v (%v), scan id %d at %v", trial, q, got, err, best, bestD2)
+		}
+	}
+
+	var first, second bytes.Buffer
+	if err := sx.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(first.Bytes(), old) {
+		t.Fatal("the loaded snapshot saved its float64 corners unrounded")
+	}
+	again, err := Load(bytes.NewReader(first.Bytes()), testOptions(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := again.Save(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("Save∘Load∘Save of the loaded snapshot wrote other bytes than Save")
 	}
 }
