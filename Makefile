@@ -17,9 +17,12 @@ check: vet doc-check build test race bench-smoke bench-module fuzz-smoke
 # result cache is a library feature: no served binary may link it. A cell is
 # one rectangle: the served stack may not name Decompose or Fragments, except
 # where Sharded.Stats sums nncell.Stats.Fragments (the live cell count the
-# benchmark reads).
+# benchmark reads). The arm64 vet compiles the portable build, so a missing
+# !amd64 stub or a build-tag slip fails here too; go vet's asmdecl check holds
+# the amd64 assembly to its Go declarations.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	@if grep -rnE 'replica\.Single|IsSnapshotMagic|\.\(type\)' cmd/; then echo "cmd/ may not tell index kinds apart"; exit 1; fi
 	@if grep -rn --include='*.go' --exclude='*_test.go' '"repro/internal/pager"' internal/server internal/replica cmd/nnrouter; then echo "the served stack may not import internal/pager"; exit 1; fi
@@ -47,8 +50,11 @@ doc-check:
 build:
 	$(GO) build ./...
 
+# internal/nncell again on the portable Go kernels (the amd64 assembly is
+# chosen at start-up where the CPU has AVX2; the test flag switches it off).
 test:
 	$(GO) test ./...
+	$(GO) test ./internal/nncell/ -args -kernel=go
 
 # Every package again, uncached and under the race detector (~5 min, nearly
 # all of it internal/nncell). This is the whole gate for the serving lifecycle
@@ -72,7 +78,9 @@ race:
 # runs at 0 allocs/op, BenchmarkQueryKNearest unless the warm k = 10 query
 # does (the regexp's NN-Direction/d=8 selects both the n = 250 case and the
 # served shape NN-Direction/d=8/n=10000, where a directory row is 157 words
-# and the query kernels are the query; both print folds/op);
+# and the query kernels are the query, run once per kernel set the CPU has —
+# .../kernel=go and .../kernel=avx2, the before/after row of a kernel change;
+# both print folds/op and fail unless every kernel set folds the same points);
 # BenchmarkCellDirUpdate tracks the two directories' share of a cell
 # recompute and of a point insert + delete, BenchmarkInsertEager one whole
 # eager insert (ms, LP solves and cells recomputed per op),
@@ -87,10 +95,11 @@ bench-smoke:
 
 # Ten seconds of native fuzzing per target, on top of the seed corpora that
 # `go test` already runs: the cell and point directories against their naive
-# models, the snapshot loader on arbitrary bytes, and the LP solvers against
-# each other.
+# models, the AVX2 kernels against the Go loops bit for bit, the snapshot
+# loader on arbitrary bytes, and the LP solvers against each other.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCellDir' -fuzztime 10s ./internal/nncell/
+	$(GO) test -run '^$$' -fuzz 'FuzzKernels' -fuzztime 10s ./internal/nncell/
 	$(GO) test -run '^$$' -fuzz 'FuzzPointDir' -fuzztime 10s ./internal/nncell/
 	$(GO) test -run '^$$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/nncell/
 	$(GO) test -run '^$$' -fuzz 'FuzzSolversAgree' -fuzztime 10s ./internal/lp/

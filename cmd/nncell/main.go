@@ -312,8 +312,8 @@ func serveMain(args []string) {
 		if explicit["route"] && route != ix.RouteKind() {
 			fatalf("load: -route %v conflicts with the snapshot's %v routing (placement is recorded in the stream)", route, ix.RouteKind())
 		}
-		fmt.Printf("nncell: loaded %d points (d=%d, %d shards, %v-routed, built under %v) from %s in %v\n",
-			ix.Len(), ix.Dim(), ix.NumShards(), ix.RouteKind(), ix.Shard(0).Algorithm(), *loadFile, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("nncell: loaded %d points (d=%d, %d shards, %v-routed, built under %v, %s kernels) from %s in %v\n",
+			ix.Len(), ix.Dim(), ix.NumShards(), ix.RouteKind(), ix.Shard(0).Algorithm(), nncell.KernelSet(), *loadFile, time.Since(start).Round(time.Millisecond))
 	case *n == 0:
 		// Empty bootstrap: start with zero points and let routed inserts
 		// (WAL-replayed or live) populate the index. The data space defaults
@@ -333,8 +333,8 @@ func serveMain(args []string) {
 		if ix, err = shard.Build(pts, vec.UnitCube(*d), opts); err != nil {
 			fatalf("build: %v", err)
 		}
-		fmt.Printf("nncell: built synthetic index, %d %s points (d=%d) across %d %v-routed shards in %v\n",
-			len(pts), *data, *d, ix.NumShards(), ix.RouteKind(), time.Since(start).Round(time.Millisecond))
+		fmt.Printf("nncell: built synthetic index, %d %s points (d=%d, %s kernels) across %d %v-routed shards in %v\n",
+			len(pts), *data, *d, nncell.KernelSet(), ix.NumShards(), ix.RouteKind(), time.Since(start).Round(time.Millisecond))
 	}
 
 	// Durability: replay first (recovering the acknowledged mutations of the

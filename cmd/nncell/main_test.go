@@ -14,6 +14,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/nncell"
 )
 
 // The tests in this file exercise the built binary end to end: the classic
@@ -114,18 +116,25 @@ func TestServeSmoke(t *testing.T) {
 		}
 		close(lineCh)
 	}()
+	var banner strings.Builder
 	for baseURL == "" {
 		select {
 		case line, ok := <-lineCh:
 			if !ok {
 				t.Fatal("serve exited before printing its address")
 			}
+			banner.WriteString(line + "\n")
 			if i := strings.Index(line, "serving on "); i >= 0 {
 				baseURL = strings.TrimSpace(line[i+len("serving on "):])
 			}
 		case <-deadline:
 			t.Fatal("timed out waiting for serve banner")
 		}
+	}
+	// The load line names the kernels the process runs, as /metrics does.
+	kernels := nncell.KernelSet()
+	if !strings.Contains(banner.String(), ", "+kernels+" kernels) from ") {
+		t.Errorf("load line does not name the %s kernels:\n%s", kernels, banner.String())
 	}
 
 	get := func(path string) string {
@@ -169,6 +178,7 @@ func TestServeSmoke(t *testing.T) {
 		`nncell_http_requests_total{endpoint="nn",code="2xx"} 1`,
 		"nncell_http_request_duration_seconds_bucket",
 		"nncell_index_points 60",
+		`nncell_kernel_info{set="` + kernels + `"} 1`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -3,6 +3,7 @@ package nncell
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -40,7 +41,9 @@ func benchIndex(b *testing.B, alg Algorithm, d, n, queries int) (*Index, []vec.P
 }
 
 // forBenchConfigs runs f on the n = 250 index of every algorithm and
-// dimension and, when served is set, on the served shape.
+// dimension and, when served is set, on the served shape once per kernel set
+// the CPU runs (…/kernel=go, …/kernel=avx2): the before/after row of a kernel
+// change in one command.
 func forBenchConfigs(b *testing.B, served bool, f func(b *testing.B, ix *Index, qs []vec.Point)) {
 	for _, alg := range Algorithms() {
 		for _, d := range []int{2, 4, 8, 16} {
@@ -53,17 +56,36 @@ func forBenchConfigs(b *testing.B, served bool, f func(b *testing.B, ix *Index, 
 	if served {
 		b.Run(fmt.Sprintf("%s/d=%d/n=%d", NNDirection, servedD, servedN), func(b *testing.B) {
 			ix, qs := benchIndex(b, NNDirection, servedD, servedN, servedQueries)
-			f(b, ix, qs)
+			for _, set := range kernelSets() {
+				b.Run("kernel="+set, func(b *testing.B) {
+					defer useKernelSet(set)()
+					f(b, ix, qs)
+				})
+			}
 		})
 	}
 }
 
 // benchWarmQuery is the body of the NN and k-NN benchmarks: it fails unless
-// the warm query allocates nothing, then times it and reports, beside ns/op,
-// the points a query folds (Stats.Candidates; the same before and after a
-// change to the kernels, or the change is not to the kernels alone).
+// the warm query allocates nothing and every kernel set folds the same points
+// over one pass of the queries, then times it and reports, beside ns/op, the
+// points a query folds (Stats.Candidates; the same before and after a change
+// to the kernels, or the change is not to the kernels alone).
 func benchWarmQuery(b *testing.B, name string, ix *Index, queries int, query func(i int)) {
 	query(0) // warm the pooled context
+	var passFolds []uint64
+	for _, set := range kernelSets() {
+		restore := useKernelSet(set)
+		before := ix.Stats().Candidates
+		for i := 0; i < queries; i++ {
+			query(i)
+		}
+		restore()
+		passFolds = append(passFolds, ix.Stats().Candidates-before)
+	}
+	if slices.Min(passFolds) != slices.Max(passFolds) {
+		b.Fatalf("%s folds %v points over %d queries on kernel sets %v, want one count", name, passFolds, queries, kernelSets())
+	}
 	if !raceEnabled {
 		k := 0
 		if allocs := testing.AllocsPerRun(queries, func() { k++; query(k) }); allocs != 0 {

@@ -9,7 +9,21 @@ import (
 // rows of the query's stripes, list the set bits, take the squared distance of
 // every listed point — and each is written here once, for every caller, in the
 // form that keeps the loop free of read-modify-write passes, data-dependent
-// branches and serial add chains (DESIGN.md §17).
+// branches and serial add chains (DESIGN.md §17). On amd64 with AVX2 the row
+// passes and the distances run in kernel_amd64.s instead, four lanes wide and
+// bit for bit what the Go loops here compute; the Go loops are the reference
+// and every other machine's kernels.
+
+// KernelSet names the kernels this process's directory queries run on: "avx2"
+// where the CPU and the operating system support AVX2 on amd64
+// (kernel_amd64.s: the row passes always, the distances when d is a multiple
+// of four), "go" everywhere else. It is chosen once, at start-up.
+func KernelSet() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
 
 // andRows writes the AND of rows into acc. There is at least one row and each
 // holds at least len(acc) words. Four rows are read per pass over acc and the
@@ -19,6 +33,14 @@ func andRows(acc []uint64, rows [][]uint64) {
 	n, last := len(acc), len(rows)-1
 	for k := 0; k <= last; k += 4 {
 		a, b, c, e := rows[k][:n], rows[min(k+1, last)][:n], rows[min(k+2, last)][:n], rows[min(k+3, last)][:n]
+		if useAVX2 {
+			src := acc
+			if k == 0 {
+				src = a // a & a = a: the first pass writes acc
+			}
+			and4(acc, src, a, b, c, e)
+			continue
+		}
 		if k == 0 {
 			for w := range acc {
 				acc[w] = a[w] & b[w] & c[w] & e[w]
@@ -38,6 +60,10 @@ func andNotRows(acc []uint64, rows [][]uint64) {
 	n, last := len(acc), len(rows)-1
 	for k := 0; k <= last; k += 4 {
 		a, b, c, e := rows[k][:n], rows[min(k+1, last)][:n], rows[min(k+2, last)][:n], rows[min(k+3, last)][:n]
+		if useAVX2 {
+			andNot4(acc, a, b, c, e)
+			continue
+		}
 		for w := range acc {
 			acc[w] &^= a[w] | b[w] | c[w] | e[w]
 		}
@@ -107,7 +133,9 @@ func appendBits(list []Neighbor, set []uint64) []Neighbor {
 // copying the query's; its square is that of query − coordinate exactly.) The
 // last group is filled up with copies of the final id, written past the end
 // of list — into the room appendBits leaves there, or the list is moved to
-// where there is room.
+// where there is room. With AVX2 and d a multiple of four the groups go to
+// dist2sAVX2, one point per lane and the same three rounded operations per
+// term, which checks every ID against the rows of pts before reading one.
 func dist2s(list []Neighbor, q, pts []float64) []Neighbor {
 	n, d := len(list), len(q)
 	if n == 0 {
@@ -117,6 +145,12 @@ func dist2s(list []Neighbor, q, pts []float64) []Neighbor {
 	list = slices.Grow(list, 3)[:padded]
 	for k := n; k < padded; k++ {
 		list[k].ID = list[n-1].ID
+	}
+	if useAVX2 && d > 0 && d%4 == 0 {
+		if !dist2sAVX2(list, q, pts, len(pts)/d) {
+			panic("nncell: dist2s: a candidate id is past the coordinate store")
+		}
+		return list[:n]
 	}
 	for k := 0; k < padded; k += 4 {
 		g := list[k : k+4 : k+4]

@@ -1,14 +1,66 @@
 package nncell
 
 import (
+	"flag"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
+	"os"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/vec"
 )
+
+// avx2Available is whether this CPU runs the AVX2 kernels, read before any
+// test switches them.
+var avx2Available = useAVX2
+
+var kernelFlag = flag.String("kernel", "", "go: run the package's tests on the portable Go kernels, not the CPU's best")
+
+// TestMain applies -kernel: `go test ./internal/nncell/ -args -kernel=go`
+// runs the whole suite on the portable kernels.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	switch *kernelFlag {
+	case "":
+	case "go":
+		useAVX2 = false
+	default:
+		fmt.Fprintf(os.Stderr, "-kernel=%s: the one set to force is go\n", *kernelFlag)
+		os.Exit(2)
+	}
+	os.Exit(m.Run())
+}
+
+// kernelSets lists the kernel sets this CPU runs, the portable one first.
+func kernelSets() []string {
+	if avx2Available {
+		return []string{"go", "avx2"}
+	}
+	return []string{"go"}
+}
+
+// useKernelSet switches the directory kernels to set and returns the call
+// that switches them back.
+func useKernelSet(set string) (restore func()) {
+	saved := useAVX2
+	useAVX2 = set == "avx2"
+	return func() { useAVX2 = saved }
+}
+
+// forKernelSets runs f as one subtest per kernel set the CPU runs.
+func forKernelSets(t *testing.T, f func(t *testing.T)) {
+	for _, set := range kernelSets() {
+		t.Run("kernel="+set, func(t *testing.T) {
+			defer useKernelSet(set)()
+			f(t)
+		})
+	}
+}
 
 func randRows(rng *rand.Rand, n, words int) [][]uint64 {
 	rows := make([][]uint64, n)
@@ -21,51 +73,54 @@ func randRows(rng *rand.Rand, n, words int) [][]uint64 {
 	return rows
 }
 
-// The fused row passes against one row at a time: andRows for 1–17 rows —
-// every count of full four-row passes with a 3-, 2- and 1-row tail — over 0–3
-// words, and the point directory's form, the AND over pairs of hi &^ lo, with
+// The fused row passes against one row at a time, on every kernel set: andRows
+// for 1–17 rows — every count of full four-row passes with a 3-, 2- and 1-row
+// tail — over 0–9 words (none, one and two whole 256-bit steps, each with
+// every tail of 1–3 words), and the point directory's form, the AND over pairs of hi &^ lo, with
 // 0–17 lower rows (fewer, as many and more than upper ones, odd counts among
 // them) cleared by andNotRows.
 func TestRowKernelsMatchNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for words := 0; words <= 3; words++ {
-		for nHi := 1; nHi <= 17; nHi++ {
-			hi := randRows(rng, nHi, words)
-			want := make([]uint64, words)
-			for w := range want {
-				want[w] = ^uint64(0)
-				for _, row := range hi {
-					want[w] &= row[w]
-				}
-			}
-			acc := make([]uint64, words)
-			for w := range acc {
-				acc[w] = rng.Uint64() // the first pass must write, not narrow
-			}
-			andRows(acc, hi)
-			if !slices.Equal(acc, want) {
-				t.Fatalf("andRows of %d rows, %d words: %x, want %x", nHi, words, acc, want)
-			}
-			for nLo := 0; nLo <= 17; nLo++ {
-				lo := randRows(rng, nLo, words)
-				for k := range lo {
-					for w := range lo[k] {
-						lo[k][w] &= rng.Uint64() & rng.Uint64() // sparse, so something is left
+	forKernelSets(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		for words := 0; words <= 9; words++ {
+			for nHi := 1; nHi <= 17; nHi++ {
+				hi := randRows(rng, nHi, words)
+				want := make([]uint64, words)
+				for w := range want {
+					want[w] = ^uint64(0)
+					for _, row := range hi {
+						want[w] &= row[w]
 					}
 				}
-				got, pairs := slices.Clone(want), slices.Clone(want)
-				andNotRows(got, lo)
-				for w := range pairs {
-					for _, row := range lo {
-						pairs[w] &= want[w] &^ row[w]
-					}
+				acc := make([]uint64, words)
+				for w := range acc {
+					acc[w] = rng.Uint64() // the first pass must write, not narrow
 				}
-				if !slices.Equal(got, pairs) {
-					t.Fatalf("andNotRows of %d rows after %d, %d words: %x, want %x", nLo, nHi, words, got, pairs)
+				andRows(acc, hi)
+				if !slices.Equal(acc, want) {
+					t.Fatalf("andRows of %d rows, %d words: %x, want %x", nHi, words, acc, want)
+				}
+				for nLo := 0; nLo <= 17; nLo++ {
+					lo := randRows(rng, nLo, words)
+					for k := range lo {
+						for w := range lo[k] {
+							lo[k][w] &= rng.Uint64() & rng.Uint64() // sparse, so something is left
+						}
+					}
+					got, pairs := slices.Clone(want), slices.Clone(want)
+					andNotRows(got, lo)
+					for w := range pairs {
+						for _, row := range lo {
+							pairs[w] &= want[w] &^ row[w]
+						}
+					}
+					if !slices.Equal(got, pairs) {
+						t.Fatalf("andNotRows of %d rows after %d, %d words: %x, want %x", nLo, nHi, words, got, pairs)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // wordWithBits returns a word with exactly n set bits, the lowest and the
@@ -90,51 +145,54 @@ func ids(list []Neighbor) []int {
 	return out
 }
 
-// appendBits against the bit-at-a-time walk, on words of 0, 1, 4, 5, 8, 9 and
+// appendBits against the bit-at-a-time walk (one Go loop, run on every kernel
+// set all the same), on words of 0, 1, 4, 5, 8, 9 and
 // 64 bits — nothing, one step partly used, one and two steps exactly full and
 // one past them, the densest word — in every order of two, as they are (the
 // walk that takes every word) and among a thousand empty words (the sparse
 // walk that skips them), appended to an empty list, to a non-empty one with
 // room, and to one that must grow.
 func TestAppendBitsMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	counts := []int{0, 1, 4, 5, 8, 9, 64}
-	var sets [][]uint64
-	for _, a := range counts {
-		sets = append(sets, []uint64{wordWithBits(rng, a)})
-		for _, b := range counts {
-			sets = append(sets, []uint64{wordWithBits(rng, a), 0, wordWithBits(rng, b)})
-		}
-	}
-	for _, set := range sets[:len(sets):len(sets)] {
-		sets = append(sets, slices.Concat(make([]uint64, 500), set, make([]uint64, 500)))
-	}
-	sets = append(sets, nil)
-	for _, set := range sets {
-		var want []int
-		for w, word := range set {
-			for ; word != 0; word &= word - 1 {
-				want = append(want, w<<6|bits.TrailingZeros64(word))
+	forKernelSets(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(29))
+		counts := []int{0, 1, 4, 5, 8, 9, 64}
+		var sets [][]uint64
+		for _, a := range counts {
+			sets = append(sets, []uint64{wordWithBits(rng, a)})
+			for _, b := range counts {
+				sets = append(sets, []uint64{wordWithBits(rng, a), 0, wordWithBits(rng, b)})
 			}
 		}
-		roomy := append(make([]Neighbor, 0, 512), Neighbor{ID: -7, Dist2: 7}, Neighbor{ID: -8, Dist2: 8})
-		for name, prefix := range map[string][]Neighbor{
-			"empty": nil,
-			"roomy": roomy,
-			"tight": slices.Clip([]Neighbor{{ID: -7, Dist2: 7}, {ID: -8, Dist2: 8}, {ID: -9}}),
-		} {
-			got := appendBits(prefix, set)
-			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(ids(got[len(prefix):]), want) {
-				t.Fatalf("set %x after a %s list: %v, want %v then ids %v", set, name, got, prefix, want)
+		for _, set := range sets[:len(sets):len(sets)] {
+			sets = append(sets, slices.Concat(make([]uint64, 500), set, make([]uint64, 500)))
+		}
+		sets = append(sets, nil)
+		for _, set := range sets {
+			var want []int
+			for w, word := range set {
+				for ; word != 0; word &= word - 1 {
+					want = append(want, w<<6|bits.TrailingZeros64(word))
+				}
 			}
-			if cap(got)-len(got) < 3 {
-				t.Fatalf("set %x after a %s list: %d spare entries, dist2s pads into 3", set, name, cap(got)-len(got))
-			}
-			if name == "roomy" && &got[0] != &roomy[0] {
-				t.Fatalf("set %x: a list with room was reallocated", set)
+			roomy := append(make([]Neighbor, 0, 512), Neighbor{ID: -7, Dist2: 7}, Neighbor{ID: -8, Dist2: 8})
+			for name, prefix := range map[string][]Neighbor{
+				"empty": nil,
+				"roomy": roomy,
+				"tight": slices.Clip([]Neighbor{{ID: -7, Dist2: 7}, {ID: -8, Dist2: 8}, {ID: -9}}),
+			} {
+				got := appendBits(prefix, set)
+				if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(ids(got[len(prefix):]), want) {
+					t.Fatalf("set %x after a %s list: %v, want %v then ids %v", set, name, got, prefix, want)
+				}
+				if cap(got)-len(got) < 3 {
+					t.Fatalf("set %x after a %s list: %d spare entries, dist2s pads into 3", set, name, cap(got)-len(got))
+				}
+				if name == "roomy" && &got[0] != &roomy[0] {
+					t.Fatalf("set %x: a list with room was reallocated", set)
+				}
 			}
 		}
-	}
+	})
 }
 
 // The candidate list holds entries by the bits of the set (four times that and
@@ -153,123 +211,278 @@ func TestAppendBitsSizedByPopulation(t *testing.T) {
 }
 
 // dist2s is vec.Dist2Flat to the bit — not within a tolerance: the directory
-// query, the paged query and the scan must agree on every Dist2 — for d below,
-// at and past the lane count and list lengths 0–9 (every tail of the groups of
-// four), with and without room behind the list for the padding, which must
-// not disturb the ids.
+// query, the paged query and the scan must agree on every Dist2 — on every
+// kernel set, for d below, at and past the lane count (the multiples of four
+// on the assembly's lanes, the rest on the Go loop) and list lengths 0–70
+// (every tail of the groups of four, and of the assembly's pairs of groups),
+// with and without room behind the list for the padding, which must not
+// disturb the ids.
 func TestDist2sMatchesDist2FlatBits(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	const n = 40
-	for _, d := range []int{1, 2, 3, 4, 8, 16, 17} {
-		pts := make([]float64, n*d)
-		for i := range pts {
-			pts[i] = rng.NormFloat64() * math.Exp2(float64(rng.Intn(40)-20))
-		}
-		q := make(vec.Point, d)
-		for j := range q {
-			q[j] = rng.NormFloat64()
-		}
-		for length := 0; length <= 9; length++ {
-			for _, room := range []int{0, 1, 3, 8} {
-				list := make([]Neighbor, length, length+room)
-				for k := range list {
-					list[k] = Neighbor{ID: rng.Intn(n), Dist2: math.NaN()}
-				}
-				before := ids(list)
-				list = dist2s(list, q, pts)
-				if !slices.Equal(ids(list), before) {
-					t.Fatalf("d=%d: ids %v, were %v", d, ids(list), before)
-				}
-				for k, nb := range list {
-					want := vec.Dist2Flat(q, pts[nb.ID*d:(nb.ID+1)*d])
-					if math.Float64bits(nb.Dist2) != math.Float64bits(want) {
-						t.Fatalf("d=%d, list of %d, entry %d (id %d): %x, Dist2Flat says %x",
-							d, length, k, nb.ID, math.Float64bits(nb.Dist2), math.Float64bits(want))
+	forKernelSets(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		const n = 40
+		for _, d := range []int{1, 2, 3, 4, 8, 12, 16, 17, 20, 24} {
+			pts := make([]float64, n*d)
+			for i := range pts {
+				pts[i] = rng.NormFloat64() * math.Exp2(float64(rng.Intn(40)-20))
+			}
+			q := make(vec.Point, d)
+			for j := range q {
+				q[j] = rng.NormFloat64()
+			}
+			for length := 0; length <= 70; length++ {
+				for _, room := range []int{0, 1, 3, 8} {
+					list := make([]Neighbor, length, length+room)
+					for k := range list {
+						list[k] = Neighbor{ID: rng.Intn(n), Dist2: math.NaN()}
+					}
+					before := ids(list)
+					list = dist2s(list, q, pts)
+					if !slices.Equal(ids(list), before) {
+						t.Fatalf("d=%d: ids %v, were %v", d, ids(list), before)
+					}
+					for k, nb := range list {
+						want := vec.Dist2Flat(q, pts[nb.ID*d:(nb.ID+1)*d])
+						if math.Float64bits(nb.Dist2) != math.Float64bits(want) {
+							t.Fatalf("d=%d, list of %d, entry %d (id %d): %x, Dist2Flat says %x",
+								d, length, k, nb.ID, math.Float64bits(nb.Dist2), math.Float64bits(want))
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
-// Ties through the lanes: the six axis neighbours of the centre of a 3-d
+// Ties through the lanes: the 2d axis neighbours of the centre of a d-cube
 // lattice are all at squared distance 1/16 exactly, and so are candidates of
 // a query there. Wherever they stand in the id list — four of them inside one
 // group of four, or spread over two — NearestNeighbor returns the smallest id
 // and KNearest lists them ascending by id, cutting a tie at k toward the
-// smaller ids; a scan in id order is the reference.
+// smaller ids; a scan in id order is the reference. d = 3 folds on the Go
+// loop, d = 4 on the assembly lanes where the CPU has them.
 func TestLaneTiesGoToSmallerID(t *testing.T) {
-	q := vec.Point{0.5, 0.5, 0.5}
-	var tied, far []vec.Point
-	for j := 0; j < 3; j++ {
-		for _, off := range []float64{-0.25, 0.25} {
-			p := slices.Clone(q)
-			p[j] += off
-			tied = append(tied, p)
-		}
-	}
-	for _, x := range []float64{0, 1} {
-		for _, y := range []float64{0, 1} {
-			for _, z := range []float64{0, 1} {
-				far = append(far, vec.Point{x, y, z})
+	forKernelSets(t, func(t *testing.T) {
+		for _, d := range []int{3, 4} {
+			q := make(vec.Point, d)
+			for j := range q {
+				q[j] = 0.5
 			}
-		}
-	}
-	// The tied points first (list positions 0–5: one full group and the next),
-	// after three and after five far points, and interleaved with them.
-	orders := [][]vec.Point{
-		slices.Concat(tied, far),
-		slices.Concat(far[:3], tied, far[3:]),
-		slices.Concat(far[:5], tied, far[5:]),
-		nil,
-	}
-	for k := range far {
-		orders[3] = append(orders[3], far[k])
-		if k < len(tied) {
-			orders[3] = append(orders[3], tied[k])
-		}
-	}
-	oneGroup, twoGroups := false, false
-	for _, pts := range orders {
-		for _, alg := range []Algorithm{Correct, NNDirection} {
-			ix := mustBuild(t, pts, Options{Algorithm: alg})
-			var want []Neighbor
-			for id, p := range pts {
-				if d2 := vec.Dist2Flat(q, p); d2 == 0.0625 {
-					want = append(want, Neighbor{ID: id, Dist2: d2})
+			var tied, far []vec.Point
+			for j := 0; j < d; j++ {
+				for _, off := range []float64{-0.25, 0.25} {
+					p := slices.Clone(q)
+					p[j] += off
+					tied = append(tied, p)
 				}
 			}
-			if len(want) != len(tied) {
-				t.Fatalf("%d tied points, want %d", len(want), len(tied))
-			}
-			// Where the tied ids stand in the list the kernels walk.
-			list := ids(appendBits(nil, ix.dir.survivors(nil, q)))
-			groups := map[int]int{}
-			for _, nb := range want {
-				at := slices.Index(list, nb.ID)
-				if at < 0 {
-					t.Fatalf("%v: tied id %d is no candidate (%v)", alg, nb.ID, list)
+			for i := 0; i < 1<<d; i++ {
+				p := make(vec.Point, d)
+				for j := range p {
+					p[j] = float64(i >> (d - 1 - j) & 1)
 				}
-				groups[at/4]++
+				far = append(far, p)
 			}
-			for _, c := range groups {
-				oneGroup = oneGroup || c == 4
+			// The tied points first (list positions 0–2d−1: one full group and
+			// the next), after three and after five far points, and interleaved
+			// with them.
+			orders := [][]vec.Point{
+				slices.Concat(tied, far),
+				slices.Concat(far[:3], tied, far[3:]),
+				slices.Concat(far[:5], tied, far[5:]),
+				nil,
 			}
-			twoGroups = twoGroups || len(groups) >= 2
+			for k := range far {
+				orders[3] = append(orders[3], far[k])
+				if k < len(tied) {
+					orders[3] = append(orders[3], tied[k])
+				}
+			}
+			oneGroup, twoGroups := false, false
+			for _, pts := range orders {
+				for _, alg := range []Algorithm{Correct, NNDirection} {
+					ix := mustBuild(t, pts, Options{Algorithm: alg})
+					var want []Neighbor
+					for id, p := range pts {
+						if d2 := vec.Dist2Flat(q, p); d2 == 0.0625 {
+							want = append(want, Neighbor{ID: id, Dist2: d2})
+						}
+					}
+					if len(want) != len(tied) {
+						t.Fatalf("d=%d: %d tied points, want %d", d, len(want), len(tied))
+					}
+					// Where the tied ids stand in the list the kernels walk.
+					list := ids(appendBits(nil, ix.dir.survivors(nil, q)))
+					groups := map[int]int{}
+					for _, nb := range want {
+						at := slices.Index(list, nb.ID)
+						if at < 0 {
+							t.Fatalf("d=%d, %v: tied id %d is no candidate (%v)", d, alg, nb.ID, list)
+						}
+						groups[at/4]++
+					}
+					for _, c := range groups {
+						oneGroup = oneGroup || c == 4
+					}
+					twoGroups = twoGroups || len(groups) >= 2
 
-			nb, err := ix.NearestNeighbor(q)
-			if err != nil || nb != want[0] {
-				t.Fatalf("%v: NearestNeighbor = %+v, %v; want %+v (candidates %v)", alg, nb, err, want[0], list)
-			}
-			for _, k := range []int{1, 3, 4, 5, 6} {
-				got, err := ix.KNearest(q, k)
-				if err != nil || !slices.Equal(got, want[:k]) {
-					t.Fatalf("%v: KNearest(%d) = %+v, %v; want %+v", alg, k, got, err, want[:k])
+					nb, err := ix.NearestNeighbor(q)
+					if err != nil || nb != want[0] {
+						t.Fatalf("d=%d, %v: NearestNeighbor = %+v, %v; want %+v (candidates %v)", d, alg, nb, err, want[0], list)
+					}
+					for _, k := range []int{1, 3, 4, 5, 6} {
+						got, err := ix.KNearest(q, k)
+						if err != nil || !slices.Equal(got, want[:k]) {
+							t.Fatalf("d=%d, %v: KNearest(%d) = %+v, %v; want %+v", d, alg, k, got, err, want[:k])
+						}
+					}
 				}
 			}
+			if !oneGroup || !twoGroups {
+				t.Fatalf("d=%d: ties inside one group of four: %v, across groups: %v — the layouts miss a case", d, oneGroup, twoGroups)
+			}
+		}
+	})
+}
+
+// An id outside the coordinate store — past its last row, or negative — makes
+// dist2s panic on every kernel set before it reads that row: the Go loop by
+// its slice bounds, the assembly by its check of every id against the row
+// count.
+func TestDist2sRefusesIDsOutsidePts(t *testing.T) {
+	forKernelSets(t, func(t *testing.T) {
+		const n, d = 9, 8
+		pts := make([]float64, n*d)
+		q := make([]float64, d)
+		for _, bad := range []int{n, n + 1, 1 << 40, -1, -n} {
+			for _, at := range []int{0, 5, 8, 12} { // first group, second, the single group after a pair, the padded tail
+				list := make([]Neighbor, at+1)
+				for k := range list {
+					list[k].ID = k % n
+				}
+				list[at].ID = bad
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("id %d at entry %d of %d: no panic", bad, at, len(list))
+						}
+					}()
+					dist2s(list, q, pts)
+				}()
+			}
+		}
+	})
+}
+
+// FuzzKernels compares the AVX2 kernels with the Go loops bit for bit: andRows
+// and andNotRows over 1–17 rows of 0–11 words, dist2s for d = 1…24 over lists
+// of up to 70 ids in any order (repeats allowed) with coordinates the input
+// draws from ±0, subnormals, magnitudes near 2^±300 and ordinary values.
+// Without AVX2 there is nothing to compare.
+func FuzzKernels(f *testing.F) {
+	if !avx2Available {
+		f.Skip("this CPU runs the Go kernels only")
+	}
+	for _, d := range []uint8{3, 4, 8, 12, 16, 20, 24} {
+		f.Add(int64(d), d, uint8(5+3*d), uint8(d), []byte{0, 1, 2, 3, 4, 5, 6, 7, byte(d)})
+	}
+	f.Add(int64(1), uint8(8), uint8(70), uint8(16), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, dIn, lenIn, rowsIn uint8, classes []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		d, length, nRows, words := 1+int(dIn)%24, int(lenIn)%71, 1+int(rowsIn)%17, rng.Intn(12)
+
+		// value draws one float64 of the class the next input byte names.
+		next := 0
+		value := func() float64 {
+			class := byte(rng.Intn(256))
+			if len(classes) > 0 {
+				class = classes[next%len(classes)]
+				next++
+			}
+			sign := float64(1 - 2*rng.Intn(2))
+			switch class % 6 {
+			case 0:
+				return math.Copysign(0, sign)
+			case 1:
+				return sign * math.Float64frombits(1+rng.Uint64()%(1<<52-1)) // subnormal
+			case 2:
+				return sign * math.Exp2(300+rng.Float64()*4-2)
+			case 3:
+				return sign * math.Exp2(-300+rng.Float64()*4-2)
+			default:
+				return rng.NormFloat64()
+			}
+		}
+		n := 1 + rng.Intn(40)
+		pts := make([]float64, n*d)
+		for i := range pts {
+			pts[i] = value()
+		}
+		q := make([]float64, d)
+		for j := range q {
+			q[j] = value()
+		}
+		list := make([]Neighbor, length, length+rng.Intn(5))
+		for k := range list {
+			list[k].ID = rng.Intn(n)
+		}
+		var outs [][]Neighbor // go, then avx2
+		for _, set := range kernelSets() {
+			restore := useKernelSet(set)
+			outs = append(outs, dist2s(slices.Clone(list), q, pts))
+			restore()
+		}
+		want, got := outs[0], outs[1]
+		for k := range got {
+			if got[k].ID != want[k].ID || math.Float64bits(got[k].Dist2) != math.Float64bits(want[k].Dist2) {
+				t.Fatalf("d=%d, entry %d of %d: avx2 %v (%x), go %v (%x)", d, k, length,
+					got[k], math.Float64bits(got[k].Dist2), want[k], math.Float64bits(want[k].Dist2))
+			}
+		}
+
+		hi, lo := randRows(rng, nRows, words), randRows(rng, rng.Intn(18), words)
+		acc := make([]uint64, words)
+		for w := range acc {
+			acc[w] = rng.Uint64()
+		}
+		var accs [][]uint64
+		for _, set := range kernelSets() {
+			restore := useKernelSet(set)
+			a := slices.Clone(acc)
+			andRows(a, hi)
+			anded := slices.Clone(a)
+			andNotRows(a, lo)
+			restore()
+			accs = append(accs, anded, a)
+		}
+		if !slices.Equal(accs[0], accs[2]) || !slices.Equal(accs[1], accs[3]) {
+			t.Fatalf("%d rows then %d, %d words: go %x / %x, avx2 %x / %x", len(hi), len(lo), words, accs[0], accs[1], accs[2], accs[3])
+		}
+	})
+}
+
+// KernelSet names the set the kernels run on, and the start-up probe agrees
+// with the flags Linux reports for the CPU where it reports them.
+func TestKernelSetNamesTheKernels(t *testing.T) {
+	for _, set := range kernelSets() {
+		restore := useKernelSet(set)
+		got := KernelSet()
+		restore()
+		if got != set {
+			t.Errorf("KernelSet() = %q on the %s kernels", got, set)
 		}
 	}
-	if !oneGroup || !twoGroups {
-		t.Fatalf("ties inside one group of four: %v, across groups: %v — the layouts miss a case", oneGroup, twoGroups)
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil || runtime.GOARCH != "amd64" {
+		t.Skipf("no amd64 /proc/cpuinfo to check the probe against (%s, %v)", runtime.GOARCH, err)
 	}
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			if listed := slices.Contains(strings.Fields(flags), "avx2"); listed != avx2Available {
+				t.Fatalf("/proc/cpuinfo lists avx2: %v, the probe found it: %v", listed, avx2Available)
+			}
+			return
+		}
+	}
+	t.Skip("/proc/cpuinfo has no flags line")
 }

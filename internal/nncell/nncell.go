@@ -144,9 +144,11 @@ type Options struct {
 // (left zero) switches the Correct constraint selection to NN-Direction.
 const DefaultAutoThreshold = 4096
 
-// epsilon pads every stored MBR to absorb LP tolerance (finishRect); queries
-// remain exact regardless (the fallback catches the pathological case), the
-// padding merely keeps the fallback rare.
+// epsilon pads every stored MBR to absorb LP tolerance (finishRect), and the
+// pad is what keeps queries exact. An MBR the LP shaved by its tolerance could
+// miss a query point inside its cell; the query would then answer from the
+// cells that do contain the point, a farther neighbour, with nothing to say
+// so. The fallback does not catch that: it runs only when no cell survives.
 const epsilon = 1e-9
 
 func (o *Options) normalize() {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/nncell"
 	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/wal"
@@ -134,6 +135,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, ix Index)
 	fmt.Fprintf(w, "# HELP nncell_ready Whether the index is loaded and serving (readiness).\n")
 	fmt.Fprintf(w, "# TYPE nncell_ready gauge\n")
 	fmt.Fprintf(w, "nncell_ready %d\n", ready)
+	fmt.Fprintf(w, "# HELP nncell_kernel_info Directory-query kernels this process runs (label carries the set: avx2 or go).\n")
+	fmt.Fprintf(w, "# TYPE nncell_kernel_info gauge\n")
+	fmt.Fprintf(w, "nncell_kernel_info{set=%q} 1\n", nncell.KernelSet())
 	s.writeRecoveryMetrics(w)
 	s.writeReplMetrics(w)
 	if ix == nil {

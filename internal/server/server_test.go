@@ -334,6 +334,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"nncell_index_queries_total",
 		"nncell_http_in_flight",
 		"nncell_index_fallbacks_total 0",
+		`nncell_kernel_info{set="` + nncell.KernelSet() + `"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)
