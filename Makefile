@@ -19,7 +19,11 @@ check: vet doc-check build test race bench-smoke bench-module fuzz-smoke
 # where Sharded.Stats sums nncell.Stats.Fragments (the live cell count the
 # benchmark reads). The arm64 vet compiles the portable build, so a missing
 # !amd64 stub or a build-tag slip fails here too; go vet's asmdecl check holds
-# the amd64 assembly to its Go declarations.
+# the amd64 assembly to its Go declarations. Three decisions have one
+# implementation each: parallel batches claim work in internal/par only, the
+# WAL frame checksum is computed by Log.Append and checked by Cursor.Next only
+# (Replay parses through a Cursor), and the metrics text format is written by
+# internal/stats/expo.go only.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -29,19 +33,22 @@ vet:
 	@if grep -rn '"container/heap"' internal/xtree; then echo "internal/xtree has one best-first search, on QueryCtx's heaps"; exit 1; fi
 	@if $(GO) list -deps ./cmd/nncell ./cmd/nnrouter ./cmd/loadgen | grep -x repro/internal/rescache; then echo "the served binaries may not link internal/rescache"; exit 1; fi
 	@if grep -rnwE --include='*.go' --exclude='*_test.go' 'Decompose|Fragments' internal/server internal/shard internal/replica cmd/nncell cmd/nnrouter | grep -v 'out\.Fragments += st\.Fragments'; then echo "the served stack stores one rectangle per cell: it may not name Decompose or Fragments"; exit 1; fi
+	@if grep -rn --include='*.go' --exclude='*_test.go' 'next\.Add(1)' cmd internal | grep -v '^internal/par/'; then echo "parallel batches claim work through internal/par only"; exit 1; fi
+	@if awk '/^func /{fn=$$0} /crc32\.Checksum/ && fn !~ /^func \(l \*Log\) Append\(|^func \(c \*Cursor\) Next\(/ {print FILENAME ": " fn; bad=1} END{exit !bad}' $$(ls internal/wal/*.go | grep -v '_test\.go$$'); then echo "internal/wal checksums frames in Log.Append and Cursor.Next only"; exit 1; fi
+	@if grep -rn --include='*.go' --exclude='*_test.go' '"# TYPE' cmd internal | grep -v '^internal/stats/expo\.go:'; then echo "the metrics text format has one writer, internal/stats/expo.go"; exit 1; fi
 
 # README.md and DESIGN.md may quote only what the source defines: every
 # nncell_* metric name must occur in non-test Go (a prefix form such as
 # nncell_wal_* passes as the prefix of one that does), and every -flag must be
-# one a cmd/ binary defines (or the prefix of one, as -bench-*) or one of the
-# go tool's flags the docs use.
+# one a cmd/ binary defines (fs.Int("name", … or fs.IntVar(&v, "name", …; or
+# the prefix of one, as -bench-*) or one of the go tool's flags the docs use.
 GO_TOOL_FLAGS = race run bench benchmem benchtime count cpu
 doc-check:
 	@bad=0; \
 	for m in $$(grep -ohE 'nncell_[a-z0-9_]+' README.md DESIGN.md | sort -u); do \
 		grep -rqF --include='*.go' --exclude='*_test.go' "$$m" cmd internal || { echo "doc-check: no source defines metric $$m"; bad=1; }; \
 	done; \
-	defined="$$(grep -ohE '(fs|flag)\.[A-Za-z0-9]+\("[a-z0-9-]+"' cmd/*/main.go | cut -d'"' -f2; printf '%s\n' $(GO_TOOL_FLAGS))"; \
+	defined="$$(grep -ohE '(fs|flag)\.[A-Za-z0-9]+\((&[A-Za-z0-9.]+, )?"[a-z0-9-]+"' cmd/*/main.go | cut -d'"' -f2; printf '%s\n' $(GO_TOOL_FLAGS))"; \
 	for f in $$(grep -ohE '(^|[ (])`?-[a-z][a-z0-9-]*' README.md DESIGN.md | sed -E 's/^[ (]?`?-//' | sort -u); do \
 		echo "$$defined" | grep -q -- "^$$f" || { echo "doc-check: no binary defines flag -$$f"; bad=1; }; \
 	done; \

@@ -188,37 +188,39 @@ func main() {
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("nncell serve", flag.ExitOnError)
 	var (
-		addr        = fs.String("addr", ":8080", "listen address")
-		loadFile    = fs.String("load", "", "serve the index saved in this file (a serve snapshot, or an `nncell -save` file: served as one shard)")
-		shards      = fs.Int("shards", 1, "partition the index into this many shards (writes lock one shard; see -route for query fan-out)")
-		routeName   = fs.String("route", "hash", "shard routing policy: hash (uniform, all-shard fan-out) or grid (space tiles, ring-pruned fan-out)")
-		n           = fs.Int("n", 2000, "points for a synthetic index (when -load is absent; 0 bootstraps an empty index that accepts inserts)")
-		d           = fs.Int("d", 8, "dimensionality of the synthetic index")
-		data        = fs.String("data", "uniform", "synthetic dataset: uniform|grid|diagonal|clustered|fourier")
-		alg         = fs.String("alg", "nndir", "approximation algorithm for the synthetic index and for every write: correct|nndir")
-		seed        = fs.Int64("seed", 1, "random seed for the synthetic index")
-		timeout     = fs.Duration("timeout", 5*time.Second, "per-request admission deadline")
-		grace       = fs.Duration("grace", 10*time.Second, "shutdown drain budget")
-		maxBody     = fs.Int64("max-body", 1<<20, "request body cap in bytes")
-		maxInflight = fs.Int("max-inflight", 0, "concurrent query limit (0 = 4×GOMAXPROCS)")
-		maxBatch    = fs.Int("max-batch", 1024, "points per batch request")
-		maxK        = fs.Int("max-k", 256, "largest accepted k")
-		snapshot    = fs.String("snapshot", "", "periodically save the serving index to this file (with -wal-dir each snapshot also compacts the log)")
-		snapEvery   = fs.Duration("snapshot-every", 5*time.Minute, "snapshot interval")
-		walDir      = fs.String("wal-dir", "", "write-ahead-log directory, one shard-NNNN/ log per shard: replay it on startup, then log every insert/delete (also enables /v1/repl/ so followers can replicate)")
-		fsyncMode   = fs.String("fsync", "interval", "wal fsync policy: always|interval|never")
-		fsyncEvery  = fs.Duration("fsync-interval", 100*time.Millisecond, "fsync cadence for -fsync interval")
-		follow      = fs.String("follow", "", "run as a read-only follower of this primary base URL: bootstrap from its snapshot, tail its WAL")
-		lagSLORecs  = fs.Uint64("lag-slo-records", 0, "follower readiness fails when apply lag exceeds this many records (0 = no record SLO)")
-		lagSLO      = fs.Duration("lag-slo", 0, "follower readiness fails when lag persists longer than this (0 = no time SLO)")
+		addr       = fs.String("addr", ":8080", "listen address")
+		loadFile   = fs.String("load", "", "serve the index saved in this file (a serve snapshot, or an `nncell -save` file: served as one shard)")
+		shards     = fs.Int("shards", 1, "partition the index into this many shards (writes lock one shard; see -route for query fan-out)")
+		routeName  = fs.String("route", "hash", "shard routing policy: hash (uniform, all-shard fan-out) or grid (space tiles, ring-pruned fan-out)")
+		n          = fs.Int("n", 2000, "points for a synthetic index (when -load is absent; 0 bootstraps an empty index that accepts inserts)")
+		d          = fs.Int("d", 8, "dimensionality of the synthetic index")
+		data       = fs.String("data", "uniform", "synthetic dataset: uniform|grid|diagonal|clustered|fourier")
+		alg        = fs.String("alg", "nndir", "approximation algorithm for the synthetic index and for every write: correct|nndir")
+		seed       = fs.Int64("seed", 1, "random seed for the synthetic index")
+		walDir     = fs.String("wal-dir", "", "write-ahead-log directory, one shard-NNNN/ log per shard: replay it on startup, then log every insert/delete (also enables /v1/repl/ so followers can replicate)")
+		fsyncMode  = fs.String("fsync", "interval", "wal fsync policy: always|interval|never")
+		fsyncEvery = fs.Duration("fsync-interval", 100*time.Millisecond, "fsync cadence for -fsync interval")
+		follow     = fs.String("follow", "", "run as a read-only follower of this primary base URL: bootstrap from its snapshot, tail its WAL")
+		lagSLO     = fs.Duration("lag-slo", 0, "follower readiness fails when lag persists longer than this (0 = no time SLO)")
 	)
+	// The serving flags bind into the server's own Config, defaults and all.
+	cfg := server.DefaultConfig()
+	fs.DurationVar(&cfg.RequestTimeout, "timeout", cfg.RequestTimeout, "per-request admission deadline")
+	fs.DurationVar(&cfg.ShutdownGrace, "grace", cfg.ShutdownGrace, "shutdown drain budget")
+	fs.Int64Var(&cfg.MaxBodyBytes, "max-body", cfg.MaxBodyBytes, "request body cap in bytes")
+	fs.IntVar(&cfg.MaxInFlight, "max-inflight", 0, "concurrent query limit (0 = 4×GOMAXPROCS)")
+	fs.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "points per batch request")
+	fs.IntVar(&cfg.MaxK, "max-k", cfg.MaxK, "largest accepted k")
+	fs.StringVar(&cfg.SnapshotPath, "snapshot", "", "periodically save the serving index to this file (with -wal-dir each snapshot also compacts the log)")
+	fs.DurationVar(&cfg.SnapshotEvery, "snapshot-every", cfg.SnapshotEvery, "snapshot interval")
+	fs.Uint64Var(&cfg.LagSLORecords, "lag-slo-records", 0, "follower readiness fails when apply lag exceeds this many records (0 = no record SLO)")
 	fs.Parse(args)
+	cfg.LagSLOSeconds = lagSLO.Seconds()
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	if *follow != "" {
-		serveFollower(*follow, *addr, *lagSLORecs, *lagSLO, *timeout, *grace,
-			*maxBody, *maxInflight, *maxBatch, *maxK, explicit)
+		serveFollower(*follow, *addr, cfg, explicit)
 		return
 	}
 	if explicit["lag-slo-records"] || explicit["lag-slo"] {
@@ -250,24 +252,8 @@ func serveMain(args []string) {
 	// The server starts BEFORE the index exists: liveness and /metrics come
 	// up immediately, readiness reports the loading/replaying phase, and
 	// query traffic is shed with 503 until recovery completes.
-	srv := server.New(nil, server.Config{
-		RequestTimeout: *timeout,
-		ShutdownGrace:  *grace,
-		MaxBodyBytes:   *maxBody,
-		MaxInFlight:    *maxInflight,
-		MaxBatch:       *maxBatch,
-		MaxK:           *maxK,
-		SnapshotPath:   *snapshot,
-		SnapshotEvery:  *snapEvery,
-	})
-	if err := srv.Listen(*addr); err != nil {
-		fatalf("%v", err)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ctx) }()
-	fmt.Printf("nncell: listening on http://%s (not ready: loading index)\n", srv.Addr())
+	srv := server.New(nil, cfg)
+	drain := listenAndServe(srv, *addr, "not ready: loading index")
 
 	opts := shard.Options{
 		Shards: *shards,
@@ -371,15 +357,13 @@ func serveMain(args []string) {
 	srv.SetIndex(ix)
 	fmt.Printf("nncell: serving on http://%s\n", srv.Addr())
 
-	err = <-serveDone
 	// Close drains pending repairs, then closes whatever logs are attached.
-	if cerr := ix.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("closing wal: %w", cerr)
-	}
-	if err != nil {
-		fatalf("serve: %v", err)
-	}
-	fmt.Println("nncell: shutdown complete (in-flight requests drained)")
+	drain(func() error {
+		if err := ix.Close(); err != nil {
+			return fmt.Errorf("closing wal: %w", err)
+		}
+		return nil
+	})
 }
 
 // serveFollower implements `nncell serve -follow <primary-url>`: bootstrap
@@ -387,8 +371,7 @@ func serveMain(args []string) {
 // segments, and serve queries with lag-aware readiness — /healthz fails
 // while bootstrapping or over the lag SLO, which is how the read router
 // decides to shed this node.
-func serveFollower(primary, addr string, lagRecs uint64, lagSLO time.Duration,
-	timeout, grace time.Duration, maxBody int64, maxInflight, maxBatch, maxK int, explicit map[string]bool) {
+func serveFollower(primary, addr string, cfg server.Config, explicit map[string]bool) {
 	for _, name := range []string{"load", "wal-dir", "fsync", "fsync-interval", "snapshot", "snapshot-every",
 		"shards", "route", "n", "d", "data", "alg", "seed"} {
 		if explicit[name] {
@@ -426,35 +409,37 @@ func serveFollower(primary, addr string, lagRecs uint64, lagSLO time.Duration,
 		fatalf("follower: %v", err)
 	}
 
-	srv = server.New(nil, server.Config{
-		ReadOnly:       true,
-		Follower:       fol,
-		LagSLORecords:  lagRecs,
-		LagSLOSeconds:  lagSLO.Seconds(),
-		RequestTimeout: timeout,
-		ShutdownGrace:  grace,
-		MaxBodyBytes:   maxBody,
-		MaxInFlight:    maxInflight,
-		MaxBatch:       maxBatch,
-		MaxK:           maxK,
-	})
+	cfg.ReadOnly = true
+	cfg.Follower = fol
+	srv = server.New(nil, cfg)
 	srv.SetNotReady("follower bootstrapping from " + primary)
+	drain := listenAndServe(srv, addr, "read-only follower of "+primary)
+	fol.Start()
+	drain(func() error { fol.Stop(); return nil })
+}
+
+// listenAndServe binds addr and serves srv in the background until SIGINT or
+// SIGTERM. The drain it returns waits until the in-flight requests have
+// drained, runs release, and exits non-zero on an error of either.
+func listenAndServe(srv *server.Server, addr, note string) (drain func(release func() error)) {
 	if err := srv.Listen(addr); err != nil {
 		fatalf("%v", err)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ctx) }()
-	fmt.Printf("nncell: listening on http://%s (read-only follower of %s)\n", srv.Addr(), primary)
-	fol.Start()
-
-	err = <-serveDone
-	fol.Stop()
-	if err != nil {
-		fatalf("serve: %v", err)
+	fmt.Printf("nncell: listening on http://%s (%s)\n", srv.Addr(), note)
+	return func(release func() error) {
+		defer stop()
+		err := <-serveDone
+		if rerr := release(); rerr != nil && err == nil {
+			err = rerr
+		}
+		if err != nil {
+			fatalf("serve: %v", err)
+		}
+		fmt.Println("nncell: shutdown complete (in-flight requests drained)")
 	}
-	fmt.Println("nncell: shutdown complete (in-flight requests drained)")
 }
 
 func runDemo(seed int64) {

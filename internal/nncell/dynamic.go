@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
@@ -140,50 +139,22 @@ func (ix *Index) approximateCells(cc *cellCtx, ids []int) (cellStore, error) {
 }
 
 // eachCell runs f(·, k) for every position k of ids; f stores its own result.
-// Large batches run on a worker pool of per-worker cellCtxs with a shared
-// fail-fast flag so one failed solve stops the others early, and with cc's
-// point tree when buildCtx gave it one; smaller ones run on cc.
+// Large batches run on par.Do with one cellCtx per worker (cc and fresh ones,
+// all with cc's point tree when buildCtx gave it one), failing fast; smaller
+// ones run serially on cc.
 func eachCell(ix *Index, cc *cellCtx, ids []int, f func(wcc *cellCtx, k int) error) error {
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	work := func(wcc *cellCtx) {
-		for !failed.Load() {
-			k := int(next.Add(1)) - 1
-			if k >= len(ids) {
-				return
-			}
-			if err := f(wcc, k); err != nil {
-				failed.Store(true)
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("nncell: cell %d: %w", ids[k], err)
-				}
-				errMu.Unlock()
-				return
-			}
-		}
+	wccs := []*cellCtx{cc}
+	for len(ids) >= minParallelRecompute && len(wccs) < min(ix.opts.Workers, len(ids)) {
+		wcc := newCellCtx(ix.dim)
+		wcc.pages = cc.pages
+		wccs = append(wccs, wcc)
 	}
-	workers := min(ix.opts.Workers, len(ids))
-	if workers <= 1 || len(ids) < minParallelRecompute {
-		work(cc)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				wcc := newCellCtx(ix.dim)
-				wcc.pages = cc.pages
-				work(wcc)
-			}()
+	return par.Do(len(wccs), len(ids), func(w, k int) error {
+		if err := f(wccs[w], k); err != nil {
+			return fmt.Errorf("nncell: cell %d: %w", ids[k], err)
 		}
-		wg.Wait()
-	}
-	return firstErr
+		return nil
+	})
 }
 
 // commitStaged copies the staged rows in: pure bookkeeping, no solves,

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/vec"
 	"repro/internal/xtree"
 )
@@ -354,48 +353,20 @@ func (ix *Index) NearestNeighborBatch(qs []vec.Point, workers int) ([]Neighbor, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(qs) {
-		workers = len(qs)
+	qcs := make([]*QueryCtx, min(workers, len(qs)))
+	for w := range qcs {
+		qcs[w] = ix.acquireCtx()
+		defer ix.releaseCtx(qcs[w])
 	}
 	out := make([]Neighbor, len(qs))
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var failed atomic.Bool // fail-fast: one worker's error cancels the batch
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			qc := ix.acquireCtx()
-			defer ix.releaseCtx(qc)
-			for {
-				// The whole batch fails on the first error, so once any
-				// worker has failed the remaining results would be thrown
-				// away; stop computing them.
-				if failed.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				ix.mu.RLock()
-				nb, err := ix.nearestLocked(qc, qs[i])
-				ix.mu.RUnlock()
-				if err != nil {
-					errs[slot] = err
-					failed.Store(true)
-					return
-				}
-				out[i] = nb
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := par.Do(len(qcs), len(qs), func(w, i int) (err error) {
+		ix.mu.RLock()
+		out[i], err = ix.nearestLocked(qcs[w], qs[i])
+		ix.mu.RUnlock()
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Router is the stateless read-routing tier in front of a replicated
@@ -378,24 +380,18 @@ func (rt *Router) serveHealthz(w http.ResponseWriter) {
 func (rt *Router) serveMetrics(w http.ResponseWriter) {
 	st := rt.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var b strings.Builder
-	fmt.Fprintf(&b, "# TYPE nnrouter_reads_total counter\nnnrouter_reads_total %d\n", st.Reads)
-	fmt.Fprintf(&b, "# TYPE nnrouter_writes_total counter\nnnrouter_writes_total %d\n", st.Writes)
-	fmt.Fprintf(&b, "# TYPE nnrouter_hedged_reads_total counter\nnnrouter_hedged_reads_total %d\n", st.Hedges)
-	fmt.Fprintf(&b, "# TYPE nnrouter_failovers_total counter\nnnrouter_failovers_total %d\n", st.Failovers)
-	fmt.Fprintf(&b, "# TYPE nnrouter_primary_reads_total counter\nnnrouter_primary_reads_total %d\n", st.PrimaryReads)
-	fmt.Fprintf(&b, "# TYPE nnrouter_follower_healthy gauge\n")
+	stats.NewFamily(w, "nnrouter_reads_total", "counter", "").Sample(st.Reads)
+	stats.NewFamily(w, "nnrouter_writes_total", "counter", "").Sample(st.Writes)
+	stats.NewFamily(w, "nnrouter_hedged_reads_total", "counter", "").Sample(st.Hedges)
+	stats.NewFamily(w, "nnrouter_failovers_total", "counter", "").Sample(st.Failovers)
+	stats.NewFamily(w, "nnrouter_primary_reads_total", "counter", "").Sample(st.PrimaryReads)
+	f := stats.NewFamily(w, "nnrouter_follower_healthy", "gauge", "")
 	idx := make([]int, len(rt.cfg.Followers))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return rt.cfg.Followers[idx[a]] < rt.cfg.Followers[idx[b]] })
 	for _, i := range idx {
-		v := 0
-		if rt.healthy[i].Load() {
-			v = 1
-		}
-		fmt.Fprintf(&b, "nnrouter_follower_healthy{follower=%q} %d\n", rt.cfg.Followers[i], v)
+		f.Sample(rt.healthy[i].Load(), "follower", rt.cfg.Followers[i])
 	}
-	io.WriteString(w, b.String())
 }

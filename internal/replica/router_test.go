@@ -4,6 +4,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -270,5 +272,31 @@ func TestRouterMetricsAndHealthz(t *testing.T) {
 	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if !strings.Contains(rec.Body.String(), `"healthy":true`) {
 		t.Fatalf("healthz missing follower health:\n%s", rec.Body.String())
+	}
+}
+
+// TestRouterMetricsGolden compares the router's /metrics, sample values and
+// follower URLs masked, line for line with testdata: a renamed, reordered or
+// relabelled series fails here.
+func TestRouterMetricsGolden(t *testing.T) {
+	p := newFakeBackend(t, "primary")
+	rt := newTestRouter(t, p, newFakeBackend(t, "f1"), newFakeBackend(t, "f2"))
+	doRead(t, rt)
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	follower := regexp.MustCompile(`follower="[^"]*"`)
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(rec.Body.String(), "\n") {
+		if sp := strings.LastIndexByte(line, ' '); sp >= 0 && !strings.HasPrefix(line, "#") {
+			line = line[:sp] + " N\n"
+		}
+		got.WriteString(follower.ReplaceAllString(line, `follower="URL"`))
+	}
+	want, err := os.ReadFile("testdata/router_metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("router /metrics, masked:\n%s\nwant:\n%s", got.String(), want)
 	}
 }

@@ -239,21 +239,15 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, dim int) ([
 }
 
 // batchWorkers bounds the per-request fan-out so one batch cannot occupy
-// every core while other requests wait.
-func batchWorkers(n int) int {
-	w := 4
-	if n < w {
-		w = n
-	}
-	return w
-}
+// every core while other requests wait (par.Do caps it at the batch size).
+const batchWorkers = 4
 
 func (s *Server) handleNNBatch(w http.ResponseWriter, r *http.Request, ix Index) {
 	qs, _, ok := s.decodeBatch(w, r, ix.Dim())
 	if !ok {
 		return
 	}
-	nbs, err := ix.NearestNeighborBatch(qs, batchWorkers(len(qs)))
+	nbs, err := ix.NearestNeighborBatch(qs, batchWorkers)
 	if err != nil {
 		writeError(w, queryStatus(err), "query failed: %v", err)
 		return

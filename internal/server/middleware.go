@@ -32,6 +32,8 @@ type handler func(w http.ResponseWriter, r *http.Request, ix Index)
 // handler that looked it up again could answer with one index's id and the
 // other's coordinates.
 func (s *Server) instrument(name string, limited bool, h handler) http.Handler {
+	em := &endpointMetrics{}
+	s.m.endpoints[name] = em
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.m.inflight.Add(1)
@@ -49,13 +51,13 @@ func (s *Server) instrument(name string, limited bool, h handler) http.Handler {
 			if ix == nil {
 				reason, _ := s.reason.Load().(string)
 				writeError(sw, http.StatusServiceUnavailable, "index not ready: %s", reason)
-				s.m.record(name, sw.code, time.Since(start))
+				em.record(sw.code, time.Since(start))
 				return
 			}
 			if !s.acquire(ctx) {
 				s.m.rejected.Add(1)
 				writeError(sw, http.StatusServiceUnavailable, "server at capacity")
-				s.m.record(name, sw.code, time.Since(start))
+				em.record(sw.code, time.Since(start))
 				return
 			}
 			defer s.release()
@@ -64,7 +66,7 @@ func (s *Server) instrument(name string, limited bool, h handler) http.Handler {
 			r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
 		}
 		h(sw, r, ix)
-		s.m.record(name, sw.code, time.Since(start))
+		em.record(sw.code, time.Since(start))
 	})
 }
 

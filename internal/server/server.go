@@ -32,7 +32,7 @@ import (
 
 // Index is the serving abstraction: everything the handlers, the metrics
 // surface and the snapshot loop need from an index. Both nncell.Index (one
-// lock) and shard.Sharded (hash-partitioned, fan-out reads, per-shard
+// lock) and shard.Sharded (hash- or grid-routed, fan-out reads, per-shard
 // locking) satisfy it, so the same serving layer fronts either.
 type Index interface {
 	Dim() int
@@ -147,6 +147,14 @@ func (c *Config) normalize() {
 	}
 }
 
+// DefaultConfig returns the zero Config with its defaults filled in: what New
+// serves with, and what `nncell serve` offers as its flag defaults.
+func DefaultConfig() Config {
+	var c Config
+	c.normalize()
+	return c
+}
+
 // ixBox wraps the served index so the atomic holder always stores one
 // concrete type (atomic.Value requires it), including "no index yet".
 type ixBox struct{ ix Index }
@@ -162,9 +170,10 @@ type RecoveryInfo struct {
 	Stats nncell.RecoveryStats
 }
 
-// Server serves one nncell.Index. Construct with New, then either mount
-// Handler on an existing mux or call Listen followed by Serve. The server
-// can start BEFORE its index: New(nil, cfg) serves 503 on every index
+// Server serves one Index; `nncell serve` hands it a shard.Sharded of one
+// shard or more. Construct with New, then either mount Handler on an
+// existing mux or call Listen followed by Serve. The server can start
+// BEFORE its index: New(nil, cfg) serves 503 on every index
 // endpoint and "loading" on readiness until SetIndex installs the index —
 // that is what lets a recovering process expose liveness and progress
 // while the snapshot loads and the WAL replays.
@@ -199,7 +208,7 @@ func New(ix Index, cfg Config) *Server {
 		s.SetIndex(ix)
 	}
 	s.cands.New = func() interface{} { b := make([]int, 0, 16); return &b }
-	s.m = newMetrics()
+	s.m = &metrics{endpoints: make(map[string]*endpointMetrics)}
 
 	s.mux = http.NewServeMux()
 	s.mux.Handle("/", s.instrument("index", false, s.handleIndex))
@@ -382,7 +391,6 @@ func (s *Server) writeSnapshot() error {
 	if ix == nil {
 		return errors.New("server: snapshot before index is loaded")
 	}
-	start := time.Now()
 
 	var (
 		cut       uint64
@@ -419,6 +427,5 @@ func (s *Server) writeSnapshot() error {
 	}
 	s.m.snapshots.Add(1)
 	s.m.lastSnapshotNanos.Store(time.Now().UnixNano())
-	s.m.snapshotSeconds.Observe(time.Since(start))
 	return nil
 }

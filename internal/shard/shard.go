@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/nncell"
 	"repro/internal/pager"
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
@@ -75,10 +76,10 @@ func (o *Options) normalize() {
 	}
 }
 
-// Sharded is a hash-partitioned NN-cell index. The shards slice is immutable
-// after construction; all synchronization lives inside the per-shard
-// indexes, so Sharded itself needs no lock and adds no cross-shard
-// serialization to any operation.
+// Sharded is an NN-cell index partitioned into shards, hash- or grid-routed
+// (Options.Route). The shards slice is immutable after construction; all
+// synchronization lives inside the per-shard indexes, so Sharded itself
+// needs no lock and adds no cross-shard serialization to any operation.
 //
 // Global point ids interleave the per-shard local ids: gid = local·S + shard.
 // The mapping is stable under inserts (locals only grow) and survives
@@ -429,23 +430,14 @@ func (s *Sharded) DeleteBatch(gids []int) error {
 
 // RepairWait drains every shard's lazy-repair queue concurrently (see
 // nncell.Index.RepairWait); a no-op when LazyRepair is off or nothing is
-// stale. Every shard is inspected — an idle shard (no queued or in-flight
-// repairs) is skipped without spawning a drain goroutine, but never cuts the
-// loop short: shards with pending work are all drained to completion before
-// RepairWait returns, regardless of where the idle ones sit in the order.
+// stale. Every shard is drained to completion before RepairWait returns; an
+// idle one (no queued or in-flight repairs) returns at once and cuts nothing
+// short.
 func (s *Sharded) RepairWait() {
-	var wg sync.WaitGroup
-	for _, ix := range s.shards {
-		if !ix.RepairPending() {
-			continue
-		}
-		wg.Add(1)
-		go func(ix *nncell.Index) {
-			defer wg.Done()
-			ix.RepairWait()
-		}(ix)
-	}
-	wg.Wait()
+	par.Do(len(s.shards), len(s.shards), func(_, i int) error {
+		s.shards[i].RepairWait()
+		return nil
+	})
 }
 
 // SetMutationHook installs h on every shard, wrapped so the hook observes
@@ -643,41 +635,13 @@ func (s *Sharded) NearestNeighborBatch(qs []vec.Point, workers int) ([]nncell.Ne
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
 	out := make([]nncell.Neighbor, len(qs))
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			for {
-				if failed.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				nb, err := s.NearestNeighbor(qs[i])
-				if err != nil {
-					errs[slot] = err
-					failed.Store(true)
-					return
-				}
-				out[i] = nb
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := par.Do(workers, len(qs), func(_, i int) (err error) {
+		out[i], err = s.NearestNeighbor(qs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,7 +1,7 @@
 // Package stats provides the small measurement utilities used by the CLI
 // tools and experiment harness: a log-bucketed latency histogram with
 // quantile estimates, allocation-free on the hot path and safe for concurrent
-// use.
+// use, and the writer of the Prometheus text format the servers export.
 package stats
 
 import (

@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -75,6 +73,10 @@ func Replay(fsys iofault.FS, dir string, apply func(Record) error) (ReplayStats,
 	return st, nil
 }
 
+// replaySegment applies the whole records of one segment, parsed by a Cursor,
+// and stops at the first thing that is not one: an incomplete header (a crash
+// while the segment was created, so nothing in it was acknowledged), an
+// incomplete frame, or a frame the Cursor rejects. The rest is the torn tail.
 func replaySegment(fsys iofault.FS, name string, apply func(Record) error) (records uint64, tornBytes int64, err error) {
 	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
 	if err != nil {
@@ -85,37 +87,15 @@ func replaySegment(fsys iofault.FS, name string, apply func(Record) error) (reco
 	if rerr != nil {
 		return 0, 0, fmt.Errorf("wal: replay %s: %w", name, rerr)
 	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		// Crash during segment creation: the header never became durable,
-		// so nothing in this segment was ever acknowledged.
-		return 0, int64(len(data)), nil
-	}
-	rest := data[len(segMagic):]
-	le := binary.LittleEndian
-	for len(rest) > 0 {
-		if len(rest) < frameBytes {
-			return records, int64(len(rest)), nil // torn frame header
-		}
-		length := le.Uint32(rest[0:4])
-		if length == 0 || length > MaxRecordBytes || int(length) > len(rest)-frameBytes {
-			return records, int64(len(rest)), nil // torn or corrupt length
-		}
-		wantCRC := le.Uint32(rest[4:8])
-		payload := rest[frameBytes : frameBytes+int(length)]
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			return records, int64(len(rest)), nil // torn or bit-rotted record
-		}
-		rec, derr := decodePayload(payload)
-		if derr != nil {
-			// CRC-valid but undecodable: format corruption; stop here the
-			// same way a torn record stops the segment.
-			return records, int64(len(rest)), nil
+	c := Cursor{buf: data}
+	for {
+		rec, ok, _ := c.Next() // a frame the Cursor rejects is torn like an incomplete one
+		if !ok {
+			return records, int64(len(data)) - c.Offset(), nil
 		}
 		if aerr := apply(rec); aerr != nil {
 			return records, 0, fmt.Errorf("wal: replay %s: applying record %d: %w", name, records, aerr)
 		}
 		records++
-		rest = rest[frameBytes+int(length):]
 	}
-	return records, 0, nil
 }
