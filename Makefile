@@ -88,7 +88,9 @@ race:
 # and the query kernels are the query, run once per kernel set the CPU has —
 # .../kernel=go and .../kernel=avx2, the before/after row of a kernel change;
 # both print folds/op and fail unless every kernel set folds the same points);
-# BenchmarkCellDirUpdate tracks the two directories' share of a cell
+# BenchmarkQueryStages times the served NN query's stages — row AND, bit walk,
+# distances, the whole NN fold — once per kernel set, the per-stage split of a
+# kernel change; BenchmarkCellDirUpdate tracks the two directories' share of a cell
 # recompute and of a point insert + delete, BenchmarkInsertEager one whole
 # eager insert (ms, LP solves and cells recomputed per op),
 # BenchmarkDynamicInsert concurrent inserts at 1, 2 and 4 shards (the only
@@ -96,7 +98,7 @@ race:
 # to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveMBR|BenchmarkBuild/NN-Direction' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkQuery(Nearest|KNearest)$$/NN-Direction/d=8|BenchmarkCellDirUpdate|BenchmarkInsertEager' -benchtime 1x ./internal/nncell/
+	$(GO) test -run '^$$' -bench 'BenchmarkQuery(Nearest|KNearest)$$/NN-Direction/d=8|BenchmarkQueryStages|BenchmarkCellDirUpdate|BenchmarkInsertEager' -benchtime 1x ./internal/nncell/
 	$(GO) test -run '^$$' -bench BenchmarkDynamicInsert -benchtime 1x ./internal/shard/
 	$(GO) run ./cmd/experiments -bench-query /tmp/BENCH_query_smoke.json -bench-n 60 -bench-dims 4
 

@@ -227,7 +227,7 @@ func (ix *Index) initialRadius(cc *cellCtx, i int) float64 {
 // counted in Stats.PruneVisited.
 func (ix *Index) pointsWithin(cc *cellCtx, i int, radius float64) (ids []int, all bool) {
 	p, r2 := ix.point(i), radius*radius
-	cc.box, _ = ix.pdir.box(cc.box, p, outwardRadius(r2))
+	cc.box, _ = ix.pdir.box(&cc.dirScratch, cc.box, p, outwardRadius(r2))
 	ids = cc.ids[:0]
 	for _, nb := range cc.dists(p, ix.ptsFlat, cc.box) {
 		if nb.ID != i && nb.Dist2 <= r2 {

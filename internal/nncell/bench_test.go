@@ -113,6 +113,47 @@ func BenchmarkQueryNearest(b *testing.B) {
 	})
 }
 
+// BenchmarkQueryStages splits the NN query of the served shape into its
+// stages, once per kernel set the CPU runs: "and", the row AND of the query's
+// stripes (cellDir.survivors); "walk", listing the survivor bits
+// (appendBits); "dists", the squared distances of the listed points (dist2s);
+// "fold", the whole NN fold of a survivor set (dirScratch.nearest: on AVX2 at
+// d = 8 the walk, the distances and the minimum in one pass, elsewhere
+// appendBits, dist2s and the Go minimum). walk, dists and fold run on the
+// survivor sets of the first stageSets queries, taken before the clock
+// starts. The per-stage split of a kernel change is this one command.
+func BenchmarkQueryStages(b *testing.B) {
+	const stageSets = 512
+	ix, qs := benchIndex(b, NNDirection, servedD, servedN, servedQueries)
+	sets, lists := make([][]uint64, stageSets), make([][]Neighbor, stageSets)
+	bitsPerSet := 0.0
+	for i := range sets {
+		sets[i] = ix.dir.survivors(new(dirScratch), nil, qs[i])
+		lists[i] = appendBits(nil, sets[i])
+		bitsPerSet += float64(len(lists[i])) / stageSets
+	}
+	for _, set := range kernelSets() {
+		b.Run("kernel="+set, func(b *testing.B) {
+			defer useKernelSet(set)()
+			var qc QueryCtx
+			stage := func(name string, op func(i int)) {
+				b.Run(name, func(b *testing.B) {
+					op(0)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						op(i)
+					}
+					b.ReportMetric(bitsPerSet, "survivors/op")
+				})
+			}
+			stage("and", func(i int) { qc.surv = ix.dir.survivors(&qc.dirScratch, qc.surv, qs[i%len(qs)]) })
+			stage("walk", func(i int) { qc.cand = appendBits(qc.cand[:0], sets[i%stageSets]) })
+			stage("dists", func(i int) { dist2s(lists[i%stageSets], qs[i%stageSets], ix.ptsFlat) })
+			stage("fold", func(i int) { qc.nearest(qs[i%stageSets], ix.ptsFlat, sets[i%stageSets]) })
+		})
+	}
+}
+
 // BenchmarkQueryNearestPaged is the cell X-tree point query on the identical
 // workload; the ratio to BenchmarkQueryNearest is what the directory saves.
 func BenchmarkQueryNearestPaged(b *testing.B) {

@@ -134,22 +134,18 @@ func sized(buf []uint64, words int) []uint64 {
 	return buf[:words]
 }
 
-// gatherDims is the number of dimensions whose rows a directory query gathers
-// on its stack before the fused AND; a higher-dimensional index spills the
-// gather to the heap, one small allocation per query.
-const gatherDims = 16
-
 // survivors writes the AND of the rows of p's stripes into acc (reused when
 // large enough) and returns it: bit id of the result is set iff cell id's
-// stripe-rounded approximation contains p. The d rows are gathered first and
-// ANDed four per pass (andRows): two passes over acc at d = 8, not seven.
-func (cd *cellDir) survivors(acc []uint64, p vec.Point) []uint64 {
+// stripe-rounded approximation contains p. The d rows are gathered first, in
+// ds.hi, and ANDed four per pass (andRows): two passes over acc at d = 8, not
+// seven.
+func (cd *cellDir) survivors(ds *dirScratch, acc []uint64, p vec.Point) []uint64 {
 	acc = sized(acc, len(cd.rows[0]))
-	var buf [gatherDims][]uint64
-	rows := buf[:0]
+	rows := ds.hi[:0]
 	for j := range cd.lo {
 		rows = append(rows, cd.rows[j*stripes+cd.stripe(j, p[j])])
 	}
+	ds.hi = rows
 	andRows(acc, rows)
 	return acc
 }

@@ -17,7 +17,7 @@ import (
 func checkDirQuery(t *testing.T, cd *cellDir, model map[int]vec.Rect, q vec.Point) {
 	t.Helper()
 	got := map[int]bool{}
-	for w, word := range cd.survivors(nil, q) {
+	for w, word := range cd.survivors(new(dirScratch), nil, q) {
 		for ; word != 0; word &= word - 1 {
 			got[w<<6|bits.TrailingZeros64(word)] = true
 		}

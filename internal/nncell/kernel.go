@@ -1,6 +1,7 @@
 package nncell
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -10,14 +11,16 @@ import (
 // every listed point — and each is written here once, for every caller, in the
 // form that keeps the loop free of read-modify-write passes, data-dependent
 // branches and serial add chains (DESIGN.md §17). On amd64 with AVX2 the row
-// passes and the distances run in kernel_amd64.s instead, four lanes wide and
-// bit for bit what the Go loops here compute; the Go loops are the reference
-// and every other machine's kernels.
+// passes, the bit walk and the distances run in kernel_amd64.s instead — the
+// NN query's walk, distances and minimum as one pass (nearest) — four lanes
+// wide and bit for bit what the Go loops here compute; the Go loops are the
+// reference and every other machine's kernels.
 
 // KernelSet names the kernels this process's directory queries run on: "avx2"
-// where the CPU and the operating system support AVX2 on amd64
-// (kernel_amd64.s: the row passes always, the distances when d is a multiple
-// of four), "go" everywhere else. It is chosen once, at start-up.
+// where the CPU and the operating system support AVX2, BMI1 and POPCNT on
+// amd64 (kernel_amd64.s: the row passes and the bit walk always, the
+// distances and the NN fold when d is a multiple of four), "go" everywhere
+// else. It is chosen once, at start-up.
 func KernelSet() string {
 	if useAVX2 {
 		return "avx2"
@@ -88,17 +91,28 @@ const bitSlack = 4
 // count of the sets it has seen (plus bitSlack), not 64 per word: when it must
 // grow it takes four times what this set needs, so that a fresh context — the
 // pool drops them at every GC — is not grown again by each fuller set it
-// meets.
+// meets. With AVX2 the count is onesCount and the walk walkBits: the same
+// writes in POPCNT, TZCNT and BLSR, which Go's default amd64 target does not
+// assume, and in place of the density test one branch per four words that
+// skips them when all four are empty, which predicts at either density.
 func appendBits(list []Neighbor, set []uint64) []Neighbor {
 	total := 0
-	for _, word := range set {
-		total += bits.OnesCount64(word)
+	if useAVX2 {
+		total = onesCount(set)
+	} else {
+		for _, word := range set {
+			total += bits.OnesCount64(word)
+		}
 	}
 	n, need := len(list), total+bitSlack
 	if cap(list)-n < need {
 		list = slices.Grow(list, 4*need)
 	}
 	list = list[:n+need]
+	if useAVX2 {
+		walkBits(list[n:], set)
+		return list[:n+total]
+	}
 	sparse := 4*total < len(set)
 	for w, word := range set {
 		if sparse && word == 0 {
@@ -152,6 +166,7 @@ func dist2s(list []Neighbor, q, pts []float64) []Neighbor {
 		}
 		return list[:n]
 	}
+	pts = slices.Clip(pts) // an id past the store fails its slice, not reads the spare capacity
 	for k := 0; k < padded; k += 4 {
 		g := list[k : k+4 : k+4]
 		a := pts[g[0].ID*d:][:d]
@@ -169,4 +184,36 @@ func dist2s(list []Neighbor, q, pts []float64) []Neighbor {
 		g[0].Dist2, g[1].Dist2, g[2].Dist2, g[3].Dist2 = s0, s1, s2, s3
 	}
 	return list[:n]
+}
+
+// nearest returns the point of set (live ids only) nearest to q, the first
+// strictly smaller squared distance in ascending id order so that ties go to
+// the smaller id, and the number of points in set; found is false when no
+// distance is below +Inf, as for an empty set. With AVX2 and d a multiple of
+// four that is one pass of nearestAVX2 — the bits walked, the distances taken
+// and the minimum kept without a list between them — which checks every id
+// against the rows of pts before reading one; elsewhere it is the list of
+// ds.dists and a Go minimum, the reference the kernel matches bit for bit.
+func (ds *dirScratch) nearest(q, pts []float64, set []uint64) (nb Neighbor, count int, found bool) {
+	if d := len(q); useAVX2 && d > 0 && d%4 == 0 {
+		id, d2, count, ok := nearestAVX2(set, q, pts, len(pts)/d)
+		if !ok {
+			panic("nncell: nearest: a survivor id is past the coordinate store")
+		}
+		if id < 0 {
+			return Neighbor{}, count, false
+		}
+		return Neighbor{ID: id, Dist2: d2}, count, true
+	}
+	cand := ds.dists(q, pts, set)
+	at, least := -1, math.Inf(1)
+	for i := range cand {
+		if d2 := cand[i].Dist2; d2 < least {
+			at, least = i, d2
+		}
+	}
+	if at < 0 {
+		return Neighbor{}, len(cand), false
+	}
+	return cand[at], len(cand), true
 }

@@ -5,23 +5,25 @@ package nncell
 // both kernel sets, nothing else writes it.
 var useAVX2 = hasAVX2()
 
-// hasAVX2 reports whether the CPU has AVX2 (CPUID leaf 7, EBX bit 5) and AVX
-// with XGETBV (leaf 1, ECX bits 28 and 27), and the operating system saves the
-// ymm registers across context switches (XCR0 bits 1 and 2).
+// hasAVX2 reports whether the CPU has AVX2 and BMI1 (CPUID leaf 7, EBX bits 5
+// and 3), AVX with XGETBV and POPCNT (leaf 1, ECX bits 28, 27 and 23), and the
+// operating system saves the ymm registers across context switches (XCR0 bits
+// 1 and 2). The bit walks of kernel_amd64.s take POPCNT, TZCNT and BLSR.
 func hasAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+	const popcnt, osxsave, avx = 1 << 23, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(popcnt|osxsave|avx) != popcnt|osxsave|avx {
 		return false
 	}
 	const sse, ymm = 1 << 1, 1 << 2
 	if xcr0 := xgetbv0(); xcr0&(sse|ymm) != sse|ymm {
 		return false
 	}
+	const bmi1, avx2 = 1 << 3, 1 << 5
 	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
+	return ebx&(bmi1|avx2) == bmi1|avx2
 }
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -36,3 +38,12 @@ func andNot4(acc, a, b, c, e []uint64)
 
 //go:noescape
 func dist2sAVX2(list []Neighbor, q, pts []float64, rows int) (ok bool)
+
+//go:noescape
+func walkBits(dst []Neighbor, set []uint64)
+
+//go:noescape
+func nearestAVX2(set []uint64, q, pts []float64, rows int) (id int, dist2 float64, count int, ok bool)
+
+//go:noescape
+func onesCount(set []uint64) int

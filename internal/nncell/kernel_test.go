@@ -145,13 +145,61 @@ func ids(list []Neighbor) []int {
 	return out
 }
 
-// appendBits against the bit-at-a-time walk (one Go loop, run on every kernel
-// set all the same), on words of 0, 1, 4, 5, 8, 9 and
+// naiveNearest is the NN fold a bit at a time: the set bits in ascending
+// order, each point's Dist2Flat, the first strictly smaller one kept.
+func naiveNearest(set []uint64, q, pts []float64) (nb Neighbor, count int, found bool) {
+	d, least := len(q), math.Inf(1)
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			count++
+			if d2 := vec.Dist2Flat(q, pts[id*d:(id+1)*d]); d2 < least {
+				nb, least, found = Neighbor{ID: id, Dist2: d2}, d2, true
+			}
+		}
+	}
+	return nb, count, found
+}
+
+// checkNearest compares the NN fold of set on the kernel set in use
+// (dirScratch.nearest) with naiveNearest: id, Dist2 bits, count and found.
+func checkNearest(t *testing.T, ds *dirScratch, set []uint64, q, pts []float64) {
+	t.Helper()
+	nb, count, found := ds.nearest(q, pts, set)
+	want, wantCount, wantFound := naiveNearest(set, q, pts)
+	if nb.ID != want.ID || math.Float64bits(nb.Dist2) != math.Float64bits(want.Dist2) || count != wantCount || found != wantFound {
+		t.Fatalf("d=%d, %d words, %d bits: nearest %v (%x), %d, %v; a bit at a time %v (%x), %d, %v",
+			len(q), len(set), wantCount, nb, math.Float64bits(nb.Dist2), count, found,
+			want, math.Float64bits(want.Dist2), wantCount, wantFound)
+	}
+}
+
+// randomSet returns a set of up to maxWords words, each empty (often in runs
+// of four and more) or holding one of counts bits.
+func randomSet(rng *rand.Rand, maxWords int, counts []int) []uint64 {
+	set := make([]uint64, rng.Intn(maxWords+1))
+	for w := 0; w < len(set); w++ {
+		switch rng.Intn(4) {
+		case 0:
+			w += rng.Intn(9) // a run of empty words
+		default:
+			set[w] = wordWithBits(rng, counts[rng.Intn(len(counts))])
+		}
+	}
+	return set
+}
+
+// appendBits and the NN fold against the bit-at-a-time walks (Go loops, run
+// on every kernel set all the same). The sets: words of 0, 1, 4, 5, 8, 9 and
 // 64 bits — nothing, one step partly used, one and two steps exactly full and
 // one past them, the densest word — in every order of two, as they are (the
-// walk that takes every word) and among a thousand empty words (the sparse
-// walk that skips them), appended to an empty list, to a non-empty one with
-// room, and to one that must grow.
+// walk that takes every word) and among a thousand empty words (the walks
+// that skip them), the empty set, and sets of up to 60 words with runs
+// of empty ones, enough bits to drain the fold's buffer several times and
+// every length modulo its blocks of four. appendBits appends to an empty list,
+// to a non-empty one with room, and to one that must grow. The fold runs at
+// d = 4, 8, 12 and 16 (on AVX2 the fused kernel) and 6 (the Go path), on
+// coordinates of a coarse grid, so that many points tie, in every lane.
 func TestAppendBitsMatchesNaive(t *testing.T) {
 	forKernelSets(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(29))
@@ -167,14 +215,29 @@ func TestAppendBitsMatchesNaive(t *testing.T) {
 			sets = append(sets, slices.Concat(make([]uint64, 500), set, make([]uint64, 500)))
 		}
 		sets = append(sets, nil)
+		for range 60 {
+			sets = append(sets, randomSet(rng, 60, counts))
+		}
+		grid := make([]float64, 64*1003*16)
+		for i := range grid {
+			grid[i] = float64(rng.Intn(3))
+		}
+		var ds dirScratch
 		for _, set := range sets {
+			for _, d := range []int{4, 6, 8, 12, 16} {
+				q := make([]float64, d)
+				for j := range q {
+					q[j] = float64(rng.Intn(3))
+				}
+				checkNearest(t, &ds, set, q, grid[:64*len(set)*d])
+			}
 			var want []int
 			for w, word := range set {
 				for ; word != 0; word &= word - 1 {
 					want = append(want, w<<6|bits.TrailingZeros64(word))
 				}
 			}
-			roomy := append(make([]Neighbor, 0, 512), Neighbor{ID: -7, Dist2: 7}, Neighbor{ID: -8, Dist2: 8})
+			roomy := append(make([]Neighbor, 0, 4096), Neighbor{ID: -7, Dist2: 7}, Neighbor{ID: -8, Dist2: 8})
 			for name, prefix := range map[string][]Neighbor{
 				"empty": nil,
 				"roomy": roomy,
@@ -312,7 +375,7 @@ func TestLaneTiesGoToSmallerID(t *testing.T) {
 						t.Fatalf("d=%d: %d tied points, want %d", d, len(want), len(tied))
 					}
 					// Where the tied ids stand in the list the kernels walk.
-					list := ids(appendBits(nil, ix.dir.survivors(nil, q)))
+					list := ids(appendBits(nil, ix.dir.survivors(new(dirScratch), nil, q)))
 					groups := map[int]int{}
 					for _, nb := range want {
 						at := slices.Index(list, nb.ID)
@@ -340,6 +403,48 @@ func TestLaneTiesGoToSmallerID(t *testing.T) {
 			}
 			if !oneGroup || !twoGroups {
 				t.Fatalf("d=%d: ties inside one group of four: %v, across groups: %v — the layouts miss a case", d, oneGroup, twoGroups)
+			}
+		}
+
+		// The fold's lanes directly: of 2–5 tied points among 300 farther
+		// ones, wherever they stand — one lane, neighbouring lanes, two groups
+		// of four, two drains of the fused kernel apart — the smallest id
+		// wins, at d = 4, 8, 12, 16 and on the Go path at d = 6.
+		rng := rand.New(rand.NewSource(37))
+		var ds dirScratch
+		for _, d := range []int{4, 6, 8, 12, 16} {
+			const rows = 300
+			pts := make([]float64, rows*d)
+			q := make([]float64, d)
+			for trial := 0; trial < 200; trial++ {
+				for id := 0; id < rows; id++ {
+					row := pts[id*d : (id+1)*d]
+					clear(row)
+					row[id%d] = float64(2 + rng.Intn(3)) // at 4, 9 or 16
+				}
+				// Every other trial takes every id, so that an id is its list
+				// position and ties at multiples of four share lane 0.
+				set := make([]uint64, (rows+63)/64)
+				for id := 0; id < rows; id++ {
+					if trial%2 == 0 || rng.Intn(3) > 0 {
+						set[id>>6] |= 1 << (id & 63)
+					}
+				}
+				least := rows
+				for range 2 + rng.Intn(4) {
+					id := rng.Intn(rows)
+					if trial%2 == 0 {
+						id = rng.Intn(rows/4) * 4
+					}
+					clear(pts[id*d : (id+1)*d])
+					pts[id*d+id%d] = 1 // at 1
+					set[id>>6] |= 1 << (id & 63)
+					least = min(least, id)
+				}
+				checkNearest(t, &ds, set, q, pts)
+				if nb, _, _ := ds.nearest(q, pts, set); nb.ID != least || nb.Dist2 != 1 {
+					t.Fatalf("d=%d: nearest %+v, want id %d at 1", d, nb, least)
+				}
 			}
 		}
 	})
@@ -374,11 +479,72 @@ func TestDist2sRefusesIDsOutsidePts(t *testing.T) {
 	})
 }
 
+// The NN fold finds the nearest point wherever it stands in the walk: every
+// position of sets whose words hold odd bit counts, so that the fused
+// kernel's buffer drains, several times a set, leaving every remainder of its
+// groups of eight, at d = 4 and 8.
+func TestNearestAtEveryPosition(t *testing.T) {
+	forKernelSets(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		var ds dirScratch
+		for _, d := range []int{4, 8} {
+			for range 16 {
+				set := randomSet(rng, 24, []int{1, 3, 5, 7, 9, 13, 64})
+				pts := make([]float64, 64*len(set)*d)
+				for i := range pts {
+					pts[i] = 2
+				}
+				q := make([]float64, d)
+				walk := ids(appendBits(nil, set))
+				for _, id := range walk {
+					pts[id*d] = 0.5
+					if nb, count, _ := ds.nearest(q, pts, set); nb.ID != id || count != len(walk) {
+						t.Fatalf("d=%d, %d words: nearest %+v of %d, want id %d of %d", d, len(set), nb, count, id, len(walk))
+					}
+					pts[id*d] = 2
+				}
+			}
+		}
+	})
+}
+
+// A set bit at or past the row count makes the NN fold panic on every kernel
+// set without reading that row: the fused kernel checks the whole set against
+// the row count before it reads any row, the Go path fails the row's slice.
+// pts has spare capacity behind its rows, which a missing check would read.
+func TestNearestRefusesIDsOutsidePts(t *testing.T) {
+	forKernelSets(t, func(t *testing.T) {
+		var ds dirScratch
+		for _, d := range []int{4, 6, 8} {
+			for _, rows := range []int{1, 9, 64, 70, 130} {
+				pts := make([]float64, rows*d, (rows+300)*d)
+				q := make([]float64, d)
+				for _, bad := range []int{rows, rows + 1, rows | 63, rows + 64, rows + 200} {
+					set := make([]uint64, bad/64+1+bad%2)
+					for _, id := range []int{0, rows / 2, rows - 1} {
+						set[id>>6] |= 1 << (id & 63)
+					}
+					set[bad>>6] |= 1 << (bad & 63)
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("d=%d, %d rows: bit %d of %d words: no panic", d, rows, bad, len(set))
+							}
+						}()
+						ds.nearest(q, pts, set)
+					}()
+				}
+			}
+		}
+	})
+}
+
 // FuzzKernels compares the AVX2 kernels with the Go loops bit for bit: andRows
 // and andNotRows over 1–17 rows of 0–11 words, dist2s for d = 1…24 over lists
-// of up to 70 ids in any order (repeats allowed) with coordinates the input
-// draws from ±0, subnormals, magnitudes near 2^±300 and ordinary values.
-// Without AVX2 there is nothing to compare.
+// of up to 70 ids in any order (repeats allowed), and the bit walk and the NN
+// fold (id, Dist2, count) of a survivor set over up to 768 rows, with
+// coordinates the input draws from ±0, subnormals, magnitudes near 2^±300 and
+// ordinary values. Without AVX2 there is nothing to compare.
 func FuzzKernels(f *testing.F) {
 	if !avx2Available {
 		f.Skip("this CPU runs the Go kernels only")
@@ -458,11 +624,48 @@ func FuzzKernels(f *testing.F) {
 		if !slices.Equal(accs[0], accs[2]) || !slices.Equal(accs[1], accs[3]) {
 			t.Fatalf("%d rows then %d, %d words: go %x / %x, avx2 %x / %x", len(hi), len(lo), words, accs[0], accs[1], accs[2], accs[3])
 		}
+
+		// A survivor set over up to 12·64 rows, of a density the input picks
+		// (none, sparse, about one bit in three, nearly full), through the walk
+		// and the NN fold.
+		rows := 1 + rng.Intn(12*64)
+		set := make([]uint64, (rows+63)/64+rng.Intn(2))
+		density := []float64{0, 0.01, 0.3, 0.95}[int(lenIn)%4]
+		for id := 0; id < rows; id++ {
+			if rng.Float64() < density {
+				set[id>>6] |= 1 << (id & 63)
+			}
+		}
+		pts = make([]float64, rows*d)
+		for i := range pts {
+			pts[i] = value()
+		}
+		var walks [][]int
+		var folds []Neighbor
+		var counts []int
+		var founds []bool
+		var ds dirScratch
+		for _, kernels := range kernelSets() {
+			restore := useKernelSet(kernels)
+			walks = append(walks, ids(appendBits(nil, set)))
+			nb, count, found := ds.nearest(q, pts, set)
+			restore()
+			folds, counts, founds = append(folds, nb), append(counts, count), append(founds, found)
+		}
+		if !slices.Equal(walks[0], walks[1]) {
+			t.Fatalf("%d words at density %v: avx2 walks %v, go %v", len(set), density, walks[1], walks[0])
+		}
+		if folds[0].ID != folds[1].ID || math.Float64bits(folds[0].Dist2) != math.Float64bits(folds[1].Dist2) ||
+			counts[0] != counts[1] || founds[0] != founds[1] {
+			t.Fatalf("d=%d, %d words at density %v: avx2 folds %v (%x), %d, %v; go %v (%x), %d, %v", d, len(set), density,
+				folds[1], math.Float64bits(folds[1].Dist2), counts[1], founds[1], folds[0], math.Float64bits(folds[0].Dist2), counts[0], founds[0])
+		}
 	})
 }
 
 // KernelSet names the set the kernels run on, and the start-up probe agrees
-// with the flags Linux reports for the CPU where it reports them.
+// with the flags Linux reports for the CPU where it reports them: the avx2
+// kernels need AVX2, BMI1 and POPCNT.
 func TestKernelSetNamesTheKernels(t *testing.T) {
 	for _, set := range kernelSets() {
 		restore := useKernelSet(set)
@@ -478,8 +681,12 @@ func TestKernelSetNamesTheKernels(t *testing.T) {
 	}
 	for _, line := range strings.Split(string(info), "\n") {
 		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
-			if listed := slices.Contains(strings.Fields(flags), "avx2"); listed != avx2Available {
-				t.Fatalf("/proc/cpuinfo lists avx2: %v, the probe found it: %v", listed, avx2Available)
+			listed := true
+			for _, want := range []string{"avx2", "bmi1", "popcnt"} {
+				listed = listed && slices.Contains(strings.Fields(flags), want)
+			}
+			if listed != avx2Available {
+				t.Fatalf("/proc/cpuinfo lists avx2, bmi1 and popcnt: %v, the probe found them: %v", listed, avx2Available)
 			}
 			return
 		}

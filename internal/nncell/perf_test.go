@@ -163,6 +163,45 @@ func TestNearestNeighborAllocs(t *testing.T) {
 	}
 }
 
+// Warm NN, k-NN and candidate queries allocate nothing at any dimension: the
+// rows a directory pass gathers live in the query's context, sized once, so
+// no dimension count outgrows a fixed buffer and spills to the heap.
+func TestQueryAllocsAtEveryDim(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, d := range []int{4, 8, 16, 20, 24} {
+		pts := uniquePoints(t, dataset.NameUniform, int64(50+d), 200, d)
+		qs := dataset.Uniform(rand.New(rand.NewSource(int64(60+d))), 32, d)
+		ix := mustBuild(t, pts, Options{Algorithm: NNDirection})
+		nbrs, ids := make([]Neighbor, 0, 10), make([]int, 0, len(pts))
+		for _, tc := range []struct {
+			name  string
+			query func(q vec.Point) error
+		}{
+			{"NearestNeighbor", func(q vec.Point) (err error) { _, err = ix.NearestNeighbor(q); return err }},
+			{"KNearestAppend", func(q vec.Point) (err error) { nbrs, err = ix.KNearestAppend(nbrs[:0], q, cap(nbrs)); return err }},
+			{"CandidatesAppend", func(q vec.Point) error { ids = ix.CandidatesAppend(ids[:0], q); return nil }},
+		} {
+			for _, q := range qs { // warm
+				if err := tc.query(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			k := 0
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := tc.query(qs[k%len(qs)]); err != nil {
+					t.Fatal(err)
+				}
+				k++
+			})
+			if allocs != 0 {
+				t.Errorf("d=%d: warm %s allocates %v/op, want 0", d, tc.name, allocs)
+			}
+		}
+	}
+}
+
 // TestCandidatesAllocs checks the reusable result buffer: a warm
 // CandidatesAppend with a recycled slice allocates nothing.
 func TestCandidatesAllocs(t *testing.T) {

@@ -43,10 +43,13 @@ type pointDir struct {
 // folded into the result so far or excluded from it, box the survivors of the
 // current pass that are not in seen; cand lists the points of the set being
 // walked (appendBits) with their squared distances (dist2s), as many entries
-// as the fullest set has had bits. A QueryCtx and a cellCtx each embed one.
+// as the fullest set has had bits; hi and lo hold the directory rows a pass
+// gathers (cellDir.survivors, pointDir.box), at most d each. A QueryCtx and a
+// cellCtx each embed one.
 type dirScratch struct {
 	seen, box []uint64
 	cand      []Neighbor
+	hi, lo    [][]uint64
 }
 
 // dists lists the points of set in ds.cand, ascending by id, each with its
@@ -120,13 +123,12 @@ func (pd *pointDir) holds(id int) bool {
 //
 // A dimension with stripes a … b keeps le[b] &^ le[a−1]; over all of them that
 // is the AND of the upper rows with every bit of a lower row cleared, so the
-// rows are gathered and taken four per pass (andRows, andNotRows). Every row
-// is a subset of the live set, which therefore joins only when no dimension
-// has an upper row to give.
-func (pd *pointDir) box(acc []uint64, q vec.Point, r float64) (_ []uint64, whole bool) {
+// rows are gathered (in ds.hi and ds.lo) and taken four per pass (andRows,
+// andNotRows). Every row is a subset of the live set, which therefore joins
+// only when no dimension has an upper row to give.
+func (pd *pointDir) box(ds *dirScratch, acc []uint64, q vec.Point, r float64) (_ []uint64, whole bool) {
 	acc = sized(acc, len(pd.le[0]))
-	var hiBuf, loBuf [gatherDims][]uint64
-	hi, lo := hiBuf[:0], loBuf[:0]
+	hi, lo := ds.hi[:0], ds.lo[:0]
 	if r < math.Inf(1) {
 		for j := range pd.lo {
 			if pd.scale[j] == 0 {
@@ -145,6 +147,7 @@ func (pd *pointDir) box(acc []uint64, q vec.Point, r float64) (_ []uint64, whole
 	if len(hi) == 0 {
 		hi = append(hi, pd.live())
 	}
+	ds.hi, ds.lo = hi, lo
 	andRows(acc, hi)
 	andNotRows(acc, lo)
 	return acc, whole
@@ -182,7 +185,7 @@ func (pd *pointDir) search(ds *dirScratch, h []Neighbor, k int, q vec.Point, pts
 	folded := 0
 	for {
 		var whole bool
-		ds.box, whole = pd.box(ds.box, q, outwardRadius(r2))
+		ds.box, whole = pd.box(ds, ds.box, q, outwardRadius(r2))
 		for w, b := range ds.box {
 			ds.box[w] = b &^ ds.seen[w]
 			ds.seen[w] |= b

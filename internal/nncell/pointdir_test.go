@@ -20,7 +20,7 @@ import (
 // must be the live set.
 func checkPointBox(t *testing.T, pd *pointDir, model map[int]vec.Point, q vec.Point, r float64) {
 	t.Helper()
-	acc, whole := pd.box(nil, q, r)
+	acc, whole := pd.box(new(dirScratch), nil, q, r)
 	got := map[int]bool{}
 	for w, word := range acc {
 		for ; word != 0; word &= word - 1 {
@@ -55,7 +55,7 @@ func checkPointBox(t *testing.T, pd *pointDir, model map[int]vec.Point, q vec.Po
 // outwardRadius(r2).
 func checkPointBall(t *testing.T, pd *pointDir, model map[int]vec.Point, q vec.Point, r2 float64) {
 	t.Helper()
-	acc, _ := pd.box(nil, q, outwardRadius(r2))
+	acc, _ := pd.box(new(dirScratch), nil, q, outwardRadius(r2))
 	for id, p := range model {
 		if d2 := vec.Dist2Flat(q, p); d2 <= r2 && acc[id>>6]>>(id&63)&1 == 0 {
 			t.Fatalf("q=%v r2=%v: id %d at %v (Dist2 %v) is in the ball but not in the box", q, r2, id, p, d2)

@@ -85,7 +85,7 @@ func siftDown(h []Neighbor, n int) {
 // worker by NearestNeighborBatch. A QueryCtx is not safe for concurrent use.
 type QueryCtx struct {
 	surv       []uint64       // cell-directory survivors, one bit per point id
-	dirScratch                // point-directory search (nearestK), seen starting as the survivors; every fold's candidate list
+	dirScratch                // point-directory search (nearestK), seen starting as the survivors; every fold's candidate list; the rows every directory pass gathers
 	tc         xtree.QueryCtx // cell-tree traversal scratch (NearestNeighborPaged)
 	clamp      vec.Point      // clamp-to-bounds buffer of out-of-bounds queries
 	one        [1]Neighbor    // result slot of the fallback's k = 1 search
@@ -140,24 +140,15 @@ func (ix *Index) nearestLocked(qc *QueryCtx, q vec.Point) (Neighbor, error) {
 
 // dirNearest runs the cell-directory point query at q and takes the minimum
 // of the squared distances from q to the survivors, read straight from the
-// coordinate store (dirScratch.dists); the survivors are listed in ascending
+// coordinate store (dirScratch.nearest); the survivors are taken in ascending
 // id order and only a strictly smaller distance replaces the least, so ties go
 // to the smaller id. ok is false when nothing survived. Only stored cells have
 // bits, so the NaN-poisoned tombstone rows are never read.
 func (ix *Index) dirNearest(qc *QueryCtx, q vec.Point) (_ Neighbor, ok bool) {
-	qc.surv = ix.dir.survivors(qc.surv, q)
-	cand := qc.dists(q, ix.ptsFlat, qc.surv)
-	at, least := -1, math.Inf(1)
-	for i := range cand {
-		if d2 := cand[i].Dist2; d2 < least {
-			at, least = i, d2
-		}
-	}
-	ix.stats.candidates.Add(uint64(len(cand)))
-	if at < 0 {
-		return Neighbor{}, false
-	}
-	return cand[at], true
+	qc.surv = ix.dir.survivors(&qc.dirScratch, qc.surv, q)
+	nb, count, ok := qc.nearest(q, ix.ptsFlat, qc.surv)
+	ix.stats.candidates.Add(uint64(count))
+	return nb, ok
 }
 
 // NearestNeighborPaged answers the NN query the way the paper's disk model
@@ -225,7 +216,7 @@ func (ix *Index) nearestK(qc *QueryCtx, dst []Neighbor, q vec.Point, k int) []Ne
 		ix.bounds.ClampInPlace(qc.clamp)
 		p = qc.clamp
 	}
-	qc.seen = ix.dir.survivors(qc.seen, p)
+	qc.seen = ix.dir.survivors(&qc.dirScratch, qc.seen, p)
 	// The heap grows in dst's spare capacity, so the closing append copies
 	// nothing when the caller's slice has room for k.
 	h, seeds := qc.foldTopK(dst[len(dst):], k, q, ix.ptsFlat, qc.seen)
@@ -276,7 +267,7 @@ func (ix *Index) candidatesAppend(dst []int, q vec.Point, nearest bool) ([]int, 
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	ix.stats.queries.Add(1)
-	qc.surv = ix.dir.survivors(qc.surv, q)
+	qc.surv = ix.dir.survivors(&qc.dirScratch, qc.surv, q)
 	qc.cand = appendBits(qc.cand[:0], qc.surv)
 	ix.stats.candidates.Add(uint64(len(qc.cand)))
 	kept := qc.cand[:0] // with nearest, the verified survivors compacted in place
