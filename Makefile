@@ -87,19 +87,22 @@ race:
 # served shape NN-Direction/d=8/n=10000, where a directory row is 157 words
 # and the query kernels are the query, run once per kernel set the CPU has —
 # .../kernel=go and .../kernel=avx2, the before/after row of a kernel change;
-# both print folds/op and fail unless every kernel set folds the same points);
+# both print folds/op, the k = 10 query also passes/op, and fail unless every
+# kernel set folds the same points in the same box passes);
 # BenchmarkQueryStages times the served NN query's stages — row AND, bit walk,
-# distances, the whole NN fold — once per kernel set, the per-stage split of a
-# kernel change; BenchmarkCellDirUpdate tracks the two directories' share of a cell
-# recompute and of a point insert + delete, BenchmarkInsertEager one whole
-# eager insert (ms, LP solves and cells recomputed per op),
-# BenchmarkDynamicInsert concurrent inserts at 1, 2 and 4 shards (the only
-# record of shard-count scaling), and the query-bench tool must still run end
-# to end.
+# distances, the whole NN fold — and the k = 10 query's — the seed fold, the
+# box pass's row AND with the seeds masked out, its fold — once per kernel
+# set, the per-stage split of a kernel change; BenchmarkCellDirUpdate tracks
+# the two directories' share of a cell recompute and of a point insert +
+# delete, BenchmarkInsertEager one whole eager insert (ms, LP solves and cells
+# recomputed per op), BenchmarkDynamicInsert concurrent inserts at 1, 2 and 4
+# shards (the only record of shard-count scaling), BenchmarkShardedKNearest
+# the k = 10 merge at the lib-mixed-d4 shape (folds/op over the shards
+# visited), and the query-bench tool must still run end to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveMBR|BenchmarkBuild/NN-Direction' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery(Nearest|KNearest)$$/NN-Direction/d=8|BenchmarkQueryStages|BenchmarkCellDirUpdate|BenchmarkInsertEager' -benchtime 1x ./internal/nncell/
-	$(GO) test -run '^$$' -bench BenchmarkDynamicInsert -benchtime 1x ./internal/shard/
+	$(GO) test -run '^$$' -bench 'BenchmarkDynamicInsert|BenchmarkShardedKNearest' -benchtime 1x ./internal/shard/
 	$(GO) run ./cmd/experiments -bench-query /tmp/BENCH_query_smoke.json -bench-n 60 -bench-dims 4
 
 # Ten seconds of native fuzzing per target, on top of the seed corpora that

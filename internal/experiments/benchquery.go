@@ -254,9 +254,8 @@ func BenchQueryScale(n, d int) ([]QueryScaleResult, error) {
 		scanKNN := func(q vec.Point) []nncell.Neighbor {
 			top = top[:0]
 			for id, p := range pts {
-				top, _ = nncell.PushTopK(top, k, nncell.Neighbor{ID: id, Dist2: vec.Euclidean{}.Dist2(q, p)})
+				top, _ = nncell.InsertTopK(top, k, nncell.Neighbor{ID: id, Dist2: vec.Euclidean{}.Dist2(q, p)})
 			}
-			nncell.SortTopK(top)
 			return top
 		}
 		nbs := make([]nncell.Neighbor, 0, k)

@@ -227,7 +227,7 @@ func (ix *Index) initialRadius(cc *cellCtx, i int) float64 {
 // counted in Stats.PruneVisited.
 func (ix *Index) pointsWithin(cc *cellCtx, i int, radius float64) (ids []int, all bool) {
 	p, r2 := ix.point(i), radius*radius
-	cc.box, _ = ix.pdir.box(&cc.dirScratch, cc.box, p, outwardRadius(r2))
+	cc.box, _ = ix.pdir.box(&cc.dirScratch, cc.box, p, outwardRadius(r2), nil)
 	ids = cc.ids[:0]
 	for _, nb := range cc.dists(p, ix.ptsFlat, cc.box) {
 		if nb.ID != i && nb.Dist2 <= r2 {
@@ -351,7 +351,6 @@ func (ix *Index) nearestOthers(cc *cellCtx, i, k int) []Neighbor {
 	if k < others {
 		r2 = ix.pdir.densityR2(k, ix.alive)
 	}
-	cc.nbrs, _ = ix.pdir.search(&cc.dirScratch, cc.nbrs[:0], k, ix.point(i), ix.ptsFlat, r2)
-	SortTopK(cc.nbrs)
+	cc.nbrs, _, _ = ix.pdir.search(&cc.dirScratch, cc.nbrs[:0], k, ix.point(i), ix.ptsFlat, r2, math.Inf(1))
 	return cc.nbrs
 }

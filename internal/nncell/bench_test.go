@@ -68,23 +68,26 @@ func forBenchConfigs(b *testing.B, served bool, f func(b *testing.B, ix *Index, 
 
 // benchWarmQuery is the body of the NN and k-NN benchmarks: it fails unless
 // the warm query allocates nothing and every kernel set folds the same points
-// over one pass of the queries, then times it and reports, beside ns/op, the
-// points a query folds (Stats.Candidates; the same before and after a change
-// to the kernels, or the change is not to the kernels alone).
+// in the same box passes over one pass of the queries, then times it and
+// reports, beside ns/op, the points a query folds (Stats.Candidates; the same
+// before and after a change to the kernels, or the change is not to the
+// kernels alone) and, where the query searches the point directory, its box
+// passes (passes/op: one when the seeds' k-th distance settles the search).
 func benchWarmQuery(b *testing.B, name string, ix *Index, queries int, query func(i int)) {
 	query(0) // warm the pooled context
-	var passFolds []uint64
+	var passFolds, passPasses []uint64
 	for _, set := range kernelSets() {
 		restore := useKernelSet(set)
-		before := ix.Stats().Candidates
+		folds, passes := ix.Stats().Candidates, ix.stats.passes.Load()
 		for i := 0; i < queries; i++ {
 			query(i)
 		}
 		restore()
-		passFolds = append(passFolds, ix.Stats().Candidates-before)
+		passFolds = append(passFolds, ix.Stats().Candidates-folds)
+		passPasses = append(passPasses, ix.stats.passes.Load()-passes)
 	}
-	if slices.Min(passFolds) != slices.Max(passFolds) {
-		b.Fatalf("%s folds %v points over %d queries on kernel sets %v, want one count", name, passFolds, queries, kernelSets())
+	if slices.Min(passFolds) != slices.Max(passFolds) || slices.Min(passPasses) != slices.Max(passPasses) {
+		b.Fatalf("%s folds %v points in %v box passes over %d queries on kernel sets %v, want one count each", name, passFolds, passPasses, queries, kernelSets())
 	}
 	if !raceEnabled {
 		k := 0
@@ -92,13 +95,16 @@ func benchWarmQuery(b *testing.B, name string, ix *Index, queries int, query fun
 			b.Fatalf("warm %s allocates %v/op, want 0", name, allocs)
 		}
 	}
-	folds := ix.Stats().Candidates
+	folds, passes := ix.Stats().Candidates, ix.stats.passes.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query(i)
 	}
 	b.ReportMetric(float64(ix.Stats().Candidates-folds)/float64(b.N), "folds/op")
+	if passes := ix.stats.passes.Load() - passes; passes > 0 {
+		b.ReportMetric(float64(passes)/float64(b.N), "passes/op")
+	}
 }
 
 // BenchmarkQueryNearest fails unless the warm query runs at 0 allocs/op (the
@@ -113,29 +119,38 @@ func BenchmarkQueryNearest(b *testing.B) {
 	})
 }
 
-// BenchmarkQueryStages splits the NN query of the served shape into its
-// stages, once per kernel set the CPU runs: "and", the row AND of the query's
-// stripes (cellDir.survivors); "walk", listing the survivor bits
+// BenchmarkQueryStages splits the NN and the k = 10 query of the served shape
+// into their stages, once per kernel set the CPU runs: "and", the row AND of
+// the query's stripes (cellDir.survivors); "walk", listing the survivor bits
 // (appendBits); "dists", the squared distances of the listed points (dist2s);
 // "fold", the whole NN fold of a survivor set (dirScratch.nearest: on AVX2 at
 // d = 8 the walk, the distances and the minimum in one pass, elsewhere
-// appendBits, dist2s and the Go minimum). walk, dists and fold run on the
-// survivor sets of the first stageSets queries, taken before the clock
-// starts. The per-stage split of a kernel change is this one command.
+// appendBits, dist2s and the Go minimum); "knn-seeds", the k-NN query's fold
+// of the survivors into its best ten (seedTopK); "knn-box", its box pass's
+// row AND at the tenth seed distance, the survivors masked out in the AND
+// (pointDir.box); "knn-boxfold", that box folded into the seeds' best ten
+// (bounded at the tenth distance, then InsertTopK). All but "and" run on the
+// sets of the first stageSets queries, taken before the clock starts. The
+// per-stage split of a kernel change is this one command.
 func BenchmarkQueryStages(b *testing.B) {
-	const stageSets = 512
+	const stageSets, k = 512, 10
 	ix, qs := benchIndex(b, NNDirection, servedD, servedN, servedQueries)
 	sets, lists := make([][]uint64, stageSets), make([][]Neighbor, stageSets)
+	seeds, boxes := make([][]Neighbor, stageSets), make([][]uint64, stageSets)
 	bitsPerSet := 0.0
 	for i := range sets {
-		sets[i] = ix.dir.survivors(new(dirScratch), nil, qs[i])
+		var ds dirScratch
+		sets[i] = ix.dir.survivors(&ds, nil, qs[i])
 		lists[i] = appendBits(nil, sets[i])
 		bitsPerSet += float64(len(lists[i])) / stageSets
+		seeds[i], _ = ds.seedTopK(nil, k, qs[i], ix.ptsFlat, sets[i])
+		boxes[i], _ = ix.pdir.box(&ds, nil, qs[i], outwardRadius(seeds[i][k-1].Dist2), sets[i])
 	}
 	for _, set := range kernelSets() {
 		b.Run("kernel="+set, func(b *testing.B) {
 			defer useKernelSet(set)()
 			var qc QueryCtx
+			top := make([]Neighbor, 0, k)
 			stage := func(name string, op func(i int)) {
 				b.Run(name, func(b *testing.B) {
 					op(0)
@@ -150,6 +165,19 @@ func BenchmarkQueryStages(b *testing.B) {
 			stage("walk", func(i int) { qc.cand = appendBits(qc.cand[:0], sets[i%stageSets]) })
 			stage("dists", func(i int) { dist2s(lists[i%stageSets], qs[i%stageSets], ix.ptsFlat) })
 			stage("fold", func(i int) { qc.nearest(qs[i%stageSets], ix.ptsFlat, sets[i%stageSets]) })
+			stage("knn-seeds", func(i int) { qc.seedTopK(top[:0], k, qs[i%stageSets], ix.ptsFlat, sets[i%stageSets]) })
+			stage("knn-box", func(i int) {
+				j := i % stageSets
+				qc.box, _ = ix.pdir.box(&qc.dirScratch, qc.box, qs[j], outwardRadius(seeds[j][k-1].Dist2), sets[j])
+			})
+			stage("knn-boxfold", func(i int) {
+				j := i % stageSets
+				h := append(top[:0], seeds[j]...)
+				kept, _ := qc.bounded(qs[j], ix.ptsFlat, boxes[j], h[k-1].Dist2, nil)
+				for _, nb := range kept {
+					h, _ = InsertTopK(h, k, nb)
+				}
+			})
 		})
 	}
 }

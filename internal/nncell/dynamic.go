@@ -89,7 +89,7 @@ func (ix *Index) unhidePoint(id int, p vec.Point) {
 // −0.0 and +0.0 are different coordinates. The points of p's grid cell (the
 // point directory's box at radius 0) are the only ones compared.
 func (ix *Index) hasDuplicate(cc *cellCtx, p vec.Point) bool {
-	cc.box, _ = ix.pdir.box(&cc.dirScratch, cc.box, p, 0)
+	cc.box, _ = ix.pdir.box(&cc.dirScratch, cc.box, p, 0, nil)
 	cc.cand = appendBits(cc.cand[:0], cc.box)
 next:
 	for _, nb := range cc.cand {

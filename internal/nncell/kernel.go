@@ -10,17 +10,23 @@ import (
 // rows of the query's stripes, list the set bits, take the squared distance of
 // every listed point — and each is written here once, for every caller, in the
 // form that keeps the loop free of read-modify-write passes, data-dependent
-// branches and serial add chains (DESIGN.md §17). On amd64 with AVX2 the row
-// passes, the bit walk and the distances run in kernel_amd64.s instead — the
-// NN query's walk, distances and minimum as one pass (nearest) — four lanes
-// wide and bit for bit what the Go loops here compute; the Go loops are the
-// reference and every other machine's kernels.
+// branches and serial add chains (DESIGN.md §17). A k-NN query adds the bound
+// compare of its folds and, for its seeds, the lane minima that bound their
+// k-th distance (laneMinima), their k-th least and the compaction at it
+// (DESIGN.md §19). On amd64 with AVX2 the row passes, the bit walk and the
+// distances run in kernel_amd64.s instead — the NN query's walk, distances and
+// minimum as one pass (nearest), the k-NN query's walk, distances, lane
+// minima and bound compare as another (bounded), and the k-th least and the
+// compaction beside them — four lanes wide and bit for bit what the Go loops
+// here compute; the Go loops are the reference and every other machine's
+// kernels.
 
 // KernelSet names the kernels this process's directory queries run on: "avx2"
 // where the CPU and the operating system support AVX2, BMI1 and POPCNT on
-// amd64 (kernel_amd64.s: the row passes and the bit walk always, the
-// distances and the NN fold when d is a multiple of four), "go" everywhere
-// else. It is chosen once, at start-up.
+// amd64 (kernel_amd64.s: the row passes, the bit walk, the lane minima's k-th
+// least and the compaction always; the distances, the NN fold and the
+// bounded k-NN fold when d is a multiple of four), "go" everywhere else. It
+// is chosen once, at start-up.
 func KernelSet() string {
 	if useAVX2 {
 		return "avx2"
@@ -216,4 +222,130 @@ func (ds *dirScratch) nearest(q, pts []float64, set []uint64) (nb Neighbor, coun
 		return Neighbor{}, len(cand), false
 	}
 	return cand[at], len(cand), true
+}
+
+// laneMinima holds, for each of eight lanes — the entries of a candidate list
+// at the positions ≡ l (mod 8) — the least Dist2 of the lane at [l] and the
+// second least at [8+l], +Inf where the lane has fewer entries. The sixteen
+// are the distances of sixteen distinct points of the list (bounded pads no
+// lane with a repeated id), which is what makes bound sound.
+type laneMinima [16]float64
+
+// vmin and vmax are VMINPD's and VMAXPD's minimum and maximum, the second
+// operand whenever the first does not compare below (above) it — a NaN
+// included — so that the Go reference takes NaNs where the kernel does.
+func vmin(a, b float64) float64 {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+func vmax(a, b float64) float64 {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// fold takes list into the lane minima from +Inf, lane l the entries at
+// positions ≡ l (mod 8), as the kernel's lanes take them: with s the entry's
+// Dist2, second = vmin(second, vmax(least, s)), then least = vmin(least, s).
+// A NaN Dist2 turns its lane's minima to NaN, which bound takes as +Inf, so
+// that lane then bounds nothing.
+func (m *laneMinima) fold(list []Neighbor) {
+	for l := range m {
+		m[l] = math.Inf(1)
+	}
+	for p, nb := range list {
+		l := p & 7
+		m[8+l] = vmin(m[8+l], vmax(m[l], nb.Dist2))
+		m[l] = vmin(m[l], nb.Dist2)
+	}
+}
+
+// bound returns the k-th least of the sixteen minima, +Inf where fewer than k
+// are not NaN (so for every k > 16): k distinct points of the list lie within
+// it, so the list's k-th distance does not exceed it and an entry farther
+// than it cannot be among the list's best k. The minima are squared
+// distances, +0 … +Inf or NaN, ordered by their bits — in which +0 … +Inf
+// order as their values — with a NaN taken as +Inf, and sorted by insertion:
+// sixteen values, where a library sort cost more than the fold saved. With
+// AVX2 that is boundAVX2, which counts for each minimum the minima at or
+// below it and keeps the least that has k.
+func (m *laneMinima) bound(k int) float64 {
+	if useAVX2 {
+		return boundAVX2(m, k)
+	}
+	if k > len(m) {
+		return math.Inf(1)
+	}
+	var keys [len(m)]uint64
+	for i, v := range m {
+		if v != v {
+			v = math.Inf(1) // a NaN bounds nothing
+		}
+		key, j := math.Float64bits(v), i
+		for ; j > 0 && key < keys[j-1]; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = key
+	}
+	return math.Float64frombits(keys[k-1])
+}
+
+// bounded lists the points of set (live ids only) whose squared distance from
+// q is not above bound — ¬(Dist2 > bound), which a NaN distance or bound also
+// passes — ascending by id with their Dist2, and returns the list (in
+// ds.cand) and the population count of set. With mins it also takes every
+// point of set, before the bound, into mins (laneMinima.fold). With AVX2 and
+// d a multiple of four that is one pass of boundedAVX2 — the bits walked, the
+// distances taken, each group of four compared with the bound and only its
+// passing lanes written — which checks every id against the rows of pts
+// before reading one; elsewhere it is the list of ds.dists, the minima over
+// it and a compaction without branches, the reference the kernel matches bit
+// for bit.
+func (ds *dirScratch) bounded(q, pts []float64, set []uint64, bound float64, mins *laneMinima) ([]Neighbor, int) {
+	if d := len(q); useAVX2 && d > 0 && d%4 == 0 {
+		kept, count, ok := boundedAVX2(set, q, pts, len(pts)/d, bound, ds.cand[:cap(ds.cand)], mins)
+		if kept < 0 {
+			// Too little room: grow, as appendBits does, to four times the
+			// set's bits and the entry the kernel writes past the last kept.
+			ds.cand = slices.Grow(ds.cand[:0], 4*(onesCount(set)+1))
+			kept, count, ok = boundedAVX2(set, q, pts, len(pts)/d, bound, ds.cand[:cap(ds.cand)], mins)
+		}
+		if !ok {
+			panic("nncell: bounded: a set id is past the coordinate store")
+		}
+		return ds.cand[:kept], count
+	}
+	cand := ds.dists(q, pts, set)
+	if mins != nil {
+		mins.fold(cand)
+	}
+	if bound == math.Inf(1) {
+		return cand, len(cand) // ¬(Dist2 > +Inf) holds for every entry, a NaN too
+	}
+	return compact(cand, bound), len(cand)
+}
+
+// compact moves the entries of list whose Dist2 is not above bound —
+// ¬(Dist2 > bound) — to its front, in order, and returns them: each entry is
+// written at the next free place, which moves on by one when the entry
+// passes, so no branch depends on a distance. With AVX2 that is
+// compactAVX2, four entries a step.
+func compact(list []Neighbor, bound float64) []Neighbor {
+	if useAVX2 {
+		return list[:compactAVX2(list, bound)]
+	}
+	kept := 0
+	for _, nb := range list {
+		list[kept] = nb
+		pass := 0
+		if !(nb.Dist2 > bound) {
+			pass = 1
+		}
+		kept += pass
+	}
+	return list[:kept]
 }

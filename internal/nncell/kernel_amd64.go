@@ -47,3 +47,12 @@ func nearestAVX2(set []uint64, q, pts []float64, rows int) (id int, dist2 float6
 
 //go:noescape
 func onesCount(set []uint64) int
+
+//go:noescape
+func boundedAVX2(set []uint64, q, pts []float64, rows int, bound float64, out []Neighbor, mins *laneMinima) (kept, count int, ok bool)
+
+//go:noescape
+func compactAVX2(list []Neighbor, bound float64) (kept int)
+
+//go:noescape
+func boundAVX2(m *laneMinima, k int) float64

@@ -22,3 +22,13 @@ func nearestAVX2(set []uint64, q, pts []float64, rows int) (id int, dist2 float6
 }
 
 func onesCount(set []uint64) int { panic("nncell: no AVX2 kernels on this architecture") }
+
+func boundedAVX2(set []uint64, q, pts []float64, rows int, bound float64, out []Neighbor, mins *laneMinima) (kept, count int, ok bool) {
+	panic("nncell: no AVX2 kernels on this architecture")
+}
+
+func compactAVX2(list []Neighbor, bound float64) (kept int) {
+	panic("nncell: no AVX2 kernels on this architecture")
+}
+
+func boundAVX2(m *laneMinima, k int) float64 { panic("nncell: no AVX2 kernels on this architecture") }

@@ -508,10 +508,178 @@ func TestNearestAtEveryPosition(t *testing.T) {
 	})
 }
 
-// A set bit at or past the row count makes the NN fold panic on every kernel
-// set without reading that row: the fused kernel checks the whole set against
-// the row count before it reads any row, the Go path fails the row's slice.
-// pts has spare capacity behind its rows, which a missing check would read.
+// naiveBounded is the bounded fold a bit at a time: the set bits ascending,
+// each point's Dist2Flat, the entries that pass ¬(Dist2 > bound), the
+// population count, and the lane minima of the whole list — lane l the
+// positions ≡ l (mod 8), its two least distances, +Inf where it has fewer.
+func naiveBounded(set []uint64, q, pts []float64, bound float64) (kept []Neighbor, count int, mins laneMinima) {
+	d := len(q)
+	var lanes [8][]float64
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			d2 := vec.Dist2Flat(q, pts[id*d:(id+1)*d])
+			lanes[count%8] = append(lanes[count%8], d2)
+			count++
+			if !(d2 > bound) {
+				kept = append(kept, Neighbor{ID: id, Dist2: d2})
+			}
+		}
+	}
+	for l, lane := range lanes {
+		slices.Sort(lane)
+		mins[l], mins[8+l] = math.Inf(1), math.Inf(1)
+		if len(lane) > 0 {
+			mins[l] = lane[0]
+		}
+		if len(lane) > 1 {
+			mins[8+l] = lane[1]
+		}
+	}
+	return kept, count, mins
+}
+
+// sameNeighbors reports whether two lists hold the same ids and Dist2 bits in
+// the same order.
+func sameNeighbors(a, b []Neighbor) bool {
+	return slices.EqualFunc(a, b, func(x, y Neighbor) bool {
+		return x.ID == y.ID && math.Float64bits(x.Dist2) == math.Float64bits(y.Dist2)
+	})
+}
+
+// The bounded fold — the k-NN query's walk, distances and bound compare, on
+// AVX2 at d = 4, 8, 12 and 16 one pass of boundedAVX2 — against the fold a
+// bit at a time, on every kernel set: the kept entries (ids and Dist2 bits, in
+// id order), the count and the lane minima bit for bit. The bound is +Inf
+// (every point kept, the seed pass), the Dist2 of an entry (which is kept)
+// and below every entry (none kept). The sets hold 1, 2, 3 and 5 bits — a
+// last group mostly padding, which must reach neither the minima nor the
+// list — the empty set and sets of up to 60 words that drain the buffer
+// several times; coordinates come from a coarse grid, so distances tie in
+// every lane. The candidate list starts empty, short of room (the kernel
+// stops and is called again) and roomy.
+func TestBoundedMatchesNaive(t *testing.T) {
+	forKernelSets(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(43))
+		grid := make([]float64, 64*61*16)
+		for i := range grid {
+			grid[i] = float64(rng.Intn(3))
+		}
+		var sets [][]uint64
+		for _, n := range []int{1, 2, 3, 5} {
+			for range 4 {
+				set := make([]uint64, 1+rng.Intn(3))
+				for placed := 0; placed < n; {
+					w, bit := rng.Intn(len(set)), uint64(1)<<rng.Intn(64)
+					if set[w]&bit == 0 {
+						set[w] |= bit
+						placed++
+					}
+				}
+				sets = append(sets, set)
+			}
+		}
+		sets = append(sets, nil, make([]uint64, 5))
+		for range 30 {
+			sets = append(sets, randomSet(rng, 60, []int{1, 3, 5, 9, 64}))
+		}
+		var ds dirScratch
+		for _, set := range sets {
+			for _, d := range []int{4, 6, 8, 12, 16} {
+				q := make([]float64, d)
+				for j := range q {
+					q[j] = float64(rng.Intn(3))
+				}
+				pts := grid[:64*len(set)*d]
+				all, count, wantMins := naiveBounded(set, q, pts, math.Inf(1))
+				bounds := []float64{math.Inf(1), -1}
+				if len(all) > 0 {
+					bounds = append(bounds, all[rng.Intn(len(all))].Dist2)
+				}
+				for _, bound := range bounds {
+					want, _, _ := naiveBounded(set, q, pts, bound)
+					switch rng.Intn(3) {
+					case 0:
+						ds.cand = nil
+					case 1:
+						ds.cand = make([]Neighbor, 0, rng.Intn(count+1))
+					}
+					for _, withMins := range []bool{false, true} {
+						mins := laneMinima{-1, -1, -1} // the fold must overwrite all sixteen
+						var in *laneMinima
+						if withMins {
+							in = &mins
+						}
+						got, gotCount := ds.bounded(q, pts, set, bound, in)
+						if !sameNeighbors(got, want) || gotCount != count {
+							t.Fatalf("d=%d, %d bits in %d words, bound %v: kept %v of %d, want %v of %d", d, count, len(set), bound, got, gotCount, want, count)
+						}
+						if withMins && !slices.EqualFunc(mins[:], wantMins[:], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+							t.Fatalf("d=%d, %d bits in %d words: lane minima %v, want %v", d, count, len(set), mins, wantMins)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// compact and laneMinima.bound against a model on every kernel set: compact
+// keeps, in order, the entries that pass ¬(Dist2 > bound) — NaN distances
+// and a NaN bound included — over lists of every length to 70 (every tail of
+// the assembly's steps of four); bound is the k-th least of the minima, a NaN
+// taken as +Inf, +Inf for k > 16, over minima with ties, +Inf and NaNs.
+func TestCompactAndBoundMatchModel(t *testing.T) {
+	forKernelSets(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		values := []float64{0, 0.25, 1, 1, 2, math.Inf(1), math.NaN()}
+		for length := 0; length <= 70; length++ {
+			list := make([]Neighbor, length)
+			for k := range list {
+				list[k] = Neighbor{ID: rng.Intn(1000), Dist2: values[rng.Intn(len(values))]}
+			}
+			for _, bound := range values {
+				var want []Neighbor
+				for _, nb := range list {
+					if !(nb.Dist2 > bound) {
+						want = append(want, nb)
+					}
+				}
+				if got := compact(slices.Clone(list), bound); !sameNeighbors(got, want) {
+					t.Fatalf("compact of %v at %v: %v, want %v", list, bound, got, want)
+				}
+			}
+		}
+		for range 500 {
+			var m laneMinima
+			for l := range m {
+				m[l] = values[rng.Intn(len(values))]
+			}
+			sorted := slices.Clone(m[:])
+			for i, v := range sorted {
+				if math.IsNaN(v) {
+					sorted[i] = math.Inf(1)
+				}
+			}
+			slices.Sort(sorted)
+			for k := 1; k <= 17; k++ {
+				want := math.Inf(1)
+				if k <= len(sorted) {
+					want = sorted[k-1]
+				}
+				if got := m.bound(k); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("bound(%d) of %v = %v, want %v", k, m, got, want)
+				}
+			}
+		}
+	})
+}
+
+// A set bit at or past the row count makes the NN fold and the bounded fold
+// panic on every kernel set without reading that row: the fused kernels check
+// the whole set against the row count before they read any row, the Go path
+// fails the row's slice. pts has spare capacity behind its rows, which a
+// missing check would read.
 func TestNearestRefusesIDsOutsidePts(t *testing.T) {
 	forKernelSets(t, func(t *testing.T) {
 		var ds dirScratch
@@ -525,14 +693,19 @@ func TestNearestRefusesIDsOutsidePts(t *testing.T) {
 						set[id>>6] |= 1 << (id & 63)
 					}
 					set[bad>>6] |= 1 << (bad & 63)
-					func() {
-						defer func() {
-							if recover() == nil {
-								t.Errorf("d=%d, %d rows: bit %d of %d words: no panic", d, rows, bad, len(set))
-							}
+					for name, fold := range map[string]func(){
+						"nearest": func() { ds.nearest(q, pts, set) },
+						"bounded": func() { ds.bounded(q, pts, set, math.Inf(1), new(laneMinima)) },
+					} {
+						func() {
+							defer func() {
+								if recover() == nil {
+									t.Errorf("d=%d, %d rows: %s of bit %d of %d words: no panic", d, rows, name, bad, len(set))
+								}
+							}()
+							fold()
 						}()
-						ds.nearest(q, pts, set)
-					}()
+					}
 				}
 			}
 		}
@@ -541,10 +714,11 @@ func TestNearestRefusesIDsOutsidePts(t *testing.T) {
 
 // FuzzKernels compares the AVX2 kernels with the Go loops bit for bit: andRows
 // and andNotRows over 1–17 rows of 0–11 words, dist2s for d = 1…24 over lists
-// of up to 70 ids in any order (repeats allowed), and the bit walk and the NN
-// fold (id, Dist2, count) of a survivor set over up to 768 rows, with
-// coordinates the input draws from ±0, subnormals, magnitudes near 2^±300 and
-// ordinary values. Without AVX2 there is nothing to compare.
+// of up to 70 ids in any order (repeats allowed), the bit walk, the NN fold
+// (id, Dist2, count) and the bounded fold (entries, count, lane minima; then
+// the minima's k-th least and compact at it) of a survivor set over up to 768
+// rows, with coordinates the input draws from ±0, subnormals, magnitudes near
+// 2^±300 and ordinary values. Without AVX2 there is nothing to compare.
 func FuzzKernels(f *testing.F) {
 	if !avx2Available {
 		f.Skip("this CPU runs the Go kernels only")
@@ -659,6 +833,37 @@ func FuzzKernels(f *testing.F) {
 			counts[0] != counts[1] || founds[0] != founds[1] {
 			t.Fatalf("d=%d, %d words at density %v: avx2 folds %v (%x), %d, %v; go %v (%x), %d, %v", d, len(set), density,
 				folds[1], math.Float64bits(folds[1].Dist2), counts[1], founds[1], folds[0], math.Float64bits(folds[0].Dist2), counts[0], founds[0])
+		}
+
+		// The bounded fold of the same set, with its lane minima, at a bound
+		// the input picks — +Inf, the Dist2 of the NN fold's point, below
+		// every distance — then compact at that bound and the minima's k-th
+		// least for a k of 1 … 17.
+		bound := []float64{math.Inf(1), folds[0].Dist2, -1}[int(rowsIn)%3]
+		k := 1 + int(dIn)%17
+		var boundeds [][]Neighbor
+		var minima []laneMinima
+		var bcounts []int
+		var bounds []float64
+		for _, kernels := range kernelSets() {
+			restore := useKernelSet(kernels)
+			var mins laneMinima
+			kept, count := ds.bounded(q, pts, set, bound, &mins)
+			kept = slices.Clone(kept)
+			restore()
+			boundeds, minima, bcounts = append(boundeds, kept), append(minima, mins), append(bcounts, count)
+			restore = useKernelSet(kernels)
+			bounds = append(bounds, mins.bound(k))
+			boundeds = append(boundeds, slices.Clone(compact(kept, bounds[len(bounds)-1])))
+			restore()
+		}
+		if !sameNeighbors(boundeds[0], boundeds[2]) || bcounts[0] != bcounts[1] ||
+			!slices.EqualFunc(minima[0][:], minima[1][:], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("d=%d, %d words at density %v, bound %v: avx2 keeps %v of %d, minima %v; go %v of %d, %v",
+				d, len(set), density, bound, boundeds[2], bcounts[1], minima[1], boundeds[0], bcounts[0], minima[0])
+		}
+		if math.Float64bits(bounds[0]) != math.Float64bits(bounds[1]) || !sameNeighbors(boundeds[1], boundeds[3]) {
+			t.Fatalf("d=%d: the %d-th least minimum is %v on avx2, %v on go; compacted there %v, %v", d, k, bounds[1], bounds[0], boundeds[3], boundeds[1])
 		}
 	})
 }

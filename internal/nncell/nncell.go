@@ -241,6 +241,7 @@ type Index struct {
 	stats struct {
 		lpSolves, lpPivots, constraintPoints atomic.Uint64
 		queries, candidates, fallbacks       atomic.Uint64
+		passes                               atomic.Uint64 // point-directory box passes of the k-NN searches
 		updates                              atomic.Uint64
 		pruneVisited                         atomic.Uint64
 		staleCells                           atomic.Int64

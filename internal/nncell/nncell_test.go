@@ -276,10 +276,25 @@ func (ix *Index) scanKNearest(q vec.Point, k int) []Neighbor {
 	return all[:min(k, len(all))]
 }
 
+// scanWithin is the oracle of KNearestWithinAppend: scanKNearest's order, the
+// points at most limit2 away, cut to k.
+func (ix *Index) scanWithin(q vec.Point, k int, limit2 float64) []Neighbor {
+	all := ix.scanKNearest(q, ix.Len())
+	n := 0
+	for n < len(all) && all[n].Dist2 <= limit2 {
+		n++
+	}
+	return all[:min(k, n)]
+}
+
 // checkKNearest asserts KNearestAppend ≡ sorted scan, ids and Dist2 bit for
-// bit and in the documented (Dist2, ID) order, for k ∈ {1, 2, 10, 100, alive,
-// alive + 5} on queries in the space, on a data point, on the boundary of the
-// space, on the lattice's tie points and outside the space near and far.
+// bit and in the documented (Dist2, ID) order, for k ∈ {1, 2, 10, 16, 17, 64,
+// 100, alive, alive + 5} — one bound short of and past the sixteen lane minima
+// the seed fold bounds with — on queries in the space, on a data point, on the
+// boundary of the space, on the lattice's tie points and outside the space
+// near and far; and KNearestWithinAppend ≡ the scan cut at its limit, for a
+// limit at the k-th distance (a tie there is in), just below it, at 0 and at
+// +Inf.
 func checkKNearest(t *testing.T, ix *Index, rng *rand.Rand, label string) {
 	t.Helper()
 	d, ids := ix.Dim(), ix.IDs()
@@ -306,7 +321,7 @@ func checkKNearest(t *testing.T, ix *Index, rng *rand.Rand, label string) {
 				q[j] = -3 - q[j]
 			}
 		}
-		for _, k := range []int{1, 2, 10, 100, len(ids), len(ids) + 5} {
+		for _, k := range []int{1, 2, 10, 16, 17, 64, 100, len(ids), len(ids) + 5} {
 			want := ix.scanKNearest(q, k)
 			got, err := ix.KNearestAppend(prefix, q, k)
 			if err != nil {
@@ -314,6 +329,14 @@ func checkKNearest(t *testing.T, ix *Index, rng *rand.Rand, label string) {
 			}
 			if got[0] != prefix[0] || !slices.Equal(got[1:], want) {
 				t.Fatalf("%s q=%v k=%d:\n got %v after the caller's %v\nwant %v", label, q, k, got[1:], got[0], want)
+			}
+			kth := want[len(want)-1].Dist2
+			for _, limit2 := range []float64{kth, math.Nextafter(kth, -1), 0, math.Inf(1)} {
+				want := ix.scanWithin(q, k, limit2)
+				got, err := ix.KNearestWithinAppend(prefix, q, k, limit2)
+				if err != nil || got[0] != prefix[0] || !slices.Equal(got[1:], want) {
+					t.Fatalf("%s q=%v k=%d within %v: %v, %v after the caller's %v\nwant %v", label, q, k, limit2, got[1:], err, got[0], want)
+				}
 			}
 		}
 	}
@@ -382,6 +405,44 @@ func TestKNearestMatchesScan(t *testing.T) {
 	ix := mustBuild(t, uniquePoints(t, dataset.NameUniform, 50, 20, 4), Options{Algorithm: Sphere})
 	if res, err := ix.KNearest(vec.Point{0, 0, 0, 0}, 0); !errors.Is(err, ErrBadK) {
 		t.Errorf("k=0: got %v, %v; want ErrBadK", res, err)
+	}
+}
+
+// Ties at the cut: on lattices of binary fractions (d = 4 and, on the fused
+// kernel's lanes, d = 8) and queries on a finer lattice, k-NN for k ∈ {1, 2,
+// 10, 16, 17, 64} equals the sorted scan — ids, Dist2 bits and order — on
+// every kernel set, including queries whose k-th and (k+1)-th distances are
+// equal, so that the smaller id must win the last place. Every k must meet
+// such a query.
+func TestKNearestTiesAtK(t *testing.T) {
+	ks := []int{1, 2, 10, 16, 17, 64}
+	for _, d := range []int{4, 8} {
+		rng := rand.New(rand.NewSource(int64(70 + d)))
+		ix := mustBuild(t, dataset.Grid(rng, 256, d, 0), Options{Algorithm: NNDirection})
+		forKernelSets(t, func(t *testing.T) {
+			tied := map[int]int{}
+			for range 300 {
+				q := make(vec.Point, d)
+				for j := range q {
+					q[j] = float64(rng.Intn(9)) / 8
+				}
+				all := ix.scanKNearest(q, ix.Len())
+				for _, k := range ks {
+					got, err := ix.KNearest(q, k)
+					if err != nil || !slices.Equal(got, all[:k]) {
+						t.Fatalf("d=%d q=%v k=%d: %v, %v\nwant %v", d, q, k, got, err, all[:k])
+					}
+					if all[k-1].Dist2 == all[k].Dist2 {
+						tied[k]++
+					}
+				}
+			}
+			for _, k := range ks {
+				if tied[k] == 0 {
+					t.Errorf("d=%d: no query tied at k=%d", d, k)
+				}
+			}
+		})
 	}
 }
 

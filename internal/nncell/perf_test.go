@@ -163,9 +163,11 @@ func TestNearestNeighborAllocs(t *testing.T) {
 	}
 }
 
-// Warm NN, k-NN and candidate queries allocate nothing at any dimension: the
-// rows a directory pass gathers live in the query's context, sized once, so
-// no dimension count outgrows a fixed buffer and spills to the heap.
+// Warm NN, k-NN (k = 10, k = 17 past the seed bound's sixteen, and the
+// within-a-limit form the sharded merge asks later shards for) and candidate
+// queries allocate nothing at any dimension: the rows a directory pass
+// gathers live in the query's context, sized once, so no dimension count
+// outgrows a fixed buffer and spills to the heap.
 func TestQueryAllocsAtEveryDim(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -174,13 +176,18 @@ func TestQueryAllocsAtEveryDim(t *testing.T) {
 		pts := uniquePoints(t, dataset.NameUniform, int64(50+d), 200, d)
 		qs := dataset.Uniform(rand.New(rand.NewSource(int64(60+d))), 32, d)
 		ix := mustBuild(t, pts, Options{Algorithm: NNDirection})
-		nbrs, ids := make([]Neighbor, 0, 10), make([]int, 0, len(pts))
+		nbrs, ids := make([]Neighbor, 0, 17), make([]int, 0, len(pts))
 		for _, tc := range []struct {
 			name  string
 			query func(q vec.Point) error
 		}{
 			{"NearestNeighbor", func(q vec.Point) (err error) { _, err = ix.NearestNeighbor(q); return err }},
-			{"KNearestAppend", func(q vec.Point) (err error) { nbrs, err = ix.KNearestAppend(nbrs[:0], q, cap(nbrs)); return err }},
+			{"KNearestAppend", func(q vec.Point) (err error) { nbrs, err = ix.KNearestAppend(nbrs[:0], q, 10); return err }},
+			{"KNearestAppend k=17", func(q vec.Point) (err error) { nbrs, err = ix.KNearestAppend(nbrs[:0], q, 17); return err }},
+			{"KNearestWithinAppend", func(q vec.Point) (err error) {
+				nbrs, err = ix.KNearestWithinAppend(nbrs[:0], q, 10, 0.05)
+				return err
+			}},
 			{"CandidatesAppend", func(q vec.Point) error { ids = ix.CandidatesAppend(ids[:0], q); return nil }},
 		} {
 			for _, q := range qs { // warm

@@ -40,12 +40,13 @@ type pointDir struct {
 }
 
 // dirScratch is the scratch of one directory search. seen holds every point
-// folded into the result so far or excluded from it, box the survivors of the
-// current pass that are not in seen; cand lists the points of the set being
-// walked (appendBits) with their squared distances (dist2s), as many entries
-// as the fullest set has had bits; hi and lo hold the directory rows a pass
-// gathers (cellDir.survivors, pointDir.box), at most d each. A QueryCtx and a
-// cellCtx each embed one.
+// folded by the passes before the current one or excluded from the search,
+// box the survivors of the current pass that are not in seen; cand lists the
+// points of the set being walked (appendBits, bounded) with their squared
+// distances, as many entries as the fullest set has had bits; hi and lo hold
+// the directory rows a pass gathers (cellDir.survivors, pointDir.box): at
+// most d upper rows, and d lower ones and the mask. A QueryCtx and a cellCtx
+// each embed one.
 type dirScratch struct {
 	seen, box []uint64
 	cand      []Neighbor
@@ -117,16 +118,17 @@ func (pd *pointDir) holds(id int) bool {
 }
 
 // box writes into acc (reused when large enough) the live points whose stripe
-// lies, in every dimension j, between those of q[j]−r and q[j]+r. whole
-// reports that no dimension excluded a stripe, so acc is the live set; an
-// infinite or NaN r asks for exactly that.
+// lies, in every dimension j, between those of q[j]−r and q[j]+r and whose
+// bit is clear in mask (nil: none is masked). whole reports that no dimension
+// excluded a stripe, so acc is the live set less mask; an infinite or NaN r
+// asks for exactly that.
 //
 // A dimension with stripes a … b keeps le[b] &^ le[a−1]; over all of them that
 // is the AND of the upper rows with every bit of a lower row cleared, so the
 // rows are gathered (in ds.hi and ds.lo) and taken four per pass (andRows,
-// andNotRows). Every row is a subset of the live set, which therefore joins
-// only when no dimension has an upper row to give.
-func (pd *pointDir) box(ds *dirScratch, acc []uint64, q vec.Point, r float64) (_ []uint64, whole bool) {
+// andNotRows), mask as one more lower row. Every row is a subset of the live
+// set, which therefore joins only when no dimension has an upper row to give.
+func (pd *pointDir) box(ds *dirScratch, acc []uint64, q vec.Point, r float64, mask []uint64) (_ []uint64, whole bool) {
 	acc = sized(acc, len(pd.le[0]))
 	hi, lo := ds.hi[:0], ds.lo[:0]
 	if r < math.Inf(1) {
@@ -147,6 +149,9 @@ func (pd *pointDir) box(ds *dirScratch, acc []uint64, q vec.Point, r float64) (_
 	if len(hi) == 0 {
 		hi = append(hi, pd.live())
 	}
+	if mask != nil {
+		lo = append(lo, mask)
+	}
 	ds.hi, ds.lo = hi, lo
 	andRows(acc, hi)
 	andNotRows(acc, lo)
@@ -166,38 +171,49 @@ func (pd *pointDir) densityR2(k, n int) float64 {
 	return r * r
 }
 
-// search completes the top-k heap h (PushTopK order) of the live points
-// nearest to q and returns it with the number of points it folded. On entry
-// ds.seen, which must span the rows, marks the points not to fold: those h
-// already holds the best k of (the read path's seeds) and those the caller
-// leaves out (a cell's own point). pts is the coordinate store, 1 ≤ k, and r2
-// the squared radius of the first pass.
+// search completes h, the best k (ascending by Less, InsertTopK) of the live
+// points nearest to q within limit2 of it, and returns it with the number of
+// points it folded and the box passes it took. On entry ds.seen, which must
+// span the rows, marks the points not to fold: those h already holds the best
+// k of (the read path's seeds) and those the caller leaves out (a cell's own
+// point). pts is the coordinate store, 1 ≤ k, r2 the squared radius of the
+// first pass and limit2 the squared distance past which no point is wanted
+// (+Inf: every point is; a point at limit2 is).
 //
 // A pass takes the box at r2 — every live point within √r2 of q per dimension,
-// a superset of the ball — and folds the ones not seen before. The search is
-// exact once the k held are all within r2 and every point within r2 has been
-// seen: an unseen point is farther than √r2, hence farther than the worst
-// held, ties included. So a heap that filled up moves r2 to its k-th distance
-// and one more pass closes the search; one that did not doubles the box's
-// volume (from at least one stripe width) and tries again; and a box that
-// covers the whole grid has seen every live point.
-func (pd *pointDir) search(ds *dirScratch, h []Neighbor, k int, q vec.Point, pts []float64, r2 float64) ([]Neighbor, int) {
-	folded := 0
+// a superset of the ball — less the points seen, and folds those within the
+// bound: limit2, or the worst held once the list is full, a point at it
+// included, since its id may still win. The search is exact once the k held
+// are all within r2 and every point within r2 has been seen: an unseen point
+// is farther than √r2, hence farther than the worst held, ties included. So a
+// list that filled up moves r2 to its k-th distance and one more pass closes
+// the search; one that did not doubles the box's volume (from at least one
+// stripe width) and tries again; a box at limit2 has seen every point wanted,
+// and a box that covers the whole grid every live point. The seen set is
+// brought up to date only when another pass follows.
+func (pd *pointDir) search(ds *dirScratch, h []Neighbor, k int, q vec.Point, pts []float64, r2, limit2 float64) (_ []Neighbor, folded, passes int) {
 	for {
+		r2 = min(r2, limit2)
 		var whole bool
-		ds.box, whole = pd.box(ds, ds.box, q, outwardRadius(r2))
+		ds.box, whole = pd.box(ds, ds.box, q, outwardRadius(r2), ds.seen)
+		bound := limit2
+		if len(h) == k {
+			bound = h[k-1].Dist2
+		}
+		kept, n := ds.bounded(q, pts, ds.box, bound, nil)
+		for _, nb := range kept {
+			h, _ = InsertTopK(h, k, nb)
+		}
+		folded += n
+		passes++
+		if whole || r2 >= limit2 || (len(h) == k && h[k-1].Dist2 <= r2) {
+			return h, folded, passes
+		}
 		for w, b := range ds.box {
-			ds.box[w] = b &^ ds.seen[w]
 			ds.seen[w] |= b
 		}
-		var n int
-		h, n = ds.foldTopK(h, k, q, pts, ds.box)
-		folded += n
-		if whole || (len(h) == k && h[0].Dist2 <= r2) {
-			return h, folded
-		}
 		if len(h) == k {
-			r2 = h[0].Dist2
+			r2 = h[k-1].Dist2
 		} else {
 			r2 = max(r2*math.Exp2(2/float64(len(q))), pd.minWidth*pd.minWidth)
 		}
@@ -215,18 +231,19 @@ func outwardRadius(r2 float64) float64 {
 	return math.Sqrt(r2)*(1+0x1p-40) + 0x1p-500
 }
 
-// foldTopK offers every point of set (live ids only), in ascending id order
-// with its squared distance from q, to the top-k heap h and returns the heap
-// and the number of points offered.
-func (ds *dirScratch) foldTopK(h []Neighbor, k int, q vec.Point, pts []float64, set []uint64) ([]Neighbor, int) {
-	cand := ds.dists(q, pts, set)
-	for _, nb := range cand {
-		if len(h) == k && nb.Dist2 > h[0].Dist2 {
-			continue // PushTopK would say the same, after a call
-		}
-		h, _ = PushTopK(h, k, nb)
+// seedTopK folds the points of set (live ids only) into h, the best k
+// ascending by Less, and returns it with the number of points in set. The
+// lane minima of the set's distances (bounded with mins) bound its k-th
+// distance from above for k ≤ 16 (laneMinima.bound), so only the points
+// within that bound — a dozen of the two hundred a d = 8 query sees — are
+// compacted and inserted; the rest cannot be among the best k.
+func (ds *dirScratch) seedTopK(h []Neighbor, k int, q vec.Point, pts []float64, set []uint64) ([]Neighbor, int) {
+	var mins laneMinima
+	cand, count := ds.bounded(q, pts, set, math.Inf(1), &mins)
+	for _, nb := range compact(cand, mins.bound(k)) {
+		h, _ = InsertTopK(h, k, nb)
 	}
-	return h, len(cand)
+	return h, count
 }
 
 // check verifies the directory against the coordinate store: it must equal,

@@ -20,7 +20,7 @@ import (
 // must be the live set.
 func checkPointBox(t *testing.T, pd *pointDir, model map[int]vec.Point, q vec.Point, r float64) {
 	t.Helper()
-	acc, whole := pd.box(new(dirScratch), nil, q, r)
+	acc, whole := pd.box(new(dirScratch), nil, q, r, nil)
 	got := map[int]bool{}
 	for w, word := range acc {
 		for ; word != 0; word &= word - 1 {
@@ -55,7 +55,7 @@ func checkPointBox(t *testing.T, pd *pointDir, model map[int]vec.Point, q vec.Po
 // outwardRadius(r2).
 func checkPointBall(t *testing.T, pd *pointDir, model map[int]vec.Point, q vec.Point, r2 float64) {
 	t.Helper()
-	acc, _ := pd.box(new(dirScratch), nil, q, outwardRadius(r2))
+	acc, _ := pd.box(new(dirScratch), nil, q, outwardRadius(r2), nil)
 	for id, p := range model {
 		if d2 := vec.Dist2Flat(q, p); d2 <= r2 && acc[id>>6]>>(id&63)&1 == 0 {
 			t.Fatalf("q=%v r2=%v: id %d at %v (Dist2 %v) is in the ball but not in the box", q, r2, id, p, d2)
@@ -66,7 +66,7 @@ func checkPointBall(t *testing.T, pd *pointDir, model map[int]vec.Point, q vec.P
 // checkPointSearch runs the seedless search — the one cell construction makes:
 // nothing seen, the density start — for the k points nearest to q and compares
 // it with the sorted model, ids and Dist2 bit for bit in (Dist2, ID) order;
-// what it folded must be what it marked seen.
+// what it folded must be what it marked seen plus its last box.
 func checkPointSearch(t *testing.T, pd *pointDir, model map[int]vec.Point, q vec.Point, k int) {
 	t.Helper()
 	if k = min(k, len(model)); k == 0 {
@@ -87,17 +87,22 @@ func checkPointSearch(t *testing.T, pd *pointDir, model map[int]vec.Point, q vec
 		r2 = pd.densityR2(k, len(model))
 	}
 	ds := dirScratch{seen: make([]uint64, len(pd.le[0]))}
-	got, folded := pd.search(&ds, nil, k, q, modelFlat(model, len(q)), r2)
-	SortTopK(got)
-	if !slices.Equal(got, want[:k]) {
+	got, folded, _ := pd.search(&ds, nil, k, q, modelFlat(model, len(q)), r2, math.Inf(1))
+	if !slices.Equal(got, want[:k]) { // search's list is the answer, ascending by (Dist2, ID) as it stands
 		t.Fatalf("q=%v k=%d of %d from r2=%v:\n got %v\nwant %v", q, k, len(model), r2, got, want[:k])
 	}
+	// seen marks what the passes before the last folded (search updates it
+	// only for a pass to come), and the last box is what that pass folded,
+	// masked by seen: together, every point folded exactly once.
 	seen := 0
-	for _, word := range ds.seen {
-		seen += bits.OnesCount64(word)
+	for w, word := range ds.seen {
+		seen += bits.OnesCount64(word) + bits.OnesCount64(ds.box[w])
+		if word&ds.box[w] != 0 {
+			t.Fatalf("q=%v k=%d of %d: the last pass folded seen points %x", q, k, len(model), word&ds.box[w])
+		}
 	}
 	if folded != seen || folded < k || folded > len(model) {
-		t.Fatalf("q=%v k=%d of %d: folded %d points, marked %d seen", q, k, len(model), folded, seen)
+		t.Fatalf("q=%v k=%d of %d: folded %d points, marked %d seen or in the last box", q, k, len(model), folded, seen)
 	}
 }
 

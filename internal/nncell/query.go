@@ -22,55 +22,24 @@ func (a Neighbor) Less(b Neighbor) bool {
 	return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.ID < b.ID)
 }
 
-// PushTopK offers nb to h, the best (at most k) neighbors seen so far kept as
-// a max-heap under Less — h[0] is the worst of them, the bound a full heap
-// prunes with — and reports whether nb was kept. The single index's box search
-// and the sharded merge select their results with it.
-func PushTopK(h []Neighbor, k int, nb Neighbor) ([]Neighbor, bool) {
-	if len(h) < k {
+// InsertTopK offers nb to h, the best (at most k) neighbors seen so far kept
+// ascending under Less — h[len(h)-1] is the worst of them, the bound a full
+// list prunes with — and reports whether nb was kept. nb goes in by insertion
+// from the end: the list is short and an offer that is kept usually lands
+// near the end. The single index's searches and the sharded merge select
+// their results with it.
+func InsertTopK(h []Neighbor, k int, nb Neighbor) ([]Neighbor, bool) {
+	i := len(h)
+	if i < k {
 		h = append(h, nb)
-		for i := len(h) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if !h[parent].Less(h[i]) {
-				break
-			}
-			h[parent], h[i] = h[i], h[parent]
-			i = parent
-		}
-		return h, true
-	}
-	if !nb.Less(h[0]) {
+	} else if i--; !nb.Less(h[i]) {
 		return h, false
 	}
-	h[0] = nb
-	siftDown(h, len(h))
+	for ; i > 0 && nb.Less(h[i-1]); i-- {
+		h[i] = h[i-1]
+	}
+	h[i] = nb
 	return h, true
-}
-
-// SortTopK turns a PushTopK heap into the ascending result list, in place.
-func SortTopK(h []Neighbor) {
-	for end := len(h) - 1; end > 0; end-- {
-		h[0], h[end] = h[end], h[0]
-		siftDown(h, end)
-	}
-}
-
-// siftDown restores the max-heap order of h[:n] after a change of h[0].
-func siftDown(h []Neighbor, n int) {
-	for root := 0; ; {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && h[child].Less(h[child+1]) {
-			child++
-		}
-		if !h[root].Less(h[child]) {
-			return
-		}
-		h[root], h[child] = h[child], h[root]
-		root = child
-	}
 }
 
 // QueryCtx is the reusable per-query scratch of the read path: the survivor
@@ -197,17 +166,23 @@ func (ix *Index) fallbackNearest(qc *QueryCtx, q vec.Point) Neighbor {
 // and have checked alive > 0. Neither X-tree is read (DESIGN.md §19):
 //
 //  1. Seeds. The cell-directory survivors at q (clamped into the data space)
-//     are folded into the best k. Any k live points bound the k-th distance,
-//     and the cells around q belong to near ones.
+//     are folded into the best k (seedTopK). Any k live points bound the k-th
+//     distance, and the cells around q belong to near ones.
 //  2. Box passes (pointDir.search, the routine cell construction finds its
 //     neighbours with). With k seeds the radius is the k-th seed distance and
 //     one pass is exact. With 0 < m < k seeds it starts at the m-th distance
 //     scaled to a ball expected to hold 2k points, (2k/m)^(1/d). A query
-//     without seeds or with k ≥ alive asks for the whole grid at once.
+//     with k ≥ alive asks for the whole grid at once. Short of k seeds, or
+//     of 4k survivors (whose k-th distance is a poor bound), a query in the
+//     data space caps its first radius at the density start
+//     (pointDir.densityR2) — for a query without seeds, that is where it
+//     starts — and search grows a radius that finds too few. A query outside
+//     keeps its seeds' radius: the density start, measured inside, would
+//     have to grow all the way out to it.
 func (ix *Index) nearestK(qc *QueryCtx, dst []Neighbor, q vec.Point, k int) []Neighbor {
 	k = min(k, ix.alive)
-	p := q
-	if !ix.bounds.Contains(q) {
+	p, inside := q, ix.bounds.Contains(q)
+	if !inside {
 		if cap(qc.clamp) < len(q) {
 			qc.clamp = make(vec.Point, len(q))
 		}
@@ -217,22 +192,25 @@ func (ix *Index) nearestK(qc *QueryCtx, dst []Neighbor, q vec.Point, k int) []Ne
 		p = qc.clamp
 	}
 	qc.seen = ix.dir.survivors(&qc.dirScratch, qc.seen, p)
-	// The heap grows in dst's spare capacity, so the closing append copies
+	// The list grows in dst's spare capacity, so the closing append copies
 	// nothing when the caller's slice has room for k.
-	h, seeds := qc.foldTopK(dst[len(dst):], k, q, ix.ptsFlat, qc.seen)
+	h, seeds := qc.seedTopK(dst[len(dst):], k, q, ix.ptsFlat, qc.seen)
 
 	var r2 float64
 	switch m := len(h); {
 	case m == k:
-		r2 = h[0].Dist2
+		r2 = h[k-1].Dist2
 	case m == 0 || k == ix.alive: // nothing to start from, or every live point is wanted
 		r2 = math.Inf(1)
 	default:
-		r2 = h[0].Dist2 * math.Pow(float64(2*k)/float64(m), 2/float64(ix.dim))
+		r2 = h[m-1].Dist2 * math.Pow(float64(2*k)/float64(m), 2/float64(ix.dim))
 	}
-	h, folded := ix.pdir.search(&qc.dirScratch, h, k, q, ix.ptsFlat, r2)
+	if inside && k < ix.alive && (len(h) < k || seeds < 4*k) {
+		r2 = min(r2, ix.pdir.densityR2(k, ix.alive))
+	}
+	h, folded, passes := ix.pdir.search(&qc.dirScratch, h, k, q, ix.ptsFlat, r2, math.Inf(1))
 	ix.stats.candidates.Add(uint64(seeds + folded))
-	SortTopK(h)
+	ix.stats.passes.Add(uint64(passes))
 	return append(dst, h...)
 }
 
@@ -331,6 +309,34 @@ func (ix *Index) KNearestAppend(dst []Neighbor, q vec.Point, k int) ([]Neighbor,
 	}
 	ix.stats.queries.Add(1)
 	return ix.nearestK(qc, dst, q, k), nil
+}
+
+// KNearestWithinAppend is KNearestAppend restricted to the live points at
+// squared distance at most limit2 from q (a point at limit2 included): it
+// appends the min(k, that many) nearest of them, ascending by (Dist2, ID),
+// and so appends nothing when none is that near. It takes no seeds and one
+// box pass of the point directory at limit2, folding only what lies within
+// it. The sharded merge asks a shard it visits after holding k results for
+// those within its k-th distance: the only ones that can still enter, a tie
+// at that distance included, since its global id may be the smaller.
+func (ix *Index) KNearestWithinAppend(dst []Neighbor, q vec.Point, k int, limit2 float64) ([]Neighbor, error) {
+	if k <= 0 {
+		return dst, fmt.Errorf("%w (got k=%d)", ErrBadK, k)
+	}
+	qc := ix.acquireCtx()
+	defer ix.releaseCtx(qc)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if ix.alive == 0 {
+		return dst, ErrEmpty
+	}
+	ix.stats.queries.Add(1)
+	qc.seen = sized(qc.seen, len(ix.pdir.le[0]))
+	clear(qc.seen)
+	h, folded, passes := ix.pdir.search(&qc.dirScratch, dst[len(dst):], min(k, ix.alive), q, ix.ptsFlat, limit2, limit2)
+	ix.stats.candidates.Add(uint64(folded))
+	ix.stats.passes.Add(uint64(passes))
+	return append(dst, h...), nil
 }
 
 // NearestNeighborBatch answers many NN queries concurrently with the given

@@ -65,3 +65,51 @@ func BenchmarkDynamicInsert(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardedKNearest is the k = 10 query at the shape of the benchmark's
+// lib-mixed-d4 workload: 2·10⁴ uniform points in d = 4 on four grid shards,
+// NN-Direction cells, queries next to data points (a point plus N(0, 0.01)
+// per coordinate, clamped to the cube). Beside ns/op it reports the points a
+// query folds over all the shards it visits (folds/op: seeds and box passes,
+// Stats.Candidates) and the shards visited (shards/op). A shard visited once
+// the merge holds ten is asked only for the points within the tenth distance,
+// so its folds are a handful, not a search of its own.
+func BenchmarkShardedKNearest(b *testing.B) {
+	const n, d, pool, k = 20000, 4, 4096, 10
+	rng := rand.New(rand.NewSource(11))
+	pts := dataset.Uniform(rng, n, d)
+	s, err := Build(pts, vec.UnitCube(d), Options{
+		Shards: 4,
+		Route:  RouteGrid,
+		Index:  nncell.Options{Algorithm: nncell.NNDirection},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := make([]vec.Point, pool)
+	for i := range qs {
+		q := pts[rng.Intn(n)].Clone()
+		for j := range q {
+			q[j] += rng.NormFloat64() * 0.01
+		}
+		vec.UnitCube(d).ClampInPlace(q)
+		qs[i] = q
+	}
+	nbs := make([]nncell.Neighbor, 0, k)
+	for _, q := range qs { // warm the pooled contexts
+		if nbs, err = s.KNearestAppend(nbs[:0], q, k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	folds, visits := s.Stats().Candidates, s.routeVisited.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if nbs, err = s.KNearestAppend(nbs[:0], qs[i%pool], k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.Stats().Candidates-folds)/float64(b.N), "folds/op")
+	b.ReportMetric(float64(s.routeVisited.Load()-visits)/float64(b.N), "shards/op")
+}

@@ -465,7 +465,7 @@ func TestShardedKNearestMatchesScan(t *testing.T) {
 						all[i] = nncell.Neighbor{ID: gid, Dist2: vec.Euclidean{}.Dist2(q, p)}
 					}
 					sort.Slice(all, func(a, b int) bool { return all[a].Less(all[b]) })
-					for _, k := range []int{1, 2, 10, 100, len(gids), len(gids) + 5} {
+					for _, k := range []int{1, 2, 10, 16, 17, 64, 100, len(gids), len(gids) + 5} {
 						got, err := s.KNearest(q, k)
 						if err != nil {
 							t.Fatal(err)
@@ -488,6 +488,42 @@ func TestShardedKNearestMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// A tie at the k-th distance across shards: with the home shard's two points
+// at 0 and 1/16 from q, the next shard — visited with the merged k-th
+// distance as its inclusive limit — holds a point at 1/16 too, under a
+// smaller global id, which must take the second place. An exclusive limit
+// would lose it.
+func TestShardedKNearestTieAcrossShards(t *testing.T) {
+	q := vec.Point{0.375, 0.5}
+	pts := []vec.Point{
+		{0.375, 0.5},  // shard 0, local 0: global 0, at 0
+		{0.625, 0.5},  // shard 1, local 0: global 1, at 1/16
+		{0.05, 0.95},  // shard 0, local 1: global 2
+		{0.375, 0.25}, // shard 0, local 2: global 4, at 1/16
+		{0.95, 0.05},  // shard 1, local 1: global 3
+		{0.9, 0.9},    // shard 1, local 2: global 5
+	}
+	s, err := Build(pts, vec.UnitCube(2), Options{
+		Shards: 2,
+		Route:  RouteGrid,
+		Grid:   &GridConfig{Dims: []int{0}, Counts: []int{2}},
+		Index:  nncell.Options{Algorithm: nncell.NNDirection},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := s.Point(1); !slices.Equal(p, pts[1]) {
+		t.Fatalf("global id 1 is %v, want %v: the layout the test relies on moved", p, pts[1])
+	}
+	if p, _ := s.Point(4); !slices.Equal(p, pts[3]) {
+		t.Fatalf("global id 4 is %v, want %v: the layout the test relies on moved", p, pts[3])
+	}
+	want := []nncell.Neighbor{{ID: 0, Dist2: 0}, {ID: 1, Dist2: 0.0625}}
+	if got, err := s.KNearest(q, 2); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("KNearest(%v, 2) = %v, %v; want %v", q, got, err, want)
 	}
 }
 

@@ -106,7 +106,7 @@ type Sharded struct {
 type queryScratch struct {
 	plan []ShardDist
 	nbrs []nncell.Neighbor
-	heap []nncell.Neighbor
+	top  []nncell.Neighbor
 }
 
 func (s *Sharded) acquireScratch() *queryScratch {
@@ -571,13 +571,15 @@ func (s *Sharded) KNearest(q vec.Point, k int) ([]nncell.Neighbor, error) {
 
 // KNearestAppend appends the global k nearest to dst and returns it (the
 // allocation-free entry point for callers holding a reused buffer). Shards
-// are visited in plan order; each sorted per-shard list streams into a
-// bounded max-heap of the current top k, so the merge is O(S·k·log k) with
-// no per-call list/cursor allocations (the seed path materialized all S
-// lists and linear-scanned them per output element). Ring pruning stops the
-// fan-out once the heap holds k results whose worst entry beats the next
-// shard's MinDist2; the bound is exact for the same reason as in
-// NearestNeighbor, applied to the k-th distance.
+// are visited in plan order and each sorted per-shard list is inserted into
+// the current top k, itself a list ascending by (Dist2, global id)
+// (nncell.InsertTopK), with no per-call allocation. Once that list holds k,
+// a later shard is asked only for its points within the k-th distance
+// (nncell.Index.KNearestWithinAppend: no seeds, one box pass at that
+// radius), inclusive because a tie at the k-th distance can still win on
+// global id. Ring pruning stops the fan-out once the list holds k results
+// whose worst entry beats the next shard's MinDist2; the bound is exact for
+// the same reason as in NearestNeighbor, applied to the k-th distance.
 func (s *Sharded) KNearestAppend(dst []nncell.Neighbor, q vec.Point, k int) ([]nncell.Neighbor, error) {
 	if k <= 0 {
 		return dst, fmt.Errorf("%w (got k=%d)", nncell.ErrBadK, k)
@@ -585,44 +587,51 @@ func (s *Sharded) KNearestAppend(dst []nncell.Neighbor, q vec.Point, k int) ([]n
 	qs := s.acquireScratch()
 	defer s.releaseScratch(qs)
 	qs.plan = s.router.Plan(qs.plan[:0], q)
-	heap := qs.heap[:0]
+	top := qs.top[:0]
 	any := false
 	visited := 0
 	for _, sd := range qs.plan {
+		full := len(top) == k
 		// Strict: a k-th-distance tie in a farther shard can win on id.
-		if len(heap) == k && sd.MinDist2 > heap[0].Dist2 {
+		if full && sd.MinDist2 > top[k-1].Dist2 {
 			break
 		}
 		visited++
-		nbs, err := s.shards[sd.Shard].KNearestAppend(qs.nbrs[:0], q, k)
+		ix := s.shards[sd.Shard]
+		var nbs []nncell.Neighbor
+		var err error
+		if full {
+			nbs, err = ix.KNearestWithinAppend(qs.nbrs[:0], q, k, top[k-1].Dist2)
+		} else {
+			nbs, err = ix.KNearestAppend(qs.nbrs[:0], q, k)
+		}
 		qs.nbrs = nbs[:0]
 		if err != nil {
 			if errors.Is(err, nncell.ErrEmpty) {
 				continue
 			}
-			qs.heap = heap[:0]
+			qs.top = top[:0]
 			return dst, err
 		}
 		any = true
 		for _, nb := range nbs {
 			nb.ID = s.globalID(sd.Shard, nb.ID)
 			var kept bool
-			if heap, kept = nncell.PushTopK(heap, k, nb); !kept {
+			if top, kept = nncell.InsertTopK(top, k, nb); !kept {
 				// The list ascends by (Dist2, local id) and the global id is
 				// monotone in the local one, so no later entry beats the
-				// heap's worst either.
+				// worst held either.
 				break
 			}
 		}
 	}
 	s.recordVisits(visited)
 	if !any {
-		qs.heap = heap[:0]
+		qs.top = top[:0]
 		return dst, nncell.ErrEmpty
 	}
-	nncell.SortTopK(heap)
-	dst = append(dst, heap...)
-	qs.heap = heap[:0]
+	dst = append(dst, top...)
+	qs.top = top[:0]
 	return dst, nil
 }
 
