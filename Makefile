@@ -23,7 +23,10 @@ check: vet doc-check build test race bench-smoke bench-module fuzz-smoke
 # implementation each: parallel batches claim work in internal/par only, the
 # WAL frame checksum is computed by Log.Append and checked by Cursor.Next only
 # (Replay parses through a Cursor), and the metrics text format is written by
-# internal/stats/expo.go only.
+# internal/stats/expo.go only. Nor may the AVX2 kernels keep a second path
+# alive for their tests alone: every TEXT symbol of internal/nncell/
+# kernel_amd64.s must be called from non-test Go of internal/nncell other
+# than its own func declaration.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -36,6 +39,7 @@ vet:
 	@if grep -rn --include='*.go' --exclude='*_test.go' 'next\.Add(1)' cmd internal | grep -v '^internal/par/'; then echo "parallel batches claim work through internal/par only"; exit 1; fi
 	@if awk '/^func /{fn=$$0} /crc32\.Checksum/ && fn !~ /^func \(l \*Log\) Append\(|^func \(c \*Cursor\) Next\(/ {print FILENAME ": " fn; bad=1} END{exit !bad}' $$(ls internal/wal/*.go | grep -v '_test\.go$$'); then echo "internal/wal checksums frames in Log.Append and Cursor.Next only"; exit 1; fi
 	@if grep -rn --include='*.go' --exclude='*_test.go' '"# TYPE' cmd internal | grep -v '^internal/stats/expo\.go:'; then echo "the metrics text format has one writer, internal/stats/expo.go"; exit 1; fi
+	@for f in $$(sed -nE 's/^TEXT ·([A-Za-z0-9_]+)\(SB\).*/\1/p' internal/nncell/kernel_amd64.s); do grep -hE "(^|[^A-Za-z0-9_.])$$f\(" $$(ls internal/nncell/*.go | grep -v '_test\.go$$') | grep -vE "^[[:space:]]*//|^func $$f\(" | grep -q . || { echo "internal/nncell/kernel_amd64.s: no non-test Go calls $$f"; exit 1; }; done
 
 # README.md and DESIGN.md may quote only what the source defines: every
 # nncell_* metric name must occur in non-test Go (a prefix form such as
@@ -89,9 +93,10 @@ race:
 # .../kernel=go and .../kernel=avx2, the before/after row of a kernel change;
 # both print folds/op, the k = 10 query also passes/op, and fail unless every
 # kernel set folds the same points in the same box passes);
-# BenchmarkQueryStages times the served NN query's stages — row AND, bit walk,
-# distances, the whole NN fold — and the k = 10 query's — the seed fold, the
-# box pass's row AND with the seeds masked out, its fold — once per kernel
+# BenchmarkQueryStages times the served NN query's stages — row AND, the
+# survivors listed with their distances (bounded at +Inf, the candidates
+# query's list), the whole NN fold — and the k = 10 query's — the seed fold,
+# the box pass's row AND with the seeds masked out, its fold — once per kernel
 # set, the per-stage split of a kernel change; BenchmarkCellDirUpdate tracks
 # the two directories' share of a cell recompute and of a point insert +
 # delete, BenchmarkInsertEager one whole eager insert (ms, LP solves and cells

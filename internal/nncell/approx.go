@@ -229,8 +229,9 @@ func (ix *Index) pointsWithin(cc *cellCtx, i int, radius float64) (ids []int, al
 	p, r2 := ix.point(i), radius*radius
 	cc.box, _ = ix.pdir.box(&cc.dirScratch, cc.box, p, outwardRadius(r2), nil)
 	ids = cc.ids[:0]
-	for _, nb := range cc.dists(p, ix.ptsFlat, cc.box) {
-		if nb.ID != i && nb.Dist2 <= r2 {
+	within, _ := cc.bounded(p, ix.ptsFlat, cc.box, r2, nil)
+	for _, nb := range within {
+		if nb.ID != i {
 			ids = append(ids, nb.ID)
 		}
 	}

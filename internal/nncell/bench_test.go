@@ -2,6 +2,7 @@ package nncell
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -121,11 +122,12 @@ func BenchmarkQueryNearest(b *testing.B) {
 
 // BenchmarkQueryStages splits the NN and the k = 10 query of the served shape
 // into their stages, once per kernel set the CPU runs: "and", the row AND of
-// the query's stripes (cellDir.survivors); "walk", listing the survivor bits
-// (appendBits); "dists", the squared distances of the listed points (dist2s);
-// "fold", the whole NN fold of a survivor set (dirScratch.nearest: on AVX2 at
-// d = 8 the walk, the distances and the minimum in one pass, elsewhere
-// appendBits, dist2s and the Go minimum); "knn-seeds", the k-NN query's fold
+// the query's stripes (cellDir.survivors); "list", the survivors listed with
+// their squared distances (dirScratch.bounded at +Inf without minima, the
+// candidates query's list: on AVX2 at d = 8 one pass, elsewhere appendBits
+// then dist2s); "fold", the whole NN fold of a survivor
+// set (dirScratch.nearest: on AVX2 at d = 8 the walk, the distances and the
+// minimum in one pass, elsewhere the list and the Go minimum); "knn-seeds", the k-NN query's fold
 // of the survivors into its best ten (seedTopK); "knn-box", its box pass's
 // row AND at the tenth seed distance, the survivors masked out in the AND
 // (pointDir.box); "knn-boxfold", that box folded into the seeds' best ten
@@ -135,14 +137,13 @@ func BenchmarkQueryNearest(b *testing.B) {
 func BenchmarkQueryStages(b *testing.B) {
 	const stageSets, k = 512, 10
 	ix, qs := benchIndex(b, NNDirection, servedD, servedN, servedQueries)
-	sets, lists := make([][]uint64, stageSets), make([][]Neighbor, stageSets)
+	sets := make([][]uint64, stageSets)
 	seeds, boxes := make([][]Neighbor, stageSets), make([][]uint64, stageSets)
 	bitsPerSet := 0.0
 	for i := range sets {
 		var ds dirScratch
 		sets[i] = ix.dir.survivors(&ds, nil, qs[i])
-		lists[i] = appendBits(nil, sets[i])
-		bitsPerSet += float64(len(lists[i])) / stageSets
+		bitsPerSet += float64(onesCount(sets[i])) / stageSets
 		seeds[i], _ = ds.seedTopK(nil, k, qs[i], ix.ptsFlat, sets[i])
 		boxes[i], _ = ix.pdir.box(&ds, nil, qs[i], outwardRadius(seeds[i][k-1].Dist2), sets[i])
 	}
@@ -162,8 +163,7 @@ func BenchmarkQueryStages(b *testing.B) {
 				})
 			}
 			stage("and", func(i int) { qc.surv = ix.dir.survivors(&qc.dirScratch, qc.surv, qs[i%len(qs)]) })
-			stage("walk", func(i int) { qc.cand = appendBits(qc.cand[:0], sets[i%stageSets]) })
-			stage("dists", func(i int) { dist2s(lists[i%stageSets], qs[i%stageSets], ix.ptsFlat) })
+			stage("list", func(i int) { qc.bounded(qs[i%stageSets], ix.ptsFlat, sets[i%stageSets], math.Inf(1), nil) })
 			stage("fold", func(i int) { qc.nearest(qs[i%stageSets], ix.ptsFlat, sets[i%stageSets]) })
 			stage("knn-seeds", func(i int) { qc.seedTopK(top[:0], k, qs[i%stageSets], ix.ptsFlat, sets[i%stageSets]) })
 			stage("knn-box", func(i int) {

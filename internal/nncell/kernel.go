@@ -13,20 +13,22 @@ import (
 // branches and serial add chains (DESIGN.md §17). A k-NN query adds the bound
 // compare of its folds and, for its seeds, the lane minima that bound their
 // k-th distance (laneMinima), their k-th least and the compaction at it
-// (DESIGN.md §19). On amd64 with AVX2 the row passes, the bit walk and the
-// distances run in kernel_amd64.s instead — the NN query's walk, distances and
-// minimum as one pass (nearest), the k-NN query's walk, distances, lane
-// minima and bound compare as another (bounded), and the k-th least and the
-// compaction beside them — four lanes wide and bit for bit what the Go loops
-// here compute; the Go loops are the reference and every other machine's
-// kernels.
+// (DESIGN.md §19). The Go loops here are the reference and every other
+// machine's kernels. On amd64 with AVX2 kernel_amd64.s runs, four lanes wide
+// and bit for bit what they compute, the row passes (and4, andNot4), the
+// k-th least and the compaction (boundAVX2, compactAVX2) and, at d a multiple
+// of four, the walk and the distances fused with what consumes them: the NN
+// query's minimum (nearestAVX2) and the bounded fold's lane minima and bound
+// compare (boundedAVX2). A caller that needs the survivors' ids with their
+// distances takes them from bounded, so the walk and the distances have no
+// other assembly form; appendBits and dist2s are plain Go.
 
 // KernelSet names the kernels this process's directory queries run on: "avx2"
 // where the CPU and the operating system support AVX2, BMI1 and POPCNT on
-// amd64 (kernel_amd64.s: the row passes, the bit walk, the lane minima's k-th
-// least and the compaction always; the distances, the NN fold and the
-// bounded k-NN fold when d is a multiple of four), "go" everywhere else. It
-// is chosen once, at start-up.
+// amd64 (kernel_amd64.s: the row passes, the lane minima's k-th least and the
+// compaction always; the NN fold and the bounded fold, which walk the bits
+// and take the distances, when d is a multiple of four), "go" everywhere
+// else. It is chosen once, at start-up.
 func KernelSet() string {
 	if useAVX2 {
 		return "avx2"
@@ -97,28 +99,14 @@ const bitSlack = 4
 // count of the sets it has seen (plus bitSlack), not 64 per word: when it must
 // grow it takes four times what this set needs, so that a fresh context — the
 // pool drops them at every GC — is not grown again by each fuller set it
-// meets. With AVX2 the count is onesCount and the walk walkBits: the same
-// writes in POPCNT, TZCNT and BLSR, which Go's default amd64 target does not
-// assume, and in place of the density test one branch per four words that
-// skips them when all four are empty, which predicts at either density.
+// meets. The fused folds of kernel_amd64.s walk a set with the same writes.
 func appendBits(list []Neighbor, set []uint64) []Neighbor {
-	total := 0
-	if useAVX2 {
-		total = onesCount(set)
-	} else {
-		for _, word := range set {
-			total += bits.OnesCount64(word)
-		}
-	}
+	total := onesCount(set)
 	n, need := len(list), total+bitSlack
 	if cap(list)-n < need {
 		list = slices.Grow(list, 4*need)
 	}
 	list = list[:n+need]
-	if useAVX2 {
-		walkBits(list[n:], set)
-		return list[:n+total]
-	}
 	sparse := 4*total < len(set)
 	for w, word := range set {
 		if sparse && word == 0 {
@@ -144,6 +132,14 @@ func appendBits(list []Neighbor, set []uint64) []Neighbor {
 	return list[:n]
 }
 
+// onesCount returns the population count of set.
+func onesCount(set []uint64) (total int) {
+	for _, word := range set {
+		total += bits.OnesCount64(word)
+	}
+	return total
+}
+
 // dist2s sets the Dist2 of every entry of list to the squared distance from q
 // to point ID of pts (d = len(q) coordinates per id) and returns the list.
 // Four points are taken at a time, each on an accumulator of its own that sums
@@ -153,9 +149,9 @@ func appendBits(list []Neighbor, set []uint64) []Neighbor {
 // copying the query's; its square is that of query − coordinate exactly.) The
 // last group is filled up with copies of the final id, written past the end
 // of list — into the room appendBits leaves there, or the list is moved to
-// where there is room. With AVX2 and d a multiple of four the groups go to
-// dist2sAVX2, one point per lane and the same three rounded operations per
-// term, which checks every ID against the rows of pts before reading one.
+// where there is room. An ID past the rows of pts panics before its row is
+// read. The fused folds of kernel_amd64.s take one point per ymm lane with
+// the same three rounded operations per term.
 func dist2s(list []Neighbor, q, pts []float64) []Neighbor {
 	n, d := len(list), len(q)
 	if n == 0 {
@@ -165,12 +161,6 @@ func dist2s(list []Neighbor, q, pts []float64) []Neighbor {
 	list = slices.Grow(list, 3)[:padded]
 	for k := n; k < padded; k++ {
 		list[k].ID = list[n-1].ID
-	}
-	if useAVX2 && d > 0 && d%4 == 0 {
-		if !dist2sAVX2(list, q, pts, len(pts)/d) {
-			panic("nncell: dist2s: a candidate id is past the coordinate store")
-		}
-		return list[:n]
 	}
 	pts = slices.Clip(pts) // an id past the store fails its slice, not reads the spare capacity
 	for k := 0; k < padded; k += 4 {
@@ -198,8 +188,9 @@ func dist2s(list []Neighbor, q, pts []float64) []Neighbor {
 // distance is below +Inf, as for an empty set. With AVX2 and d a multiple of
 // four that is one pass of nearestAVX2 — the bits walked, the distances taken
 // and the minimum kept without a list between them — which checks every id
-// against the rows of pts before reading one; elsewhere it is the list of
-// ds.dists and a Go minimum, the reference the kernel matches bit for bit.
+// against the rows of pts before reading one; on the go set and at other d it
+// is the list of ds.dists (appendBits, dist2s) and a Go minimum, the
+// reference the kernel matches bit for bit.
 func (ds *dirScratch) nearest(q, pts []float64, set []uint64) (nb Neighbor, count int, found bool) {
 	if d := len(q); useAVX2 && d > 0 && d%4 == 0 {
 		id, d2, count, ok := nearestAVX2(set, q, pts, len(pts)/d)
@@ -298,13 +289,15 @@ func (m *laneMinima) bound(k int) float64 {
 // q is not above bound — ¬(Dist2 > bound), which a NaN distance or bound also
 // passes — ascending by id with their Dist2, and returns the list (in
 // ds.cand) and the population count of set. With mins it also takes every
-// point of set, before the bound, into mins (laneMinima.fold). With AVX2 and
+// point of set, before the bound, into mins (laneMinima.fold). pointsWithin
+// takes its ball from it at its radius, and CandidatesNearestAppend every
+// point of set with its distance at +Inf, both without mins. With AVX2 and
 // d a multiple of four that is one pass of boundedAVX2 — the bits walked, the
 // distances taken, each group of four compared with the bound and only its
 // passing lanes written — which checks every id against the rows of pts
-// before reading one; elsewhere it is the list of ds.dists, the minima over
-// it and a compaction without branches, the reference the kernel matches bit
-// for bit.
+// before reading one; on the go set and at other d it is the list of
+// ds.dists (appendBits, dist2s), the minima over it and a compaction without
+// branches, the reference the kernel matches bit for bit.
 func (ds *dirScratch) bounded(q, pts []float64, set []uint64, bound float64, mins *laneMinima) ([]Neighbor, int) {
 	if d := len(q); useAVX2 && d > 0 && d%4 == 0 {
 		kept, count, ok := boundedAVX2(set, q, pts, len(pts)/d, bound, ds.cand[:cap(ds.cand)], mins)

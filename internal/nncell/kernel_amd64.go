@@ -8,7 +8,8 @@ var useAVX2 = hasAVX2()
 // hasAVX2 reports whether the CPU has AVX2 and BMI1 (CPUID leaf 7, EBX bits 5
 // and 3), AVX with XGETBV and POPCNT (leaf 1, ECX bits 28, 27 and 23), and the
 // operating system saves the ymm registers across context switches (XCR0 bits
-// 1 and 2). The bit walks of kernel_amd64.s take POPCNT, TZCNT and BLSR.
+// 1 and 2). The fused folds of kernel_amd64.s walk the bits with POPCNT,
+// TZCNT and BLSR, and boundAVX2 counts with POPCNT.
 func hasAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
@@ -37,16 +38,7 @@ func and4(acc, src, a, b, c, e []uint64)
 func andNot4(acc, a, b, c, e []uint64)
 
 //go:noescape
-func dist2sAVX2(list []Neighbor, q, pts []float64, rows int) (ok bool)
-
-//go:noescape
-func walkBits(dst []Neighbor, set []uint64)
-
-//go:noescape
 func nearestAVX2(set []uint64, q, pts []float64, rows int) (id int, dist2 float64, count int, ok bool)
-
-//go:noescape
-func onesCount(set []uint64) int
 
 //go:noescape
 func boundedAVX2(set []uint64, q, pts []float64, rows int, bound float64, out []Neighbor, mins *laneMinima) (kept, count int, ok bool)

@@ -107,12 +107,6 @@ andNot4done:
 	VZEROUPPER
 	RET
 
-// ROW sets r to the address of the row of the point whose ID is at off(DI),
-// pts + ID·8d, after checking that ID, unsigned, is below rows (SI): the
-// check that keeps every read inside pts, one compare off any dependency
-// chain.
-#define ROW(off, r) MOVQ off(DI), r; CMPQ r, SI; JAE outside; IMULQ CX, r; ADDQ R8, r
-
 // COLUMNS_A loads coordinates j … j+3 (byte offset R15) of the rows at AX,
 // BX, R9, R10 and transposes them in registers: Y12 holds coordinate j of the
 // four points, one lane each, Y0 j+1, Y1 j+2, Y2 j+3. Each ymm starts as two
@@ -176,146 +170,14 @@ andNot4done:
 	TERM(Y2, Y8, Y14); \
 	TERM(Y6, Y8, Y15)
 
-// STORE writes the four lanes of Y (its low half X) to the Dist2 fields of
-// the entries at off(DI) … off+48(DI).
-#define STORE(off, X, Y) \
-	VMOVSD       X, off+8(DI); \
-	VMOVHPD      X, off+24(DI); \
-	VEXTRACTF128 $1, Y, X; \
-	VMOVSD       X, off+40(DI); \
-	VMOVHPD      X, off+56(DI)
-
-// func dist2sAVX2(list []Neighbor, q, pts []float64, rows int) (ok bool)
-//
-// Sets the Dist2 of every entry of list to the squared distance from q to the
-// row ID of pts, and reports whether every ID was below rows = len(pts)/d; at
-// the first that is not it stops, no row read. len(list) is a multiple of
-// four and d = len(q) a positive multiple of four, as the Go caller sees to.
-// Each ymm lane is one point, summing its d terms in index order
-// with no fused multiply-add, so every result has vec.Dist2Flat's bits. Eight
-// points (two groups of four) are in flight per pass over the coordinates.
-TEXT ·dist2sAVX2(SB), NOSPLIT, $0-81
-	MOVQ list_base+0(FP), DI
-	MOVQ q_base+24(FP), DX
-	MOVQ q_len+32(FP), CX
-	SHLQ $3, CX                  // CX = 8d, the row stride in bytes
-	MOVQ pts_base+48(FP), R8
-	MOVQ rows+72(FP), SI
-
-pairs:                           // list_len counts the entries left
-	CMPQ list_len+8(FP), $8
-	JB   single
-	ROW(0, AX)
-	ROW(16, BX)
-	ROW(32, R9)
-	ROW(48, R10)
-	ROW(64, R11)
-	ROW(80, R12)
-	ROW(96, R13)
-	ROW(112, R14)
-	VXORPD Y14, Y14, Y14
-	VXORPD Y15, Y15, Y15
-	XORQ   R15, R15
-
-pairsLoop:
-	PAIR_PASS
-	ADDQ $32, R15
-	CMPQ R15, CX
-	JB   pairsLoop
-
-	STORE(0, X14, Y14)
-	STORE(64, X15, Y15)
-	ADDQ $128, DI
-	SUBQ $8, list_len+8(FP)
-	JMP  pairs
-
-single:
-	CMPQ list_len+8(FP), $0
-	JE   done
-	ROW(0, AX)
-	ROW(16, BX)
-	ROW(32, R9)
-	ROW(48, R10)
-	VXORPD Y14, Y14, Y14
-	XORQ   R15, R15
-
-singleLoop:
-	COLUMNS_A
-	VBROADCASTSD (DX)(R15*1), Y8
-	TERM(Y12, Y8, Y14)
-	VBROADCASTSD 8(DX)(R15*1), Y8
-	TERM(Y0, Y8, Y14)
-	VBROADCASTSD 16(DX)(R15*1), Y8
-	TERM(Y1, Y8, Y14)
-	VBROADCASTSD 24(DX)(R15*1), Y8
-	TERM(Y2, Y8, Y14)
-	ADDQ $32, R15
-	CMPQ R15, CX
-	JB   singleLoop
-
-	STORE(0, X14, Y14)
-
-done:
-	VZEROUPPER
-	MOVB $1, ok+80(FP)
-	RET
-
-outside:
-	VZEROUPPER
-	MOVB $0, ok+80(FP)
-	RET
-
-// func onesCount(set []uint64) int
-//
-// The population count of set, four words per step on four counters.
-TEXT ·onesCount(SB), NOSPLIT, $0-32
-	MOVQ set_base+0(FP), SI
-	MOVQ set_len+8(FP), CX
-	LEAQ (SI)(CX*8), DX
-	ANDQ $-4, CX
-	LEAQ (SI)(CX*8), CX
-	XORQ AX, AX
-	XORQ BX, BX
-	XORQ R8, R8
-	XORQ R9, R9
-
-countWide:
-	CMPQ    SI, CX
-	JAE     countTail
-	POPCNTQ (SI), R10
-	POPCNTQ 8(SI), R11
-	POPCNTQ 16(SI), R12
-	POPCNTQ 24(SI), R13
-	ADDQ    R10, AX
-	ADDQ    R11, BX
-	ADDQ    R12, R8
-	ADDQ    R13, R9
-	ADDQ    $32, SI
-	JMP     countWide
-
-countTail:
-	CMPQ    SI, DX
-	JAE     countDone
-	POPCNTQ (SI), R10
-	ADDQ    R10, AX
-	ADDQ    $8, SI
-	JMP     countTail
-
-countDone:
-	ADDQ BX, AX
-	ADDQ R9, R8
-	ADDQ R8, AX
-	MOVQ AX, ret+24(FP)
-	RET
-
-// WALK lists the set bits of the word in AX, bit 0 standing for id BX: it
-// writes the ids, ascending, as quadwords s1 bytes apart from DI on, four per
+// WORD lists the set bits of the word in AX, bit 0 standing for id BX, into
+// the id buffer at DI: it writes the ids, ascending, as quadwords, four per
 // step whatever the word holds — TZCNT of an exhausted word is 64, an id the
-// next word overwrites — and leaves the population count in R8, by which the
-// caller advances DI: the one branch on the data is taken by a word of more
-// than four bits. s2, s3 are two and three entries, s4 four; step names the
-// step's label. AX, R9 and R10 are clobbered.
-#define WALK(step, s1, s2, s3, s4) \
+// next word overwrites — then advances DI by the word's population count
+// (R8) and BX to the next word's first id. The one branch on the data is
+// taken by a word of more than four bits; step names the step's label. AX,
+// R9 and R10 are clobbered.
+#define WORD(step) \
 	POPCNTQ AX, R8; \
 	MOVQ    DI, R10; \
 step: \
@@ -325,85 +187,20 @@ step: \
 	BLSRQ  AX, AX; \
 	TZCNTQ AX, R9; \
 	ADDQ   BX, R9; \
-	MOVQ   R9, s1(R10); \
+	MOVQ   R9, 8(R10); \
 	BLSRQ  AX, AX; \
 	TZCNTQ AX, R9; \
 	ADDQ   BX, R9; \
-	MOVQ   R9, s2(R10); \
+	MOVQ   R9, 16(R10); \
 	BLSRQ  AX, AX; \
 	TZCNTQ AX, R9; \
 	ADDQ   BX, R9; \
-	MOVQ   R9, s3(R10); \
-	ADDQ   $s4, R10; \
+	MOVQ   R9, 24(R10); \
+	ADDQ   $32, R10; \
 	BLSRQ  AX, AX; \
-	JNZ    step
-
-// LISTED walks the word in AX into dst at DI (WALK), advances DI past its
-// entries, 16 bytes each, and BX to the next word's first id.
-#define LISTED(step) \
-	WALK(step, 16, 32, 48, 64); \
-	SHLQ $4, R8; \
-	ADDQ R8, DI; \
-	ADDQ $64, BX
-
-// func walkBits(dst []Neighbor, set []uint64)
-//
-// Sets the ID of dst[0], dst[1], … to the positions of the set bits of set,
-// ascending, with the Go loop's writes: four per word whatever it holds. The
-// words go four at a time, and a block of four empty words is skipped by one
-// branch, which predicts both on a dense set (few blocks are empty) and on a
-// sparse one (nearly all are); the words after the last block are walked one
-// by one. dst has room for the population count of set plus bitSlack.
-TEXT ·walkBits(SB), NOSPLIT, $0-48
-	MOVQ dst_base+0(FP), DI
-	MOVQ set_base+24(FP), SI
-	MOVQ set_len+32(FP), CX
-	LEAQ (SI)(CX*8), R12         // R12: the end of set
-	ANDQ $-4, CX
-	LEAQ (SI)(CX*8), CX          // CX: the end of its blocks of four
-	XORQ BX, BX
-
-listBlocks:
-	CMPQ SI, CX
-	JAE  listWords
-	MOVQ (SI), AX
-	ORQ  8(SI), AX
-	ORQ  16(SI), AX
-	ORQ  24(SI), AX
-	JZ   listEmpty
-	MOVQ (SI), AX
-	LISTED(list0)
-	MOVQ 8(SI), AX
-	LISTED(list1)
-	MOVQ 16(SI), AX
-	LISTED(list2)
-	MOVQ 24(SI), AX
-	LISTED(list3)
-	ADDQ $32, SI
-	JMP  listBlocks
-
-listEmpty:
-	ADDQ $32, SI
-	ADDQ $256, BX
-	JMP  listBlocks
-
-listWords:
-	CMPQ SI, R12
-	JAE  listDone
-	MOVQ (SI), AX
-	LISTED(listw)
-	ADDQ $8, SI
-	JMP  listWords
-
-listDone:
-	RET
-
-// WORD walks the word in AX into the id buffer at DI (WALK), advances DI past
-// its ids and BX to the next word's first id.
-#define WORD(step) \
-	WALK(step, 8, 16, 24, 32); \
-	LEAQ (DI)(R8*8), DI; \
-	ADDQ $64, BX
+	JNZ    step; \
+	LEAQ   (DI)(R8*8), DI; \
+	ADDQ   $64, BX
 
 // The frame of the fused folds, nearestAVX2 and boundedAVX2. IDS holds the
 // listed ids, 8 bytes each, 328 of them: a block of four words starts below
@@ -452,9 +249,10 @@ beyond: \
 	JMP  beyond
 
 // WALK_SET walks the set (at base, len words) from the word at SI, whose
-// first id is BX, into IDS at DI: walkBits' blocks of four words, an empty
-// block skipped by one branch, then the words after the last block one by
-// one. Once the ids pass FLUSHAT it saves SI and BX in WORDP and BASE and
+// first id is BX, into IDS at DI (WORD): four words at a time, a block of
+// four empty words skipped by one branch — which predicts both on a dense set
+// (few blocks are empty) and on a sparse one (nearly all are) — then the
+// words after the last block one by one. Once the ids pass FLUSHAT it saves SI and BX in WORDP and BASE and
 // jumps to drain; at the end of the set it jumps to tail.
 #define WALK_SET(base, len) \
 walk: \
@@ -616,7 +414,7 @@ groupLoop: \
 // bit for bit, with id −1 when no distance is below +Inf.
 //
 // The set is first checked against rows = len(pts)/d: a bit at or past it
-// stops the kernel, ok false, before any row is read. The walk is walkBits'
+// stops the kernel, ok false, before any row is read. The walk is WALK_SET's
 // — blocks of four words, an empty block skipped by one branch — into the
 // frame, with the population count taken from the buffer positions. When the
 // ids pass FLUSHAT they are drained — groups of eight through

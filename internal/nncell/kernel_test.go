@@ -189,39 +189,65 @@ func randomSet(rng *rand.Rand, maxWords int, counts []int) []uint64 {
 	return set
 }
 
-// appendBits and the NN fold against the bit-at-a-time walks (Go loops, run
-// on every kernel set all the same). The sets: words of 0, 1, 4, 5, 8, 9 and
-// 64 bits — nothing, one step partly used, one and two steps exactly full and
-// one past them, the densest word — in every order of two, as they are (the
-// walk that takes every word) and among a thousand empty words (the walks
-// that skip them), the empty set, and sets of up to 60 words with runs
-// of empty ones, enough bits to drain the fold's buffer several times and
-// every length modulo its blocks of four. appendBits appends to an empty list,
-// to a non-empty one with room, and to one that must grow. The fold runs at
-// d = 4, 8, 12 and 16 (on AVX2 the fused kernel) and 6 (the Go path), on
+// appendBits and the NN fold against the bit-at-a-time walks. The sets: words
+// of 0, 1, 4, 5, 8, 9 and 64 bits — nothing, one step partly used, one and
+// two steps exactly full and one past them, the densest word — in every
+// order of two, as they are (the walk that takes every word) and among a
+// thousand empty words (the walks that skip them), the empty set, and sets of
+// up to 60 words with runs of empty ones, enough bits to drain the fold's
+// buffer several times and every length modulo its blocks of four.
+// appendBits, plain Go, appends to an empty list, to a non-empty one with
+// room, and to one that must grow. The fold runs on every kernel set at d =
+// 4, 8, 12 and 16 (on AVX2 the fused kernel) and 6 (the Go path), on
 // coordinates of a coarse grid, so that many points tie, in every lane.
 func TestAppendBitsMatchesNaive(t *testing.T) {
-	forKernelSets(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(29))
-		counts := []int{0, 1, 4, 5, 8, 9, 64}
-		var sets [][]uint64
-		for _, a := range counts {
-			sets = append(sets, []uint64{wordWithBits(rng, a)})
-			for _, b := range counts {
-				sets = append(sets, []uint64{wordWithBits(rng, a), 0, wordWithBits(rng, b)})
+	rng := rand.New(rand.NewSource(29))
+	counts := []int{0, 1, 4, 5, 8, 9, 64}
+	var sets [][]uint64
+	for _, a := range counts {
+		sets = append(sets, []uint64{wordWithBits(rng, a)})
+		for _, b := range counts {
+			sets = append(sets, []uint64{wordWithBits(rng, a), 0, wordWithBits(rng, b)})
+		}
+	}
+	for _, set := range sets[:len(sets):len(sets)] {
+		sets = append(sets, slices.Concat(make([]uint64, 500), set, make([]uint64, 500)))
+	}
+	sets = append(sets, nil)
+	for range 60 {
+		sets = append(sets, randomSet(rng, 60, counts))
+	}
+	for _, set := range sets {
+		var want []int
+		for w, word := range set {
+			for ; word != 0; word &= word - 1 {
+				want = append(want, w<<6|bits.TrailingZeros64(word))
 			}
 		}
-		for _, set := range sets[:len(sets):len(sets)] {
-			sets = append(sets, slices.Concat(make([]uint64, 500), set, make([]uint64, 500)))
+		roomy := append(make([]Neighbor, 0, 4096), Neighbor{ID: -7, Dist2: 7}, Neighbor{ID: -8, Dist2: 8})
+		for name, prefix := range map[string][]Neighbor{
+			"empty": nil,
+			"roomy": roomy,
+			"tight": slices.Clip([]Neighbor{{ID: -7, Dist2: 7}, {ID: -8, Dist2: 8}, {ID: -9}}),
+		} {
+			got := appendBits(prefix, set)
+			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(ids(got[len(prefix):]), want) {
+				t.Fatalf("set %x after a %s list: %v, want %v then ids %v", set, name, got, prefix, want)
+			}
+			if cap(got)-len(got) < 3 {
+				t.Fatalf("set %x after a %s list: %d spare entries, dist2s pads into 3", set, name, cap(got)-len(got))
+			}
+			if name == "roomy" && &got[0] != &roomy[0] {
+				t.Fatalf("set %x: a list with room was reallocated", set)
+			}
 		}
-		sets = append(sets, nil)
-		for range 60 {
-			sets = append(sets, randomSet(rng, 60, counts))
-		}
-		grid := make([]float64, 64*1003*16)
-		for i := range grid {
-			grid[i] = float64(rng.Intn(3))
-		}
+	}
+	grid := make([]float64, 64*1003*16)
+	for i := range grid {
+		grid[i] = float64(rng.Intn(3))
+	}
+	forKernelSets(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(30))
 		var ds dirScratch
 		for _, set := range sets {
 			for _, d := range []int{4, 6, 8, 12, 16} {
@@ -230,29 +256,6 @@ func TestAppendBitsMatchesNaive(t *testing.T) {
 					q[j] = float64(rng.Intn(3))
 				}
 				checkNearest(t, &ds, set, q, grid[:64*len(set)*d])
-			}
-			var want []int
-			for w, word := range set {
-				for ; word != 0; word &= word - 1 {
-					want = append(want, w<<6|bits.TrailingZeros64(word))
-				}
-			}
-			roomy := append(make([]Neighbor, 0, 4096), Neighbor{ID: -7, Dist2: 7}, Neighbor{ID: -8, Dist2: 8})
-			for name, prefix := range map[string][]Neighbor{
-				"empty": nil,
-				"roomy": roomy,
-				"tight": slices.Clip([]Neighbor{{ID: -7, Dist2: 7}, {ID: -8, Dist2: 8}, {ID: -9}}),
-			} {
-				got := appendBits(prefix, set)
-				if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(ids(got[len(prefix):]), want) {
-					t.Fatalf("set %x after a %s list: %v, want %v then ids %v", set, name, got, prefix, want)
-				}
-				if cap(got)-len(got) < 3 {
-					t.Fatalf("set %x after a %s list: %d spare entries, dist2s pads into 3", set, name, cap(got)-len(got))
-				}
-				if name == "roomy" && &got[0] != &roomy[0] {
-					t.Fatalf("set %x: a list with room was reallocated", set)
-				}
 			}
 		}
 	})
@@ -274,12 +277,11 @@ func TestAppendBitsSizedByPopulation(t *testing.T) {
 }
 
 // dist2s is vec.Dist2Flat to the bit — not within a tolerance: the directory
-// query, the paged query and the scan must agree on every Dist2 — on every
-// kernel set, for d below, at and past the lane count (the multiples of four
-// on the assembly's lanes, the rest on the Go loop) and list lengths 0–70
-// (every tail of the groups of four, and of the assembly's pairs of groups),
-// with and without room behind the list for the padding, which must not
-// disturb the ids.
+// query, the paged query and the scan must agree on every Dist2 — for d below,
+// at and past the group of four and list lengths 0–70 (every tail of the
+// groups of four), with and without room behind the list for the padding,
+// which must not disturb the ids. dist2s is plain Go on every kernel set; the
+// subtests pin that the choice of set leaves it so.
 func TestDist2sMatchesDist2FlatBits(t *testing.T) {
 	forKernelSets(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
@@ -451,16 +453,15 @@ func TestLaneTiesGoToSmallerID(t *testing.T) {
 }
 
 // An id outside the coordinate store — past its last row, or negative — makes
-// dist2s panic on every kernel set before it reads that row: the Go loop by
-// its slice bounds, the assembly by its check of every id against the row
-// count.
+// dist2s panic by its slice bounds before it reads that row, on every kernel
+// set.
 func TestDist2sRefusesIDsOutsidePts(t *testing.T) {
 	forKernelSets(t, func(t *testing.T) {
 		const n, d = 9, 8
 		pts := make([]float64, n*d)
 		q := make([]float64, d)
 		for _, bad := range []int{n, n + 1, 1 << 40, -1, -n} {
-			for _, at := range []int{0, 5, 8, 12} { // first group, second, the single group after a pair, the padded tail
+			for _, at := range []int{0, 5, 8, 12} { // first group, second, third, the padded tail
 				list := make([]Neighbor, at+1)
 				for k := range list {
 					list[k].ID = k % n
@@ -557,7 +558,8 @@ func sameNeighbors(a, b []Neighbor) bool {
 // list — the empty set and sets of up to 60 words that drain the buffer
 // several times; coordinates come from a coarse grid, so distances tie in
 // every lane. The candidate list starts empty, short of room (the kernel
-// stops and is called again) and roomy.
+// stops and is called again) and roomy. At +Inf without minima — the
+// candidates query's list — it is also appendBits then dist2s.
 func TestBoundedMatchesNaive(t *testing.T) {
 	forKernelSets(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(43))
@@ -613,6 +615,11 @@ func TestBoundedMatchesNaive(t *testing.T) {
 						got, gotCount := ds.bounded(q, pts, set, bound, in)
 						if !sameNeighbors(got, want) || gotCount != count {
 							t.Fatalf("d=%d, %d bits in %d words, bound %v: kept %v of %d, want %v of %d", d, count, len(set), bound, got, gotCount, want, count)
+						}
+						if in == nil && bound == math.Inf(1) {
+							if list := dist2s(appendBits(nil, set), q, pts); !sameNeighbors(got, list) {
+								t.Fatalf("d=%d, %d bits in %d words: the list form %v, appendBits then dist2s %v", d, count, len(set), got, list)
+							}
 						}
 						if withMins && !slices.EqualFunc(mins[:], wantMins[:], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 							t.Fatalf("d=%d, %d bits in %d words: lane minima %v, want %v", d, count, len(set), mins, wantMins)
@@ -713,12 +720,13 @@ func TestNearestRefusesIDsOutsidePts(t *testing.T) {
 }
 
 // FuzzKernels compares the AVX2 kernels with the Go loops bit for bit: andRows
-// and andNotRows over 1–17 rows of 0–11 words, dist2s for d = 1…24 over lists
-// of up to 70 ids in any order (repeats allowed), the bit walk, the NN fold
-// (id, Dist2, count) and the bounded fold (entries, count, lane minima; then
-// the minima's k-th least and compact at it) of a survivor set over up to 768
-// rows, with coordinates the input draws from ±0, subnormals, magnitudes near
-// 2^±300 and ordinary values. Without AVX2 there is nothing to compare.
+// and andNotRows over 1–17 rows of 0–11 words; then, for d = 1…24, of a
+// survivor set over up to 768 rows the NN fold (id, Dist2, count), the
+// bounded fold's list form — bound +Inf and no minima, every point of the
+// set with its distance — against appendBits then dist2s, and the bounded
+// fold (entries, count, lane minima; then the minima's k-th least and compact
+// at it), with coordinates the input draws from ±0, subnormals, magnitudes
+// near 2^±300 and ordinary values. Without AVX2 there is nothing to compare.
 func FuzzKernels(f *testing.F) {
 	if !avx2Available {
 		f.Skip("this CPU runs the Go kernels only")
@@ -729,7 +737,7 @@ func FuzzKernels(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(70), uint8(16), []byte{})
 	f.Fuzz(func(t *testing.T, seed int64, dIn, lenIn, rowsIn uint8, classes []byte) {
 		rng := rand.New(rand.NewSource(seed))
-		d, length, nRows, words := 1+int(dIn)%24, int(lenIn)%71, 1+int(rowsIn)%17, rng.Intn(12)
+		d, nRows, words := 1+int(dIn)%24, 1+int(rowsIn)%17, rng.Intn(12)
 
 		// value draws one float64 of the class the next input byte names.
 		next := 0
@@ -753,31 +761,9 @@ func FuzzKernels(f *testing.F) {
 				return rng.NormFloat64()
 			}
 		}
-		n := 1 + rng.Intn(40)
-		pts := make([]float64, n*d)
-		for i := range pts {
-			pts[i] = value()
-		}
 		q := make([]float64, d)
 		for j := range q {
 			q[j] = value()
-		}
-		list := make([]Neighbor, length, length+rng.Intn(5))
-		for k := range list {
-			list[k].ID = rng.Intn(n)
-		}
-		var outs [][]Neighbor // go, then avx2
-		for _, set := range kernelSets() {
-			restore := useKernelSet(set)
-			outs = append(outs, dist2s(slices.Clone(list), q, pts))
-			restore()
-		}
-		want, got := outs[0], outs[1]
-		for k := range got {
-			if got[k].ID != want[k].ID || math.Float64bits(got[k].Dist2) != math.Float64bits(want[k].Dist2) {
-				t.Fatalf("d=%d, entry %d of %d: avx2 %v (%x), go %v (%x)", d, k, length,
-					got[k], math.Float64bits(got[k].Dist2), want[k], math.Float64bits(want[k].Dist2))
-			}
 		}
 
 		hi, lo := randRows(rng, nRows, words), randRows(rng, rng.Intn(18), words)
@@ -800,8 +786,8 @@ func FuzzKernels(f *testing.F) {
 		}
 
 		// A survivor set over up to 12·64 rows, of a density the input picks
-		// (none, sparse, about one bit in three, nearly full), through the walk
-		// and the NN fold.
+		// (none, sparse, about one bit in three, nearly full), through the NN
+		// fold and the list form.
 		rows := 1 + rng.Intn(12*64)
 		set := make([]uint64, (rows+63)/64+rng.Intn(2))
 		density := []float64{0, 0.01, 0.3, 0.95}[int(lenIn)%4]
@@ -810,24 +796,24 @@ func FuzzKernels(f *testing.F) {
 				set[id>>6] |= 1 << (id & 63)
 			}
 		}
-		pts = make([]float64, rows*d)
+		pts := make([]float64, rows*d)
 		for i := range pts {
 			pts[i] = value()
 		}
-		var walks [][]int
 		var folds []Neighbor
 		var counts []int
 		var founds []bool
 		var ds dirScratch
+		list := dist2s(appendBits(nil, set), q, pts)
 		for _, kernels := range kernelSets() {
 			restore := useKernelSet(kernels)
-			walks = append(walks, ids(appendBits(nil, set)))
 			nb, count, found := ds.nearest(q, pts, set)
+			all, _ := ds.bounded(q, pts, set, math.Inf(1), nil)
 			restore()
+			if !sameNeighbors(all, list) {
+				t.Fatalf("d=%d, %d words at density %v: the list form on %s %v, appendBits then dist2s %v", d, len(set), density, kernels, all, list)
+			}
 			folds, counts, founds = append(folds, nb), append(counts, count), append(founds, found)
-		}
-		if !slices.Equal(walks[0], walks[1]) {
-			t.Fatalf("%d words at density %v: avx2 walks %v, go %v", len(set), density, walks[1], walks[0])
 		}
 		if folds[0].ID != folds[1].ID || math.Float64bits(folds[0].Dist2) != math.Float64bits(folds[1].Dist2) ||
 			counts[0] != counts[1] || founds[0] != founds[1] {

@@ -227,39 +227,31 @@ func (ix *Index) Candidates(q vec.Point) []int { return ix.CandidatesAppend(nil,
 // query entry point it counts one query and the inspected candidates (the
 // survivors) in the index stats.
 func (ix *Index) CandidatesAppend(dst []int, q vec.Point) []int {
-	dst, _ = ix.candidatesAppend(dst, q, false)
+	dst, _ = ix.CandidatesNearestAppend(dst, q)
 	return dst
 }
 
 // CandidatesNearestAppend is CandidatesAppend that also returns the smallest
 // squared distance from q to an appended candidate, +Inf when there is none:
 // the bound a sharded caller prunes farther shards with, taken where the
-// coordinates are instead of one Point copy per candidate.
+// coordinates are instead of one Point copy per candidate. The survivors are
+// listed with their distances in one bounded fold at +Inf, and the
+// containment check keeps the candidates among them.
 func (ix *Index) CandidatesNearestAppend(dst []int, q vec.Point) ([]int, float64) {
-	return ix.candidatesAppend(dst, q, true)
-}
-
-func (ix *Index) candidatesAppend(dst []int, q vec.Point, nearest bool) ([]int, float64) {
 	qc := ix.acquireCtx()
 	defer ix.releaseCtx(qc)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	ix.stats.queries.Add(1)
 	qc.surv = ix.dir.survivors(&qc.dirScratch, qc.surv, q)
-	qc.cand = appendBits(qc.cand[:0], qc.surv)
-	ix.stats.candidates.Add(uint64(len(qc.cand)))
-	kept := qc.cand[:0] // with nearest, the verified survivors compacted in place
-	for _, nb := range qc.cand {
+	surv, count := qc.bounded(q, ix.ptsFlat, qc.surv, math.Inf(1), nil)
+	ix.stats.candidates.Add(uint64(count))
+	best := math.Inf(1)
+	for _, nb := range surv {
 		if ix.cells.contains(nb.ID, q) {
 			dst = append(dst, nb.ID)
-			if nearest {
-				kept = append(kept, nb)
-			}
+			best = min(best, nb.Dist2)
 		}
-	}
-	best := math.Inf(1)
-	for _, nb := range dist2s(kept, q, ix.ptsFlat) {
-		best = min(best, nb.Dist2)
 	}
 	return dst, best
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -270,6 +271,56 @@ func TestCandidatesMatchTreePointQuery(t *testing.T) {
 			t.Fatalf("q=%v: Candidates %v, tree point query %v", q, got, want)
 		}
 	}
+}
+
+// CandidatesNearestAppend's distance is the bound grid ring pruning trusts:
+// the least squared distance from q to a returned candidate, with
+// vec.Dist2Flat's bits, or +Inf when none is returned; its ids are
+// CandidatesAppend's and exactly the live ids whose stored cell contains q.
+// On every kernel set at d = 3 (the Go list, on any CPU), 4 and 8 (on AVX2
+// the fused bounded fold), for queries in the space, on data points and
+// outside the space, which have no candidates.
+func TestCandidatesNearestAppendBound(t *testing.T) {
+	forKernelSets(t, func(t *testing.T) {
+		for _, d := range []int{3, 4, 8} {
+			pts := uniquePoints(t, dataset.NameUniform, int64(80+d), 300, d)
+			ix := mustBuild(t, pts, Options{Algorithm: NNDirection})
+			rng := rand.New(rand.NewSource(int64(90 + d)))
+			for qi := 0; qi < 200; qi++ {
+				q := randQuery(rng, d)
+				switch qi % 5 {
+				case 3:
+					q = pts[rng.Intn(len(pts))]
+				case 4:
+					q[qi%d] = -0.25
+				}
+				ids, least := ix.CandidatesNearestAppend(nil, q)
+				if want := ix.CandidatesAppend(nil, q); !slices.Equal(ids, want) {
+					t.Fatalf("d=%d, q=%v: CandidatesNearestAppend ids %v, CandidatesAppend %v", d, q, ids, want)
+				}
+				var containing []int
+				for id := range pts {
+					if ix.cells.contains(id, q) {
+						containing = append(containing, id)
+					}
+				}
+				if !slices.Equal(ids, containing) {
+					t.Fatalf("d=%d, q=%v: ids %v, the cells containing q %v", d, q, ids, containing)
+				}
+				if outside := qi%5 == 4; outside == (len(ids) > 0) {
+					t.Fatalf("d=%d, q=%v (outside the space: %v): %d candidates", d, q, outside, len(ids))
+				}
+				want := math.Inf(1)
+				for _, id := range ids {
+					want = min(want, vec.Dist2Flat(q, ix.point(id)))
+				}
+				if math.Float64bits(least) != math.Float64bits(want) {
+					t.Fatalf("d=%d, q=%v: least Dist2 %v (%x), Dist2Flat over the ids says %v (%x)",
+						d, q, least, math.Float64bits(least), want, math.Float64bits(want))
+				}
+			}
+		}
+	})
 }
 
 // Random exterior queries must resolve exactly: the clamp-and-verify fallback

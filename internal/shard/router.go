@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -178,43 +180,17 @@ func (g *gridRouter) Plan(dst []ShardDist, q vec.Point) []ShardDist {
 		}
 		dst = append(dst, ShardDist{Shard: s, MinDist2: d2})
 	}
-	sortPlan(dst)
+	slices.SortFunc(dst, planCmp)
 	return dst
 }
 
-// sortPlan orders a plan ascending by (MinDist2, Shard) with an in-place
-// heapsort: deterministic, O(S log S), and allocation-free (sort.Slice would
-// allocate its closure on the warm query path).
-func sortPlan(p []ShardDist) {
-	n := len(p)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftPlan(p, i, n)
+// planCmp orders a plan ascending by (MinDist2, Shard). No two entries of a
+// plan name the same shard, so the order is deterministic.
+func planCmp(a, b ShardDist) int {
+	if c := cmp.Compare(a.MinDist2, b.MinDist2); c != 0 {
+		return c
 	}
-	for end := n - 1; end > 0; end-- {
-		p[0], p[end] = p[end], p[0]
-		siftPlan(p, 0, end)
-	}
-}
-
-func planLess(a, b ShardDist) bool {
-	return a.MinDist2 < b.MinDist2 || (a.MinDist2 == b.MinDist2 && a.Shard < b.Shard)
-}
-
-func siftPlan(p []ShardDist, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && planLess(p[child], p[child+1]) {
-			child++
-		}
-		if !planLess(p[root], p[child]) {
-			return
-		}
-		p[root], p[child] = p[child], p[root]
-		root = child
-	}
+	return cmp.Compare(a.Shard, b.Shard)
 }
 
 // newGridRouter validates a grid geometry and precomputes the tile edges.

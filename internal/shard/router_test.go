@@ -81,7 +81,7 @@ func TestGridTileAssignment(t *testing.T) {
 			t.Fatalf("plan repeats shard %d", sd.Shard)
 		}
 		seen[sd.Shard] = true
-		if i > 0 && planLess(sd, plan[i-1]) {
+		if i > 0 && planCmp(sd, plan[i-1]) < 0 {
 			t.Fatalf("plan out of order at %d: %+v after %+v", i, sd, plan[i-1])
 		}
 	}

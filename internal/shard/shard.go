@@ -517,34 +517,25 @@ func (s *Sharded) Candidates(q vec.Point) []int { return s.CandidatesAppend(nil,
 // still satisfies the candidate contract (it contains the true NN): the
 // bound is the smallest true distance among candidates seen so far, the true
 // NN's distance is never larger than that, and the NN's own shard therefore
-// has MinDist2 <= bound and is never pruned. Hash plans carry no bounds, so
-// the distance tightening is skipped entirely and the union is unchanged
-// from the seed behaviour.
+// has MinDist2 <= bound and is never pruned. A hash plan's MinDist2 is 0 for
+// every shard, so it visits them all and the union is the whole one.
 func (s *Sharded) CandidatesAppend(dst []int, q vec.Point) []int {
 	qs := s.acquireScratch()
 	defer s.releaseScratch(qs)
 	qs.plan = s.router.Plan(qs.plan[:0], q)
-	// Distance computation only pays off when some plan entry has a nonzero
-	// bound to prune against; the plan is sorted, so check the last.
-	prune := qs.plan[len(qs.plan)-1].MinDist2 > 0
 	bound := math.Inf(1)
 	visited := 0
 	for _, sd := range qs.plan {
-		if prune && sd.MinDist2 > bound {
+		if sd.MinDist2 > bound {
 			break
 		}
 		visited++
-		ix := s.shards[sd.Shard]
 		start := len(dst)
-		if prune {
-			// The shard takes the nearest candidate's distance where the
-			// coordinates are; asking it for each Point would copy them out.
-			var nearest float64
-			dst, nearest = ix.CandidatesNearestAppend(dst, q)
-			bound = min(bound, nearest)
-		} else {
-			dst = ix.CandidatesAppend(dst, q)
-		}
+		// The shard takes the nearest candidate's distance where the
+		// coordinates are; asking it for each Point would copy them out.
+		var nearest float64
+		dst, nearest = s.shards[sd.Shard].CandidatesNearestAppend(dst, q)
+		bound = min(bound, nearest)
 		for j := start; j < len(dst); j++ {
 			dst[j] = s.globalID(sd.Shard, dst[j])
 		}
