@@ -20,7 +20,9 @@ check: vet doc-check build test race bench-smoke bench-module fuzz-smoke
 # benchmark reads). The arm64 vet compiles the portable build, so a missing
 # !amd64 stub or a build-tag slip fails here too; go vet's asmdecl check holds
 # the amd64 assembly to its Go declarations. Three decisions have one
-# implementation each: parallel batches claim work in internal/par only, the
+# implementation each: parallel batches claim work in internal/par only (and
+# no other non-test Go waits on a sync.WaitGroup, except internal/loadgen,
+# whose open-loop goroutines live for the whole run), the
 # WAL frame checksum is computed by Log.Append and checked by Cursor.Next only
 # (Replay parses through a Cursor), and the metrics text format is written by
 # internal/stats/expo.go only. Nor may the AVX2 kernels keep a second path
@@ -37,6 +39,7 @@ vet:
 	@if $(GO) list -deps ./cmd/nncell ./cmd/nnrouter ./cmd/loadgen | grep -x repro/internal/rescache; then echo "the served binaries may not link internal/rescache"; exit 1; fi
 	@if grep -rnwE --include='*.go' --exclude='*_test.go' 'Decompose|Fragments' internal/server internal/shard internal/replica cmd/nncell cmd/nnrouter | grep -v 'out\.Fragments += st\.Fragments'; then echo "the served stack stores one rectangle per cell: it may not name Decompose or Fragments"; exit 1; fi
 	@if grep -rn --include='*.go' --exclude='*_test.go' 'next\.Add(1)' cmd internal | grep -v '^internal/par/'; then echo "parallel batches claim work through internal/par only"; exit 1; fi
+	@if grep -rn --include='*.go' --exclude='*_test.go' 'sync\.WaitGroup' cmd internal examples | grep -vE '^internal/(par|loadgen)/'; then echo "a batch of goroutines runs on internal/par only"; exit 1; fi
 	@if awk '/^func /{fn=$$0} /crc32\.Checksum/ && fn !~ /^func \(l \*Log\) Append\(|^func \(c \*Cursor\) Next\(/ {print FILENAME ": " fn; bad=1} END{exit !bad}' $$(ls internal/wal/*.go | grep -v '_test\.go$$'); then echo "internal/wal checksums frames in Log.Append and Cursor.Next only"; exit 1; fi
 	@if grep -rn --include='*.go' --exclude='*_test.go' '"# TYPE' cmd internal | grep -v '^internal/stats/expo\.go:'; then echo "the metrics text format has one writer, internal/stats/expo.go"; exit 1; fi
 	@for f in $$(sed -nE 's/^TEXT ·([A-Za-z0-9_]+)\(SB\).*/\1/p' internal/nncell/kernel_amd64.s); do grep -hE "(^|[^A-Za-z0-9_.])$$f\(" $$(ls internal/nncell/*.go | grep -v '_test\.go$$') | grep -vE "^[[:space:]]*//|^func $$f\(" | grep -q . || { echo "internal/nncell/kernel_amd64.s: no non-test Go calls $$f"; exit 1; }; done

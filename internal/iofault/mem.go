@@ -354,18 +354,6 @@ func (m *Mem) DirSyncs() int {
 	return m.dirSyncs
 }
 
-// Files returns the sorted full paths of every file in the filesystem.
-func (m *Mem) Files() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.files))
-	for name := range m.files {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // String summarizes the filesystem state (debugging aid for failed tests).
 func (m *Mem) String() string {
 	m.mu.Lock()

@@ -129,11 +129,12 @@ func TestAffectedSetMatchesTreeSearch(t *testing.T) {
 			}
 		}
 		ix, err := Build(pts[:100], bounds, newTestPager(), Options{
-			Algorithm: NNDirection, LazyRepair: true, RepairWorkers: -1,
+			Algorithm: NNDirection, LazyRepair: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		drainOnly(ix)
 		rng := rand.New(rand.NewSource(82))
 		checkAffected(t, ix, rng, label+"/built")
 
@@ -206,7 +207,7 @@ func TestIntersectingCellsAllocs(t *testing.T) {
 func TestPagedTreeFollowsEveryCommit(t *testing.T) {
 	const d = 3
 	pts := uniquePoints(t, dataset.NameClustered, 84, 160, d)
-	ix := mustBuild(t, pts[:80], Options{Algorithm: NNDirection, LazyRepair: true, RepairWorkers: -1})
+	ix := drainOnly(mustBuild(t, pts[:80], Options{Algorithm: NNDirection, LazyRepair: true}))
 	rng := rand.New(rand.NewSource(85))
 	check := func(ix *Index, label string) {
 		t.Helper()
@@ -332,8 +333,8 @@ func TestPagedReadersBesideWriter(t *testing.T) {
 func TestPagedTreePagesReturned(t *testing.T) {
 	const d = 2
 	pts := uniquePoints(t, dataset.NameUniform, 88, 1040, d)
-	opts := Options{Algorithm: NNDirection, LazyRepair: true, RepairWorkers: -1}
-	ix, twin := mustBuild(t, pts[:40], opts), mustBuild(t, pts[:40], opts)
+	opts := Options{Algorithm: NNDirection, LazyRepair: true}
+	ix, twin := drainOnly(mustBuild(t, pts[:40], opts)), drainOnly(mustBuild(t, pts[:40], opts))
 	rng := rand.New(rand.NewSource(89))
 	for _, p := range pts[40:] {
 		for _, x := range []*Index{ix, twin} {
@@ -361,7 +362,7 @@ func TestPagedTreePagesReturned(t *testing.T) {
 }
 
 // The derived tree is a function of the stored cells alone: built by one
-// worker or by four, it has the same height, the same pages, and charges
+// worker or by four (GOMAXPROCS 1 and 4), it has the same height, the same pages, and charges
 // every query the same accesses. (While Build loaded the tree itself, the
 // workers' finishing order reached the STR sort.)
 func TestPagedTreeIndependentOfWorkers(t *testing.T) {
@@ -373,8 +374,9 @@ func TestPagedTreeIndependentOfWorkers(t *testing.T) {
 	}
 	var runs []run
 	for _, workers := range []int{1, 4} {
+		withProcs(t, workers)
 		pg := pager.New(pager.Config{PageSize: 4096, CachePages: 8})
-		ix, err := Build(pts, vec.UnitCube(d), pg, Options{Algorithm: NNDirection, Workers: workers})
+		ix, err := Build(pts, vec.UnitCube(d), pg, Options{Algorithm: NNDirection})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +414,7 @@ func TestNoTreeAfterCommit(t *testing.T) {
 	for _, alg := range Algorithms() {
 		for _, lazy := range []bool{false, true} {
 			label := fmt.Sprintf("%v lazy=%v", alg, lazy)
-			ix := mustBuild(t, pts[:60], Options{Algorithm: alg, LazyRepair: lazy, RepairWorkers: -1})
+			ix := drainOnly(mustBuild(t, pts[:60], Options{Algorithm: alg, LazyRepair: lazy}))
 			if read := ix.PagerStats().Accesses > 0; read != (alg == PointAlg || alg == Sphere) {
 				t.Fatalf("%s: Build read pages: %v", label, read)
 			}

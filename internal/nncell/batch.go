@@ -89,7 +89,7 @@ func (ix *Index) insertBatchLocked(ps []vec.Point, logIt bool) ([]int, error) {
 	// With LazyRepair the recompute is deferred: the affected cells keep their
 	// current MBRs — still supersets, an insert only shrinks cells — and are
 	// marked stale for the repair pool at commit (see repair.go).
-	lazy := ix.lazyForLocked(len(affected))
+	lazy := ix.opts.LazyRepair
 	var staged cellStore
 	if !lazy {
 		staged, err = ix.approximateCells(cc, affected)

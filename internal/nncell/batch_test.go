@@ -232,14 +232,13 @@ func TestDeleteBatch(t *testing.T) {
 
 // The heart of the lazy-repair correctness claim: queries issued WHILE
 // repairs are pending are exact — the stale cells' MBRs are still supersets
-// (Lemma 1), so NN, kNN and Candidates all stay oracle-equal. RepairWorkers
-// < 0 pins the stale window open deterministically.
+// (Lemma 1), so NN, kNN and Candidates all stay oracle-equal. drainOnly
+// pins the stale window open deterministically.
 func TestStaleServingExact(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 510, 140, 3)
-	ix := mustBuild(t, pts[:80], Options{
-		Algorithm: Correct, AutoThreshold: -1,
-		LazyRepair: true, RepairWorkers: -1,
-	})
+	ix := drainOnly(mustBuild(t, pts[:80], Options{
+		Algorithm: Correct, AutoThreshold: -1, LazyRepair: true,
+	}))
 
 	// A batched and a few single lazy inserts, all leaving stale cells.
 	if _, err := ix.InsertBatch(pts[80:130]); err != nil {
@@ -276,14 +275,35 @@ func TestStaleServingExact(t *testing.T) {
 	assertExactQueries(t, ix, pts, identMap(len(pts)), 512, 40)
 }
 
+// A write on a lazy index is lazy however large the stale backlog grows:
+// inserts recompute no cell, and the stale gauges count what they marked.
+func TestLazyInsertsStayLazy(t *testing.T) {
+	pts := uniquePoints(t, dataset.NameUniform, 913, 120, 2)
+	ix := drainOnly(mustBuild(t, pts[:40], Options{
+		Algorithm: Correct, AutoThreshold: -1, LazyRepair: true,
+	}))
+	updatesBefore := ix.Stats().Updates
+	for _, p := range pts[40:] {
+		if _, err := ix.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := ix.Stats()
+	if st.Updates != updatesBefore {
+		t.Fatalf("lazy inserts ran %d eager recomputes", st.Updates-updatesBefore)
+	}
+	if st.StaleCells == 0 || st.StaleCellsHighWater < st.StaleCells {
+		t.Fatalf("stale accounting off: now=%d highwater=%d", st.StaleCells, st.StaleCellsHighWater)
+	}
+}
+
 // Deletes must stay eager even on a lazy index (their neighbors' cells
 // GROW), and deleting a cell that is itself pending repair must be safe.
 func TestLazyDeleteStaysEagerAndExact(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameClustered, 513, 100, 2)
-	ix := mustBuild(t, pts[:70], Options{
-		Algorithm: Correct, AutoThreshold: -1,
-		LazyRepair: true, RepairWorkers: -1,
-	})
+	ix := drainOnly(mustBuild(t, pts[:70], Options{
+		Algorithm: Correct, AutoThreshold: -1, LazyRepair: true,
+	}))
 	if _, err := ix.InsertBatch(pts[70:]); err != nil {
 		t.Fatal(err)
 	}
@@ -326,13 +346,13 @@ func TestLazyDeleteStaysEagerAndExact(t *testing.T) {
 	assertExactQueries(t, ix, live, idToLive, 515, 30)
 }
 
-// The background pool (RepairWorkers > 0) drains on its own and commits
+// The background pool drains on its own and commits
 // only fresh approximations under mixed readers and writers. Run with
 // -race in CI (see Makefile race list).
 func TestRepairPoolMixedReadersWriters(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 516, 400, 3)
 	ix := mustBuild(t, pts[:200], Options{
-		Algorithm: NNDirection, LazyRepair: true, RepairWorkers: 2,
+		Algorithm: NNDirection, LazyRepair: true,
 	})
 
 	var wg sync.WaitGroup

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 
 	"repro/internal/par"
 	"repro/internal/vec"
@@ -139,12 +140,12 @@ func (ix *Index) approximateCells(cc *cellCtx, ids []int) (cellStore, error) {
 }
 
 // eachCell runs f(·, k) for every position k of ids; f stores its own result.
-// Large batches run on par.Do with one cellCtx per worker (cc and fresh ones,
-// all with cc's point tree when buildCtx gave it one), failing fast; smaller
-// ones run serially on cc.
+// Large batches run on par.Do with one cellCtx per worker, GOMAXPROCS of them
+// (cc and fresh ones, all with cc's point tree when buildCtx gave it one),
+// failing fast; smaller ones run serially on cc.
 func eachCell(ix *Index, cc *cellCtx, ids []int, f func(wcc *cellCtx, k int) error) error {
 	wccs := []*cellCtx{cc}
-	for len(ids) >= minParallelRecompute && len(wccs) < min(ix.opts.Workers, len(ids)) {
+	for len(ids) >= minParallelRecompute && len(wccs) < min(runtime.GOMAXPROCS(0), len(ids)) {
 		wcc := newCellCtx(ix.dim)
 		wcc.pages = cc.pages
 		wccs = append(wccs, wcc)

@@ -239,18 +239,22 @@ func TestInsertRollbackOnFailure(t *testing.T) {
 	errBoom := errors.New("boom")
 	for _, tc := range []struct {
 		name string
-		opts Options
+		// procs is GOMAXPROCS for the recompute (0: as the test runs).
+		procs int
 		// failAffected selects where the solve fails: the new point's own
 		// cell, or one of the affected cells recomputed afterwards.
 		failAffected bool
 	}{
-		{"new cell", Options{Algorithm: Correct}, false},
-		{"affected serial", Options{Algorithm: Correct, Workers: 1}, true},
-		{"affected parallel", Options{Algorithm: Correct, Workers: 8}, true},
+		{"new cell", 0, false},
+		{"affected serial", 1, true},
+		{"affected parallel", 8, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				withProcs(t, tc.procs)
+			}
 			pts := uniquePoints(t, dataset.NameUniform, 71, 81, 2)
-			ix := mustBuild(t, pts[:80], tc.opts)
+			ix := mustBuild(t, pts[:80], Options{Algorithm: Correct})
 			wantLen, wantDir := ix.Len(), pointDirSnapshot(ix)
 			newID := len(pts) - 1 // next id: 80 points, no tombstones
 
@@ -309,8 +313,9 @@ func TestInsertRollbackOnFailure(t *testing.T) {
 func TestDeleteRollbackOnFailure(t *testing.T) {
 	errBoom := errors.New("boom")
 	for _, workers := range []int{1, 8} {
+		withProcs(t, workers)
 		pts := uniquePoints(t, dataset.NameUniform, 73, 80, 2)
-		ix := mustBuild(t, pts, Options{Algorithm: Correct, Workers: workers})
+		ix := mustBuild(t, pts, Options{Algorithm: Correct})
 		wantLen, wantDir := ix.Len(), pointDirSnapshot(ix)
 
 		ix.testHookApprox = func(id int) error { return errBoom }

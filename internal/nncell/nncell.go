@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -104,8 +103,6 @@ type Options struct {
 	// the paper reports for real data; capping keeps the closest points,
 	// which is sound by Lemma 1 (any subset only enlarges the MBR).
 	MaxConstraintPoints int
-	// Workers bounds build parallelism. Default: GOMAXPROCS.
-	Workers int
 	// AutoThreshold makes NN-Direction the effective constraint selection
 	// once the live point count reaches this value, when Algorithm is
 	// Correct. The Correct selection solves LPs against O(n) constraint
@@ -125,19 +122,6 @@ type Options struct {
 	// extra candidates). Deletes always repair eagerly: a delete grows its
 	// neighbors' cells, so their old MBRs would stop being supersets.
 	LazyRepair bool
-	// RepairWorkers bounds the background repair pool used with LazyRepair.
-	// 0 means the default (min(4, GOMAXPROCS)); negative means no background
-	// goroutines at all — stale cells are repaired only when RepairWait
-	// drains the queue on the caller (deterministic mode for tests).
-	RepairWorkers int
-	// MaxStaleCells bounds the stale backlog LazyRepair may accumulate
-	// (0 = unbounded). A mutation that would push the stale set past the
-	// cap degrades to the eager path for that mutation: the acknowledgment
-	// is delayed by the synchronous recomputes instead of letting the
-	// backlog — and with it the query-time extra-candidate cost — grow
-	// without bound under sustained write load. Backpressure, not an
-	// error: the mutation still succeeds either way.
-	MaxStaleCells int
 }
 
 // DefaultAutoThreshold is the live point count at which Options.AutoThreshold
@@ -152,17 +136,8 @@ const DefaultAutoThreshold = 4096
 const epsilon = 1e-9
 
 func (o *Options) normalize() {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.AutoThreshold == 0 {
 		o.AutoThreshold = DefaultAutoThreshold
-	}
-	if o.RepairWorkers == 0 {
-		o.RepairWorkers = 4
-		if g := runtime.GOMAXPROCS(0); g < o.RepairWorkers {
-			o.RepairWorkers = g
-		}
 	}
 }
 
@@ -194,8 +169,7 @@ type Stats struct {
 	// StaleCells is the number of cells currently marked stale by the lazy
 	// repair path (serving their previous, still-superset MBRs).
 	// StaleCellsHighWater is the largest value StaleCells has reached this
-	// process lifetime — the gauge that shows how close the backlog came
-	// to Options.MaxStaleCells.
+	// process lifetime: the worst backlog lazy repair has let build up.
 	StaleCells, StaleCellsHighWater uint64
 	// Repairs counts stale cells re-approximated and committed by the
 	// repair pool; RepairFailures counts repairs abandoned because the

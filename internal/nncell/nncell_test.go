@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -28,6 +29,21 @@ func mustBuild(t testing.TB, pts []vec.Point, opts Options) *Index {
 		t.Fatal(err)
 	}
 	return ix
+}
+
+// drainOnly keeps ix from starting repair workers: its stale cells stay stale
+// until RepairWait drains them, which holds the stale window of a lazy index
+// open for as long as a test needs it.
+func drainOnly(ix *Index) *Index {
+	ix.rq.drainOnly = true
+	return ix
+}
+
+// withProcs sets GOMAXPROCS, the worker count of a build or recompute, to n
+// until the test ends.
+func withProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func uniquePoints(t testing.TB, name dataset.Name, seed int64, n, d int) []vec.Point {

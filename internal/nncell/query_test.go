@@ -105,7 +105,7 @@ func TestDirectoryMatchesPagedAndScan(t *testing.T) {
 func TestDirectoryExactUnderChurn(t *testing.T) {
 	const d = 4
 	pts := uniquePoints(t, dataset.NameUniform, 71, 260, d)
-	ix := mustBuild(t, pts[:120], Options{Algorithm: NNDirection, LazyRepair: true, RepairWorkers: -1})
+	ix := drainOnly(mustBuild(t, pts[:120], Options{Algorithm: NNDirection, LazyRepair: true}))
 	rng := rand.New(rand.NewSource(72))
 
 	for _, p := range pts[120:150] {

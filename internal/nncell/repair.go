@@ -1,6 +1,9 @@
 package nncell
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // Lazy repair (Options.LazyRepair): Insert and InsertBatch mark affected
 // cells stale instead of re-solving their LPs inside the mutation's write
@@ -39,6 +42,9 @@ type repairQueue struct {
 	queue  []int
 	queued map[int]bool
 	active int // worker goroutines + RepairWait callers mid-repair
+	// drainOnly starts no pool: stale cells wait for RepairWait. The package's
+	// tests set it to hold the stale window open.
+	drainOnly bool
 }
 
 // pushLocked enqueues id if absent. Caller holds rq.mu.
@@ -65,26 +71,9 @@ func (rq *repairQueue) popLocked() int {
 	return id
 }
 
-// lazyForLocked decides whether a mutation touching n affected cells may
-// defer their recomputation. With MaxStaleCells set, a mutation that would
-// push the stale set past the cap runs eagerly instead — backpressure on
-// the writer rather than unbounded backlog growth. The len(stale)+n test
-// overcounts when some affected cells are already stale; that errs toward
-// degrading early, which is the safe direction for a cap. Caller holds
-// ix.mu (write side).
-func (ix *Index) lazyForLocked(n int) bool {
-	if !ix.opts.LazyRepair {
-		return false
-	}
-	if m := ix.opts.MaxStaleCells; m > 0 && len(ix.stale)+n > m {
-		return false
-	}
-	return true
-}
-
 // markStaleLocked stamps every id with a fresh epoch, enqueues the ones not
-// already pending, and tops the background pool up to RepairWorkers. Caller
-// holds ix.mu (write side); ids must be live cells.
+// already pending, and tops the background pool up to min(4, GOMAXPROCS)
+// workers. Caller holds ix.mu (write side); ids must be live cells.
 func (ix *Index) markStaleLocked(ids []int) {
 	if len(ids) == 0 {
 		return
@@ -110,12 +99,10 @@ func (ix *Index) markStaleLocked(ids []int) {
 	if hw := uint64(len(ix.stale)); hw > ix.stats.staleHighWater.Load() {
 		ix.stats.staleHighWater.Store(hw)
 	}
-	if ix.opts.RepairWorkers > 0 {
-		for enqueued > 0 && rq.active < ix.opts.RepairWorkers {
-			rq.active++
-			enqueued--
-			go ix.repairWorker()
-		}
+	for !rq.drainOnly && enqueued > 0 && rq.active < min(4, runtime.GOMAXPROCS(0)) {
+		rq.active++
+		enqueued--
+		go ix.repairWorker()
 	}
 	rq.mu.Unlock()
 }
@@ -198,23 +185,12 @@ func (ix *Index) repairOne(cc *cellCtx, id int) {
 	}
 }
 
-// RepairPending reports whether any repair work is queued or in flight.
-// A false return is only a snapshot — a concurrent mutation may enqueue
-// immediately after — but a caller that has quiesced writers can use it to
-// skip a RepairWait that would trivially return.
-func (ix *Index) RepairPending() bool {
-	rq := &ix.rq
-	rq.mu.Lock()
-	defer rq.mu.Unlock()
-	return len(rq.queue) > 0 || rq.active > 0
-}
-
 // RepairWait drains the repair queue, participating in the work rather than
 // just blocking: the caller repairs cells itself until the queue is empty
-// and no repair is in flight. It is the flush API for LazyRepair (and the
-// only repair driver when RepairWorkers < 0). Cells whose repair LPs fail
-// stay stale — still correct supersets — so RepairWait terminates even
-// under persistent LP failure; Stats().StaleCells reports any residue.
+// and no repair is in flight. It is the flush API for LazyRepair. Cells
+// whose repair LPs fail stay stale — still correct supersets — so RepairWait
+// terminates even under persistent LP failure; Stats().StaleCells reports
+// any residue.
 func (ix *Index) RepairWait() {
 	rq := &ix.rq
 	var cc *cellCtx

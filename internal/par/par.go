@@ -1,6 +1,7 @@
 // Package par runs a batch of independent items on a few goroutines: the
 // cells of a build or a write recompute (no cell's LPs depend on another
-// cell, Definition 3 of the paper) and the queries of a batch.
+// cell, Definition 3 of the paper), the queries of a batch, the per-shard
+// sub-batches of a sharded write and the read router's health probes.
 package par
 
 import (

@@ -20,6 +20,9 @@ import (
 // snapshot. It is a normal lifecycle event, not a failure.
 var errRebootstrap = errors.New("replica: re-bootstrap required")
 
+// bootstrapTimeout bounds one snapshot fetch and load.
+const bootstrapTimeout = 5 * time.Minute
+
 // Config configures a Follower.
 type Config struct {
 	// Primary is the primary's base URL (e.g. http://127.0.0.1:8080); the
@@ -41,8 +44,6 @@ type Config struct {
 	// RetryBase/RetryMax bound the jittered exponential backoff applied to
 	// failed requests and failed bootstraps. Defaults 100ms / 3s.
 	RetryBase, RetryMax time.Duration
-	// BootstrapTimeout bounds one snapshot fetch+load. Default 5m.
-	BootstrapTimeout time.Duration
 	// Logf, if set, receives progress lines (bootstraps, re-bootstraps,
 	// retried errors).
 	Logf func(format string, args ...any)
@@ -60,9 +61,6 @@ func (c *Config) normalize() {
 	}
 	if c.RetryMax <= 0 {
 		c.RetryMax = 3 * time.Second
-	}
-	if c.BootstrapTimeout <= 0 {
-		c.BootstrapTimeout = 5 * time.Minute
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -241,7 +239,7 @@ func (f *Follower) cycle() error {
 // bootstrap fetches and loads the primary's snapshot, returning the boot
 // id, the fresh index, and the per-log start positions (the rotation cuts).
 func (f *Follower) bootstrap() (string, Replica, []*logState, error) {
-	ctx, cancel := context.WithTimeout(f.ctx, f.cfg.BootstrapTimeout)
+	ctx, cancel := context.WithTimeout(f.ctx, bootstrapTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Primary+"/v1/repl/snapshot", nil)
 	if err != nil {

@@ -10,10 +10,10 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -128,19 +128,17 @@ func (rt *Router) healthLoop() {
 	}
 }
 
+// pollHealth probes every follower concurrently and records who answered.
 func (rt *Router) pollHealth() {
-	var wg sync.WaitGroup
-	for i, u := range rt.cfg.Followers {
-		wg.Add(1)
-		go func(i int, u string) {
-			defer wg.Done()
-			ok := rt.probe(u)
-			if rt.healthy[i].Swap(ok) != ok {
-				rt.cfg.Logf("router: follower %s healthy=%v", u, ok)
-			}
-		}(i, u)
-	}
-	wg.Wait()
+	n := len(rt.cfg.Followers)
+	par.Do(n, n, func(_, i int) error {
+		u := rt.cfg.Followers[i]
+		ok := rt.probe(u)
+		if rt.healthy[i].Swap(ok) != ok {
+			rt.cfg.Logf("router: follower %s healthy=%v", u, ok)
+		}
+		return nil
+	})
 }
 
 // probe asks one follower's lag-aware readiness endpoint.

@@ -266,7 +266,7 @@ func TestCacheCoherenceChurn(t *testing.T) {
 	sh, err := shard.Build(pts, vec.UnitCube(d), shard.Options{
 		Shards: shards,
 		Pager:  pager.Config{CachePages: 64},
-		Index:  nncell.Options{Algorithm: nncell.Sphere, LazyRepair: true, RepairWorkers: 2},
+		Index:  nncell.Options{Algorithm: nncell.Sphere, LazyRepair: true},
 	})
 	if err != nil {
 		t.Fatal(err)

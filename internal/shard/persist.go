@@ -127,8 +127,8 @@ func (s *Sharded) Save(w io.Writer) error {
 }
 
 // Load reconstructs a sharded index from a stream written by Save. Each shard
-// gets a fresh pager configured by opts.Pager; opts.Shards, opts.Route and
-// opts.Grid are ignored — the stream records the partition width and routing
+// gets a fresh pager configured by opts.Pager; opts.Shards and opts.Route
+// are ignored — the stream records the partition width and routing
 // policy, which the global-id mapping and point placement depend on. Every
 // present shard blob is fully validated by the per-shard v2 loader; Load
 // additionally checks that all shards agree with the header on dimensionality

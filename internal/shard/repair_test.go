@@ -11,11 +11,11 @@ import (
 	"repro/internal/vec"
 )
 
-func lazyOptions(shards, workers int) Options {
+func lazyOptions(shards int) Options {
 	return Options{
 		Shards: shards,
 		Pager:  pager.Config{CachePages: 64},
-		Index:  nncell.Options{Algorithm: nncell.Sphere, LazyRepair: true, RepairWorkers: workers},
+		Index:  nncell.Options{Algorithm: nncell.Sphere, LazyRepair: true},
 	}
 }
 
@@ -46,7 +46,7 @@ func TestRepairWaitDrainsBusyShardAmongIdle(t *testing.T) {
 		S = 4
 	)
 	pts := uniquePoints(t, 301, 200, d)
-	s, err := Build(pts, vec.UnitCube(d), lazyOptions(S, 2))
+	s, err := Build(pts, vec.UnitCube(d), lazyOptions(S))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,7 @@ func TestRepairWaitDrainsBusyShardAmongIdle(t *testing.T) {
 	}
 	s.RepairWait()
 	for i := 0; i < s.NumShards(); i++ {
-		ix := s.Shard(i)
-		if ix.RepairPending() {
-			t.Fatalf("shard %d still has pending repairs after RepairWait", i)
-		}
-		if st := ix.Stats(); st.StaleCells != 0 {
+		if st := s.Shard(i).Stats(); st.StaleCells != 0 {
 			t.Fatalf("shard %d: %d stale cells after RepairWait", i, st.StaleCells)
 		}
 	}
@@ -91,7 +87,7 @@ func TestCloseDrainsRepairGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	pts := uniquePoints(t, 303, 200, d)
-	s, err := Build(pts, vec.UnitCube(d), lazyOptions(S, 4))
+	s, err := Build(pts, vec.UnitCube(d), lazyOptions(S))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +103,8 @@ func TestCloseDrainsRepairGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < s.NumShards(); i++ {
-		if s.Shard(i).RepairPending() {
-			t.Fatalf("shard %d has pending repairs after Close", i)
+		if st := s.Shard(i).Stats(); st.StaleCells != 0 {
+			t.Fatalf("shard %d: %d stale cells after Close", i, st.StaleCells)
 		}
 	}
 

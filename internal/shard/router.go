@@ -101,22 +101,10 @@ func (h *hashRouter) Plan(dst []ShardDist, q vec.Point) []ShardDist {
 	return dst
 }
 
-// GridConfig pins the grid geometry explicitly (tests, reproducible
-// deployments). When nil, Build/NewEmpty derive it: the split dimensions are
-// the 2–3 highest-variance dimensions of the build points, and the per-
-// dimension tile counts are a near-equal factorization of the requested
-// shard count.
-type GridConfig struct {
-	// Dims are the split dimensions, distinct and < the index dimensionality.
-	Dims []int
-	// Counts are the tiles per split dimension, positionally aligned with
-	// Dims; the shard count is their product.
-	Counts []int
-}
-
 // maxGridDims bounds the number of split dimensions. Tiling more than three
 // dimensions makes the boundary ring grow like 3^m and erases the locality
-// win, so derivation never chooses more, and explicit configs may not either.
+// win, so derivation never chooses more, and a persisted geometry may not
+// either.
 const maxGridDims = 3
 
 // gridRouter is the space-partitioned policy. Tile boundaries are stored as
@@ -341,20 +329,14 @@ func intPow(c, k int) int {
 
 // newRouter resolves Options into a Router. points (may be nil for empty
 // bootstrap) feed the variance-based dimension choice of derived grids.
-func newRouter(opts Options, d int, bounds vec.Rect, points []vec.Point) (Router, error) {
+func newRouter(opts Options, bounds vec.Rect, points []vec.Point) (Router, error) {
+	shards := max(opts.Shards, 1)
 	switch opts.Route {
 	case RouteHash:
-		if opts.Grid != nil {
-			return nil, fmt.Errorf("shard: Grid config requires Route == RouteGrid")
-		}
-		return &hashRouter{shards: opts.Shards}, nil
+		return &hashRouter{shards: shards}, nil
 	case RouteGrid:
-		var dims, counts []int
-		if opts.Grid != nil {
-			dims, counts = opts.Grid.Dims, opts.Grid.Counts
-		} else {
-			dims, counts = deriveGrid(opts.Shards, d, points)
-		}
+		d := bounds.Dim()
+		dims, counts := deriveGrid(shards, d, points)
 		return newGridRouter(d, bounds, dims, counts)
 	default:
 		return nil, fmt.Errorf("shard: unknown routing policy %d", opts.Route)

@@ -17,23 +17,51 @@ import (
 	"repro/internal/vec"
 )
 
-func gridOptions(shards int, grid *GridConfig) Options {
-	return Options{
-		Shards: shards,
-		Route:  RouteGrid,
-		Grid:   grid,
-		Pager:  pager.Config{CachePages: 64},
-		Index:  nncell.Options{Algorithm: nncell.Sphere},
-	}
+func gridOptions(shards int) Options {
+	opts := testOptions(shards)
+	opts.Route = RouteGrid
+	return opts
 }
 
-func mustBuildGrid(t *testing.T, pts []vec.Point, d, shards int, grid *GridConfig) *Sharded {
+func mustBuildGrid(t *testing.T, pts []vec.Point, d, shards int) *Sharded {
 	t.Helper()
-	s, err := Build(pts, vec.UnitCube(d), gridOptions(shards, grid))
+	s, err := Build(pts, vec.UnitCube(d), gridOptions(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// pinnedGrid builds pts (none: an empty index) over the d-dimensional unit
+// cube on a grid of the given split dimensions and tile counts instead of the
+// derived one; opts.Shards and opts.Route do not matter.
+func pinnedGrid(pts []vec.Point, d int, dims, counts []int, opts Options) (*Sharded, error) {
+	r, err := newGridRouter(d, vec.UnitCube(d), dims, counts)
+	if err != nil {
+		return nil, err
+	}
+	return build(pts, vec.UnitCube(d), opts, r)
+}
+
+func mustPinGrid(t *testing.T, pts []vec.Point, d int, dims, counts []int) *Sharded {
+	t.Helper()
+	s, err := pinnedGrid(pts, d, dims, counts, testOptions(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// hashAndGrid builds with opts hash-routed over five shards and grid-routed
+// over six pinned tiles (3 × 2 over dimensions 0 and 2).
+func hashAndGrid(d int, opts Options) map[string]func([]vec.Point) (*Sharded, error) {
+	opts.Shards = 5
+	return map[string]func([]vec.Point) (*Sharded, error){
+		"hash": func(pts []vec.Point) (*Sharded, error) { return Build(pts, vec.UnitCube(d), opts) },
+		"grid": func(pts []vec.Point) (*Sharded, error) {
+			return pinnedGrid(pts, d, []int{0, 2}, []int{3, 2}, opts)
+		},
+	}
 }
 
 // Unit coverage of the tile arithmetic: interior boundaries go to the upper
@@ -133,7 +161,6 @@ func TestDeriveGrid(t *testing.T) {
 func TestGridShardedOracleUnderChurn(t *testing.T) {
 	const d = 4
 	const k = 5
-	grid := &GridConfig{Dims: []int{0, 1}, Counts: []int{3, 3}}
 	base := uniquePoints(t, 404, 240, d)
 	// Boundary points: every interior edge coordinate (1/3, 2/3) in the
 	// split dimensions, paired with off-grid coordinates elsewhere.
@@ -150,10 +177,7 @@ func TestGridShardedOracleUnderChurn(t *testing.T) {
 	zero := vec.Point{0.5, 0.25, 0.125, 0}
 	negZero := vec.Point{0.5, 0.25, 0.125, math.Copysign(0, -1)}
 
-	s, err := Build(base, vec.UnitCube(d), gridOptions(9, grid))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustPinGrid(t, base, d, []int{0, 1}, []int{3, 3})
 	live := map[int]vec.Point{}
 	for _, gid := range s.IDs() {
 		p, _ := s.Point(gid)
@@ -340,7 +364,7 @@ func TestGridRoutingVisitsFewShards(t *testing.T) {
 	pts := uniquePoints(t, 707, 4000, d)
 	oracle := scan.New(pts, vec.Euclidean{}, pager.New(pager.Config{}))
 	hash := mustBuild(t, pts, d, S)
-	grid := mustBuildGrid(t, pts, d, S, nil)
+	grid := mustBuildGrid(t, pts, d, S)
 	if grid.NumShards() != S {
 		t.Fatalf("grid realized %d shards, want %d", grid.NumShards(), S)
 	}
@@ -402,7 +426,7 @@ func TestShardedKNearestAllocs(t *testing.T) {
 	}
 	const d = 4
 	pts := uniquePoints(t, 909, 400, d)
-	for _, s := range []*Sharded{mustBuild(t, pts, d, 6), mustBuildGrid(t, pts, d, 9, nil)} {
+	for _, s := range []*Sharded{mustBuild(t, pts, d, 6), mustBuildGrid(t, pts, d, 9)} {
 		q := randQuery(rand.New(rand.NewSource(910)), d)
 		buf, err := s.KNearestAppend(nil, q, 8)
 		if err != nil {
@@ -429,17 +453,15 @@ func TestShardedKNearestAllocs(t *testing.T) {
 // before and after batched churn.
 func TestShardedKNearestMatchesScan(t *testing.T) {
 	const d = 4
-	for name, opts := range map[string]Options{
-		"hash": testOptions(5),
-		"grid": gridOptions(6, &GridConfig{Dims: []int{0, 2}, Counts: []int{3, 2}}),
-	} {
+	opts := testOptions(0)
+	opts.Index.Algorithm = nncell.NNDirection
+	for name, build := range hashAndGrid(d, opts) {
 		for _, lattice := range []bool{false, true} {
-			opts.Index.Algorithm = nncell.NNDirection
 			pts := uniquePoints(t, 911, 300, d)
 			if lattice {
 				pts = dataset.Grid(nil, 256, d, 0) // 4 a side: binary fractions, exact ties
 			}
-			s, err := Build(pts[:220], vec.UnitCube(d), opts)
+			s, err := build(pts[:220])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -506,11 +528,8 @@ func TestShardedKNearestTieAcrossShards(t *testing.T) {
 		{0.95, 0.05},  // shard 1, local 1: global 3
 		{0.9, 0.9},    // shard 1, local 2: global 5
 	}
-	s, err := Build(pts, vec.UnitCube(2), Options{
-		Shards: 2,
-		Route:  RouteGrid,
-		Grid:   &GridConfig{Dims: []int{0}, Counts: []int{2}},
-		Index:  nncell.Options{Algorithm: nncell.NNDirection},
+	s, err := pinnedGrid(pts, 2, []int{0}, []int{2}, Options{
+		Index: nncell.Options{Algorithm: nncell.NNDirection},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +551,7 @@ func TestShardedKNearestTieAcrossShards(t *testing.T) {
 // exactly.
 func TestShardedNewEmpty(t *testing.T) {
 	const d = 3
-	for _, opts := range []Options{testOptions(4), gridOptions(8, nil)} {
+	for _, opts := range []Options{testOptions(4), gridOptions(8)} {
 		s, err := NewEmpty(d, vec.UnitCube(d), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -582,7 +601,7 @@ func TestShardedNewEmpty(t *testing.T) {
 func TestShardedPersistRoundTripGrid(t *testing.T) {
 	const d = 4
 	pts := uniquePoints(t, 611, 150, d)
-	s := mustBuildGrid(t, pts, d, 9, &GridConfig{Dims: []int{1, 3}, Counts: []int{3, 3}})
+	s := mustPinGrid(t, pts, d, []int{1, 3}, []int{3, 3})
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -619,10 +638,7 @@ func TestShardedPersistRoundTripGrid(t *testing.T) {
 	}
 
 	// All-empty round trip: geometry and routing come from the header.
-	empty, err := NewEmpty(d, vec.UnitCube(d), gridOptions(9, &GridConfig{Dims: []int{0, 2}, Counts: []int{3, 3}}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := mustPinGrid(t, nil, d, []int{0, 2}, []int{3, 3})
 	buf.Reset()
 	if err := empty.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -660,7 +676,7 @@ func TestShardedLoadRejectsV1(t *testing.T) {
 func TestShardedLoadRejectsCorruptRouting(t *testing.T) {
 	const d = 2
 	pts := uniquePoints(t, 616, 60, d)
-	s := mustBuildGrid(t, pts, d, 4, &GridConfig{Dims: []int{0, 1}, Counts: []int{2, 2}})
+	s := mustPinGrid(t, pts, d, []int{0, 1}, []int{2, 2})
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -695,11 +711,8 @@ func TestShardedLoadRejectsCorruptRouting(t *testing.T) {
 func TestShardedDirectoryMatchesPagedAndScan(t *testing.T) {
 	const d = 4
 	pts := uniquePoints(t, 701, 360, d)
-	for name, opts := range map[string]Options{
-		"hash": testOptions(5),
-		"grid": gridOptions(6, &GridConfig{Dims: []int{0, 2}, Counts: []int{3, 2}}),
-	} {
-		s, err := Build(pts[:300], vec.UnitCube(d), opts)
+	for name, build := range hashAndGrid(d, testOptions(0)) {
+		s, err := build(pts[:300])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,24 +56,15 @@ type Options struct {
 	// not exceeding S (see deriveGrid); NumShards reports it.
 	Shards int
 	// Route selects the placement policy. The zero value is RouteHash, the
-	// seed behaviour.
+	// seed behaviour. RouteGrid derives the grid from the build points
+	// (highest-variance dimensions, near-equal tile counts; see deriveGrid).
 	Route RouteKind
-	// Grid optionally pins the grid geometry for RouteGrid; nil derives it
-	// from the build points (highest-variance dimensions, near-equal tile
-	// counts).
-	Grid *GridConfig
 	// Pager configures each shard's private pager: the page store of the
 	// figures' trees (a Point or Sphere Build, Shard(i).Tree()). No served
 	// query or write reads a page.
 	Pager pager.Config
 	// Index passes construction options through to every shard.
 	Index nncell.Options
-}
-
-func (o *Options) normalize() {
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
 }
 
 // Sharded is an NN-cell index partitioned into shards, hash- or grid-routed
@@ -184,7 +175,6 @@ func route(p vec.Point, shards int) int {
 // would), and empty partitions become empty shards ready to accept routed
 // inserts.
 func Build(points []vec.Point, bounds vec.Rect, opts Options) (*Sharded, error) {
-	opts.normalize()
 	if len(points) == 0 {
 		return nil, nncell.ErrEmpty
 	}
@@ -197,10 +187,38 @@ func Build(points []vec.Point, bounds vec.Rect, opts Options) (*Sharded, error) 
 			return nil, fmt.Errorf("shard: point %d has dim %d, want %d", i, p.Dim(), d)
 		}
 	}
-	r, err := newRouter(opts, d, bounds, points)
+	r, err := newRouter(opts, bounds, points)
 	if err != nil {
 		return nil, err
 	}
+	return build(points, bounds, opts, r)
+}
+
+// NewEmpty constructs a sharded index with zero points, ready to accept
+// routed inserts, so `nncell serve -n 0` can bootstrap fresh (e.g. recover
+// purely from a WAL, or start an ingest-only node). Derived grid geometry
+// falls back to the first split dimensions, there being no points to measure
+// variance over.
+func NewEmpty(d int, bounds vec.Rect, opts Options) (*Sharded, error) {
+	if d < 1 {
+		return nil, fmt.Errorf("shard: dimensionality %d", d)
+	}
+	if bounds.Dim() != d {
+		return nil, fmt.Errorf("shard: bounds dim %d, want %d", bounds.Dim(), d)
+	}
+	r, err := newRouter(opts, bounds, nil)
+	if err != nil {
+		return nil, err
+	}
+	return build(nil, bounds, opts, r)
+}
+
+// build partitions points (none for an empty index) by r and builds one
+// shard per partition: bulk-built where it holds points, empty otherwise.
+// opts.Shards and opts.Route are r's business; the shards take opts.Pager
+// and opts.Index.
+func build(points []vec.Point, bounds vec.Rect, opts Options, r Router) (*Sharded, error) {
+	d := bounds.Dim()
 	parts := make([][]vec.Point, r.Shards())
 	for _, p := range points {
 		s := r.Route(p)
@@ -224,39 +242,6 @@ func Build(points []vec.Point, bounds vec.Rect, opts Options) (*Sharded, error) 
 		}
 		if err != nil {
 			return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
-		}
-		sh.shards[i] = ix
-	}
-	return sh, nil
-}
-
-// NewEmpty constructs a sharded index with zero points, ready to accept
-// routed inserts, so `nncell serve -n 0` can bootstrap fresh (e.g. recover
-// purely from a WAL, or start an ingest-only node). Derived grid geometry falls back to the first split
-// dimensions, there being no points to measure variance over; pass
-// Options.Grid to pin it.
-func NewEmpty(d int, bounds vec.Rect, opts Options) (*Sharded, error) {
-	opts.normalize()
-	if d < 1 {
-		return nil, fmt.Errorf("shard: dimensionality %d", d)
-	}
-	if bounds.Dim() != d {
-		return nil, fmt.Errorf("shard: bounds dim %d, want %d", bounds.Dim(), d)
-	}
-	r, err := newRouter(opts, d, bounds, nil)
-	if err != nil {
-		return nil, err
-	}
-	sh := &Sharded{
-		dim:    d,
-		bounds: bounds.Clone(),
-		router: r,
-		shards: make([]*nncell.Index, r.Shards()),
-	}
-	for i := range sh.shards {
-		ix, err := nncell.NewEmpty(d, bounds, pager.New(opts.Pager), opts.Index)
-		if err != nil {
-			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
 		}
 		sh.shards[i] = ix
 	}
@@ -313,30 +298,21 @@ func (s *Sharded) IDs() []int {
 	return out
 }
 
-// Insert routes the point to its shard and inserts it there, taking only
-// that shard's write lock: inserts to different shards, and queries against
-// them, proceed in parallel. Returns the new global id.
+// Insert routes the point to its shard and inserts it there: InsertBatch
+// with one point, so it takes only that shard's write lock, and inserts to
+// different shards, and queries against them, proceed in parallel. Returns
+// the new global id.
 func (s *Sharded) Insert(p vec.Point) (int, error) {
-	if p.Dim() != s.dim {
-		return 0, fmt.Errorf("shard: insert of %d-dim point into %d-dim index", p.Dim(), s.dim)
-	}
-	shard := s.router.Route(p)
-	local, err := s.shards[shard].Insert(p)
+	gids, err := s.InsertBatch([]vec.Point{p})
 	if err != nil {
 		return 0, err
 	}
-	return s.globalID(shard, local), nil
+	return gids[0], nil
 }
 
-// Delete removes the point with the given global id, taking only its
-// shard's write lock.
-func (s *Sharded) Delete(gid int) error {
-	if gid < 0 {
-		return fmt.Errorf("shard: delete of unknown id %d", gid)
-	}
-	shard, local := s.splitID(gid)
-	return s.shards[shard].Delete(local)
-}
+// Delete removes the point with the given global id: DeleteBatch with one
+// id, taking only its shard's write lock.
+func (s *Sharded) Delete(gid int) error { return s.DeleteBatch([]int{gid}) }
 
 // InsertBatch routes the points into per-shard sub-batches and inserts the
 // sub-batches concurrently, one shard write lock and one WAL append per
@@ -345,9 +321,10 @@ func (s *Sharded) Delete(gid int) error {
 // Atomicity is per shard, not global: each sub-batch commits all-or-nothing
 // inside its shard (and is logged as one record there), but on error the
 // sub-batches of OTHER shards may already have committed — the returned
-// error names the failing shard, and the caller observes a consistent index
-// that contains some routed subset of the batch. Callers needing global
-// all-or-nothing semantics should use a single-shard configuration.
+// error names the lowest shard that failed, and the caller observes a
+// consistent index that contains some routed subset of the batch. Callers
+// needing global all-or-nothing semantics should use a single-shard
+// configuration.
 func (s *Sharded) InsertBatch(ps []vec.Point) ([]int, error) {
 	if len(ps) == 0 {
 		return nil, nil
@@ -365,30 +342,15 @@ func (s *Sharded) InsertBatch(ps []vec.Point) ([]int, error) {
 		subPos[sh] = append(subPos[sh], i)
 	}
 	out := make([]int, len(ps))
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for sh := range subs {
-		if len(subs[sh]) == 0 {
-			continue
+	err := eachSubBatch(subs, func(sh int, sub []vec.Point) error {
+		locals, err := s.shards[sh].InsertBatch(sub)
+		for k, local := range locals {
+			out[subPos[sh][k]] = s.globalID(sh, local)
 		}
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			locals, err := s.shards[sh].InsertBatch(subs[sh])
-			if err != nil {
-				errs[sh] = err
-				return
-			}
-			for k, local := range locals {
-				out[subPos[sh][k]] = s.globalID(sh, local)
-			}
-		}(sh)
-	}
-	wg.Wait()
-	for sh, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", sh, err)
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -396,9 +358,6 @@ func (s *Sharded) InsertBatch(ps []vec.Point) ([]int, error) {
 // DeleteBatch splits the global ids into per-shard sub-batches and deletes
 // them concurrently. Atomicity is per shard, as in InsertBatch.
 func (s *Sharded) DeleteBatch(gids []int) error {
-	if len(gids) == 0 {
-		return nil
-	}
 	subs := make([][]int, len(s.shards))
 	for _, gid := range gids {
 		if gid < 0 {
@@ -407,25 +366,28 @@ func (s *Sharded) DeleteBatch(gids []int) error {
 		shard, local := s.splitID(gid)
 		subs[shard] = append(subs[shard], local)
 	}
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for sh := range subs {
-		if len(subs[sh]) == 0 {
-			continue
+	return eachSubBatch(subs, func(sh int, sub []int) error {
+		return s.shards[sh].DeleteBatch(sub)
+	})
+}
+
+// eachSubBatch runs f on every non-empty sub-batch, all at once on par.Do.
+// Once one has failed no other starts, and the error names the lowest shard
+// that failed.
+func eachSubBatch[T any](subs [][]T, f func(sh int, sub []T) error) error {
+	var busy []int
+	for sh, sub := range subs {
+		if len(sub) > 0 {
+			busy = append(busy, sh)
 		}
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			errs[sh] = s.shards[sh].DeleteBatch(subs[sh])
-		}(sh)
 	}
-	wg.Wait()
-	for sh, err := range errs {
-		if err != nil {
+	return par.Do(len(busy), len(busy), func(_, k int) error {
+		sh := busy[k]
+		if err := f(sh, subs[sh]); err != nil {
 			return fmt.Errorf("shard %d: %w", sh, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // RepairWait drains every shard's lazy-repair queue concurrently (see
@@ -647,8 +609,8 @@ func (s *Sharded) NearestNeighborBatch(qs []vec.Point, workers int) ([]nncell.Ne
 }
 
 // Stats returns the sum of the per-shard stats snapshots, except
-// StaleCellsHighWater, which is the maximum over the shards: the
-// MaxStaleCells cap it is read against applies to each shard on its own.
+// StaleCellsHighWater, which is the maximum over the shards: each shard
+// reached its own at its own time, so their sum is a backlog no moment held.
 func (s *Sharded) Stats() nncell.Stats {
 	var out nncell.Stats
 	for _, ix := range s.shards {

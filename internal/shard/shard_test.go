@@ -3,8 +3,11 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -333,7 +336,7 @@ func TestShardedNearestNeighborAllocs(t *testing.T) {
 	q := vec.Point{0.3, 0.7, 0.2, 0.9}
 	for name, s := range map[string]*Sharded{
 		"hash": mustBuild(t, pts, d, 4),
-		"grid": mustBuildGrid(t, pts, d, 4, nil),
+		"grid": mustBuildGrid(t, pts, d, 4),
 	} {
 		for i := 0; i < 5; i++ { // warm the per-shard QueryCtx pools
 			if _, err := s.NearestNeighbor(q); err != nil {
@@ -382,6 +385,96 @@ func TestShardedValidation(t *testing.T) {
 	if _, err := Build(pts, vec.UnitCube(3), testOptions(2)); err == nil {
 		t.Error("bounds/point dimension mismatch accepted")
 	}
+}
+
+// A failing sub-batch names its shard and leaves that shard as it was: an
+// InsertBatch whose sub-batch for one shard holds a point that shard already
+// stores, and a DeleteBatch with an id that shard never gave out. Every other
+// shard's sub-batch commits whole or not at all, the invariants hold, and
+// queries over the committed points stay equal to the scan's.
+func TestShardedBatchErrorNamesShard(t *testing.T) {
+	const d, S = 3, 4
+	pts := uniquePoints(t, 114, 260, d)
+	s := mustBuild(t, pts[:200], d, S)
+	dup := pts[7]
+	bad := s.router.Route(dup)
+	rng := rand.New(rand.NewSource(115))
+
+	shardPoints := func() [][]vec.Point {
+		out := make([][]vec.Point, S)
+		for i := range out {
+			ix := s.Shard(i)
+			for _, id := range ix.IDs() {
+				p, _ := ix.Point(id)
+				out[i] = append(out[i], p)
+			}
+		}
+		return out
+	}
+	// check asserts the outcome of a batch that moved shard i's point count
+	// by delta[i] had it committed everywhere.
+	check := func(op string, err error, want string, before [][]vec.Point, delta []int) {
+		t.Helper()
+		if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("shard %d: ", bad)) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: err = %v, want a %q error naming shard %d", op, err, want, bad)
+		}
+		after := shardPoints()
+		if !slices.EqualFunc(after[bad], before[bad], vec.Point.Equal) {
+			t.Fatalf("%s: failing shard %d went from %d to %d points", op, bad, len(before[bad]), len(after[bad]))
+		}
+		for i := range after {
+			if n := len(after[i]); i != bad && n != len(before[i]) && n != len(before[i])+delta[i] {
+				t.Fatalf("%s: shard %d went from %d to %d points, its sub-batch moves %+d", op, i, len(before[i]), n, delta[i])
+			}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		var live []vec.Point
+		for _, gid := range s.IDs() {
+			p, _ := s.Point(gid)
+			live = append(live, p)
+		}
+		oracle := scan.New(live, vec.Euclidean{}, pager.New(pager.Config{}))
+		for trial := 0; trial < 50; trial++ {
+			q := randQuery(rng, d)
+			wantIdx, wantD2 := oracle.Nearest(q)
+			got, err := s.NearestNeighbor(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gp, _ := s.Point(got.ID); got.Dist2 != wantD2 || !gp.Equal(live[wantIdx]) {
+				t.Fatalf("%s: NN(%v) = %v at dist² %v, scan %v at %v", op, q, gp, got.Dist2, live[wantIdx], wantD2)
+			}
+		}
+	}
+
+	// The duplicate sits among fresh points, so the failing shard has staged
+	// some of its sub-batch before it meets the duplicate.
+	batch := slices.Concat(pts[200:230], []vec.Point{dup}, pts[230:])
+	delta := make([]int, S)
+	for _, p := range batch {
+		delta[s.router.Route(p)]++
+	}
+	if delta[bad] < 3 {
+		t.Fatalf("shard %d gets %d points of the batch: too few to stage any", bad, delta[bad])
+	}
+	before := shardPoints()
+	_, err := s.InsertBatch(batch)
+	check("InsertBatch", err, "duplicate point", before, delta)
+
+	// Two ids of every shard, then one the failing shard never gave out.
+	var gids []int
+	clear(delta)
+	for i := 0; i < S; i++ {
+		for _, local := range s.Shard(i).IDs()[:2] {
+			gids = append(gids, s.globalID(i, local))
+			delta[i]--
+		}
+	}
+	gids = append(gids, s.globalID(bad, 10000))
+	before = shardPoints()
+	check("DeleteBatch", s.DeleteBatch(gids), "unknown id", before, delta)
 }
 
 // A tiny point set over many shards leaves most shards empty; they must

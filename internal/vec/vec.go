@@ -21,9 +21,6 @@ import (
 // condition).
 type Point []float64
 
-// NewPoint returns a zero point of dimensionality d.
-func NewPoint(d int) Point { return make(Point, d) }
-
 // Dim returns the dimensionality of the point.
 func (p Point) Dim() int { return len(p) }
 

@@ -206,10 +206,10 @@ type pendingInsert struct {
 	level int
 }
 
-// EntryBytes returns the on-page size of one entry at dimensionality d: a
+// entryBytes returns the on-page size of one entry at dimensionality d: a
 // 2·d-coordinate rectangle of float64 plus an 8-byte pointer/datum, matching
 // the paper's space accounting ("2·d floats per approximation").
-func EntryBytes(d int) int { return 16*d + 8 }
+func entryBytes(d int) int { return 16*d + 8 }
 
 // New creates an empty X-tree of dimensionality d over the given pager.
 func New(d int, pg *pager.Pager, opts Options) *Tree {
@@ -228,7 +228,7 @@ func newTree(d int, pg *pager.Pager, opts Options, policy overflowPolicy) *Tree 
 		panic("xtree: non-positive dimensionality")
 	}
 	opts.normalize()
-	m := pg.Capacity(EntryBytes(d))
+	m := pg.Capacity(entryBytes(d))
 	if m < 4 {
 		m = 4
 	}
