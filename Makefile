@@ -26,9 +26,10 @@ check: vet doc-check build test race bench-smoke bench-module fuzz-smoke
 # WAL frame checksum is computed by Log.Append and checked by Cursor.Next only
 # (Replay parses through a Cursor), and the metrics text format is written by
 # internal/stats/expo.go only. Nor may the AVX2 kernels keep a second path
-# alive for their tests alone: every TEXT symbol of internal/nncell/
-# kernel_amd64.s must be called from non-test Go of internal/nncell other
-# than its own func declaration.
+# alive for their tests alone: every TEXT symbol of an internal/*/*_amd64.s
+# (the kernels of internal/lp and internal/nncell, the CPU probe of
+# internal/cpu) must be called from non-test Go of its own package other than
+# its func declaration.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -42,7 +43,7 @@ vet:
 	@if grep -rn --include='*.go' --exclude='*_test.go' 'sync\.WaitGroup' cmd internal examples | grep -vE '^internal/(par|loadgen)/'; then echo "a batch of goroutines runs on internal/par only"; exit 1; fi
 	@if awk '/^func /{fn=$$0} /crc32\.Checksum/ && fn !~ /^func \(l \*Log\) Append\(|^func \(c \*Cursor\) Next\(/ {print FILENAME ": " fn; bad=1} END{exit !bad}' $$(ls internal/wal/*.go | grep -v '_test\.go$$'); then echo "internal/wal checksums frames in Log.Append and Cursor.Next only"; exit 1; fi
 	@if grep -rn --include='*.go' --exclude='*_test.go' '"# TYPE' cmd internal | grep -v '^internal/stats/expo\.go:'; then echo "the metrics text format has one writer, internal/stats/expo.go"; exit 1; fi
-	@for f in $$(sed -nE 's/^TEXT ·([A-Za-z0-9_]+)\(SB\).*/\1/p' internal/nncell/kernel_amd64.s); do grep -hE "(^|[^A-Za-z0-9_.])$$f\(" $$(ls internal/nncell/*.go | grep -v '_test\.go$$') | grep -vE "^[[:space:]]*//|^func $$f\(" | grep -q . || { echo "internal/nncell/kernel_amd64.s: no non-test Go calls $$f"; exit 1; }; done
+	@for s in internal/*/*_amd64.s; do for f in $$(sed -nE 's/^TEXT ·([A-Za-z0-9_]+)\(SB\).*/\1/p' $$s); do grep -hE "(^|[^A-Za-z0-9_.])$$f\(" $$(ls $$(dirname $$s)/*.go | grep -v '_test\.go$$') | grep -vE "^[[:space:]]*//|^func $$f\(" | grep -q . || { echo "$$s: no non-test Go calls $$f"; exit 1; }; done; done
 
 # README.md and DESIGN.md may quote only what the source defines: every
 # nncell_* metric name must occur in non-test Go (a prefix form such as
@@ -64,11 +65,12 @@ doc-check:
 build:
 	$(GO) build ./...
 
-# internal/nncell again on the portable Go kernels (the amd64 assembly is
-# chosen at start-up where the CPU has AVX2; the test flag switches it off).
+# internal/lp and internal/nncell again on the portable Go kernels (the amd64
+# assembly is chosen at start-up where the CPU has AVX2; the test flag
+# switches it off).
 test:
 	$(GO) test ./...
-	$(GO) test ./internal/nncell/ -args -kernel=go
+	$(GO) test ./internal/lp/ ./internal/nncell/ -args -kernel=go
 
 # Every package again, uncached and under the race detector (~5 min, nearly
 # all of it internal/nncell). This is the whole gate for the serving lifecycle
@@ -80,7 +82,10 @@ test:
 race:
 	$(GO) test -race -count 1 ./...
 
-# One iteration of the hot-path benchmarks. BenchmarkSolveMBR fails unless the
+# One iteration of the hot-path benchmarks. BenchmarkSolveMBR and
+# BenchmarkBuild run once per kernel set the CPU has (.../kernel=go, then
+# .../kernel=avx2: the before/after row of an LP kernel change, whose
+# pivots/op and lp_pivots/op may not move). BenchmarkSolveMBR fails unless the
 # warm LP loop runs at 0 allocs/op, BenchmarkBuild/NN-Direction unless a build
 # allocates less than once per cell (the neighbor-pool search, the LPs and the
 # solved MBR run on the per-worker cellCtx scratch, every cell goes straight

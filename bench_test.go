@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/lp"
@@ -129,33 +130,35 @@ func BenchmarkBuild(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/d=%d", alg, d), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(int64(100*d + int(alg))))
 				pts := dataset.Deduplicate(dataset.Uniform(rng, n, d))
-				var stats nncell.Stats
-				build := func() {
-					ix, err := nncell.Build(pts, vec.UnitCube(d), pager.New(pager.Config{}),
-						nncell.Options{Algorithm: alg})
-					if err != nil {
-						b.Fatal(err)
+				forKernelSets(b, func(b *testing.B, _ string) {
+					var stats nncell.Stats
+					build := func() {
+						ix, err := nncell.Build(pts, vec.UnitCube(d), pager.New(pager.Config{}),
+							nncell.Options{Algorithm: alg})
+						if err != nil {
+							b.Fatal(err)
+						}
+						stats = ix.Stats()
 					}
-					stats = ix.Stats()
-				}
-				// NN-Direction's neighbor-pool search, constraint matrix, LPs and
-				// solved MBR run on per-worker scratch, every cell is written into
-				// its row of one float32 slab, and no tree is built, so a build
-				// allocates a few dozen times in all — the slab, the coordinates,
-				// the directories and the workers — and nothing per cell (0.45 per
-				// cell measured at n = 250).
-				if alg == nncell.NNDirection {
-					if perCell := testing.AllocsPerRun(1, build) / float64(len(pts)); perCell > 1 {
-						b.Fatalf("Build allocates %.2f times per cell, want nothing per cell (<= 1)", perCell)
+					// NN-Direction's neighbor-pool search, constraint matrix, LPs and
+					// solved MBR run on per-worker scratch, every cell is written into
+					// its row of one float32 slab, and no tree is built, so a build
+					// allocates a few dozen times in all — the slab, the coordinates,
+					// the directories and the workers — and nothing per cell (0.45 per
+					// cell measured at n = 250).
+					if alg == nncell.NNDirection {
+						if perCell := testing.AllocsPerRun(1, build) / float64(len(pts)); perCell > 1 {
+							b.Fatalf("Build allocates %.2f times per cell, want nothing per cell (<= 1)", perCell)
+						}
 					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					build()
-				}
-				b.ReportMetric(float64(stats.LPSolves), "lp_solves/op")
-				b.ReportMetric(float64(stats.LPPivots), "lp_pivots/op")
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						build()
+					}
+					b.ReportMetric(float64(stats.LPSolves), "lp_solves/op")
+					b.ReportMetric(float64(stats.LPPivots), "lp_pivots/op")
+				})
 			})
 		}
 	}
@@ -165,42 +168,69 @@ func BenchmarkBuild(b *testing.B) {
 	// float32 cell row and 64 B in each directory at d = 8, 262 B measured —
 	// and fails above 280 B, so that neither a resident tree (another ~280 B
 	// per point) nor per-cell float64 rectangles (another ~112 B) can come
-	// back unnoticed.
+	// back unnoticed. It fails, too, unless every kernel set pivots alike.
 	b.Run("NN-Direction/d=8/n=10000", func(b *testing.B) {
 		const n, d = 10000, 8
 		b.StopTimer()
 		pts := dataset.Deduplicate(dataset.Uniform(rand.New(rand.NewSource(1)), n, d))
-		var ix *nncell.Index
-		heap := func() uint64 {
-			runtime.GC()
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			return m.HeapAlloc
-		}
-		for i := 0; i < b.N; i++ {
-			ix = nil
-			before := heap()
-			b.StartTimer()
-			var err error
-			if ix, err = nncell.Build(pts, vec.UnitCube(d), pager.New(pager.Config{}),
-				nncell.Options{Algorithm: nncell.NNDirection}); err != nil {
-				b.Fatal(err)
-			}
+		var goPivots uint64
+		forKernelSets(b, func(b *testing.B, set string) {
 			b.StopTimer()
-			perPoint := float64(heap()-before) / float64(len(pts))
-			if perPoint > 280 {
-				b.Fatalf("a built index retains %.0f B per point, want <= 280", perPoint)
+			var ix *nncell.Index
+			heap := func() uint64 {
+				runtime.GC()
+				var m runtime.MemStats
+				runtime.ReadMemStats(&m)
+				return m.HeapAlloc
 			}
-			b.ReportMetric(perPoint, "retained_B/point")
-			pivots := ix.Stats().LPPivots
-			if pivots > 2_200_000 {
-				b.Fatalf("Build took %d LP pivots, want <= 2.2 M (a ratio test that stalls on axis objectives takes 2.9 M)", pivots)
+			for i := 0; i < b.N; i++ {
+				ix = nil
+				before := heap()
+				b.StartTimer()
+				var err error
+				if ix, err = nncell.Build(pts, vec.UnitCube(d), pager.New(pager.Config{}),
+					nncell.Options{Algorithm: nncell.NNDirection}); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				perPoint := float64(heap()-before) / float64(len(pts))
+				if perPoint > 280 {
+					b.Fatalf("a built index retains %.0f B per point, want <= 280", perPoint)
+				}
+				b.ReportMetric(perPoint, "retained_B/point")
+				pivots := ix.Stats().LPPivots
+				if pivots > 2_200_000 {
+					b.Fatalf("Build took %d LP pivots, want <= 2.2 M (a ratio test that stalls on axis objectives takes 2.9 M)", pivots)
+				}
+				if set == "go" {
+					goPivots = pivots
+				} else if goPivots != 0 && pivots != goPivots {
+					b.Fatalf("Build took %d LP pivots on the %s kernels, %d on go", pivots, set, goPivots)
+				}
+				b.ReportMetric(float64(pivots), "lp_pivots/op")
 			}
-			b.ReportMetric(float64(pivots), "lp_pivots/op")
-		}
-		runtime.KeepAlive(ix)
-		b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+			runtime.KeepAlive(ix)
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+		})
 	})
+}
+
+// forKernelSets runs f as one sub-benchmark per kernel set this CPU runs
+// (internal/cpu): …/kernel=go, then …/kernel=avx2 where the CPU has AVX2 —
+// the before/after row of a kernel change, which may move ns/op only.
+func forKernelSets(b *testing.B, f func(b *testing.B, set string)) {
+	sets := []string{"go"}
+	if cpu.AVX2 {
+		sets = append(sets, "avx2")
+	}
+	for _, set := range sets {
+		b.Run("kernel="+set, func(b *testing.B) {
+			saved := cpu.AVX2
+			cpu.AVX2 = set == "avx2"
+			defer func() { cpu.AVX2 = saved }()
+			f(b, set)
+		})
+	}
 }
 
 // BenchmarkSolveMBR isolates the warm 2·d-extent LP loop over one shared,
@@ -229,35 +259,37 @@ func BenchmarkSolveMBR(b *testing.B) {
 					}
 					p.Cons = append(p.Cons, lp.Constraint{A: a, B: dot + 0.1*rng.Float64()})
 				}
-				var s lp.Solver
-				if err := s.Load(p); err != nil {
-					b.Fatal(err)
-				}
-				c := make([]float64, d)
-				pivots := 0
-				extents := func() {
-					pivots = 0
-					for j := 0; j < d; j++ {
-						for _, sign := range [2]float64{1, -1} {
-							c[j] = sign
-							res, err := s.Solve(c)
-							if err != nil {
-								b.Fatal(err)
-							}
-							pivots += res.Iterations
-						}
-						c[j] = 0
+				forKernelSets(b, func(b *testing.B, _ string) {
+					var s lp.Solver
+					if err := s.Load(p); err != nil {
+						b.Fatal(err)
 					}
-				}
-				if allocs := testing.AllocsPerRun(1, extents); allocs != 0 {
-					b.Fatalf("warm extent loop allocates %v/op, want 0", allocs)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					extents()
-				}
-				b.ReportMetric(float64(pivots), "pivots/op")
+					c := make([]float64, d)
+					pivots := 0
+					extents := func() {
+						pivots = 0
+						for j := 0; j < d; j++ {
+							for _, sign := range [2]float64{1, -1} {
+								c[j] = sign
+								res, err := s.Solve(c)
+								if err != nil {
+									b.Fatal(err)
+								}
+								pivots += res.Iterations
+							}
+							c[j] = 0
+						}
+					}
+					if allocs := testing.AllocsPerRun(1, extents); allocs != 0 {
+						b.Fatalf("warm extent loop allocates %v/op, want 0", allocs)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						extents()
+					}
+					b.ReportMetric(float64(pivots), "pivots/op")
+				})
 			})
 		}
 	}

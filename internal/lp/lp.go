@@ -26,6 +26,18 @@
 //     largest-pivot tie-break (see Solve) is what keeps them to about a dozen
 //     pivots each.
 //
+//     The O(m·d) pricing scan and the O(d²) steps of a pivot — π = w_B·B⁻¹,
+//     the entering direction u = B⁻¹·M_k and the product-form update — are
+//     Go loops, the reference and every other machine's kernels. On amd64
+//     with AVX2 (internal/cpu) kernel_amd64.s runs them four float64 lanes
+//     wide instead: pricing always, over a dimension-major copy of the user
+//     columns that Load writes, and at d a multiple of four also the box
+//     columns' pricing and the O(d²) steps. Each kernel computes the floats
+//     of the loop it replaces (a multiply, then an add or subtract, in the
+//     loop's order; no FMA), and pricing keeps a minimum per lane that breaks
+//     ties toward the lower column as the Go scan does, so both kernel sets
+//     take the same pivots to the same bits.
+//
 //   - Maximize: the one-shot convenience wrapper over a throwaway Solver.
 //
 //   - MaximizeSeidel: Seidel's randomized incremental algorithm [Sei 90],
@@ -41,6 +53,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/cpu"
 )
 
 // Numerical tolerances. Inputs are expected to be normalized to roughly unit
@@ -160,8 +174,9 @@ func Maximize(p *Problem, c []float64) (*Result, error) {
 // SetBounds swaps the variable box without re-normalizing the constraints
 // (the NN-cell decomposition solves the same bisector set over many slab
 // boxes). All scratch state — the basis, its inverse, the row-normalized
-// constraint matrix (one flat backing array) and the pricing buffers — lives
-// in the Solver and is grown on demand, so a warm Solver allocates nothing.
+// constraint matrix (one flat backing array, and its dimension-major copy for
+// the pricing kernel) and the pricing buffers — lives in the Solver and is
+// grown on demand, so a warm Solver allocates nothing.
 //
 // The Result returned by Solve aliases solver-owned buffers and is valid only
 // until the next Solve or Load; callers that keep results must copy them
@@ -177,7 +192,14 @@ type Solver struct {
 	// lower rows (−e_j). User columns are stored in one flat backing array,
 	// column j at cons[j*d : (j+1)*d].
 	cons []float64
-	w    []float64 // dual objective: normalized b, then hi, then -lo
+	// consT holds the user columns again, dimension-major — entry i of
+	// column k at consT[i*len(wPad)+k] — for priceAVX2, which reads four
+	// columns at a time; wPad is w of the user columns. Both are padded to a
+	// multiple of four columns with zero columns whose w is +Inf, which never
+	// price below zero.
+	consT []float64
+	wPad  []float64
+	w     []float64 // dual objective: normalized b, then hi, then -lo
 
 	c     []float64 // current primal objective (not copied; set per Solve)
 	basis []int     // d column indices
@@ -190,6 +212,9 @@ type Solver struct {
 	nz      []int     // indices of the non-zeros of c
 	lambda  []float64 // dual basic values B⁻¹ c
 	pi      []float64 // simplex multipliers w_B B⁻¹
+	wb      []float64 // w_B, the dual objective of the basic columns
+	red     []float64 // priceAVX2's reduced costs of the user columns
+	lanes   laneMinima
 	u       []float64 // entering column in basis coordinates
 	colbuf  []float64 // refactor's column scratch
 	inBasis []bool    // per column, valid during a Solve
@@ -234,6 +259,20 @@ func (s *Solver) Load(p *Problem) error {
 		}
 		s.w[j] = b
 	}
+	cols := len(s.wPad)
+	for k := 0; k < cols; k++ {
+		if k >= m {
+			for i := 0; i < d; i++ {
+				s.consT[i*cols+k] = 0
+			}
+			s.wPad[k] = math.Inf(1)
+			continue
+		}
+		for i, a := range s.cons[k*d : (k+1)*d] {
+			s.consT[i*cols+k] = a
+		}
+		s.wPad[k] = s.w[k]
+	}
 	s.loadBoxW()
 	return nil
 }
@@ -270,6 +309,10 @@ func (s *Solver) loadBoxW() {
 // sizeScratch (re)sizes every buffer for dimension d and m constraints.
 func (s *Solver) sizeScratch(d, m int) {
 	s.cons = growFloat(s.cons, m*d)
+	cols := (m + 3) &^ 3
+	s.consT = growFloat(s.consT, cols*d)
+	s.wPad = growFloat(s.wPad, cols)
+	s.red = growFloat(s.red, cols)
 	s.w = growFloat(s.w, m+2*d)
 	s.inBasis = growBool(s.inBasis, m+2*d)
 	if cap(s.basis) < d {
@@ -285,6 +328,7 @@ func (s *Solver) sizeScratch(d, m int) {
 	}
 	s.lambda = growFloat(s.lambda, d)
 	s.pi = growFloat(s.pi, d)
+	s.wb = growFloat(s.wb, d)
 	s.u = growFloat(s.u, d)
 	s.colbuf = growFloat(s.colbuf, d)
 	s.x = growFloat(s.x, d)
@@ -368,7 +412,7 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 	}
 	s.c = c
 	d, m := s.d, s.m
-	lambda, pi, u, inBasis := s.lambda, s.pi, s.u, s.inBasis
+	lambda, pi, wb, u, inBasis := s.lambda, s.pi, s.wb, s.u, s.inBasis
 	basis, binv, cons, w := s.basis, s.binv, s.cons, s.w
 
 	// Starting basis: signed identity from box rows, which is its own inverse.
@@ -391,20 +435,30 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 		}
 	}
 
+	// The AVX2 kernels of the O(d²) steps run four entries of a row at a
+	// time, so they need rows of whole vectors.
+	quads := cpu.AVX2 && d%4 == 0
 	degenerate := 0
 	bland := false
 	for iters := 0; iters < maxPivots; iters++ {
 		// lambda = B⁻¹ c and pi = w_B B⁻¹
-		clear(pi)
 		for i, row := range binv {
 			v := 0.0
 			for _, j := range nz {
 				v += row[j] * c[j]
 			}
 			lambda[i] = v
-			wb := w[basis[i]]
-			for j, b := range row {
-				pi[j] += wb * b
+			wb[i] = w[basis[i]]
+		}
+		if quads {
+			piAVX2(pi, wb, s.binvFlat)
+		} else {
+			clear(pi)
+			for i, row := range binv {
+				wbi := wb[i]
+				for j, b := range row {
+					pi[j] += wbi * b
+				}
 			}
 		}
 
@@ -415,6 +469,8 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 
 		// Direction u = B⁻¹ M_enter.
 		switch {
+		case enter < m && quads:
+			uAVX2(u, s.binvFlat, cons[enter*d:(enter+1)*d])
 		case enter < m:
 			col := cons[enter*d : (enter+1)*d]
 			for i, row := range binv {
@@ -475,8 +531,12 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 		// Product-form update: the new basis differs from the old in column
 		// `leave` only, so B⁻¹ changes by one elementary row operation per
 		// row, driven by the direction u already computed for the ratio test.
-		pivotRow := binv[leave]
 		inv := 1 / u[leave]
+		if quads {
+			updateAVX2(s.binvFlat, u, leave, inv)
+			continue
+		}
+		pivotRow := binv[leave]
 		for j := range pivotRow {
 			pivotRow[j] *= inv
 		}
@@ -492,17 +552,26 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 }
 
 // price returns the entering column: the non-basic one with the most
-// negative reduced cost w_k − π·M_k, under Bland's rule the first negative one,
-// or −1 at optimality. User columns go four at a time, each with its own
-// accumulator and its subtractions in index order, so a reduced cost is the
-// same float whichever lane computed it; basic columns are priced like the
-// rest and turned away only if they would win.
+// negative reduced cost w_k − π·M_k (the lowest column among equals), under
+// Bland's rule the first negative one, or −1 at optimality. User columns go
+// four at a time, each with its own accumulator and its subtractions in index
+// order, so a reduced cost is the same float whichever lane computed it;
+// basic columns are priced like the rest and turned away only if they would
+// win. With AVX2 the user columns, and at d a multiple of four the box
+// columns, are priceLanes'.
 func (s *Solver) price(bland bool) int {
 	d, m := s.d, s.m
 	pi, cons, w, inBasis := s.pi, s.cons, s.w, s.inBasis
 	enter := -1
 	bestRed := -tolRed
 	k := 0
+	if cpu.AVX2 {
+		var done bool
+		if enter, bestRed, done = s.priceLanes(bland); done {
+			return enter
+		}
+		k = m // the box columns follow in the loop below
+	}
 	for ; k+4 <= m; k += 4 {
 		c0 := cons[k*d : k*d+d][:len(pi)]
 		c1 := cons[(k+1)*d : (k+1)*d+d][:len(pi)]
@@ -548,6 +617,51 @@ func (s *Solver) price(bland bool) int {
 		}
 	}
 	return enter
+}
+
+// laneMinima is what priceAVX2 leaves per lane l: the least reduced cost
+// below the threshold among the columns it priced in that lane and the first
+// column that reached it, or the threshold and −1.
+type laneMinima struct {
+	red [4]float64
+	col [4]int
+}
+
+// priceLanes is price's scan of the user columns and, at d a multiple of
+// four, of the box columns on the AVX2 kernels: priceAVX2 computes the
+// reduced costs of the Go loops and keeps each lane's minimum, so only the
+// winner of the four lanes is looked at here. The stored reduced costs are
+// scanned as the Go loops do only if that winner is basic or Bland's rule
+// wants the first negative column rather than the least. It returns the
+// entering column so far and its reduced cost, and done if that is price's
+// answer; if not, the box columns remain.
+func (s *Solver) priceLanes(bland bool) (enter int, bestRed float64, done bool) {
+	d, m, inBasis := s.d, s.m, s.inBasis
+	enter, bestRed = -1, -tolRed
+	var wBox []float64
+	if d%4 == 0 {
+		wBox = s.w[m : m+2*d]
+	}
+	lanes := &s.lanes
+	priceAVX2(s.consT, s.wPad, s.pi, s.red, wBox, m, bestRed, lanes)
+	for l, red := range lanes.red {
+		if col := lanes.col[l]; red < bestRed || red == bestRed && col < enter {
+			bestRed, enter = red, col
+		}
+	}
+	if enter >= 0 && (bland || inBasis[enter]) {
+		enter, bestRed = -1, -tolRed
+		for k, red := range s.red[:m] {
+			if red < bestRed && !inBasis[k] {
+				if bland {
+					return k, red, true
+				}
+				bestRed, enter = red, k
+			}
+		}
+		return enter, bestRed, false
+	}
+	return enter, bestRed, wBox != nil
 }
 
 // tieBreak reports whether row i replaces the current leaving row when their

@@ -481,7 +481,12 @@ func cellProblems(seed int64, n, d, cells int) []*Problem {
 // needed). The counts are deterministic — 7.03, 11.64 and 11.56 today, where
 // the lowest-index tie-break took 7.76, 17.86 and 40.85 — and no solve may
 // reach the 2·d + 20 zero-step pivots that trip the Bland's-rule fallback.
+// It runs once per kernel set, which must pivot alike.
 func TestExtentPivotCounts(t *testing.T) {
+	forKernelSets(t, testExtentPivotCounts)
+}
+
+func testExtentPivotCounts(t *testing.T) {
 	for _, tc := range []struct {
 		d       int
 		maxMean float64

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"repro/internal/cpu"
 )
 
 // The kernels of the read path. A directory query is three loops — AND the
@@ -28,9 +30,10 @@ import (
 // amd64 (kernel_amd64.s: the row passes, the lane minima's k-th least and the
 // compaction always; the NN fold and the bounded fold, which walk the bits
 // and take the distances, when d is a multiple of four), "go" everywhere
-// else. It is chosen once, at start-up.
+// else. It is chosen once, at start-up, by the probe of internal/cpu, which
+// picks internal/lp's kernels with it.
 func KernelSet() string {
-	if useAVX2 {
+	if cpu.AVX2 {
 		return "avx2"
 	}
 	return "go"
@@ -44,7 +47,7 @@ func andRows(acc []uint64, rows [][]uint64) {
 	n, last := len(acc), len(rows)-1
 	for k := 0; k <= last; k += 4 {
 		a, b, c, e := rows[k][:n], rows[min(k+1, last)][:n], rows[min(k+2, last)][:n], rows[min(k+3, last)][:n]
-		if useAVX2 {
+		if cpu.AVX2 {
 			src := acc
 			if k == 0 {
 				src = a // a & a = a: the first pass writes acc
@@ -71,7 +74,7 @@ func andNotRows(acc []uint64, rows [][]uint64) {
 	n, last := len(acc), len(rows)-1
 	for k := 0; k <= last; k += 4 {
 		a, b, c, e := rows[k][:n], rows[min(k+1, last)][:n], rows[min(k+2, last)][:n], rows[min(k+3, last)][:n]
-		if useAVX2 {
+		if cpu.AVX2 {
 			andNot4(acc, a, b, c, e)
 			continue
 		}
@@ -192,7 +195,7 @@ func dist2s(list []Neighbor, q, pts []float64) []Neighbor {
 // is the list of ds.dists (appendBits, dist2s) and a Go minimum, the
 // reference the kernel matches bit for bit.
 func (ds *dirScratch) nearest(q, pts []float64, set []uint64) (nb Neighbor, count int, found bool) {
-	if d := len(q); useAVX2 && d > 0 && d%4 == 0 {
+	if d := len(q); cpu.AVX2 && d > 0 && d%4 == 0 {
 		id, d2, count, ok := nearestAVX2(set, q, pts, len(pts)/d)
 		if !ok {
 			panic("nncell: nearest: a survivor id is past the coordinate store")
@@ -265,7 +268,7 @@ func (m *laneMinima) fold(list []Neighbor) {
 // AVX2 that is boundAVX2, which counts for each minimum the minima at or
 // below it and keeps the least that has k.
 func (m *laneMinima) bound(k int) float64 {
-	if useAVX2 {
+	if cpu.AVX2 {
 		return boundAVX2(m, k)
 	}
 	if k > len(m) {
@@ -299,7 +302,7 @@ func (m *laneMinima) bound(k int) float64 {
 // ds.dists (appendBits, dist2s), the minima over it and a compaction without
 // branches, the reference the kernel matches bit for bit.
 func (ds *dirScratch) bounded(q, pts []float64, set []uint64, bound float64, mins *laneMinima) ([]Neighbor, int) {
-	if d := len(q); useAVX2 && d > 0 && d%4 == 0 {
+	if d := len(q); cpu.AVX2 && d > 0 && d%4 == 0 {
 		kept, count, ok := boundedAVX2(set, q, pts, len(pts)/d, bound, ds.cand[:cap(ds.cand)], mins)
 		if kept < 0 {
 			// Too little room: grow, as appendBits does, to four times the
@@ -328,7 +331,7 @@ func (ds *dirScratch) bounded(q, pts []float64, set []uint64, bound float64, min
 // passes, so no branch depends on a distance. With AVX2 that is
 // compactAVX2, four entries a step.
 func compact(list []Neighbor, bound float64) []Neighbor {
-	if useAVX2 {
+	if cpu.AVX2 {
 		return list[:compactAVX2(list, bound)]
 	}
 	kept := 0

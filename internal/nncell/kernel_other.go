@@ -2,8 +2,8 @@
 
 package nncell
 
-// useAVX2 is false off amd64: the Go loops of kernel.go are the kernels.
-var useAVX2 = false
+// Off amd64 cpu.AVX2 is false and the Go loops of kernel.go are the kernels;
+// these stubs only satisfy the compiler.
 
 func and4(acc, src, a, b, c, e []uint64) { panic("nncell: no AVX2 kernels on this architecture") }
 

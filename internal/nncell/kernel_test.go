@@ -1,6 +1,7 @@
 package nncell
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
@@ -12,12 +13,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/vec"
 )
 
 // avx2Available is whether this CPU runs the AVX2 kernels, read before any
 // test switches them.
-var avx2Available = useAVX2
+var avx2Available = cpu.AVX2
 
 var kernelFlag = flag.String("kernel", "", "go: run the package's tests on the portable Go kernels, not the CPU's best")
 
@@ -28,7 +30,7 @@ func TestMain(m *testing.M) {
 	switch *kernelFlag {
 	case "":
 	case "go":
-		useAVX2 = false
+		cpu.AVX2 = false
 	default:
 		fmt.Fprintf(os.Stderr, "-kernel=%s: the one set to force is go\n", *kernelFlag)
 		os.Exit(2)
@@ -47,9 +49,9 @@ func kernelSets() []string {
 // useKernelSet switches the directory kernels to set and returns the call
 // that switches them back.
 func useKernelSet(set string) (restore func()) {
-	saved := useAVX2
-	useAVX2 = set == "avx2"
-	return func() { useAVX2 = saved }
+	saved := cpu.AVX2
+	cpu.AVX2 = set == "avx2"
+	return func() { cpu.AVX2 = saved }
 }
 
 // forKernelSets runs f as one subtest per kernel set the CPU runs.
@@ -883,4 +885,47 @@ func TestKernelSetNamesTheKernels(t *testing.T) {
 		}
 	}
 	t.Skip("/proc/cpuinfo has no flags line")
+}
+
+// TestBuildSameOnEveryKernelSet builds the same points on every kernel set —
+// NN-Direction at d ∈ {4, 6, 8, 12, 16}, Correct at d ∈ {4, 8} — and checks
+// that every set saves the same bytes after the same LP solves and pivots:
+// internal/lp's AVX2 kernels pivot exactly as its Go loops do (at d = 6 only
+// its pricing kernel runs), and the neighbour searches find the same points.
+func TestBuildSameOnEveryKernelSet(t *testing.T) {
+	if !avx2Available {
+		t.Skip("this CPU runs the go kernels only")
+	}
+	for _, tc := range []struct {
+		alg  Algorithm
+		d, n int
+	}{
+		{NNDirection, 4, 600}, {NNDirection, 6, 600}, {NNDirection, 8, 600},
+		{NNDirection, 12, 600}, {NNDirection, 16, 600},
+		{Correct, 4, 250}, {Correct, 8, 250},
+	} {
+		var want bytes.Buffer
+		var wantStats Stats
+		for i, set := range kernelSets() {
+			restore := useKernelSet(set)
+			ix := buildInBox(t, vec.UnitCube(tc.d), int64(tc.d), tc.n, tc.alg)
+			restore()
+			var got bytes.Buffer
+			if err := ix.Save(&got); err != nil {
+				t.Fatal(err)
+			}
+			st := ix.Stats()
+			if i == 0 {
+				want, wantStats = got, st
+				continue
+			}
+			if st.LPSolves != wantStats.LPSolves || st.LPPivots != wantStats.LPPivots {
+				t.Errorf("%s d=%d: %d LP solves and %d pivots on %s, %d and %d on go",
+					tc.alg, tc.d, st.LPSolves, st.LPPivots, set, wantStats.LPSolves, wantStats.LPPivots)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s d=%d: the %s build saves other bytes than the go build", tc.alg, tc.d, set)
+			}
+		}
+	}
 }
