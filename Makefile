@@ -19,8 +19,9 @@ check: vet doc-check build test race bench-smoke bench-module fuzz-smoke
 # where Sharded.Stats sums nncell.Stats.Fragments (the live cell count the
 # benchmark reads). The arm64 vet compiles the portable build, so a missing
 # !amd64 stub or a build-tag slip fails here too; go vet's asmdecl check holds
-# the amd64 assembly to its Go declarations. Three decisions have one
-# implementation each: parallel batches claim work in internal/par only (and
+# the amd64 assembly to its Go declarations. Trees are built and queried,
+# never edited: internal/xtree may not grow a Tree.Delete back. Three
+# decisions have one implementation each: parallel batches claim work in internal/par only (and
 # no other non-test Go waits on a sync.WaitGroup, except internal/loadgen,
 # whose open-loop goroutines live for the whole run), the
 # WAL frame checksum is computed by Log.Append and checked by Cursor.Next only
@@ -37,6 +38,7 @@ vet:
 	@if grep -rnE 'replica\.Single|IsSnapshotMagic|\.\(type\)' cmd/; then echo "cmd/ may not tell index kinds apart"; exit 1; fi
 	@if grep -rn --include='*.go' --exclude='*_test.go' '"repro/internal/pager"' internal/server internal/replica cmd/nnrouter; then echo "the served stack may not import internal/pager"; exit 1; fi
 	@if grep -rn '"container/heap"' internal/xtree; then echo "internal/xtree has one best-first search, on QueryCtx's heaps"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' 'func \(t \*Tree\) Delete\(' internal/xtree; then echo "internal/xtree trees are built, never edited: no Tree.Delete"; exit 1; fi
 	@if $(GO) list -deps ./cmd/nncell ./cmd/nnrouter ./cmd/loadgen | grep -x repro/internal/rescache; then echo "the served binaries may not link internal/rescache"; exit 1; fi
 	@if grep -rnwE --include='*.go' --exclude='*_test.go' 'Decompose|Fragments' internal/server internal/shard internal/replica cmd/nncell cmd/nnrouter | grep -v 'out\.Fragments += st\.Fragments'; then echo "the served stack stores one rectangle per cell: it may not name Decompose or Fragments"; exit 1; fi
 	@if grep -rn --include='*.go' --exclude='*_test.go' 'next\.Add(1)' cmd internal | grep -v '^internal/par/'; then echo "parallel batches claim work through internal/par only"; exit 1; fi

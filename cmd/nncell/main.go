@@ -58,7 +58,6 @@ func main() {
 		alg      = flag.String("alg", "sphere", "approximation algorithm: correct|point|sphere|nndir")
 		queries  = flag.Int("queries", 500, "number of nearest-neighbor queries")
 		seed     = flag.Int64("seed", 1, "random seed")
-		cache    = flag.Int("cache", 64, "cache budget in pages")
 		verify   = flag.Bool("verify", true, "verify every answer against a sequential scan")
 		demo     = flag.Bool("demo", false, "render a 2-D ASCII NN-diagram and exit")
 	)
@@ -70,7 +69,7 @@ func main() {
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
-	pg := pager.New(pager.Config{CachePages: *cache})
+	pg := pager.New(pager.Config{})
 	var (
 		ix        *nncell.Index
 		pts       []vec.Point

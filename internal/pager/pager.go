@@ -234,15 +234,6 @@ func (p *Pager) unlink(id PageID) {
 	p.cached--
 }
 
-// DropCache empties the LRU, simulating a cold start. Counters are preserved.
-func (p *Pager) DropCache() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.cached > 0 {
-		p.unlink(p.slots[0].prev)
-	}
-}
-
 // Stats returns a snapshot of the counters.
 func (p *Pager) Stats() Stats {
 	p.mu.Lock()

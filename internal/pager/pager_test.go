@@ -90,16 +90,6 @@ func TestWriteCaches(t *testing.T) {
 	}
 }
 
-func TestDropCache(t *testing.T) {
-	p := New(Config{CachePages: 4})
-	id := p.Alloc()
-	p.Access(id)
-	p.DropCache()
-	if p.Access(id) {
-		t.Error("hit after DropCache")
-	}
-}
-
 func TestResetStatsKeepsCache(t *testing.T) {
 	p := New(Config{CachePages: 4})
 	id := p.Alloc()
@@ -255,8 +245,8 @@ func (r *refLRU) access(id PageID) bool {
 	return hit
 }
 
-// TestAgainstReferenceLRU drives random Alloc/Free/Access/AccessRun/Write/
-// DropCache sequences through the pager and the reference side by side and
+// TestAgainstReferenceLRU drives random Alloc/Free/Access/AccessRun/Write
+// sequences through the pager and the reference side by side and
 // compares, after every step, the hit/miss result, the counters, the live
 // page count and the whole recency order (which pins the eviction victim).
 func TestAgainstReferenceLRU(t *testing.T) {
@@ -298,14 +288,11 @@ func TestAgainstReferenceLRU(t *testing.T) {
 				for _, id := range run {
 					ref.access(id)
 				}
-			case r < 0.97:
+			default:
 				id := pick()
 				p.Write(id)
 				ref.touch(id)
 				ref.stats.Writes++
-			default:
-				p.DropCache()
-				ref.order = ref.order[:0]
 			}
 			if got := p.Stats(); got != ref.stats {
 				t.Fatalf("seed %d op %d: stats = %+v, want %+v", seed, op, got, ref.stats)

@@ -28,10 +28,6 @@ type Config struct {
 	// Primary is the primary's base URL (e.g. http://127.0.0.1:8080); the
 	// follower appends /v1/repl/... .
 	Primary string
-	// Client issues the HTTP requests. Default: a client with no global
-	// timeout (stream requests long-poll); per-request contexts bound every
-	// call.
-	Client *http.Client
 	// Load builds a fresh index from a snapshot stream.
 	Load func(r io.Reader) (Replica, error)
 	// OnReplica is called with each freshly bootstrapped index, before any
@@ -50,9 +46,6 @@ type Config struct {
 }
 
 func (c *Config) normalize() {
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
 	if c.PollWait <= 0 {
 		c.PollWait = time.Second
 	}
@@ -121,7 +114,10 @@ type Stats struct {
 // tail every log's shipped segments, applying records through the
 // idempotent replay path while the loaded index serves read-only queries.
 type Follower struct {
-	cfg    Config
+	cfg Config
+	// client issues the HTTP requests: no global timeout (stream requests
+	// long-poll); per-request contexts bound every call.
+	client *http.Client
 	cancel context.CancelFunc
 	ctx    context.Context
 	done   chan struct{}
@@ -146,7 +142,7 @@ func NewFollower(cfg Config) (*Follower, error) {
 	}
 	cfg.normalize()
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Follower{cfg: cfg, ctx: ctx, cancel: cancel, done: make(chan struct{})}, nil
+	return &Follower{cfg: cfg, client: &http.Client{}, ctx: ctx, cancel: cancel, done: make(chan struct{})}, nil
 }
 
 // Start launches the replication loop.
@@ -245,7 +241,7 @@ func (f *Follower) bootstrap() (string, Replica, []*logState, error) {
 	if err != nil {
 		return "", nil, nil, err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := f.client.Do(req)
 	if err != nil {
 		return "", nil, nil, fmt.Errorf("snapshot request: %w", err)
 	}
@@ -409,7 +405,7 @@ func (f *Follower) fetchStream(ctx context.Context, log int, seq uint64, off int
 	if err != nil {
 		return 0, streamHdr{}, nil, err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := f.client.Do(req)
 	if err != nil {
 		return 0, streamHdr{}, nil, fmt.Errorf("stream log %d: %w", log, err)
 	}

@@ -34,7 +34,10 @@ import (
 //
 // The router holds no index state; any number of them can run side by side.
 type Router struct {
-	cfg    RouterConfig
+	cfg RouterConfig
+	// client issues proxied requests; per-request contexts carry the
+	// timeouts.
+	client *http.Client
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -51,9 +54,6 @@ type RouterConfig struct {
 	Primary string
 	// Followers are the follower base URLs (read pool).
 	Followers []string
-	// Client issues proxied requests; default a plain http.Client (per-
-	// request contexts carry the timeouts).
-	Client *http.Client
 	// HealthInterval is the follower health-poll cadence. Default 250ms.
 	HealthInterval time.Duration
 	// RequestTimeout bounds one proxied read attempt. Default 3s.
@@ -66,9 +66,6 @@ type RouterConfig struct {
 }
 
 func (c *RouterConfig) normalize() {
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 250 * time.Millisecond
 	}
@@ -98,7 +95,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg.normalize()
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Router{
-		cfg: cfg, ctx: ctx, cancel: cancel,
+		cfg: cfg, client: &http.Client{}, ctx: ctx, cancel: cancel,
 		done:    make(chan struct{}),
 		healthy: make([]atomic.Bool, len(cfg.Followers)),
 	}, nil
@@ -149,7 +146,7 @@ func (rt *Router) probe(base string) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		return false
 	}
@@ -212,7 +209,7 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("primary unreachable: %v", err), http.StatusBadGateway)
 		return
@@ -316,7 +313,7 @@ func (rt *Router) attempt(ctx context.Context, method, url, ctype string, body [
 	if ctype != "" {
 		req.Header.Set("Content-Type", ctype)
 	}
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		return attemptResult{err: err}
 	}

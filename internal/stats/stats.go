@@ -63,13 +63,6 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.count)
 }
 
-// Min and Max return the observed extremes (0 if empty).
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
 // Max returns the largest observed duration (0 if empty).
 func (h *Histogram) Max() time.Duration {
 	h.mu.Lock()
@@ -103,7 +96,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	for i, c := range h.buckets {
 		seen += c
 		if seen >= rank {
-			upper := time.Duration(1) << uint(i+1)
+			upper := BucketUpper(i)
 			if upper > h.max && h.max > 0 {
 				upper = h.max
 			}

@@ -28,12 +28,26 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Mean() != wantMean {
 		t.Errorf("Mean = %v, want %v", h.Mean(), wantMean)
 	}
-	if h.Min() != time.Microsecond || h.Max() != 16*time.Microsecond {
-		t.Errorf("Min/Max = %v/%v", h.Min(), h.Max())
+	if s := h.Snapshot(); s.Min != time.Microsecond || s.Max != 16*time.Microsecond {
+		t.Errorf("Min/Max = %v/%v", s.Min, s.Max)
 	}
 	h.Observe(-5) // clamps to zero
-	if h.Min() != 0 {
-		t.Errorf("negative observation: Min = %v", h.Min())
+	if s := h.Snapshot(); s.Min != 0 {
+		t.Errorf("negative observation: Min = %v", s.Min)
+	}
+}
+
+// The top bucket's upper edge is 2^63 ns, one past the largest Duration: the
+// quantile there is the observed maximum, not a wrapped edge.
+func TestHistogramQuantileTopBucket(t *testing.T) {
+	var h Histogram
+	h.Observe(time.Nanosecond)
+	h.Observe(math.MaxInt64)
+	if got := h.Quantile(1); got != math.MaxInt64 {
+		t.Errorf("Quantile(1) = %v, want the maximum %v", got, time.Duration(math.MaxInt64))
+	}
+	if got := h.Quantile(0.5); got != BucketUpper(0) {
+		t.Errorf("Quantile(0.5) = %v, want bucket 0's edge %v", got, BucketUpper(0))
 	}
 }
 

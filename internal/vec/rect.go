@@ -231,21 +231,6 @@ func (r Rect) Center() Point {
 // Extent returns Hi[i] - Lo[i].
 func (r Rect) Extent(i int) float64 { return r.Hi[i] - r.Lo[i] }
 
-// LongestDim returns the dimension with the largest extent.
-func (r Rect) LongestDim() int {
-	best, bestExt := 0, math.Inf(-1)
-	for i := range r.Lo {
-		if e := r.Extent(i); e > bestExt {
-			best, bestExt = i, e
-		}
-	}
-	return best
-}
-
-// Clip returns r intersected with bounds; a convenience alias used when
-// restricting cells to the data space.
-func (r Rect) Clip(bounds Rect) Rect { return r.Intersect(bounds) }
-
 // ClampInPlace moves p coordinate-wise to the nearest point inside r. It is
 // the projection used by the out-of-bounds query fallback: for a point outside
 // the data space, the clamped point is the closest in-space location.

@@ -11,7 +11,6 @@ package vec
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -44,35 +43,6 @@ func (p Point) Equal(q Point) bool {
 	return true
 }
 
-// Add returns p + q as a new point.
-func (p Point) Add(q Point) Point {
-	mustSameDim(len(p), len(q))
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = p[i] + q[i]
-	}
-	return r
-}
-
-// Sub returns p - q as a new point.
-func (p Point) Sub(q Point) Point {
-	mustSameDim(len(p), len(q))
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = p[i] - q[i]
-	}
-	return r
-}
-
-// Scale returns s·p as a new point.
-func (p Point) Scale(s float64) Point {
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = s * p[i]
-	}
-	return r
-}
-
 // Dot returns the inner product of p and q.
 func (p Point) Dot(q Point) float64 {
 	mustSameDim(len(p), len(q))
@@ -85,9 +55,6 @@ func (p Point) Dot(q Point) float64 {
 
 // Norm2 returns the squared Euclidean norm of p.
 func (p Point) Norm2() float64 { return p.Dot(p) }
-
-// Norm returns the Euclidean norm of p.
-func (p Point) Norm() float64 { return math.Sqrt(p.Norm2()) }
 
 // String renders the point with a compact fixed precision, e.g. "(0.25, 0.75)".
 func (p Point) String() string {

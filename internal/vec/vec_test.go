@@ -13,20 +13,11 @@ func TestPointBasics(t *testing.T) {
 	if p.Dim() != 3 {
 		t.Fatalf("Dim = %d, want 3", p.Dim())
 	}
-	if got := p.Add(q); !got.Equal(Point{5, 7, 9}) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := q.Sub(p); !got.Equal(Point{3, 3, 3}) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := p.Scale(2); !got.Equal(Point{2, 4, 6}) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := p.Dot(q); got != 32 {
 		t.Errorf("Dot = %v, want 32", got)
 	}
-	if got := (Point{3, 4}).Norm(); got != 5 {
-		t.Errorf("Norm = %v, want 5", got)
+	if got := (Point{3, 4}).Norm2(); got != 25 {
+		t.Errorf("Norm2 = %v, want 25", got)
 	}
 	c := p.Clone()
 	c[0] = 99
@@ -53,7 +44,7 @@ func TestDimMismatchPanics(t *testing.T) {
 			t.Error("expected panic on dimension mismatch")
 		}
 	}()
-	_ = Point{1}.Add(Point{1, 2})
+	_ = Point{1}.Dot(Point{1, 2})
 }
 
 func TestEuclidean(t *testing.T) {
@@ -133,9 +124,6 @@ func TestRectBasics(t *testing.T) {
 	}
 	if !r.Center().Equal(Point{1, 2}) {
 		t.Errorf("Center = %v", r.Center())
-	}
-	if r.LongestDim() != 1 {
-		t.Errorf("LongestDim = %d, want 1", r.LongestDim())
 	}
 	if !r.Contains(Point{2, 4}) {
 		t.Error("boundary point not contained")

@@ -145,16 +145,6 @@ func NNCell(points []vec.Point, i int, bounds vec.Rect) Polygon {
 	return cell
 }
 
-// NNDiagram returns the exact NN-cell of every point (the paper's
-// NN-diagram). Cells of duplicate points may be degenerate.
-func NNDiagram(points []vec.Point, bounds vec.Rect) []Polygon {
-	cells := make([]Polygon, len(points))
-	for i := range points {
-		cells[i] = NNCell(points, i, bounds)
-	}
-	return cells
-}
-
 // Render draws an ASCII NN-diagram: each character cell of the w×h raster is
 // labelled with the identity of its nearest point (a–z cycling), with '*'
 // marking the data points themselves. It reproduces the visual intuition of

@@ -94,9 +94,9 @@ func TestCellsPartitionDataSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
 		pts := randPoints(rng, 3+rng.Intn(40))
-		cells := NNDiagram(pts, unit())
 		total := 0.0
-		for i, c := range cells {
+		for i := range pts {
+			c := NNCell(pts, i, unit())
 			if c.IsEmpty() {
 				t.Fatalf("trial %d: cell %d empty", trial, i)
 			}
@@ -115,7 +115,10 @@ func TestCellsPartitionDataSpace(t *testing.T) {
 func TestCellMembershipMatchesNearest(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	pts := randPoints(rng, 25)
-	cells := NNDiagram(pts, unit())
+	cells := make([]Polygon, len(pts))
+	for i := range pts {
+		cells[i] = NNCell(pts, i, unit())
+	}
 	metric := vec.Euclidean{}
 	for trial := 0; trial < 2000; trial++ {
 		q := vec.Point{rng.Float64(), rng.Float64()}

