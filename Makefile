@@ -93,21 +93,24 @@ race:
 # solved MBR run on the per-worker cellCtx scratch, every cell goes straight
 # into its float32 slab row, and no tree is built) and, at n = 10^4, d = 8,
 # unless the built index retains no more heap per point than coordinates,
-# float32 cell rows and the two directories take (<= 280 B: a resident tree or
-# per-cell float64 rectangles trip it; the case also prints the build's
-# ms/op), BenchmarkQueryNearest unless the warm NN query
-# runs at 0 allocs/op, BenchmarkQueryKNearest unless the warm k = 10 query
-# does (the regexp's NN-Direction/d=8 selects both the n = 250 case and the
-# served shape NN-Direction/d=8/n=10000, where a directory row is 157 words
-# and the query kernels are the query, run once per kernel set the CPU has —
-# .../kernel=go and .../kernel=avx2, the before/after row of a kernel change;
-# both print folds/op, the k = 10 query also passes/op, and fail unless every
-# kernel set folds the same points in the same box passes);
+# their byte codes (d B), float32 cell rows and the two directories take
+# (<= 280 B: a resident tree or per-cell float64 rectangles trip it; the case
+# also prints the build's ms/op), BenchmarkQueryNearest unless the warm NN
+# query runs at 0 allocs/op and, at the served shape, takes at most 40
+# distances a query (the code bound leaves about a dozen of its 220
+# survivors; a bound that stops skipping trips it), BenchmarkQueryKNearest
+# unless the warm k = 10 query does (the regexp's NN-Direction/d=8 selects
+# both the n = 250 case and the served shape NN-Direction/d=8/n=10000, where
+# a directory row is 157 words and the query kernels are the query, run once
+# per kernel set the CPU has — .../kernel=go and .../kernel=avx2, the
+# before/after row of a kernel change; both print folds/op and dists/op, the
+# k = 10 query also passes/op, and fail unless every kernel set folds the same
+# points in the same box passes);
 # BenchmarkQueryStages times the served NN query's stages — row AND, the
 # survivors listed with their distances (bounded at +Inf, the candidates
 # query's list), the whole NN fold — and the k = 10 query's — the seed fold,
 # the box pass's row AND with the seeds masked out, its fold — once per kernel
-# set, the per-stage split of a kernel change; BenchmarkCellDirUpdate tracks
+# set (the folds also print dists/op), the per-stage split of a kernel change; BenchmarkCellDirUpdate tracks
 # the two directories' share of a cell recompute and of a point insert +
 # delete, BenchmarkInsertEager one whole eager insert (ms, LP solves and cells
 # recomputed per op), BenchmarkDynamicInsert concurrent inserts at 1, 2 and 4

@@ -164,11 +164,12 @@ func BenchmarkBuild(b *testing.B) {
 	}
 
 	// The served shape (the benchmark's lib-nn-d8): besides ms/op it reports
-	// the heap a built index retains per point — 64 B of coordinates, a 64 B
-	// float32 cell row and 64 B in each directory at d = 8, 262 B measured —
-	// and fails above 280 B, so that neither a resident tree (another ~280 B
-	// per point) nor per-cell float64 rectangles (another ~112 B) can come
-	// back unnoticed. It fails, too, unless every kernel set pivots alike.
+	// the heap a built index retains per point — 64 B of coordinates and 8 B
+	// of their byte codes, a 64 B float32 cell row and 64 B in each directory
+	// at d = 8, 270 B measured — and fails above 280 B, so that neither a
+	// resident tree (another ~280 B per point) nor per-cell float64
+	// rectangles (another ~112 B) can come back unnoticed. It fails, too,
+	// unless every kernel set pivots alike.
 	b.Run("NN-Direction/d=8/n=10000", func(b *testing.B) {
 		const n, d = 10000, 8
 		b.StopTimer()

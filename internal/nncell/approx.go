@@ -27,6 +27,8 @@ type cellCtx struct {
 	consFlat   []float64  // len(cons)·d coefficient backing, row k at [k*d:(k+1)*d]
 	c          []float64  // objective buffer (len d)
 	mbr        vec.Rect   // solveMBR's result, valid until the next solve
+	slack      []float64  // solveMBR: b − a·p of each bisector
+	certified  []bool     // solveMBR: extent 2j (+e_j) or 2j+1 (−e_j) was the box bound without a solve
 	ids        []int      // constraint-point id buffer
 	dirScratch            // point-directory searches: neighbour pool, pruning range, duplicate check
 	nbrs       []Neighbor // neighbour-pool result buffer
@@ -41,7 +43,7 @@ type cellCtx struct {
 }
 
 func newCellCtx(d int) *cellCtx {
-	return &cellCtx{c: make([]float64, d), mbr: vec.EmptyRect(d)}
+	return &cellCtx{c: make([]float64, d), mbr: vec.EmptyRect(d), certified: make([]bool, 2*d)}
 }
 
 // approximateCell computes the approximation MBR of point i's NN-cell using
@@ -130,6 +132,13 @@ func (ix *Index) bisectors(cc *cellCtx, p vec.Point, ids []int) []lp.Constraint 
 // solveMBR runs the 2·d extent LPs of Definition 3 over the given bisector
 // constraints and returns the (un-padded) MBR, which is cc.mbr. The constraint
 // set is normalized and validated once; all 2·d objectives reuse it.
+//
+// An extent whose optimum is certified to lie on its face of the box is not
+// solved: the box bound is the largest extent there is, and finishRect clips
+// to it, so the stored row is the same. It is certified when p with that
+// coordinate moved to the face satisfies every bisector (the point lies in
+// the cell and on the face), or when the optimal vertex of an earlier solve
+// for the cell already lies on it (cc.certified records which).
 func (ix *Index) solveMBR(cc *cellCtx, p vec.Point, cons []lp.Constraint) (vec.Rect, error) {
 	cc.prob = lp.Problem{NumVars: ix.dim, Cons: cons, Lo: ix.bounds.Lo, Hi: ix.bounds.Hi}
 	if err := cc.solver.Load(&cc.prob); err != nil {
@@ -138,22 +147,42 @@ func (ix *Index) solveMBR(cc *cellCtx, p vec.Point, cons []lp.Constraint) (vec.R
 	d := ix.dim
 	mbr := cc.mbr
 	c := cc.c
+	lo, hi := ix.bounds.Lo, ix.bounds.Hi
+	cc.slack = cc.slack[:0]
+	for _, con := range cons {
+		ap := 0.0
+		for j, a := range con.A {
+			ap += a * p[j]
+		}
+		cc.slack = append(cc.slack, con.B-ap)
+	}
 	for j := 0; j < d; j++ {
-		c[j] = 1
-		res, err := cc.solver.Solve(c)
-		if err != nil {
-			return vec.Rect{}, err
+		cc.certified[2*j] = cc.movedFeasible(cons, j, hi[j]-p[j])
+		cc.certified[2*j+1] = cc.movedFeasible(cons, j, lo[j]-p[j])
+	}
+	for j := 0; j < d; j++ {
+		mbr.Hi[j], mbr.Lo[j] = hi[j], lo[j]
+		for face, sign := range [2]float64{1, -1} {
+			if cc.certified[2*j+face] {
+				continue
+			}
+			c[j] = sign
+			res, err := cc.solver.Solve(c)
+			c[j] = 0
+			if err != nil {
+				return vec.Rect{}, err
+			}
+			cc.noteLP(res)
+			if face == 0 {
+				mbr.Hi[j] = res.Value
+			} else {
+				mbr.Lo[j] = -res.Value
+			}
+			for k, x := range res.X {
+				cc.certified[2*k] = cc.certified[2*k] || x >= hi[k]
+				cc.certified[2*k+1] = cc.certified[2*k+1] || x <= lo[k]
+			}
 		}
-		cc.noteLP(res)
-		mbr.Hi[j] = res.Value
-		c[j] = -1
-		res, err = cc.solver.Solve(c)
-		if err != nil {
-			return vec.Rect{}, err
-		}
-		cc.noteLP(res)
-		mbr.Lo[j] = -res.Value
-		c[j] = 0
 		// The point itself is feasible, so the extent must straddle it;
 		// enforce it against numerical shaving.
 		if mbr.Lo[j] > p[j] {
@@ -164,6 +193,18 @@ func (ix *Index) solveMBR(cc *cellCtx, p vec.Point, cons []lp.Constraint) (vec.R
 		}
 	}
 	return mbr, nil
+}
+
+// movedFeasible reports whether the point p that solveMBR took the slack of
+// cons at, moved by t along e_j, satisfies every constraint: a·(p + t·e_j) ≤
+// b, that is a_j·t ≤ b − a·p.
+func (cc *cellCtx) movedFeasible(cons []lp.Constraint, j int, t float64) bool {
+	for k, con := range cons {
+		if con.A[j]*t > cc.slack[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // noteLP counts one solve on the ctx.
@@ -229,7 +270,7 @@ func (ix *Index) pointsWithin(cc *cellCtx, i int, radius float64) (ids []int, al
 	p, r2 := ix.point(i), radius*radius
 	cc.box, _ = ix.pdir.box(&cc.dirScratch, cc.box, p, outwardRadius(r2), nil)
 	ids = cc.ids[:0]
-	within, _ := cc.bounded(p, ix.ptsFlat, cc.box, r2, nil)
+	within, _, _ := cc.bounded(p, ix.ptsFlat, ix.pdir, cc.box, r2, nil)
 	for _, nb := range within {
 		if nb.ID != i {
 			ids = append(ids, nb.ID)
@@ -352,6 +393,6 @@ func (ix *Index) nearestOthers(cc *cellCtx, i, k int) []Neighbor {
 	if k < others {
 		r2 = ix.pdir.densityR2(k, ix.alive)
 	}
-	cc.nbrs, _, _ = ix.pdir.search(&cc.dirScratch, cc.nbrs[:0], k, ix.point(i), ix.ptsFlat, r2, math.Inf(1))
+	cc.nbrs, _, _, _ = ix.pdir.search(&cc.dirScratch, cc.nbrs[:0], k, ix.point(i), ix.ptsFlat, r2, math.Inf(1))
 	return cc.nbrs
 }

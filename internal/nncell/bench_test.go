@@ -27,6 +27,9 @@ const (
 
 	servedN, servedD = 10000, 8
 	servedQueries    = 8192
+	// servedMaxDists is the most distances a served-shape NN query may take
+	// on average: the code bound leaves about a dozen of its 220 survivors.
+	servedMaxDists = 40
 )
 
 func benchIndex(b *testing.B, alg Algorithm, d, n, queries int) (*Index, []vec.Point) {
@@ -72,9 +75,12 @@ func forBenchConfigs(b *testing.B, served bool, f func(b *testing.B, ix *Index, 
 // in the same box passes over one pass of the queries, then times it and
 // reports, beside ns/op, the points a query folds (Stats.Candidates; the same
 // before and after a change to the kernels, or the change is not to the
-// kernels alone) and, where the query searches the point directory, its box
-// passes (passes/op: one when the seeds' k-th distance settles the search).
-func benchWarmQuery(b *testing.B, name string, ix *Index, queries int, query func(i int)) {
+// kernels alone), the distances it takes of them (dists/op: on the avx2
+// kernels the code bound skips the rest; the Go loops take them all) and,
+// where the query searches the point directory, its box passes (passes/op:
+// one when the seeds' k-th distance settles the search). It fails when a
+// query takes more than maxDists distances (0: no limit).
+func benchWarmQuery(b *testing.B, name string, ix *Index, queries int, maxDists float64, query func(i int)) {
 	query(0) // warm the pooled context
 	var passFolds, passPasses []uint64
 	for _, set := range kernelSets() {
@@ -96,23 +102,33 @@ func benchWarmQuery(b *testing.B, name string, ix *Index, queries int, query fun
 			b.Fatalf("warm %s allocates %v/op, want 0", name, allocs)
 		}
 	}
-	folds, passes := ix.Stats().Candidates, ix.stats.passes.Load()
+	folds, passes, dists := ix.Stats().Candidates, ix.stats.passes.Load(), ix.stats.dists.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query(i)
 	}
 	b.ReportMetric(float64(ix.Stats().Candidates-folds)/float64(b.N), "folds/op")
+	perQuery := float64(ix.stats.dists.Load()-dists) / float64(b.N)
+	b.ReportMetric(perQuery, "dists/op")
 	if passes := ix.stats.passes.Load() - passes; passes > 0 {
 		b.ReportMetric(float64(passes)/float64(b.N), "passes/op")
+	}
+	if maxDists > 0 && perQuery > maxDists {
+		b.Fatalf("%s takes %.1f distances a query, more than %v: the code bound has stopped skipping", name, perQuery, maxDists)
 	}
 }
 
 // BenchmarkQueryNearest fails unless the warm query runs at 0 allocs/op (the
-// bench-smoke gate, like BenchmarkSolveMBR's).
+// bench-smoke gate, like BenchmarkSolveMBR's) and, at the served shape on the
+// avx2 kernels, takes at most servedMaxDists distances a query.
 func BenchmarkQueryNearest(b *testing.B) {
 	forBenchConfigs(b, true, func(b *testing.B, ix *Index, qs []vec.Point) {
-		benchWarmQuery(b, "NearestNeighbor", ix, len(qs), func(i int) {
+		maxDists := 0.0
+		if ix.Len() == servedN && KernelSet() == "avx2" {
+			maxDists = servedMaxDists
+		}
+		benchWarmQuery(b, "NearestNeighbor", ix, len(qs), maxDists, func(i int) {
 			if _, err := ix.NearestNeighbor(qs[i%len(qs)]); err != nil {
 				b.Fatal(err)
 			}
@@ -132,7 +148,8 @@ func BenchmarkQueryNearest(b *testing.B) {
 // row AND at the tenth seed distance, the survivors masked out in the AND
 // (pointDir.box); "knn-boxfold", that box folded into the seeds' best ten
 // (bounded at the tenth distance, then InsertTopK). All but "and" run on the
-// sets of the first stageSets queries, taken before the clock starts. The
+// sets of the first stageSets queries, taken before the clock starts; the
+// two folds at a bound also report the distances they take (dists/op). The
 // per-stage split of a kernel change is this one command.
 func BenchmarkQueryStages(b *testing.B) {
 	const stageSets, k = 512, 10
@@ -144,7 +161,7 @@ func BenchmarkQueryStages(b *testing.B) {
 		var ds dirScratch
 		sets[i] = ix.dir.survivors(&ds, nil, qs[i])
 		bitsPerSet += float64(onesCount(sets[i])) / stageSets
-		seeds[i], _ = ds.seedTopK(nil, k, qs[i], ix.ptsFlat, sets[i])
+		seeds[i], _ = ds.seedTopK(nil, k, qs[i], ix.ptsFlat, ix.pdir, sets[i])
 		boxes[i], _ = ix.pdir.box(&ds, nil, qs[i], outwardRadius(seeds[i][k-1].Dist2), sets[i])
 	}
 	for _, set := range kernelSets() {
@@ -152,20 +169,28 @@ func BenchmarkQueryStages(b *testing.B) {
 			defer useKernelSet(set)()
 			var qc QueryCtx
 			top := make([]Neighbor, 0, k)
+			dists := 0 // taken by the stage's folds since its clock started
 			stage := func(name string, op func(i int)) {
 				b.Run(name, func(b *testing.B) {
 					op(0)
 					b.ResetTimer()
+					dists = 0
 					for i := 0; i < b.N; i++ {
 						op(i)
 					}
 					b.ReportMetric(bitsPerSet, "survivors/op")
+					if dists > 0 {
+						b.ReportMetric(float64(dists)/float64(b.N), "dists/op")
+					}
 				})
 			}
 			stage("and", func(i int) { qc.surv = ix.dir.survivors(&qc.dirScratch, qc.surv, qs[i%len(qs)]) })
-			stage("list", func(i int) { qc.bounded(qs[i%stageSets], ix.ptsFlat, sets[i%stageSets], math.Inf(1), nil) })
-			stage("fold", func(i int) { qc.nearest(qs[i%stageSets], ix.ptsFlat, sets[i%stageSets]) })
-			stage("knn-seeds", func(i int) { qc.seedTopK(top[:0], k, qs[i%stageSets], ix.ptsFlat, sets[i%stageSets]) })
+			stage("list", func(i int) { qc.bounded(qs[i%stageSets], ix.ptsFlat, ix.pdir, sets[i%stageSets], math.Inf(1), nil) })
+			stage("fold", func(i int) {
+				_, _, n, _ := qc.nearest(qs[i%stageSets], ix.ptsFlat, ix.pdir, sets[i%stageSets])
+				dists += n
+			})
+			stage("knn-seeds", func(i int) { qc.seedTopK(top[:0], k, qs[i%stageSets], ix.ptsFlat, ix.pdir, sets[i%stageSets]) })
 			stage("knn-box", func(i int) {
 				j := i % stageSets
 				qc.box, _ = ix.pdir.box(&qc.dirScratch, qc.box, qs[j], outwardRadius(seeds[j][k-1].Dist2), sets[j])
@@ -173,10 +198,11 @@ func BenchmarkQueryStages(b *testing.B) {
 			stage("knn-boxfold", func(i int) {
 				j := i % stageSets
 				h := append(top[:0], seeds[j]...)
-				kept, _ := qc.bounded(qs[j], ix.ptsFlat, boxes[j], h[k-1].Dist2, nil)
+				kept, _, n := qc.bounded(qs[j], ix.ptsFlat, ix.pdir, boxes[j], h[k-1].Dist2, nil)
 				for _, nb := range kept {
 					h, _ = InsertTopK(h, k, nb)
 				}
+				dists += n
 			})
 		})
 	}
@@ -238,7 +264,7 @@ func BenchmarkQueryCandidates(b *testing.B) {
 func BenchmarkQueryKNearest(b *testing.B) {
 	forBenchConfigs(b, true, func(b *testing.B, ix *Index, qs []vec.Point) {
 		nbs := make([]Neighbor, 0, 10)
-		benchWarmQuery(b, "KNearestAppend", ix, len(qs), func(i int) {
+		benchWarmQuery(b, "KNearestAppend", ix, len(qs), 0, func(i int) {
 			var err error
 			if nbs, err = ix.KNearestAppend(nbs[:0], qs[i%len(qs)], 10); err != nil {
 				b.Fatal(err)

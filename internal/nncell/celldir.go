@@ -37,6 +37,7 @@ type cellDir struct {
 type stripeGrid struct {
 	lo    []float64 // data-space lower corner
 	scale []float64 // stripes / data-space extent; 0 for a zero-width dimension
+	inv   float64   // the code bound's factor (codeInv)
 }
 
 func newStripeGrid(bounds vec.Rect) stripeGrid {
@@ -44,11 +45,13 @@ func newStripeGrid(bounds vec.Rect) stripeGrid {
 		lo:    append([]float64(nil), bounds.Lo...),
 		scale: make([]float64, bounds.Dim()),
 	}
+	widths := make([]float64, bounds.Dim())
 	for j := range g.scale {
 		if w := bounds.Hi[j] - bounds.Lo[j]; w > 0 {
-			g.scale[j] = stripes / w
+			g.scale[j], widths[j] = stripes/w, w
 		}
 	}
+	g.inv = codeInv(widths)
 	return g
 }
 

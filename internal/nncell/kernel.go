@@ -187,23 +187,30 @@ func dist2s(list []Neighbor, q, pts []float64) []Neighbor {
 
 // nearest returns the point of set (live ids only) nearest to q, the first
 // strictly smaller squared distance in ascending id order so that ties go to
-// the smaller id, and the number of points in set; found is false when no
-// distance is below +Inf, as for an empty set. With AVX2 and d a multiple of
-// four that is one pass of nearestAVX2 — the bits walked, the distances taken
-// and the minimum kept without a list between them — which checks every id
-// against the rows of pts before reading one; on the go set and at other d it
-// is the list of ds.dists (appendBits, dist2s) and a Go minimum, the
-// reference the kernel matches bit for bit.
-func (ds *dirScratch) nearest(q, pts []float64, set []uint64) (nb Neighbor, count int, found bool) {
+// the smaller id, the number of points in set and the number whose distance
+// it took; found is false when no distance is below +Inf, as for an empty
+// set. With AVX2 and d a multiple of four that is one pass of nearestAVX2 —
+// the bits walked, the code bounds (codes.go; pd holds the codes of the rows
+// of pts) of each group of eight taken against the least distance so far,
+// the distances of the points they leave taken eight at a time and the
+// minimum kept, without a list between them — which checks every id against
+// the rows of pts before reading one; on the go set and at other d it is the
+// list of ds.dists (appendBits, dist2s) and a Go minimum, every distance
+// taken, the reference the kernel matches bit for bit.
+func (ds *dirScratch) nearest(q, pts []float64, pd *pointDir, set []uint64) (nb Neighbor, count, dists int, found bool) {
 	if d := len(q); cpu.AVX2 && d > 0 && d%4 == 0 {
-		id, d2, count, ok := nearestAVX2(set, q, pts, len(pts)/d)
+		qc, inv := ds.queryCodes(pd, q)
+		id, d2, count, dists, ok := nearestAVX2(set, q, pts, len(pts)/d, pd.codesOf(pts), qc, inv)
 		if !ok {
 			panic("nncell: nearest: a survivor id is past the coordinate store")
 		}
-		if id < 0 {
-			return Neighbor{}, count, false
+		if qc == nil {
+			dists = count
 		}
-		return Neighbor{ID: id, Dist2: d2}, count, true
+		if id < 0 {
+			return Neighbor{}, count, dists, false
+		}
+		return Neighbor{ID: id, Dist2: d2}, count, dists, true
 	}
 	cand := ds.dists(q, pts, set)
 	at, least := -1, math.Inf(1)
@@ -213,9 +220,9 @@ func (ds *dirScratch) nearest(q, pts []float64, set []uint64) (nb Neighbor, coun
 		}
 	}
 	if at < 0 {
-		return Neighbor{}, len(cand), false
+		return Neighbor{}, len(cand), len(cand), false
 	}
-	return cand[at], len(cand), true
+	return cand[at], len(cand), len(cand), true
 }
 
 // laneMinima holds, for each of eight lanes — the entries of a candidate list
@@ -291,38 +298,73 @@ func (m *laneMinima) bound(k int) float64 {
 // bounded lists the points of set (live ids only) whose squared distance from
 // q is not above bound — ¬(Dist2 > bound), which a NaN distance or bound also
 // passes — ascending by id with their Dist2, and returns the list (in
-// ds.cand) and the population count of set. With mins it also takes every
-// point of set, before the bound, into mins (laneMinima.fold). pointsWithin
-// takes its ball from it at its radius, and CandidatesNearestAppend every
-// point of set with its distance at +Inf, both without mins. With AVX2 and
-// d a multiple of four that is one pass of boundedAVX2 — the bits walked, the
-// distances taken, each group of four compared with the bound and only its
-// passing lanes written — which checks every id against the rows of pts
-// before reading one; on the go set and at other d it is the list of
+// ds.cand), the population count of set and the number of distances it took.
+// With mins it also takes every point of set, before the bound, into mins
+// (laneMinima.fold). pointsWithin takes its ball from it at its radius, and
+// CandidatesNearestAppend every point of set with its distance at +Inf, both
+// without mins. With AVX2 and d a multiple of four that is one pass of
+// boundedAVX2 — the bits walked, the distances taken, each group of four
+// compared with the bound and only its passing lanes written — which checks
+// every id against the rows of pts before reading one; without mins and at a
+// finite bound a point whose code bound (codes.go; pd holds the codes of the
+// rows of pts) exceeds the bound's is farther than it, and the kernel does
+// not take its distance. On the go set and at other d it is the list of
 // ds.dists (appendBits, dist2s), the minima over it and a compaction without
-// branches, the reference the kernel matches bit for bit.
-func (ds *dirScratch) bounded(q, pts []float64, set []uint64, bound float64, mins *laneMinima) ([]Neighbor, int) {
+// branches, every distance taken, the reference the kernel matches bit for
+// bit.
+func (ds *dirScratch) bounded(q, pts []float64, pd *pointDir, set []uint64, bound float64, mins *laneMinima) (_ []Neighbor, count, dists int) {
 	if d := len(q); cpu.AVX2 && d > 0 && d%4 == 0 {
-		kept, count, ok := boundedAVX2(set, q, pts, len(pts)/d, bound, ds.cand[:cap(ds.cand)], mins)
+		var qc []uint64 // none: no code bound
+		lim := 0
+		if mins == nil && bound < math.Inf(1) {
+			var inv float64
+			qc, inv = ds.queryCodes(pd, q)
+			lim = int(limit(bound, inv))
+		}
+		codes := pd.codesOf(pts)
+		kept, count, dists, ok := boundedAVX2(set, q, pts, len(pts)/d, bound, ds.cand[:cap(ds.cand)], mins, codes, qc, lim)
 		if kept < 0 {
 			// Too little room: grow, as appendBits does, to four times the
 			// set's bits and the entry the kernel writes past the last kept.
 			ds.cand = slices.Grow(ds.cand[:0], 4*(onesCount(set)+1))
-			kept, count, ok = boundedAVX2(set, q, pts, len(pts)/d, bound, ds.cand[:cap(ds.cand)], mins)
+			kept, count, dists, ok = boundedAVX2(set, q, pts, len(pts)/d, bound, ds.cand[:cap(ds.cand)], mins, codes, qc, lim)
 		}
 		if !ok {
 			panic("nncell: bounded: a set id is past the coordinate store")
 		}
-		return ds.cand[:kept], count
+		if qc == nil {
+			dists = count
+		}
+		return ds.cand[:kept], count, dists
 	}
 	cand := ds.dists(q, pts, set)
 	if mins != nil {
 		mins.fold(cand)
 	}
 	if bound == math.Inf(1) {
-		return cand, len(cand) // ¬(Dist2 > +Inf) holds for every entry, a NaN too
+		return cand, len(cand), len(cand) // ¬(Dist2 > +Inf) holds for every entry, a NaN too
 	}
-	return compact(cand, bound), len(cand)
+	return compact(cand, bound), len(cand), len(cand)
+}
+
+// queryCodes returns the query's side of the code bound (codes.go), in
+// ds.qcodes, and the factor of limit, or nil where the folds take every
+// distance: pd keeps no codes, the grid's factor is +Inf, or q has a NaN
+// coordinate, which makes every distance NaN, a distance every fold keeps.
+// It runs queryCodesAVX2, as its callers run the kernels.
+func (ds *dirScratch) queryCodes(pd *pointDir, q []float64) ([]uint64, float64) {
+	if len(pd.codes) == 0 || pd.inv == math.Inf(1) {
+		return nil, math.Inf(1)
+	}
+	n := 2 * len(pd.codes)
+	if cap(ds.qcodes) < n {
+		ds.qcodes = make([]uint64, n)
+	}
+	ds.qcodes = ds.qcodes[:n]
+	if queryCodesAVX2(ds.qcodes, q, pd.lo, pd.scale) {
+		return nil, math.Inf(1)
+	}
+	return ds.qcodes, pd.inv
 }
 
 // compact moves the entries of list whose Dist2 is not above bound —

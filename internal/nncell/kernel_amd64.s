@@ -153,58 +153,69 @@ andNot4done:
 	TERM(Y6, Y8, Y15)
 
 // WORD lists the set bits of the word in AX, bit 0 standing for id BX, into
-// the id buffer at DI: it writes the ids, ascending, as quadwords, four per
-// step whatever the word holds — TZCNT of an exhausted word is 64, an id the
-// next word overwrites — then advances DI by the word's population count
-// (R8) and BX to the next word's first id. The one branch on the data is
-// taken by a word of more than four bits; step names the step's label. AX,
-// R9 and R10 are clobbered.
+// the id buffer at DI: it writes the ids, ascending, as dwords, four per step
+// whatever the word holds — TZCNT of an exhausted word is 64, an id the next
+// word overwrites — then advances DI by the word's population count (R8) and
+// BX to the next word's first id. The one branch on the data is taken by a
+// word of more than four bits; step names the step's label. AX, R9 and R10
+// are clobbered.
 #define WORD(step) \
 	POPCNTQ AX, R8; \
 	MOVQ    DI, R10; \
 step: \
 	TZCNTQ AX, R9; \
 	ADDQ   BX, R9; \
-	MOVQ   R9, (R10); \
+	MOVL   R9, (R10); \
 	BLSRQ  AX, AX; \
 	TZCNTQ AX, R9; \
 	ADDQ   BX, R9; \
-	MOVQ   R9, 8(R10); \
+	MOVL   R9, 4(R10); \
 	BLSRQ  AX, AX; \
 	TZCNTQ AX, R9; \
 	ADDQ   BX, R9; \
-	MOVQ   R9, 16(R10); \
+	MOVL   R9, 8(R10); \
 	BLSRQ  AX, AX; \
 	TZCNTQ AX, R9; \
 	ADDQ   BX, R9; \
-	MOVQ   R9, 24(R10); \
-	ADDQ   $32, R10; \
+	MOVL   R9, 12(R10); \
+	ADDQ   $16, R10; \
 	BLSRQ  AX, AX; \
 	JNZ    step; \
-	LEAQ   (DI)(R8*8), DI; \
+	LEAQ   (DI)(R8*4), DI; \
 	ADDQ   $64, BX
 
 // The frame of the fused folds, nearestAVX2 and boundedAVX2. IDS holds the
-// listed ids, 8 bytes each, 328 of them: a block of four words starts below
-// FLUSHAT (64 ids) and adds at most 256, the words after the last block at
-// most 192, and a drain reads, as the last group's padding writes, up to 8
-// past the end. WORDP, BASE, FILL and LAST hold the walk's state across a
-// drain, COUNT the ids drained so far. nearestAVX2 keeps the lanes for its
-// reduction in MINS and LANEIDS; boundedAVX2 keeps in REALEND the end of the
-// set's ids in the last drain (until then all ones), in OUTP the next free
-// output entry across a walk and in SECOND the lanes' second least sums.
+// listed ids, 4 bytes each (the kernels' callers hold fewer than 2³² rows),
+// 328 of them: a block of four words starts below FLUSHAT (64 ids) and adds
+// at most 256, the words after the last block at most 192, and a drain reads,
+// as the last group's padding writes, up to 8 past the end. WORDP, BASE,
+// FILL and LAST hold the walk's state across a drain, COUNT the ids drained
+// so far, REALEND the end of the set's ids in the last drain (until then all
+// ones). With the code bound, PEND holds the ids whose distances are still
+// to take — fewer than eight between groups, 16 slots for the store of eight
+// that may follow — PENDP their end while a drain does not hold it in R8,
+// DISTS the number of distances taken, RAWP the next group of listed ids
+// while a pending group's are taken, and CODEEND the end of the code chunks'
+// slice headers. nearestAVX2 keeps the lanes for its reduction in MINS and
+// LANEIDS; boundedAVX2 keeps in OUTP the next free output entry across a walk
+// and in SECOND the lanes' second least sums.
 #define IDS 0
-#define FLUSHAT 512
-#define WORDP 2624
-#define BASE 2632
-#define FILL 2640
-#define LAST 2648
-#define COUNT 2656
-#define MINS 2664
-#define LANEIDS 2696
-#define REALEND 2728
-#define OUTP 2736
-#define SECOND 2744
+#define FLUSHAT 256
+#define WORDP 1312
+#define BASE 1320
+#define FILL 1328
+#define LAST 1336
+#define COUNT 1344
+#define REALEND 1352
+#define RAWP 1360
+#define PENDP 1368
+#define DISTS 1376
+#define CODEEND 1384
+#define PEND 1392
+#define MINS 1456
+#define LANEIDS 1488
+#define OUTP 1456
+#define SECOND 1464
 
 // CHECK_SET checks the set (at base, len words) against rows = len(pts)/d:
 // a bit at or past it jumps to outside, before any row is read; a set that
@@ -282,60 +293,72 @@ words: \
 
 // TAIL_COUNT marks the last drain and adds the ids listed since the one
 // before to COUNT, leaving their number in R10 and IDS in R9; with none it
-// jumps to reduce.
-#define TAIL_COUNT \
+// jumps to empty.
+#define TAIL_COUNT(empty) \
 	MOVQ $1, LAST(SP); \
 	LEAQ IDS(SP), R9; \
 	MOVQ DI, R10; \
 	SUBQ R9, R10; \
-	JZ   reduce; \
-	SHRQ $3, R10; \
+	JZ   empty; \
+	SHRQ $2, R10; \
 	ADDQ R10, COUNT(SP)
 
 // PAD_GROUP fills the last group of eight up with copies of the last id and
 // moves DI to its end.
 #define PAD_GROUP \
-	VPBROADCASTQ -8(DI), Y0; \
+	VPBROADCASTD -4(DI), Y0; \
 	VMOVDQU      Y0, (DI); \
-	VMOVDQU      Y0, 32(DI); \
 	SUBQ         R9, DI; \
-	ADDQ         $63, DI; \
-	ANDQ         $-64, DI; \
+	ADDQ         $31, DI; \
+	ANDQ         $-32, DI; \
 	ADDQ         R9, DI
 
-// DRAIN_START records DI, the end of the ids to drain, in FILL, loads the
-// registers PAIR_PASS reads — q, 8d and pts — and points DI at the first
-// group.
-#define DRAIN_START(q, d, pts) \
-	MOVQ DI, FILL(SP); \
+// FOLD_REGS loads the registers PAIR_PASS reads: q, 8d and pts.
+#define FOLD_REGS(q, d, pts) \
 	MOVQ q, DX; \
 	MOVQ d, CX; \
 	SHLQ $3, CX; \
-	MOVQ pts, R8; \
+	MOVQ pts, R8
+
+// DRAIN_START records DI, the end of the ids to drain, in FILL, loads the
+// registers PAIR_PASS reads and points DI at the first group.
+#define DRAIN_START(q, d, pts) \
+	MOVQ DI, FILL(SP); \
+	FOLD_REGS(q, d, pts); \
 	LEAQ IDS(SP), DI
 
-// GROUP_SUMS takes the sums of the group of eight ids at DI into Y14 (the
-// first four) and Y15, or jumps to drained when fewer than eight are left.
-#define GROUP_SUMS \
-	LEAQ 64(DI), R15; \
-	CMPQ R15, FILL(SP); \
-	JA   drained; \
+// ROWOF sets r to the address of the row of the point whose ID is at
+// off(DI), pts (R8) + ID·8d (CX): the fused folds check the set against the
+// row count before they read a row.
+#define ROWOF(off, r) MOVL off(DI), r; IMULQ CX, r; ADDQ R8, r
+
+// SUMS takes the sums of the group of eight ids at DI into Y14 (the first
+// four) and Y15; loop names its loop's label.
+#define SUMS(loop) \
 	ROWOF(0, AX); \
-	ROWOF(8, BX); \
-	ROWOF(16, R9); \
-	ROWOF(24, R10); \
-	ROWOF(32, R11); \
-	ROWOF(40, R12); \
-	ROWOF(48, R13); \
-	ROWOF(56, R14); \
+	ROWOF(4, BX); \
+	ROWOF(8, R9); \
+	ROWOF(12, R10); \
+	ROWOF(16, R11); \
+	ROWOF(20, R12); \
+	ROWOF(24, R13); \
+	ROWOF(28, R14); \
 	VXORPD Y14, Y14, Y14; \
 	VXORPD Y15, Y15, Y15; \
 	XORQ   R15, R15; \
-groupLoop: \
+loop: \
 	PAIR_PASS; \
 	ADDQ $32, R15; \
 	CMPQ R15, CX; \
-	JB   groupLoop
+	JB   loop
+
+// GROUP_SUMS is SUMS of the next group of eight listed ids, or jumps to
+// drained when fewer than eight are left.
+#define GROUP_SUMS \
+	LEAQ 32(DI), R15; \
+	CMPQ R15, FILL(SP); \
+	JA   drained; \
+	SUMS(groupLoop)
 
 // REFILL, after a drain that was not the last, adds the ids drained to
 // COUNT, moves the fewer than eight left to the front of IDS and goes on
@@ -344,12 +367,10 @@ groupLoop: \
 	LEAQ    IDS(SP), R9; \
 	MOVQ    DI, R10; \
 	SUBQ    R9, R10; \
-	SHRQ    $3, R10; \
+	SHRQ    $2, R10; \
 	ADDQ    R10, COUNT(SP); \
 	VMOVDQU (DI), Y0; \
-	VMOVDQU 32(DI), Y1; \
 	VMOVDQU Y0, IDS(SP); \
-	VMOVDQU Y1, (IDS+32)(SP); \
 	MOVQ    FILL(SP), R10; \
 	SUBQ    DI, R10; \
 	LEAQ    (R9)(R10*1), DI; \
@@ -357,10 +378,172 @@ groupLoop: \
 	MOVQ    BASE(SP), BX; \
 	JMP     walk
 
-// ROWOF sets r to the address of the row of the point whose ID is at
-// off(DI), pts (R8) + ID·8d (CX): the fused folds check the set against the
-// row count before they read a row.
-#define ROWOF(off, r) MOVQ off(DI), r; IMULQ CX, r; ADDQ R8, r
+// LOAD_CODES loads the code words at base + 8·id of the ids in AX, BX, R11
+// and R12 into the quadwords of lo and of those in R9, R10, R13 and R14 into
+// hi — the order in which SQUARES' sums come out of one VPHADDD as the eight
+// ids' — by broadcasts, which are loads, and blends, which leave the shuffle
+// port free. Y2 and Y3 are clobbered.
+#define LOAD_CODES(base, lo, hi) \
+	VPBROADCASTQ (base)(AX*8), lo; \
+	VPBROADCASTQ (base)(BX*8), Y2; \
+	VPBLENDD     $0x0c, Y2, lo, lo; \
+	VPBROADCASTQ (base)(R11*8), Y2; \
+	VPBLENDD     $0x30, Y2, lo, lo; \
+	VPBROADCASTQ (base)(R12*8), Y2; \
+	VPBLENDD     $0xc0, Y2, lo, lo; \
+	VPBROADCASTQ (base)(R9*8), hi; \
+	VPBROADCASTQ (base)(R10*8), Y3; \
+	VPBLENDD     $0x0c, Y3, hi, hi; \
+	VPBROADCASTQ (base)(R13*8), Y3; \
+	VPBLENDD     $0x30, Y3, hi, hi; \
+	VPBROADCASTQ (base)(R14*8), Y3; \
+	VPBLENDD     $0xc0, Y3, hi, hi
+
+// SQUARES sets the bytes of c, a word of codes of four points, to min(127,
+// max(0, |c − q| − 1)) — the saturating differences c − (q + 1) and (q − 1) −
+// c, the query's codes plus and minus one in qhi and qlo, one of them 0 — and
+// then each quadword to the sums of their squares, four to a dword
+// (VPMADDUBSW of c with itself, then VPMADDWD with the ones in Y14); 127 in
+// every byte of Y15 keeps them inside VPMADDUBSW's signed bytes. t is
+// clobbered.
+#define SQUARES(c, t, qhi, qlo) \
+	VPSUBUSB   qhi, c, t; \
+	VPSUBUSB   c, qlo, c; \
+	VPOR       t, c, c; \
+	VPMINUB    Y15, c, c; \
+	VPMADDUBSW c, c, c; \
+	VPMADDWD   Y14, c, c
+
+// CODE_CONSTS loads the constants of CODE_BOUNDS: the words 1 in Y14, the
+// bytes 127 in Y15, the first chunk's base in R15 and the query's codes of
+// it plus and minus one in Y6 and Y7 (from the slice headers at codes and
+// the words at qcodes). PAIR_PASS clobbers them.
+#define CODE_CONSTS(codes, qcodes) \
+	VPCMPEQW     Y14, Y14, Y14; \
+	VPSRLW       $15, Y14, Y14; \
+	MOVL         $0x7f7f7f7f, AX; \
+	VMOVD        AX, X15; \
+	VPBROADCASTD X15, Y15; \
+	MOVQ         codes, AX; \
+	MOVQ         (AX), R15; \
+	MOVQ         qcodes, AX; \
+	VPBROADCASTQ (AX), Y6; \
+	VPBROADCASTQ 8(AX), Y7
+
+// CODE_END stores in CODEEND the end of the slice headers of the code chunks
+// (at base, len of them).
+#define CODE_END(base, len) \
+	MOVQ len, AX; \
+	LEAQ (AX)(AX*2), AX; \
+	MOVQ base, CX; \
+	LEAQ (CX)(AX*8), AX; \
+	MOVQ AX, CODEEND(SP)
+
+// LIMIT puts the code limit in AX, a 32-bit integer, into every dword of
+// Y11.
+#define LIMIT \
+	VMOVD        AX, X11; \
+	VPBROADCASTD X11, Y11
+
+// CODE_BOUNDS sets AX to the mask of the eight ids at DI whose code bound
+// (codes.go) does not exceed the limit in Y11: a chunk at a time, the words
+// of the eight points read at their ids (LOAD_CODES) — the first chunk's
+// from R15 against Y6 and Y7 (CODE_CONSTS), each further one's from its
+// slice header at codes, to CODEEND, against the query's two words at
+// qcodes — and one VPHADDD then takes the bounds in id order into the dwords
+// of Y4. chunk and summed name the labels of the loop over the chunks past
+// the first.
+#define CODE_BOUNDS(codes, qcodes, chunk, summed) \
+	MOVL         0(DI), AX; \
+	MOVL         4(DI), BX; \
+	MOVL         8(DI), R9; \
+	MOVL         12(DI), R10; \
+	MOVL         16(DI), R11; \
+	MOVL         20(DI), R12; \
+	MOVL         24(DI), R13; \
+	MOVL         28(DI), R14; \
+	LOAD_CODES(R15, Y4, Y5); \
+	SQUARES(Y4, Y2, Y6, Y7); \
+	SQUARES(Y5, Y3, Y6, Y7); \
+	MOVQ         codes, SI; \
+	MOVQ         qcodes, DX; \
+chunk: \
+	ADDQ         $24, SI; \
+	CMPQ         SI, CODEEND(SP); \
+	JAE          summed; \
+	ADDQ         $16, DX; \
+	MOVQ         (SI), CX; \
+	VPBROADCASTQ (DX), Y8; \
+	VPBROADCASTQ 8(DX), Y1; \
+	LOAD_CODES(CX, Y12, Y13); \
+	SQUARES(Y12, Y2, Y8, Y1); \
+	SQUARES(Y13, Y3, Y8, Y1); \
+	VPADDD       Y12, Y4, Y4; \
+	VPADDD       Y13, Y5, Y5; \
+	JMP          chunk; \
+summed: \
+	VPHADDD      Y5, Y4, Y4; \
+	VPCMPGTD     Y11, Y4, Y4; \
+	VMOVMSKPS    Y4, AX; \
+	XORL         $0xff, AX
+
+// VALID clears in AX the bits of the last group's padding, the lanes at or
+// past REALEND; whole names the label of a group of ids only. BX and CX are
+// clobbered.
+#define VALID(whole) \
+	MOVQ REALEND(SP), CX; \
+	SUBQ DI, CX; \
+	CMPQ CX, $32; \
+	JAE  whole; \
+	SHRQ $2, CX; \
+	MOVQ $1, BX; \
+	SHLQ CX, BX; \
+	DECQ BX; \
+	ANDQ BX, AX; \
+whole:
+
+// APPEND_PEND appends the ids at DI whose bit is set in AX to PEND at R8, in
+// order, and moves R8 past them: the group is permuted by the compactIDs
+// entry of its mask, which moves the ids of the set bits to the front, and
+// stored whole. AX, BX, R11 and Y0 are clobbered.
+#define APPEND_PEND \
+	LEAQ    ·compactIDs(SB), R11; \
+	MOVL    AX, BX; \
+	SHLQ    $5, BX; \
+	VMOVDQU (R11)(BX*1), Y0; \
+	VPERMD  (DI), Y0, Y0; \
+	VMOVDQU Y0, (R8); \
+	POPCNTL AX, AX; \
+	LEAQ    (R8)(AX*4), R8
+
+// PENDING8 jumps to less while fewer than eight ids are pending (PEND to R8).
+#define PENDING8(less) \
+	LEAQ (PEND+32)(SP), AX; \
+	CMPQ R8, AX; \
+	JB   less
+
+// SHIFT_PEND drops the eight pending ids whose distances were taken, and
+// counts them: the end of PEND, PENDP, moves back by eight and is left in R8.
+#define SHIFT_PEND \
+	VMOVDQU (PEND+32)(SP), Y0; \
+	VMOVDQU Y0, PEND(SP); \
+	MOVQ    PENDP(SP), R8; \
+	SUBQ    $32, R8; \
+	ADDQ    $8, DISTS(SP)
+
+// FLUSH_PEND, at the end, jumps to none when no id is pending; otherwise it
+// counts the pending ids, leaves their number in AX and fills them up to
+// eight with copies of the last.
+#define FLUSH_PEND(none) \
+	MOVQ         PENDP(SP), DI; \
+	LEAQ         PEND(SP), AX; \
+	SUBQ         DI, AX; \
+	NEGQ         AX; \
+	JZ           none; \
+	SHRQ         $2, AX; \
+	ADDQ         AX, DISTS(SP); \
+	VPBROADCASTD -4(DI), Y0; \
+	VMOVDQU      Y0, (DI)
 
 // KEEP folds the four sums of sums, the group whose ids are at off(DI), into
 // the running minima Y9 and their ids Y10, lane by lane: a sum replaces the
@@ -368,10 +551,23 @@ groupLoop: \
 // and a lane sees its ids in ascending order, so it keeps the smallest id of
 // its least sum. Y0 and Y1 are clobbered.
 #define KEEP(off, sums) \
-	VMOVDQU   off(DI), Y0; \
+	VPMOVZXDQ off(DI), Y0; \
 	VCMPPD    $0x11, Y9, sums, Y1; \
 	VBLENDVPD Y1, sums, Y9, Y9; \
 	VBLENDVPD Y1, Y0, Y10, Y10
+
+// TIGHTEN sets the code limit Y11 from the least of the minima Y9: limit's
+// ⌊least·inv⌋, or maxLimit where that is not below it. AX, Y0 and Y1 are
+// clobbered.
+#define TIGHTEN(inv) \
+	VEXTRACTF128 $1, Y9, X0; \
+	VMINPD       X0, X9, X0; \
+	VPERMILPD    $1, X0, X1; \
+	VMINSD       X1, X0, X0; \
+	VMULSD       inv, X0, X0; \
+	VMINSD       maxLimit<>(SB), X0, X0; \
+	VCVTTSD2SI   X0, AX; \
+	LIMIT
 
 // LANE folds the lane at m(SP), its id at i(SP), into the least Dist2 (its
 // bits in AX) and that point's id (BX): the smaller Dist2 wins, an equal one
@@ -388,23 +584,35 @@ groupLoop: \
 	CMOVQCS DX, BX; \
 	CMOVQCS CX, AX
 
-// func nearestAVX2(set []uint64, q, pts []float64, rows int) (id int, dist2 float64, count int, ok bool)
+// maxLimit, the largest code limit, as a float64.
+DATA maxLimit<>+0(SB)/8, $0x41dfffffffc00000
+GLOBL maxLimit<>(SB), RODATA|NOPTR, $8
+
+// func nearestAVX2(set []uint64, q, pts []float64, rows int, codes [][]uint64, qcodes []uint64, inv float64) (id int, dist2 float64, count, dists int, ok bool)
 //
 // The NN fold of a survivor set in one pass: the point of set nearest to q,
-// its squared distance and the population count of set — what dist2s over
-// appendBits' list and the first strictly smaller minimum in id order give,
-// bit for bit, with id −1 when no distance is below +Inf.
+// its squared distance, the population count of set and the number of
+// distances taken — what the Go fold gives, bit for bit, with id −1 when no
+// distance is below +Inf.
 //
 // The set is first checked against rows = len(pts)/d: a bit at or past it
 // stops the kernel, ok false, before any row is read. The walk is WALK_SET's
 // — blocks of four words, an empty block skipped by one branch — into the
 // frame, with the population count taken from the buffer positions. When the
-// ids pass FLUSHAT they are drained — groups of eight through
-// PAIR_PASS, each lane keeping its least sum and id (KEEP) — the fewer than
-// eight left move to the front, and the walk goes on; at the end the last
-// group is padded with copies of the last id, and the four lanes are reduced
-// by (Dist2, id). d = len(q) is a positive multiple of four.
-TEXT ·nearestAVX2(SB), $2728-105
+// ids pass FLUSHAT they are drained, a group of eight at a time. Without the
+// code bound (qcodes empty) each group goes through PAIR_PASS, each lane
+// keeping its least sum and id (KEEP). With it the group's code bounds
+// (CODE_BOUNDS) against the limit of the least distance so far (TIGHTEN; the
+// first eight ids join without, as nothing is skipped before the first
+// distances) keep the ids that may be nearer, which join PEND (APPEND_PEND);
+// each eight there go through PAIR_PASS and KEEP, and the limit tightens.
+// The fewer than eight listed ids left move to the front, and the walk goes
+// on; at the end the last group is padded with copies of the last id, whose
+// lanes the code bound masks, the pending ids are padded with copies of
+// theirs, and the four lanes are reduced by (Dist2, id). codes holds the
+// codes of the rows of pts, qcodes the query's (queryCodes); d = len(q) is a
+// positive multiple of four.
+TEXT ·nearestAVX2(SB), $1520-169
 	CHECK_SET(set_base+0(FP), set_len+8(FP), rows+72(FP))
 
 inside:
@@ -414,28 +622,83 @@ inside:
 	VPCMPEQQ     Y10, Y10, Y10      // ids −1
 	MOVQ         $0, COUNT(SP)
 	MOVQ         $0, LAST(SP)
+	MOVQ         $-1, REALEND(SP)
+	LEAQ         PEND(SP), AX
+	MOVQ         AX, PENDP(SP)
+	MOVQ         $0, DISTS(SP)
+	CODE_END(codes_base+80(FP), codes_len+88(FP))
 	XORQ         BX, BX
 	LEAQ         IDS(SP), DI
 	WALK_SET(set_base+0(FP), set_len+8(FP))
 
 tail:
-	TAIL_COUNT
+	TAIL_COUNT(flush)
+	MOVQ DI, REALEND(SP)
 	PAD_GROUP
 
 drain:                               // groups of eight from IDS up to DI
+	CMPQ qcodes_len+112(FP), $0
+	JNE  codeDrain
 	DRAIN_START(q_base+24(FP), q_len+32(FP), pts_base+48(FP))
 
 group:
 	GROUP_SUMS
 	KEEP(0, Y14)
-	KEEP(32, Y15)
-	ADDQ $64, DI
+	KEEP(16, Y15)
+	ADDQ $32, DI
 	JMP  group
 
 drained:
 	CMPQ LAST(SP), $0
 	JNE  reduce
 	REFILL
+
+codeDrain:                           // with the code bound
+	MOVQ DI, FILL(SP)
+	LEAQ IDS(SP), DI
+	MOVQ PENDP(SP), R8
+	CODE_CONSTS(codes_base+80(FP), qcodes_base+104(FP))
+
+codeGroup:
+	LEAQ 32(DI), AX
+	CMPQ AX, FILL(SP)
+	JA   codeDrained
+	MOVL $0xff, AX
+	CMPQ DISTS(SP), $0
+	JEQ  unbounded                  // no distance yet: the limit skips nothing
+	CODE_BOUNDS(codes_base+80(FP), qcodes_base+104(FP), chunk, summed)
+
+unbounded:
+	VALID(whole)
+	APPEND_PEND
+	ADDQ $32, DI
+	PENDING8(codeGroup)
+	MOVQ DI, RAWP(SP)
+	MOVQ R8, PENDP(SP)
+	FOLD_REGS(q_base+24(FP), q_len+32(FP), pts_base+48(FP))
+	LEAQ PEND(SP), DI
+	SUMS(sumLoop)
+	KEEP(0, Y14)
+	KEEP(16, Y15)
+	TIGHTEN(inv+128(FP))
+	SHIFT_PEND
+	CODE_CONSTS(codes_base+80(FP), qcodes_base+104(FP))
+	MOVQ RAWP(SP), DI
+	JMP  codeGroup
+
+codeDrained:
+	MOVQ R8, PENDP(SP)
+	CMPQ LAST(SP), $0
+	JNE  flush
+	REFILL
+
+flush:                               // the fewer than eight ids still pending
+	FLUSH_PEND(reduce)
+	FOLD_REGS(q_base+24(FP), q_len+32(FP), pts_base+48(FP))
+	LEAQ  PEND(SP), DI
+	SUMS(flushLoop)
+	KEEP(0, Y14)
+	KEEP(16, Y15)
 
 reduce:
 	VMOVUPD Y9, MINS(SP)
@@ -446,18 +709,21 @@ reduce:
 	LANE(MINS+8, LANEIDS+8)
 	LANE(MINS+16, LANEIDS+16)
 	LANE(MINS+24, LANEIDS+24)
-	MOVQ    BX, id+80(FP)
-	MOVQ    AX, dist2+88(FP)
+	MOVQ    BX, id+136(FP)
+	MOVQ    AX, dist2+144(FP)
 	MOVQ    COUNT(SP), AX
-	MOVQ    AX, count+96(FP)
-	MOVB    $1, ok+104(FP)
+	MOVQ    AX, count+152(FP)
+	MOVQ    DISTS(SP), AX
+	MOVQ    AX, dists+160(FP)
+	MOVB    $1, ok+168(FP)
 	RET
 
 outside:
-	MOVQ $-1, id+80(FP)
-	MOVQ $0, dist2+88(FP)
-	MOVQ $0, count+96(FP)
-	MOVB $0, ok+104(FP)
+	MOVQ $-1, id+136(FP)
+	MOVQ $0, dist2+144(FP)
+	MOVQ $0, count+152(FP)
+	MOVQ $0, dists+160(FP)
+	MOVB $0, ok+168(FP)
 	RET
 
 // The lane numbers of a group of eight, for the compare that tells the
@@ -500,7 +766,7 @@ GLOBL posInf<>(SB), RODATA|NOPTR, $8
 	VMOVMSKPD    Y1, AX; \
 	ANDQ         valid, AX; \
 	JZ           next; \
-	VMOVDQU      off(DI), Y0; \
+	VPMOVZXDQ    off(DI), Y0; \
 	VUNPCKLPD    sums, Y0, Y2; \
 	VUNPCKHPD    sums, Y0, Y3; \
 	VMOVUPD      X2, (SI); \
@@ -525,37 +791,43 @@ next:
 // off(DI), pts (R8) + ID·8d (CX): boundedAVX2 asks for those of the group two
 // ahead of the one it sums, whose rows, read at random from the coordinate
 // store, would otherwise stall that group. AX is clobbered.
-#define PREFETCH_ROW(off) MOVQ off(DI), AX; IMULQ CX, AX; PREFETCHT0 (R8)(AX*1)
+#define PREFETCH_ROW(off) MOVL off(DI), AX; IMULQ CX, AX; PREFETCHT0 (R8)(AX*1)
 #define PREFETCH_ROWS(off) \
 	PREFETCH_ROW(off); \
+	PREFETCH_ROW(off+4); \
 	PREFETCH_ROW(off+8); \
+	PREFETCH_ROW(off+12); \
 	PREFETCH_ROW(off+16); \
+	PREFETCH_ROW(off+20); \
 	PREFETCH_ROW(off+24); \
-	PREFETCH_ROW(off+32); \
-	PREFETCH_ROW(off+40); \
-	PREFETCH_ROW(off+48); \
-	PREFETCH_ROW(off+56)
+	PREFETCH_ROW(off+28)
 
-// func boundedAVX2(set []uint64, q, pts []float64, rows int, bound float64, out []Neighbor, mins *laneMinima) (kept, count int, ok bool)
+// func boundedAVX2(set []uint64, q, pts []float64, rows int, bound float64, out []Neighbor, mins *laneMinima, codes [][]uint64, qcodes []uint64, limit int) (kept, count, dists int, ok bool)
 //
 // The bounded fold of a set in one pass: the entries (ID, Dist2) of the points
 // of set whose squared distance from q passes ¬(Dist2 > bound), ascending by
-// id, written to out from its start, their number kept and the population
-// count of set — what the compaction of dist2s over appendBits' list gives,
-// bit for bit — and, when mins is not nil, the lanes' least and second least
-// sums in it (laneMinima; lane l the ids at positions ≡ l mod 8).
+// id, written to out from its start, their number kept, the population count
+// of set and, with the code bound, the number of distances taken — what the
+// Go fold gives, bit for bit — and, when mins is not nil, the lanes' least
+// and second least sums in it (laneMinima; lane l the ids at positions ≡ l
+// mod 8).
 //
-// The check, the walk and the drains are nearestAVX2's; a group of eight
-// asks for the rows of the group two ahead (PREFETCH_ROWS), takes its sums
-// into the lane minima (SECOND_LEAST), compares each of its fours with the
-// bound and writes only the lanes that pass (PASS). The last group's padding is told from its ids by position:
-// its sums become +Inf, which no minimum takes from a real sum, and its lanes
-// are never written. A drain starts only with room in out for every id it
-// drains and one entry more (a lane that does not pass is written, to be
-// written over by the next); without it the kernel returns kept −1, and the
-// caller, who gives out room for the population count of set and one more,
-// calls it again. d = len(q) is a positive multiple of four.
-TEXT ·boundedAVX2(SB), $2808-137
+// The check, the walk and the drains are nearestAVX2's. Without the code
+// bound (qcodes empty) a group of eight asks for the rows of the group two
+// ahead (PREFETCH_ROWS), takes its sums into the lane minima
+// (SECOND_LEAST), compares each of its fours with the bound and writes only
+// the lanes that pass (PASS). The last group's padding is told from its ids
+// by position: its sums become +Inf, which no minimum takes from a real sum,
+// and its lanes are never written. With it (mins nil, and limit the code
+// limit of bound) a group's code bounds keep the ids that may pass, which
+// join PEND as in nearestAVX2, and each eight there are summed and passed;
+// the last fewer than eight are padded, and their padding lanes are never
+// written. A drain starts only with room in out for every id it drains or
+// holds pending and one entry more (a lane that does not pass is written, to
+// be written over by the next); without it the kernel returns kept −1, and
+// the caller, who gives out room for the population count of set and one
+// more, calls it again. d = len(q) is a positive multiple of four.
+TEXT ·boundedAVX2(SB), $1528-201
 	CHECK_SET(set_base+0(FP), set_len+8(FP), rows+72(FP))
 
 inside:
@@ -564,21 +836,33 @@ inside:
 	VMOVAPD      Y10, Y11
 	VMOVUPD      Y10, SECOND(SP)     // second least +Inf
 	VMOVUPD      Y10, (SECOND+32)(SP)
+	CMPQ         qcodes_len+152(FP), $0
+	JEQ          started
+	MOVQ         limit+168(FP), AX   // the code bound has no minima: Y11 is its limit
+	LIMIT
+
+started:
 	MOVQ         out_base+88(FP), R9
 	MOVQ         R9, OUTP(SP)
 	MOVQ         $-1, REALEND(SP)
 	MOVQ         $0, COUNT(SP)
 	MOVQ         $0, LAST(SP)
+	LEAQ         PEND(SP), AX
+	MOVQ         AX, PENDP(SP)
+	MOVQ         $0, DISTS(SP)
+	CODE_END(codes_base+120(FP), codes_len+128(FP))
 	XORQ         BX, BX
 	LEAQ         IDS(SP), DI
 	WALK_SET(set_base+0(FP), set_len+8(FP))
 
 tail:
-	TAIL_COUNT
+	TAIL_COUNT(flush)
 	MOVQ DI, REALEND(SP)
 	PAD_GROUP
 
 drain:                               // groups of eight from IDS up to DI
+	CMPQ qcodes_len+152(FP), $0
+	JNE  codeDrain
 	DRAIN_START(q_base+24(FP), q_len+32(FP), pts_base+48(FP))
 	MOVQ OUTP(SP), SI
 	MOVQ out_base+88(FP), AX
@@ -590,20 +874,21 @@ drain:                               // groups of eight from IDS up to DI
 	CMPQ    BX, REALEND(SP)
 	CMOVQHI REALEND(SP), BX      // the last group's padding takes no room
 	SUBQ    DI, BX
-	LEAQ    16(BX)(BX*1), BX     // 16 bytes an id to drain, and one entry more
+	SHLQ    $2, BX
+	ADDQ    $16, BX              // 16 bytes an id to drain, and one entry more
 	CMPQ AX, BX
 	JB   short
 
 group:
 	GROUP_SUMS
-	LEAQ 192(DI), AX
+	LEAQ 96(DI), AX
 	CMPQ AX, FILL(SP)
 	JA   fetched
-	PREFETCH_ROWS(128)
+	PREFETCH_ROWS(64)
 fetched:
 	MOVQ $15, R11                // every lane of both fours is an id
 	MOVQ $15, R12
-	LEAQ 64(DI), AX
+	LEAQ 32(DI), AX
 	CMPQ AX, REALEND(SP)
 	JA   padding
 
@@ -615,14 +900,14 @@ lanes:
 
 compare:
 	PASS(0, Y14, R11, passedLo)
-	PASS(32, Y15, R12, passedHi)
-	ADDQ $64, DI
+	PASS(16, Y15, R12, passedHi)
+	ADDQ $32, DI
 	JMP  group
 
 padding:                             // the last group: its ids end at REALEND
 	MOVQ         REALEND(SP), AX
 	SUBQ         DI, AX
-	SHRQ         $3, AX              // 1 … 7 ids
+	SHRQ         $2, AX              // 1 … 7 ids
 	VMOVQ        AX, X0
 	VPBROADCASTQ X0, Y0
 	VPCMPGTQ     lanesLo<>(SB), Y0, Y1
@@ -640,13 +925,92 @@ drained:
 	JNE  reduce
 	REFILL
 
+codeDrain:                           // with the code bound
+	MOVQ DI, FILL(SP)
+	MOVQ OUTP(SP), SI
+	MOVQ out_base+88(FP), AX
+	MOVQ out_len+96(FP), BX
+	SHLQ $4, BX
+	ADDQ BX, AX
+	SUBQ SI, AX                  // the room left in out, in bytes
+	MOVQ    FILL(SP), BX
+	CMPQ    BX, REALEND(SP)
+	CMOVQHI REALEND(SP), BX      // the last group's padding takes no room
+	LEAQ    IDS(SP), DI
+	SUBQ    DI, BX
+	MOVQ    PENDP(SP), R8
+	ADDQ    R8, BX
+	LEAQ    PEND(SP), CX
+	SUBQ    CX, BX               // 4 bytes an id to drain or pending
+	SHLQ    $2, BX
+	ADDQ    $16, BX              // 16 bytes an entry, and one entry more
+	CMPQ AX, BX
+	JB   short
+	CODE_CONSTS(codes_base+120(FP), qcodes_base+144(FP))
+
+codeGroup:
+	LEAQ 32(DI), AX
+	CMPQ AX, FILL(SP)
+	JA   codeDrained
+	CODE_BOUNDS(codes_base+120(FP), qcodes_base+144(FP), chunk, summed)
+	VALID(whole)
+	APPEND_PEND
+	ADDQ $32, DI
+	PENDING8(codeGroup)
+	MOVQ DI, RAWP(SP)
+	MOVQ R8, PENDP(SP)
+	FOLD_REGS(q_base+24(FP), q_len+32(FP), pts_base+48(FP))
+	LEAQ PEND(SP), DI
+	SUMS(sumLoop)
+	MOVQ OUTP(SP), SI
+	PASS(0, Y14, $15, pendLo)
+	PASS(16, Y15, $15, pendHi)
+	MOVQ SI, OUTP(SP)
+	SHIFT_PEND
+	CODE_CONSTS(codes_base+120(FP), qcodes_base+144(FP))
+	MOVQ RAWP(SP), DI
+	JMP  codeGroup
+
+codeDrained:
+	MOVQ R8, PENDP(SP)
+	CMPQ LAST(SP), $0
+	JNE  flush
+	REFILL
+
+flush:                               // the fewer than eight ids still pending
+	FLUSH_PEND(reduce)
+	FOLD_REGS(q_base+24(FP), q_len+32(FP), pts_base+48(FP))
+	LEAQ  PEND(SP), DI
+	SUMS(flushLoop)
+	MOVQ    PENDP(SP), AX        // lanes 0 … n−1 hold ids
+	LEAQ    PEND(SP), CX
+	SUBQ    CX, AX
+	SHRQ    $2, AX
+	MOVQ    $4, CX
+	CMPQ    AX, CX
+	CMOVQLT AX, CX
+	MOVQ    $1, R11
+	SHLQ    CX, R11
+	DECQ    R11                  // the low four's valid lanes
+	SUBQ    CX, AX
+	MOVQ    AX, CX
+	MOVQ    $1, R12
+	SHLQ    CX, R12
+	DECQ    R12                  // the high four's
+	MOVQ    OUTP(SP), SI
+	PASS(0, Y14, R11, flushLo)
+	PASS(16, Y15, R12, flushHi)
+	MOVQ    SI, OUTP(SP)
+
 reduce:
 	MOVQ  OUTP(SP), SI
 	SUBQ  out_base+88(FP), SI
 	SHRQ  $4, SI
-	MOVQ  SI, kept+120(FP)
+	MOVQ  SI, kept+176(FP)
 	MOVQ  COUNT(SP), AX
-	MOVQ  AX, count+128(FP)
+	MOVQ  AX, count+184(FP)
+	MOVQ  DISTS(SP), AX
+	MOVQ  AX, dists+192(FP)
 	MOVQ  mins+112(FP), AX
 	TESTQ AX, AX
 	JZ    done
@@ -659,20 +1023,97 @@ reduce:
 
 done:
 	VZEROUPPER
-	MOVB $1, ok+136(FP)
+	MOVB $1, ok+200(FP)
 	RET
 
 short:
 	VZEROUPPER
-	MOVQ $-1, kept+120(FP)
-	MOVQ $0, count+128(FP)
-	MOVB $1, ok+136(FP)
+	MOVQ $-1, kept+176(FP)
+	MOVQ $0, count+184(FP)
+	MOVQ $0, dists+192(FP)
+	MOVB $1, ok+200(FP)
 	RET
 
 outside:
-	MOVQ $0, kept+120(FP)
-	MOVQ $0, count+128(FP)
-	MOVB $0, ok+136(FP)
+	MOVQ $0, kept+176(FP)
+	MOVQ $0, count+184(FP)
+	MOVQ $0, dists+192(FP)
+	MOVB $0, ok+200(FP)
+	RET
+
+// QCODES4 takes coordinates DX … DX+3 (byte offset off) of q (SI) to their
+// codes in the dwords of dst: ⌊(q − lo)·scale·4⌋ (lo at R8, scale at R9)
+// clamped by VMAXPD with 0 — which, taking its second operand for a NaN,
+// makes a NaN 0 as code's !(t >= 0) does — and VMINPD with 255. The lanes
+// that are NaN in q are ORed into AX.
+#define QCODES4(off, dst) \
+	VMOVUPD     off(SI)(DX*8), Y0; \
+	VCMPPD      $3, Y0, Y0, Y1; \
+	VMOVMSKPD   Y1, R11; \
+	ORQ         R11, AX; \
+	VSUBPD      off(R8)(DX*8), Y0, Y0; \
+	VMULPD      off(R9)(DX*8), Y0, Y0; \
+	VMULPD      Y8, Y0, Y0; \
+	VMAXPD      Y9, Y0, Y0; \
+	VMINPD      Y10, Y0, Y0; \
+	VCVTTPD2DQY Y0, dst
+
+DATA four<>+0(SB)/8, $0x4010000000000000
+GLOBL four<>(SB), RODATA|NOPTR, $8
+DATA topCode<>+0(SB)/8, $0x406fe00000000000
+GLOBL topCode<>(SB), RODATA|NOPTR, $8
+
+// func queryCodesAVX2(dst []uint64, q, lo, scale []float64) (nan bool)
+//
+// The query's side of the code bound at d = len(q), a multiple of four, into
+// dst, two words a chunk of eight coordinates (codes.go): the codes — the
+// same three rounded operations as code, truncated — packed to bytes, then
+// plus one and minus one with saturation, a chunk of four padded with 255
+// and 0. nan reports a NaN coordinate, for which the caller takes every
+// distance.
+TEXT ·queryCodesAVX2(SB), NOSPLIT, $0-97
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         q_base+24(FP), SI
+	MOVQ         q_len+32(FP), CX
+	MOVQ         lo_base+48(FP), R8
+	MOVQ         scale_base+72(FP), R9
+	VBROADCASTSD four<>(SB), Y8
+	VXORPD       Y9, Y9, Y9
+	VBROADCASTSD topCode<>(SB), Y10
+	VPCMPEQB     X11, X11, X11
+	VPABSB       X11, X11            // bytes 1
+	XORQ         AX, AX
+	XORQ         DX, DX
+
+qchunk:
+	CMPQ      DX, CX
+	JAE       qdone
+	QCODES4(0, X4)
+	VPXOR     X5, X5, X5
+	MOVQ      $0xffffffff00000000, BX // a chunk of four: its high codes are padding
+	LEAQ      4(DX), R10
+	CMPQ      R10, CX
+	JAE       qpacked
+	QCODES4(32, X5)
+	XORQ      BX, BX
+
+qpacked:
+	VPACKUSDW X5, X4, X4
+	VPACKUSWB X4, X4, X4
+	VPADDUSB  X11, X4, X6
+	VPSUBUSB  X11, X4, X7
+	VMOVQ     X6, R11
+	ORQ       BX, R11
+	MOVQ      R11, (DI)
+	VMOVQ     X7, 8(DI)
+	ADDQ      $16, DI
+	ADDQ      $8, DX
+	JMP       qchunk
+
+qdone:
+	TESTQ AX, AX
+	SETNE nan+96(FP)
+	VZEROUPPER
 	RET
 
 // func compactAVX2(list []Neighbor, bound float64) (kept int)

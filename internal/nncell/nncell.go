@@ -216,6 +216,7 @@ type Index struct {
 		lpSolves, lpPivots, constraintPoints atomic.Uint64
 		queries, candidates, fallbacks       atomic.Uint64
 		passes                               atomic.Uint64 // point-directory box passes of the k-NN searches
+		dists                                atomic.Uint64 // distances the query folds took (the code bound skips the rest)
 		updates                              atomic.Uint64
 		pruneVisited                         atomic.Uint64
 		staleCells                           atomic.Int64

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/lp"
 	"repro/internal/scan"
 	"repro/internal/vec"
 	"repro/internal/xtree"
@@ -346,5 +347,59 @@ func TestNeighborSearchAllocs(t *testing.T) {
 	ix.pointsWithin(cc, 0, 3) // the id list at its largest
 	if avg := testing.AllocsPerRun(200, searches); avg != 0 {
 		t.Fatalf("the neighbour searches allocate %v times per cell on the warm path", avg)
+	}
+}
+
+// Every extent solveMBR certifies instead of solving is the box bound that
+// lp.Maximize finds for it over the same constraints, to within the padding
+// finishRect adds, so the stored row is the one a solve gives: NN-Direction
+// and Correct cells at d = 4 and 8, in the unit cube and in a box of other
+// extents. Some extents must be certified, or the test shows nothing.
+func TestCertifiedExtentsAreBoxBounds(t *testing.T) {
+	for _, tc := range []struct {
+		alg  Algorithm
+		d, n int
+		box  vec.Rect
+	}{
+		{NNDirection, 4, 400, vec.UnitCube(4)},
+		{NNDirection, 8, 300, vec.UnitCube(8)},
+		{Correct, 4, 200, vec.NewRect(vec.Point{-3, 0, 10, 0.5}, vec.Point{5, 0.25, 12, 0.75})},
+	} {
+		ix := buildInBox(t, tc.box, int64(tc.d), tc.n, tc.alg)
+		cc := newCellCtx(tc.d)
+		certified, extents := 0, 0
+		c := make([]float64, tc.d)
+		for i := 0; i < tc.n; i++ {
+			mbr, cons, err := ix.solveCell(cc, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for face, skipped := range cc.certified {
+				extents++
+				if !skipped {
+					continue
+				}
+				certified++
+				j, sign := face/2, float64(1-2*(face%2))
+				c[j] = sign
+				res, err := lp.Maximize(&lp.Problem{NumVars: tc.d, Cons: cons, Lo: tc.box.Lo, Hi: tc.box.Hi}, c)
+				c[j] = 0
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, bound := mbr.Hi[j], tc.box.Hi[j]
+				if sign < 0 {
+					got, bound = -mbr.Lo[j], -tc.box.Lo[j]
+				}
+				if got != bound || math.Abs(res.Value-bound) > epsilon {
+					t.Fatalf("%v d=%d cell %d: extent %+g·e_%d certified at %v, the box bound %v; lp.Maximize finds %v",
+						tc.alg, tc.d, i, sign, j, got, bound, res.Value)
+				}
+			}
+		}
+		if certified == 0 {
+			t.Fatalf("%v d=%d: none of %d extents certified", tc.alg, tc.d, extents)
+		}
+		t.Logf("%v d=%d: %d of %d extents certified", tc.alg, tc.d, certified, extents)
 	}
 }

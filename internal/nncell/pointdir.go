@@ -1,6 +1,7 @@
 package nncell
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/vec"
@@ -23,12 +24,18 @@ import (
 //
 // A bit lives and dies with the point's coordinate row: set where the row is
 // written into ptsFlat, cleared where bury poisons it, under the index's write
-// lock. A pointDir has no lock of its own.
+// lock. The row's codes (codes.go) are written with its bits. A pointDir has
+// no lock of its own.
 type pointDir struct {
 	stripeGrid
 	// le[j*stripes+s] is the cumulative bitset of dimension j, stripe s. All
 	// rows have the same length, at least ⌈len(points)/64⌉ words.
 	le [][]uint64
+	// codes are the codes of the points' coordinates (codes.go), which the
+	// folds' code bound reads beside ptsFlat; every chunk holds at least as
+	// many words as the rows hold ids. A dead id's codes are stale, and never
+	// read.
+	codes [][]uint64
 	// minWidth is the narrowest positive stripe width, the radius a search
 	// without a usable seed distance starts from; +Inf when every dimension
 	// has zero width.
@@ -45,12 +52,14 @@ type pointDir struct {
 // points of the set being walked (appendBits, bounded) with their squared
 // distances, as many entries as the fullest set has had bits; hi and lo hold
 // the directory rows a pass gathers (cellDir.survivors, pointDir.box): at
-// most d upper rows, and d lower ones and the mask. A QueryCtx and a cellCtx
-// each embed one.
+// most d upper rows, and d lower ones and the mask; qcodes the query's side
+// of the code bound (dirScratch.queryCodes). A QueryCtx and a cellCtx each
+// embed one.
 type dirScratch struct {
 	seen, box []uint64
 	cand      []Neighbor
 	hi, lo    [][]uint64
+	qcodes    []uint64
 }
 
 // dists lists the points of set in ds.cand, ascending by id, each with its
@@ -65,7 +74,7 @@ func (ds *dirScratch) dists(q vec.Point, pts []float64, set []uint64) []Neighbor
 // id, a NaN row for a tombstone) on g, sized for exactly that many ids.
 func newPointDir(g stripeGrid, ptsFlat []float64) *pointDir {
 	d := len(g.lo)
-	pd := &pointDir{stripeGrid: g, le: newRows(d, len(ptsFlat)/d), minWidth: math.Inf(1)}
+	pd := &pointDir{stripeGrid: g, le: newRows(d, len(ptsFlat)/d), codes: newCodes(d, len(ptsFlat)/d), minWidth: math.Inf(1)}
 	logVol := 0.0
 	for _, sc := range g.scale {
 		if sc > 0 {
@@ -85,8 +94,8 @@ func newPointDir(g stripeGrid, ptsFlat []float64) *pointDir {
 	return pd
 }
 
-// set enters point id at p, growing the rows when id is the first of a new
-// word.
+// set enters point id at p and writes its codes, growing the rows when id is
+// the first of a new word and the codes when it is past them.
 func (pd *pointDir) set(id int, p []float64) {
 	w, bit := id>>6, uint64(1)<<(id&63)
 	growRows(pd.le, w)
@@ -95,6 +104,7 @@ func (pd *pointDir) set(id int, p []float64) {
 			row[w] |= bit
 		}
 	}
+	pd.putCodes(pd.codes, id, p)
 }
 
 // clear removes point id from every row.
@@ -173,12 +183,13 @@ func (pd *pointDir) densityR2(k, n int) float64 {
 
 // search completes h, the best k (ascending by Less, InsertTopK) of the live
 // points nearest to q within limit2 of it, and returns it with the number of
-// points it folded and the box passes it took. On entry ds.seen, which must
-// span the rows, marks the points not to fold: those h already holds the best
-// k of (the read path's seeds) and those the caller leaves out (a cell's own
-// point). pts is the coordinate store, 1 ≤ k, r2 the squared radius of the
-// first pass and limit2 the squared distance past which no point is wanted
-// (+Inf: every point is; a point at limit2 is).
+// points it folded, the box passes it took and the distances it took of them
+// (bounded: the code bound skips the rest once there is a bound). On entry
+// ds.seen, which must span the rows, marks the points not to fold: those h
+// already holds the best k of (the read path's seeds) and those the caller
+// leaves out (a cell's own point). pts is the coordinate store, 1 ≤ k, r2 the
+// squared radius of the first pass and limit2 the squared distance past which
+// no point is wanted (+Inf: every point is; a point at limit2 is).
 //
 // A pass takes the box at r2 — every live point within √r2 of q per dimension,
 // a superset of the ball — less the points seen, and folds those within the
@@ -191,7 +202,7 @@ func (pd *pointDir) densityR2(k, n int) float64 {
 // stripe width) and tries again; a box at limit2 has seen every point wanted,
 // and a box that covers the whole grid every live point. The seen set is
 // brought up to date only when another pass follows.
-func (pd *pointDir) search(ds *dirScratch, h []Neighbor, k int, q vec.Point, pts []float64, r2, limit2 float64) (_ []Neighbor, folded, passes int) {
+func (pd *pointDir) search(ds *dirScratch, h []Neighbor, k int, q vec.Point, pts []float64, r2, limit2 float64) (_ []Neighbor, folded, passes, dists int) {
 	for {
 		r2 = min(r2, limit2)
 		var whole bool
@@ -200,14 +211,15 @@ func (pd *pointDir) search(ds *dirScratch, h []Neighbor, k int, q vec.Point, pts
 		if len(h) == k {
 			bound = h[k-1].Dist2
 		}
-		kept, n := ds.bounded(q, pts, ds.box, bound, nil)
+		kept, n, taken := ds.bounded(q, pts, pd, ds.box, bound, nil)
 		for _, nb := range kept {
 			h, _ = InsertTopK(h, k, nb)
 		}
 		folded += n
+		dists += taken
 		passes++
 		if whole || r2 >= limit2 || (len(h) == k && h[k-1].Dist2 <= r2) {
-			return h, folded, passes
+			return h, folded, passes, dists
 		}
 		for w, b := range ds.box {
 			ds.seen[w] |= b
@@ -237,9 +249,9 @@ func outwardRadius(r2 float64) float64 {
 // distance from above for k ≤ 16 (laneMinima.bound), so only the points
 // within that bound — a dozen of the two hundred a d = 8 query sees — are
 // compacted and inserted; the rest cannot be among the best k.
-func (ds *dirScratch) seedTopK(h []Neighbor, k int, q vec.Point, pts []float64, set []uint64) ([]Neighbor, int) {
+func (ds *dirScratch) seedTopK(h []Neighbor, k int, q vec.Point, pts []float64, pd *pointDir, set []uint64) ([]Neighbor, int) {
 	var mins laneMinima
-	cand, count := ds.bounded(q, pts, set, math.Inf(1), &mins)
+	cand, count, _ := ds.bounded(q, pts, pd, set, math.Inf(1), &mins)
 	for _, nb := range compact(cand, mins.bound(k)) {
 		h, _ = InsertTopK(h, k, nb)
 	}
@@ -247,7 +259,23 @@ func (ds *dirScratch) seedTopK(h []Neighbor, k int, q vec.Point, pts []float64, 
 }
 
 // check verifies the directory against the coordinate store: it must equal,
-// word for word, the directory a fresh fill of ptsFlat would produce.
+// word for word, the directory a fresh fill of ptsFlat would produce, and hold
+// the same codes for every live point.
 func (pd *pointDir) check(ptsFlat []float64) error {
-	return compareRows("point", pd.le, newPointDir(pd.stripeGrid, ptsFlat).le, "the coordinate store says")
+	fresh := newPointDir(pd.stripeGrid, ptsFlat)
+	if err := compareRows("point", pd.le, fresh.le, "the coordinate store says"); err != nil {
+		return err
+	}
+	for c, chunk := range pd.codes {
+		want := fresh.codes[c]
+		if len(chunk) < len(want) {
+			return fmt.Errorf("nncell: code chunk %d holds %d points, the coordinate store %d", c, len(chunk), len(want))
+		}
+		for id, w := range want {
+			if pd.holds(id) && chunk[id] != w {
+				return fmt.Errorf("nncell: code chunk %d of point %d is %#x, its coordinates say %#x", c, id, chunk[id], w)
+			}
+		}
+	}
+	return nil
 }

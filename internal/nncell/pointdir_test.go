@@ -87,7 +87,7 @@ func checkPointSearch(t *testing.T, pd *pointDir, model map[int]vec.Point, q vec
 		r2 = pd.densityR2(k, len(model))
 	}
 	ds := dirScratch{seen: make([]uint64, len(pd.le[0]))}
-	got, folded, _ := pd.search(&ds, nil, k, q, modelFlat(model, len(q)), r2, math.Inf(1))
+	got, folded, _, _ := pd.search(&ds, nil, k, q, modelFlat(model, len(q)), r2, math.Inf(1))
 	if !slices.Equal(got, want[:k]) { // search's list is the answer, ascending by (Dist2, ID) as it stands
 		t.Fatalf("q=%v k=%d of %d from r2=%v:\n got %v\nwant %v", q, k, len(model), r2, got, want[:k])
 	}

@@ -115,8 +115,9 @@ func (ix *Index) nearestLocked(qc *QueryCtx, q vec.Point) (Neighbor, error) {
 // bits, so the NaN-poisoned tombstone rows are never read.
 func (ix *Index) dirNearest(qc *QueryCtx, q vec.Point) (_ Neighbor, ok bool) {
 	qc.surv = ix.dir.survivors(&qc.dirScratch, qc.surv, q)
-	nb, count, ok := qc.nearest(q, ix.ptsFlat, qc.surv)
+	nb, count, dists, ok := qc.nearest(q, ix.ptsFlat, ix.pdir, qc.surv)
 	ix.stats.candidates.Add(uint64(count))
+	ix.stats.dists.Add(uint64(dists))
 	return nb, ok
 }
 
@@ -194,7 +195,7 @@ func (ix *Index) nearestK(qc *QueryCtx, dst []Neighbor, q vec.Point, k int) []Ne
 	qc.seen = ix.dir.survivors(&qc.dirScratch, qc.seen, p)
 	// The list grows in dst's spare capacity, so the closing append copies
 	// nothing when the caller's slice has room for k.
-	h, seeds := qc.seedTopK(dst[len(dst):], k, q, ix.ptsFlat, qc.seen)
+	h, seeds := qc.seedTopK(dst[len(dst):], k, q, ix.ptsFlat, ix.pdir, qc.seen)
 
 	var r2 float64
 	switch m := len(h); {
@@ -208,8 +209,9 @@ func (ix *Index) nearestK(qc *QueryCtx, dst []Neighbor, q vec.Point, k int) []Ne
 	if inside && k < ix.alive && (len(h) < k || seeds < 4*k) {
 		r2 = min(r2, ix.pdir.densityR2(k, ix.alive))
 	}
-	h, folded, passes := ix.pdir.search(&qc.dirScratch, h, k, q, ix.ptsFlat, r2, math.Inf(1))
+	h, folded, passes, dists := ix.pdir.search(&qc.dirScratch, h, k, q, ix.ptsFlat, r2, math.Inf(1))
 	ix.stats.candidates.Add(uint64(seeds + folded))
+	ix.stats.dists.Add(uint64(seeds + dists))
 	ix.stats.passes.Add(uint64(passes))
 	return append(dst, h...)
 }
@@ -244,8 +246,9 @@ func (ix *Index) CandidatesNearestAppend(dst []int, q vec.Point) ([]int, float64
 	defer ix.mu.RUnlock()
 	ix.stats.queries.Add(1)
 	qc.surv = ix.dir.survivors(&qc.dirScratch, qc.surv, q)
-	surv, count := qc.bounded(q, ix.ptsFlat, qc.surv, math.Inf(1), nil)
+	surv, count, dists := qc.bounded(q, ix.ptsFlat, ix.pdir, qc.surv, math.Inf(1), nil)
 	ix.stats.candidates.Add(uint64(count))
+	ix.stats.dists.Add(uint64(dists))
 	best := math.Inf(1)
 	for _, nb := range surv {
 		if ix.cells.contains(nb.ID, q) {
@@ -325,8 +328,9 @@ func (ix *Index) KNearestWithinAppend(dst []Neighbor, q vec.Point, k int, limit2
 	ix.stats.queries.Add(1)
 	qc.seen = sized(qc.seen, len(ix.pdir.le[0]))
 	clear(qc.seen)
-	h, folded, passes := ix.pdir.search(&qc.dirScratch, dst[len(dst):], min(k, ix.alive), q, ix.ptsFlat, limit2, limit2)
+	h, folded, passes, dists := ix.pdir.search(&qc.dirScratch, dst[len(dst):], min(k, ix.alive), q, ix.ptsFlat, limit2, limit2)
 	ix.stats.candidates.Add(uint64(folded))
+	ix.stats.dists.Add(uint64(dists))
 	ix.stats.passes.Add(uint64(passes))
 	return append(dst, h...), nil
 }

@@ -19,7 +19,7 @@ type Histogram struct {
 	mu      sync.Mutex
 	buckets [64]uint64
 	count   uint64
-	sum     time.Duration
+	sum     time.Duration // saturates at math.MaxInt64 instead of wrapping
 	min     time.Duration
 	max     time.Duration
 }
@@ -37,7 +37,11 @@ func (h *Histogram) Observe(d time.Duration) {
 	defer h.mu.Unlock()
 	h.buckets[idx]++
 	h.count++
-	h.sum += d
+	if h.sum > math.MaxInt64-d {
+		h.sum = math.MaxInt64
+	} else {
+		h.sum += d
+	}
 	if h.count == 1 || d < h.min {
 		h.min = d
 	}

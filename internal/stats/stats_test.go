@@ -164,3 +164,17 @@ func TestBucketUpper(t *testing.T) {
 		t.Error("last bucket must saturate")
 	}
 }
+
+// The sum saturates instead of wrapping: after 1 ns and math.MaxInt64 ns the
+// mean and the exported sum stay non-negative (the sum at math.MaxInt64).
+func TestHistogramSumSaturates(t *testing.T) {
+	var h Histogram
+	h.Observe(1)
+	h.Observe(math.MaxInt64)
+	if m := h.Mean(); m != math.MaxInt64/2 {
+		t.Fatalf("Mean() = %v, want %v", m, time.Duration(math.MaxInt64/2))
+	}
+	if s := h.Snapshot().Sum; s != math.MaxInt64 {
+		t.Fatalf("Snapshot().Sum = %v, want %v", s, time.Duration(math.MaxInt64))
+	}
+}
