@@ -77,10 +77,11 @@ test:
 # Every package again, uncached and under the race detector (~5 min, nearly
 # all of it internal/nncell). This is the whole gate for the serving lifecycle
 # of the real binary (serve, SIGTERM drain, SIGKILL and WAL recovery, the
-# 3-node kill -9 cluster), the injected-fault durability matrix, lazy repair,
-# cache coherence under churn, grid routing and replication: their tests are
-# ordinary tests of their packages, so none is selected by name and a renamed
-# test cannot drop out of the gate.
+# 3-node kill -9 cluster), the injected-fault durability matrix, replication,
+# and the op-sequence model of internal/nncell/ops_test.go, whose concurrent
+# steps race readers, writers, Save and the lazy repair pool on every index
+# configuration. All are ordinary tests of their packages, so none is
+# selected by name and a renamed test cannot drop out of the gate.
 race:
 	$(GO) test -race -count 1 ./...
 
@@ -126,12 +127,15 @@ bench-smoke:
 # Ten seconds of native fuzzing per target, on top of the seed corpora that
 # `go test` already runs: the cell and point directories against their naive
 # models, the AVX2 kernels against the Go loops bit for bit, the snapshot
-# loader on arbitrary bytes, and the LP solvers against each other.
+# loader on arbitrary bytes, op sequences decoded from bytes against the scan
+# (FuzzOps; minimising a new input stops the fuzzing, so it is held to 2 s),
+# and the LP solvers against each other.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCellDir' -fuzztime 10s ./internal/nncell/
 	$(GO) test -run '^$$' -fuzz 'FuzzKernels' -fuzztime 10s ./internal/nncell/
 	$(GO) test -run '^$$' -fuzz 'FuzzPointDir' -fuzztime 10s ./internal/nncell/
 	$(GO) test -run '^$$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/nncell/
+	$(GO) test -run '^$$' -fuzz 'FuzzOps' -fuzztime 10s -fuzzminimizetime 2s ./internal/nncell/
 	$(GO) test -run '^$$' -fuzz 'FuzzSolversAgree' -fuzztime 10s ./internal/lp/
 
 # The repository's benchmark (bench/, BENCHMARK.json) is a module of its own,

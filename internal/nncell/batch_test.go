@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -230,51 +229,6 @@ func TestDeleteBatch(t *testing.T) {
 	}
 }
 
-// The heart of the lazy-repair correctness claim: queries issued WHILE
-// repairs are pending are exact — the stale cells' MBRs are still supersets
-// (Lemma 1), so NN, kNN and Candidates all stay oracle-equal. drainOnly
-// pins the stale window open deterministically.
-func TestStaleServingExact(t *testing.T) {
-	pts := uniquePoints(t, dataset.NameUniform, 510, 140, 3)
-	ix := drainOnly(mustBuild(t, pts[:80], Options{
-		Algorithm: Correct, AutoThreshold: -1, LazyRepair: true,
-	}))
-
-	// A batched and a few single lazy inserts, all leaving stale cells.
-	if _, err := ix.InsertBatch(pts[80:130]); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts[130:] {
-		if _, err := ix.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := ix.Stats()
-	if st.StaleCells == 0 {
-		t.Fatal("lazy inserts left no stale cells; the test is vacuous")
-	}
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Exactness during the pending window.
-	assertExactQueries(t, ix, pts, identMap(len(pts)), 511, 40)
-
-	// Flush; everything repaired, still exact.
-	ix.RepairWait()
-	st = ix.Stats()
-	if st.StaleCells != 0 {
-		t.Fatalf("StaleCells = %d after RepairWait", st.StaleCells)
-	}
-	if st.Repairs == 0 {
-		t.Fatal("RepairWait repaired nothing")
-	}
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	assertExactQueries(t, ix, pts, identMap(len(pts)), 512, 40)
-}
-
 // A write on a lazy index is lazy however large the stale backlog grows:
 // inserts recompute no cell, and the stale gauges count what they marked.
 func TestLazyInsertsStayLazy(t *testing.T) {
@@ -295,131 +249,6 @@ func TestLazyInsertsStayLazy(t *testing.T) {
 	if st.StaleCells == 0 || st.StaleCellsHighWater < st.StaleCells {
 		t.Fatalf("stale accounting off: now=%d highwater=%d", st.StaleCells, st.StaleCellsHighWater)
 	}
-}
-
-// Deletes must stay eager even on a lazy index (their neighbors' cells
-// GROW), and deleting a cell that is itself pending repair must be safe.
-func TestLazyDeleteStaysEagerAndExact(t *testing.T) {
-	pts := uniquePoints(t, dataset.NameClustered, 513, 100, 2)
-	ix := drainOnly(mustBuild(t, pts[:70], Options{
-		Algorithm: Correct, AutoThreshold: -1, LazyRepair: true,
-	}))
-	if _, err := ix.InsertBatch(pts[70:]); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Stats().StaleCells == 0 {
-		t.Fatal("no stale cells to exercise")
-	}
-
-	// Delete a mix of old and freshly inserted points while stale cells are
-	// pending; some deleted cells may themselves be stale.
-	dead := []int{5, 72, 30, 99, 61}
-	if err := ix.DeleteBatch(dead[:3]); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range dead[3:] {
-		if err := ix.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	inDead := make(map[int]bool)
-	for _, id := range dead {
-		inDead[id] = true
-	}
-	var live []vec.Point
-	idToLive := make(map[int]int)
-	for i, p := range pts {
-		if !inDead[i] {
-			idToLive[i] = len(live)
-			live = append(live, p)
-		}
-	}
-	assertExactQueries(t, ix, live, idToLive, 514, 30)
-	ix.RepairWait()
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	assertExactQueries(t, ix, live, idToLive, 515, 30)
-}
-
-// The background pool drains on its own and commits
-// only fresh approximations under mixed readers and writers. Run with
-// -race in CI (see Makefile race list).
-func TestRepairPoolMixedReadersWriters(t *testing.T) {
-	pts := uniquePoints(t, dataset.NameUniform, 516, 400, 3)
-	ix := mustBuild(t, pts[:200], Options{
-		Algorithm: NNDirection, LazyRepair: true,
-	})
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	errs := make(chan error, 8)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := ix.NearestNeighbor(randQuery(rng, 3)); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(int64(600 + w))
-	}
-
-	// One writer: batches in, some deletes, more batches — every mutation
-	// racing the repair pool and the readers.
-	next, delCursor := 200, 0
-	deleted := make(map[int]bool)
-	for next < len(pts) {
-		hi := next + 40
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		if _, err := ix.InsertBatch(pts[next:hi]); err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.DeleteBatch([]int{delCursor, delCursor + 1}); err != nil {
-			t.Fatal(err)
-		}
-		deleted[delCursor] = true
-		deleted[delCursor+1] = true
-		delCursor += 2
-		next = hi
-	}
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	ix.RepairWait()
-	if ix.Stats().StaleCells != 0 {
-		t.Fatalf("StaleCells = %d after drain", ix.Stats().StaleCells)
-	}
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	var live []vec.Point
-	idToLive := make(map[int]int)
-	for i, p := range pts {
-		if !deleted[i] {
-			idToLive[i] = len(live)
-			live = append(live, p)
-		}
-	}
-	assertExactQueries(t, ix, live, idToLive, 517, 30)
 }
 
 // AutoThreshold switches Correct to NN-Direction above the cutoff: the

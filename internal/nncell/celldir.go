@@ -58,7 +58,7 @@ func newStripeGrid(bounds vec.Rect) stripeGrid {
 // stripe maps coordinate x of dimension j to its stripe, clamped to the
 // grid: everything left of the data space lands in stripe 0, everything
 // right of it (and the upper bound itself) in the last one.
-func (g stripeGrid) stripe(j int, x float64) int {
+func (g *stripeGrid) stripe(j int, x float64) int {
 	t := (x - g.lo[j]) * g.scale[j]
 	if !(t >= 0) { // negative, or NaN from an infinite offset times a zero scale
 		return 0

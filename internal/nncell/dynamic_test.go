@@ -9,72 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/scan"
 	"repro/internal/vec"
-	"repro/internal/voronoi"
 )
-
-// After dynamic insertions the index must be indistinguishable from a fresh
-// bulk build: every query exact, and (for Correct) every stored MBR equal to
-// the exact Voronoi MBR.
-func TestInsertMaintainsExactness(t *testing.T) {
-	pts := uniquePoints(t, dataset.NameUniform, 61, 120, 2)
-	ix := mustBuild(t, pts[:60], Options{Algorithm: Correct})
-	for _, p := range pts[60:] {
-		if _, err := ix.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ix.Len() != 120 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-	bounds := vec.UnitCube(2)
-	for i := range pts {
-		exact := voronoi.NNCell(pts, i, bounds).MBR()
-		cell, ok := ix.CellApprox(i)
-		if !ok {
-			t.Fatalf("cell %d missing after inserts", i)
-		}
-		for j := 0; j < 2; j++ {
-			if math.Abs(cell.Lo[j]-exact.Lo[j]) > 1e-6 || math.Abs(cell.Hi[j]-exact.Hi[j]) > 1e-6 {
-				t.Fatalf("cell %d dim %d: got [%v,%v], exact [%v,%v]",
-					i, j, cell.Lo[j], cell.Hi[j], exact.Lo[j], exact.Hi[j])
-			}
-		}
-	}
-	if s := ix.Stats(); s.Updates == 0 {
-		t.Error("insertions triggered no affected-cell updates")
-	}
-}
-
-func TestInsertQueriesStayExact(t *testing.T) {
-	for _, opts := range []Options{
-		{Algorithm: Sphere},
-		{Algorithm: NNDirection},
-	} {
-		pts := uniquePoints(t, dataset.NameClustered, 62, 150, 4)
-		ix := mustBuild(t, pts[:75], opts)
-		for _, p := range pts[75:] {
-			if _, err := ix.Insert(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		oracle := scan.New(pts, vec.Euclidean{}, newTestPager())
-		rng := rand.New(rand.NewSource(63))
-		for trial := 0; trial < 40; trial++ {
-			q := randQuery(rng, 4)
-			_, wantD2 := oracle.Nearest(q)
-			got, err := ix.NearestNeighbor(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got.Dist2-wantD2) > 1e-12 {
-				t.Fatalf("alg %v trial %d: got %v want %v", opts.Algorithm, trial, got.Dist2, wantD2)
-			}
-		}
-		if s := ix.Stats(); s.Fallbacks != 0 {
-			t.Errorf("alg %v: %d fallbacks", opts.Algorithm, s.Fallbacks)
-		}
-	}
-}
 
 func TestInsertValidation(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 64, 20, 3)
@@ -87,49 +22,6 @@ func TestInsertValidation(t *testing.T) {
 	}
 	if _, err := ix.Insert(pts[3]); err == nil {
 		t.Error("duplicate accepted")
-	}
-}
-
-func TestDeleteMaintainsExactness(t *testing.T) {
-	pts := uniquePoints(t, dataset.NameUniform, 65, 100, 2)
-	ix := mustBuild(t, pts, Options{Algorithm: Correct})
-	// Delete the first 40 points.
-	for i := 0; i < 40; i++ {
-		if err := ix.Delete(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ix.Len() != 60 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-	rest := pts[40:]
-	bounds := vec.UnitCube(2)
-	for i := range rest {
-		exact := voronoi.NNCell(rest, i, bounds).MBR()
-		cell, ok := ix.CellApprox(40 + i)
-		if !ok {
-			t.Fatalf("cell %d missing after deletes", 40+i)
-		}
-		for j := 0; j < 2; j++ {
-			if math.Abs(cell.Lo[j]-exact.Lo[j]) > 1e-6 || math.Abs(cell.Hi[j]-exact.Hi[j]) > 1e-6 {
-				t.Fatalf("cell %d dim %d: got [%v,%v], exact [%v,%v]",
-					40+i, j, cell.Lo[j], cell.Hi[j], exact.Lo[j], exact.Hi[j])
-			}
-		}
-	}
-	// Queries against the oracle over survivors.
-	oracle := scan.New(rest, vec.Euclidean{}, newTestPager())
-	rng := rand.New(rand.NewSource(66))
-	for trial := 0; trial < 60; trial++ {
-		q := randQuery(rng, 2)
-		_, wantD2 := oracle.Nearest(q)
-		got, err := ix.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Dist2-wantD2) > 1e-12 {
-			t.Fatalf("trial %d: got %v want %v", trial, got.Dist2, wantD2)
-		}
 	}
 }
 
@@ -176,59 +68,6 @@ func TestDeleteAllThenQueryAndReinsert(t *testing.T) {
 	got, err := ix.NearestNeighbor(vec.Point{0.9, 0.9})
 	if err != nil || got.ID != id {
 		t.Errorf("NN = %v, %v", got, err)
-	}
-}
-
-// Interleaved inserts and deletes against a continuously verified oracle.
-func TestMixedDynamicWorkload(t *testing.T) {
-	rng := rand.New(rand.NewSource(69))
-	pts := uniquePoints(t, dataset.NameUniform, 70, 400, 3)
-	ix := mustBuild(t, pts[:50], Options{Algorithm: Sphere})
-	type rec struct {
-		id int
-		p  vec.Point
-	}
-	live := make([]rec, 0, 400)
-	for i := 0; i < 50; i++ {
-		live = append(live, rec{i, pts[i]})
-	}
-	nextPt := 50
-	for op := 0; op < 120; op++ {
-		if (rng.Float64() < 0.6 && nextPt < len(pts)) || len(live) <= 2 {
-			id, err := ix.Insert(pts[nextPt])
-			if err != nil {
-				t.Fatalf("op %d insert: %v", op, err)
-			}
-			live = append(live, rec{id, pts[nextPt]})
-			nextPt++
-		} else {
-			k := rng.Intn(len(live))
-			if err := ix.Delete(live[k].id); err != nil {
-				t.Fatalf("op %d delete: %v", op, err)
-			}
-			live = append(live[:k], live[k+1:]...)
-		}
-		if op%20 == 19 {
-			livePts := make([]vec.Point, len(live))
-			for i, r := range live {
-				livePts[i] = r.p
-			}
-			oracle := scan.New(livePts, vec.Euclidean{}, newTestPager())
-			for trial := 0; trial < 10; trial++ {
-				q := randQuery(rng, 3)
-				_, wantD2 := oracle.Nearest(q)
-				got, err := ix.NearestNeighbor(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(got.Dist2-wantD2) > 1e-12 {
-					t.Fatalf("op %d trial %d: got %v want %v", op, trial, got.Dist2, wantD2)
-				}
-			}
-		}
-	}
-	if err := ix.Tree().CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package nncell
 
 import (
-	"bytes"
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -98,46 +95,6 @@ func TestLemma1OptimizedSupersets(t *testing.T) {
 			for j := 0; j < 4; j++ {
 				if of.Lo[j] > cf.Lo[j]+1e-7 || of.Hi[j] < cf.Hi[j]-1e-7 {
 					t.Fatalf("%v cell %d: optimized %v does not contain correct %v", alg, i, of, cf)
-				}
-			}
-		}
-	}
-}
-
-// Lemma 2 / end-to-end exactness: for every algorithm and dataset shape, the
-// index must return the true nearest neighbor.
-func TestExactNearestNeighborAllConfigurations(t *testing.T) {
-	configs := []struct {
-		name string
-		opts Options
-	}{
-		{"correct", Options{Algorithm: Correct}},
-		{"point", Options{Algorithm: PointAlg}},
-		{"sphere", Options{Algorithm: Sphere}},
-		{"nndir", Options{Algorithm: NNDirection}},
-	}
-	shapes := []dataset.Name{dataset.NameUniform, dataset.NameGrid, dataset.NameDiagonal, dataset.NameClustered, dataset.NameFourier}
-	rng := rand.New(rand.NewSource(43))
-	for _, cfg := range configs {
-		for _, shape := range shapes {
-			for _, d := range []int{2, 4, 8} {
-				pts := uniquePoints(t, shape, 100+int64(d), 120, d)
-				ix := mustBuild(t, pts, cfg.opts)
-				oracle := scan.New(pts, vec.Euclidean{}, newTestPager())
-				for trial := 0; trial < 25; trial++ {
-					q := randQuery(rng, d)
-					wantIdx, wantD2 := oracle.Nearest(q)
-					got, err := ix.NearestNeighbor(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if math.Abs(got.Dist2-wantD2) > 1e-12 {
-						t.Fatalf("%s/%s d=%d trial %d: got id %d dist %v, want id %d dist %v",
-							cfg.name, shape, d, trial, got.ID, got.Dist2, wantIdx, wantD2)
-					}
-				}
-				if s := ix.Stats(); s.Fallbacks != 0 {
-					t.Errorf("%s/%s d=%d: %d scan fallbacks on in-space queries", cfg.name, shape, d, s.Fallbacks)
 				}
 			}
 		}
@@ -290,138 +247,6 @@ func (ix *Index) scanKNearest(q vec.Point, k int) []Neighbor {
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].Less(all[b]) })
 	return all[:min(k, len(all))]
-}
-
-// scanWithin is the oracle of KNearestWithinAppend: scanKNearest's order, the
-// points at most limit2 away, cut to k.
-func (ix *Index) scanWithin(q vec.Point, k int, limit2 float64) []Neighbor {
-	all := ix.scanKNearest(q, ix.Len())
-	n := 0
-	for n < len(all) && all[n].Dist2 <= limit2 {
-		n++
-	}
-	return all[:min(k, n)]
-}
-
-// checkKNearest asserts KNearestAppend ≡ sorted scan, ids and Dist2 bit for
-// bit and in the documented (Dist2, ID) order, for k ∈ {1, 2, 10, 16, 17, 64,
-// 100, alive, alive + 5} — one bound short of and past the sixteen lane minima
-// the seed fold bounds with — on queries in the space, on a data point, on the
-// boundary of the space, on the lattice's tie points and outside the space
-// near and far; and KNearestWithinAppend ≡ the scan cut at its limit, for a
-// limit at the k-th distance (a tie there is in), just below it, at 0 and at
-// +Inf.
-func checkKNearest(t *testing.T, ix *Index, rng *rand.Rand, label string) {
-	t.Helper()
-	d, ids := ix.Dim(), ix.IDs()
-	prefix := []Neighbor{{ID: -7, Dist2: -1}}
-	for qi := 0; qi < 24; qi++ {
-		q := randQuery(rng, d)
-		switch qi % 8 {
-		case 2:
-			q, _ = ix.Point(ids[rng.Intn(len(ids))])
-		case 3: // on faces and corners of the data space
-			for j := range q {
-				if rng.Intn(2) == 0 {
-					q[j] = float64(rng.Intn(2))
-				}
-			}
-		case 4: // equidistant from many lattice points
-			for j := range q {
-				q[j] = float64(rng.Intn(5)) / 4
-			}
-		case 5:
-			q[qi%d] += 1.5
-		case 6:
-			for j := range q {
-				q[j] = -3 - q[j]
-			}
-		}
-		for _, k := range []int{1, 2, 10, 16, 17, 64, 100, len(ids), len(ids) + 5} {
-			want := ix.scanKNearest(q, k)
-			got, err := ix.KNearestAppend(prefix, q, k)
-			if err != nil {
-				t.Fatalf("%s q=%v k=%d: %v", label, q, k, err)
-			}
-			if got[0] != prefix[0] || !slices.Equal(got[1:], want) {
-				t.Fatalf("%s q=%v k=%d:\n got %v after the caller's %v\nwant %v", label, q, k, got[1:], got[0], want)
-			}
-			kth := want[len(want)-1].Dist2
-			for _, limit2 := range []float64{kth, math.Nextafter(kth, -1), 0, math.Inf(1)} {
-				want := ix.scanWithin(q, k, limit2)
-				got, err := ix.KNearestWithinAppend(prefix, q, k, limit2)
-				if err != nil || got[0] != prefix[0] || !slices.Equal(got[1:], want) {
-					t.Fatalf("%s q=%v k=%d within %v: %v, %v after the caller's %v\nwant %v", label, q, k, limit2, got[1:], err, got[0], want)
-				}
-			}
-		}
-	}
-}
-
-// KNearest must agree with the sorted scan in every dimensionality the
-// records cover, on uniform data and on a lattice (many exact distance ties,
-// so the (Dist2, ID) order is what is being checked), with tombstones, after a
-// Save/Load round trip and on an index grown from NewEmpty by per-op and
-// batched inserts.
-func TestKNearestMatchesScan(t *testing.T) {
-	for _, d := range []int{2, 4, 8, 16} {
-		rng := rand.New(rand.NewSource(int64(50 + d)))
-		n, latN := 170, 256 // the LPs of a build are the test's cost, so fewer points where they are large
-		if d >= 8 {
-			n, latN = 120, 128
-		}
-		for _, lattice := range []bool{false, true} {
-			label := fmt.Sprintf("d=%d lattice=%v", d, lattice)
-			pts := uniquePoints(t, dataset.NameUniform, int64(50+d), n, d)
-			if lattice { // 16, 4, 2 and 2 points a side: binary fractions, so ties are exact
-				pts = dataset.Grid(rng, latN, d, 0)
-			}
-			ix := mustBuild(t, pts, Options{Algorithm: NNDirection})
-			var dead []int
-			for id := 3; id < len(pts); id += 7 {
-				dead = append(dead, id)
-			}
-			if err := ix.DeleteBatch(dead); err != nil {
-				t.Fatal(err)
-			}
-			checkKNearest(t, ix, rng, label)
-
-			var buf bytes.Buffer
-			if err := ix.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := Load(&buf, newTestPager())
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkKNearest(t, loaded, rng, label+" loaded")
-		}
-
-		ix, err := NewEmpty(d, vec.UnitCube(d), newTestPager(), Options{Algorithm: NNDirection})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pts := uniquePoints(t, dataset.NameClustered, int64(60+d), 40, d)
-		for _, p := range pts[:8] {
-			if _, err := ix.Insert(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := ix.InsertBatch(pts[8:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.DeleteBatch([]int{0, 5, 34}); err != nil {
-			t.Fatal(err)
-		}
-		checkKNearest(t, ix, rng, fmt.Sprintf("d=%d grown from empty", d))
-		if err := ix.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix := mustBuild(t, uniquePoints(t, dataset.NameUniform, 50, 20, 4), Options{Algorithm: Sphere})
-	if res, err := ix.KNearest(vec.Point{0, 0, 0, 0}, 0); !errors.Is(err, ErrBadK) {
-		t.Errorf("k=0: got %v, %v; want ErrBadK", res, err)
-	}
 }
 
 // Ties at the cut: on lattices of binary fractions (d = 4 and, on the fused

@@ -1,14 +1,11 @@
 package nncell
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -58,187 +55,6 @@ func checkThreeWay(t *testing.T, ix *Index, rng *rand.Rand, queries int, label s
 		}
 		if got != want || paged != want {
 			t.Fatalf("%s q=%v: directory %+v, paged %+v, scan oracle %+v", label, q, got, paged, want)
-		}
-	}
-}
-
-// The cell directory must return exactly what the paged cell X-tree and the
-// scan return, on smooth and clustered data alike, for every
-// constraint-selection algorithm, including queries outside the data space
-// (both paths share the exact fallback) and after a Save/Load round trip
-// (Load refills the directory from the validated cells).
-func TestDirectoryMatchesPagedAndScan(t *testing.T) {
-	for _, name := range []dataset.Name{dataset.NameUniform, dataset.NameClustered} {
-		for _, alg := range Algorithms() {
-			for _, d := range []int{2, 4, 8, 16} {
-				n := 120
-				if d == 16 {
-					n = 60 // LP-heavy
-				}
-				label := fmt.Sprintf("%s/%s/d=%d", name, alg, d)
-				pts := uniquePoints(t, name, int64(200+10*d+int(alg)), n, d)
-				ix := mustBuild(t, pts, Options{Algorithm: alg})
-				rng := rand.New(rand.NewSource(int64(300 + d)))
-				checkThreeWay(t, ix, rng, 80, label)
-
-				var buf bytes.Buffer
-				if err := ix.Save(&buf); err != nil {
-					t.Fatal(err)
-				}
-				loaded, err := Load(&buf, newTestPager())
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkThreeWay(t, loaded, rng, 40, label+"/loaded")
-				if err := loaded.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
-// The three-way equivalence must hold across every kind of mutation: per-op
-// and batched inserts and deletes, and while lazily deferred repairs are
-// still pending (stale cells keep their old superset bits) as well as after
-// the repair pool has drained.
-func TestDirectoryExactUnderChurn(t *testing.T) {
-	const d = 4
-	pts := uniquePoints(t, dataset.NameUniform, 71, 260, d)
-	ix := drainOnly(mustBuild(t, pts[:120], Options{Algorithm: NNDirection, LazyRepair: true}))
-	rng := rand.New(rand.NewSource(72))
-
-	for _, p := range pts[120:150] {
-		if _, err := ix.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ix.InsertBatch(pts[150:220]); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Stats().StaleCells == 0 {
-		t.Fatal("no repairs pending: the lazy path was not exercised")
-	}
-	checkThreeWay(t, ix, rng, 120, "pending repairs")
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	for id := 0; id < 60; id += 5 {
-		if err := ix.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ix.DeleteBatch([]int{61, 62, 63, 130, 131, 200}); err != nil {
-		t.Fatal(err)
-	}
-	checkThreeWay(t, ix, rng, 120, "after deletes")
-
-	ix.RepairWait()
-	if _, err := ix.InsertBatch(pts[220:]); err != nil {
-		t.Fatal(err)
-	}
-	ix.RepairWait()
-	if ix.Stats().StaleCells != 0 {
-		t.Fatal("repairs still pending after RepairWait")
-	}
-	checkThreeWay(t, ix, rng, 120, "repaired")
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestKNearestExactUnderChurn: k-NN answers stay equal to the sorted scan
-// across per-op and batched inserts and deletes, with eager repair and with
-// lazily deferred repairs pending and draining in the background, while
-// concurrent readers run k-NN and out-of-bounds NN queries (the other user of
-// the point directory) the whole time. A reader cannot compare with an oracle
-// while the point set moves, so it checks what holds at any instant: the
-// result is as long as asked, ascending by (Dist2, ID), and distinct.
-func TestKNearestExactUnderChurn(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		const d = 4
-		pts := uniquePoints(t, dataset.NameUniform, 81, 200, d)
-		ix := mustBuild(t, pts[:120], Options{Algorithm: NNDirection, LazyRepair: lazy})
-		label := fmt.Sprintf("lazy=%v", lazy)
-
-		stop := make(chan struct{})
-		errs := make(chan error, 4)
-		var wg sync.WaitGroup
-		for w := 0; w < 3; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				var nbs []Neighbor
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					q := randQuery(rng, d)
-					if rng.Intn(4) == 0 {
-						q[rng.Intn(d)] += 1.5
-						if _, err := ix.NearestNeighbor(q); err != nil {
-							errs <- err
-							return
-						}
-					}
-					k := 2 + rng.Intn(30)
-					var err error
-					if nbs, err = ix.KNearestAppend(nbs[:0], q, k); err != nil {
-						errs <- err
-						return
-					}
-					sorted := sort.SliceIsSorted(nbs, func(a, b int) bool { return nbs[a].Less(nbs[b]) })
-					for i := 1; sorted && i < len(nbs); i++ {
-						sorted = nbs[i-1] != nbs[i]
-					}
-					if len(nbs) != k || !sorted {
-						errs <- fmt.Errorf("%s: k=%d at %v returned %d neighbors, sorted and distinct: %v", label, k, q, len(nbs), sorted)
-						return
-					}
-				}
-			}(int64(82 + w))
-		}
-
-		rng := rand.New(rand.NewSource(85))
-		step := func(what string, mutate func() error) {
-			t.Helper()
-			if err := mutate(); err != nil {
-				t.Fatalf("%s: %s: %v", label, what, err)
-			}
-			checkKNearest(t, ix, rng, label+"/"+what)
-		}
-		step("inserts", func() error {
-			for _, p := range pts[120:140] {
-				if _, err := ix.Insert(p); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		step("insert batch", func() error { _, err := ix.InsertBatch(pts[140:]); return err })
-		step("deletes", func() error {
-			for id := 0; id < 60; id += 5 {
-				if err := ix.Delete(id); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		step("delete batch", func() error { return ix.DeleteBatch([]int{61, 62, 63, 130, 131, 199}) })
-		step("drained", func() error { ix.RepairWait(); return nil })
-
-		close(stop)
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
-		if err := ix.CheckInvariants(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -401,35 +217,5 @@ func TestKNearestStatsDiscipline(t *testing.T) {
 	}
 	if after := ix.Stats(); after.Queries != before.Queries+1 {
 		t.Errorf("k=3 counted %d queries, want %d", after.Queries, before.Queries+1)
-	}
-}
-
-// The engine must stay exact across structural updates: deletes tombstone
-// points and remove their cells, inserts recompute affected cells, and
-// the SoA coordinate mirror must track both.
-func TestEngineExactAfterUpdates(t *testing.T) {
-	pts := uniquePoints(t, dataset.NameUniform, 67, 120, 4)
-	ix := mustBuild(t, pts[:100], Options{Algorithm: NNDirection})
-	for id := 0; id < 100; id += 7 {
-		if err := ix.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range pts[100:] {
-		if _, err := ix.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(68))
-	for qi := 0; qi < 100; qi++ {
-		q := randQuery(rng, 4)
-		want := ix.scanNearest(q)
-		got, err := ix.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("q=%v: engine %+v, scan oracle %+v", q, got, want)
-		}
 	}
 }

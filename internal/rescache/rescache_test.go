@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/nncell"
 	"repro/internal/pager"
-	"repro/internal/shard"
 	"repro/internal/vec"
 )
 
@@ -34,103 +33,21 @@ func buildSerial(t testing.TB, rng *rand.Rand, n, d int, opts nncell.Options) *n
 }
 
 // model mirrors the live point set so tests can brute-force the exact
-// answer. Guarded by mu where tests mutate concurrently.
-type model struct {
-	mu   sync.Mutex
-	live map[int]vec.Point
-}
-
-func newModel() *model { return &model{live: make(map[int]vec.Point)} }
+// answer.
+type model map[int]vec.Point
 
 // nearest is the brute-force oracle: lowest id wins ties, matching the
 // index's deterministic tie-break.
-func (m *model) nearest(q vec.Point) nncell.Neighbor {
+func (m model) nearest(q vec.Point) nncell.Neighbor {
 	metric := vec.Euclidean{}
 	best := nncell.Neighbor{ID: -1, Dist2: math.Inf(1)}
-	for id, p := range m.live {
+	for id, p := range m {
 		d2 := metric.Dist2(q, p)
 		if d2 < best.Dist2 || (d2 == best.Dist2 && id < best.ID) {
 			best = nncell.Neighbor{ID: id, Dist2: d2}
 		}
 	}
 	return best
-}
-
-// A cached answer must be byte-identical to the uncached answer of the same
-// index, and both must name the oracle's point. Exercised across a serial
-// index under interleaved mutations: the query pool repeats, so later
-// rounds are answered from the cache and would surface any missed
-// invalidation.
-func TestFrontExactUnderMutationSerial(t *testing.T) {
-	const d = 4
-	rng := rand.New(rand.NewSource(71))
-	ix := buildSerial(t, rng, 120, d, nncell.Options{Algorithm: nncell.Sphere})
-	m := newModel()
-	for _, id := range ix.IDs() {
-		p, _ := ix.Point(id)
-		m.live[id] = p
-	}
-	front := NewFront(ix, 1024)
-
-	pool := make([]vec.Point, 32)
-	for i := range pool {
-		pool[i] = randPoint(rng, d)
-	}
-	check := func(round int) {
-		for qi, q := range pool {
-			got, err := front.NearestNeighbor(q)
-			if err != nil {
-				t.Fatalf("round %d query %d: %v", round, qi, err)
-			}
-			raw, err := ix.NearestNeighbor(q)
-			if err != nil {
-				t.Fatalf("round %d query %d uncached: %v", round, qi, err)
-			}
-			if got != raw {
-				t.Fatalf("round %d query %d: cached %+v != uncached %+v", round, qi, got, raw)
-			}
-			if want := m.nearest(q); got.ID != want.ID {
-				t.Fatalf("round %d query %d: id %d, oracle %d", round, qi, got.ID, want.ID)
-			}
-		}
-	}
-	check(0)
-	for round := 1; round <= 25; round++ {
-		switch round % 4 {
-		case 0: // batch insert
-			ps := []vec.Point{randPoint(rng, d), randPoint(rng, d)}
-			ids, err := front.InsertBatch(ps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, id := range ids {
-				m.live[id] = ps[k]
-			}
-		case 1, 2: // single insert
-			p := randPoint(rng, d)
-			id, err := front.Insert(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.live[id] = p
-		case 3: // delete a random live point
-			for id := range m.live {
-				if err := front.Delete(id); err != nil {
-					t.Fatal(err)
-				}
-				delete(m.live, id)
-				break
-			}
-		}
-		check(round)
-	}
-	st := front.Cache().Stats()
-	if st.Hits == 0 {
-		t.Error("pool queries never hit the cache")
-	}
-	if st.Invalidations == 0 {
-		t.Error("mutations never invalidated")
-	}
 }
 
 // The failure mode the cache must not have: a memoized answer surviving an
@@ -171,10 +88,10 @@ func TestCacheInvalidatedByAnswerDelete(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	ix := buildSerial(t, rng, 60, d, nncell.Options{Algorithm: nncell.Sphere})
 	front := NewFront(ix, 256)
-	m := newModel()
+	m := model{}
 	for _, id := range ix.IDs() {
 		p, _ := ix.Point(id)
-		m.live[id] = p
+		m[id] = p
 	}
 
 	q := randPoint(rng, d)
@@ -185,7 +102,7 @@ func TestCacheInvalidatedByAnswerDelete(t *testing.T) {
 	if err := front.Delete(before.ID); err != nil {
 		t.Fatal(err)
 	}
-	delete(m.live, before.ID)
+	delete(m, before.ID)
 	after, err := front.NearestNeighbor(q)
 	if err != nil {
 		t.Fatal(err)
@@ -242,156 +159,6 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// The make-check coherence gate: concurrent readers over a zipfian-hot pool
-// (so most lookups are cache hits) race against writers doing single and
-// batch inserts/deletes on a sharded, lazy-repair index — the full
-// invalidation surface (per-shard hooks, batch-union invalidation, repair
-// commits). During churn answers must only be well-formed; after the
-// writers quiesce and repairs drain, every pool query's cached answer must
-// be byte-identical to the uncached answer and match the brute-force oracle
-// of the surviving point set.
-func TestCacheCoherenceChurn(t *testing.T) {
-	const (
-		d       = 4
-		shards  = 4
-		n       = 400
-		writers = 3
-		readers = 4
-	)
-	rng := rand.New(rand.NewSource(75))
-	pts := make([]vec.Point, n)
-	for i := range pts {
-		pts[i] = randPoint(rng, d)
-	}
-	sh, err := shard.Build(pts, vec.UnitCube(d), shard.Options{
-		Shards: shards,
-		Pager:  pager.Config{CachePages: 64},
-		Index:  nncell.Options{Algorithm: nncell.Sphere, LazyRepair: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newModel()
-	for _, id := range sh.IDs() {
-		p, _ := sh.Point(id)
-		m.live[id] = p
-	}
-	front := NewFront(sh, 4096)
-
-	pool := make([]vec.Point, 64)
-	for i := range pool {
-		pool[i] = randPoint(rng, d)
-	}
-
-	rounds := 60
-	if testing.Short() {
-		rounds = 15
-	}
-	var writerWG, readerWG sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		writerWG.Add(1)
-		go func(seed int64) {
-			defer writerWG.Done()
-			wrng := rand.New(rand.NewSource(seed))
-			for i := 0; i < rounds; i++ {
-				// The model lock spans each mutation so the mirror never
-				// diverges; writers serialize against each other but not
-				// against the readers, which is the race under test.
-				m.mu.Lock()
-				switch wrng.Intn(5) {
-				case 0: // batch insert
-					ps := []vec.Point{randPoint(wrng, d), randPoint(wrng, d), randPoint(wrng, d)}
-					ids, err := front.InsertBatch(ps)
-					if err != nil {
-						t.Errorf("insert batch: %v", err)
-					} else {
-						for k, id := range ids {
-							m.live[id] = ps[k]
-						}
-					}
-				case 1, 2: // single insert
-					p := randPoint(wrng, d)
-					id, err := front.Insert(p)
-					if err != nil {
-						t.Errorf("insert: %v", err)
-					} else {
-						m.live[id] = p
-					}
-				default: // delete, keeping a floor of live points
-					if len(m.live) > n/2 {
-						for id := range m.live {
-							if err := front.Delete(id); err != nil {
-								t.Errorf("delete %d: %v", id, err)
-							} else {
-								delete(m.live, id)
-							}
-							break
-						}
-					}
-				}
-				m.mu.Unlock()
-			}
-		}(int64(76 + w))
-	}
-	for r := 0; r < readers; r++ {
-		readerWG.Add(1)
-		go func(seed int64) {
-			defer readerWG.Done()
-			rrng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q := pool[rrng.Intn(len(pool))]
-				nb, err := front.NearestNeighbor(q)
-				if err != nil {
-					t.Errorf("query during churn: %v", err)
-					return
-				}
-				if nb.ID < 0 || nb.Dist2 < 0 {
-					t.Errorf("malformed answer during churn: %+v", nb)
-					return
-				}
-			}
-		}(int64(90 + r))
-	}
-	// Writers finish, then the readers are stopped and repairs drained.
-	writerWG.Wait()
-	close(stop)
-	readerWG.Wait()
-	sh.RepairWait()
-
-	for qi, q := range pool {
-		cached, err := front.NearestNeighbor(q)
-		if err != nil {
-			t.Fatalf("query %d after quiesce: %v", qi, err)
-		}
-		raw, err := sh.NearestNeighbor(q)
-		if err != nil {
-			t.Fatalf("query %d uncached: %v", qi, err)
-		}
-		if cached != raw {
-			t.Fatalf("query %d: cached %+v != uncached %+v", qi, cached, raw)
-		}
-		if want := m.nearest(q); cached.ID != want.ID {
-			t.Fatalf("query %d: id %d, oracle %d", qi, cached.ID, want.ID)
-		}
-	}
-	st := front.Cache().Stats()
-	if st.Hits == 0 {
-		t.Error("hot pool never hit the cache")
-	}
-	if st.Invalidations == 0 {
-		t.Error("churn never invalidated")
-	}
-	if err := sh.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // recordingInner wraps an Inner and records which query entry points the
 // Front actually uses, proving the batch path forwards misses to the inner
 // CONCURRENT batch call instead of serializing them through the scalar one.
@@ -428,10 +195,10 @@ func TestFrontBatchMatchesScalar(t *testing.T) {
 	const d = 3
 	rng := rand.New(rand.NewSource(91))
 	ix := buildSerial(t, rng, 150, d, nncell.Options{Algorithm: nncell.Sphere})
-	m := newModel()
+	m := model{}
 	for _, id := range ix.IDs() {
 		p, _ := ix.Point(id)
-		m.live[id] = p
+		m[id] = p
 	}
 	front := NewFront(ix, 1024)
 
@@ -475,12 +242,12 @@ func TestFrontBatchMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.live[id] = p
-		for victim := range m.live {
+		m[id] = p
+		for victim := range m {
 			if err := front.Delete(victim); err != nil {
 				t.Fatal(err)
 			}
-			delete(m.live, victim)
+			delete(m, victim)
 			break
 		}
 	}
@@ -536,95 +303,5 @@ func TestFrontBatchForwardsMissesToInnerBatch(t *testing.T) {
 	rec.mu.Lock()
 	if rec.batchCalls != 0 || rec.scalarCalls != 0 {
 		t.Errorf("all-hit batch reached the index (scalar=%d batch=%d)", rec.scalarCalls, rec.batchCalls)
-	}
-}
-
-// The batch satellite's concurrency half: batches racing mutations must
-// stay error-free and coherent (every answer matches the oracle once the
-// writers quiesce); run under -race via make race.
-func TestFrontBatchConcurrentChurn(t *testing.T) {
-	const d = 3
-	rng := rand.New(rand.NewSource(93))
-	ix := buildSerial(t, rng, 200, d, nncell.Options{Algorithm: nncell.Sphere})
-	m := newModel()
-	for _, id := range ix.IDs() {
-		p, _ := ix.Point(id)
-		m.live[id] = p
-	}
-	front := NewFront(ix, 2048)
-
-	pool := make([]vec.Point, 32)
-	for i := range pool {
-		pool[i] = randPoint(rng, d)
-	}
-	rounds := 40
-	if testing.Short() {
-		rounds = 10
-	}
-	stop := make(chan struct{})
-	var readers, writers sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func(seed int64) {
-			defer readers.Done()
-			rrng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				qs := make([]vec.Point, 8)
-				for i := range qs {
-					qs[i] = pool[rrng.Intn(len(pool))]
-				}
-				if _, err := front.NearestNeighborBatch(qs, 2); err != nil {
-					t.Errorf("concurrent batch: %v", err)
-					return
-				}
-			}
-		}(int64(100 + r))
-	}
-	for w := 0; w < 2; w++ {
-		writers.Add(1)
-		go func(seed int64) {
-			defer writers.Done()
-			wrng := rand.New(rand.NewSource(seed))
-			for i := 0; i < rounds; i++ {
-				m.mu.Lock()
-				p := randPoint(wrng, d)
-				id, err := front.Insert(p)
-				if err == nil {
-					m.live[id] = p
-				}
-				for victim := range m.live {
-					if wrng.Intn(2) == 0 {
-						if err := front.Delete(victim); err == nil {
-							delete(m.live, victim)
-						}
-					}
-					break
-				}
-				m.mu.Unlock()
-			}
-		}(int64(200 + w))
-	}
-	writers.Wait()
-	close(stop)
-	readers.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	// Quiesced equivalence sweep: repeats hit the cache, so this would
-	// surface any fill that slipped past an invalidation during the race.
-	for _, q := range pool {
-		want := m.nearest(q)
-		got, err := front.NearestNeighborBatch([]vec.Point{q}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != want {
-			t.Fatalf("post-churn query %v: %+v, oracle %+v", q, got[0], want)
-		}
 	}
 }

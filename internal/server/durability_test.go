@@ -12,7 +12,8 @@ import (
 
 	"repro/internal/iofault"
 	"repro/internal/nncell"
-	"repro/internal/pager"
+	"repro/internal/shard"
+	"repro/internal/vec"
 	"repro/internal/wal"
 )
 
@@ -186,13 +187,16 @@ func TestMutationEndpoints(t *testing.T) {
 // — rotate, publish atomically (tmp+rename+parent fsync), truncate — and
 // leave (snapshot, remaining log) sufficient to rebuild the live state.
 func TestSnapshotCompactsWAL(t *testing.T) {
-	ix, _ := buildTestIndex(t, 60)
-	m := iofault.NewMem()
-	wl, err := wal.Open("wal", wal.Options{FS: m, Policy: wal.SyncAlways})
+	_, pts := buildTestIndex(t, 60)
+	opts := shard.Options{Shards: 1, Index: nncell.Options{Algorithm: nncell.Sphere}}
+	ix, err := shard.Build(pts, vec.UnitCube(testDim), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.AttachWAL(wl)
+	m := iofault.NewMem()
+	if err := ix.OpenWALs("wal", wal.Options{FS: m, Policy: wal.SyncAlways}); err != nil {
+		t.Fatal(err)
+	}
 
 	for i := 0; i < 5; i++ {
 		if _, err := ix.Insert([]float64{0.9, 0.01 * float64(i+1), 0.5}); err != nil {
@@ -224,7 +228,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := wl.Close(); err != nil {
+	if err := ix.CloseWALs(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,7 +238,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 	if !ok {
 		t.Fatal("snapshot file missing from the fault filesystem")
 	}
-	rec, err := nncell.Load(bytes.NewReader(raw), pager.New(pager.Config{CachePages: 64}))
+	rec, err := shard.Load(bytes.NewReader(raw), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

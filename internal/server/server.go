@@ -49,14 +49,8 @@ type Index interface {
 	Save(w io.Writer) error
 }
 
-// walRotator is the single-index WAL compaction surface (nncell.Index).
-type walRotator interface {
-	RotateWAL() (uint64, error)
-	CompactWAL(cut uint64) error
-}
-
-// shardWALRotator is the sharded equivalent (shard.Sharded): one cut per
-// shard's private log.
+// shardWALRotator is the WAL compaction surface of shard.Sharded: one cut
+// per shard's private log.
 type shardWALRotator interface {
 	RotateWAL() ([]uint64, error)
 	CompactWAL(cuts []uint64) error
@@ -381,10 +375,11 @@ func (s *Server) snapshotLoop(ctx context.Context) {
 // a crash. Save holds the index read lock: queries proceed concurrently,
 // writers wait for the duration of the dump.
 //
-// When the index has a WAL, the snapshot doubles as log compaction: the
-// log rotates FIRST (so every record not covered by this snapshot lands in
-// a surviving segment), then the snapshot is published, then the sealed
-// pre-rotation segments are discarded. A failure after publish leaves
+// When the index keeps per-shard WALs (shard.Sharded, what the served
+// binaries run), the snapshot doubles as log compaction: the logs rotate
+// FIRST (so every record not covered by this snapshot lands in a surviving
+// segment), then the snapshot is published, then the sealed pre-rotation
+// segments are discarded. A failure after publish leaves
 // extra segments behind — replayed as stale duplicates, never lost data.
 func (s *Server) writeSnapshot() error {
 	ix := s.index()
@@ -392,26 +387,14 @@ func (s *Server) writeSnapshot() error {
 		return errors.New("server: snapshot before index is loaded")
 	}
 
-	var (
-		cut       uint64
-		cuts      []uint64
-		compacter func() error
-	)
-	switch w := ix.(type) {
-	case shardWALRotator:
-		var err error
-		if cuts, err = w.RotateWAL(); err != nil {
+	var compacter func() error
+	if w, ok := ix.(shardWALRotator); ok {
+		cuts, err := w.RotateWAL()
+		if err != nil {
 			s.m.snapshotErrs.Add(1)
 			return fmt.Errorf("server: rotating wal: %w", err)
 		}
 		compacter = func() error { return w.CompactWAL(cuts) }
-	case walRotator:
-		var err error
-		if cut, err = w.RotateWAL(); err != nil {
-			s.m.snapshotErrs.Add(1)
-			return fmt.Errorf("server: rotating wal: %w", err)
-		}
-		compacter = func() error { return w.CompactWAL(cut) }
 	}
 
 	err := iofault.WriteAtomic(s.cfg.FS, s.cfg.SnapshotPath, ix.Save)

@@ -5,12 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/nncell"
 	"repro/internal/pager"
 	"repro/internal/scan"
@@ -50,18 +47,6 @@ func mustPinGrid(t *testing.T, pts []vec.Point, d int, dims, counts []int) *Shar
 		t.Fatal(err)
 	}
 	return s
-}
-
-// hashAndGrid builds with opts hash-routed over five shards and grid-routed
-// over six pinned tiles (3 × 2 over dimensions 0 and 2).
-func hashAndGrid(d int, opts Options) map[string]func([]vec.Point) (*Sharded, error) {
-	opts.Shards = 5
-	return map[string]func([]vec.Point) (*Sharded, error){
-		"hash": func(pts []vec.Point) (*Sharded, error) { return Build(pts, vec.UnitCube(d), opts) },
-		"grid": func(pts []vec.Point) (*Sharded, error) {
-			return pinnedGrid(pts, d, []int{0, 2}, []int{3, 2}, opts)
-		},
-	}
 }
 
 // Unit coverage of the tile arithmetic: interior boundaries go to the upper
@@ -152,209 +137,6 @@ func TestDeriveGrid(t *testing.T) {
 	}
 }
 
-// The tentpole oracle test: a grid-routed sharded index must stay exactly
-// equivalent to a sequential scan through rounds of batched insert/delete
-// churn, with concurrent readers running against each round's mutations so
-// the race detector sees the full read/write interleaving. The point stream
-// includes coordinates exactly on tile boundaries and a -0.0/0.0
-// bit-distinct pair (equal distances, distinct keys).
-func TestGridShardedOracleUnderChurn(t *testing.T) {
-	const d = 4
-	const k = 5
-	base := uniquePoints(t, 404, 240, d)
-	// Boundary points: every interior edge coordinate (1/3, 2/3) in the
-	// split dimensions, paired with off-grid coordinates elsewhere.
-	boundary := []vec.Point{
-		{1.0 / 3.0, 0.21, 0.3, 0.4},
-		{2.0 / 3.0, 1.0 / 3.0, 0.6, 0.1},
-		{0.99, 2.0 / 3.0, 0.2, 0.8},
-		{1.0 / 3.0, 2.0 / 3.0, 0.5, 0.5},
-		{0, 0, 0.7, 0.2}, // corner of tile 0
-		{1, 1, 0.1, 0.9}, // far corner, last tile
-	}
-	// A bit-distinct pair at numerically identical coordinates: distinct
-	// keys everywhere, equal distance to every query.
-	zero := vec.Point{0.5, 0.25, 0.125, 0}
-	negZero := vec.Point{0.5, 0.25, 0.125, math.Copysign(0, -1)}
-
-	s := mustPinGrid(t, base, d, []int{0, 1}, []int{3, 3})
-	live := map[int]vec.Point{}
-	for _, gid := range s.IDs() {
-		p, _ := s.Point(gid)
-		live[gid] = p
-	}
-
-	rng := rand.New(rand.NewSource(405))
-	extra := uniquePoints(t, 406, 120, d)
-	nextExtra := 0
-	takeExtra := func(n int) []vec.Point {
-		batch := extra[nextExtra : nextExtra+n]
-		nextExtra += n
-		return batch
-	}
-
-	// oracleNN returns the minimum distance, the lowest gid achieving it,
-	// and how many live points achieve it — with the coincident -0.0/0.0
-	// pair in play, exact ties are real, and the winning id among tied
-	// points in the SAME shard is engine-order, not gid-order.
-	oracleNN := func(q vec.Point) (gid int, d2 float64, ties int) {
-		gid, d2 = -1, math.Inf(1)
-		for g, p := range live {
-			dd := (vec.Euclidean{}).Dist2(q, p)
-			switch {
-			case dd < d2:
-				gid, d2, ties = g, dd, 1
-			case dd == d2:
-				ties++
-				if g < gid {
-					gid = g
-				}
-			}
-		}
-		return gid, d2, ties
-	}
-	oracleKDists := func(q vec.Point, k int) []float64 {
-		all := make([]float64, 0, len(live))
-		for _, p := range live {
-			all = append(all, (vec.Euclidean{}).Dist2(q, p))
-		}
-		sort.Float64s(all)
-		if k > len(all) {
-			k = len(all)
-		}
-		return all[:k]
-	}
-
-	check := func(round int) {
-		t.Helper()
-		for i := 0; i < 40; i++ {
-			q := randQuery(rng, d)
-			if i%8 == 0 { // aim some queries straight at tile boundaries
-				q[0] = 1.0 / 3.0
-				q[1] = 2.0 / 3.0
-			}
-			wantID, want, ties := oracleNN(q)
-			nb, err := s.NearestNeighbor(q)
-			if err != nil {
-				t.Fatalf("round %d: NN: %v", round, err)
-			}
-			if nb.Dist2 != want {
-				t.Fatalf("round %d query %v: NN dist² %v, oracle %v", round, q, nb.Dist2, want)
-			}
-			if p, ok := s.Point(nb.ID); !ok || (vec.Euclidean{}).Dist2(q, p) != want {
-				t.Fatalf("round %d query %v: NN id %d is not a live point at the NN distance", round, q, nb.ID)
-			}
-			if ties == 1 && nb.ID != wantID {
-				t.Fatalf("round %d query %v: NN id %d, oracle id %d (unique minimum)", round, q, nb.ID, wantID)
-			}
-			nbs, err := s.KNearest(q, k)
-			if err != nil {
-				t.Fatalf("round %d: KNearest: %v", round, err)
-			}
-			wantK := oracleKDists(q, k)
-			if len(nbs) != len(wantK) {
-				t.Fatalf("round %d: KNearest returned %d, oracle %d", round, len(nbs), len(wantK))
-			}
-			for j, nbj := range nbs {
-				if nbj.Dist2 != wantK[j] {
-					t.Fatalf("round %d: KNearest[%d] dist² %v, oracle %v", round, j, nbj.Dist2, wantK[j])
-				}
-				p, ok := s.Point(nbj.ID)
-				if !ok || (vec.Euclidean{}).Dist2(q, p) != nbj.Dist2 {
-					t.Fatalf("round %d: KNearest[%d] id %d is not a live point at its distance", round, j, nbj.ID)
-				}
-			}
-			found := false
-			for _, id := range s.Candidates(q) {
-				if p, ok := s.Point(id); ok && (vec.Euclidean{}).Dist2(q, p) == want {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("round %d query %v: candidate set misses the true NN", round, q)
-			}
-		}
-	}
-
-	specials := [][]vec.Point{boundary, {zero, negZero}}
-	for round := 0; round < 4; round++ {
-		// Concurrent readers race the round's mutations; they only assert
-		// basic sanity (exactness is checked after the quiesce).
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for r := 0; r < 3; r++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rr := rand.New(rand.NewSource(seed))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					q := randQuery(rr, d)
-					if _, err := s.NearestNeighbor(q); err != nil {
-						t.Errorf("concurrent NN: %v", err)
-						return
-					}
-					if _, err := s.KNearest(q, k); err != nil {
-						t.Errorf("concurrent KNearest: %v", err)
-						return
-					}
-					s.Candidates(q)
-				}
-			}(int64(round*10 + r))
-		}
-
-		batch := takeExtra(20)
-		if round < len(specials) {
-			batch = append(append([]vec.Point{}, batch...), specials[round]...)
-		}
-		gids, err := s.InsertBatch(batch)
-		if err != nil {
-			t.Fatalf("round %d: InsertBatch: %v", round, err)
-		}
-		for i, gid := range gids {
-			live[gid] = batch[i]
-		}
-		// Delete a deterministic slice of the live set, including (in the
-		// round after its insertion) one of the bit-distinct pair.
-		var doomed []int
-		for gid := range live {
-			if len(doomed) < 12 && gid%7 == round%7 {
-				doomed = append(doomed, gid)
-			}
-		}
-		if round == 2 {
-			// Target exactly the -0.0 member of the coincident pair; Equal
-			// is numeric, so the sign bit is the discriminator.
-			for gid, p := range live {
-				if p.Equal(negZero) && math.Signbit(p[3]) {
-					doomed = append(doomed, gid)
-				}
-			}
-		}
-		if err := s.DeleteBatch(doomed); err != nil {
-			t.Fatalf("round %d: DeleteBatch: %v", round, err)
-		}
-		for _, gid := range doomed {
-			delete(live, gid)
-		}
-
-		close(stop)
-		wg.Wait()
-		if t.Failed() {
-			t.FailNow()
-		}
-		check(round)
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
-}
-
 // Grid routing must actually skip shards: near-data queries on a 64-shard
 // grid should probe a small handful of tiles, while hash routing probes all
 // 64 every time. Both must agree with the scan oracle throughout.
@@ -441,74 +223,6 @@ func TestShardedKNearestAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v-routed warm KNearestAppend: %v allocs/op, want 0", s.RouteKind(), allocs)
-		}
-	}
-}
-
-// The sharded k-NN answer — per-shard box searches merged through one top-k
-// heap — must be the sorted scan's, global ids and Dist2 bit for bit in
-// (Dist2, ID) order, under hash and grid routing alike: on uniform data and on
-// a lattice whose many exact ties land in different shards, for k from 1 past
-// the live count, for queries in, on the edge of and outside the data space,
-// before and after batched churn.
-func TestShardedKNearestMatchesScan(t *testing.T) {
-	const d = 4
-	opts := testOptions(0)
-	opts.Index.Algorithm = nncell.NNDirection
-	for name, build := range hashAndGrid(d, opts) {
-		for _, lattice := range []bool{false, true} {
-			pts := uniquePoints(t, 911, 300, d)
-			if lattice {
-				pts = dataset.Grid(nil, 256, d, 0) // 4 a side: binary fractions, exact ties
-			}
-			s, err := build(pts[:220])
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(912))
-			check := func(stage string) {
-				t.Helper()
-				gids := s.IDs()
-				for trial := 0; trial < 40; trial++ {
-					q := randQuery(rng, d)
-					switch trial % 5 {
-					case 2: // lattice tie points, faces and corners
-						for j := range q {
-							q[j] = float64(rng.Intn(5)) / 4
-						}
-					case 3:
-						q[trial%d] -= 1.25
-					case 4:
-						q, _ = s.Point(gids[rng.Intn(len(gids))])
-					}
-					all := make([]nncell.Neighbor, len(gids))
-					for i, gid := range gids {
-						p, _ := s.Point(gid)
-						all[i] = nncell.Neighbor{ID: gid, Dist2: vec.Euclidean{}.Dist2(q, p)}
-					}
-					sort.Slice(all, func(a, b int) bool { return all[a].Less(all[b]) })
-					for _, k := range []int{1, 2, 10, 16, 17, 64, 100, len(gids), len(gids) + 5} {
-						got, err := s.KNearest(q, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if want := all[:min(k, len(all))]; !slices.Equal(got, want) {
-							t.Fatalf("%s/lattice=%v/%s q=%v k=%d:\n got %v\nwant %v", name, lattice, stage, q, k, got, want)
-						}
-					}
-				}
-			}
-			check("built")
-			if _, err := s.InsertBatch(pts[220:]); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.DeleteBatch(s.IDs()[10:50]); err != nil {
-				t.Fatal(err)
-			}
-			check("churned")
-			if err := s.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }
@@ -702,63 +416,4 @@ func TestShardedLoadRejectsCorruptRouting(t *testing.T) {
 	// Claiming hash routing over grid-placed blobs must trip the routing
 	// invariant (placement disagrees), not load silently.
 	corrupt("policy swapped to hash", func(b []byte) { b[kindOff] = 0 })
-}
-
-// The sharded NN answer — merged from the per-shard cell-directory queries —
-// must be the scan's, Dist2 bit-for-bit, and must equal the best of the
-// shards' paged cell-tree answers, under hash and grid routing alike, before
-// and after batched churn.
-func TestShardedDirectoryMatchesPagedAndScan(t *testing.T) {
-	const d = 4
-	pts := uniquePoints(t, 701, 360, d)
-	for name, build := range hashAndGrid(d, testOptions(0)) {
-		s, err := build(pts[:300])
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(702))
-		check := func(stage string) {
-			t.Helper()
-			gids := s.IDs()
-			live := make([]vec.Point, len(gids))
-			for i, gid := range gids {
-				live[i], _ = s.Point(gid)
-			}
-			oracle := scan.New(live, vec.Euclidean{}, pager.New(pager.Config{}))
-			for trial := 0; trial < 150; trial++ {
-				q := randQuery(rng, d)
-				if trial%10 == 9 {
-					q[trial%d] -= 1.25 // outside the data space
-				}
-				wantIdx, wantD2 := oracle.Nearest(q)
-				got, err := s.NearestNeighbor(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gp, _ := s.Point(got.ID); got.Dist2 != wantD2 || !gp.Equal(live[wantIdx]) {
-					t.Fatalf("%s/%s q=%v: sharded %+v (%v), scan %v at dist² %v", name, stage, q, got, gp, live[wantIdx], wantD2)
-				}
-				paged := math.Inf(1)
-				for i := 0; i < s.NumShards(); i++ {
-					if nb, err := s.Shard(i).NearestNeighborPaged(q); err == nil && nb.Dist2 < paged {
-						paged = nb.Dist2
-					}
-				}
-				if paged != wantD2 {
-					t.Fatalf("%s/%s q=%v: best paged shard answer %v, scan %v", name, stage, q, paged, wantD2)
-				}
-			}
-		}
-		check("built")
-		if _, err := s.InsertBatch(pts[300:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.DeleteBatch(s.IDs()[:40]); err != nil {
-			t.Fatal(err)
-		}
-		check("churned")
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -52,77 +51,6 @@ func randQuery(rng *rand.Rand, d int) vec.Point {
 	return q
 }
 
-// The oracle test of the PR: a sharded index must answer every query with
-// exactly the same point and distance as a single-shard index over the same
-// point set. IDs are compared through Point() because the global-id
-// interleaving depends on S.
-func TestShardedMatchesSingleShard(t *testing.T) {
-	const d = 4
-	pts := uniquePoints(t, 101, 300, d)
-	single := mustBuild(t, pts, d, 1)
-	for _, S := range []int{2, 4, 7} {
-		sharded := mustBuild(t, pts, d, S)
-		if sharded.Len() != single.Len() {
-			t.Fatalf("S=%d: Len = %d, want %d", S, sharded.Len(), single.Len())
-		}
-		rng := rand.New(rand.NewSource(102))
-		for trial := 0; trial < 100; trial++ {
-			q := randQuery(rng, d)
-
-			want, err := single.NearestNeighbor(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sharded.NearestNeighbor(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wp, _ := single.Point(want.ID)
-			gp, ok := sharded.Point(got.ID)
-			if !ok || !gp.Equal(wp) || math.Abs(got.Dist2-want.Dist2) > 1e-12 {
-				t.Fatalf("S=%d trial %d: NN %v (%v), want %v (%v)", S, trial, got, gp, want, wp)
-			}
-
-			wantK, err := single.KNearest(q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotK, err := sharded.KNearest(q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(gotK) != len(wantK) {
-				t.Fatalf("S=%d trial %d: %d k-NN results, want %d", S, trial, len(gotK), len(wantK))
-			}
-			for i := range wantK {
-				wp, _ := single.Point(wantK[i].ID)
-				gp, _ := sharded.Point(gotK[i].ID)
-				if !gp.Equal(wp) || math.Abs(gotK[i].Dist2-wantK[i].Dist2) > 1e-12 {
-					t.Fatalf("S=%d trial %d rank %d: got %v (%v), want %v (%v)",
-						S, trial, i, gotK[i], gp, wantK[i], wp)
-				}
-			}
-
-			// The per-shard candidate union is a superset of the single-index
-			// set (fewer points per shard → larger cells), so the check is the
-			// no-false-dismissal guarantee: the true NN must be among them.
-			found := false
-			for _, gid := range sharded.Candidates(q) {
-				if cp, ok := sharded.Point(gid); ok && cp.Equal(wp) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("S=%d trial %d: candidate union misses the true NN %v", S, trial, wp)
-			}
-		}
-		if err := sharded.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // Batch results must be positionally identical to sequential fan-out queries.
 func TestShardedBatchMatchesSequential(t *testing.T) {
 	const d = 3
@@ -145,180 +73,6 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 		if got[i] != want {
 			t.Fatalf("query %d: batch %v, sequential %v", i, got[i], want)
 		}
-	}
-}
-
-// Routed dynamic maintenance through the sharded layer must preserve
-// exactness: interleaved inserts and deletes, then an oracle sweep.
-func TestShardedDynamicOracle(t *testing.T) {
-	const d = 3
-	pts := uniquePoints(t, 105, 300, d)
-	s := mustBuild(t, pts[:100], d, 4)
-
-	live := make(map[int]vec.Point) // gid -> point
-	for _, gid := range s.IDs() {
-		p, _ := s.Point(gid)
-		live[gid] = p
-	}
-	rng := rand.New(rand.NewSource(106))
-	next := 100
-	for op := 0; op < 150; op++ {
-		if (rng.Float64() < 0.6 && next < len(pts)) || len(live) <= 2 {
-			gid, err := s.Insert(pts[next])
-			if err != nil {
-				t.Fatalf("op %d insert: %v", op, err)
-			}
-			if p, ok := s.Point(gid); !ok || !p.Equal(pts[next]) {
-				t.Fatalf("op %d: inserted gid %d resolves to %v, want %v", op, gid, p, pts[next])
-			}
-			live[gid] = pts[next]
-			next++
-		} else {
-			var victim int
-			k := rng.Intn(len(live))
-			for gid := range live {
-				if k == 0 {
-					victim = gid
-					break
-				}
-				k--
-			}
-			if err := s.Delete(victim); err != nil {
-				t.Fatalf("op %d delete %d: %v", op, victim, err)
-			}
-			delete(live, victim)
-		}
-	}
-	if s.Len() != len(live) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(live))
-	}
-	livePts := make([]vec.Point, 0, len(live))
-	for _, p := range live {
-		livePts = append(livePts, p)
-	}
-	oracle := scan.New(livePts, vec.Euclidean{}, pager.New(pager.Config{CachePages: 64}))
-	for trial := 0; trial < 80; trial++ {
-		q := randQuery(rng, d)
-		_, wantD2 := oracle.Nearest(q)
-		got, err := s.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Dist2-wantD2) > 1e-12 {
-			t.Fatalf("trial %d: got %v want %v", trial, got.Dist2, wantD2)
-		}
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Mixed workload under real concurrency: routed inserts and deletes to
-// different shards proceed in parallel with fan-out queries. Run with -race
-// (the Makefile race target covers this package); correctness is then
-// verified by an oracle sweep over the final live set.
-func TestShardedMixedWorkloadConcurrent(t *testing.T) {
-	const d = 3
-	pts := uniquePoints(t, 107, 320, d)
-	s := mustBuild(t, pts[:200], d, 4)
-
-	baseIDs := s.IDs()
-	deleted := make([]vec.Point, 60)
-	for i := 0; i < 60; i++ {
-		p, ok := s.Point(baseIDs[i])
-		if !ok {
-			t.Fatalf("base id %d has no point", baseIDs[i])
-		}
-		deleted[i] = p
-	}
-
-	var writers, readers sync.WaitGroup
-	errCh := make(chan error, 8)
-	insert := func(batch []vec.Point) {
-		defer writers.Done()
-		for _, p := range batch {
-			if _, err := s.Insert(p); err != nil {
-				errCh <- err
-				return
-			}
-		}
-	}
-	writers.Add(2)
-	go insert(pts[200:260])
-	go insert(pts[260:320])
-	writers.Add(1)
-	go func() {
-		defer writers.Done()
-		for i := 0; i < 60; i++ {
-			if err := s.Delete(baseIDs[i]); err != nil {
-				errCh <- err
-				return
-			}
-		}
-	}()
-	// Query goroutines run fan-out reads for the whole write phase; the index
-	// is never empty, so every query must succeed.
-	done := make(chan struct{})
-	for g := 0; g < 2; g++ {
-		readers.Add(1)
-		go func(seed int64) {
-			defer readers.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				q := randQuery(rng, d)
-				if _, err := s.NearestNeighbor(q); err != nil {
-					errCh <- err
-					return
-				}
-				if _, err := s.KNearest(q, 5); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(108 + int64(g))
-	}
-	writers.Wait()
-	close(done)
-	readers.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-
-	removed := make(map[string]bool, len(deleted))
-	for _, p := range deleted {
-		removed[p.String()] = true
-	}
-	var livePts []vec.Point
-	for _, p := range pts[:320] {
-		if !removed[p.String()] {
-			livePts = append(livePts, p)
-		}
-	}
-	if s.Len() != len(livePts) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(livePts))
-	}
-	oracle := scan.New(livePts, vec.Euclidean{}, pager.New(pager.Config{CachePages: 64}))
-	rng := rand.New(rand.NewSource(110))
-	for trial := 0; trial < 60; trial++ {
-		q := randQuery(rng, d)
-		_, wantD2 := oracle.Nearest(q)
-		got, err := s.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Dist2-wantD2) > 1e-12 {
-			t.Fatalf("trial %d: got %v want %v", trial, got.Dist2, wantD2)
-		}
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
