@@ -30,7 +30,9 @@ check: vet doc-check build test race bench-smoke bench-module fuzz-smoke
 # alive for their tests alone: every TEXT symbol of an internal/*/*_amd64.s
 # (the kernels of internal/lp and internal/nncell, the CPU probe of
 # internal/cpu) must be called from non-test Go of its own package other than
-# its func declaration.
+# its func declaration. A constraint selection is what its name says at every
+# n: no Go file may name AutoThreshold, the switch that once ran NN-Direction
+# under the name Correct.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -45,6 +47,7 @@ vet:
 	@if grep -rn --include='*.go' --exclude='*_test.go' 'sync\.WaitGroup' cmd internal examples | grep -vE '^internal/(par|loadgen)/'; then echo "a batch of goroutines runs on internal/par only"; exit 1; fi
 	@if awk '/^func /{fn=$$0} /crc32\.Checksum/ && fn !~ /^func \(l \*Log\) Append\(|^func \(c \*Cursor\) Next\(/ {print FILENAME ": " fn; bad=1} END{exit !bad}' $$(ls internal/wal/*.go | grep -v '_test\.go$$'); then echo "internal/wal checksums frames in Log.Append and Cursor.Next only"; exit 1; fi
 	@if grep -rn --include='*.go' --exclude='*_test.go' '"# TYPE' cmd internal | grep -v '^internal/stats/expo\.go:'; then echo "the metrics text format has one writer, internal/stats/expo.go"; exit 1; fi
+	@if grep -rn --include='*.go' 'AutoThreshold' .; then echo "Correct means Correct at every n: no Go file may name AutoThreshold"; exit 1; fi
 	@for s in internal/*/*_amd64.s; do for f in $$(sed -nE 's/^TEXT ·([A-Za-z0-9_]+)\(SB\).*/\1/p' $$s); do grep -hE "(^|[^A-Za-z0-9_.])$$f\(" $$(ls $$(dirname $$s)/*.go | grep -v '_test\.go$$') | grep -vE "^[[:space:]]*//|^func $$f\(" | grep -q . || { echo "$$s: no non-test Go calls $$f"; exit 1; }; done; done
 
 # README.md and DESIGN.md may quote only what the source defines: every
@@ -151,7 +154,7 @@ bench:
 # Regenerate the machine-readable query-performance record (QPS, speedup of
 # the cell directory over the paged cell X-tree, work counters) tracked across
 # PRs, plus the large-n scale pass (n=10^5: directory vs paged tree, data
-# X-tree and scan p50, cached vs uncached). The scale pass builds two
-# 10^5-point indexes and takes a few minutes.
+# X-tree and scan p50, cached vs uncached). The scale pass builds one
+# NN-Direction index per (n, d), n = 10^4 and 10^5 at d = 4, 8, 16.
 bench-query:
 	$(GO) run ./cmd/experiments -bench-query BENCH_query.json -bench-scale-n 100000

@@ -125,10 +125,10 @@ func BenchmarkFig13Decomposition(b *testing.B) {
 // paper's §2 optimizes — and reports the LP work of one build next to them.
 func BenchmarkBuild(b *testing.B) {
 	const n = 250
-	for _, alg := range nncell.Algorithms() {
+	for ai, alg := range nncell.Algorithms() {
 		for _, d := range []int{4, 8, 16} {
 			b.Run(fmt.Sprintf("%s/d=%d", alg, d), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(int64(100*d + int(alg))))
+				rng := rand.New(rand.NewSource(int64(100*d + ai)))
 				pts := dataset.Deduplicate(dataset.Uniform(rng, n, d))
 				forKernelSets(b, func(b *testing.B, _ string) {
 					var stats nncell.Stats

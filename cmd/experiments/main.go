@@ -55,11 +55,11 @@ func main() {
 			rep.ScaleN = *benchScaleN
 			for _, n := range slices.Compact([]int{min(10000, *benchScaleN), *benchScaleN}) {
 				for _, d := range []int{4, 8, 16} {
-					rows, err := experiments.BenchQueryScale(n, d)
+					row, err := experiments.BenchQueryScale(n, d)
 					if err != nil {
 						fatalf("bench-query scale pass: %v", err)
 					}
-					rep.Scale = append(rep.Scale, rows...)
+					rep.Scale = append(rep.Scale, row)
 				}
 			}
 		}

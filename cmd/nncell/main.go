@@ -194,7 +194,6 @@ func serveMain(args []string) {
 		n          = fs.Int("n", 2000, "points for a synthetic index (when -load is absent; 0 bootstraps an empty index that accepts inserts)")
 		d          = fs.Int("d", 8, "dimensionality of the synthetic index")
 		data       = fs.String("data", "uniform", "synthetic dataset: uniform|grid|diagonal|clustered|fourier")
-		alg        = fs.String("alg", "nndir", "approximation algorithm for the synthetic index and for every write: correct|nndir")
 		seed       = fs.Int64("seed", 1, "random seed for the synthetic index")
 		walDir     = fs.String("wal-dir", "", "write-ahead-log directory, one shard-NNNN/ log per shard: replay it on startup, then log every insert/delete (also enables /v1/repl/ so followers can replicate)")
 		fsyncMode  = fs.String("fsync", "interval", "wal fsync policy: always|interval|never")
@@ -230,15 +229,6 @@ func serveMain(args []string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// Point and Sphere are defined by X-tree leaf pages (paper §3), which only
-	// a Build has: they are the figures' algorithms, not a server's.
-	algorithm, err := parseAlg(*alg)
-	if err == nil && (algorithm == nncell.PointAlg || algorithm == nncell.Sphere) {
-		err = fmt.Errorf("serve takes -alg correct|nndir; %s selects from X-tree pages, at Build only, and belongs to the figure CLI (`nncell -alg %s`, without serve)", *alg, *alg)
-	}
-	if err != nil {
-		fatalf("%v", err)
-	}
 
 	var policy wal.Policy
 	if *walDir != "" {
@@ -254,11 +244,7 @@ func serveMain(args []string) {
 	srv := server.New(nil, cfg)
 	drain := listenAndServe(srv, *addr, "not ready: loading index")
 
-	opts := shard.Options{
-		Shards: *shards,
-		Route:  route,
-		Index:  nncell.Options{Algorithm: algorithm},
-	}
+	opts := shard.Options{Shards: *shards, Route: route}
 	var ix *shard.Sharded
 	start := time.Now()
 	switch {
@@ -268,7 +254,7 @@ func serveMain(args []string) {
 		// on conflict — serving a 7-d snapshot to a client that asked for -d 3
 		// is an operational error, not a note. The rest are merely ignored.
 		var ignored []string
-		for _, name := range []string{"n", "data", "alg", "seed"} {
+		for _, name := range []string{"n", "data", "seed"} {
 			if explicit[name] {
 				ignored = append(ignored, "-"+name)
 			}
@@ -372,7 +358,7 @@ func serveMain(args []string) {
 // decides to shed this node.
 func serveFollower(primary, addr string, cfg server.Config, explicit map[string]bool) {
 	for _, name := range []string{"load", "wal-dir", "fsync", "fsync-interval", "snapshot", "snapshot-every",
-		"shards", "route", "n", "d", "data", "alg", "seed"} {
+		"shards", "route", "n", "d", "data", "seed"} {
 		if explicit[name] {
 			fatalf("-%s does not apply with -follow: a follower's index, shape and durability come from the primary", name)
 		}

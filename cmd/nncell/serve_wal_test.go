@@ -317,9 +317,9 @@ func TestServeRefusesRootLevelWAL(t *testing.T) {
 	}
 }
 
-// The default serve index is one shard under NN-Direction: /metrics has the
-// shard series and nothing of the page simulator, and the page-defined
-// algorithms, which are Build's and the figures', are refused.
+// The serve index is one shard under NN-Direction by default: /metrics has
+// the shard series and nothing of the page simulator, and serve has no -alg
+// (the constraint selections are the figure CLI's).
 func TestServeDefaults(t *testing.T) {
 	p := startServe(t, "-addr", "127.0.0.1:0", "-n", "300", "-d", "4")
 	for i := 0; i < 5; i++ {
@@ -339,11 +339,9 @@ func TestServeDefaults(t *testing.T) {
 		t.Error("/metrics carries a pager series: a served index reads no page")
 	}
 
-	for _, alg := range []string{"sphere", "point"} {
-		out, err := run(t, "serve", "-addr", "127.0.0.1:0", "-n", "20", "-d", "2", "-alg", alg)
-		if err == nil || !strings.Contains(out, "correct|nndir") {
-			t.Errorf("serve -alg %s: err %v, want a refusal naming correct|nndir:\n%s", alg, err, out)
-		}
+	out, err := run(t, "serve", "-addr", "127.0.0.1:0", "-n", "20", "-d", "2", "-alg", "nndir")
+	if err == nil || !strings.Contains(out, "flag provided but not defined: -alg") {
+		t.Errorf("serve -alg nndir: err %v, want an undefined-flag exit:\n%s", err, out)
 	}
 }
 

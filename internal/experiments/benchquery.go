@@ -51,7 +51,7 @@ type QueryBenchResult struct {
 }
 
 // QueryScaleResult is one large-n measurement of the scale pass: one size and
-// dimension in the auto-threshold regime. Medians of individually timed
+// dimension on an NN-Direction index. Medians of individually timed
 // calls put the served queries, NN and k = 10, next to their alternatives on
 // the same points and query pool — the sequential scan, the paged cell X-tree,
 // best-first search on an X-tree bulk-loaded from the data points — and the
@@ -127,9 +127,9 @@ func BenchQuery(n int, dims []int) (*QueryBenchReport, error) {
 	}
 	const numQueries = 128
 	rep := &QueryBenchReport{N: n, Dims: dims, Queries: numQueries, Go: runtime.Version()}
-	for _, alg := range nncell.Algorithms() {
+	for ai, alg := range nncell.Algorithms() {
 		for _, d := range dims {
-			rng := rand.New(rand.NewSource(int64(100*d + int(alg))))
+			rng := rand.New(rand.NewSource(int64(100*d + ai)))
 			pts := dataset.Deduplicate(dataset.Uniform(rng, n, d))
 			pg := pager.New(pager.Config{CachePages: 64})
 			ix, err := nncell.Build(pts, vec.UnitCube(d), pg, nncell.Options{Algorithm: alg})
@@ -217,11 +217,11 @@ func p50Ns(calls, pool int, fn func(i int)) float64 {
 
 // BenchQueryScale measures NearestNeighbor and KNearest(10) at large n
 // (default 1e5, d = 8) against the scan, the paged cell X-tree and the data
-// X-tree, and NearestNeighbor behind the exact result cache. The algorithm
-// set is restricted to the two that stay tractable at this scale: Correct in
-// its auto-threshold (effective NN-Direction) regime, and NNDirection itself.
-// Results are meant to be attached to QueryBenchReport.Scale.
-func BenchQueryScale(n, d int) ([]QueryScaleResult, error) {
+// X-tree, and NearestNeighbor behind the exact result cache, on an
+// NN-Direction index: the selection that stays tractable at this scale, and
+// the one the served system runs. The row is meant to be attached to
+// QueryBenchReport.Scale.
+func BenchQueryScale(n, d int) (QueryScaleResult, error) {
 	if n <= 0 {
 		n = 100000
 	}
@@ -229,112 +229,102 @@ func BenchQueryScale(n, d int) ([]QueryScaleResult, error) {
 		d = 8
 	}
 	const numQueries = 128
-	variants := []struct {
-		name string
-		opts nncell.Options
-	}{
-		{"auto-nndirection", nncell.Options{Algorithm: nncell.Correct}},
-		{"nn-direction", nncell.Options{Algorithm: nncell.NNDirection}},
+	const name = "nn-direction"
+	rng := rand.New(rand.NewSource(int64(1000 + d)))
+	pts := dataset.Deduplicate(dataset.Uniform(rng, n, d))
+	ix, err := nncell.Build(pts, vec.UnitCube(d), pager.New(pager.Config{CachePages: 256}), nncell.Options{Algorithm: nncell.NNDirection})
+	if err != nil {
+		return QueryScaleResult{}, err
 	}
-	var out []QueryScaleResult
-	for _, v := range variants {
-		rng := rand.New(rand.NewSource(int64(1000 + d)))
-		pts := dataset.Deduplicate(dataset.Uniform(rng, n, d))
-		ix, err := nncell.Build(pts, vec.UnitCube(d), pager.New(pager.Config{CachePages: 256}), v.opts)
-		if err != nil {
-			return nil, err
-		}
-		qs := queryPoints(rand.New(rand.NewSource(99)), numQueries, d)
+	qs := queryPoints(rand.New(rand.NewSource(99)), numQueries, d)
 
-		// Every pool answer of both index paths, and of the k-NN query,
-		// against the scan.
-		sc := scan.New(pts, vec.Euclidean{}, pager.New(pager.Config{CachePages: 256}))
-		const k = 10
-		top := make([]nncell.Neighbor, 0, k)
-		scanKNN := func(q vec.Point) []nncell.Neighbor {
-			top = top[:0]
-			for id, p := range pts {
-				top, _ = nncell.InsertTopK(top, k, nncell.Neighbor{ID: id, Dist2: vec.Euclidean{}.Dist2(q, p)})
-			}
-			return top
+	// Every pool answer of both index paths, and of the k-NN query,
+	// against the scan.
+	sc := scan.New(pts, vec.Euclidean{}, pager.New(pager.Config{CachePages: 256}))
+	const k = 10
+	top := make([]nncell.Neighbor, 0, k)
+	scanKNN := func(q vec.Point) []nncell.Neighbor {
+		top = top[:0]
+		for id, p := range pts {
+			top, _ = nncell.InsertTopK(top, k, nncell.Neighbor{ID: id, Dist2: vec.Euclidean{}.Dist2(q, p)})
 		}
-		nbs := make([]nncell.Neighbor, 0, k)
-		for i, q := range qs {
-			if nbs, err = ix.KNearestAppend(nbs[:0], q, k); err != nil || !slices.Equal(nbs, scanKNN(q)) {
-				return nil, fmt.Errorf("%s: KNearest(query %d, %d) = %+v, %v; the scan says %+v", v.name, i, k, nbs, err, scanKNN(q))
-			}
-			wantID, wantD2 := sc.Nearest(q)
-			want := nncell.Neighbor{ID: wantID, Dist2: wantD2}
-			if got, err := ix.NearestNeighbor(q); err != nil || got != want {
-				return nil, fmt.Errorf("%s: NearestNeighbor(query %d) = %+v, %v; the scan says %+v", v.name, i, got, err, want)
-			}
-			if got, err := ix.NearestNeighborPaged(q); err != nil || got != want {
-				return nil, fmt.Errorf("%s: NearestNeighborPaged(query %d) = %+v, %v; the scan says %+v", v.name, i, got, err, want)
-			}
-		}
-
-		// The timed calls repeat the pool just verified, so they cannot fail.
-		res := QueryScaleResult{Algorithm: v.name, Dim: d, N: len(pts), Verified: len(qs), KNN10Verified: len(qs)}
-		st0 := ix.Stats()
-		res.P50Ns = p50Ns(4096, len(qs), func(i int) { ix.NearestNeighbor(qs[i%len(qs)]) })
-		st1 := ix.Stats()
-		res.CandidatesPerQuery = float64(st1.Candidates-st0.Candidates) / float64(st1.Queries-st0.Queries)
-		res.PagedP50Ns = p50Ns(1024, len(qs), func(i int) { ix.NearestNeighborPaged(qs[i%len(qs)]) })
-		res.ScanP50Ns = p50Ns(256, 0, func(i int) { sc.Nearest(qs[i%len(qs)]) })
-		items := make([]xtree.Entry, len(pts))
-		for i, p := range pts {
-			items[i] = xtree.Entry{Rect: vec.PointRect(p), Data: int64(i)}
-		}
-		dt := xtree.BulkLoad(d, pager.New(pager.Config{CachePages: 256}), xtree.Options{}, items)
-		var qc xtree.QueryCtx
-		res.DataXTreeP50Ns = p50Ns(1024, len(qs), func(i int) { dt.NearestNeighborCtx(&qc, qs[i%len(qs)]) })
-		res.SpeedupVsScan = res.ScanP50Ns / res.P50Ns
-		res.SpeedupVsPaged = res.PagedP50Ns / res.P50Ns
-
-		st0 = ix.Stats()
-		res.KNN10P50Ns = p50Ns(4096, len(qs), func(i int) { nbs, _ = ix.KNearestAppend(nbs[:0], qs[i%len(qs)], k) })
-		st1 = ix.Stats()
-		res.KNN10CandidatesPerQuery = float64(st1.Candidates-st0.Candidates) / float64(st1.Queries-st0.Queries)
-		var tnbs []xtree.Neighbor
-		res.KNN10DataXTreeP50Ns = p50Ns(1024, len(qs), func(i int) { tnbs = dt.KNearestCtx(&qc, qs[i%len(qs)], k, tnbs[:0]) })
-		res.KNN10ScanP50Ns = p50Ns(256, 0, func(i int) { scanKNN(qs[i%len(qs)]) })
-		res.KNN10SpeedupVsXTree = res.KNN10DataXTreeP50Ns / res.KNN10P50Ns
-
-		var benchErr error
-		raw := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ix.NearestNeighbor(qs[i%len(qs)]); err != nil {
-					benchErr = err
-					b.Fatal(err)
-				}
-			}
-		})
-		front := rescache.NewFront(ix, 1<<12)
-		cached := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := front.NearestNeighbor(qs[i%len(qs)]); err != nil {
-					benchErr = err
-					b.Fatal(err)
-				}
-			}
-		})
-		if benchErr != nil {
-			return nil, benchErr
-		}
-		st := front.Cache().Stats()
-		res.NsPerOp = float64(raw.NsPerOp())
-		res.QPS = 1e9 / res.NsPerOp
-		res.CachedNsPerOp = float64(cached.NsPerOp())
-		res.CachedQPS = 1e9 / res.CachedNsPerOp
-		if res.CachedNsPerOp > 0 {
-			res.CacheSpeedup = res.NsPerOp / res.CachedNsPerOp
-		}
-		if total := st.Hits + st.Misses; total > 0 {
-			res.HitRate = float64(st.Hits) / float64(total)
-		}
-		out = append(out, res)
+		return top
 	}
-	return out, nil
+	nbs := make([]nncell.Neighbor, 0, k)
+	for i, q := range qs {
+		if nbs, err = ix.KNearestAppend(nbs[:0], q, k); err != nil || !slices.Equal(nbs, scanKNN(q)) {
+			return QueryScaleResult{}, fmt.Errorf("%s: KNearest(query %d, %d) = %+v, %v; the scan says %+v", name, i, k, nbs, err, scanKNN(q))
+		}
+		wantID, wantD2 := sc.Nearest(q)
+		want := nncell.Neighbor{ID: wantID, Dist2: wantD2}
+		if got, err := ix.NearestNeighbor(q); err != nil || got != want {
+			return QueryScaleResult{}, fmt.Errorf("%s: NearestNeighbor(query %d) = %+v, %v; the scan says %+v", name, i, got, err, want)
+		}
+		if got, err := ix.NearestNeighborPaged(q); err != nil || got != want {
+			return QueryScaleResult{}, fmt.Errorf("%s: NearestNeighborPaged(query %d) = %+v, %v; the scan says %+v", name, i, got, err, want)
+		}
+	}
+
+	// The timed calls repeat the pool just verified, so they cannot fail.
+	res := QueryScaleResult{Algorithm: name, Dim: d, N: len(pts), Verified: len(qs), KNN10Verified: len(qs)}
+	st0 := ix.Stats()
+	res.P50Ns = p50Ns(4096, len(qs), func(i int) { ix.NearestNeighbor(qs[i%len(qs)]) })
+	st1 := ix.Stats()
+	res.CandidatesPerQuery = float64(st1.Candidates-st0.Candidates) / float64(st1.Queries-st0.Queries)
+	res.PagedP50Ns = p50Ns(1024, len(qs), func(i int) { ix.NearestNeighborPaged(qs[i%len(qs)]) })
+	res.ScanP50Ns = p50Ns(256, 0, func(i int) { sc.Nearest(qs[i%len(qs)]) })
+	items := make([]xtree.Entry, len(pts))
+	for i, p := range pts {
+		items[i] = xtree.Entry{Rect: vec.PointRect(p), Data: int64(i)}
+	}
+	dt := xtree.BulkLoad(d, pager.New(pager.Config{CachePages: 256}), xtree.Options{}, items)
+	var qc xtree.QueryCtx
+	res.DataXTreeP50Ns = p50Ns(1024, len(qs), func(i int) { dt.NearestNeighborCtx(&qc, qs[i%len(qs)]) })
+	res.SpeedupVsScan = res.ScanP50Ns / res.P50Ns
+	res.SpeedupVsPaged = res.PagedP50Ns / res.P50Ns
+
+	st0 = ix.Stats()
+	res.KNN10P50Ns = p50Ns(4096, len(qs), func(i int) { nbs, _ = ix.KNearestAppend(nbs[:0], qs[i%len(qs)], k) })
+	st1 = ix.Stats()
+	res.KNN10CandidatesPerQuery = float64(st1.Candidates-st0.Candidates) / float64(st1.Queries-st0.Queries)
+	var tnbs []xtree.Neighbor
+	res.KNN10DataXTreeP50Ns = p50Ns(1024, len(qs), func(i int) { tnbs = dt.KNearestCtx(&qc, qs[i%len(qs)], k, tnbs[:0]) })
+	res.KNN10ScanP50Ns = p50Ns(256, 0, func(i int) { scanKNN(qs[i%len(qs)]) })
+	res.KNN10SpeedupVsXTree = res.KNN10DataXTreeP50Ns / res.KNN10P50Ns
+
+	var benchErr error
+	raw := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ix.NearestNeighbor(qs[i%len(qs)]); err != nil {
+				benchErr = err
+				b.Fatal(err)
+			}
+		}
+	})
+	front := rescache.NewFront(ix, 1<<12)
+	cached := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := front.NearestNeighbor(qs[i%len(qs)]); err != nil {
+				benchErr = err
+				b.Fatal(err)
+			}
+		}
+	})
+	if benchErr != nil {
+		return QueryScaleResult{}, benchErr
+	}
+	st := front.Cache().Stats()
+	res.NsPerOp = float64(raw.NsPerOp())
+	res.QPS = 1e9 / res.NsPerOp
+	res.CachedNsPerOp = float64(cached.NsPerOp())
+	res.CachedQPS = 1e9 / res.CachedNsPerOp
+	if res.CachedNsPerOp > 0 {
+		res.CacheSpeedup = res.NsPerOp / res.CachedNsPerOp
+	}
+	if total := st.Hits + st.Misses; total > 0 {
+		res.HitRate = float64(st.Hits) / float64(total)
+	}
+	return res, nil
 }
 
 // WriteJSON writes the report to path, indented for diff-friendly tracking.

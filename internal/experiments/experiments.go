@@ -122,11 +122,9 @@ type measured struct {
 // paged query path, the one whose page accesses the disk model prices. The
 // index derives its cell X-tree on first use, so the build asks for it: tree
 // construction is build time, and none of its page writes reach the query
-// counters. A figure measures the algorithm it names at any -n: the switch
-// from Correct to NN-Direction at bulk sizes is pinned off.
+// counters.
 func runNNCell(pts, qs []vec.Point, cfg Config, opts nncell.Options) (measured, *nncell.Index, error) {
 	d := pts[0].Dim()
-	opts.AutoThreshold = -1
 	pg := pager.New(pager.Config{CachePages: cfg.CachePages})
 	start := time.Now()
 	ix, err := nncell.Build(pts, vec.UnitCube(d), pg, opts)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/nncell"
+	"repro/internal/vec"
 )
 
 // tiny returns a configuration small enough for unit tests.
@@ -152,22 +153,30 @@ func TestGoldenPageCounts(t *testing.T) {
 	}
 }
 
-// TestRunNNCellPinsAlgorithm: at the size where the library switches Correct
-// to NN-Direction on its own, a figure labelled "Correct" must still run
-// Correct. Only Correct prunes its constraint set with range queries, so
-// PruneVisited tells the two apart.
+// TestRunNNCellPinsAlgorithm: a figure labelled "Correct" runs Correct at
+// 4 096+ points, the size at which the library once switched Correct to
+// NN-Direction on its own. Only Correct prunes its constraint set with range
+// queries, so PruneVisited tells the two apart.
 func TestRunNNCellPinsAlgorithm(t *testing.T) {
 	const d = 2
 	rng := rand.New(rand.NewSource(7))
-	pts := dataset.Deduplicate(dataset.Uniform(rng, nncell.DefaultAutoThreshold+50, d))
-	if len(pts) < nncell.DefaultAutoThreshold {
-		t.Fatalf("%d distinct points, need %d", len(pts), nncell.DefaultAutoThreshold)
+	pts := dataset.Deduplicate(dataset.Uniform(rng, 4146, d))
+	if len(pts) < 4096 {
+		t.Fatalf("%d distinct points, need 4096", len(pts))
 	}
 	_, ix, err := runNNCell(pts, queryPoints(rng, 1, d), tiny().withDefaults(), nncell.Options{Algorithm: nncell.Correct})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Stats().PruneVisited == 0 {
+	pruned := ix.Stats().PruneVisited
+	if pruned == 0 {
 		t.Error("runNNCell built a Correct index of 4096+ points with NN-Direction's constraint selection")
+	}
+	// The index's writes run Correct at this size too.
+	if _, err := ix.Insert(vec.Point{0.123456, 0.654321}); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Stats().PruneVisited == pruned {
+		t.Error("an Insert into a Correct index of 4096+ points solved with NN-Direction's constraint selection")
 	}
 }

@@ -293,23 +293,16 @@ func cornerDist(p vec.Point, r vec.Rect) float64 {
 }
 
 // effectiveAlgorithm resolves the constraint selection actually used for
-// the next solve: the configured algorithm, except that Correct switches to
-// NN-Direction once the live point count reaches AutoThreshold, and Point and
-// Sphere wherever there are no pages to select from, which is everywhere but
-// in Build. Correct solves against O(n) constraint points per cell —
-// quadratic total work at bulk scale — while NN-Direction keeps every set
-// O(d); both switches are sound by Lemma 1 (any subset only enlarges the
-// approximation, queries stay exact). Callers hold ix.mu (alive is guarded by
-// it).
+// the next solve: the configured algorithm, except that Point and Sphere
+// select NN-Direction wherever there are no pages to select from, which is
+// everywhere but in Build. The switch is sound by Lemma 1 (any subset only
+// enlarges the approximation, queries stay exact).
 func (ix *Index) effectiveAlgorithm(cc *cellCtx) Algorithm {
-	switch alg := ix.opts.Algorithm; {
-	case alg == Correct && ix.opts.AutoThreshold > 0 && ix.alive >= ix.opts.AutoThreshold:
+	alg := ix.opts.Algorithm
+	if (alg == PointAlg || alg == Sphere) && cc.pages == nil {
 		return NNDirection
-	case (alg == PointAlg || alg == Sphere) && cc.pages == nil:
-		return NNDirection
-	default:
-		return alg
 	}
+	return alg
 }
 
 // selectConstraintPoints implements the optimized constraint-selection

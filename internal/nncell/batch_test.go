@@ -76,7 +76,7 @@ func identMap(n int) map[int]int {
 // MBR of the final point set.
 func TestInsertBatchMatchesExactCells(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 501, 100, 2)
-	ix := mustBuild(t, pts[:60], Options{Algorithm: Correct, AutoThreshold: -1})
+	ix := mustBuild(t, pts[:60], Options{Algorithm: Correct})
 	ids, err := ix.InsertBatch(pts[60:])
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestInsertBatchRollbackOnFailure(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pts := uniquePoints(t, dataset.NameUniform, 505, 70, 2)
-			ix := mustBuild(t, pts[:50], Options{Algorithm: Correct, AutoThreshold: -1})
+			ix := mustBuild(t, pts[:50], Options{Algorithm: Correct})
 			wantLen, wantDir := ix.Len(), pointDirSnapshot(ix)
 
 			ix.testHookApprox = func(id int) error {
@@ -234,7 +234,7 @@ func TestDeleteBatch(t *testing.T) {
 func TestLazyInsertsStayLazy(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 913, 120, 2)
 	ix := drainOnly(mustBuild(t, pts[:40], Options{
-		Algorithm: Correct, AutoThreshold: -1, LazyRepair: true,
+		Algorithm: Correct, LazyRepair: true,
 	}))
 	updatesBefore := ix.Stats().Updates
 	for _, p := range pts[40:] {
@@ -248,25 +248,5 @@ func TestLazyInsertsStayLazy(t *testing.T) {
 	}
 	if st.StaleCells == 0 || st.StaleCellsHighWater < st.StaleCells {
 		t.Fatalf("stale accounting off: now=%d highwater=%d", st.StaleCells, st.StaleCellsHighWater)
-	}
-}
-
-// AutoThreshold switches Correct to NN-Direction above the cutoff: the
-// constraint load drops sharply and queries stay exact (Lemma 1 soundness
-// of any constraint subset).
-func TestAutoThresholdSwitch(t *testing.T) {
-	pts := uniquePoints(t, dataset.NameUniform, 518, 160, 3)
-	full := mustBuild(t, pts, Options{Algorithm: Correct, AutoThreshold: -1})
-	auto := mustBuild(t, pts, Options{Algorithm: Correct, AutoThreshold: 40})
-	cf, ca := full.Stats().ConstraintPoints, auto.Stats().ConstraintPoints
-	if ca*2 >= cf {
-		t.Fatalf("auto threshold did not cut constraint load: %d vs %d", ca, cf)
-	}
-	assertExactQueries(t, auto, pts, identMap(len(pts)), 519, 40)
-
-	// Below the threshold the behaviour is plain Correct.
-	small := mustBuild(t, pts[:30], Options{Algorithm: Correct, AutoThreshold: 4096})
-	if got, want := small.Stats().ConstraintPoints, mustBuild(t, pts[:30], Options{Algorithm: Correct, AutoThreshold: -1}).Stats().ConstraintPoints; got != want {
-		t.Fatalf("below-threshold build diverged from Correct: %d vs %d", got, want)
 	}
 }

@@ -34,7 +34,7 @@ const (
 
 func benchIndex(b *testing.B, alg Algorithm, d, n, queries int) (*Index, []vec.Point) {
 	b.Helper()
-	pts := uniquePoints(b, dataset.NameUniform, int64(100*d+int(alg)), n, d)
+	pts := uniquePoints(b, dataset.NameUniform, int64(100*d+alg.code()), n, d)
 	ix := mustBuild(b, pts, Options{Algorithm: alg})
 	rng := rand.New(rand.NewSource(99))
 	qs := make([]vec.Point, queries)

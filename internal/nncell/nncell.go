@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,12 +54,22 @@ import (
 // cell-approximation LPs (the paper's four variants, §2).
 type Algorithm int
 
-// The four constraint-selection algorithms of the paper.
+// The four constraint-selection algorithms of the paper. NNDirection, the
+// one the served system runs, is the zero value; Algorithms lists them in the
+// paper's order, which is also the order of their on-disk codes (persist.go).
 const (
+	// NNDirection uses a constant-size set: the 8·d nearest neighbors — the
+	// pool from which the paper picks, per axis direction, the nearest point
+	// and the point with smallest angular deviation from the axis. The whole
+	// pool is a superset of those ≤ 4·d picks, so the cells come out tighter
+	// (Lemma 1) at O(d) constraints per cell all the same.
+	NNDirection Algorithm = iota
 	// Correct uses every other data point, with a sound iterative pruning
 	// (points farther than twice the current cell radius cannot touch the
-	// cell), yielding the exact MBR approximation.
-	Correct Algorithm = iota
+	// cell), yielding the exact MBR approximation. It solves LPs against
+	// O(n) constraint points per cell: fine at the figures' scales, quadratic
+	// in total at bulk scale.
+	Correct
 	// PointAlg uses all points stored on data pages whose page region
 	// contains the point being inserted. Build only, like Sphere: a cell
 	// computed by a write, a repair or a replay selects NNDirection.
@@ -66,12 +77,6 @@ const (
 	// Sphere uses all points on data pages whose region intersects a sphere
 	// around the point (radius: the paper's heuristic, see SphereRadius).
 	Sphere
-	// NNDirection uses a constant-size set: the 8·d nearest neighbors — the
-	// pool from which the paper picks, per axis direction, the nearest point
-	// and the point with smallest angular deviation from the axis. The whole
-	// pool is a superset of those ≤ 4·d picks, so the cells come out tighter
-	// (Lemma 1) at O(d) constraints per cell all the same.
-	NNDirection
 )
 
 // String returns the paper's name for the algorithm.
@@ -93,9 +98,13 @@ func (a Algorithm) String() string {
 // Algorithms lists all constraint-selection variants in the paper's order.
 func Algorithms() []Algorithm { return []Algorithm{Correct, PointAlg, Sphere, NNDirection} }
 
+// code is a's position in Algorithms: its on-disk code (persist.go), and the
+// seed offset of the benchmarks' point sets.
+func (a Algorithm) code() int { return slices.Index(Algorithms(), a) }
+
 // Options configure index construction.
 type Options struct {
-	// Algorithm is the constraint-selection variant. Default Correct.
+	// Algorithm is the constraint-selection variant. Default NNDirection.
 	Algorithm Algorithm
 	// MaxConstraintPoints caps the constraint-set size of the Point and
 	// Sphere selections (0 = unlimited). On heavily clustered data those
@@ -103,16 +112,6 @@ type Options struct {
 	// the paper reports for real data; capping keeps the closest points,
 	// which is sound by Lemma 1 (any subset only enlarges the MBR).
 	MaxConstraintPoints int
-	// AutoThreshold makes NN-Direction the effective constraint selection
-	// once the live point count reaches this value, when Algorithm is
-	// Correct. The Correct selection solves LPs against O(n) constraint
-	// points per cell — fine for the paper's figure scales, quadratic in
-	// total at bulk scale — while NN-Direction keeps every constraint set
-	// O(d) (and any subset is sound by Lemma 1, so queries stay exact; the
-	// approximations are merely looser). 0 means the default threshold of
-	// 4096; negative disables the switch (the paper-figure harness pins it
-	// off so each figure measures exactly the algorithm it names).
-	AutoThreshold int
 	// LazyRepair defers the affected-cell recomputation of Insert and
 	// InsertBatch: affected cells are marked stale and re-approximated by a
 	// background pool instead of being re-solved inside the mutation's write
@@ -124,22 +123,12 @@ type Options struct {
 	LazyRepair bool
 }
 
-// DefaultAutoThreshold is the live point count at which Options.AutoThreshold
-// (left zero) switches the Correct constraint selection to NN-Direction.
-const DefaultAutoThreshold = 4096
-
 // epsilon pads every stored MBR to absorb LP tolerance (finishRect), and the
 // pad is what keeps queries exact. An MBR the LP shaved by its tolerance could
 // miss a query point inside its cell; the query would then answer from the
 // cells that do contain the point, a farther neighbour, with nothing to say
 // so. The fallback does not catch that: it runs only when no cell survives.
 const epsilon = 1e-9
-
-func (o *Options) normalize() {
-	if o.AutoThreshold == 0 {
-		o.AutoThreshold = DefaultAutoThreshold
-	}
-}
 
 // Stats aggregates counters for experiments.
 type Stats struct {
@@ -286,16 +275,14 @@ var ErrBadK = errors.New("nncell: k must be positive")
 // The build streams: each worker keeps only its own LP scratch (one cellCtx)
 // and stores a finished cell under its id, so peak memory is the output
 // itself (cell MBRs + directories) plus O(workers) scratch — never all
-// 2·d·n constraint sets at once. With AutoThreshold in effect (the default)
-// constraint sets above the threshold are O(d) per cell, which is what makes
-// n = 10⁵ bulk builds both fit in memory and finish; a failed cell stops the
-// other workers immediately instead of solving the remaining LPs for a build
-// that will be thrown away.
+// 2·d·n constraint sets at once. Under NN-Direction (the default) every
+// constraint set is O(d), which is what makes n = 10⁵ bulk builds both fit
+// in memory and finish; a failed cell stops the other workers immediately
+// instead of solving the remaining LPs for a build that will be thrown away.
 func Build(points []vec.Point, bounds vec.Rect, pg *pager.Pager, opts Options) (*Index, error) {
 	if len(points) == 0 {
 		return nil, ErrEmpty
 	}
-	opts.normalize()
 	d := points[0].Dim()
 	if bounds.Dim() != d {
 		return nil, fmt.Errorf("nncell: bounds dim %d, points dim %d", bounds.Dim(), d)
@@ -437,7 +424,6 @@ func NewEmpty(d int, bounds vec.Rect, pg *pager.Pager, opts Options) (*Index, er
 	if bounds.Dim() != d {
 		return nil, fmt.Errorf("nncell: bounds dim %d, want %d", bounds.Dim(), d)
 	}
-	opts.normalize()
 	cells := newCellStore(d, 0)
 	dir := newCellDir(bounds, cells)
 	return &Index{

@@ -21,7 +21,8 @@ import (
 //	magic   [8]byte  "NNCELLv2"
 //	dim     uint32
 //	flags   uint32   (reserved, 0)
-//	options: algorithm, decompose (1), obliqueness (0) uint32;
+//	options: algorithm (its position in Algorithms: 0 Correct, 1 Point,
+//	         2 Sphere, 3 NN-Direction), decompose (1), obliqueness (0) uint32;
 //	         sphereScale (1), epsilon (1e-9) float64
 //	bounds: 2·dim float64
 //	count   uint64   (point slots, including tombstones)
@@ -114,7 +115,7 @@ func (ix *Index) saveLocked(w io.Writer, framed bool) error {
 	}
 	if err := write(
 		uint32(ix.dim), uint32(0),
-		uint32(ix.opts.Algorithm), uint32(1), uint32(0),
+		uint32(ix.opts.Algorithm.code()), uint32(1), uint32(0),
 		float64(1), float64(epsilon),
 	); err != nil {
 		return err
@@ -197,7 +198,7 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	if flags != 0 {
 		return nil, fmt.Errorf("nncell: load: unknown flags %#x", flags)
 	}
-	if Algorithm(alg) > NNDirection {
+	if alg >= uint32(len(Algorithms())) {
 		return nil, fmt.Errorf("nncell: load: unknown algorithm %d", alg)
 	}
 	for _, slot := range []struct {
@@ -214,8 +215,7 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 		}
 	}
 	d := int(dim)
-	opts := Options{Algorithm: Algorithm(alg)}
-	opts.normalize()
+	opts := Options{Algorithm: Algorithms()[alg]}
 
 	bounds := vec.EmptyRect(d)
 	if err := read(bounds.Lo, bounds.Hi); err != nil {

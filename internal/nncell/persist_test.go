@@ -107,6 +107,35 @@ func repack(good []byte, patch func(b []byte)) []byte {
 	return b
 }
 
+// The algorithm slot (byte 16) holds a selection's position in Algorithms, not
+// its Go value: every snapshot written before NNDirection became the zero
+// value loads under the selection it was built with.
+func TestSaveAlgorithmCodes(t *testing.T) {
+	pts := uniquePoints(t, dataset.NameUniform, 85, 30, 2)
+	var good []byte
+	for code, alg := range []Algorithm{Correct, PointAlg, Sphere, NNDirection} {
+		var buf bytes.Buffer
+		if err := mustBuild(t, pts, Options{Algorithm: alg}).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		good = buf.Bytes()
+		if got := binary.LittleEndian.Uint32(good[16:]); got != uint32(code) {
+			t.Errorf("%s: Save wrote algorithm code %d, want %d", alg, got, code)
+		}
+		ix, err := Load(bytes.NewReader(good), newTestPager())
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if ix.Algorithm() != alg {
+			t.Errorf("code %d loaded as %s, want %s", code, ix.Algorithm(), alg)
+		}
+	}
+	forged := repack(good, func(b []byte) { binary.LittleEndian.PutUint32(b[16:], 4) })
+	if _, err := Load(bytes.NewReader(forged), newTestPager()); err == nil {
+		t.Error("Load accepted algorithm code 4")
+	}
+}
+
 func TestLoadRejectsCorruptInput(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 83, 20, 3)
 	ix := mustBuild(t, pts, Options{Algorithm: Correct})

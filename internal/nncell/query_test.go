@@ -145,7 +145,7 @@ func TestCandidatesNearestAppendBound(t *testing.T) {
 func TestFallbackMatchesScanOracle(t *testing.T) {
 	for _, alg := range []Algorithm{Correct, NNDirection} {
 		for _, d := range []int{2, 6} {
-			pts := uniquePoints(t, dataset.NameUniform, int64(400+10*d+int(alg)), 200, d)
+			pts := uniquePoints(t, dataset.NameUniform, int64(400+10*d+alg.code()), 200, d)
 			ix := mustBuild(t, pts, Options{Algorithm: alg})
 			rng := rand.New(rand.NewSource(int64(500 + d)))
 			for qi := 0; qi < 200; qi++ {

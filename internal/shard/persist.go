@@ -133,6 +133,9 @@ func (s *Sharded) Save(w io.Writer) error {
 // present shard blob is fully validated by the per-shard v2 loader; Load
 // additionally checks that all shards agree with the header on dimensionality
 // and data space, and that every point routes to the shard that stores it.
+// A loaded shard takes its constraint selection from its blob and repairs
+// eagerly (nncell.Load has no options); only an absent shard, built empty
+// here, gets opts.Index, LazyRepair included.
 //
 // This is also where a snapshot's kind is decided, and the only place: a
 // stream that does not open with Magic is read as a bare NNCELLv2 index (what
